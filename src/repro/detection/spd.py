@@ -90,36 +90,75 @@ class DetectorModel:
 def _apply_dead_time(sorted_times: np.ndarray, dead_time_s: float) -> np.ndarray:
     """Drop clicks closer than the dead time to the previous *kept* click.
 
-    The exact filter is sequential; for large streams an iterative
-    vectorised sweep is used instead: repeatedly drop clicks whose gap to
-    the previous surviving click is below the dead time.  Each pass only
-    re-examines clicks whose predecessor changed, so the sweep converges in
-    a handful of iterations and is exactly equivalent to the sequential
-    filter (a click is kept iff its gap to the previous kept click is large
-    enough, which is what the fixed point satisfies).
+    The exact filter is sequential (:func:`_dead_time_loop`, also the
+    oracle) and stays the path for small streams; large streams take the
+    equivalent jump of :func:`_dead_time_jump`.
     """
     if sorted_times.size <= 200_000:
-        kept = np.empty_like(sorted_times)
-        count = 0
-        last = -np.inf
-        for t in sorted_times:
-            if t - last >= dead_time_s:
-                kept[count] = t
-                count += 1
-                last = t
-        return kept[:count]
+        return _dead_time_loop(sorted_times, dead_time_s)
+    return _dead_time_jump(sorted_times, dead_time_s)
 
-    times = sorted_times
+
+def _dead_time_loop(sorted_times: np.ndarray, dead_time_s: float) -> np.ndarray:
+    """The sequential filter: keep a click iff it is a dead time clear of
+    the previous kept click."""
+    kept = np.empty_like(sorted_times)
+    count = 0
+    last = -np.inf
+    for t in sorted_times:
+        if t - last >= dead_time_s:
+            kept[count] = t
+            count += 1
+            last = t
+    return kept[:count]
+
+
+def _dead_time_jump(times: np.ndarray, dead_time_s: float) -> np.ndarray:
+    """The sequential dead-time filter, jumping from kept click to kept click.
+
+    A click whose gap to its immediate predecessor is at least the dead
+    time is always kept: dropping earlier clicks only widens its gap.  The
+    other ("blocked") clicks form runs, each headed by a kept click.  From
+    a kept click ``k`` the next kept one is the first ``j`` with
+    ``t[j] - t[k] >= dead_time`` — the loop's own comparison, monotone in
+    ``j`` — located by ``searchsorted`` and nudged onto that exact
+    comparison.  Every run is walked at once, one kept click per step, so
+    streams with short runs finish in a few vectorised steps.
+    """
+    n = times.size
+    blocked = np.zeros(n, dtype=bool)
+    blocked[1:] = np.diff(times) < dead_time_s
+    if not blocked.any():
+        return times
+    keep = ~blocked
+    current = np.flatnonzero(keep[:-1] & blocked[1:])
+    while current.size:
+        current = _next_clear(times, current, dead_time_s)
+        current = current[current < n]
+        current = current[blocked[current]]
+        keep[current] = True
+    return times[keep]
+
+
+def _next_clear(
+    times: np.ndarray, indices: np.ndarray, dead_time_s: float
+) -> np.ndarray:
+    """For each index k, the first j > k with ``times[j] - times[k] >=
+    dead_time_s`` (``times.size`` when there is none)."""
+    n = times.size
+    start = times[indices]
+    first = np.maximum(
+        np.searchsorted(times, start + dead_time_s, side="left"), indices + 1
+    )
     while True:
-        gaps = np.diff(times)
-        blocked = np.concatenate([[False], gaps < dead_time_s])
-        if not blocked.any():
-            return times
-        # A click whose gap to its immediate predecessor is >= dead time
-        # can never be dropped (dropping earlier clicks only widens its
-        # gap), so unblocked clicks are final.  A blocked click right
-        # after an unblocked one therefore follows a *kept* click and is
-        # definitely dropped.  Blocked clicks deeper in a run must be
-        # re-evaluated next pass against the surviving predecessor.
-        droppable = blocked & ~np.concatenate([[False], blocked[:-1]])
-        times = times[~droppable]
+        back = first > indices + 1
+        back[back] = times[first[back] - 1] - start[back] >= dead_time_s
+        if not back.any():
+            break
+        first[back] -= 1
+    while True:
+        ahead = first < n
+        ahead[ahead] = times[first[ahead]] - start[ahead] < dead_time_s
+        if not ahead.any():
+            return first
+        first[ahead] += 1

@@ -143,12 +143,16 @@ def _collect_delays_vectorized(
     total = int(counts.sum())
     if total == 0:
         return np.empty(0)
+    return stops[range_indices(lo, counts, total)] - np.repeat(starts, counts)
+
+
+def range_indices(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """The ranges ``[lo_i, lo_i + counts_i)`` concatenated into one index
+    array (``total`` is ``counts.sum()``)."""
     cumulative = np.cumsum(counts)
     # Index k of the flat output maps to stop index lo[i] + (k - offset[i])
     # where i is the window k falls in and offset[i] the windows before it.
-    offsets = np.repeat(lo - (cumulative - counts), counts)
-    stop_indices = np.arange(total) + offsets
-    return stops[stop_indices] - np.repeat(starts, counts)
+    return np.arange(total) + np.repeat(lo - (cumulative - counts), counts)
 
 
 def _collect_delays_chunked(

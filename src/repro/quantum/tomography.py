@@ -220,19 +220,27 @@ def mle_tomography(
     if total_shots == 0:
         raise TomographyError("all settings have zero counts")
     frequencies = np.array(frequency_list) / total_shots
+    observed = frequencies > 0
+    # Tr(Π ρ) = Σ_ab Π_ab ρ_ba: one matrix-vector product against the
+    # flattened projector stack gives every probability at once.
+    projectors = np.stack(projector_list)
+    flat_projectors = projectors.reshape(len(projector_list), dim * dim)
+    observed_projectors = projectors[observed]
+    observed_frequencies = frequencies[observed]
 
     rho = np.eye(dim, dtype=complex) / dim
     previous_likelihood = -np.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        probabilities = np.array(
-            [max(np.real(np.trace(proj @ rho)), 1e-12) for proj in projector_list]
+        probabilities = np.maximum(
+            np.real(flat_projectors @ rho.T.reshape(dim * dim)), 1e-12
         )
-        r_operator = np.zeros((dim, dim), dtype=complex)
-        for freq, prob, proj in zip(frequencies, probabilities, projector_list):
-            if freq > 0:
-                r_operator += (freq / prob) * proj
+        r_operator = np.tensordot(
+            observed_frequencies / probabilities[observed],
+            observed_projectors,
+            axes=1,
+        )
         if dilution < 1.0:
             r_operator = (1.0 - dilution) * np.eye(dim) + dilution * r_operator
         candidate = r_operator @ rho @ r_operator
@@ -242,8 +250,7 @@ def mle_tomography(
             raise TomographyError("RρR update collapsed to zero trace")
         rho = candidate / trace
         log_likelihood = float(
-            np.dot(frequencies[frequencies > 0],
-                   np.log(probabilities[frequencies > 0]))
+            np.dot(observed_frequencies, np.log(probabilities[observed]))
         )
         if abs(log_likelihood - previous_likelihood) < tolerance:
             converged = True

@@ -31,8 +31,10 @@ from repro.runtime.records import jsonify
 #: Schema 3: RandomStream became counter-based (Philox keys, one
 #: inverse-CDF uniform per draw position), so every sampled value —
 #: and therefore every record — differs from schema 2 for the same
-#: seed; old entries must not be served for new runs.
-CACHE_SCHEMA = 3
+#: seed; old entries must not be served for new runs.  Schema 4: MLE
+#: tomography sums its probabilities and R operator over a stacked
+#: projector array, so E9 records move in the last bits.
+CACHE_SCHEMA = 4
 
 
 def fingerprint(

@@ -150,3 +150,76 @@ class TestMLE:
         counts = tomography.simulate_pauli_counts(bell, 100, rng)
         with pytest.raises(TomographyError):
             tomography.mle_tomography(counts, 2, dilution=0.0)
+
+
+def _mle_per_projector(counts, num_qubits, max_iterations, dilution):
+    """Frozen copy of the original RρR loop: one ``Tr(Π ρ)`` per projector
+    and R accumulated projector by projector.  Returns (ρ, iterations)."""
+    dim = 2**num_qubits
+    projector_list, frequency_list, total_shots = [], [], 0.0
+    for setting, setting_counts in counts.items():
+        setting_counts = np.asarray(setting_counts, dtype=float)
+        shots = setting_counts.sum()
+        if shots == 0:
+            continue
+        total_shots += shots
+        for proj, count in zip(
+            tomography.setting_projectors(setting), setting_counts
+        ):
+            projector_list.append(proj)
+            frequency_list.append(float(count))
+    frequencies = np.array(frequency_list) / total_shots
+    rho = np.eye(dim, dtype=complex) / dim
+    previous_likelihood = -np.inf
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        probabilities = np.array(
+            [max(np.real(np.trace(proj @ rho)), 1e-12) for proj in projector_list]
+        )
+        r_operator = np.zeros((dim, dim), dtype=complex)
+        for freq, prob, proj in zip(frequencies, probabilities, projector_list):
+            if freq > 0:
+                r_operator += (freq / prob) * proj
+        if dilution < 1.0:
+            r_operator = (1.0 - dilution) * np.eye(dim) + dilution * r_operator
+        candidate = r_operator @ rho @ r_operator
+        candidate = 0.5 * (candidate + candidate.conj().T)
+        rho = candidate / np.real(np.trace(candidate))
+        log_likelihood = float(
+            np.dot(frequencies[frequencies > 0],
+                   np.log(probabilities[frequencies > 0]))
+        )
+        if abs(log_likelihood - previous_likelihood) < 1e-10:
+            break
+        previous_likelihood = log_likelihood
+    return rho, iterations
+
+
+class TestStackedMLEMatchesPerProjectorLoop:
+    """The stacked-projector update reorders float sums only: every
+    element of ρ stays within 1e-10 of the per-projector loop."""
+
+    @pytest.mark.parametrize("dilution", [1.0, 0.5])
+    def test_two_qubits(self, bell, rng, dilution):
+        counts = tomography.simulate_pauli_counts(
+            add_white_noise(bell, 0.85), 400, rng
+        )
+        counts["XY"] = np.zeros(4, dtype=int)  # an empty setting is skipped
+        self._assert_matches(counts, 2, 300, dilution)
+
+    @pytest.mark.parametrize("dilution", [1.0, 0.5])
+    def test_four_qubits(self, bell, rng, dilution):
+        state = add_white_noise(bell.tensor(bell), 0.7)
+        counts = tomography.simulate_pauli_counts(state, 60, rng)
+        self._assert_matches(counts, 4, 60, dilution)
+
+    @staticmethod
+    def _assert_matches(counts, num_qubits, max_iterations, dilution):
+        expected, iterations = _mle_per_projector(
+            counts, num_qubits, max_iterations, dilution
+        )
+        result = tomography.mle_tomography(
+            counts, num_qubits, max_iterations=max_iterations, dilution=dilution
+        )
+        assert result.iterations == iterations
+        assert np.max(np.abs(result.state.matrix - expected)) < 1e-10

@@ -20,14 +20,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.detection.coincidence import (
+    accidental_window_centers,
     car_from_tags,
     coincidence_histogram,
     count_coincidences,
 )
+from repro.detection.spd import _apply_dead_time, _dead_time_jump, _dead_time_loop
 from repro.detection.tdc import TimeToDigitalConverter, collect_delays
 from repro.errors import ConfigurationError
 from repro.quantum.noise import add_white_noise
@@ -102,6 +104,97 @@ class TestDetectionEquivalence:
         loop = car_from_tags(a, b, 30.0, impl="loop")
         fast = car_from_tags(a, b, 30.0, impl="vectorized")
         assert loop == fast
+
+    @given(
+        starts=click_times,
+        stops=click_times,
+        window=windows,
+        offset_factor=st.floats(min_value=1.01, max_value=4.0),
+        num_windows=st.integers(min_value=1, max_value=11),
+        sort_starts=st.booleans(),
+        sort_stops=st.booleans(),
+        duplicate=st.booleans(),
+        edges=st.lists(
+            st.tuples(st.integers(0, 59), st.integers(0, 11),
+                      st.sampled_from([-0.5, 0.5])),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_car_from_tags_identical_on_adversarial_streams(
+        self, starts, stops, window, offset_factor, num_windows,
+        sort_starts, sort_stops, duplicate, edges,
+    ):
+        offset = window * offset_factor
+        centers = [0.0, *accidental_window_centers(num_windows, offset)]
+        a = np.asarray(starts, dtype=float)
+        if duplicate:
+            a = np.concatenate([a, a[: a.size // 2]])
+        # Stops placed on the nominal edge of a coincidence or accidental
+        # window, where rounding decides the count.
+        on_edges = [
+            a[i % a.size] + centers[k % len(centers)] + side * window
+            for i, k, side in edges
+            if a.size
+        ]
+        b = np.asarray(stops + on_edges, dtype=float)
+        if sort_starts:
+            a = np.sort(a)
+        if sort_stops:
+            b = np.sort(b)
+        args = (a, b, 1.0, window, num_windows, offset)
+        assert car_from_tags(*args, impl="vectorized") == car_from_tags(
+            *args, impl="loop"
+        )
+
+    @given(
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            max_size=80,
+        ),
+        grid=st.sampled_from([None, 1e-3, 1e-2]),
+        dead_time=st.sampled_from([1e-3, 3e-3, 1e-2, 0.1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    # t[2] - t[0] rounds up to the dead time although t[2] < t[0] + dead
+    # time, so searchsorted overshoots and must step back.
+    @example(
+        times=[0.0006841842638257823, 0.0011841842638257823,
+               0.0016841842638257822],
+        grid=None,
+        dead_time=1e-3,
+    )
+    def test_dead_time_jump_identical(self, times, grid, dead_time):
+        # Grid-snapped times put gaps on (or one ulp off) the dead time.
+        values = np.asarray(times, dtype=float)
+        if grid is not None:
+            values = np.round(values / grid) * grid
+        values = np.sort(values)
+        assert np.array_equal(
+            _dead_time_jump(values, dead_time),
+            _dead_time_loop(values, dead_time),
+        )
+
+    @pytest.mark.parametrize(
+        "label, size, duration_s, dead_time_s, grid_s",
+        [
+            ("saturated", 300_000, 1.5, 50e-6, None),
+            ("sparse", 250_000, 60.0, 10e-6, None),
+            ("grid", 250_000, 2.5, 10e-6, 1e-6),
+        ],
+    )
+    def test_dead_time_large_stream_identical(
+        self, rng, label, size, duration_s, dead_time_s, grid_s
+    ):
+        # Above 200k clicks _apply_dead_time takes the jump path.
+        times = rng.child(label).uniform(0.0, duration_s, size)
+        if grid_s is not None:
+            times = np.round(times / grid_s) * grid_s
+        times = np.sort(times)
+        assert np.array_equal(
+            _apply_dead_time(times, dead_time_s),
+            _dead_time_loop(times, dead_time_s),
+        )
 
     def test_coincidence_histogram_identical(self, rng):
         a = rng.child("a").uniform(0.0, 5.0, 20_000)

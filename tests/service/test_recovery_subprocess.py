@@ -63,11 +63,11 @@ class TestKillAndRestart:
         server = _spawn_server(root)
         try:
             client = _wait_for_service(root)
-            # Slow compute jobs (~2 s each on one worker) guarantee the
-            # kill lands mid-drain.
+            # Slow compute jobs (~0.3 s of CAR counting each on one
+            # worker) make the kill land mid-drain.
             jobs = [
                 client.submit("E5", quick=True,
-                              params={"duration_s": 30.0 + i})
+                              params={"duration_s": 120.0 + i})
                 for i in range(4)
             ]
             # Wait until at least one job is running, then pull the plug.
