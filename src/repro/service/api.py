@@ -474,7 +474,7 @@ class ExperimentService:
 
     def _rpc_health(self) -> dict[str, object]:
         """Liveness snapshot: pid, uptime, worker and queue counts."""
-        counts = self.store.snapshot()["counts"]
+        counts = self.store.counts()
         return {
             "ok": True,
             "pid": os.getpid(),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import sys
 import time
 from collections.abc import Mapping
 
@@ -132,6 +133,13 @@ class Job:
         self.experiment_id = self.experiment_id.upper()
         if not self.pipeline:
             raise ConfigurationError("pipeline name must be non-empty")
+        # A daemon holds every job it ever ran, most of them re-read
+        # from disk; sharing these few-valued strings keeps each job's
+        # footprint to what is really its own.
+        for name in ("kind", "experiment_id", "pipeline", "status"):
+            value = getattr(self, name)
+            if type(value) is str:
+                setattr(self, name, sys.intern(value))
 
     # ------------------------------------------------------------------
     # Derived views
@@ -262,8 +270,39 @@ class Job:
         ``finished_at`` plus ``wait_s`` (queue wait) and ``run_s``
         (execution time).  :meth:`from_dict` ignores unknown keys, so
         the derived block never threatens the round-trip.
+
+        Built field by field rather than through ``dataclasses.asdict``
+        (a recursive deep copy, and the store builds one document per
+        transition): only the container fields are copied, so mutating
+        the document never reaches back into the job.
         """
-        document = dataclasses.asdict(self)
+        document: dict[str, object] = {
+            "job_id": self.job_id,
+            "kind": self.kind,
+            "experiment_id": self.experiment_id,
+            "seed": self.seed,
+            "quick": self.quick,
+            "params": _copy_json(self.params),
+            "scan": _copy_json(self.scan),
+            "analysis_pipeline": self.analysis_pipeline,
+            "pipeline": self.pipeline,
+            "priority": self.priority,
+            "status": self.status,
+            "cancel_requested": self.cancel_requested,
+            "attempt": self.attempt,
+            "submitted_unix": self.submitted_unix,
+            "started_unix": self.started_unix,
+            "finished_unix": self.finished_unix,
+            "done_points": self.done_points,
+            "total_points": self.total_points,
+            "run_ids": _copy_json(self.run_ids),
+            "cached_points": self.cached_points,
+            "metrics": _copy_json(self.metrics),
+            "error": _copy_json(self.error),
+            "runner_id": self.runner_id,
+            "runner_host": self.runner_host,
+            "runner_pid": self.runner_pid,
+        }
         document["queued_at"] = _iso(self.submitted_unix)
         document["started_at"] = _iso(self.started_unix)
         document["finished_at"] = _iso(self.finished_unix)
@@ -274,11 +313,25 @@ class Job:
     @classmethod
     def from_dict(cls, document: Mapping[str, object]) -> "Job":
         """Rebuild a job from :meth:`to_dict` output (unknown keys ignored)."""
-        names = {field.name for field in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in document.items() if k in names}
+        kwargs = {k: v for k, v in document.items() if k in _FIELDS}
         try:
             return cls(**kwargs)
         except TypeError as error:
             raise ConfigurationError(
                 f"unreadable job document (missing fields): {error}"
             ) from error
+
+
+#: The dataclass field names :meth:`Job.from_dict` accepts.
+_FIELDS = frozenset(field.name for field in dataclasses.fields(Job))
+
+
+def _copy_json(value: object) -> object:
+    """A copy of a JSON-like value: containers rebuilt, scalars shared."""
+    if isinstance(value, dict):
+        return type(value)(
+            (key, _copy_json(item)) for key, item in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copy_json(item) for item in value)
+    return value

@@ -168,8 +168,8 @@ class Scheduler:
 
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            snapshot = self.store.snapshot()["counts"]
-            live = snapshot.get("pending", 0) + snapshot.get("running", 0)
+            counts = self.store.counts()
+            live = counts.get("pending", 0) + counts.get("running", 0)
             if live == 0:
                 return True
             self.store.wait_for_work(0.05)

@@ -37,6 +37,7 @@ import pathlib
 import threading
 import time
 from collections.abc import Iterable, Mapping
+from operator import attrgetter
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -52,6 +53,7 @@ from repro.service.jobs import (
     KIND_SWEEP,
     PENDING,
     RUNNING,
+    STATUSES,
     TERMINAL,
     Job,
 )
@@ -71,6 +73,10 @@ EVENT_BUFFER = 4096
 #: transition and sweep point) without a separate GC command.
 JOURNAL_COMPACT_LINES = 20_000
 
+#: A transition written by :meth:`JobStore._write_entry` but not yet
+#: journaled: ``(job, journal entry, job document)``.
+_Prepared = tuple[Job, dict[str, object], dict[str, object]]
+
 
 class JobStore:
     """The persistent, thread-safe priority queue of service jobs."""
@@ -88,6 +94,18 @@ class JobStore:
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._jobs: dict[int, Job] = {}
+        #: The status index, kept in step with every job that enters
+        #: ``_jobs`` (:meth:`_put`) or changes status (:meth:`_index`)
+        #: so scheduling reads never scan every job: the ids of each
+        #: status in a set, except ``done`` — the bulk of a long-lived
+        #: queue, which the index only counts.  A known id in no set is
+        #: done.
+        self._by_status: dict[str, set[int]] = {
+            status: set() for status in STATUSES if status != DONE
+        }
+        self._done = 0
+        #: The highest job id this store has loaded or allocated.
+        self._max_id = 0
         self._events: collections.deque[dict[str, object]] = (
             collections.deque(maxlen=EVENT_BUFFER)
         )
@@ -105,7 +123,8 @@ class JobStore:
                 job = Job.from_dict(document)
             except (OSError, ValueError, ConfigurationError):
                 continue  # torn or foreign file; jobs are single-writer
-            self._jobs[job.job_id] = job
+            self._put(job)
+            self._max_id = max(self._max_id, job.job_id)
         journal = self._journal_events()
         for entry in journal:
             self._seq = max(self._seq, entry["seq"])
@@ -261,7 +280,7 @@ class JobStore:
                 if twin is not None:
                     return twin, True
             job.job_id = self._allocate_id()
-            self._jobs[job.job_id] = job
+            self._put(job)
             self._persist(job, "submitted")
         return job, False
 
@@ -279,7 +298,7 @@ class JobStore:
         ``priority``/``pipeline`` optional).
         """
         jobs: list[Job] = []
-        batch: list[tuple[Job, dict[str, object]]] = []
+        batch: list[_Prepared] = []
         now = time.time()
         with self._changed:
             for request in requests:
@@ -304,8 +323,8 @@ class JobStore:
                     priority=int(request.get("priority", 0)),
                     submitted_unix=now,
                 )
-                self._jobs[job.job_id] = job
-                batch.append((job, self._write_entry(job, "submitted")))
+                self._put(job)
+                batch.append((job, *self._write_entry(job, "submitted")))
                 jobs.append(job)
             self._persist_batch(batch)
         return jobs
@@ -317,7 +336,7 @@ class JobStore:
         immediate ``_persist`` overwrites), so two stores submitting to
         one queue directory can never clobber each other's job files.
         """
-        candidate = max(self._jobs, default=0)
+        candidate = self._max_id
         while True:
             candidate += 1
             try:
@@ -328,17 +347,19 @@ class JobStore:
             except FileExistsError:
                 continue  # another process holds it; try the next id
             os.close(descriptor)
+            self._max_id = candidate
             return candidate
 
     def _live_twin(self, job: Job) -> Job | None:
-        """A pending/running job with the same fingerprint, if any."""
+        """The oldest pending/running job with the same fingerprint, if any."""
         fingerprint = job.fingerprint()
-        for other in self._jobs.values():
-            if other.kind != KIND_RUN or other.is_terminal:
-                continue
-            if other.fingerprint() == fingerprint:
-                return other
-        return None
+        twins = [
+            other
+            for status in (PENDING, RUNNING)
+            for other in self._with_status(status)
+            if other.kind == KIND_RUN and other.fingerprint() == fingerprint
+        ]
+        return min(twins, key=attrgetter("job_id"), default=None)
 
     def _live_analysis_twin(self, job: Job) -> Job | None:
         """A *pending* analyze job of the same pipeline, if any.
@@ -349,12 +370,13 @@ class JobStore:
         answered with a stale report.  (Run-kind dedupe has no such
         hazard — its fingerprint fully determines the result.)
         """
-        for other in self._jobs.values():
-            if other.kind != KIND_ANALYZE or other.status != PENDING:
-                continue
-            if other.analysis_pipeline == job.analysis_pipeline:
-                return other
-        return None
+        twins = [
+            other
+            for other in self._with_status(PENDING)
+            if other.kind == KIND_ANALYZE
+            and other.analysis_pipeline == job.analysis_pipeline
+        ]
+        return min(twins, key=attrgetter("job_id"), default=None)
 
     def _serve_from_cache(self, job: Job, outcome) -> None:
         """Complete ``job`` instantly from an already-served cache hit.
@@ -368,7 +390,7 @@ class JobStore:
         job.cached_points = 1
         job.run_ids = [outcome.run_id]
         job.metrics = dict(outcome.result.metrics)
-        self._jobs[job.job_id] = job
+        self._put(job)
         self._persist(job, "cached")
 
     # ------------------------------------------------------------------
@@ -396,10 +418,7 @@ class JobStore:
         status output names the executing worker.
         """
         with self._changed:
-            for job in sorted(
-                (j for j in self._jobs.values() if j.status == PENDING),
-                key=Job.sort_key,
-            ):
+            for job in sorted(self._with_status(PENDING), key=Job.sort_key):
                 if accept is not None and not accept(job):
                     continue
                 if not self._take_claim(job.job_id, worker):
@@ -444,12 +463,9 @@ class JobStore:
         """
         served: list[Job] = []
         leased: list[Job] = []
-        batch: list[tuple[Job, dict[str, object]]] = []
+        batch: list[_Prepared] = []
         with self._changed:
-            for job in sorted(
-                (j for j in self._jobs.values() if j.status == PENDING),
-                key=Job.sort_key,
-            ):
+            for job in sorted(self._with_status(PENDING), key=Job.sort_key):
                 if len(served) + len(leased) >= max_jobs:
                     break
                 verdict = classify(job)
@@ -466,8 +482,8 @@ class JobStore:
                     job.assign_runner(*identity)
                 if verdict == "lease" or job.kind != KIND_RUN:
                     batch.append(
-                        (job, self._write_entry(job, "started",
-                                                worker=worker))
+                        (job, *self._write_entry(job, "started",
+                                                 worker=worker))
                     )
                     leased.append(job)
                     continue
@@ -479,7 +495,7 @@ class JobStore:
                 job.run_ids = [run_id]
                 job.metrics = dict(metrics)
                 batch.append(
-                    (job, self._write_entry(job, "served", worker=worker))
+                    (job, *self._write_entry(job, "served", worker=worker))
                 )
                 self._claim_path(job.job_id).unlink(missing_ok=True)
                 served.append(job)
@@ -511,7 +527,7 @@ class JobStore:
             job = Job.from_dict(document)
         except (OSError, ValueError, ConfigurationError):
             return self._jobs.get(job_id)
-        self._jobs[job_id] = job
+        self._put(job)
         return job
 
     def _claim_path(self, job_id: int) -> pathlib.Path:
@@ -576,20 +592,38 @@ class JobStore:
         """The job with ``job_id`` (ConfigurationError if unknown)."""
         with self._lock:
             job = self._jobs.get(int(job_id))
-        if job is None:
-            raise ConfigurationError(
-                f"no job {job_id}; known ids: "
-                f"{sorted(self._jobs) or 'none yet'}"
-            )
+            if job is None:
+                known = (
+                    f"{len(self._jobs)} known, ids "
+                    f"{min(self._jobs)}..{max(self._jobs)}"
+                    if self._jobs
+                    else "none yet"
+                )
+                raise ConfigurationError(f"no job {job_id}; {known}")
         return job
 
     def jobs(self, status: str | None = None) -> list[Job]:
         """All jobs (optionally filtered by status), in claim order."""
         with self._lock:
-            every = sorted(self._jobs.values(), key=Job.sort_key)
-        if status is None:
-            return every
-        return [job for job in every if job.status == status]
+            if status is None:
+                return sorted(self._jobs.values(), key=Job.sort_key)
+            return sorted(self._with_status(status), key=Job.sort_key)
+
+    def counts(self) -> dict[str, int]:
+        """How many jobs are in each status (empty statuses omitted).
+
+        Read from the status index: O(number of statuses), whatever the
+        queue length.
+        """
+        with self._lock:
+            counts = {
+                status: len(ids)
+                for status, ids in self._by_status.items()
+                if ids
+            }
+            if self._done:
+                counts[DONE] = self._done
+            return counts
 
     def cancel(self, job_id: int) -> Job:
         """Cancel a job: immediate when pending, cooperative when running.
@@ -621,13 +655,13 @@ class JobStore:
 
     def snapshot(self) -> dict[str, object]:
         """Queue-wide counts plus every job's summary document."""
-        jobs = self.jobs()
-        counts: dict[str, int] = {}
-        for job in jobs:
-            counts[job.status] = counts.get(job.status, 0) + 1
+        with self._lock:
+            jobs = self.jobs()
+            counts = self.counts()
+            seq = self._seq
         return {
             "root": str(self.root),
-            "seq": self.seq,
+            "seq": seq,
             "counts": counts,
             "jobs": [job.to_dict() for job in jobs],
         }
@@ -719,7 +753,7 @@ class JobStore:
     def wait_for_work(self, timeout: float) -> bool:
         """Block a scheduler worker until something changes (or timeout)."""
         with self._changed:
-            if any(j.status == PENDING for j in self._jobs.values()):
+            if self._with_status(PENDING):
                 return True
             return self._changed.wait(timeout)
 
@@ -744,18 +778,16 @@ class JobStore:
         enabled), so an ``obs/events.jsonl`` replay reconstructs
         exactly the lifecycle a live long-poller saw.
         """
-        entry = self._write_entry(job, event, **extra)
+        entry, document = self._write_entry(job, event, **extra)
         append_line(self.journal_path, json.dumps(entry, sort_keys=True))
-        self._publish_entry(job, entry)
+        self._publish_entry(job, entry, document)
         self._changed.notify_all()
 
-    def _persist_batch(
-        self, batch: list[tuple[Job, dict[str, object]]]
-    ) -> None:
+    def _persist_batch(self, batch: list[_Prepared]) -> None:
         """Journal many prepared entries with ONE fsynced append.
 
         Caller holds the lock and already called :meth:`_write_entry`
-        for each pair.  ``append_line`` fsyncs on every call, so the
+        for each job.  ``append_line`` fsyncs on every call, so the
         batched drain/submit paths join their journal lines into a
         single append — this is what lifts fully-cached throughput from
         per-job fsync pacing to >1k jobs/s.
@@ -765,20 +797,28 @@ class JobStore:
         append_line(
             self.journal_path,
             "\n".join(
-                json.dumps(entry, sort_keys=True) for _, entry in batch
+                json.dumps(entry, sort_keys=True) for _, entry, _ in batch
             ),
         )
-        for job, entry in batch:
-            self._publish_entry(job, entry)
+        for job, entry, document in batch:
+            self._publish_entry(job, entry, document)
         self._changed.notify_all()
 
     def _write_entry(
         self, job: Job, event: str, **extra: object
-    ) -> dict[str, object]:
-        """Rewrite the job file and build (but not journal) its event."""
+    ) -> tuple[dict[str, object], dict[str, object]]:
+        """Rewrite the job file and build (but not journal) its event.
+
+        Returns ``(entry, document)``: the journal entry and the job
+        document the file was written from, which the bus publish
+        reuses.  The status index is updated *before* the disk write,
+        so it mirrors the in-memory status even when the write fails.
+        """
+        self._index(job)
+        document = job.to_dict()
         atomic_write_text(
             self.job_path(job.job_id),
-            json.dumps(job.to_dict(), indent=2, sort_keys=True),
+            json.dumps(document, indent=2, sort_keys=True),
         )
         self._seq += 1
         entry: dict[str, object] = {
@@ -794,10 +834,68 @@ class JobStore:
         if job.wait_s is not None:
             entry["wait_s"] = job.wait_s
         entry.update(extra)
-        return entry
+        return entry, document
 
-    def _publish_entry(self, job: Job, entry: dict[str, object]) -> None:
-        """Feed one journaled entry to the buffer, telemetry and bus."""
+    def _put(self, job: Job) -> None:
+        """Insert or replace ``job`` in ``_jobs`` and the index (lock held)."""
+        known = job.job_id in self._jobs
+        self._jobs[job.job_id] = job
+        if known:
+            self._index(job)
+        else:
+            self._count(job.job_id, job.status, +1)
+
+    def _index(self, job: Job) -> None:
+        """Record a known job's current status (caller holds the lock).
+
+        Only the store's own job objects are indexed: a caller passing
+        an object ``_jobs`` does not hold (a stale copy, another store's
+        job) changes the file on disk but not this store's view.
+        """
+        if self._jobs.get(job.job_id) is not job:
+            return
+        previous = next(
+            (s for s, ids in self._by_status.items() if job.job_id in ids),
+            DONE,
+        )
+        if previous != job.status:
+            self._count(job.job_id, previous, -1)
+            self._count(job.job_id, job.status, +1)
+
+    def _count(self, job_id: int, status: str, delta: int) -> None:
+        """Add (``+1``) or remove (``-1``) one id under ``status``."""
+        if status == DONE:
+            self._done += delta
+        elif delta > 0:
+            self._by_status.setdefault(status, set()).add(job_id)
+        else:
+            self._by_status[status].discard(job_id)
+
+    def _with_status(self, status: str) -> list[Job]:
+        """The jobs in ``status``, from the index (caller holds the lock).
+
+        Each job's own status is re-checked, so a stale index entry can
+        only drop a candidate, never admit a job in another state.
+        ``done`` jobs have no id set and are found by a scan.
+        """
+        if status == DONE:
+            candidates: Iterable[Job] = self._jobs.values()
+        else:
+            ids = self._by_status.get(status, ())
+            candidates = map(self._jobs.__getitem__, ids)
+        return [job for job in candidates if job.status == status]
+
+    def _publish_entry(
+        self,
+        job: Job,
+        entry: dict[str, object],
+        document: dict[str, object],
+    ) -> None:
+        """Feed one journaled entry to the buffer, telemetry and bus.
+
+        ``document`` is the job document :meth:`_write_entry` wrote; the
+        ``queue.state`` publish reuses it instead of serialising again.
+        """
         self._events.append(entry)
         obs.event(
             obs_names.EVENT_JOB_TRANSITION,
@@ -810,12 +908,10 @@ class JobStore:
             },
         )
         if obs.enabled():
-            counts: dict[str, int] = {}
-            for other in self._jobs.values():
-                counts[other.status] = counts.get(other.status, 0) + 1
+            counts = self.counts()
             depth = counts.get(PENDING, 0) + counts.get(RUNNING, 0)
             obs.gauge(obs_names.METRIC_QUEUE_DEPTH, depth)
-            datasets.publish_queue_job(job.to_dict(), counts)
+            datasets.publish_queue_job(document, counts)
 
 
 def _valid_seq(value: object) -> bool:

@@ -4,9 +4,19 @@ Everything that persists engine or queue state goes through
 :func:`atomic_write_text`: the text lands in a same-directory temp file
 first and is ``os.replace``-d over the destination, so a reader — or a
 second engine sharing the same ``$REPRO_RUNTIME_ROOT`` — can never
-observe a torn half-written file.  Appends (the job journal) go through
-:func:`append_line`, which flushes and fsyncs so a crash loses at most
-the line being written.
+observe a torn half-written file.  Appends (the job journal, the
+telemetry journal) go through :func:`append_line`, which writes and
+fsyncs every line so a crash loses at most the line being written.
+
+:func:`append_line` reuses a small, bounded cache of open append
+descriptors (:data:`APPEND_HANDLES`; the least recently used closes
+first) instead of opening and closing the file for every line.  The
+cached handle follows renames: before each write it compares the
+path's ``(st_dev, st_ino)`` with the open descriptor's and reopens when
+the file was rotated, compacted (replaced) or deleted, so a line always
+lands in the file the path names at that moment.  A forked child starts
+with an empty cache and never writes to, flushes or closes the
+descriptors it inherited.
 
 Pure stdlib on purpose: this module sits below the CLI's no-numpy
 cached fast path.
@@ -14,6 +24,7 @@ cached fast path.
 
 from __future__ import annotations
 
+import collections
 import os
 import pathlib
 import threading
@@ -22,6 +33,9 @@ import threading
 #: process writing the same destination must not share a temp path.
 _COUNTER_LOCK = threading.Lock()
 _COUNTER = 0
+
+#: Most append descriptors :func:`append_line` keeps open at once.
+APPEND_HANDLES = 8
 
 
 def _temp_path(path: pathlib.Path) -> pathlib.Path:
@@ -41,10 +55,14 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     readers always see either the previous or the new complete content.
     """
     path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = _temp_path(path)
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(tmp, "w", encoding="utf-8")
+        with handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
@@ -70,20 +88,106 @@ def atomic_write_bytes(path: str | pathlib.Path, data: bytes) -> pathlib.Path:
     return path
 
 
-def append_line(path: str | pathlib.Path, line: str) -> None:
-    """Append one ``\\n``-terminated line to ``path``, flushed + fsynced.
+class _Appender:
+    """One cached append descriptor and the lock its writes hold."""
 
-    The building block of the job journal: appends from concurrent
-    threads of one process are serialised by the caller's lock; a crash
+    __slots__ = ("lock", "fd", "ident", "retired")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.fd: int | None = None
+        #: ``(st_dev, st_ino)`` of the file ``fd`` refers to.
+        self.ident: tuple[int, int] | None = None
+        #: Set once evicted from the cache; a retired appender never
+        #: writes again (a caller holding one fetches a fresh one).
+        self.retired = False
+
+    def write(self, path: str, data: bytes) -> None:
+        """Append ``data`` to ``path`` and fsync it (caller holds the lock)."""
+        try:
+            stat = os.stat(path)
+            current: tuple[int, int] | None = (stat.st_dev, stat.st_ino)
+        except FileNotFoundError:
+            current = None
+        if self.fd is None or current != self.ident:
+            self.close()
+            self.fd = _open_append(path)
+            stat = os.fstat(self.fd)
+            self.ident = (stat.st_dev, stat.st_ino)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self.fd, view):]
+        os.fsync(self.fd)
+
+    def close(self) -> None:
+        """Close the descriptor, if one is open (caller holds the lock)."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+            self.ident = None
+
+
+def _open_append(path: str) -> int:
+    """An ``O_APPEND`` descriptor on ``path`` (directory made if missing)."""
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+    try:
+        return os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return os.open(path, flags, 0o666)
+
+
+_APPENDERS: collections.OrderedDict[str, _Appender] = collections.OrderedDict()
+_APPENDERS_LOCK = threading.Lock()
+
+
+def _appender(path: str) -> _Appender:
+    """The cached appender of ``path``, evicting the least recently used."""
+    evicted: list[_Appender] = []
+    with _APPENDERS_LOCK:
+        appender = _APPENDERS.get(path)
+        if appender is None:
+            appender = _APPENDERS[path] = _Appender()
+            while len(_APPENDERS) > APPEND_HANDLES:
+                evicted.append(_APPENDERS.popitem(last=False)[1])
+        else:
+            _APPENDERS.move_to_end(path)
+    for victim in evicted:
+        with victim.lock:
+            victim.retired = True
+            victim.close()
+    return appender
+
+
+def _forget_appenders() -> None:
+    """Give a forked child an empty cache, leaving inherited descriptors be."""
+    global _APPENDERS, _APPENDERS_LOCK
+    _APPENDERS = collections.OrderedDict()
+    _APPENDERS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_appenders)
+
+
+def append_line(path: str | pathlib.Path, line: str) -> None:
+    """Append one ``\\n``-terminated line to ``path``, written + fsynced.
+
+    The building block of the job and telemetry journals.  Writes to
+    one path are serialised by a per-path lock held across write and
+    fsync; the line goes out in one ``write`` on an ``O_APPEND``
+    descriptor, so nothing is left buffered in the process.  A crash
     mid-append loses only the trailing partial line, which journal
-    readers skip.
+    readers skip.  The parent directory is created if missing.
     """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line.rstrip("\n") + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    key = os.fspath(path)
+    data = (line.rstrip("\n") + "\n").encode("utf-8")
+    while True:
+        appender = _appender(key)
+        with appender.lock:
+            if not appender.retired:
+                appender.write(key, data)
+                return
 
 
 def read_json_lines(path: str | pathlib.Path) -> list[object]:
