@@ -13,19 +13,12 @@ loose (factors, not absolute times) so they hold on slow CI machines.
 
 from __future__ import annotations
 
-import os
 import time
+
+from conftest import usable_cpus
 
 from repro.runtime.engine import RunEngine
 from repro.runtime.scan import LinearScan
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may actually schedule onto."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def bench_cached_vs_cold_sweep(tmp_path, benchmark):
@@ -82,7 +75,7 @@ def bench_serial_vs_parallel_sweep(tmp_path, benchmark):
 
     for s, p in zip(serial_outcome.outcomes, parallel_outcome.outcomes):
         assert p.result.metrics == s.result.metrics
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     print()
     print(
         f"serial: {serial_s:6.2f} s   parallel(3): {parallel_s:6.2f} s   "

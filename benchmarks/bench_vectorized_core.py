@@ -158,89 +158,6 @@ def bench_vectorized_core(benchmark):
     assert fringe_speedup >= 1.2
 
 
-def bench_chunked_fringe_scan(benchmark):
-    """Chunk-parallel vs vectorized on a million-pair fringe scan.
-
-    The correctness bar is unconditional: the chunked backend must
-    reassemble the scan bit-identically to the vectorized path (which
-    is itself bit-identical to the loop oracle).  The *speed* bar is
-    adaptive, because the chunked backend's win is core-count
-    parallelism and the pool degrades to an inline loop on one core:
-
-    * ``workers >= 8``: the chunked scan must beat vectorized >= 5x
-      (the multi-core acceptance figure);
-    * ``workers >= 2``: chunked must at least not lose to vectorized
-      (pool + pickling overhead fully amortized);
-    * one worker: chunked runs inline and must stay within 2x of
-      vectorized (pure chunking overhead, no parallelism to win).
-
-    The resolved worker count is recorded in the trajectory entry so a
-    reported speedup is never read without the parallelism that
-    produced it.
-    """
-    from repro.utils.chunking import default_workers
-
-    workers = default_workers()
-    state = add_white_noise(
-        DensityMatrix.from_ket(time_bin_bell_state(0.0), [2, 2]), 0.85
-    )
-    simulator = TimeBinCoincidenceSimulator(
-        state=state, alice=UnbalancedMichelson(), bob=UnbalancedMichelson()
-    )
-    # One million simulated pairs per scan: 8 phase points x 125k.
-    phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    pairs_per_point = 125_000
-
-    def scan(impl):
-        return simulator.fringe_scan(
-            phases, pairs_per_point, RandomStream(7, "mc"), impl=impl
-        )
-
-    vectorized_counts, vectorized_s = _time(lambda: scan("vectorized"),
-                                            repeats=2)
-    chunked_counts = benchmark.pedantic(
-        lambda: scan("chunked"), rounds=3, iterations=1
-    )
-    chunked_s = max(benchmark.stats.stats.min, 1e-9)
-    _assert(
-        np.array_equal(vectorized_counts, chunked_counts),
-        "chunked fringe counts diverged from vectorized",
-    )
-    speedup = vectorized_s / chunked_s
-    print()
-    print(
-        f"million-pair fringe scan     vectorized {vectorized_s*1e3:9.1f} ms"
-        f"   chunked {chunked_s*1e3:9.1f} ms   speedup {speedup:7.2f}x"
-        f"   ({workers} worker(s))"
-    )
-    path = record_trajectory(
-        "vectorized",
-        {
-            "chunked_fringe_scan": {
-                "pairs": int(phases.size * pairs_per_point),
-                "workers": workers,
-                "vectorized_s": round(vectorized_s, 4),
-                "chunked_s": round(chunked_s, 4),
-                "speedup": round(speedup, 2),
-            }
-        },
-    )
-    print(f"trajectory entry appended to {path.name}")
-
-    if workers >= 8:
-        _assert(speedup >= 5.0,
-                f"chunked speedup only {speedup:.1f}x on {workers} cores")
-    elif workers >= 2:
-        _assert(speedup >= 1.0,
-                f"chunked lost to vectorized ({speedup:.2f}x) "
-                f"despite {workers} workers")
-    else:
-        print("single worker: chunked ran inline; asserting bounded "
-              "overhead instead of a parallel speedup")
-        _assert(chunked_s <= 2.0 * vectorized_s,
-                f"inline chunked overhead too high ({speedup:.2f}x)")
-
-
 def _assert(condition: bool, message: str) -> None:
     """Equivalence guard used inside the timing comparisons."""
     if not condition:

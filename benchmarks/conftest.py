@@ -18,6 +18,7 @@ renders the accumulated trajectories as drift tables.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import time
@@ -28,6 +29,14 @@ import pytest
 BENCH_SCHEMA = 1
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def usable_cpus() -> int:
+    """CPUs this process may actually schedule onto."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
 
 
 def git_sha() -> str:

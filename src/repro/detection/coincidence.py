@@ -5,15 +5,14 @@ centred on zero delay, divided by the accidental level measured in offset
 windows.  Section II reports CAR between 12.8 and 32.4 at 15 mW;
 Section III reports CAR ≈ 10 at 2 mW for the type-II source.
 
-Counting ships three implementations selected with ``impl``: the
+Counting ships two implementations selected with ``impl``: the
 original per-window/per-start Python sweep (``"loop"``, the reference
-oracle), a batch path (``"vectorized"``, the default) and a
-``"chunked"`` path that splits the start stream into per-core chunks
-counted through the shared pool and summed.  The vectorized CAR gathers
-every (a, b) pair inside the union of its coincidence and accidental
-windows with one pair of ``np.searchsorted`` passes, then counts each
-window on that small candidate set with the same float comparisons the
-per-window paths use.  All give identical counts for identical inputs.
+oracle) and a batch path (``"vectorized"``, the default).  The
+vectorized CAR gathers every (a, b) pair inside the union of its
+coincidence and accidental windows with one pair of
+``np.searchsorted`` passes, then counts each window on that small
+candidate set with the same float comparisons the per-window path
+uses.  Both give identical counts for identical inputs.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.detection.tdc import collect_delays, range_indices, window_slices
 from repro.utils import stats
-from repro.utils.chunking import chunk_ranges, map_chunks
-from repro.utils.dispatch import CHUNKED, LOOP, VECTORIZED, validate_impl
+from repro.utils.dispatch import LOOP, VECTORIZED, validate_impl
 
 
 def count_coincidences(
@@ -63,31 +61,7 @@ def _count_sorted(
     half = window_s / 2.0
     if impl == LOOP:
         return int(collect_delays(sorted_a, shifted, half, impl="loop").size)
-    if impl == CHUNKED:
-        ranges = chunk_ranges(sorted_a.size)
-        if len(ranges) > 1:
-            return int(
-                sum(
-                    map_chunks(
-                        _count_window_chunk,
-                        [
-                            (sorted_a[lo:hi], shifted, half)
-                            for lo, hi in ranges
-                        ],
-                    )
-                )
-            )
     lo, hi = window_slices(shifted, sorted_a - half, sorted_a + half)
-    return int((hi - lo).sum())
-
-
-def _count_window_chunk(
-    sorted_a_chunk: np.ndarray, shifted_b: np.ndarray, half_window_s: float
-) -> int:
-    """Window count for one start chunk (picklable chunk-pool task)."""
-    lo, hi = window_slices(
-        shifted_b, sorted_a_chunk - half_window_s, sorted_a_chunk + half_window_s
-    )
     return int((hi - lo).sum())
 
 

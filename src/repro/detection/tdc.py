@@ -4,15 +4,12 @@ The experiments record click times with a TDC of finite bin width and
 build signal-idler delay histograms from them; both steps live here so the
 simulated analysis chain matches the laboratory one.
 
-Delay collection ships three implementations selected with ``impl``:
+Delay collection ships two implementations selected with ``impl``:
 the original per-start two-pointer sweep (``"loop"``, kept as the
-reference oracle), a ``np.searchsorted``-based batch path
+reference oracle) and a ``np.searchsorted``-based batch path
 (``"vectorized"``, the default) that locates every window boundary in
-one vectorized call, and a ``"chunked"`` path that partitions the
-start array into per-core chunks, runs the vectorized collection per
-chunk through the shared pool, and concatenates — start-major order
-makes the reassembly order-preserving.  All produce bit-identical
-delay arrays for the same inputs.
+one vectorized call.  Both produce bit-identical delay arrays for the
+same inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ import dataclasses
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.chunking import chunk_ranges, map_chunks
-from repro.utils.dispatch import CHUNKED, LOOP, validate_impl
+from repro.utils.dispatch import LOOP, validate_impl
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,10 +79,6 @@ def collect_delays(
     impl = validate_impl(impl, "collect_delays impl")
     if impl == LOOP:
         return _collect_delays_loop(sorted_starts, sorted_stops, max_delay_s)
-    if impl == CHUNKED:
-        return _collect_delays_chunked(
-            sorted_starts, sorted_stops, max_delay_s
-        )
     return _collect_delays_vectorized(sorted_starts, sorted_stops, max_delay_s)
 
 
@@ -153,24 +145,3 @@ def range_indices(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
     # Index k of the flat output maps to stop index lo[i] + (k - offset[i])
     # where i is the window k falls in and offset[i] the windows before it.
     return np.arange(total) + np.repeat(lo - (cumulative - counts), counts)
-
-
-def _collect_delays_chunked(
-    sorted_starts: np.ndarray, sorted_stops: np.ndarray, max_delay_s: float
-) -> np.ndarray:
-    """Chunk-parallel path: per-core start chunks, vectorized per chunk.
-
-    Each chunk's delays are exactly the oracle's delays for those
-    starts (start-major ordering is a per-start property), so plain
-    concatenation reproduces the full start-major array bit for bit.
-    """
-    starts = np.asarray(sorted_starts, dtype=float)
-    stops = np.asarray(sorted_stops, dtype=float)
-    ranges = chunk_ranges(starts.size)
-    if len(ranges) <= 1:
-        return _collect_delays_vectorized(starts, stops, max_delay_s)
-    pieces = map_chunks(
-        _collect_delays_vectorized,
-        [(starts[lo:hi], stops, max_delay_s) for lo, hi in ranges],
-    )
-    return np.concatenate(pieces) if pieces else np.empty(0)

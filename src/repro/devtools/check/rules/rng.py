@@ -15,10 +15,9 @@ seed.  This rule machine-checks the invariant:
   legacy ``RandomState`` generators anywhere;
 * no ``RandomStream(<literal>)`` — streams are built from caller
   seeds, not constants;
-* no direct ``np.random.Philox`` construction — position-addressed
-  generators come from ``RandomStream.slice_generator(start, count)``,
-  which owns the counter/key derivation; a hand-built Philox would
-  silently fork the reproducibility contract.
+* no direct ``np.random.Philox`` construction — ``RandomStream`` owns
+  the counter/key derivation and the cursor; a hand-built Philox
+  would silently fork the reproducibility contract.
 
 ``repro/utils/rng.py`` itself is exempt (it is the one place allowed
 to touch ``default_rng`` and ``Philox``), as are tests and examples,
@@ -63,7 +62,7 @@ class RngDisciplineRule(Rule):
         "default_rng calls, legacy np.random.seed / random.seed global "
         "seeding, RandomState generators, literal-seeded RandomStream "
         "construction, and direct np.random.Philox construction "
-        "(slice_generator owns counter-based positioning) are flagged "
+        "(RandomStream owns the counter-based key and cursor) are flagged "
         "everywhere except repro/utils/rng.py."
     )
 
@@ -110,8 +109,8 @@ class RngDisciplineRule(Rule):
                     node,
                     self.rule_id,
                     f"direct {name}(...) construction bypasses the "
-                    "counter-based key/position scheme; use "
-                    "RandomStream.slice_generator(start, count) instead",
+                    "counter-based key/position scheme; draw from a "
+                    "repro.utils.rng.RandomStream instead",
                 )
             elif tail == "RandomState":
                 yield module.finding(

@@ -51,7 +51,7 @@ def run(
     ``pump_phase_rad`` sets the double-pulse pump phase (rotating the
     generated Bell state), ``dwell_s`` the per-step integration time,
     ``impl`` the fringe-scan implementation (``"vectorized"`` default,
-    ``"loop"`` reference, ``"chunked"`` chunk-parallel).
+    or the ``"loop"`` reference).
     """
     impl = validate_impl("vectorized" if impl is None else impl, "E7 impl")
     scheme = (

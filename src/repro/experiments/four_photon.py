@@ -41,8 +41,7 @@ def run(
     Overrides: ``dwell_s`` sets the per-step integration time,
     ``num_steps`` the phase-scan density (>= 16 so the 2x-frequency
     fringe stays resolvable), ``impl`` the fringe-scan implementation
-    (``"vectorized"`` default, ``"loop"`` reference, ``"chunked"``
-    chunk-parallel).
+    (``"vectorized"`` default, or the ``"loop"`` reference).
     """
     impl = validate_impl("vectorized" if impl is None else impl, "E8 impl")
     scheme = MultiPhotonScheme()

@@ -38,8 +38,7 @@ def run(
     Overrides: ``pump_mw`` rescales the total dual-polarization pump
     (TE/TM ratio preserved), ``duration_s`` the correlation time, and
     ``impl`` the coincidence-counting implementation (``"vectorized"``,
-    the default searchsorted fast path, ``"loop"``, the reference, or
-    ``"chunked"``, the chunk-parallel pool path).
+    the default searchsorted fast path, or ``"loop"``, the reference).
     """
     impl = validate_impl("vectorized" if impl is None else impl, "E5 impl")
     scheme = TypeIIScheme()

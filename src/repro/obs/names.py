@@ -82,8 +82,6 @@ METRIC_RPC_REQUESTS = "rpc.requests"
 METRIC_ANALYZERS_RUN = "analysis.analyzers"
 #: Telemetry journal events written (counter).
 METRIC_JOURNAL_EVENTS = "journal.events"
-#: Monte-Carlo chunk tasks executed by the chunked backend (counter).
-METRIC_MC_CHUNKS = "mc.chunks"
 #: Event-feed long-polls answered from the queue journal because the
 #: requested ``since`` predates the in-memory buffer head (counter).
 METRIC_EVENTS_JOURNAL_FALLBACKS = "events.journal_fallbacks"
@@ -111,7 +109,6 @@ COUNTERS = frozenset(
         METRIC_RPC_REQUESTS,
         METRIC_ANALYZERS_RUN,
         METRIC_JOURNAL_EVENTS,
-        METRIC_MC_CHUNKS,
         METRIC_EVENTS_JOURNAL_FALLBACKS,
         METRIC_QUEUE_JOURNAL_MALFORMED,
         METRIC_FLEET_LEASES,
@@ -126,8 +123,6 @@ COUNTERS = frozenset(
 METRIC_MC_POINTS_PER_SECOND = "mc.points_per_second"
 #: Pending + running jobs at the last scheduler claim (gauge).
 METRIC_QUEUE_DEPTH = "queue.depth"
-#: Worker count the chunked backend resolved at its last dispatch (gauge).
-METRIC_MC_CHUNK_WORKERS = "mc.chunk_workers"
 #: Registered fleet runners currently alive (gauge).
 METRIC_FLEET_RUNNERS = "fleet.runners"
 #: Long-poll handler threads currently inflight on the API (gauge).
@@ -138,7 +133,6 @@ GAUGES = frozenset(
     {
         METRIC_MC_POINTS_PER_SECOND,
         METRIC_QUEUE_DEPTH,
-        METRIC_MC_CHUNK_WORKERS,
         METRIC_FLEET_RUNNERS,
         METRIC_API_INFLIGHT,
     }

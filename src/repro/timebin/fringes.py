@@ -5,13 +5,11 @@ accumulate post-selected coincidences for a dwell time, step the piezo,
 fit the resulting fringe, report visibility ± error.  Works for two-photon
 and four-photon (common-phase) scans.
 
-The visibility-error bootstrap ships three implementations selected
+The visibility-error bootstrap ships two implementations selected
 with ``impl``: the loop reference resamples and refits one row at a
 time; the vectorized default draws the whole ``(n_resamples, n_steps)``
 block in one batched call and refits every resample through one
-multi-right-hand-side least squares; the chunked path splits the
-resample rows into per-core chunks replayed from counter-based RNG
-slices through the shared pool.  All consume the caller's
+multi-right-hand-side least squares.  Both consume the caller's
 :class:`RandomStream` positions identically, so the scanned counts are
 bit-identical between implementations; the bootstrap error can differ
 only at BLAS rounding level.
@@ -27,8 +25,7 @@ from repro.errors import ConfigurationError
 from repro.quantum.states import DensityMatrix
 from repro.timebin.postselect import coincidence_probability
 from repro.timebin.stabilization import PhaseController
-from repro.utils.chunking import chunk_ranges, map_chunks
-from repro.utils.dispatch import CHUNKED, LOOP, validate_impl
+from repro.utils.dispatch import LOOP, validate_impl
 from repro.utils.fitting import (
     FringeFit,
     HarmonicFringeFit,
@@ -37,7 +34,7 @@ from repro.utils.fitting import (
     fit_fringe_harmonics_many,
     fit_fringe_many,
 )
-from repro.utils.rng import RandomStream, poisson_from_uniforms
+from repro.utils.rng import RandomStream
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,16 +201,6 @@ def _fringe_visibility_error(
                 estimates[b] = fit_fringe_harmonics(phases, resampled).visibility
             else:
                 estimates[b] = fit_fringe(phases, resampled).visibility
-    elif impl == CHUNKED:
-        # Row b of the batched draw occupies stream positions
-        # [b*n, (b+1)*n), so row chunks replay from slices and the
-        # concatenated estimates keep the resample order.
-        rows = chunk_ranges(n_resamples)
-        pieces = map_chunks(
-            _bootstrap_chunk,
-            [(rng, phases, means, lo, hi, harmonic) for lo, hi in rows],
-        )
-        estimates = np.concatenate(pieces)
     else:
         resampled = rng.poisson(means, size=(n_resamples, means.size))
         estimates = _resample_visibilities(
@@ -241,20 +228,3 @@ def _resample_visibilities(
             fitted = fit_fringe_many(phases, resampled[populated])
         estimates[populated] = fitted
     return estimates
-
-
-def _bootstrap_chunk(
-    rng: RandomStream,
-    phases: np.ndarray,
-    means: np.ndarray,
-    row_lo: int,
-    row_hi: int,
-    harmonic: bool,
-) -> np.ndarray:
-    """Refit bootstrap rows ``[row_lo, row_hi)`` (picklable pool task)."""
-    n = means.size
-    uniforms = rng.slice_uniforms(row_lo * n, (row_hi - row_lo) * n)
-    resampled = poisson_from_uniforms(
-        uniforms.reshape(row_hi - row_lo, n), means
-    ).astype(float)
-    return _resample_visibilities(phases, resampled, harmonic)

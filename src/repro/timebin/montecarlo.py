@@ -14,16 +14,13 @@ reference to bin tags into slots and post-select central-slot
 coincidences.  Agreement between this path and the POVM path is enforced
 by integration tests.
 
-The analysis chain ships three implementations selected with ``impl``:
+The analysis chain ships two implementations selected with ``impl``:
 the original per-tag Python path (``"loop"``, set comprehensions over
-(pulse, slot) tuples, kept as the reference oracle), a batched path
+(pulse, slot) tuples, kept as the reference oracle) and a batched path
 (``"vectorized"``, the default) that classifies every tag of every phase
-point in stacked numpy arrays, and a chunk-parallel path (``"chunked"``)
-that splits each phase point's pair range into per-core chunks whose
-draws come from counter-based RNG slices.  Random draws are taken from
-identical stream positions in all three — every sampler consumes
-exactly one uniform per pair position — so counts are bit-identical
-for identical seeds regardless of chunking.
+point in stacked numpy arrays.  Random draws are taken from identical
+child streams and cursor positions in both, so counts are bit-identical
+for identical seeds.
 """
 
 from __future__ import annotations
@@ -36,14 +33,8 @@ from repro.errors import ConfigurationError
 from repro.quantum import hilbert
 from repro.quantum.states import DensityMatrix
 from repro.timebin.interferometer import UnbalancedMichelson
-from repro.utils.chunking import chunk_ranges, map_chunks
-from repro.utils.dispatch import CHUNKED, LOOP, validate_impl
-from repro.utils.rng import (
-    RandomStream,
-    choice_cdf,
-    choice_indices_from_uniforms,
-    normal_from_uniforms,
-)
+from repro.utils.dispatch import LOOP, validate_impl
+from repro.utils.rng import RandomStream
 
 
 def slot_povms(phase_rad: float, transmission: float = 1.0) -> list[np.ndarray]:
@@ -160,9 +151,9 @@ class TimeBinCoincidenceSimulator:
         """Draw ``num_pairs`` pair outcomes and emit time tags.
 
         Jitter is drawn one normal per *pair position* (not per
-        detected tag) and masked down to the detected subset, so every
-        draw has a fixed stream position and any ``[lo, hi)`` pair
-        range can be replayed in isolation by the chunked backend.
+        detected tag) and masked down to the detected subset, so each
+        pair consumes a fixed number of draws and the batched fringe
+        scan replays them as one ``(n_phases, num_pairs)`` jitter block.
         """
         if num_pairs < 1:
             raise ConfigurationError("need at least one pair")
@@ -256,8 +247,6 @@ class TimeBinCoincidenceSimulator:
                     record, impl="loop"
                 )
             return counts
-        if impl == CHUNKED:
-            return self._fringe_scan_chunked(phases, pairs_per_point, rng)
         return self._fringe_scan_vectorized(phases, pairs_per_point, rng)
 
     def _fringe_scan_vectorized(
@@ -336,102 +325,6 @@ class TimeBinCoincidenceSimulator:
         for phase_idx, _ in outliers_a & outliers_b:
             counts[phase_idx] += 1.0
         return counts
-
-    def _fringe_scan_chunked(
-        self,
-        phases: np.ndarray,
-        pairs_per_point: int,
-        rng: RandomStream,
-    ) -> np.ndarray:
-        """Chunk-parallel fringe scan over the shared process pool.
-
-        Each phase point's pair range is split into per-core chunks;
-        a chunk task replays exactly the loop oracle's draws for pair
-        positions ``[lo, hi)`` via counter-based RNG slices and returns
-        the central-slot pulse ids it produced.  Reassembly is the
-        oracle's own set intersection over the concatenated chunks, so
-        the counts are bit-identical to ``impl="loop"`` for any chunk
-        split and worker count.
-        """
-        n_phases = phases.size
-        if n_phases == 0:
-            return np.empty(0)
-        flats = self.joint_slot_distributions(phases).reshape(n_phases, 16)
-        period = 1.0 / self.repetition_rate_hz
-        ranges = chunk_ranges(pairs_per_point)
-        tasks = []
-        for k in range(n_phases):
-            point_rng = rng.child(f"p{k}")
-            cdf = choice_cdf(flats[k])
-            for lo, hi in ranges:
-                tasks.append(
-                    (
-                        point_rng,
-                        cdf,
-                        lo,
-                        hi,
-                        self.jitter_sigma_s,
-                        period,
-                        self.bin_separation_s,
-                    )
-                )
-        pieces = map_chunks(_fringe_point_chunk, tasks)
-        counts = np.empty(n_phases)
-        per_point = len(ranges)
-        for k in range(n_phases):
-            chunks = pieces[k * per_point:(k + 1) * per_point]
-            central_a = np.unique(np.concatenate([c[0] for c in chunks]))
-            central_b = np.unique(np.concatenate([c[1] for c in chunks]))
-            counts[k] = float(
-                np.intersect1d(central_a, central_b, assume_unique=True).size
-            )
-        return counts
-
-
-def _fringe_point_chunk(
-    point_rng: RandomStream,
-    outcome_cdf: np.ndarray,
-    lo: int,
-    hi: int,
-    jitter_sigma_s: float,
-    pulse_period_s: float,
-    bin_separation_s: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-slot pulse ids for pair positions ``[lo, hi)`` of one point.
-
-    Picklable chunk-pool task.  Replays the loop oracle's draws for the
-    slice — outcome uniforms from the point stream, jitter uniforms from
-    its ``alice``/``bob`` children, all at positions ``[lo, hi)`` — and
-    applies the oracle's own tag synthesis and slot classification, so
-    concatenating chunk outputs reproduces the oracle's per-point tag
-    sets exactly.  Returns ``(alice_central, bob_central)`` pulse-index
-    arrays.
-    """
-    count = hi - lo
-    outcomes = choice_indices_from_uniforms(
-        point_rng.slice_uniforms(lo, count), outcome_cdf
-    )
-    indices = np.arange(lo, hi)
-    central: list[np.ndarray] = []
-    for label, slots in (("alice", outcomes // 4), ("bob", outcomes % 4)):
-        jitter = normal_from_uniforms(
-            point_rng.child(label).slice_uniforms(lo, count),
-            0.0,
-            jitter_sigma_s,
-        )
-        detected = slots < 3
-        times = (
-            indices[detected] * pulse_period_s
-            + slots[detected] * bin_separation_s
-            + jitter[detected]
-        )
-        offset = np.mod(times, pulse_period_s)
-        pulse = np.round((times - offset) / pulse_period_s).astype(int)
-        slot = np.clip(
-            np.round(offset / bin_separation_s).astype(int), 0, 2
-        )
-        central.append(pulse[slot == 1])
-    return central[0], central[1]
 
 
 def _classify_slots(tags_s: np.ndarray, record: TimeBinTagRecord):

@@ -1,15 +1,12 @@
 """Implementation dispatch for the batched simulation core.
 
-Hot paths in the detection and timebin layers ship three
+Hot paths in the detection and timebin layers ship two
 implementations: a ``"loop"`` reference (the original,
-obviously-correct Python loop, kept as an equivalence oracle), a
+obviously-correct Python loop, kept as an equivalence oracle) and a
 ``"vectorized"`` fast path (numpy ``searchsorted``/stacked-array batch
-processing), and a ``"chunked"`` backend that partitions the work into
-per-core chunks executed through the shared pool in
-:mod:`repro.utils.chunking` and reassembled bit-identically (enabled
-by the counter-based RNG's position addressing).  Every switchable
-function takes an ``impl`` keyword validated here, so a typo fails
-with the supported names instead of silently running the slow path.
+processing) that is bit-identical to it.  Every switchable function
+takes an ``impl`` keyword validated here, so a typo fails with the
+supported names instead of silently running the slow path.
 
 Pure stdlib on purpose: validation must be importable without numpy.
 """
@@ -24,12 +21,8 @@ LOOP = "loop"
 #: The batched fast path: numpy vectorized, bit-identical to the loop.
 VECTORIZED = "vectorized"
 
-#: The chunk-parallel path: per-core chunks over the shared process
-#: pool, bit-identical to the loop via counter-based RNG slices.
-CHUNKED = "chunked"
-
 #: All recognised implementation names.
-IMPLEMENTATIONS = (LOOP, VECTORIZED, CHUNKED)
+IMPLEMENTATIONS = (LOOP, VECTORIZED)
 
 
 def validate_impl(impl: str, where: str = "impl") -> str:

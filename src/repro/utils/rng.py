@@ -7,28 +7,20 @@ deterministically by hashing a label, which keeps independent
 subsystems (e.g. the two detectors of a coincidence setup)
 statistically independent while remaining replayable.
 
-Since the chunk-parallel backend landed, a stream is *counter-based*
-(the Philox idiom of splittable PRNGs): a stream is fully described by
-a 128-bit key, and draw number ``i`` of the stream is a pure function
-of ``(key, i)``.  :meth:`RandomStream.slice_generator` hands out a
-generator positioned at any draw index, so positions ``[start,
-start + count)`` produce the same values no matter how the index range
-is partitioned across workers.
+A stream is *counter-based* (the Philox idiom of splittable PRNGs): it
+is fully described by a 128-bit key, and draw number ``i`` of the
+stream is a pure function of ``(key, i)``.  A stream keeps a cursor
+that advances by the number of uniforms consumed, so pickling a stream
+stores only ``(seed, label, key, cursor)`` and the clone resumes at
+exactly the next draw.
 
-To make *distribution* draws position-addressable too, every sampler
-consumes **exactly one uniform per output element** and maps it through
-the distribution's inverse CDF (the ``*_from_uniforms`` helpers below).
-numpy's own rejection/ziggurat samplers consume a variable number of
-underlying draws per output, which would break slice invariance.  The
-trade-off is that a given seed produces different values than the
-pre-counter-based scheme did — which is why ``CACHE_SCHEMA`` was
-bumped when this landed.
-
-The sequential API (:meth:`poisson`, :meth:`normal`, ...) is
-unchanged: a stream keeps a cursor and advances it by the number of
-output elements, so sequential use remains as convenient as before
-while staying bit-identical to any chunked replay of the same
-positions.
+Every sampler consumes **exactly one uniform per output element** and
+maps it through the distribution's inverse CDF (the
+``*_from_uniforms`` helpers below), so the cursor advances by the
+output size no matter which values come out.  These per-draw samplers
+remain only so that a seed keeps producing the same records: swapping
+in numpy's own samplers would change every draw and require a
+``CACHE_SCHEMA`` bump.
 """
 
 from __future__ import annotations
@@ -125,8 +117,6 @@ def _fold_key(parent_key: int, label: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Inverse-CDF samplers: one uniform in, one value out, per position.
-# Module-level so chunk workers in other processes share the exact
-# float operations with the sequential paths (bit-identical results).
 # ---------------------------------------------------------------------------
 
 def uniform_from_uniforms(u, low=0.0, high=1.0):
@@ -164,9 +154,8 @@ def integers_from_uniforms(u, low, high):
 def choice_cdf(p) -> np.ndarray:
     """The normalized inclusive CDF of a probability vector ``p``.
 
-    Precompute once per distribution and reuse across chunks — the
-    normalization makes ``cdf[-1] == 1.0`` exactly, so every uniform on
-    ``[0, 1)`` maps to a valid index.
+    The normalization makes ``cdf[-1] == 1.0`` exactly, so every
+    uniform on ``[0, 1)`` maps to a valid index.
     """
     cdf = np.cumsum(np.asarray(p, dtype=float))
     if cdf.size == 0 or not cdf[-1] > 0:
@@ -201,12 +190,9 @@ class RandomStream:
         Optional label mixed into the key so sibling streams differ.
 
     A stream is defined by a 128-bit Philox key; draw position ``i`` is
-    a pure function of ``(key, i)``.  Sequential draws advance an
-    internal cursor, while :meth:`slice_generator` /
-    :meth:`slice_uniforms` address any position range directly, so
-    chunked and sequential consumers of the same stream see identical
-    values.  Streams pickle cheaply (key, label, seed, cursor) for use
-    with process pools.
+    a pure function of ``(key, i)``.  Draws advance an internal cursor.
+    Streams pickle cheaply (key, label, seed, cursor) for use with
+    process pools, and an unpickled stream resumes at the saved cursor.
     """
 
     def __init__(self, seed: int | None = 0, label: str = "root") -> None:
@@ -238,8 +224,7 @@ class RandomStream:
         label into their *realized* entropy instead of drawing fresh
         entropy per child: the run as a whole is not reproducible, but
         within it sibling children are deterministic functions of the
-        root key, so pickled streams and chunk workers replay
-        consistently.
+        root key, so pickled streams replay consistently.
         """
         child = RandomStream.__new__(RandomStream)
         child.seed = self.seed
@@ -253,10 +238,14 @@ class RandomStream:
         return child
 
     # ------------------------------------------------------------------
-    # Position addressing
+    # Sequential cursor
     # ------------------------------------------------------------------
     def _generator_at(self, position: int) -> np.random.Generator:
-        """A generator whose next draw is stream position ``position``."""
+        """A generator whose next draw is stream position ``position``.
+
+        The cursor rebuilds its live generator through this, which is
+        how an unpickled stream resumes mid-block.
+        """
         bit_generator = np.random.Philox(key=self._key)
         blocks, remainder = divmod(int(position), _PHILOX_BLOCK)
         if blocks:
@@ -266,34 +255,6 @@ class RandomStream:
             generator.random(remainder)  # discard to mid-block alignment
         return generator
 
-    def slice_generator(
-        self, start: int, count: int | None = None
-    ) -> np.random.Generator:
-        """A generator positioned at draw index ``start``.
-
-        The next ``count`` uniform doubles it produces are exactly
-        stream positions ``[start, start + count)`` — identical no
-        matter how the position range is chunked.  ``count`` is
-        advisory (it documents and validates the slice width; the
-        generator itself is unbounded).  Only ``Generator.random``
-        preserves the one-word-per-draw position mapping; distribution
-        draws should go through the ``*_from_uniforms`` helpers.
-        """
-        if start < 0:
-            raise ValueError(f"slice start must be >= 0, got {start}")
-        if count is not None and count < 0:
-            raise ValueError(f"slice count must be >= 0, got {count}")
-        return self._generator_at(start)
-
-    def slice_uniforms(self, start: int, count: int) -> np.ndarray:
-        """Uniform draws for stream positions ``[start, start + count)``."""
-        if count is None or count < 0:
-            raise ValueError(f"slice count must be >= 0, got {count}")
-        return self.slice_generator(start, count).random(count)
-
-    # ------------------------------------------------------------------
-    # Sequential cursor
-    # ------------------------------------------------------------------
     def _uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms, advancing the cursor."""
         if count < 0:

@@ -2,14 +2,11 @@
 
 Every switchable hot path keeps its original Python-loop implementation
 as a reference oracle (``impl="loop"``); these tests prove that the
-``impl="vectorized"`` and ``impl="chunked"`` fast paths return
-*identical* results for identical :class:`RandomStream` seeds — exact
-integer counts and bit-identical arrays wherever the implementations
-share float operations, and tight (BLAS-rounding-level) agreement for
-the one least-squares summary the batched bootstrap computes
-differently.  The chunked backend additionally must not depend on the
-worker count: ``REPRO_CHUNK_WORKERS`` forces a real process pool even
-on a single-core machine.
+``impl="vectorized"`` fast path returns *identical* results for
+identical :class:`RandomStream` seeds — exact integer counts and
+bit-identical arrays wherever the implementations share float
+operations, and tight (BLAS-rounding-level) agreement for the one
+least-squares summary the batched bootstrap computes differently.
 
 Hypothesis drives the detection-layer cases over adversarial tag
 streams (duplicates, bursts, empty streams, boundary-straddling
@@ -204,10 +201,17 @@ class TestDetectionEquivalence:
         assert np.array_equal(loop[1], fast[1])
 
     def test_unknown_impl_rejected(self):
+        from repro.experiments.registry import run_experiment
+
         with pytest.raises(ConfigurationError):
             collect_delays(np.zeros(1), np.zeros(1), 1.0, impl="gpu")
         with pytest.raises(ConfigurationError):
             count_coincidences(np.zeros(1), np.zeros(1), 1.0, impl="fast")
+        supported = r"one of \['loop', 'vectorized'\], got 'chunked'$"
+        with pytest.raises(ConfigurationError, match=supported):
+            car_from_tags(np.zeros(1), np.zeros(1), 1.0, impl="chunked")
+        with pytest.raises(ConfigurationError, match=supported):
+            run_experiment("E7", seed=1, quick=True, params={"impl": "chunked"})
 
 
 def _simulator(visibility=0.85, jitter_sigma_s=120e-12):
@@ -332,88 +336,11 @@ class TestFringeScanEquivalence:
         assert np.allclose(many_h, singles_h, rtol=1e-9)
 
 
-class TestChunkedEquivalence:
-    """The chunk-parallel backend against the loop oracle, bit-identical.
-
-    Chunked paths replay counter-based RNG slices through the shared
-    process pool; reassembled results must equal the loop reference
-    exactly — including when ``REPRO_CHUNK_WORKERS`` forces a real pool
-    on a single-core machine.
-    """
-
-    def test_collect_delays_chunked_identical(self, rng):
-        a = np.sort(rng.child("a").uniform(0.0, 10.0, 50_000))
-        b = np.sort(rng.child("b").uniform(0.0, 10.0, 50_000))
-        loop = collect_delays(a, b, 1e-3, impl="loop")
-        chunked = collect_delays(a, b, 1e-3, impl="chunked")
-        assert np.array_equal(loop, chunked)
-
-    def test_car_from_tags_chunked_identical(self, rng):
-        a = np.sort(rng.child("a").uniform(0.0, 30.0, 30_000))
-        b = np.sort(a + rng.child("jit").normal(0.0, 0.4e-9, a.size))
-        assert car_from_tags(a, b, 30.0, impl="loop") == car_from_tags(
-            a, b, 30.0, impl="chunked"
-        )
-
-    def test_coincidence_histogram_chunked_identical(self, rng):
-        a = rng.child("a").uniform(0.0, 5.0, 20_000)
-        b = rng.child("b").uniform(0.0, 5.0, 20_000)
-        loop = coincidence_histogram(a, b, 1e-9, 40e-9, impl="loop")
-        chunked = coincidence_histogram(a, b, 1e-9, 40e-9, impl="chunked")
-        assert np.array_equal(loop[1], chunked[1])
-
-    def test_fringe_scan_chunked_identical(self, rng_factory):
-        simulator = _simulator()
-        phases = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
-        loop = simulator.fringe_scan(
-            phases, 5_000, rng_factory("scan"), impl="loop"
-        )
-        chunked = simulator.fringe_scan(
-            phases, 5_000, rng_factory("scan"), impl="chunked"
-        )
-        assert np.array_equal(loop, chunked)
-
-    def test_fringe_scan_chunked_identical_with_forced_pool(
-        self, rng_factory, monkeypatch
-    ):
-        # Two workers on a one-core box: results must not depend on how
-        # many processes the chunks actually land on.
-        simulator = _simulator()
-        phases = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
-        loop = simulator.fringe_scan(
-            phases, 3_000, rng_factory("pool"), impl="loop"
-        )
-        monkeypatch.setenv("REPRO_CHUNK_WORKERS", "2")
-        chunked = simulator.fringe_scan(
-            phases, 3_000, rng_factory("pool"), impl="chunked"
-        )
-        assert np.array_equal(loop, chunked)
-
-    def test_fringe_scan_run_chunked_counts_identical(self):
-        state = add_white_noise(
-            DensityMatrix.from_ket(time_bin_bell_state(0.0), [2, 2]), 0.83
-        )
-        scan = FringeScan(
-            state=state, event_rate_hz=5_000.0, dwell_time_s=30.0
-        )
-        loop = scan.run(RandomStream(11, "fs"), impl="loop")
-        chunked = scan.run(RandomStream(11, "fs"), impl="chunked")
-        assert np.array_equal(loop.counts, chunked.counts)
-        assert loop.visibility == chunked.visibility
-        assert np.isclose(
-            loop.visibility_error,
-            chunked.visibility_error,
-            rtol=1e-9,
-            atol=1e-12,
-        )
-
-
 class TestDriverEquivalence:
     """E5/E7/E8 give identical metrics through every implementation."""
 
     pytestmark = pytest.mark.slow
 
-    @pytest.mark.parametrize("fast_impl", ["vectorized", "chunked"])
     @pytest.mark.parametrize(
         "experiment_id, params",
         [
@@ -422,7 +349,7 @@ class TestDriverEquivalence:
             ("E8", {}),
         ],
     )
-    def test_driver_impl_equivalence(self, experiment_id, params, fast_impl):
+    def test_driver_impl_equivalence(self, experiment_id, params):
         from repro.experiments.registry import run_experiment
 
         loop = run_experiment(
@@ -431,7 +358,7 @@ class TestDriverEquivalence:
         )
         fast = run_experiment(
             experiment_id, seed=42, quick=True,
-            params={**params, "impl": fast_impl},
+            params={**params, "impl": "vectorized"},
         )
         assert loop.rows == fast.rows
         for name, value in loop.metrics.items():

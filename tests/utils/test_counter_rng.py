@@ -1,11 +1,11 @@
-"""Counter-based RandomStream: slice invariance, children, pickling.
+"""Counter-based RandomStream: split invariance, children, pickling.
 
-The chunk-parallel Monte-Carlo backend rests on one invariant: draw
-position ``i`` of a stream is a pure function of ``(key, i)``, so any
-partition of a position range into chunks replays the identical
-values.  Hypothesis drives that invariant over arbitrary split points;
-the remaining tests pin the children/pickle/multinomial contracts the
-pool workers rely on.
+A stream's draws are a pure function of ``(key, position)`` and every
+sampler consumes one uniform per output element, so splitting a draw
+sequence at any cursor position yields the same values as drawing it
+in one call.  Hypothesis drives that invariant over arbitrary split
+points; the remaining tests pin the children/pickle/multinomial
+contracts that process-pool workers rely on.
 """
 
 import pickle
@@ -16,13 +16,8 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import (
     RandomStream,
-    binomial_from_uniforms,
     choice_cdf,
     choice_indices_from_uniforms,
-    exponential_from_uniforms,
-    normal_from_uniforms,
-    poisson_from_uniforms,
-    uniform_from_uniforms,
 )
 
 
@@ -36,7 +31,7 @@ def _split_points(draw_total):
 
 
 class TestSliceInvariance:
-    """Chunked replay of any position range is bit-identical."""
+    """Drawing a sequence in consecutive pieces is bit-identical."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -47,87 +42,39 @@ class TestSliceInvariance:
     def test_uniforms_invariant_under_arbitrary_splits(
         self, seed, total, data
     ):
+        whole = RandomStream(seed, "split").random((total,))
         stream = RandomStream(seed, "split")
-        whole = stream.slice_uniforms(0, total)
         cuts = [0, *data.draw(_split_points(total)), total]
-        pieces = [
-            stream.slice_uniforms(lo, hi - lo)
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
+        pieces = [stream.random((hi - lo,)) for lo, hi in zip(cuts, cuts[1:])]
         assert np.array_equal(whole, np.concatenate(pieces))
+        assert stream.position == total
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        start=st.integers(min_value=0, max_value=1000),
-        count=st.integers(min_value=0, max_value=64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_slice_matches_sequential_cursor(self, seed, start, count):
-        sequential = RandomStream(seed, "seq")
-        sequential.random(start)  # burn to the slice start
-        expected = sequential.random((count,))
-        sliced = RandomStream(seed, "seq").slice_uniforms(start, count)
-        assert np.array_equal(expected, sliced)
-
-    def test_slice_generator_positions_mid_block(self, rng_factory):
-        # Philox emits 4 words per counter block; every offset within a
-        # block must land on the exact same word sequence.
-        stream = rng_factory("blocks")
-        whole = stream.slice_uniforms(0, 12)
-        for start in range(12):
-            tail = stream.slice_generator(start, 12 - start).random(12 - start)
-            assert np.array_equal(whole[start:], tail)
-
-    def test_mapped_draws_invariant_under_chunking(self, rng_factory):
-        # Distribution draws consume one uniform per element, so mapping
-        # chunked slices reproduces the sequential draws exactly.
-        stream = rng_factory("mapped")
+    def test_mapped_draws_invariant_under_splits(self, rng_factory):
+        # Distribution draws consume one uniform per element, so drawing
+        # k then n - k values reproduces one draw of n exactly.
         lam, n, p = 7.5, 20, 0.3
-        seq = rng_factory("mapped")
-        expected = {
-            "poisson": seq.poisson(lam, size=10),
-            "normal": seq.normal(1.0, 2.0, size=10),
-            "exponential": seq.exponential(0.5, size=10),
-            "uniform": seq.uniform(-1.0, 1.0, size=10),
-            "binomial": seq.binomial(n, p, size=10),
+        samplers = {
+            "poisson": lambda s, k: s.poisson(lam, size=k),
+            "normal": lambda s, k: s.normal(1.0, 2.0, size=k),
+            "exponential": lambda s, k: s.exponential(0.5, size=k),
+            "uniform": lambda s, k: s.uniform(-1.0, 1.0, size=k),
+            "binomial": lambda s, k: s.binomial(n, p, size=k),
         }
-        mappers = {
-            "poisson": lambda u: poisson_from_uniforms(u, lam),
-            "normal": lambda u: normal_from_uniforms(u, 1.0, 2.0),
-            "exponential": lambda u: exponential_from_uniforms(u, 0.5),
-            "uniform": lambda u: uniform_from_uniforms(u, -1.0, 1.0),
-            "binomial": lambda u: binomial_from_uniforms(u, n, p),
-        }
-        offset = 0
-        for name, mapper in mappers.items():
-            chunks = [
-                mapper(stream.slice_uniforms(offset + lo, 5))
-                for lo in (0, 5)
-            ]
-            assert np.array_equal(
-                expected[name], np.concatenate(chunks)
-            ), name
-            offset += 10
+        for name, draw in samplers.items():
+            expected = draw(rng_factory(name), 10)
+            for k in (0, 3, 5, 10):
+                stream = rng_factory(name)
+                split = np.concatenate([draw(stream, k), draw(stream, 10 - k)])
+                assert np.array_equal(expected, split), (name, k)
+                assert stream.position == 10
 
     def test_choice_with_p_matches_cdf_mapping(self, rng_factory):
         p = [0.2, 0.5, 0.1, 0.2]
         drawn = rng_factory("choice").choice(4, size=50, p=p)
-        uniforms = rng_factory("choice").slice_uniforms(0, 50)
+        uniforms = rng_factory("choice").random(50)
         assert np.array_equal(
             drawn, choice_indices_from_uniforms(uniforms, choice_cdf(p))
         )
-
-    def test_negative_positions_rejected(self, rng):
-        for call in (
-            lambda: rng.slice_generator(-1),
-            lambda: rng.slice_generator(0, -2),
-            lambda: rng.slice_uniforms(0, -1),
-        ):
-            try:
-                call()
-            except ValueError:
-                continue
-            raise AssertionError("negative slice bounds must raise")
 
 
 class TestChildren:
@@ -157,6 +104,19 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(stream))
         assert clone.position == stream.position
         assert np.array_equal(stream.random((9,)), clone.random((9,)))
+
+    def test_round_trip_resumes_at_every_cursor_in_a_block(
+        self, rng_factory
+    ):
+        # Philox emits 4 words per counter block; a clone pickled at any
+        # cursor must rebuild its generator at the exact next word.
+        whole = rng_factory("blocks").random(12)
+        for cursor in range(12):
+            stream = rng_factory("blocks")
+            stream.random(cursor)
+            clone = pickle.loads(pickle.dumps(stream))
+            assert clone.position == cursor
+            assert np.array_equal(whole[cursor:], clone.random(12 - cursor))
 
     def test_unseeded_stream_pickles_realized_key(self):
         stream = RandomStream(seed=None)
