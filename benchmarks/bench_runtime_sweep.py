@@ -55,6 +55,11 @@ def bench_serial_vs_parallel_sweep(tmp_path, benchmark):
     # short duration keeps the bench itself quick.
     scan = LinearScan("pump_mw", 1.0, 4.0, 6)
     base = {"duration_s": 10.0}
+    # One untimed point first, so the serial sweep and the forked pool
+    # both start from a process that has already imported and run E5.
+    RunEngine(root=tmp_path / "warm", use_cache=False).run(
+        "E5", quick=True, params=base
+    )
 
     def serial():
         return RunEngine(root=tmp_path / "serial", use_cache=False).sweep(

@@ -5,6 +5,12 @@ realistic experiment statistics, prints a speedup table, and appends a
 trajectory entry to ``BENCH_vectorized.json`` in the repository root so
 the speedups are tracked across commits.
 
+The pair kernels (CAR counting and TDC delay collection) are also
+timed with and without their sparse-first partner filter, on an
+E1-shaped sparse pair of streams and on the dense correlated pair; the
+ratios, taken in one process, must show the filter paying off on the
+first and costing little on the second.
+
 The headline assertion mirrors the batched-core acceptance bar: the
 vectorized fringe/coincidence sweep — a phase scan whose points each
 run the time-bin Monte Carlo *and* the CAR/TDC analysis chain, exactly
@@ -16,14 +22,17 @@ spends most of its time drawing identical outcomes in both paths).
 
 from __future__ import annotations
 
+import contextlib
 import time
+from unittest import mock
 
 import numpy as np
 
 from conftest import record_trajectory
 
+from repro.detection import coincidence, tdc as tdc_module
 from repro.detection.coincidence import car_from_tags
-from repro.detection.tdc import TimeToDigitalConverter
+from repro.detection.tdc import TimeToDigitalConverter, collect_delays
 from repro.quantum.noise import add_white_noise
 from repro.quantum.states import DensityMatrix
 from repro.timebin.encoding import time_bin_bell_state
@@ -54,6 +63,52 @@ def _streams(duration_s=60.0, rate_hz=1500.0):
                                        int(rate_hz * duration_s)))
     b = np.sort(a + rng.child("jit").normal(0.0, 0.4e-9, a.size))
     return a, b
+
+
+def _sparse_streams(duration_s=40.0, clicks=600_000, paired=0.01):
+    """E1-shaped streams: independent singles plus ~1 % true pairs."""
+    rng = RandomStream(5, "bench-sparse")
+    a = np.sort(rng.child("a").uniform(0.0, duration_s, clicks))
+    n_pairs = int(paired * clicks)
+    partners = a[:: clicks // n_pairs][:n_pairs]
+    b = np.sort(np.concatenate([
+        rng.child("b").uniform(0.0, duration_s, clicks - n_pairs),
+        partners + rng.child("jit").normal(0.0, 0.4e-9, n_pairs),
+    ]))
+    return a, b
+
+
+def _car_counts(a, b):
+    """The coincidence count and accidental mean of the 11-window CAR."""
+    result = car_from_tags(a, b, 40.0)
+    return np.array([result.coincidences, result.accidentals_mean])
+
+
+@contextlib.contextmanager
+def _unfiltered():
+    """The pair kernels with the partner filter switched off: every
+    start goes through ``window_slices``."""
+    def keep_all(starts, stops, reach_s):
+        return starts, stops
+
+    with mock.patch.object(coincidence, "partner_candidates", keep_all), \
+            mock.patch.object(tdc_module, "partner_candidates", keep_all):
+        yield
+
+
+def _filter_ratio(fn, repeats=7):
+    """(filtered s, unfiltered s), best of ``repeats`` interleaved runs."""
+    filtered = unfiltered = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        with_filter = fn()
+        filtered = min(filtered, time.perf_counter() - start)
+        with _unfiltered():
+            start = time.perf_counter()
+            without = fn()
+            unfiltered = min(unfiltered, time.perf_counter() - start)
+        _assert(np.array_equal(with_filter, without), "filter changed a result")
+    return filtered, unfiltered
 
 
 def bench_vectorized_core(benchmark):
@@ -139,6 +194,23 @@ def bench_vectorized_core(benchmark):
         "speedup": round(sweep_speedup, 2),
     }
 
+    # --- sparse-first partner filter, sparse and dense regimes -------
+    filter_entries: dict[str, dict[str, float]] = {}
+    regimes = {"sparse": _sparse_streams(), "dense": (a, b)}
+    for regime, (starts, stops) in regimes.items():
+        kernels = {
+            "car_from_tags": lambda: _car_counts(starts, stops),
+            "collect_delays": lambda: collect_delays(starts, stops, 10e-9),
+        }
+        for kernel, fn in kernels.items():
+            filtered_s, unfiltered_s = _filter_ratio(fn)
+            filter_entries[f"{kernel}_{regime}"] = {
+                "clicks": int(starts.size + stops.size),
+                "filtered_s": round(filtered_s, 5),
+                "unfiltered_s": round(unfiltered_s, 5),
+                "speedup": round(unfiltered_s / max(filtered_s, 1e-9), 2),
+            }
+
     print()
     for name, entry in entries.items():
         print(
@@ -146,7 +218,15 @@ def bench_vectorized_core(benchmark):
             f"vectorized {entry['vectorized_s']*1e3:9.1f} ms   "
             f"speedup {entry['speedup']:7.1f}x"
         )
-    path = record_trajectory("vectorized", {"paths": entries})
+    for name, entry in filter_entries.items():
+        print(
+            f"{name:28s} unfiltered {entry['unfiltered_s']*1e3:7.1f} ms   "
+            f"filtered {entry['filtered_s']*1e3:7.1f} ms   "
+            f"speedup {entry['speedup']:5.2f}x"
+        )
+    path = record_trajectory(
+        "vectorized", {"paths": entries, "partner_filter": filter_entries}
+    )
     print(f"trajectory entry appended to {path.name}")
 
     # Acceptance bar: the vectorized fringe/coincidence sweep beats the
@@ -156,6 +236,12 @@ def bench_vectorized_core(benchmark):
     assert entries["car_from_tags"]["speedup"] >= 5.0
     assert entries["tdc_delay_histogram"]["speedup"] >= 5.0
     assert fringe_speedup >= 1.2
+    # The partner filter: a clear win on sparse streams, and on dense
+    # ones (where its probe sends every start to the full gather) no
+    # more than a probe's worth of overhead.
+    for kernel in ("car_from_tags", "collect_delays"):
+        assert filter_entries[f"{kernel}_sparse"]["speedup"] >= 1.5, kernel
+        assert filter_entries[f"{kernel}_dense"]["speedup"] >= 1 / 1.2, kernel
 
 
 def _assert(condition: bool, message: str) -> None:

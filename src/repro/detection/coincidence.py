@@ -8,11 +8,13 @@ Section III reports CAR ≈ 10 at 2 mW for the type-II source.
 Counting ships two implementations selected with ``impl``: the
 original per-window/per-start Python sweep (``"loop"``, the reference
 oracle) and a batch path (``"vectorized"``, the default).  The
-vectorized CAR gathers every (a, b) pair inside the union of its
-coincidence and accidental windows with one pair of
-``np.searchsorted`` passes, then counts each window on that small
-candidate set with the same float comparisons the per-window path
-uses.  Both give identical counts for identical inputs.
+vectorized CAR first keeps only the clicks with a partner in reach of
+any window (:func:`~repro.detection.tdc.partner_candidates`), gathers
+every (a, b) pair inside the union of its coincidence and accidental
+windows with one pair of ``np.searchsorted`` passes over those, then
+counts each window on that small candidate set with the same float
+comparisons the per-window path uses.  Both give identical counts for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.detection.tdc import collect_delays, range_indices, window_slices
+from repro.detection.tdc import ascending, collect_delays, partner_candidates
+from repro.detection.tdc import range_indices, window_slices
 from repro.utils import stats
 from repro.utils.dispatch import LOOP, VECTORIZED, validate_impl
 
@@ -39,8 +42,8 @@ def count_coincidences(
     if window_s <= 0:
         raise ConfigurationError("window must be positive")
     validate_impl(impl, "count_coincidences impl")
-    a = np.sort(np.asarray(times_a_s, dtype=float))
-    b = np.sort(np.asarray(times_b_s, dtype=float))
+    a = ascending(times_a_s)
+    b = ascending(times_b_s)
     return _count_sorted(a, b, window_s, center_s, impl)
 
 
@@ -65,17 +68,6 @@ def _count_sorted(
     return int((hi - lo).sum())
 
 
-def _ascending(times_s: np.ndarray) -> np.ndarray:
-    """The stream as a float array in ascending order.
-
-    Detector output is already sorted, so an O(n) check skips the sort.
-    """
-    times = np.asarray(times_s, dtype=float)
-    if times.size > 1 and not np.all(times[1:] >= times[:-1]):
-        return np.sort(times)
-    return times
-
-
 def _count_windows(
     sorted_a: np.ndarray,
     sorted_b: np.ndarray,
@@ -84,6 +76,8 @@ def _count_windows(
 ) -> list[int]:
     """Window counts for several centres from one gather of candidate pairs.
 
+    Only clicks with a partner within ``max |c| + window/2`` can be in a
+    window, so the rest are dropped first (:func:`partner_candidates`).
     Rounding is monotone, so ``b - c`` only shrinks as ``c`` grows: a pair
     inside any window lies at or above the lowest window's lower edge and
     at or below the highest window's upper edge, both found by one
@@ -94,6 +88,8 @@ def _count_windows(
     """
     half = window_s / 2.0
     low_center, high_center = min(centers_s), max(centers_s)
+    reach = max(abs(low_center), abs(high_center)) + half
+    sorted_a, sorted_b = partner_candidates(sorted_a, sorted_b, reach)
     lo = np.searchsorted(sorted_b - low_center, sorted_a - half, side="left")
     hi = np.searchsorted(sorted_b - high_center, sorted_a + half, side="right")
     counts = hi - lo
@@ -122,8 +118,8 @@ def coincidence_histogram(
     """Delay histogram (centres, counts) between two click streams."""
     if bin_width_s <= 0 or max_delay_s <= 0:
         raise ConfigurationError("bin width and max delay must be positive")
-    a = np.sort(np.asarray(times_a_s, dtype=float))
-    b = np.sort(np.asarray(times_b_s, dtype=float))
+    a = ascending(times_a_s)
+    b = ascending(times_b_s)
     delays = collect_delays(a, b, max_delay_s, impl=impl)
     n_bins = max(int(round(2.0 * max_delay_s / bin_width_s)), 2)
     edges = np.linspace(-max_delay_s, max_delay_s, n_bins + 1)
@@ -219,8 +215,8 @@ def car_from_tags(
     centers = accidental_window_centers(
         num_accidental_windows, accidental_offset_s
     )
-    a = _ascending(times_a_s)
-    b = _ascending(times_b_s)
+    a = ascending(times_a_s)
+    b = ascending(times_b_s)
     if impl == VECTORIZED:
         coincidences, *accidental_counts = _count_windows(
             a, b, window_s, [0.0, *centers]

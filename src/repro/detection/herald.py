@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.detection.coincidence import count_coincidences
+from repro.detection.tdc import ascending
 from repro.utils.rng import RandomStream
 
 
@@ -44,9 +45,9 @@ def heralded_g2_from_tags(
     """
     if window_s <= 0:
         raise ConfigurationError("window must be positive")
-    herald = np.sort(np.asarray(herald_times_s, dtype=float))
-    arm1 = np.sort(np.asarray(arm1_times_s, dtype=float))
-    arm2 = np.sort(np.asarray(arm2_times_s, dtype=float))
+    herald = ascending(herald_times_s)
+    arm1 = ascending(arm1_times_s)
+    arm2 = ascending(arm2_times_s)
     n_herald = herald.size
     if n_herald == 0:
         raise ConfigurationError("no herald clicks recorded")

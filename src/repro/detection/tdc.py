@@ -10,6 +10,12 @@ reference oracle) and a ``np.searchsorted``-based batch path
 (``"vectorized"``, the default) that locates every window boundary in
 one vectorized call.  Both produce bit-identical delay arrays for the
 same inputs.
+
+The batch path first drops the clicks that cannot have a partner
+(:func:`partner_candidates`, shared with the CAR counter): at
+experiment rates fewer than 1 % of clicks have one within a few
+hundred nanoseconds, so one merge of the two sorted streams replaces
+most of the binary searches.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ class TimeToDigitalConverter:
         """
         if max_delay_s <= 0:
             raise ConfigurationError("max delay must be positive")
-        starts = np.sort(np.asarray(start_times_s, dtype=float))
-        stops = np.sort(np.asarray(stop_times_s, dtype=float))
+        starts = ascending(start_times_s)
+        stops = ascending(stop_times_s)
         n_bins = max(int(round(2.0 * max_delay_s / self.bin_width_s)), 2)
         edges = np.linspace(-max_delay_s, max_delay_s, n_bins + 1)
         delays = collect_delays(starts, stops, max_delay_s, impl=impl)
@@ -99,6 +105,71 @@ def window_slices(
     return lo, np.maximum(hi, lo)
 
 
+def ascending(times_s: np.ndarray) -> np.ndarray:
+    """The stream as a float array in ascending order.
+
+    Detector output is already sorted, so an O(n) check skips the sort.
+    """
+    times = np.asarray(times_s, dtype=float)
+    if times.size > 1 and not np.all(times[1:] >= times[:-1]):
+        return np.sort(times)
+    return times
+
+
+# The partner filter needs _MIN_FILTERED starts, probes one in
+# _PROBE_STRIDE of them, and skips itself when more than _DENSE_SHARE of
+# those have a partner: the merge would then cost more than it saves.
+_MIN_FILTERED = 1024
+_PROBE_STRIDE = 64
+_DENSE_SHARE = 1 / 16
+
+
+def partner_candidates(
+    starts: np.ndarray, stops: np.ndarray, reach_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clicks of two sorted streams that may have a partner in reach.
+
+    Returns order-preserving subsequences of both streams that keep every
+    (start, stop) pair whose window comparisons place the stop within
+    ``reach_s`` of the start, so the pair kernels give bit-identical
+    counts and delays on them.  The streams are merged and every click
+    with a merged neighbour in reach is kept.  Streams where that cannot
+    pay come back unchanged: short ones, stops far outnumbering the
+    starts (the merge streams through all of them), and dense ones.
+    """
+    if starts.size < _MIN_FILTERED or stops.size > 4 * starts.size:
+        return starts, stops
+    probe = starts[::_PROBE_STRIDE]
+    lo, hi = window_slices(stops, probe - reach_s, probe + reach_s)
+    if _DENSE_SHARE * probe.size < np.count_nonzero(hi > lo):
+        return starts, stops
+    merged = np.concatenate([starts, stops])
+    merged.sort(kind="stable")  # timsort: one merge of two ascending runs
+    # A counted pair passes fl(b - c) against fl(a ± h) (CAR) or b against
+    # fl(a ± D) (TDC).  Each rounding moves a value of size at most
+    # T + reach (T = max |t|) by at most u = eps/2, so the pair's true gap
+    # is at most reach + eps·(T + reach); its merged neighbour is no
+    # farther, and diff adds a relative u.  A slack of 4·eps·(T + reach)
+    # covers both with room for rounding the threshold itself.
+    scale = max(-merged[0], merged[-1]) + reach_s
+    close = np.diff(merged) <= reach_s + 4.0 * np.finfo(float).eps * scale
+    flagged = np.zeros(merged.size, dtype=bool)
+    flagged[:-1] = close
+    flagged[1:] |= close
+    # A start equal to a flagged value shares that value's partners, so
+    # mapping values back (duplicates and cross-stream ties included)
+    # keeps every candidate.
+    values = np.unique(merged[flagged])
+    return _with_values(starts, values), _with_values(stops, values)
+
+
+def _with_values(sorted_times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The elements equal to any of the sorted, distinct ``values``."""
+    lo, hi = window_slices(sorted_times, values, values)
+    counts = hi - lo
+    return sorted_times[range_indices(lo, counts, int(counts.sum()))]
+
+
 def _collect_delays_loop(
     sorted_starts: np.ndarray, sorted_stops: np.ndarray, max_delay_s: float
 ) -> np.ndarray:
@@ -128,8 +199,11 @@ def _collect_delays_vectorized(
     cumulative-offset trick, so the delay array comes out in exactly the
     start-major order of the loop oracle.
     """
-    starts = np.asarray(sorted_starts, dtype=float)
-    stops = np.asarray(sorted_stops, dtype=float)
+    starts, stops = partner_candidates(
+        np.asarray(sorted_starts, dtype=float),
+        np.asarray(sorted_stops, dtype=float),
+        max_delay_s,
+    )
     lo, hi = window_slices(stops, starts - max_delay_s, starts + max_delay_s)
     counts = hi - lo
     total = int(counts.sum())

@@ -27,7 +27,11 @@ from repro.detection.coincidence import (
     count_coincidences,
 )
 from repro.detection.spd import _apply_dead_time, _dead_time_jump, _dead_time_loop
-from repro.detection.tdc import TimeToDigitalConverter, collect_delays
+from repro.detection.tdc import (
+    TimeToDigitalConverter,
+    collect_delays,
+    partner_candidates,
+)
 from repro.errors import ConfigurationError
 from repro.quantum.noise import add_white_noise
 from repro.quantum.states import DensityMatrix
@@ -212,6 +216,115 @@ class TestDetectionEquivalence:
             car_from_tags(np.zeros(1), np.zeros(1), 1.0, impl="chunked")
         with pytest.raises(ConfigurationError, match=supported):
             run_experiment("E7", seed=1, quick=True, params={"impl": "chunked"})
+
+
+#: Starts per stream in the sparse-filter cases: long enough to probe.
+_SPARSE_STARTS = 2048
+
+
+def _sparse_streams(seed, origin_s, reach_s, edge_offsets_s):
+    """Sorted (starts, stops) that :func:`partner_candidates` filters.
+
+    Independent clicks ~1000 reaches apart, with in-stream duplicates.
+    Partners go only to anchor starts, which the strided probe skips:
+    each anchor gets one stop, either equal to it (a cross-stream tie)
+    or on ``anchor + offset`` or one ulp either side, cycling through
+    the offsets.  One stop per anchor keeps the pair's own gap the only
+    thing that can flag it, so a slack too small to cover rounding
+    loses pairs that the oracle counts.
+    """
+    rng = RandomStream(seed, "sparse-filter")
+    span = 1000.0 * reach_s * _SPARSE_STARTS
+    a = origin_s + rng.child("a").uniform(0.0, span, _SPARSE_STARTS)
+    b = origin_s + rng.child("b").uniform(0.0, span, _SPARSE_STARTS)
+    a = np.sort(np.concatenate([a, a[::101]]))
+    anchors = a[8::16]
+    ties = anchors[::8]
+    edges = np.delete(anchors, np.s_[::8])
+    offsets = np.resize(np.repeat(edge_offsets_s, 3), edges.size)
+    steps = np.resize([-np.inf, np.nan, np.inf], edges.size)
+    edge_stops = edges + offsets
+    moved = ~np.isnan(steps)
+    edge_stops[moved] = np.nextafter(edge_stops[moved], steps[moved])
+    b = np.sort(np.concatenate([b, b[::103], ties, edge_stops]))
+    return a, b
+
+
+class TestSparseFilterEquivalence:
+    """The sparse-first pair filter against the loop oracle.
+
+    These streams are long and sparse enough to take the filtered branch
+    of :func:`partner_candidates` (asserted), with times near 600 s where
+    an ulp is 1.1e-13 s and stops on every window edge, where the filter's
+    rounding slack decides whether a pair survives.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        origin=st.sampled_from([0.0, 600.0]),
+        window=st.floats(min_value=1e-10, max_value=5e-9),
+        offset_factor=st.floats(min_value=1.01, max_value=40.0),
+        num_windows=st.integers(min_value=1, max_value=11),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_car_from_tags_identical(
+        self, seed, origin, window, offset_factor, num_windows
+    ):
+        offset = window * offset_factor
+        centers = [0.0, *accidental_window_centers(num_windows, offset)]
+        half = window / 2.0
+        reach = max(abs(c) for c in centers) + half
+        edges = [c + side for c in centers for side in (-half, half)]
+        a, b = _sparse_streams(seed, origin, reach, edges)
+        assert partner_candidates(a, b, reach)[0].size < a.size
+        args = (a, b, 1.0, window, num_windows, offset)
+        assert car_from_tags(*args, impl="vectorized") == car_from_tags(
+            *args, impl="loop"
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        origin=st.sampled_from([0.0, 600.0]),
+        max_delay=st.floats(min_value=1e-10, max_value=1e-6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_collect_delays_identical(self, seed, origin, max_delay):
+        a, b = _sparse_streams(seed, origin, max_delay, [-max_delay, max_delay])
+        assert partner_candidates(a, b, max_delay)[0].size < a.size
+        loop = collect_delays(a, b, max_delay, impl="loop")
+        fast = collect_delays(a, b, max_delay, impl="vectorized")
+        assert loop.size > 0
+        assert np.array_equal(loop, fast)
+
+    @pytest.mark.parametrize("n_starts, n_stops", [
+        (0, 0), (0, 1), (1, 0), (1, 1),
+        (0, None), (1, None), (None, 0), (None, 1),
+    ])
+    def test_empty_and_single_click_streams(self, n_starts, n_stops):
+        a, b = _sparse_streams(5, 600.0, 2.5e-7, [0.0])
+        a = a if n_starts is None else a[:n_starts]
+        b = b if n_stops is None else b[:n_stops]
+        assert np.array_equal(
+            collect_delays(a, b, 2.5e-7, impl="vectorized"),
+            collect_delays(a, b, 2.5e-7, impl="loop"),
+        )
+        args = (a, b, 1.0, 2.5e-9, 10, 5e-8)
+        assert car_from_tags(*args, impl="vectorized") == car_from_tags(
+            *args, impl="loop"
+        )
+
+    def test_dense_streams_skip_the_filter(self, rng):
+        a = np.sort(rng.child("a").uniform(0.0, 2.0, 4000))
+        b = np.sort(a + rng.child("jit").normal(0.0, 0.4e-9, a.size))
+        kept_a, kept_b = partner_candidates(a, b, 2.5e-7)
+        assert kept_a is a and kept_b is b
+        assert np.array_equal(
+            collect_delays(a, b, 2.5e-7, impl="vectorized"),
+            collect_delays(a, b, 2.5e-7, impl="loop"),
+        )
+        assert car_from_tags(a, b, 2.0, impl="vectorized") == car_from_tags(
+            a, b, 2.0, impl="loop"
+        )
 
 
 def _simulator(visibility=0.85, jitter_sigma_s=120e-12):
