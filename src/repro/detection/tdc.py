@@ -116,10 +116,9 @@ def ascending(times_s: np.ndarray) -> np.ndarray:
     return times
 
 
-# The partner filter needs _MIN_FILTERED starts, probes one in
-# _PROBE_STRIDE of them, and skips itself when more than _DENSE_SHARE of
-# those have a partner: the merge would then cost more than it saves.
-_MIN_FILTERED = 1024
+# The partner filter probes one start in _PROBE_STRIDE and skips itself
+# when more than _DENSE_SHARE of those have a partner: the merge would
+# then cost more than it saves.
 _PROBE_STRIDE = 64
 _DENSE_SHARE = 1 / 16
 
@@ -133,15 +132,13 @@ def partner_candidates(
     (start, stop) pair whose window comparisons place the stop within
     ``reach_s`` of the start, so the pair kernels give bit-identical
     counts and delays on them.  The streams are merged and every click
-    with a merged neighbour in reach is kept.  Streams where that cannot
-    pay come back unchanged: short ones, stops far outnumbering the
-    starts (the merge streams through all of them), and dense ones.
+    with a merged neighbour in reach is kept.  Dense streams, where a
+    strided probe of the starts finds too many partners for that to pay,
+    come back unchanged, as do empty start streams.
     """
-    if starts.size < _MIN_FILTERED or stops.size > 4 * starts.size:
-        return starts, stops
     probe = starts[::_PROBE_STRIDE]
     lo, hi = window_slices(stops, probe - reach_s, probe + reach_s)
-    if _DENSE_SHARE * probe.size < np.count_nonzero(hi > lo):
+    if not probe.size or _DENSE_SHARE * probe.size < np.count_nonzero(hi > lo):
         return starts, stops
     merged = np.concatenate([starts, stops])
     merged.sort(kind="stable")  # timsort: one merge of two ascending runs

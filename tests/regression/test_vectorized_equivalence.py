@@ -218,7 +218,7 @@ class TestDetectionEquivalence:
             run_experiment("E7", seed=1, quick=True, params={"impl": "chunked"})
 
 
-#: Starts per stream in the sparse-filter cases: long enough to probe.
+#: Starts per stream in the sparse-filter cases: over a hundred anchors.
 _SPARSE_STARTS = 2048
 
 
