@@ -18,25 +18,19 @@ renders the accumulated trajectories as drift tables.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import subprocess
 import time
 
 import pytest
 
+# Re-exported for the bench files that branch on the host CPU count.
+from repro.runtime.pool import usable_cpus  # noqa: F401
+
 #: Bump when the stamped trajectory-entry layout changes.
 BENCH_SCHEMA = 1
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually schedule onto."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def git_sha() -> str:

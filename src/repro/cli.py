@@ -1178,10 +1178,14 @@ def command_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     service.serve_forever()
-    # Hard exit after the clean stop: a forked process-pool worker can
-    # (rarely) survive executor shutdown and wedge interpreter-exit
-    # atexit joins.  Queue state is already persisted — crash-safety is
-    # the store's contract — so the daemon must terminate regardless.
+    from repro.runtime import pool
+
+    # os._exit skips the interpreter-exit join and pool workers outlive
+    # their parent, so stop the pool first.  The exit is hard because a
+    # forked worker can (rarely) survive executor shutdown and wedge
+    # atexit joins; queue state is already persisted (the store's
+    # crash-safety contract), so the daemon must terminate regardless.
+    pool.shutdown()
     sys.stdout.flush()
     sys.stderr.flush()
     import os

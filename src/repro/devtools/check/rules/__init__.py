@@ -18,6 +18,7 @@ from repro.devtools.check.rules.fleet_io import FleetIoRule
 from repro.devtools.check.rules.lazy_imports import LazyImportRule
 from repro.devtools.check.rules.locks import LockDisciplineRule
 from repro.devtools.check.rules.obs_names import ObsNamesRule
+from repro.devtools.check.rules.pools import ProcessPoolRule
 from repro.devtools.check.rules.rng import RngDisciplineRule
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "LazyImportRule",
     "LockDisciplineRule",
     "ObsNamesRule",
+    "ProcessPoolRule",
     "RngDisciplineRule",
     "all_rules",
 ]
@@ -44,6 +46,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     ObsNamesRule,
     BusTopicsRule,
     FleetIoRule,
+    ProcessPoolRule,
 )
 
 

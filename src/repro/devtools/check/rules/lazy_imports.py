@@ -77,6 +77,7 @@ LIGHT_MODULES = frozenset(
         "repro.runtime.cache",
         "repro.runtime.datasets",
         "repro.runtime.engine",
+        "repro.runtime.pool",
         "repro.runtime.records",
         "repro.runtime.scan",
         "repro.fleet",

@@ -74,30 +74,3 @@ def spec_from_payload(payload: Mapping[str, object]) -> RunSpec:
 def job_from_payload(payload: Mapping[str, object]) -> Job:
     """Rebuild a leased :class:`Job` from its ``to_dict`` document."""
     return Job.from_dict(payload)
-
-
-def sweep_specs(job: Job) -> list[tuple[dict[str, object], RunSpec]]:
-    """``(point, spec)`` pairs of a sweep job, in scan order.
-
-    The same merge the local scheduler performs (base params fixed,
-    scan values win on collision), factored out so remote execution
-    cannot drift from local execution point-for-point.
-    """
-    from repro.runtime.scan import scan_from_describe
-
-    pairs: list[tuple[dict[str, object], RunSpec]] = []
-    for point in scan_from_describe(job.scan):
-        merged = dict(job.params)
-        merged.update(point)
-        pairs.append(
-            (
-                dict(point),
-                RunSpec.make(
-                    job.experiment_id,
-                    seed=job.seed,
-                    quick=job.quick,
-                    params=merged,
-                ),
-            )
-        )
-    return pairs

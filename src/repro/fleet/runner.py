@@ -8,13 +8,15 @@ open RPC connection to its master.  The per-job protocol:
    served master-side and never arrive here).
 2. For each spec the runner first asks ``runner.lookup`` — the proxied
    cache consult that keeps it numpy-light until a genuine miss.
-3. Misses compute through the engine's ``_execute_safe`` (imported
-   lazily, in a worker subprocess when ``use_processes``), exactly the
-   code path of a local scheduler pool worker — which is why remote
-   records are bit-identical to local ones.
-4. ``runner.ingest`` ships the record (plus captured spans) home;
-   ``runner.progress``/``runner.complete``/``runner.fail`` drive the
-   job's lifecycle on the master.
+3. Misses compute through the engine's ``_execute_safe`` — on the
+   process-wide pool of :mod:`repro.runtime.pool` when
+   ``use_processes``, in-thread otherwise — exactly the code path of a
+   local scheduler miss, which is why remote records are bit-identical
+   to local ones.
+4. ``runner.ingest`` ships the record home with the worker's spans
+   (recorded under the runner's ``fleet.execute`` span while telemetry
+   is on); ``runner.progress``/``runner.complete``/``runner.fail``
+   drive the job's lifecycle on the master.
 
 A heartbeat thread fences the lease; any lease rejection
 (``ConfigurationError`` from the client) means the master moved on —
@@ -32,15 +34,17 @@ import socket
 import threading
 import time
 
+from repro import obs
 from repro.errors import ConfigurationError, ServiceError
 from repro.fleet.client import RunnerClient
 from repro.fleet.protocol import (
     DEFAULT_CLAIM_BATCH,
     heartbeat_interval,
     spec_payload,
-    sweep_specs,
 )
-from repro.service.jobs import KIND_RUN, Job
+from repro.obs import names as obs_names
+from repro.runtime import pool
+from repro.service.jobs import Job
 
 #: Fault-injection hook: seconds to stall between claim and compute.
 STALL_ENV_VAR = "REPRO_RUNNER_STALL_S"
@@ -59,9 +63,9 @@ class FleetRunner:
     workers:
         Claim threads (= concurrently executing jobs on this runner).
     use_processes:
-        Compute misses in a shared ``ProcessPoolExecutor`` so numpy
-        loads in pool children, not the runner process.  ``False``
-        computes in-thread (tests).
+        Compute misses on the process-wide pool
+        (:mod:`repro.runtime.pool`), asking for at most ``workers``
+        processes.  ``False`` computes in-thread (tests).
     on_event:
         Optional ``callable(message: str)`` for lifecycle log lines.
     client:
@@ -93,8 +97,6 @@ class FleetRunner:
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._cancelled: set[int] = set()
-        self._pool = None
-        self._pool_lock = threading.Lock()
         self._beat_thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
@@ -145,15 +147,11 @@ class FleetRunner:
         return self.jobs_done
 
     def stop(self) -> None:
-        """Stop claiming and shut the compute pool down."""
+        """Stop claiming and stop the heartbeat."""
         self._stop.set()
         if self._beat_thread is not None:
             self._beat_thread.join(timeout=2.0)
             self._beat_thread = None
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
 
     # ------------------------------------------------------------------
     # Loops
@@ -243,10 +241,13 @@ class FleetRunner:
             time.sleep(stall)
         runner_id = str(self.runner_id)
         try:
-            if job.kind == KIND_RUN:
-                self._execute_single(runner_id, job)
-            else:
-                self._execute_sweep(runner_id, job)
+            with obs.span(
+                obs_names.SPAN_FLEET_EXECUTE,
+                job_id=job.job_id,
+                kind=job.kind,
+                experiment=job.experiment_id,
+            ):
+                self._execute_points(runner_id, job)
         except ConfigurationError as error:
             self._log(f"{job.label()} lease lost: {error}")
         except ServiceError as error:
@@ -265,77 +266,35 @@ class FleetRunner:
             except (ConfigurationError, ServiceError):
                 pass  # lease already gone; the master moved on
 
-    def _execute_single(self, runner_id: str, job: Job) -> None:
-        """Run-kind job: proxied lookup, compute on miss, report."""
-        spec = job.spec()
-        payload = spec_payload(spec)
-        hit = self.client.lookup(runner_id, job.job_id, payload)
-        if hit.get("hit"):
-            self.client.progress(
-                runner_id, job.job_id, 1, 1,
-                run_id=str(hit.get("run_id")), cached=True,
-            )
-            self.client.complete(
-                runner_id, job.job_id, metrics=dict(hit.get("metrics") or {})
-            )
-            return
-        record, failure, duration, spans = self._compute(spec)
-        if failure is not None:
-            self.client.ingest(
-                runner_id, job.job_id, payload,
-                failure=failure, duration_s=duration, spans=spans,
-            )
-            self.client.fail(runner_id, job.job_id, failure)
-            return
-        reply = self.client.ingest(
-            runner_id, job.job_id, payload,
-            record=record, duration_s=duration, spans=spans,
-        )
-        self.client.progress(
-            runner_id, job.job_id, 1, 1,
-            run_id=str(reply.get("run_id")), cached=False,
-        )
-        self.client.complete(
-            runner_id, job.job_id, metrics=dict(reply.get("metrics") or {})
-        )
+    def _execute_points(self, runner_id: str, job: Job) -> None:
+        """Per-point lookup, compute on miss, report; cancel at boundaries.
 
-    def _execute_sweep(self, runner_id: str, job: Job) -> None:
-        """Sweep-kind job: per-point lookup/compute, cancel at boundaries."""
-        pairs = sweep_specs(job)
-        total = len(pairs)
+        A run job is a single point with no scan coordinates.
+        """
+        pairs = job.points()
         last_metrics: dict[str, float] = {}
         for index, (point, spec) in enumerate(pairs):
             if self._is_cancelled(job.job_id):
                 break
             payload = spec_payload(spec)
-            hit = self.client.lookup(runner_id, job.job_id, payload)
-            if hit.get("hit"):
-                run_id = str(hit.get("run_id"))
-                metrics = dict(hit.get("metrics") or {})
-                cached = True
-            else:
+            reply = self.client.lookup(runner_id, job.job_id, payload)
+            cached = bool(reply.get("hit"))
+            if not cached:
                 record, failure, duration, spans = self._compute(spec)
+                reply = self.client.ingest(
+                    runner_id, job.job_id, payload, record=record,
+                    failure=failure, duration_s=duration, spans=spans,
+                )
                 if failure is not None:
-                    self.client.ingest(
-                        runner_id, job.job_id, payload,
-                        failure=failure, duration_s=duration, spans=spans,
-                    )
                     self.client.fail(runner_id, job.job_id, failure)
                     return
-                reply = self.client.ingest(
-                    runner_id, job.job_id, payload,
-                    record=record, duration_s=duration, spans=spans,
-                )
-                run_id = str(reply.get("run_id"))
-                metrics = dict(reply.get("metrics") or {})
-                cached = False
-            last_metrics = metrics
-            reply = self.client.progress(
-                runner_id, job.job_id, index + 1, total,
-                run_id=run_id, cached=cached,
-                point=point, metrics=metrics,
+            last_metrics = dict(reply.get("metrics") or {})
+            progress = self.client.progress(
+                runner_id, job.job_id, index + 1, len(pairs),
+                run_id=str(reply.get("run_id")), cached=cached,
+                point=point, metrics=last_metrics,
             )
-            if reply.get("cancel_requested"):
+            if progress.get("cancel_requested"):
                 break
         # The master turns this into cancelled when a cancel is pending.
         self.client.complete(runner_id, job.job_id, metrics=last_metrics)
@@ -345,32 +304,18 @@ class FleetRunner:
             return job_id in self._cancelled
 
     def _compute(self, spec):
-        """Execute one miss via the engine's pool-worker entry point.
+        """Execute one miss: on the shared process pool, or in-thread.
 
-        Lazy import: a runner that only ever serves proxied cache hits
-        never loads the driver stack (numpy) at all.  With
-        ``use_processes`` the import happens in a pool child instead.
+        Either way the result tuple carries the worker's spans, which
+        ``runner.ingest`` ships home.  Lazy import: a runner that only
+        ever serves proxied cache hits never loads the driver stack
+        (numpy) at all.
         """
+        if self.use_processes:
+            return pool.submit(spec, self.workers).result()
         from repro.runtime.engine import _execute_safe
 
-        if not self.use_processes:
-            return _execute_safe(spec, None)
-        from concurrent.futures import BrokenExecutor
-
-        with self._pool_lock:
-            if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            pool = self._pool
-        try:
-            return pool.submit(_execute_safe, spec, None).result()
-        except BrokenExecutor:
-            with self._pool_lock:
-                if self._pool is pool:
-                    self._pool = None
-            pool.shutdown(wait=False)
-            raise
+        return _execute_safe(spec, obs.context())
 
     def _log(self, message: str) -> None:
         if self.on_event is not None:

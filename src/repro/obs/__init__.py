@@ -285,7 +285,7 @@ def snapshot() -> dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side tracing (inside ProcessPoolExecutor workers)
+# Worker-side tracing (inside process-pool workers)
 # ---------------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ child automatically.  Span identity is **counter-based**: ids are
 ``time.time``, so a test driving a fresh :class:`Tracer` sees exactly
 the ids it expects.
 
-Crossing the ``ProcessPoolExecutor`` boundary works the same way the
+Crossing the process-pool boundary works the same way the
 engine transports worker tracebacks (the ``WorkerError`` plumbing):
 the parent passes :meth:`Tracer.context` to the worker, the worker
 records into its own pid-prefixed collector tracer, and the finished

@@ -1,6 +1,6 @@
 """ARTIQ-inspired run engine for the reproduction's experiment layer.
 
-The subsystem splits into five modules:
+The subsystem splits into six modules:
 
 - :mod:`repro.runtime.scan` — composable parameter-scan spaces
   (`LinearScan`, `LogScan`, `ListScan`, `GridScan`) plus the CLI spec
@@ -11,6 +11,8 @@ The subsystem splits into five modules:
 - :mod:`repro.runtime.cache` — content-addressed result memoisation.
 - :mod:`repro.runtime.engine` — the :class:`RunEngine` scheduling single
   runs, batches, and whole sweeps across a process pool.
+- :mod:`repro.runtime.pool` — that pool: one per process, shared by the
+  engine, the service scheduler and the fleet runner.
 
 Submodules are imported lazily (PEP 562) so a cached CLI invocation
 never pays the numpy import.

@@ -5,7 +5,8 @@ the equivalent for the offline reproduction.  Every run is described by
 an immutable :class:`RunSpec`, content-addressed through
 :mod:`repro.runtime.cache`, archived as a self-contained run directory
 (manifest + result record + datasets), and — when a worker pool is
-requested — executed across processes with `concurrent.futures`.
+requested — executed across processes on the shared pool of
+:mod:`repro.runtime.pool`.
 
 Run-directory layout under the engine root (default ``./repro-runs`` or
 ``$REPRO_RUNTIME_ROOT``)::
@@ -158,15 +159,20 @@ def _execute(spec: RunSpec) -> tuple[dict[str, object], float]:
     return records.to_record(result), time.perf_counter() - start
 
 
-def _execute_safe(
-    spec: RunSpec,
-    obs_ctx: Mapping[str, str] | None = None,
-) -> tuple[
+#: What :func:`_execute_safe` returns: ``(record, failure, duration,
+#: spans)``, with exactly one of ``record`` and ``failure`` set.
+WorkerResult = tuple[
     dict[str, object] | None,
     dict[str, str] | None,
     float,
     list[dict[str, object]],
-]:
+]
+
+
+def _execute_safe(
+    spec: RunSpec,
+    obs_ctx: Mapping[str, str] | None = None,
+) -> WorkerResult:
     """Pool-worker wrapper of :func:`_execute` capturing failures.
 
     Returns ``(record, None, duration, spans)`` on success and
@@ -188,11 +194,7 @@ def _execute_safe(
         with scope:
             record, duration = _execute(spec)
     except Exception as error:  # noqa: BLE001 - transported to the parent
-        failure = {
-            "type": type(error).__name__,
-            "message": str(error),
-            "traceback": traceback.format_exc(),
-        }
+        failure = _failure_from(error)
         return None, failure, time.perf_counter() - start, scope.spans
     return record, None, duration, scope.spans
 
@@ -226,7 +228,8 @@ class RunEngine:
         :class:`repro.analysis.index.ArchiveIndex`.  Ignored when
         ``archive`` is off.
     max_workers:
-        Worker processes for multi-spec batches (1 = in-process serial).
+        Upper bound on the shared pool's worker processes for
+        multi-spec batches (1 = in-process serial).
     progress:
         Optional ``callable(message: str)`` receiving one line per
         completed run.
@@ -292,39 +295,30 @@ class RunEngine:
     ) -> None:
         """Execute cache misses per point, pooled when workers allow."""
         if pending and self.max_workers > 1 and len(pending) > 1:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
+            from concurrent.futures import as_completed
 
-            # Load the driver stack once in the parent so forked workers
-            # inherit it instead of each paying the numpy import.
-            import repro.experiments.registry  # noqa: F401
+            from repro.runtime import pool
 
-            workers = min(self.max_workers, len(pending))
-            obs_ctx = obs.context()
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_execute_safe, specs[index], obs_ctx): index
-                    for index in pending
-                }
+            futures = {
+                pool.submit(specs[index], self.max_workers): index
+                for index in pending
+            }
+            try:
                 for future in as_completed(futures):
                     index = futures[future]
-                    record, failure, duration, spans = future.result()
-                    obs.replay(spans)
-                    if failure is not None:
-                        # The worker's frames are gone; its formatted
-                        # traceback is archived and re-raised verbatim.
-                        self.record_failure(specs[index], failure, duration)
-                        raise WorkerError(
-                            f"{specs[index].label()} failed in a pool "
-                            f"worker: {failure['type']}: "
-                            f"{failure['message']}\n{failure['traceback']}",
-                            worker_traceback=failure["traceback"],
-                        )
-                    outcome = self._complete(specs[index], record, duration)
+                    outcome = self.finish_worker_result(
+                        specs[index], future.result()
+                    )
                     outcomes[index] = outcome
                     done += 1
                     if on_outcome is not None:
                         on_outcome(index, outcome)
                     self._report(done, len(specs), outcome)
+            finally:
+                # The pool is shared: points of a failed batch that have
+                # not started must not run on into other callers' work.
+                for future in futures:
+                    future.cancel()
         else:
             for index in pending:
                 outcome = self.compute(specs[index])
@@ -511,7 +505,7 @@ class RunEngine:
                 now = time.perf_counter()
                 try:
                     record = records.to_record(result)
-                    outcome = self._complete(spec, record, now - last)
+                    outcome = self.complete_record(spec, record, now - last)
                 except Exception as error:  # noqa: BLE001 - re-raised unchanged
                     # Persisting this completed point failed (disk error,
                     # broken progress pipe, ...) — still this point's fault
@@ -543,17 +537,31 @@ class RunEngine:
             except Exception as error:  # noqa: BLE001 - re-raised unchanged
                 self.record_failure(spec, _failure_from(error))
                 raise
-            return self._complete(spec, record, duration)
+            return self.complete_record(spec, record, duration)
 
-    def complete_record(
-        self, spec: RunSpec, record: dict[str, object], duration_s: float
+    def finish_worker_result(
+        self, spec: RunSpec, result: WorkerResult
     ) -> RunOutcome:
-        """Archive + cache a record computed elsewhere (e.g. a pool worker).
+        """Persist what :func:`_execute_safe` returned for ``spec``.
 
-        Keeps all persistence in the calling process — the run-engine
-        invariant that workers only compute (see DESIGN.md).
+        The parent-side half of every pooled compute: the worker's
+        spans are journaled, then a failure is archived as a failure
+        manifest and raised as :class:`WorkerError` carrying the
+        worker's formatted traceback (its frames are gone), and a
+        record is archived and cached.
         """
-        return self._complete(spec, record, duration_s)
+        record, failure, duration, spans = result
+        obs.replay(spans)
+        if failure is not None:
+            self.record_failure(spec, failure, duration)
+            raise WorkerError(
+                f"{spec.label()} failed in a pool worker: "
+                f"{failure['type']}: {failure['message']}\n"
+                f"{failure['traceback']}",
+                worker_traceback=failure["traceback"],
+            )
+        assert record is not None
+        return self.complete_record(spec, record, duration)
 
     def run_all(self, seed: int = 0, quick: bool = True) -> dict[str, RunOutcome]:
         """Run every registered experiment; returns id → outcome."""
@@ -703,10 +711,15 @@ class RunEngine:
             run_dir=run_dir if run_dir.exists() else None,
         )
 
-    def _complete(
+    def complete_record(
         self, spec: RunSpec, record: dict[str, object], duration_s: float
     ) -> RunOutcome:
-        """Archive and cache one freshly computed run record."""
+        """Archive and cache one freshly computed run record.
+
+        Records computed elsewhere (a pool worker, a fleet runner) come
+        through here too, keeping all persistence in this process — the
+        run-engine invariant that workers only compute (see DESIGN.md).
+        """
         result = records.from_record(record)
         run_dir: pathlib.Path | None = None
         if self.archive:

@@ -151,11 +151,31 @@ class Job:
                 f"job {self.job_id} is a {self.kind} job and has no "
                 "single-run spec"
             )
+        return self._point_spec({})
+
+    def points(self) -> list[tuple[dict[str, object] | None, RunSpec]]:
+        """``(scan point, spec)`` pairs of a run or sweep job, in order.
+
+        A run job is one pair with no scan point.  The scheduler and
+        fleet runners both execute from this list, so remote execution
+        cannot drift from local execution.
+        """
+        if self.kind == KIND_RUN:
+            return [(None, self.spec())]
+        from repro.runtime.scan import scan_from_describe
+
+        return [
+            (dict(point), self._point_spec(point))
+            for point in scan_from_describe(self.scan)
+        ]
+
+    def _point_spec(self, point: Mapping[str, object]) -> RunSpec:
+        """One scan point's spec: the job's params, overridden by the point."""
         return RunSpec.make(
             self.experiment_id,
             seed=self.seed,
             quick=self.quick,
-            params=self.params,
+            params={**self.params, **point},
         )
 
     def fingerprint(self) -> str | None:

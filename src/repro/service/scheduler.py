@@ -9,10 +9,12 @@ claimed job is routed by cost:
 - **cache hits** are served directly on the claim thread — a hit is a
   JSON read, so threads give maximal throughput (the ≥50 jobs/s bar of
   ``benchmarks/bench_service_throughput.py``);
-- **compute** goes through a shared ``ProcessPoolExecutor`` (unless
-  ``use_processes=False``), keeping the GIL out of Monte-Carlo work
-  while all persistence — archiving, caching, job-file writes — stays
-  in the scheduler process (the engine's parent-side-I/O invariant).
+- **compute** goes through the process-wide pool of
+  :mod:`repro.runtime.pool` (unless ``use_processes=False``) — the same
+  pool the engine's parallel sweeps and a fleet runner use — keeping
+  the GIL out of Monte-Carlo work while all persistence — archiving,
+  caching, job-file writes — stays in the scheduler process (the
+  engine's parent-side-I/O invariant).
 
 Sweep jobs stream: after every finished point the job file is rewritten
 with the new progress counters, so ``repro watch`` and the long-poll
@@ -28,13 +30,12 @@ import threading
 from collections.abc import Callable
 
 from repro import obs
-from repro.errors import WorkerError
 from repro.obs import names as obs_names
+from repro.runtime import pool
 from repro.runtime.engine import (
     RunEngine,
     RunOutcome,
     RunSpec,
-    _execute_safe,
     _failure_from,
 )
 from repro.service.datasets import SweepPublisher
@@ -44,13 +45,14 @@ from repro.service.jobs import (
     FAILED,
     KIND_ANALYZE,
     KIND_RUN,
+    KIND_SWEEP,
     Job,
 )
 from repro.service.store import JobStore
 
 
 class Scheduler:
-    """Drains a :class:`JobStore` through claim threads + a process pool.
+    """Drains a :class:`JobStore` through claim threads + the shared pool.
 
     Parameters
     ----------
@@ -61,8 +63,9 @@ class Scheduler:
     workers:
         Claim threads (= maximum concurrently running jobs).
     use_processes:
-        Execute cache misses in a ``ProcessPoolExecutor`` sized to
-        ``workers``.  ``False`` computes in-thread (tests, platforms
+        Execute cache misses on the process-wide pool
+        (:mod:`repro.runtime.pool`), asking for at most ``workers``
+        processes.  ``False`` computes in-thread (tests, platforms
         without fork).
     poll_s:
         Fallback wake interval of idle claim threads; submissions also
@@ -118,8 +121,6 @@ class Scheduler:
         self._host = socket.gethostname()
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
-        self._pool = None
-        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -152,10 +153,6 @@ class Scheduler:
             for thread in self._threads:
                 thread.join()
         self._threads = []
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=wait)
-                self._pool = None
 
     @property
     def running(self) -> bool:
@@ -226,12 +223,10 @@ class Scheduler:
         )
         try:
             with job_span:
-                if job.kind == KIND_RUN:
-                    self._run_single(job)
-                elif job.kind == KIND_ANALYZE:
+                if job.kind == KIND_ANALYZE:
                     self._run_analyze(job)
                 else:
-                    self._run_sweep(job)
+                    self._run_points(job)
                 job_span.set(status=job.status)
         except Exception as error:  # noqa: BLE001 - job-level isolation
             # First line only: a WorkerError's message embeds the whole
@@ -262,54 +257,26 @@ class Scheduler:
             self._log(f"{job.label()} {job.status}")
         obs.count(obs_names.METRIC_JOBS_FINISHED, status=job.status)
 
-    def _run_single(self, job: Job) -> None:
-        """Run-kind job: one spec through cache or compute.
+    def _run_points(self, job: Job) -> None:
+        """Run or sweep job: stream every point through cache or compute.
 
-        A cancel request that lands mid-compute cannot abort the run
-        (the work is archived and cached regardless) but the job still
-        finishes ``cancelled``, so the terminal state matches what the
-        user asked for.
+        A run job is one point.  Cancellation takes effect at point
+        boundaries; a cancel request that lands mid-compute cannot abort
+        the point (its work is archived and cached regardless) but the
+        job still finishes ``cancelled``, so the terminal state matches
+        what the user asked for.
         """
-        if job.cancel_requested:
-            self.store.finish(job, CANCELLED)
-            return
-        spec = job.spec()
-        outcome = self.engine.lookup(spec)
-        cached = outcome is not None
-        if outcome is None:
-            outcome = self._compute(spec)
-        self.store.update_progress(
-            job, 1, 1, run_id=outcome.run_id, cached=cached
+        points = job.points()
+        publisher = (
+            SweepPublisher.for_job(job, len(points))
+            if job.kind == KIND_SWEEP
+            else None
         )
-        if job.cancel_requested:
-            self.store.finish(job, CANCELLED)
-            return
-        self.store.finish(job, DONE, metrics=dict(outcome.result.metrics))
-
-    def _run_sweep(self, job: Job) -> None:
-        """Sweep-kind job: stream every scan point, honouring cancel."""
-        from repro.runtime.scan import scan_from_describe
-
-        scan = scan_from_describe(job.scan)
-        points = list(scan)
-        total = len(points)
         last_metrics: dict[str, float] = {}
-        publisher = SweepPublisher.for_job(job, total)
         try:
-            for index, point in enumerate(points):
+            for index, (point, spec) in enumerate(points):
                 if job.cancel_requested:
-                    if publisher is not None:
-                        publisher.finish(CANCELLED)
-                    self.store.finish(job, CANCELLED)
-                    return
-                merged = dict(job.params)
-                merged.update(point)
-                spec = RunSpec.make(
-                    job.experiment_id,
-                    seed=job.seed,
-                    quick=job.quick,
-                    params=merged,
-                )
+                    break
                 outcome = self.engine.lookup(spec)
                 cached = outcome is not None
                 if outcome is None:
@@ -318,13 +285,17 @@ class Scheduler:
                 if publisher is not None:
                     publisher.point(
                         index,
-                        point,
+                        point or {},
                         last_metrics,
                         run_id=outcome.run_id,
                         cached=cached,
                     )
                 self.store.update_progress(
-                    job, index + 1, total, run_id=outcome.run_id, cached=cached
+                    job,
+                    index + 1,
+                    len(points),
+                    run_id=outcome.run_id,
+                    cached=cached,
                 )
         except Exception:
             # The job-level handler records the failure; the topic must
@@ -332,9 +303,11 @@ class Scheduler:
             if publisher is not None:
                 publisher.finish(FAILED)
             raise
+        status = CANCELLED if job.cancel_requested else DONE
+        metrics = last_metrics if status == DONE else None
         if publisher is not None:
-            publisher.finish(DONE, metrics=last_metrics)
-        self.store.finish(job, DONE, metrics=last_metrics)
+            publisher.finish(status, metrics=metrics)
+        self.store.finish(job, status, metrics=metrics)
 
     def _run_analyze(self, job: Job) -> None:
         """Analyze-kind job: run a pipeline, streaming per-analyzer progress.
@@ -381,48 +354,11 @@ class Scheduler:
         )
 
     def _compute(self, spec: RunSpec) -> RunOutcome:
-        """Execute one cache miss (process pool or in-thread)."""
+        """Execute one cache miss (shared process pool or in-thread)."""
         if not self.use_processes:
             return self.engine.compute(spec)
-        record, failure, duration, spans = self._submit_to_pool(spec)
-        obs.replay(spans)
-        if failure is not None:
-            self.engine.record_failure(spec, failure, duration)
-            raise WorkerError(
-                f"{spec.label()} failed in a pool worker: "
-                f"{failure['type']}: {failure['message']}\n"
-                f"{failure['traceback']}",
-                worker_traceback=failure["traceback"],
-            )
-        return self.engine.complete_record(spec, record, duration)
-
-    def _submit_to_pool(self, spec: RunSpec):
-        """Run ``_execute_safe`` on the shared process pool and wait.
-
-        A pool whose worker died (OOM kill, segfault) is discarded so
-        the *next* job rebuilds a healthy one — one crashed worker must
-        not poison every subsequent compute on an always-on daemon.
-        """
-        from concurrent.futures import BrokenExecutor
-
-        with self._pool_lock:
-            if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                # Load the driver stack once in the parent so forked
-                # workers inherit it instead of each importing numpy.
-                import repro.experiments.registry  # noqa: F401
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            pool = self._pool
-        try:
-            return pool.submit(_execute_safe, spec, obs.context()).result()
-        except BrokenExecutor:
-            with self._pool_lock:
-                if self._pool is pool:
-                    self._pool = None
-            pool.shutdown(wait=False)
-            raise
+        result = pool.submit(spec, self.workers).result()
+        return self.engine.finish_worker_result(spec, result)
 
     def _log(self, message: str) -> None:
         """Emit one scheduler log line through the configured callback."""

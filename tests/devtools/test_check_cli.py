@@ -86,7 +86,9 @@ class TestTextOutput:
     def test_list_rules_names_all_six(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RNG001", "IO001", "IMP001", "LCK001", "EXC001", "SCH001"):
+        for rule_id in (
+            "RNG001", "IO001", "IMP001", "LCK001", "EXC001", "SCH001", "POL001",
+        ):
             assert rule_id in out
 
 

@@ -22,6 +22,7 @@ from repro.devtools.check.rules.lazy_imports import (
 )
 from repro.devtools.check.rules.locks import LockDisciplineRule
 from repro.devtools.check.rules.obs_names import ObsNamesRule
+from repro.devtools.check.rules.pools import ProcessPoolRule
 from repro.devtools.check.rules.rng import RngDisciplineRule
 
 
@@ -656,5 +657,53 @@ class TestFleetIoRule:
                 """
             },
             [FleetIoRule()],
+        )
+        assert findings == []
+
+
+class TestProcessPoolRule:
+    def test_pool_construction_outside_pool_module_flagged(self, run_rules):
+        findings = run_rules(
+            {
+                "repro/service/scheduler.py": """
+                import concurrent.futures
+                import multiprocessing as mp
+                from multiprocessing import Pool
+
+                def pools():
+                    return (
+                        concurrent.futures.ProcessPoolExecutor(2),
+                        mp.Pool(2),
+                        Pool(2),
+                    )
+                """
+            },
+            [ProcessPoolRule()],
+        )
+        assert len(findings) == 3
+        assert {f.rule for f in findings} == {"POL001"}
+        assert "repro.runtime.pool.submit" in findings[0].message
+
+    def test_pool_module_and_shared_pool_callers_clean(self, run_rules):
+        findings = run_rules(
+            {
+                "repro/runtime/pool.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                def start(workers):
+                    return ProcessPoolExecutor(max_workers=workers)
+                """,
+                "repro/fleet/runner.py": """
+                from concurrent.futures import ThreadPoolExecutor
+
+                from repro.runtime import pool
+
+                def compute(spec, workers):
+                    with ThreadPoolExecutor(1) as threads:
+                        threads.submit(print)
+                    return pool.submit(spec, workers).result()
+                """,
+            },
+            [ProcessPoolRule()],
         )
         assert findings == []

@@ -12,9 +12,22 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.fleet.runner import FleetRunner
+from repro.obs import names
+from repro.obs.journal import read_events
 from repro.service.api import ExperimentService
 from repro.service.client import ServiceClient
+
+
+@pytest.fixture
+def telemetry(monkeypatch):
+    """Fresh process telemetry, so the master's journal attaches to its
+    own root; reset afterwards."""
+    monkeypatch.delenv(obs.OBS_ENV_VAR, raising=False)
+    obs.reset()
+    yield
+    obs.reset()
 
 
 @pytest.fixture
@@ -112,3 +125,25 @@ class TestRemoteExecution:
         assert finished["status"] == "failed"
         assert finished["error"]["type"]
         assert client.fleet_status()["counts"]["leases"] == 0
+
+
+class TestRunnerTelemetry:
+    def test_master_journals_runner_worker_span(
+        self, tmp_path, telemetry, service, runner
+    ):
+        master, url = service
+        assert obs.enabled()  # the daemon turns telemetry on
+        client = ServiceClient(url)
+        job = client.submit("E6", quick=True, params={"pump_mw": 7.0})
+        finished = client.wait(job["job_id"], timeout=60.0)
+        assert finished["status"] == "done"
+        spans = [
+            event
+            for event in read_events(master.root)
+            if event["kind"] == "span"
+            and event["name"] == names.SPAN_POOL_EXECUTE
+        ]
+        assert len(spans) == 1
+        # Recorded runner-side, shipped with runner.ingest, replayed here.
+        assert spans[0]["span_id"].startswith("w")
+        assert spans[0]["attrs"]["experiment"] == "E6"

@@ -248,6 +248,14 @@ class TestFailureManifests:
             engine.run_specs(specs)
         assert "Traceback" in excinfo.value.worker_traceback
         assert "Traceback" in str(excinfo.value)
+        # The failed batch left the shared pool usable for the next one.
+        good = [
+            RunSpec.make("E7", quick=True, params={"dwell_s": 5.0}),
+            RunSpec.make("E7", quick=True, params={"dwell_s": 6.0}),
+        ]
+        outcomes = engine.run_specs(good)
+        assert [o.spec for o in outcomes] == good
+        assert not any(o.cached for o in outcomes)
 
     def test_load_run_of_failed_run_mentions_failure(self, engine):
         with pytest.raises(ConfigurationError):
