@@ -157,8 +157,10 @@ class TypeIIScheme:
         te_sig, tm_leak_sig = pbs.split(pairs.signal_times_s, "TE", rng.child("ps"))
         te_leak_idl, tm_idl = pbs.split(pairs.idler_times_s, "TM", rng.child("pi"))
         # Each split keeps its input sorted: timsort merges the two runs.
-        te_port = np.sort(np.concatenate([te_sig, te_leak_idl]), kind="stable")
-        tm_port = np.sort(np.concatenate([tm_idl, tm_leak_sig]), kind="stable")
+        te_port = np.concatenate([te_sig, te_leak_idl])
+        te_port.sort(kind="stable")
+        tm_port = np.concatenate([tm_idl, tm_leak_sig])
+        tm_port.sort(kind="stable")
         detector = self.detector()
         clicks_te = detector.detect(te_port, duration_s, rng.child("dte"))
         clicks_tm = detector.detect(tm_port, duration_s, rng.child("dtm"))

@@ -74,7 +74,8 @@ class DetectorModel:
         n_dark = rng.poisson(self.dark_count_rate_hz * duration_s)
         darks = rng.uniform(0.0, duration_s, int(n_dark))
 
-        clicks = np.sort(np.concatenate([detected, darks]))
+        clicks = np.concatenate([detected, darks])
+        clicks.sort()
         if self.dead_time_s > 0 and clicks.size > 1:
             clicks = _apply_dead_time(clicks, self.dead_time_s)
         return clicks

@@ -81,7 +81,8 @@ class BiphotonSource:
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
         n_pairs = int(rng.poisson(self.pair_rate_hz * duration_s))
-        emission = np.sort(rng.uniform(0.0, duration_s, n_pairs))
+        emission = rng.uniform(0.0, duration_s, n_pairs)
+        emission.sort()
         # Laplace delay: exponential magnitude with random sign.
         magnitudes = rng.exponential(1.0 / self.correlation_decay_rate, n_pairs)
         signs = rng.choice(np.array([-1.0, 1.0]), size=n_pairs)
@@ -102,7 +103,9 @@ def uncorrelated_stream(
     if duration_s <= 0:
         raise ConfigurationError("duration must be positive")
     n = int(rng.poisson(rate_hz * duration_s))
-    return np.sort(rng.uniform(0.0, duration_s, n))
+    times = rng.uniform(0.0, duration_s, n)
+    times.sort()
+    return times
 
 
 def thin_stream(times_s: np.ndarray, transmission: float, rng: RandomStream):

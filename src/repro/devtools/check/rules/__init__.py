@@ -20,6 +20,7 @@ from repro.devtools.check.rules.locks import LockDisciplineRule
 from repro.devtools.check.rules.obs_names import ObsNamesRule
 from repro.devtools.check.rules.pools import ProcessPoolRule
 from repro.devtools.check.rules.rng import RngDisciplineRule
+from repro.devtools.check.rules.stats_package import StatsPackageRule
 
 __all__ = [
     "AtomicIoRule",
@@ -32,6 +33,7 @@ __all__ = [
     "ObsNamesRule",
     "ProcessPoolRule",
     "RngDisciplineRule",
+    "StatsPackageRule",
     "all_rules",
 ]
 
@@ -39,6 +41,7 @@ __all__ = [
 RULE_CLASSES: tuple[type[Rule], ...] = (
     ExceptionHygieneRule,
     LazyImportRule,
+    StatsPackageRule,
     AtomicIoRule,
     LockDisciplineRule,
     RngDisciplineRule,

@@ -21,6 +21,11 @@ output size no matter which values come out.  These per-draw samplers
 remain only so that a seed keeps producing the same records: swapping
 in numpy's own samplers would change every draw and require a
 ``CACHE_SCHEMA`` bump.
+
+The inverse CDFs are the ``scipy.special`` ufuncs that scipy's own
+``poisson.ppf`` and ``binom.ppf`` evaluate, called directly: the values
+are bit-identical without importing scipy's ``stats`` package (about
+half a second) or paying its per-call argument handling.
 """
 
 from __future__ import annotations
@@ -38,46 +43,13 @@ import numpy as np
 _PHILOX_BLOCK = 4
 
 #: Smallest positive double.  Uniform draws live on ``[0, 1)`` and can
-#: be exactly ``0.0``; the discrete inverse CDFs (``poisson.ppf``,
-#: ``binom.ppf``) return ``-1`` at ``0.0`` and ``ndtri`` returns
-#: ``-inf``, so samplers clamp to this subnormal first.
+#: be exactly ``0.0``; the discrete inverse CDFs below are defined only
+#: on ``(0, 1)`` and ``ndtri`` returns ``-inf`` at ``0.0``, so samplers
+#: clamp to this subnormal first.
 _MIN_UNIFORM = 5e-324
 
-# Lazily-imported scipy callables (scipy.stats is slow to import and
-# the light CLI paths never sample distributions).
-_NDTRI = None
-_POISSON_PPF = None
-_BINOM_PPF = None
-
-
-def _ndtri():
-    """The standard-normal inverse CDF, imported on first use."""
-    global _NDTRI
-    if _NDTRI is None:
-        from scipy.special import ndtri
-
-        _NDTRI = ndtri
-    return _NDTRI
-
-
-def _poisson_ppf():
-    """``scipy.stats.poisson.ppf``, imported on first use."""
-    global _POISSON_PPF
-    if _POISSON_PPF is None:
-        from scipy.stats import poisson
-
-        _POISSON_PPF = poisson.ppf
-    return _POISSON_PPF
-
-
-def _binom_ppf():
-    """``scipy.stats.binom.ppf``, imported on first use."""
-    global _BINOM_PPF
-    if _BINOM_PPF is None:
-        from scipy.stats import binom
-
-        _BINOM_PPF = binom.ppf
-    return _BINOM_PPF
+# scipy is imported inside the samplers that use it, so numpy-only
+# callers of this module never load it.
 
 
 def derive_seed(base_seed: int, label: str) -> int:
@@ -131,19 +103,41 @@ def exponential_from_uniforms(u, scale=1.0):
 
 def normal_from_uniforms(u, loc=0.0, scale=1.0):
     """Map unit uniforms to Gaussian draws via the inverse CDF."""
-    return loc + scale * _ndtri()(np.clip(u, _MIN_UNIFORM, None))
+    from scipy.special import ndtri
+
+    return loc + scale * ndtri(np.clip(u, _MIN_UNIFORM, None))
 
 
 def poisson_from_uniforms(u, lam):
-    """Map unit uniforms to Poisson draws via the inverse CDF."""
-    values = _poisson_ppf()(np.clip(u, _MIN_UNIFORM, None), lam)
-    return np.asarray(values).astype(np.int64)
+    """Map unit uniforms to Poisson draws via the inverse CDF.
+
+    Bit-identical to scipy's ``poisson.ppf``, by the same ufunc steps as
+    its ``_ppf`` (scipy 1.17): ``pdtrik`` brackets the quantile and
+    ``pdtr`` picks between the two candidates.  ``lam < 0`` (or NaN)
+    gets NaN from ``pdtrik`` itself, as from the ``ppf`` argument check.
+    """
+    from scipy.special import pdtr, pdtrik
+
+    q = np.clip(u, _MIN_UNIFORM, None)
+    values = np.ceil(pdtrik(q, lam))
+    below = np.maximum(values - 1, 0)
+    return np.where(pdtr(below, lam) >= q, below, values).astype(np.int64)
 
 
 def binomial_from_uniforms(u, n, p):
-    """Map unit uniforms to binomial draws via the inverse CDF."""
-    values = _binom_ppf()(np.clip(u, _MIN_UNIFORM, None), n, p)
-    return np.asarray(values).astype(np.int64)
+    """Map unit uniforms to binomial draws via the inverse CDF.
+
+    Bit-identical to scipy's ``binom.ppf``: the ufunc its ``_ppf`` calls,
+    behind the same argument check (a negative or non-integral ``n``, or
+    ``p`` outside ``[0, 1]``, gives NaN, which the ``int64`` cast maps
+    as before).
+    """
+    from scipy.special import _ufuncs
+
+    n, p = np.asarray(n), np.asarray(p)
+    valid = (n >= 0) & (n == np.round(n)) & (p >= 0) & (p <= 1)
+    values = _ufuncs._binom_ppf(np.clip(u, _MIN_UNIFORM, None), n, p)
+    return np.where(valid, values, np.nan).astype(np.int64)
 
 
 def integers_from_uniforms(u, low, high):

@@ -1,7 +1,10 @@
 """Counting statistics helpers: Poisson intervals, bootstrap, rate errors.
 
 Photon-counting experiments report Poisson-distributed counts; every CAR and
-rate value in the reproduction carries an uncertainty derived here.
+rate value in the reproduction carries an uncertainty derived here.  The
+chi-squared quantiles come straight from ``scipy.special.gammaincinv``
+(what scipy's ``chi2.ppf`` evaluates), so this module never loads
+scipy's slow-to-import ``stats`` package.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,9 +50,17 @@ def poisson_interval(counts: int, confidence: float = 0.68) -> tuple[float, floa
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
-    low = 0.0 if counts == 0 else scipy_stats.chi2.ppf(alpha / 2, 2 * counts) / 2
-    high = scipy_stats.chi2.ppf(1 - alpha / 2, 2 * (counts + 1)) / 2
+    low = 0.0 if counts == 0 else _chi2_ppf(alpha / 2, 2 * counts) / 2
+    high = _chi2_ppf(1 - alpha / 2, 2 * (counts + 1)) / 2
     return float(low), float(high)
+
+
+def _chi2_ppf(q: float, df: float) -> float:
+    """scipy's ``chi2.ppf(q, df)`` for ``0 < q < 1`` and ``df > 0``, by
+    the same operation: ``2 * gammaincinv(df / 2, q)``."""
+    from scipy.special import gammaincinv
+
+    return 2 * gammaincinv(df / 2, q)
 
 
 def ratio_error(

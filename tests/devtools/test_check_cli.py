@@ -87,7 +87,8 @@ class TestTextOutput:
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "RNG001", "IO001", "IMP001", "LCK001", "EXC001", "SCH001", "POL001",
+            "RNG001", "IO001", "IMP001", "IMP002", "LCK001", "EXC001", "SCH001",
+            "POL001",
         ):
             assert rule_id in out
 

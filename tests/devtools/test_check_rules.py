@@ -24,6 +24,7 @@ from repro.devtools.check.rules.locks import LockDisciplineRule
 from repro.devtools.check.rules.obs_names import ObsNamesRule
 from repro.devtools.check.rules.pools import ProcessPoolRule
 from repro.devtools.check.rules.rng import RngDisciplineRule
+from repro.devtools.check.rules.stats_package import StatsPackageRule
 
 
 def _rules_of(findings, rule_id):
@@ -209,6 +210,29 @@ class TestLazyImportRule:
             f"for name in {modules!r}:\n"
             "    importlib.import_module(name)\n"
             "assert 'numpy' not in sys.modules, 'numpy leaked into the closure'\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env=dict(os.environ),
+            timeout=120,
+        )
+
+    def test_driver_stack_and_samplers_never_load_scipy_stats(self):
+        """The driver stack, every discrete sampler and the Poisson
+        interval run without importing scipy.stats (rule IMP002)."""
+        code = (
+            "import sys\n"
+            "import repro.experiments.registry, repro.runtime.engine\n"
+            "from repro.utils.rng import RandomStream\n"
+            "from repro.utils.stats import poisson_interval\n"
+            "stream = RandomStream(5, 'imp002')\n"
+            "stream.poisson(3.0, size=10)\n"
+            "stream.binomial(12, 0.4, size=10)\n"
+            "stream.multinomial(50, [0.2, 0.3, 0.5])\n"
+            "poisson_interval(17)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
         )
         subprocess.run(
             [sys.executable, "-c", code],
@@ -705,5 +729,46 @@ class TestProcessPoolRule:
                 """,
             },
             [ProcessPoolRule()],
+        )
+        assert findings == []
+
+
+class TestStatsPackageRule:
+    def test_scipy_stats_imports_flagged_at_any_level(self, run_rules):
+        findings = run_rules(
+            {
+                "repro/utils/stats.py": """
+                import scipy.stats
+                from scipy import optimize, stats
+
+                def quantile(q, mu):
+                    from scipy.stats import poisson
+                    import scipy.stats._discrete_distns as distns
+                    return poisson.ppf(q, mu), distns
+                """
+            },
+            [StatsPackageRule()],
+        )
+        assert [f.line for f in findings] == [2, 3, 6, 7]
+        assert {f.rule for f in findings} == {"IMP002"}
+        assert "scipy.special" in findings[0].message
+
+    def test_scipy_special_and_code_outside_repro_clean(self, run_rules):
+        findings = run_rules(
+            {
+                "repro/utils/rng.py": """
+                import scipy
+                import scipy.special
+                from scipy import optimize, special
+                from scipy.special import pdtrik
+                from scipy.special._ufuncs import _binom_ppf
+                from .stats import poisson_interval
+                """,
+                "tests/test_reference.py": """
+                from scipy import stats
+                import scipy.stats
+                """,
+            },
+            [StatsPackageRule()],
         )
         assert findings == []

@@ -47,6 +47,36 @@ class TestTensor:
         y = np.eye(3)
         assert hilbert.tensor(x, y).shape == (6, 6)
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(2, 2), (2, 2)],
+            [(2, 2), (4, 4), (8, 8)],
+            [(2, 3), (5, 1), (1, 4)],
+            [(3,), (2,), (4,)],
+            [(2, 2), (3,)],
+            [(4,), (2, 2)],
+            [(2, 2), (3, 1, 2)],
+        ],
+    )
+    def test_bitwise_equal_to_np_kron(self, shapes):
+        # Random complex factors, operators (square or not) and kets,
+        # mixed ranks included: the fast 2-D path must not move one bit.
+        gen = np.random.default_rng(7)
+        factors = [
+            gen.normal(size=shape) + 1j * gen.normal(size=shape)
+            for shape in shapes
+        ]
+        expected = factors[0]
+        for factor in factors[1:]:
+            expected = np.kron(expected, factor)
+        product = hilbert.tensor(*factors)
+        assert product.shape == expected.shape
+        assert product.flags.c_contiguous
+        assert np.array_equal(
+            product.view(np.uint64), expected.view(np.uint64)
+        )
+
 
 class TestPartialTrace:
     def test_product_state_separates(self):

@@ -59,12 +59,25 @@ class TestSingleRun:
         assert manifest["experiment_id"] == "E6"
         assert manifest["quick"] is True
 
-    def test_second_run_is_cache_hit(self, engine):
+    def test_second_run_is_cache_hit(self, engine, monkeypatch):
+        # A hit must never reach the driver.  (Comparing wall times
+        # instead raced a ~1 ms E6-quick compute against the cache read.)
+        from repro.experiments import registry
+
+        calls = []
+        run_experiment = registry.run_experiment
+
+        def counting_run_experiment(*args, **kwargs):
+            calls.append(args)
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "run_experiment", counting_run_experiment)
         cold = engine.run("E6", quick=True)
+        assert len(calls) == 1
         warm = engine.run("E6", quick=True)
+        assert len(calls) == 1
         assert not cold.cached and warm.cached
         assert warm.result.metrics == pytest.approx(cold.result.metrics)
-        assert warm.duration_s < cold.duration_s
 
     def test_param_override_changes_fingerprint(self, engine):
         base = engine.run("E6", quick=True)

@@ -5,20 +5,29 @@ sampler consumes one uniform per output element, so splitting a draw
 sequence at any cursor position yields the same values as drawing it
 in one call.  Hypothesis drives that invariant over arbitrary split
 points; the remaining tests pin the children/pickle/multinomial
-contracts that process-pool workers rely on.
+contracts that process-pool workers rely on, and the discrete inverse
+CDFs' bit-equality with the ``scipy.stats`` methods they replace.
 """
 
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.utils.rng import (
     RandomStream,
+    binomial_from_uniforms,
     choice_cdf,
     choice_indices_from_uniforms,
+    poisson_from_uniforms,
 )
+from repro.utils.stats import poisson_interval
+
+#: Uniforms at both ends of what a stream can emit, plus interior ones.
+EDGE_UNIFORMS = np.array([0.0, 5e-324, 1e-300, 0.25, 0.5, 0.9, 1 - 2**-53])
 
 
 def _split_points(draw_total):
@@ -142,3 +151,110 @@ class TestMultinomial:
     def test_zero_probability_category_empty(self, rng):
         counts = rng.multinomial(500, [0.5, 0.0, 0.5])
         assert counts[1] == 0 and counts.sum() == 500
+
+
+def _bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (
+        actual.shape == expected.shape
+        and actual.dtype == expected.dtype
+        and np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+    )
+
+
+def _reference(ppf, u, *params):
+    """What the samplers computed through ``scipy.stats``: clamp, ppf, cast."""
+    with np.errstate(invalid="ignore"):
+        return np.asarray(ppf(np.clip(u, 5e-324, None), *params)).astype(
+            np.int64
+        )
+
+
+class TestInverseCdfs:
+    """The scipy.special inverse CDFs equal scipy.stats' ``ppf`` exactly."""
+
+    @pytest.mark.parametrize(
+        "lam", [0.0, 1e-12, 0.3, 1.0, 7.5, 250.0, 1.2e7, 3.3e9]
+    )
+    def test_poisson_matches_scipy_stats(self, lam):
+        assert _bitwise_equal(
+            poisson_from_uniforms(EDGE_UNIFORMS, lam),
+            _reference(stats.poisson.ppf, EDGE_UNIFORMS, lam),
+        )
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(0, 0.3), (0, 0.0), (5, 0.0), (5, 1.0), (1, 0.5), (20, 0.3),
+         (10**6, 1e-4), (10**6, 0.999)],
+    )
+    def test_binomial_matches_scipy_stats(self, n, p):
+        assert _bitwise_equal(
+            binomial_from_uniforms(EDGE_UNIFORMS, n, p),
+            _reference(stats.binom.ppf, EDGE_UNIFORMS, n, p),
+        )
+
+    def test_array_and_broadcast_parameters(self):
+        gen = np.random.default_rng(11)
+        u = gen.random((40, 50))
+        lam = 10 ** gen.uniform(-12, 9.5, size=(40, 1))
+        assert _bitwise_equal(
+            poisson_from_uniforms(u, lam), _reference(stats.poisson.ppf, u, lam)
+        )
+        n = np.floor(10 ** gen.uniform(0, 6, size=50))
+        p = gen.random((40, 1))
+        assert _bitwise_equal(
+            binomial_from_uniforms(u, n, p), _reference(stats.binom.ppf, u, n, p)
+        )
+
+    @pytest.mark.parametrize(
+        "lam", [-1.0, -np.inf, np.nan, np.inf, [1.0, -2.0, np.nan, 0.0]]
+    )
+    def test_invalid_poisson_mean_as_before(self, lam):
+        with np.errstate(invalid="ignore"):
+            drawn = poisson_from_uniforms(EDGE_UNIFORMS[1:5], lam)
+        assert _bitwise_equal(
+            drawn, _reference(stats.poisson.ppf, EDGE_UNIFORMS[1:5], lam)
+        )
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(2.5, 0.3), (-1, 0.3), (3, 1.5), (3, -0.1), (3, np.nan),
+         (np.nan, 0.3), (np.inf, 0.3), ([1, 2.5, -3, 4], 0.2),
+         (10, [0.1, 2.0, -1.0, 0.5])],
+    )
+    def test_invalid_binomial_parameters_as_before(self, n, p):
+        with np.errstate(invalid="ignore"):
+            drawn = binomial_from_uniforms(EDGE_UNIFORMS[1:5], n, p)
+        assert _bitwise_equal(
+            drawn, _reference(stats.binom.ppf, EDGE_UNIFORMS[1:5], n, p)
+        )
+
+    def test_stream_draws_match_scipy_stats(self, rng_factory):
+        u = rng_factory("ref").random(200)
+        assert _bitwise_equal(
+            rng_factory("ref").poisson(3.5, size=200),
+            _reference(stats.poisson.ppf, u, 3.5),
+        )
+        assert _bitwise_equal(
+            rng_factory("ref").binomial(40, 0.2, size=200),
+            _reference(stats.binom.ppf, u, 40, 0.2),
+        )
+        scalar = rng_factory("ref").poisson(3.5)
+        assert scalar == _reference(stats.poisson.ppf, u[0], 3.5)[()]
+
+    @pytest.mark.parametrize(
+        "confidence", [1e-300, 0.5, 0.68, 0.95, 0.999999, 1 - 2**-53]
+    )
+    def test_poisson_interval_matches_chi2_ppf(self, confidence):
+        alpha = 1.0 - confidence
+        for counts in [*range(0, 50), 100, 999, 2000, 10**6]:
+            low = (
+                0.0
+                if counts == 0
+                else stats.chi2.ppf(alpha / 2, 2 * counts) / 2
+            )
+            high = stats.chi2.ppf(1 - alpha / 2, 2 * (counts + 1)) / 2
+            assert poisson_interval(counts, confidence) == (
+                float(low),
+                float(high),
+            )
