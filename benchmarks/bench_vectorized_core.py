@@ -9,7 +9,9 @@ The pair kernels (CAR counting and TDC delay collection) are also
 timed with and without their sparse-first partner filter, on an
 E1-shaped sparse pair of streams and on the dense correlated pair; the
 ratios, taken in one process, must show the filter paying off on the
-first and costing little on the second.
+first and costing little on the second.  The filter's tracemalloc
+peak on both pairs is recorded next to the ratios: it runs in time
+blocks, so it should stay a small fraction of one stream's float copy.
 
 The headline assertion mirrors the batched-core acceptance bar: the
 vectorized fringe/coincidence sweep — a phase scan whose points each
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,7 +35,11 @@ from conftest import record_trajectory
 
 from repro.detection import coincidence, tdc as tdc_module
 from repro.detection.coincidence import car_from_tags
-from repro.detection.tdc import TimeToDigitalConverter, collect_delays
+from repro.detection.tdc import (
+    TimeToDigitalConverter,
+    collect_delays,
+    partner_candidates,
+)
 from repro.quantum.noise import add_white_noise
 from repro.quantum.states import DensityMatrix
 from repro.timebin.encoding import time_bin_bell_state
@@ -109,6 +116,16 @@ def _filter_ratio(fn, repeats=7):
             unfiltered = min(unfiltered, time.perf_counter() - start)
         _assert(np.array_equal(with_filter, without), "filter changed a result")
     return filtered, unfiltered
+
+
+def _filter_peak_mb(starts, stops, reach_s):
+    """The partner filter's tracemalloc peak, in MB."""
+    tracemalloc.start()
+    try:
+        partner_candidates(starts, stops, reach_s)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def bench_vectorized_core(benchmark):
@@ -196,8 +213,14 @@ def bench_vectorized_core(benchmark):
 
     # --- sparse-first partner filter, sparse and dense regimes -------
     filter_entries: dict[str, dict[str, float]] = {}
+    filter_peaks: dict[str, dict[str, float]] = {}
     regimes = {"sparse": _sparse_streams(), "dense": (a, b)}
     for regime, (starts, stops) in regimes.items():
+        filter_peaks[regime] = {
+            "clicks": int(starts.size + stops.size),
+            "stream_mb": round(starts.nbytes / 1e6, 2),
+            "peak_mb": round(_filter_peak_mb(starts, stops, 10e-9), 3),
+        }
         kernels = {
             "car_from_tags": lambda: _car_counts(starts, stops),
             "collect_delays": lambda: collect_delays(starts, stops, 10e-9),
@@ -224,8 +247,18 @@ def bench_vectorized_core(benchmark):
             f"filtered {entry['filtered_s']*1e3:7.1f} ms   "
             f"speedup {entry['speedup']:5.2f}x"
         )
+    for regime, entry in filter_peaks.items():
+        print(
+            f"partner_candidates_{regime:10s} peak {entry['peak_mb']:7.3f} MB"
+            f"   (one stream {entry['stream_mb']:.2f} MB)"
+        )
     path = record_trajectory(
-        "vectorized", {"paths": entries, "partner_filter": filter_entries}
+        "vectorized",
+        {
+            "paths": entries,
+            "partner_filter": filter_entries,
+            "partner_filter_peak": filter_peaks,
+        },
     )
     print(f"trajectory entry appended to {path.name}")
 

@@ -4,6 +4,10 @@ The experiments used free-running InGaAs avalanche photodiodes: modest
 quantum efficiency, tens-of-kHz dark rates and ~100 ps timing jitter.
 Those three numbers — not the ring — set the measured CAR band of
 Section II, which is why the model carries them explicitly.
+
+Dead time is applied by an exact vectorised equivalent of the sequential
+filter (kept as its oracle), whatever the stream length; its gap scan
+runs in time blocks (:func:`repro.detection.tdc.gaps_below`).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.detection.tdc import gaps_below
 from repro.errors import ConfigurationError
 from repro.utils.rng import RandomStream
 
@@ -75,6 +80,7 @@ class DetectorModel:
         darks = rng.uniform(0.0, duration_s, int(n_dark))
 
         clicks = np.concatenate([detected, darks])
+        del detected, darks  # free both copies before the sort
         clicks.sort()
         if self.dead_time_s > 0 and clicks.size > 1:
             clicks = _apply_dead_time(clicks, self.dead_time_s)
@@ -88,21 +94,9 @@ class DetectorModel:
         return self.efficiency * photon_rate_hz + self.dark_count_rate_hz
 
 
-def _apply_dead_time(sorted_times: np.ndarray, dead_time_s: float) -> np.ndarray:
-    """Drop clicks closer than the dead time to the previous *kept* click.
-
-    The exact filter is sequential (:func:`_dead_time_loop`, also the
-    oracle) and stays the path for small streams; large streams take the
-    equivalent jump of :func:`_dead_time_jump`.
-    """
-    if sorted_times.size <= 200_000:
-        return _dead_time_loop(sorted_times, dead_time_s)
-    return _dead_time_jump(sorted_times, dead_time_s)
-
-
 def _dead_time_loop(sorted_times: np.ndarray, dead_time_s: float) -> np.ndarray:
-    """The sequential filter: keep a click iff it is a dead time clear of
-    the previous kept click."""
+    """The sequential filter, kept as the oracle of :func:`_apply_dead_time`:
+    keep a click iff it is a dead time clear of the previous kept click."""
     kept = np.empty_like(sorted_times)
     count = 0
     last = -np.inf
@@ -114,8 +108,11 @@ def _dead_time_loop(sorted_times: np.ndarray, dead_time_s: float) -> np.ndarray:
     return kept[:count]
 
 
-def _dead_time_jump(times: np.ndarray, dead_time_s: float) -> np.ndarray:
-    """The sequential dead-time filter, jumping from kept click to kept click.
+def _apply_dead_time(times: np.ndarray, dead_time_s: float) -> np.ndarray:
+    """Drop clicks closer than the dead time to the previous *kept* click.
+
+    The filter is sequential (:func:`_dead_time_loop`); this is its exact
+    equivalent, jumping from kept click to kept click.
 
     A click whose gap to its immediate predecessor is at least the dead
     time is always kept: dropping earlier clicks only widens its gap.  The
@@ -124,21 +121,22 @@ def _dead_time_jump(times: np.ndarray, dead_time_s: float) -> np.ndarray:
     ``t[j] - t[k] >= dead_time`` — the loop's own comparison, monotone in
     ``j`` — located by ``searchsorted`` and nudged onto that exact
     comparison.  Every run is walked at once, one kept click per step, so
-    streams with short runs finish in a few vectorised steps.
+    streams with short runs finish in a few vectorised steps.  A walk only
+    moves forward within its own run, so each kept click is unblocked in
+    place and the one mask becomes the keep mask.
     """
     n = times.size
     blocked = np.zeros(n, dtype=bool)
-    blocked[1:] = np.diff(times) < dead_time_s
+    gaps_below(times, dead_time_s, out=blocked[1:])
     if not blocked.any():
         return times
-    keep = ~blocked
-    current = np.flatnonzero(keep[:-1] & blocked[1:])
+    current = np.flatnonzero(~blocked[:-1] & blocked[1:])
     while current.size:
         current = _next_clear(times, current, dead_time_s)
         current = current[current < n]
         current = current[blocked[current]]
-        keep[current] = True
-    return times[keep]
+        blocked[current] = False
+    return times[np.logical_not(blocked, out=blocked)]
 
 
 def _next_clear(

@@ -15,7 +15,10 @@ The batch path first drops the clicks that cannot have a partner
 (:func:`partner_candidates`, shared with the CAR counter): at
 experiment rates fewer than 1 % of clicks have one within a few
 hundred nanoseconds, so one merge of the two sorted streams replaces
-most of the binary searches.
+most of the binary searches.  That merge, like the detector's
+dead-time gap scan (:func:`gaps_below`), runs in time blocks of
+:data:`CLICK_BLOCK` clicks, so neither builds a temporary that grows
+with the streams.
 """
 
 from __future__ import annotations
@@ -122,6 +125,11 @@ def ascending(times_s: np.ndarray) -> np.ndarray:
 _PROBE_STRIDE = 64
 _DENSE_SHARE = 1 / 16
 
+#: Clicks per stream in one block of the full-stream scans (the partner
+#: merge and the dead-time gap scan), so their temporaries stay a few MB
+#: however long the streams run.
+CLICK_BLOCK = 2**16
+
 
 def partner_candidates(
     starts: np.ndarray, stops: np.ndarray, reach_s: float
@@ -135,29 +143,56 @@ def partner_candidates(
     with a merged neighbour in reach is kept.  Dense streams, where a
     strided probe of the starts finds too many partners for that to pay,
     come back unchanged, as do empty start streams.
+
+    The merge runs in time blocks holding at most :data:`CLICK_BLOCK`
+    distinct clicks of each stream, each padded with both streams'
+    nearest clicks outside it, so every click sees its global merged
+    neighbours while no temporary grows with the streams.
     """
     probe = starts[::_PROBE_STRIDE]
     lo, hi = window_slices(stops, probe - reach_s, probe + reach_s)
     if not probe.size or _DENSE_SHARE * probe.size < np.count_nonzero(hi > lo):
         return starts, stops
-    merged = np.concatenate([starts, stops])
-    merged.sort(kind="stable")  # timsort: one merge of two ascending runs
     # A counted pair passes fl(b - c) against fl(a ± h) (CAR) or b against
     # fl(a ± D) (TDC).  Each rounding moves a value of size at most
     # T + reach (T = max |t|) by at most u = eps/2, so the pair's true gap
     # is at most reach + eps·(T + reach); its merged neighbour is no
     # farther, and diff adds a relative u.  A slack of 4·eps·(T + reach)
     # covers both with room for rounding the threshold itself.
-    scale = max(-merged[0], merged[-1]) + reach_s
-    close = np.diff(merged) <= reach_s + 4.0 * np.finfo(float).eps * scale
+    ends = np.concatenate([starts[[0, -1]], stops[[0, -1]] if stops.size else []])
+    scale = max(-ends.min(), ends.max()) + reach_s
+    threshold = reach_s + 4.0 * np.finfo(float).eps * scale
+    every = slice(CLICK_BLOCK, None, CLICK_BLOCK)
+    edges = np.union1d(starts[every], stops[every])
+    start_cuts = [0, *np.searchsorted(starts, edges), starts.size]
+    stop_cuts = [0, *np.searchsorted(stops, edges), stops.size]
+    kept_starts, kept_stops = [], []
+    for s0, s1, p0, p1 in zip(start_cuts, start_cuts[1:], stop_cuts, stop_cuts[1:]):
+        # Both streams' blocks span [edge, next edge) and the pads lie
+        # outside it, so the block's clicks take exactly their own flags.
+        values = _flagged_values(
+            starts[max(s0 - 1, 0):s1 + 1], stops[max(p0 - 1, 0):p1 + 1], threshold
+        )
+        kept_starts.append(_with_values(starts[s0:s1], values))
+        kept_stops.append(_with_values(stops[p0:p1], values))
+    return np.concatenate(kept_starts), np.concatenate(kept_stops)
+
+
+def _flagged_values(
+    starts: np.ndarray, stops: np.ndarray, threshold: float
+) -> np.ndarray:
+    """The distinct values of the merged streams with a merged neighbour
+    within ``threshold``."""
+    merged = np.concatenate([starts, stops])
+    merged.sort(kind="stable")  # timsort: one merge of two ascending runs
+    close = np.diff(merged) <= threshold
     flagged = np.zeros(merged.size, dtype=bool)
     flagged[:-1] = close
     flagged[1:] |= close
     # A start equal to a flagged value shares that value's partners, so
     # mapping values back (duplicates and cross-stream ties included)
     # keeps every candidate.
-    values = np.unique(merged[flagged])
-    return _with_values(starts, values), _with_values(stops, values)
+    return np.unique(merged[flagged])
 
 
 def _with_values(sorted_times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -165,6 +200,15 @@ def _with_values(sorted_times: np.ndarray, values: np.ndarray) -> np.ndarray:
     lo, hi = window_slices(sorted_times, values, values)
     counts = hi - lo
     return sorted_times[range_indices(lo, counts, int(counts.sum()))]
+
+
+def gaps_below(times: np.ndarray, limit: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (``times.size - 1`` bools) with ``np.diff(times) <
+    limit``, one block of :data:`CLICK_BLOCK` gaps at a time."""
+    for lo in range(0, times.size - 1, CLICK_BLOCK):
+        hi = min(lo + CLICK_BLOCK, times.size - 1)
+        np.less(np.diff(times[lo:hi + 1]), limit, out=out[lo:hi])
+    return out
 
 
 def _collect_delays_loop(

@@ -83,12 +83,14 @@ class BiphotonSource:
         n_pairs = int(rng.poisson(self.pair_rate_hz * duration_s))
         emission = rng.uniform(0.0, duration_s, n_pairs)
         emission.sort()
-        # Laplace delay: exponential magnitude with random sign.
-        magnitudes = rng.exponential(1.0 / self.correlation_decay_rate, n_pairs)
-        signs = rng.choice(np.array([-1.0, 1.0]), size=n_pairs)
-        delay = magnitudes * signs
-        signal = emission + delay / 2.0
-        idler = emission - delay / 2.0
+        # Laplace delay: exponential magnitude with random sign.  Halved in
+        # place, with the idler written over the emissions: the values of
+        # emission ± delay / 2 without three more stream-sized buffers.
+        half_delay = rng.exponential(1.0 / self.correlation_decay_rate, n_pairs)
+        half_delay *= rng.choice(np.array([-1.0, 1.0]), size=n_pairs)
+        half_delay /= 2.0
+        signal = emission + half_delay
+        idler = np.subtract(emission, half_delay, out=emission)
         return PairStream(
             signal_times_s=signal, idler_times_s=idler, duration_s=duration_s
         )

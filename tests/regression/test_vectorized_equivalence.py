@@ -14,22 +14,25 @@ windows); the timebin cases replay full Monte-Carlo scans.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.detection import tdc
 from repro.detection.coincidence import (
     accidental_window_centers,
     car_from_tags,
     coincidence_histogram,
     count_coincidences,
 )
-from repro.detection.spd import _apply_dead_time, _dead_time_jump, _dead_time_loop
+from repro.detection.spd import _apply_dead_time, _dead_time_loop
 from repro.detection.tdc import (
     TimeToDigitalConverter,
     collect_delays,
+    gaps_below,
     partner_candidates,
 )
 from repro.errors import ConfigurationError
@@ -172,7 +175,7 @@ class TestDetectionEquivalence:
             values = np.round(values / grid) * grid
         values = np.sort(values)
         assert np.array_equal(
-            _dead_time_jump(values, dead_time),
+            _apply_dead_time(values, dead_time),
             _dead_time_loop(values, dead_time),
         )
 
@@ -187,7 +190,8 @@ class TestDetectionEquivalence:
     def test_dead_time_large_stream_identical(
         self, rng, label, size, duration_s, dead_time_s, grid_s
     ):
-        # Above 200k clicks _apply_dead_time takes the jump path.
+        # Streams of many gap-scan blocks: one long blocked run
+        # (saturated), short runs (sparse) and gaps on the dead time (grid).
         times = rng.child(label).uniform(0.0, duration_s, size)
         if grid_s is not None:
             times = np.round(times / grid_s) * grid_s
@@ -325,6 +329,81 @@ class TestSparseFilterEquivalence:
         assert car_from_tags(a, b, 2.0, impl="vectorized") == car_from_tags(
             a, b, 2.0, impl="loop"
         )
+
+
+def _single_merge_candidates(starts, stops, reach_s):
+    """The partner filter as one merge of the whole streams: the oracle
+    of the blocked merge in :func:`partner_candidates` (probe left out)."""
+    if not starts.size:
+        return starts, stops
+    merged = np.sort(np.concatenate([starts, stops]), kind="stable")
+    scale = max(-merged[0], merged[-1]) + reach_s
+    close = np.diff(merged) <= reach_s + 4.0 * np.finfo(float).eps * scale
+    flagged = np.zeros(merged.size, dtype=bool)
+    flagged[:-1] = close
+    flagged[1:] |= close
+    values = merged[flagged]
+    return starts[np.isin(starts, values)], stops[np.isin(stops, values)]
+
+
+#: Strategy: click times as integer multiples of a step (the reach, or a
+#: fraction of the dead time), so gaps on the threshold, duplicates and
+#: cross-stream ties are common.
+grid_clicks = st.lists(st.integers(min_value=0, max_value=30), max_size=40)
+
+
+class TestBlockedScans:
+    """The time-blocked partner merge and gap scan with blocks of 1-8
+    clicks, so every case spans many blocks, against whole-stream oracles.
+    """
+
+    @given(
+        starts=grid_clicks,
+        stops=grid_clicks,
+        block=st.integers(min_value=1, max_value=8),
+        origin=st.sampled_from([0.0, 600.0]),
+        stop_shift=st.sampled_from([0, -40, 40]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # Ties straddling an edge: the edge start 1 repeats before its index
+    # and in the stops, and the stop tie sits on the next edge.
+    @example(starts=[0, 1, 1, 1, 2, 2, 5], stops=[1, 1, 2, 4],
+             block=2, origin=0.0, stop_shift=0)
+    @example(starts=[3, 3, 3, 3], stops=[3], block=1, origin=600.0,
+             stop_shift=0)
+    @example(starts=[0, 2, 3, 7], stops=[], block=1, origin=0.0,
+             stop_shift=0)
+    @example(starts=[0, 1, 4, 5, 9], stops=[0, 2, 3], block=1, origin=600.0,
+             stop_shift=-40)
+    @example(starts=[0, 1, 4, 5, 9], stops=[0, 2, 3], block=1, origin=600.0,
+             stop_shift=40)
+    def test_partner_candidates_match_single_merge(
+        self, starts, stops, block, origin, stop_shift
+    ):
+        reach = 2.5e-7
+        a = origin + reach * np.sort(np.asarray(starts, dtype=float))
+        b = origin + reach * np.sort(np.asarray(stops, dtype=float) + stop_shift)
+        # _DENSE_SHARE = 1 keeps the strided probe from skipping the merge.
+        with mock.patch.object(tdc, "CLICK_BLOCK", block), \
+                mock.patch.object(tdc, "_DENSE_SHARE", 1.0):
+            kept_a, kept_b = partner_candidates(a, b, reach)
+        oracle_a, oracle_b = _single_merge_candidates(a, b, reach)
+        assert np.array_equal(kept_a, oracle_a)
+        assert np.array_equal(kept_b, oracle_b)
+
+    @given(
+        times=grid_clicks,
+        block=st.integers(min_value=1, max_value=8),
+        dead_time=st.sampled_from([1e-6, 2e-6, 2.5e-6]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gap_scan_matches_diff(self, times, block, dead_time):
+        t = 600.0 + 1e-6 * np.sort(np.asarray(times, dtype=float))
+        with mock.patch.object(tdc, "CLICK_BLOCK", block):
+            mask = gaps_below(t, dead_time, np.empty(max(t.size - 1, 0), bool))
+            kept = _apply_dead_time(t, dead_time)
+        assert np.array_equal(mask, np.diff(t) < dead_time)
+        assert np.array_equal(kept, _dead_time_loop(t, dead_time))
 
 
 def _simulator(visibility=0.85, jitter_sigma_s=120e-12):
