@@ -1386,8 +1386,8 @@ def command_watch(args: argparse.Namespace) -> int:
             events, since, gap = client.events(since, timeout=30.0)
             if gap:
                 print(
-                    "warning: some events were lost to journal "
-                    "compaction; resuming from the oldest retained event"
+                    "warning: some events were rotated out of the "
+                    "journal; resuming from the oldest retained event"
                 )
             for event in events:
                 print(_event_line(event))

@@ -69,6 +69,7 @@ FORBIDDEN_MODULES = frozenset(
         "repro.runtime.datasets",
         "repro.analysis.index",
         "repro.utils.io",
+        "repro.utils.journal",
     }
 )
 

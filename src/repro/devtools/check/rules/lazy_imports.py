@@ -63,6 +63,7 @@ LIGHT_MODULES = frozenset(
         "repro.utils",
         "repro.utils.dispatch",
         "repro.utils.io",
+        "repro.utils.journal",
         "repro.utils.tables",
         "repro.obs",
         "repro.obs.bus",

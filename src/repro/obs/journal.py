@@ -1,19 +1,14 @@
 """The append-only telemetry event journal: ``<root>/obs/events.jsonl``.
 
-Every lifecycle transition (run archived, job state change, analyzer
-finished) and every finished span becomes one schema-versioned JSON
-line, appended through :func:`repro.utils.io.append_line` (flushed +
-fsynced, torn-tail tolerant) — the same crash-safety contract as the
-service queue journal.  This file is the substrate ``repro trace``
-renders span trees from, and the precursor of the ROADMAP's
-publish/subscribe dataset bus: a subscriber replaying the journal sees
-exactly the lifecycle the long-poll ``events`` RPC reported live.
-
-Rotation keeps an always-on daemon's journal bounded: once the live
-file exceeds ``max_lines`` it is atomically renamed to
-``events-1.jsonl`` (replacing the previous generation) and a fresh file
-starts; readers stitch both generations, and sequence numbers keep
-increasing across the rotation so consumers never see a reset.
+Every lifecycle event (run archived, analyzer finished, dataset-bus
+publish) and every finished span becomes one schema-versioned JSON
+line.  :class:`EventJournal` stamps ``schema`` and ``unix`` and appends
+through the sequenced :class:`~repro.utils.journal.Journal` — fsynced,
+torn-tail tolerant, rotated at ``max_lines`` to ``events-1.jsonl``
+with ``seq`` rising across rotations and reopens.  This file is the
+substrate ``repro trace`` renders span trees from.  Service-job
+transitions are not copied here: the queue journal
+(``<root>/queue/journal.jsonl``) is their durable record.
 
 Line schema (``schema`` 1)::
 
@@ -26,15 +21,12 @@ Line schema (``schema`` 1)::
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
-import threading
 from collections.abc import Mapping
 
 from repro.obs import names
 from repro.obs.clock import Clock
-from repro.utils.io import append_line, read_json_lines
+from repro.utils.journal import Journal, read, rotated_path
 
 #: Journal line schema version.
 JOURNAL_SCHEMA = 1
@@ -42,7 +34,7 @@ JOURNAL_SCHEMA = 1
 #: Directory (under the engine root) and file names.
 OBS_DIR = "obs"
 EVENTS_FILE = "events.jsonl"
-ROTATED_FILE = "events-1.jsonl"
+ROTATED_FILE = rotated_path(EVENTS_FILE).name
 
 #: Default rotation threshold, lines in the live file.
 MAX_LINES = 50_000
@@ -53,8 +45,8 @@ def obs_dir(root: str | pathlib.Path) -> pathlib.Path:
     return pathlib.Path(root) / OBS_DIR
 
 
-class EventJournal:
-    """One process's writer (and reader) of an engine root's journal."""
+class EventJournal(Journal):
+    """One process's writer of an engine root's telemetry journal."""
 
     def __init__(
         self,
@@ -62,22 +54,10 @@ class EventJournal:
         max_lines: int = MAX_LINES,
         clock: Clock | None = None,
     ) -> None:
+        super().__init__(obs_dir(root) / EVENTS_FILE, max_lines)
         self.root = pathlib.Path(root)
-        self.path = obs_dir(root) / EVENTS_FILE
-        self.rotated_path = obs_dir(root) / ROTATED_FILE
-        self.max_lines = max_lines
         self.clock = clock if clock is not None else Clock()
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._lines = 0
-        for entry in read_json_lines(self.path):
-            self._lines += 1
-            if isinstance(entry, dict) and isinstance(entry.get("seq"), int):
-                self._seq = max(self._seq, entry["seq"])
 
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def emit(
         self, name: str, attrs: Mapping[str, object] | None = None
     ) -> dict[str, object]:
@@ -88,7 +68,7 @@ class EventJournal:
             "name": name,
             "attrs": dict(attrs or {}),
         }
-        return self._append(entry)
+        return self._stamp_and_append(entry)
 
     def emit_span(self, span_event: Mapping[str, object]) -> dict[str, object]:
         """Append one finished-span document (see ``Span.to_event``).
@@ -98,52 +78,16 @@ class EventJournal:
         """
         entry = dict(span_event)
         entry["kind"] = "span"
-        return self._append(entry)
+        return self._stamp_and_append(entry)
 
-    def _append(self, entry: dict[str, object]) -> dict[str, object]:
-        """Stamp, serialise, append and maybe rotate (single writer lock)."""
-        with self._lock:
-            self._seq += 1
-            entry["schema"] = JOURNAL_SCHEMA
-            entry["seq"] = self._seq
-            entry.setdefault("unix", self.clock.wall())
-            append_line(self.path, json.dumps(entry, sort_keys=True))
-            self._lines += 1
-            if self._lines >= self.max_lines:
-                self._rotate_locked()
+    def _stamp_and_append(
+        self, entry: dict[str, object]
+    ) -> dict[str, object]:
+        """Stamp ``schema`` and ``unix``, then append (which adds seq)."""
+        entry["schema"] = JOURNAL_SCHEMA
+        entry.setdefault("unix", self.clock.wall())
+        self.append([entry])
         return entry
-
-    def _rotate_locked(self) -> None:
-        """Rename the live file to the rotated generation (lock held)."""
-        try:
-            os.replace(self.path, self.rotated_path)
-        except OSError:
-            return  # rotation is best-effort; appends continue regardless
-        self._lines = 0
-
-    def rotate(self) -> None:
-        """Force a rotation (tests and explicit GC)."""
-        with self._lock:
-            if self.path.exists():
-                self._rotate_locked()
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    @property
-    def seq(self) -> int:
-        """The sequence number of the last written event."""
-        with self._lock:
-            return self._seq
-
-    def events(self, since: int = 0) -> list[dict[str, object]]:
-        """Every journaled entry with ``seq > since``, oldest first.
-
-        Stitches the rotated generation in front of the live file and
-        drops entries of a foreign schema version rather than guessing
-        at their layout.
-        """
-        return read_events(self.root, since=since)
 
 
 def read_events(
@@ -152,18 +96,8 @@ def read_events(
     """Read a root's journal (rotated + live) without a writer instance.
 
     The read-only path behind ``repro trace`` and ``repro metrics``:
-    pure JSON, no numpy, no journal mutation.
+    pure JSON, no numpy, no journal mutation.  Entries of a foreign
+    schema version are dropped rather than guessed at.
     """
-    base = obs_dir(root)
-    entries: list[dict[str, object]] = []
-    for path in (base / ROTATED_FILE, base / EVENTS_FILE):
-        for entry in read_json_lines(path):
-            if (
-                isinstance(entry, dict)
-                and entry.get("schema") == JOURNAL_SCHEMA
-                and isinstance(entry.get("seq"), int)
-                and entry["seq"] > since
-            ):
-                entries.append(entry)
-    entries.sort(key=lambda e: e["seq"])
-    return entries
+    entries, _ = read(obs_dir(root) / EVENTS_FILE, since=since)
+    return [e for e in entries if e.get("schema") == JOURNAL_SCHEMA]

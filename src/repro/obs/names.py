@@ -235,9 +235,6 @@ def require_topic(name: str) -> str:
 EVENT_RUN_FINISHED = "run.finished"
 #: One engine run failed (``run_id``, ``error_type``).
 EVENT_RUN_FAILED = "run.failed"
-#: One service-job state transition, mirroring the queue journal
-#: (``job_id``, ``transition``, ``status``).
-EVENT_JOB_TRANSITION = "job.transition"
 #: One analyzer finished inside a pipeline (``analyzer``, ``cached``).
 EVENT_ANALYZER_FINISHED = "analyzer.finished"
 #: One analysis pipeline finished (``pipeline``, ``analyzers``).
@@ -256,7 +253,6 @@ EVENTS = frozenset(
     {
         EVENT_RUN_FINISHED,
         EVENT_RUN_FAILED,
-        EVENT_JOB_TRANSITION,
         EVENT_ANALYZER_FINISHED,
         EVENT_PIPELINE_FINISHED,
         EVENT_OBS_STARTED,

@@ -29,7 +29,6 @@ _LAZY_EXPORTS = {
     "ExperimentService": "repro.service.api",
     "ServiceClient": "repro.service.client",
     "read_service_file": "repro.service.api",
-    "journal_tail": "repro.service.store",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

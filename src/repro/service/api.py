@@ -414,7 +414,7 @@ class ExperimentService:
         """Long-poll the journal feed for events with seq > ``since``.
 
         The payload carries ``"gap": true`` when events between
-        ``since`` and the feed's start were lost to journal compaction,
+        ``since`` and the feed's start were rotated out of the journal,
         so clients (``repro watch``) can warn instead of silently
         skipping history.  On an all-lost gap the returned ``seq``
         jumps to the store's head so pollers do not spin on the gap.

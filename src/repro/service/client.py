@@ -249,8 +249,8 @@ class ServiceClient:
         """Long-poll the event feed.
 
         Returns ``(events, latest_seq, gap)``; ``gap`` is True when
-        events between ``since`` and the feed's start were lost to
-        journal compaction on the server.
+        events between ``since`` and the feed's start were rotated out
+        of the server's journal.
         """
         result = self.call(
             "events",

@@ -5,14 +5,18 @@ Layout::
     <root>/queue/jobs/<id>.json    per-job status file (atomic writes,
                                    the source of truth)
     <root>/queue/jobs/<id>.claim   O_EXCL claim marker while running
-    <root>/queue/journal.jsonl     append-only event log (audit trail +
-                                   the long-poll subscription feed)
+    <root>/queue/journal.jsonl     sequenced event log: each job
+                                   transition's one durable record
+                                   and the long-poll feed
+    <root>/queue/journal-1.jsonl   the generation rotated out at
+                                   JOURNAL_MAX_LINES lines
     <root>/queue/service.json      live server address (written by the
                                    HTTP layer, see repro.service.api)
 
 Durability model: every job mutation rewrites the job file atomically
-and appends one event line to the journal, so killing the process at
-any instant leaves a readable queue.  On restart with ``recover=True``
+and appends one event line to the journal (a rotating
+:class:`~repro.utils.journal.Journal`), so killing the process at any
+instant leaves a readable queue.  On restart with ``recover=True``
 any job found ``running`` is returned to ``pending`` (its server died
 mid-run) and stale claim markers are released — the acceptance
 criterion of surviving a kill mid-drain.
@@ -30,7 +34,6 @@ many-clients-one-cache behaviour the paper's sweep campaigns need.
 
 from __future__ import annotations
 
-import collections
 import json
 import os
 import pathlib
@@ -57,25 +60,24 @@ from repro.service.jobs import (
     TERMINAL,
     Job,
 )
-from repro.utils.io import append_line, atomic_write_text, read_json_lines
+from repro.utils.io import atomic_write_text
+from repro.utils.journal import Journal
 
 #: Directory and file names inside the engine root.
 QUEUE_DIR = "queue"
 JOBS_DIR = "jobs"
 JOURNAL_FILE = "journal.jsonl"
 
-#: How many recent events the in-memory long-poll buffer retains.
+#: How many recent events the journal's in-memory long-poll tail keeps.
 EVENT_BUFFER = 4096
 
-#: Journal line count above which store-open compacts the file down to
-#: the newest ``EVENT_BUFFER`` events.  Bounds the otherwise unbounded
-#: growth of an always-on daemon's journal (one fsynced line per job
-#: transition and sweep point) without a separate GC command.
-JOURNAL_COMPACT_LINES = 20_000
+#: Live journal lines at which the journal rotates to ``journal-1.jsonl``
+#: (one line per job transition and sweep point).
+JOURNAL_MAX_LINES = 20_000
 
 #: A transition written by :meth:`JobStore._write_entry` but not yet
-#: journaled: ``(job, journal entry, job document)``.
-_Prepared = tuple[Job, dict[str, object], dict[str, object]]
+#: journaled: ``(journal entry, job document)``.
+_Prepared = tuple[dict[str, object], dict[str, object]]
 
 
 class JobStore:
@@ -106,17 +108,19 @@ class JobStore:
         self._done = 0
         #: The highest job id this store has loaded or allocated.
         self._max_id = 0
-        self._events: collections.deque[dict[str, object]] = (
-            collections.deque(maxlen=EVENT_BUFFER)
+        self.journal = Journal(
+            self.journal_path,
+            JOURNAL_MAX_LINES,
+            tail=EVENT_BUFFER,
+            on_read=_count_journal_read,
         )
-        self._seq = 0
         self._load(recover=recover)
 
     # ------------------------------------------------------------------
     # Loading and recovery
     # ------------------------------------------------------------------
     def _load(self, recover: bool) -> None:
-        """Read every job file (and the journal tail) back into memory."""
+        """Read every job file back into memory."""
         for path in sorted(self.jobs_dir.glob("*.json")):
             try:
                 document = json.loads(path.read_text(encoding="utf-8"))
@@ -125,43 +129,8 @@ class JobStore:
                 continue  # torn or foreign file; jobs are single-writer
             self._put(job)
             self._max_id = max(self._max_id, job.job_id)
-        journal = self._journal_events()
-        for entry in journal:
-            self._seq = max(self._seq, entry["seq"])
-            self._events.append(entry)
-        if len(journal) > JOURNAL_COMPACT_LINES:
-            # Compact to the long-poll buffer's worth of history; seq
-            # numbers keep increasing, so subscribers are unaffected.
-            atomic_write_text(
-                self.journal_path,
-                "\n".join(
-                    json.dumps(entry, sort_keys=True)
-                    for entry in journal[-EVENT_BUFFER:]
-                )
-                + "\n",
-            )
         if recover:
             self._recover()
-
-    def _journal_events(self) -> list[dict[str, object]]:
-        """Every well-formed journal entry, oldest first.
-
-        Entries without a valid integer ``seq`` are skipped — admitting
-        one would re-deliver it to every subscriber forever (any
-        coerced seq compares below every real cursor) — and counted in
-        the :data:`~repro.obs.names.METRIC_QUEUE_JOURNAL_MALFORMED`
-        counter so corruption is visible instead of silent.
-        """
-        entries: list[dict[str, object]] = []
-        malformed = 0
-        for entry in read_json_lines(self.journal_path):
-            if isinstance(entry, dict) and _valid_seq(entry.get("seq")):
-                entries.append(entry)
-            else:
-                malformed += 1
-        if malformed:
-            obs.count(obs_names.METRIC_QUEUE_JOURNAL_MALFORMED, malformed)
-        return entries
 
     def _recover(self) -> None:
         """Return orphaned ``running`` jobs to ``pending`` after a crash.
@@ -324,7 +293,7 @@ class JobStore:
                     submitted_unix=now,
                 )
                 self._put(job)
-                batch.append((job, *self._write_entry(job, "submitted")))
+                batch.append(self._write_entry(job, "submitted"))
                 jobs.append(job)
             self._persist_batch(batch)
         return jobs
@@ -482,8 +451,7 @@ class JobStore:
                     job.assign_runner(*identity)
                 if verdict == "lease" or job.kind != KIND_RUN:
                     batch.append(
-                        (job, *self._write_entry(job, "started",
-                                                 worker=worker))
+                        self._write_entry(job, "started", worker=worker)
                     )
                     leased.append(job)
                     continue
@@ -494,9 +462,7 @@ class JobStore:
                 job.cached_points = 1
                 job.run_ids = [run_id]
                 job.metrics = dict(metrics)
-                batch.append(
-                    (job, *self._write_entry(job, "served", worker=worker))
-                )
+                batch.append(self._write_entry(job, "served", worker=worker))
                 self._claim_path(job.job_id).unlink(missing_ok=True)
                 served.append(job)
             self._persist_batch(batch)
@@ -658,7 +624,7 @@ class JobStore:
         with self._lock:
             jobs = self.jobs()
             counts = self.counts()
-            seq = self._seq
+            seq = self.journal.seq
         return {
             "root": str(self.root),
             "seq": seq,
@@ -672,60 +638,22 @@ class JobStore:
     @property
     def seq(self) -> int:
         """The monotonically increasing sequence number of the last event."""
-        with self._lock:
-            return self._seq
-
-    def events_since(self, since: int) -> list[dict[str, object]]:
-        """Events with ``seq > since`` (oldest first).
-
-        Served from the in-memory buffer when it reaches back far
-        enough, otherwise re-read from the journal (see
-        :meth:`_feed_since`); events are only ever missing when journal
-        compaction has discarded them.
-        """
-        with self._lock:
-            return self._feed_since(since)[0]
-
-    def _feed_since(
-        self, since: int
-    ) -> tuple[list[dict[str, object]], bool]:
-        """``(events with seq > since, gap)``; caller holds the lock.
-
-        The bounded in-memory buffer only retains the newest
-        :data:`EVENT_BUFFER` events, so a long-poller resuming with a
-        ``since`` older than the buffer head would silently lose the
-        evicted span.  Every buffered event is first written to the
-        journal, so the journal is a superset: when the buffer does not
-        reach back to ``since`` the feed falls back to re-reading it.
-        ``gap`` is True only when events are irrecoverably gone — the
-        recovered feed still does not start at ``since + 1`` (journal
-        compaction dropped the span) — so subscribers can warn instead
-        of silently skipping history.
-        """
-        if self._events and self._events[0]["seq"] <= since + 1:
-            return [e for e in self._events if e["seq"] > since], False
-        if self._seq <= since:
-            return [], False
-        obs.count(obs_names.METRIC_EVENTS_JOURNAL_FALLBACKS)
-        events = [
-            e for e in self._journal_events() if e["seq"] > since
-        ]
-        gap = not events or events[0]["seq"] > since + 1
-        return events, gap
+        return self.journal.seq
 
     def wait_events(
         self, since: int, timeout: float = 0.0
     ) -> tuple[list[dict[str, object]], bool]:
         """Long-poll: block up to ``timeout`` seconds for new events.
 
-        Returns ``(events, gap)``; ``gap`` marks that events between
-        ``since`` and the first returned event were lost to journal
-        compaction (see :meth:`_feed_since`).
+        Returns ``(events with seq > since, gap)`` from
+        :meth:`Journal.since <repro.utils.journal.Journal.since>`;
+        ``gap`` marks that events between ``since`` and the first
+        returned event were rotated out of the journal.
         """
         deadline = time.monotonic() + max(0.0, timeout)
         with self._changed:
             while True:
-                fresh, gap = self._feed_since(since)
+                fresh, gap = self.journal.since(since)
                 if fresh or gap:
                     return fresh, gap
                 remaining = deadline - time.monotonic()
@@ -772,47 +700,36 @@ class JobStore:
     def _persist(self, job: Job, event: str, **extra: object) -> None:
         """Atomically rewrite the job file and journal one event.
 
-        Caller holds the lock.  The journal line carries the sequence
-        number that drives the long-poll subscription feed; the same
-        transition is mirrored into the telemetry journal (when
-        enabled), so an ``obs/events.jsonl`` replay reconstructs
-        exactly the lifecycle a live long-poller saw.
+        Caller holds the lock.  The journal line is the transition's one
+        durable record and carries the sequence number that drives the
+        long-poll subscription feed.
         """
-        entry, document = self._write_entry(job, event, **extra)
-        append_line(self.journal_path, json.dumps(entry, sort_keys=True))
-        self._publish_entry(job, entry, document)
-        self._changed.notify_all()
+        self._persist_batch([self._write_entry(job, event, **extra)])
 
     def _persist_batch(self, batch: list[_Prepared]) -> None:
         """Journal many prepared entries with ONE fsynced append.
 
         Caller holds the lock and already called :meth:`_write_entry`
-        for each job.  ``append_line`` fsyncs on every call, so the
-        batched drain/submit paths join their journal lines into a
-        single append — this is what lifts fully-cached throughput from
-        per-job fsync pacing to >1k jobs/s.
+        for each job.  The journal fsyncs once per append, so the
+        batched drain/submit paths hand it all their lines at once —
+        this is what lifts fully-cached throughput from per-job fsync
+        pacing to >1k jobs/s.
         """
         if not batch:
             return
-        append_line(
-            self.journal_path,
-            "\n".join(
-                json.dumps(entry, sort_keys=True) for _, entry, _ in batch
-            ),
-        )
-        for job, entry, document in batch:
-            self._publish_entry(job, entry, document)
+        self.journal.append(entry for entry, _ in batch)
+        for _, document in batch:
+            self._publish(document)
         self._changed.notify_all()
 
-    def _write_entry(
-        self, job: Job, event: str, **extra: object
-    ) -> tuple[dict[str, object], dict[str, object]]:
+    def _write_entry(self, job: Job, event: str, **extra: object) -> _Prepared:
         """Rewrite the job file and build (but not journal) its event.
 
-        Returns ``(entry, document)``: the journal entry and the job
-        document the file was written from, which the bus publish
-        reuses.  The status index is updated *before* the disk write,
-        so it mirrors the in-memory status even when the write fails.
+        Returns ``(entry, document)``: the journal entry (the journal
+        stamps its ``seq``) and the job document the file was written
+        from, which the bus publish reuses.  The status index is
+        updated *before* the disk write, so it mirrors the in-memory
+        status even when the write fails.
         """
         self._index(job)
         document = job.to_dict()
@@ -820,9 +737,7 @@ class JobStore:
             self.job_path(job.job_id),
             json.dumps(document, indent=2, sort_keys=True),
         )
-        self._seq += 1
         entry: dict[str, object] = {
-            "seq": self._seq,
             "unix": time.time(),
             "event": event,
             "job_id": job.job_id,
@@ -885,28 +800,12 @@ class JobStore:
             candidates = map(self._jobs.__getitem__, ids)
         return [job for job in candidates if job.status == status]
 
-    def _publish_entry(
-        self,
-        job: Job,
-        entry: dict[str, object],
-        document: dict[str, object],
-    ) -> None:
-        """Feed one journaled entry to the buffer, telemetry and bus.
+    def _publish(self, document: dict[str, object]) -> None:
+        """Publish one journaled transition as the dashboard's live view.
 
         ``document`` is the job document :meth:`_write_entry` wrote; the
         ``queue.state`` publish reuses it instead of serialising again.
         """
-        self._events.append(entry)
-        obs.event(
-            obs_names.EVENT_JOB_TRANSITION,
-            {
-                "job_id": job.job_id,
-                "transition": entry["event"],
-                "status": job.status,
-                "experiment": job.experiment_id,
-                "queue_seq": entry["seq"],
-            },
-        )
         if obs.enabled():
             counts = self.counts()
             depth = counts.get(PENDING, 0) + counts.get(RUNNING, 0)
@@ -914,9 +813,12 @@ class JobStore:
             datasets.publish_queue_job(document, counts)
 
 
-def _valid_seq(value: object) -> bool:
-    """Whether a journal ``seq`` is a real integer (bools excluded)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _count_journal_read(skipped: int, fallback: bool) -> None:
+    """Count a queue-journal read's disk fallback and skipped lines."""
+    if fallback:
+        obs.count(obs_names.METRIC_EVENTS_JOURNAL_FALLBACKS)
+    if skipped:
+        obs.count(obs_names.METRIC_QUEUE_JOURNAL_MALFORMED, skipped)
 
 
 def _is_zombie(pid: int) -> bool:
@@ -927,18 +829,3 @@ def _is_zombie(pid: int) -> bool:
         return stat.rpartition(")")[2].split()[0] == "Z"
     except (OSError, IndexError):
         return False
-
-
-def journal_tail(
-    root: str | pathlib.Path | None = None, limit: int = 50
-) -> Iterable[dict[str, object]]:
-    """The last ``limit`` journal events of a queue directory on disk.
-
-    A read-only convenience for tooling that inspects a queue without
-    instantiating a store (e.g. ``repro watch --since``).
-    """
-    path = (
-        pathlib.Path(root) if root is not None else default_root()
-    ) / QUEUE_DIR / JOURNAL_FILE
-    entries = [e for e in read_json_lines(path) if isinstance(e, dict)]
-    return entries[-limit:]

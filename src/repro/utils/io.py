@@ -4,16 +4,18 @@ Everything that persists engine or queue state goes through
 :func:`atomic_write_text`: the text lands in a same-directory temp file
 first and is ``os.replace``-d over the destination, so a reader — or a
 second engine sharing the same ``$REPRO_RUNTIME_ROOT`` — can never
-observe a torn half-written file.  Appends (the job journal, the
-telemetry journal) go through :func:`append_line`, which writes and
-fsyncs every line so a crash loses at most the line being written.
+observe a torn half-written file.  Appends (the journals of
+:mod:`repro.utils.journal`, the index op log) go through
+:func:`append_line`, which writes and fsyncs every call so a crash
+loses at most the line being written — and the next descriptor opened
+on the file ends that torn fragment before its first line.
 
 :func:`append_line` reuses a small, bounded cache of open append
 descriptors (:data:`APPEND_HANDLES`; the least recently used closes
 first) instead of opening and closing the file for every line.  The
 cached handle follows renames: before each write it compares the
 path's ``(st_dev, st_ino)`` with the open descriptor's and reopens when
-the file was rotated, compacted (replaced) or deleted, so a line always
+the file was rotated, replaced or deleted, so a line always
 lands in the file the path names at that moment.  A forked child starts
 with an empty cache and never writes to, flushes or closes the
 descriptors it inherited.
@@ -114,6 +116,9 @@ class _Appender:
             self.fd = _open_append(path)
             stat = os.fstat(self.fd)
             self.ident = (stat.st_dev, stat.st_ino)
+            size = stat.st_size
+            if size and os.pread(self.fd, 1, size - 1) != b"\n":
+                data = b"\n" + data  # end a torn tail before the new line
         view = memoryview(data)
         while view:
             view = view[os.write(self.fd, view):]
@@ -128,8 +133,11 @@ class _Appender:
 
 
 def _open_append(path: str) -> int:
-    """An ``O_APPEND`` descriptor on ``path`` (directory made if missing)."""
-    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+    """An ``O_APPEND`` descriptor on ``path`` (directory made if missing).
+
+    Read-write, so a fresh descriptor can check for a torn last line.
+    """
+    flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
     try:
         return os.open(path, flags, 0o666)
     except FileNotFoundError:
@@ -173,12 +181,13 @@ if hasattr(os, "register_at_fork"):
 def append_line(path: str | pathlib.Path, line: str) -> None:
     """Append one ``\\n``-terminated line to ``path``, written + fsynced.
 
-    The building block of the job and telemetry journals.  Writes to
-    one path are serialised by a per-path lock held across write and
-    fsync; the line goes out in one ``write`` on an ``O_APPEND``
-    descriptor, so nothing is left buffered in the process.  A crash
-    mid-append loses only the trailing partial line, which journal
-    readers skip.  The parent directory is created if missing.
+    The building block of every journal.  Writes to one path are
+    serialised by a per-path lock held across write and fsync; the line
+    goes out in one ``write`` on an ``O_APPEND`` descriptor, so nothing
+    is left buffered in the process.  A crash mid-append loses only the
+    trailing partial line: readers skip it, and the next descriptor
+    opened on the file terminates it before appending.  The parent
+    directory is created if missing.
     """
     key = os.fspath(path)
     data = (line.rstrip("\n") + "\n").encode("utf-8")

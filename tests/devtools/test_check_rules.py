@@ -204,6 +204,8 @@ class TestLazyImportRule:
         ``repro.__main__`` is skipped: importing it runs the CLI, not
         because it is heavy.
         """
+        # The journal primitive under the queue and obs journals.
+        assert {"repro.utils.io", "repro.utils.journal"} <= LIGHT_MODULES
         modules = sorted(LIGHT_MODULES - {"repro.__main__"})
         code = (
             "import importlib, sys\n"

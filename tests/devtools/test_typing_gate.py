@@ -22,6 +22,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 STRICT_TARGETS = [
     "src/repro/errors.py",
     "src/repro/utils/io.py",
+    "src/repro/utils/journal.py",
     "src/repro/runtime/records.py",
     "src/repro/devtools",
 ]

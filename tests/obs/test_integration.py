@@ -12,6 +12,7 @@ from repro.runtime.engine import RunEngine
 from repro.runtime.scan import ListScan
 from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
+from repro.utils import journal
 
 
 def enabled_engine(root):
@@ -98,26 +99,20 @@ class TestSchedulerTelemetry:
 
     def test_job_transitions_mirrored_into_journal(self, tmp_path):
         store, job = self.drain_one_job(tmp_path)
-        transitions = [
-            e["attrs"]
-            for e in read_events(tmp_path)
-            if e["name"] == names.EVENT_JOB_TRANSITION
-        ]
-        mine = [t for t in transitions if t["job_id"] == job.job_id]
+        # The queue journal is each transition's one durable record, in
+        # lifecycle order on disk; the telemetry journal keeps no copy.
+        entries, skipped = journal.read(store.journal_path)
         lifecycle = [
-            t["transition"]
-            for t in mine
-            if t["transition"] != "progress"
+            e["event"]
+            for e in entries
+            if e["job_id"] == job.job_id and e["event"] != "progress"
         ]
         assert lifecycle == ["submitted", "started", "done"]
-        # The obs journal replays the same lifecycle the queue journal
-        # feeds to the long-poll events RPC, seq for seq.
-        queue_events = store.events_since(0)
-        assert [t["queue_seq"] for t in mine] == [
-            e["seq"]
-            for e in queue_events
-            if e["job_id"] == job.job_id
-        ]
+        assert skipped == 0
+        assert [e["seq"] for e in entries] == list(range(1, store.seq + 1))
+        assert "job.transition" not in {
+            e["name"] for e in read_events(tmp_path)
+        }
 
     def test_job_document_carries_queue_timing(self, tmp_path):
         store, job = self.drain_one_job(tmp_path)

@@ -78,12 +78,20 @@ class TestRotation:
         assert journal.seq == 12
 
     def test_forced_rotation(self, tmp_path):
-        journal = EventJournal(tmp_path)
+        journal = EventJournal(tmp_path, max_lines=1)
         journal.emit(names.EVENT_RUN_FINISHED)
-        journal.rotate()
         assert not journal.path.exists()
         assert journal.rotated_path.exists()
         assert journal.emit(names.EVENT_RUN_FINISHED)["seq"] == 2
+
+    def test_seq_survives_rotation_and_reopen(self, tmp_path):
+        journal = EventJournal(tmp_path, max_lines=3)
+        for _ in range(3):
+            journal.emit(names.EVENT_RUN_FINISHED)  # the third rotates
+        reopened = EventJournal(tmp_path, max_lines=3)
+        entry = reopened.emit(names.EVENT_RUN_FINISHED)
+        assert [e["seq"] for e in read_events(tmp_path)] == [1, 2, 3, 4]
+        assert read_events(tmp_path, since=3) == [entry]
 
 
 class TestReading:
@@ -92,7 +100,6 @@ class TestReading:
         for _ in range(4):
             journal.emit(names.EVENT_RUN_FINISHED)
         assert [e["seq"] for e in read_events(tmp_path, since=2)] == [3, 4]
-        assert journal.events(since=2) == read_events(tmp_path, since=2)
 
     def test_foreign_schema_lines_dropped(self, tmp_path):
         journal = EventJournal(tmp_path)

@@ -222,9 +222,9 @@ class TestEventFeedGap:
         client.wait(job["job_id"], timeout=60.0)
         store = service.store
         with store._lock:
-            # Simulate compaction having discarded the whole history:
-            # empty buffer, empty journal, seq counter still advanced.
-            store._events.clear()
+            # Simulate rotation having discarded the whole history:
+            # empty tail, empty journal, seq counter still advanced.
+            store.journal._tail.clear()
             store.journal_path.write_text("", encoding="utf-8")
             head = store.seq
         events, latest, gap = client.events(0, timeout=2.0)

@@ -278,10 +278,10 @@ class TestEventFeedPartialCompaction:
             client.wait(job["job_id"], timeout=60.0)
             store = service.store
             with store._lock:
-                # Compaction dropped everything before the final event:
-                # buffer empty, journal keeps only the newest line.
-                tail = store._events[-1]
-                store._events.clear()
+                # Rotation dropped everything before the final event:
+                # tail empty, journal keeps only the newest line.
+                tail = store.journal._tail[-1]
+                store.journal._tail.clear()
                 store.journal_path.write_text(
                     json.dumps(tail, sort_keys=True) + "\n",
                     encoding="utf-8",

@@ -69,7 +69,7 @@ class TestSweepStreaming:
             manifest, _ = engine.load_run(run_id)
             assert manifest["experiment_id"] == "E6"
         # A progress event per point reached the journal feed.
-        progress = [e for e in store.events_since(0)
+        progress = [e for e in store.wait_events(0)[0]
                     if e["event"] == "progress"]
         assert len(progress) == 4
 

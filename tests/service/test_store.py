@@ -198,21 +198,29 @@ class TestPersistenceAndRecovery:
         assert fresh.get(a1.job_id).experiment_id == "E6"
         assert fresh.get(b1.job_id).experiment_id == "E7"
 
-    def test_oversized_journal_compacted_on_open(self, root, monkeypatch):
+    def test_running_store_journal_stays_bounded(self, root, monkeypatch):
         import repro.service.store as store_module
+        from repro.utils.io import read_json_lines
 
+        monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 10)
+        monkeypatch.setattr(store_module, "EVENT_BUFFER", 4)
         store = JobStore(root)
+        rotated = store.journal_path.with_name("journal-1.jsonl")
         job, _ = store.submit("E6")
-        for _ in range(30):
-            store.update_progress(job, 0, 1)
-        before = len(store.journal_path.read_text().splitlines())
-        monkeypatch.setattr(store_module, "JOURNAL_COMPACT_LINES", 10)
-        monkeypatch.setattr(store_module, "EVENT_BUFFER", 5)
-        reopened = JobStore(root)
-        after = len(reopened.journal_path.read_text().splitlines())
-        assert before > 30 and after == 5
-        # Seq keeps rising across the compaction.
-        assert reopened.seq == store.seq
+        for done in range(25):  # 26 transitions, never reopening
+            store.update_progress(job, done, 25)
+            live = read_json_lines(store.journal_path)
+            assert len(live) <= 10
+            on_disk = [e["seq"] for e in read_json_lines(rotated) + live]
+            assert on_disk == list(range(on_disk[0], store.seq + 1))
+            # A cursor at 0 gaps only once seq 1 left both generations.
+            fresh, gap = store.wait_events(0, timeout=0.0)
+            assert gap == (on_disk[0] > 1)
+            expected = on_disk if gap else list(range(1, store.seq + 1))
+            assert [e["seq"] for e in fresh] == expected
+        assert store.seq == 26 and gap
+        # Seq keeps rising across the rotations and a reopen.
+        assert JobStore(root).seq == 26
 
     def test_torn_job_file_skipped(self, root):
         store = JobStore(root)
@@ -226,7 +234,8 @@ class TestEventsAndWaiting:
         store.submit("E6")
         seq = store.seq
         store.submit("E7")
-        fresh = store.events_since(seq)
+        fresh, gap = store.wait_events(seq)
+        assert not gap
         assert len(fresh) == 1 and fresh[0]["experiment_id"] == "E7"
 
     def test_wait_events_times_out_empty(self, store):
@@ -266,7 +275,7 @@ class TestEventsAndWaiting:
 
 
 class TestJournalFallbackAndGaps:
-    """Long-poll feed: buffer eviction, journal fallback, loss gaps."""
+    """Long-poll feed: tail eviction, journal fallback, rotation gaps."""
 
     def test_buffer_eviction_recovers_from_journal(self, root, monkeypatch):
         import repro.service.store as store_module
@@ -275,8 +284,8 @@ class TestJournalFallbackAndGaps:
         store = JobStore(root)
         for _ in range(10):
             store.submit("E6", dedupe=False)
-        assert len(store._events) == 4  # the buffer really evicted
-        # A subscriber resuming before the buffer head still gets the
+        assert len(store.journal._tail) == 4  # the tail really evicted
+        # A subscriber resuming before the tail head still gets the
         # full history (journal fallback), and it is not flagged as a
         # gap because nothing was actually lost.
         fresh, gap = store.wait_events(0, timeout=0.0)
@@ -296,7 +305,7 @@ class TestJournalFallbackAndGaps:
         obs.reset()  # drop counters accumulated by earlier tests
         obs.configure(enabled=True)
         try:
-            store.events_since(0)
+            store.wait_events(0)
             counters = obs.snapshot()["counters"]
             assert counters.get(
                 obs_names.METRIC_EVENTS_JOURNAL_FALLBACKS
@@ -304,31 +313,30 @@ class TestJournalFallbackAndGaps:
         finally:
             obs.reset()
 
-    def test_compaction_gap_is_flagged(self, root, monkeypatch):
+    def test_rotation_gap_is_flagged(self, root, monkeypatch):
         import time
 
         import repro.service.store as store_module
 
+        monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 10)
+        monkeypatch.setattr(store_module, "EVENT_BUFFER", 5)
         store = JobStore(root)
         job, _ = store.submit("E6")
         for _ in range(30):
             store.update_progress(job, 0, 1)
-        monkeypatch.setattr(store_module, "JOURNAL_COMPACT_LINES", 10)
-        monkeypatch.setattr(store_module, "EVENT_BUFFER", 5)
-        reopened = JobStore(root)  # open compacts the journal to 5 lines
-        started = time.monotonic()
-        fresh, gap = reopened.wait_events(0, timeout=5.0)
-        # Events 1..seq-5 are irrecoverably gone: flagged immediately,
-        # not after the long-poll timeout.
-        assert gap and time.monotonic() - started < 1.0
-        assert fresh and fresh[0]["seq"] == reopened.seq - 4
-        # A cursor inside the retained span sees no gap.
-        tail, tail_gap = reopened.wait_events(reopened.seq - 1, timeout=0.0)
-        assert len(tail) == 1 and not tail_gap
+        # 31 transitions rotated three times: seq 21..31 are on disk.
+        for reader in (store, JobStore(root)):
+            started = time.monotonic()
+            fresh, gap = reader.wait_events(0, timeout=5.0)
+            # Events 1..20 are irrecoverably gone: flagged immediately,
+            # not after the long-poll timeout.
+            assert gap and time.monotonic() - started < 1.0
+            assert [e["seq"] for e in fresh] == list(range(21, 32))
+            # A cursor inside the retained span sees no gap.
+            tail, tail_gap = reader.wait_events(reader.seq - 1, timeout=0.0)
+            assert len(tail) == 1 and not tail_gap
 
     def test_malformed_journal_entries_skipped(self, root):
-        from repro.service.store import _valid_seq
-
         store = JobStore(root)
         store.submit("E6")
         good_seq = store.seq
@@ -339,8 +347,9 @@ class TestJournalFallbackAndGaps:
             handle.write('[1, 2]\n')  # not an object
         reopened = JobStore(root)
         assert reopened.seq == good_seq
-        events = reopened.events_since(0)
-        assert events and all(_valid_seq(e["seq"]) for e in events)
+        events, gap = reopened.wait_events(0)
+        assert events and not gap
+        assert all(type(e["seq"]) is int for e in events)
 
     def test_malformed_journal_entries_counted_in_obs(self, root):
         from repro import obs

@@ -2,13 +2,15 @@
 
 The journals append one fsynced line per event through a per-path
 cached descriptor; these tests pin that a line always lands in the file
-its path names *now* — after rotation, compaction or deletion — that a
+its path names *now* — after rotation, replacement or deletion — that
+a line appended after a torn tail starts on a line of its own, that a
 forked child never duplicates a line, that concurrent appends through
 evictions lose none, and that the cache stays bounded.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import shutil
@@ -18,6 +20,7 @@ import threading
 import pytest
 
 import repro.service.store as store_module
+from repro.analysis import index
 from repro.obs import names
 from repro.obs.journal import EventJournal
 from repro.service.store import JobStore
@@ -40,30 +43,72 @@ def test_appends_reuse_one_descriptor(tmp_path):
 
 def test_rotated_journal_receives_the_next_line(tmp_path):
     first = EventJournal(tmp_path)
-    first.emit(names.EVENT_JOB_TRANSITION, {"n": 1})
-    EventJournal(tmp_path).rotate()  # a second writer renames the file
-    first.emit(names.EVENT_JOB_TRANSITION, {"n": 2})
+    first.emit(names.EVENT_RUN_FINISHED, {"n": 1})
+    # A second writer's append fills its tiny journal and renames it.
+    second = EventJournal(tmp_path, max_lines=2)
+    second.emit(names.EVENT_RUN_FINISHED, {"n": 9})
+    first.emit(names.EVENT_RUN_FINISHED, {"n": 2})
     live = read_json_lines(first.path)
     rotated = read_json_lines(first.rotated_path)
-    assert [entry["attrs"]["n"] for entry in rotated] == [1]
+    assert [entry["attrs"]["n"] for entry in rotated] == [1, 9]
     assert [entry["attrs"]["n"] for entry in live] == [2]
 
 
-def test_compacted_queue_journal_receives_the_next_transition(
+def test_rotated_queue_journal_receives_the_next_transition(
     tmp_path, monkeypatch
 ):
-    first = JobStore(tmp_path)
-    job, _ = first.submit("E6")
-    for _ in range(12):
-        first.update_progress(job, 0, 1)
-    monkeypatch.setattr(store_module, "JOURNAL_COMPACT_LINES", 10)
-    monkeypatch.setattr(store_module, "EVENT_BUFFER", 5)
-    JobStore(tmp_path)  # compacts journal.jsonl by replacing it
-    first.update_progress(job, 1, 1)
-    entries = read_json_lines(first.journal_path)
-    assert len(entries) == 6
-    assert entries[-1]["seq"] == first.seq
+    monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 3)
+    store = JobStore(tmp_path)
+    job, _ = store.submit("E6")
+    store.update_progress(job, 0, 1)
+    store.update_progress(job, 0, 1)  # the third line rotates the file
+    store.update_progress(job, 1, 1)
+    rotated = read_json_lines(store.journal_path.with_name("journal-1.jsonl"))
+    entries = read_json_lines(store.journal_path)
+    assert [entry["seq"] for entry in rotated] == [1, 2, 3]
+    assert [entry["seq"] for entry in entries] == [4] == [store.seq]
     assert entries[-1]["done_points"] == 1
+
+
+def _queue_journal(root, marker):
+    store = JobStore(root)
+    store.submit(marker, dedupe=False)
+    return store.journal_path
+
+
+def _obs_journal(root, marker):
+    journal = EventJournal(root)
+    journal.emit(names.EVENT_RUN_FINISHED, {"marker": marker})
+    return journal.path
+
+
+def _index_journal(root, marker):
+    index.journal_append(root, {"run_id": marker})
+    return index.index_dir(root) / index.JOURNAL_FILE
+
+
+@pytest.mark.parametrize(
+    "append", [_queue_journal, _obs_journal, _index_journal],
+    ids=["queue", "obs", "index"],
+)
+@pytest.mark.parametrize("cut", [1, 9, -1], ids=["head", "middle", "newline"])
+def test_append_after_torn_tail_starts_a_new_line(tmp_path, append, cut):
+    for marker in ("E1", "E2", "E3"):
+        path = append(tmp_path, marker)
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    whole = read_json_lines(path)[:-1]
+    # A crash mid-append leaves the last line torn at `cut` bytes in
+    # (`newline`: only its terminating newline is missing) ...
+    path.write_bytes(data[: last + cut if cut > 0 else len(data) + cut])
+    for appender in io._APPENDERS.values():
+        with appender.lock:  # ... and the restarted process holds no
+            appender.close()  # descriptor on the file yet.
+    append(tmp_path, "E9")
+    entries = [e for e in read_json_lines(path) if isinstance(e, dict)]
+    assert entries[: len(whole)] == whole
+    assert "E9" in json.dumps(entries[-1])
+    assert len(entries) == len(whole) + (2 if cut == -1 else 1)
 
 
 def test_deleted_parent_directory_is_recreated(tmp_path):
