@@ -1,7 +1,7 @@
 """Loop-vs-vectorized timings of the batched simulation core.
 
-Times every switchable hot path against its loop reference oracle at
-realistic experiment statistics, prints a speedup table, and appends a
+Times every vectorized hot path against its private loop reference
+oracle at realistic experiment statistics, prints a speedup table, and appends a
 trajectory entry to ``BENCH_vectorized.json`` in the repository root so
 the speedups are tracked across commits.
 
@@ -34,9 +34,10 @@ import numpy as np
 from conftest import record_trajectory
 
 from repro.detection import coincidence, tdc as tdc_module
-from repro.detection.coincidence import car_from_tags
+from repro.detection.coincidence import _car_from_tags_loop, car_from_tags
 from repro.detection.tdc import (
     TimeToDigitalConverter,
+    _collect_delays_loop,
     collect_delays,
     partner_candidates,
 )
@@ -44,7 +45,7 @@ from repro.quantum.noise import add_white_noise
 from repro.quantum.states import DensityMatrix
 from repro.timebin.encoding import time_bin_bell_state
 from repro.timebin.interferometer import UnbalancedMichelson
-from repro.timebin.montecarlo import TimeBinCoincidenceSimulator
+from repro.timebin.montecarlo import TimeBinCoincidenceSimulator, _fringe_scan_loop
 from repro.utils.rng import RandomStream
 
 
@@ -83,6 +84,15 @@ def _sparse_streams(duration_s=40.0, clicks=600_000, paired=0.01):
         partners + rng.child("jit").normal(0.0, 0.4e-9, n_pairs),
     ]))
     return a, b
+
+
+def _loop_delay_histogram(tdc, starts, stops, max_delay_s):
+    """The TDC histogram with delays from the loop oracle: the correlator's
+    bins, counts from ``np.histogram``."""
+    n_bins = max(int(round(2.0 * max_delay_s / tdc.bin_width_s)), 2)
+    edges = np.linspace(-max_delay_s, max_delay_s, n_bins + 1)
+    delays = _collect_delays_loop(starts, stops, max_delay_s)
+    return 0.5 * (edges[:-1] + edges[1:]), np.histogram(delays, bins=edges)[0]
 
 
 def _car_counts(a, b):
@@ -129,7 +139,7 @@ def _filter_peak_mb(starts, stops, reach_s):
 
 
 def bench_vectorized_core(benchmark):
-    """Time each switchable path both ways; assert the ≥5x headline."""
+    """Time each path against its oracle; assert the ≥5x headline."""
     entries: dict[str, dict[str, float]] = {}
 
     def compare(name, loop_fn, fast_fn, check_equal):
@@ -148,8 +158,8 @@ def bench_vectorized_core(benchmark):
     a, b = _streams()
     compare(
         "car_from_tags",
-        lambda: car_from_tags(a, b, 60.0, impl="loop"),
-        lambda: car_from_tags(a, b, 60.0, impl="vectorized"),
+        lambda: _car_from_tags_loop(a, b, 60.0),
+        lambda: car_from_tags(a, b, 60.0),
         lambda x, y: _assert(x == y, "CAR results diverged"),
     )
 
@@ -157,8 +167,8 @@ def bench_vectorized_core(benchmark):
     tdc = TimeToDigitalConverter()
     compare(
         "tdc_delay_histogram",
-        lambda: tdc.delay_histogram(a, b, 10e-9, impl="loop"),
-        lambda: tdc.delay_histogram(a, b, 10e-9, impl="vectorized"),
+        lambda: _loop_delay_histogram(tdc, a, b, 10e-9),
+        lambda: tdc.delay_histogram(a, b, 10e-9),
         lambda x, y: _assert(np.array_equal(x[1], y[1]), "TDC histograms diverged"),
     )
 
@@ -172,12 +182,10 @@ def bench_vectorized_core(benchmark):
     phases = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     fringe_speedup = compare(
         "montecarlo_fringe_scan",
-        lambda: simulator.fringe_scan(
-            phases, 50_000, RandomStream(7, "fb"), impl="loop"
+        lambda: _fringe_scan_loop(
+            simulator, phases, 50_000, RandomStream(7, "fb")
         ),
-        lambda: simulator.fringe_scan(
-            phases, 50_000, RandomStream(7, "fb"), impl="vectorized"
-        ),
+        lambda: simulator.fringe_scan(phases, 50_000, RandomStream(7, "fb")),
         lambda x, y: _assert(np.array_equal(x, y), "fringe counts diverged"),
     )
 
@@ -187,16 +195,20 @@ def bench_vectorized_core(benchmark):
     # every E2/E5/E7-style sweep pays).
     sweep_phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
 
-    def sweep(impl):
-        counts = simulator.fringe_scan(
-            sweep_phases, 20_000, RandomStream(11, "sw"), impl=impl
-        )
-        car = car_from_tags(a, b, 60.0, impl=impl)
-        return counts, car.car
+    def sweep(fringe_scan, car):
+        counts = fringe_scan(sweep_phases, 20_000, RandomStream(11, "sw"))
+        return counts, car(a, b, 60.0).car
 
-    loop_sweep, loop_sweep_s = _time(lambda: sweep("loop"), repeats=2)
+    def loop_fringe_scan(*args):
+        return _fringe_scan_loop(simulator, *args)
+
+    loop_sweep, loop_sweep_s = _time(
+        lambda: sweep(loop_fringe_scan, _car_from_tags_loop), repeats=2
+    )
     fast_sweep = benchmark.pedantic(
-        lambda: sweep("vectorized"), rounds=3, iterations=1
+        lambda: sweep(simulator.fringe_scan, car_from_tags),
+        rounds=3,
+        iterations=1,
     )
     fast_sweep_s = max(benchmark.stats.stats.min, 1e-9)
     _assert(

@@ -166,17 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="fixed parameter override applied to every point (repeatable)",
     )
-    sweep_mode = sweep_parser.add_mutually_exclusive_group()
-    sweep_mode.add_argument(
-        "--batch",
-        action="store_true",
-        help="force the batched fast path: all misses in one in-process call",
-    )
-    sweep_mode.add_argument(
-        "--pool",
-        action="store_true",
-        help="force per-point execution (process pool with --parallel N)",
-    )
     _add_engine_options(sweep_parser)
 
     archive_parser = subparsers.add_parser(
@@ -860,20 +849,13 @@ def command_sweep(args: argparse.Namespace) -> int:
 
     scans = [parse_scan(spec) for spec in args.scans]
     scan = scans[0] if len(scans) == 1 else GridScan(*scans)
-    if args.batch and args.parallel > 1:
-        raise ConfigurationError(
-            "--batch executes all points in-process; drop --parallel "
-            "or use --pool for multi-worker sweeps"
-        )
     engine = _build_engine(args)
-    batch = True if args.batch else (False if args.pool else None)
     outcome = engine.sweep(
         args.experiment,
         scan,
         seed=args.seed,
         quick=args.quick,
         base_params=_parse_overrides(args.overrides),
-        batch=batch,
     )
     print(_render_sweep(outcome))
     summary = (

@@ -5,16 +5,16 @@ centred on zero delay, divided by the accidental level measured in offset
 windows.  Section II reports CAR between 12.8 and 32.4 at 15 mW;
 Section III reports CAR ≈ 10 at 2 mW for the type-II source.
 
-Counting ships two implementations selected with ``impl``: the
-original per-window/per-start Python sweep (``"loop"``, the reference
-oracle) and a batch path (``"vectorized"``, the default).  The
-vectorized CAR first keeps only the clicks with a partner in reach of
-any window (:func:`~repro.detection.tdc.partner_candidates`), gathers
-every (a, b) pair inside the union of its coincidence and accidental
-windows with one pair of ``np.searchsorted`` passes over those, then
-counts each window on that small candidate set with the same float
-comparisons the per-window path uses.  Both give identical counts for
-identical inputs.
+Counting finds window boundaries with ``np.searchsorted``.  The CAR
+first keeps only the clicks with a partner in reach of any window
+(:func:`~repro.detection.tdc.partner_candidates`), gathers every (a, b)
+pair inside the union of its coincidence and accidental windows with
+one pair of ``np.searchsorted`` passes over those, then counts each
+window on that small candidate set with the same float comparisons a
+one-window count uses.  The original per-window, per-start sweep stays
+as private reference oracles (:func:`_count_window_loop`,
+:func:`_car_from_tags_loop`); the equivalence tests hold the counts
+here to them exactly.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.detection.tdc import ascending, collect_delays, partner_candidates
-from repro.detection.tdc import range_indices, window_slices
+from repro.detection.tdc import _collect_delays_loop, ascending, collect_delays
+from repro.detection.tdc import partner_candidates, range_indices, window_slices
 from repro.utils import stats
-from repro.utils.dispatch import LOOP, VECTORIZED, validate_impl
 
 
 def count_coincidences(
@@ -36,36 +35,33 @@ def count_coincidences(
     times_b_s: np.ndarray,
     window_s: float,
     center_s: float = 0.0,
-    impl: str = "vectorized",
 ) -> int:
-    """Number of (a, b) click pairs with b-a in [center ± window/2]."""
+    """Number of (a, b) click pairs with b-a in [center ± window/2].
+
+    Stream b is shifted so the target delay window is centred on zero —
+    the float operations of :func:`_count_window_loop`, so the counts
+    are identical pair by pair.
+    """
     if window_s <= 0:
         raise ConfigurationError("window must be positive")
-    validate_impl(impl, "count_coincidences impl")
     a = ascending(times_a_s)
     b = ascending(times_b_s)
-    return _count_sorted(a, b, window_s, center_s, impl)
+    shifted = b - center_s if center_s != 0.0 else b
+    half = window_s / 2.0
+    lo, hi = window_slices(shifted, a - half, a + half)
+    return int((hi - lo).sum())
 
 
-def _count_sorted(
+def _count_window_loop(
     sorted_a: np.ndarray,
     sorted_b: np.ndarray,
     window_s: float,
     center_s: float,
-    impl: str,
 ) -> int:
-    """Window count on pre-sorted streams (one window per call).
-
-    Stream b is shifted so the target delay window is centred on zero —
-    the same float operations in both implementations, so the counts are
-    identical pair by pair.
-    """
+    """Reference oracle of one window count on pre-sorted streams: the
+    original per-start sweep over stream b shifted by ``center_s``."""
     shifted = sorted_b - center_s if center_s != 0.0 else sorted_b
-    half = window_s / 2.0
-    if impl == LOOP:
-        return int(collect_delays(sorted_a, shifted, half, impl="loop").size)
-    lo, hi = window_slices(shifted, sorted_a - half, sorted_a + half)
-    return int((hi - lo).sum())
+    return int(_collect_delays_loop(sorted_a, shifted, window_s / 2.0).size)
 
 
 def _count_windows(
@@ -84,7 +80,7 @@ def _count_windows(
     ``searchsorted`` pass.  The pairs between those edges are flattened
     as in the TDC delay collection (:func:`range_indices`), and each
     window is then counted on them with the exact comparisons of
-    :func:`_count_sorted` — so every count equals the per-window one.
+    :func:`count_coincidences` — so every count equals the per-window one.
     """
     half = window_s / 2.0
     low_center, high_center = min(centers_s), max(centers_s)
@@ -113,14 +109,13 @@ def coincidence_histogram(
     times_b_s: np.ndarray,
     bin_width_s: float,
     max_delay_s: float,
-    impl: str = "vectorized",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delay histogram (centres, counts) between two click streams."""
     if bin_width_s <= 0 or max_delay_s <= 0:
         raise ConfigurationError("bin width and max delay must be positive")
     a = ascending(times_a_s)
     b = ascending(times_b_s)
-    delays = collect_delays(a, b, max_delay_s, impl=impl)
+    delays = collect_delays(a, b, max_delay_s)
     n_bins = max(int(round(2.0 * max_delay_s / bin_width_s)), 2)
     edges = np.linspace(-max_delay_s, max_delay_s, n_bins + 1)
     counts, _ = np.histogram(delays, bins=edges)
@@ -192,16 +187,15 @@ def car_from_tags(
     window_s: float = 2.5e-9,
     num_accidental_windows: int = 10,
     accidental_offset_s: float = 50e-9,
-    impl: str = "vectorized",
 ) -> CoincidenceResult:
     """Measure coincidences and accidentals exactly as the experiment does.
 
     Coincidences are counted in a window centred at zero delay; the
     accidental level is the mean count over ``num_accidental_windows``
     windows offset far outside the biphoton correlation time (alternating
-    sides to cancel slow drifts).  The vectorized path sorts each stream
-    once and counts all windows by ``np.searchsorted``; the loop path
-    re-runs the original per-window sweep.
+    sides to cancel slow drifts).  Each stream is sorted once and every
+    window is counted from one gather of candidate pairs
+    (:func:`_count_windows`).
     """
     if duration_s <= 0:
         raise ConfigurationError("duration must be positive")
@@ -211,23 +205,40 @@ def car_from_tags(
         raise ConfigurationError(
             "accidental offset must exceed the coincidence window"
         )
-    validate_impl(impl, "car_from_tags impl")
     centers = accidental_window_centers(
         num_accidental_windows, accidental_offset_s
     )
-    a = ascending(times_a_s)
-    b = ascending(times_b_s)
-    if impl == VECTORIZED:
-        coincidences, *accidental_counts = _count_windows(
-            a, b, window_s, [0.0, *centers]
-        )
-    else:
-        coincidences = _count_sorted(a, b, window_s, 0.0, impl)
-        accidental_counts = [
-            _count_sorted(a, b, window_s, center, impl) for center in centers
-        ]
+    coincidences, *accidental_counts = _count_windows(
+        ascending(times_a_s), ascending(times_b_s), window_s, [0.0, *centers]
+    )
     return CoincidenceResult(
         coincidences=coincidences,
+        accidentals_mean=float(np.mean(accidental_counts)),
+        duration_s=duration_s,
+        window_s=window_s,
+    )
+
+
+def _car_from_tags_loop(
+    times_a_s: np.ndarray,
+    times_b_s: np.ndarray,
+    duration_s: float,
+    window_s: float = 2.5e-9,
+    num_accidental_windows: int = 10,
+    accidental_offset_s: float = 50e-9,
+) -> CoincidenceResult:
+    """Reference oracle of :func:`car_from_tags` (arguments taken as
+    valid): every window counted on its own by :func:`_count_window_loop`."""
+    a = ascending(times_a_s)
+    b = ascending(times_b_s)
+    centers = accidental_window_centers(
+        num_accidental_windows, accidental_offset_s
+    )
+    accidental_counts = [
+        _count_window_loop(a, b, window_s, center) for center in centers
+    ]
+    return CoincidenceResult(
+        coincidences=_count_window_loop(a, b, window_s, 0.0),
         accidentals_mean=float(np.mean(accidental_counts)),
         duration_s=duration_s,
         window_s=window_s,

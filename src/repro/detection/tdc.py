@@ -4,14 +4,13 @@ The experiments record click times with a TDC of finite bin width and
 build signal-idler delay histograms from them; both steps live here so the
 simulated analysis chain matches the laboratory one.
 
-Delay collection ships two implementations selected with ``impl``:
-the original per-start two-pointer sweep (``"loop"``, kept as the
-reference oracle) and a ``np.searchsorted``-based batch path
-(``"vectorized"``, the default) that locates every window boundary in
-one vectorized call.  Both produce bit-identical delay arrays for the
-same inputs.
+Delay collection locates every window boundary with one
+``np.searchsorted`` call per side.  The original per-start two-pointer
+sweep stays next to it as a private reference oracle
+(:func:`_collect_delays_loop`), which the equivalence tests hold the
+fast path to, delay for delay.
 
-The batch path first drops the clicks that cannot have a partner
+The fast path first drops the clicks that cannot have a partner
 (:func:`partner_candidates`, shared with the CAR counter): at
 experiment rates fewer than 1 % of clicks have one within a few
 hundred nanoseconds, so one merge of the two sorted streams replaces
@@ -28,7 +27,6 @@ import dataclasses
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.dispatch import LOOP, validate_impl
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,14 +49,12 @@ class TimeToDigitalConverter:
         start_times_s: np.ndarray,
         stop_times_s: np.ndarray,
         max_delay_s: float,
-        impl: str = "vectorized",
     ) -> tuple[np.ndarray, np.ndarray]:
         """Histogram of stop-start delays within ±``max_delay_s``.
 
         Returns ``(bin_centres, counts)``.  All start/stop combinations
         within the window are histogrammed (the standard start-stop
-        correlator in multi-stop mode); ``impl`` selects the delay
-        collection implementation (see :func:`collect_delays`).
+        correlator in multi-stop mode).
         """
         if max_delay_s <= 0:
             raise ConfigurationError("max delay must be positive")
@@ -66,7 +62,7 @@ class TimeToDigitalConverter:
         stops = ascending(stop_times_s)
         n_bins = max(int(round(2.0 * max_delay_s / self.bin_width_s)), 2)
         edges = np.linspace(-max_delay_s, max_delay_s, n_bins + 1)
-        delays = collect_delays(starts, stops, max_delay_s, impl=impl)
+        delays = collect_delays(starts, stops, max_delay_s)
         counts, _ = np.histogram(delays, bins=edges)
         centres = 0.5 * (edges[:-1] + edges[1:])
         return centres, counts.astype(float)
@@ -76,19 +72,29 @@ def collect_delays(
     sorted_starts: np.ndarray,
     sorted_stops: np.ndarray,
     max_delay_s: float,
-    impl: str = "vectorized",
 ) -> np.ndarray:
     """All pairwise (stop - start) delays with |delay| <= max_delay_s.
 
-    Both inputs must be sorted ascending.  Delays come back start-major
-    (ascending within each start), identically for both implementations.
+    Both inputs must be sorted ascending.  Every window boundary comes
+    from two ``searchsorted`` calls, and the ragged per-start stop ranges
+    are flattened with the cumulative-offset trick
+    (:func:`range_indices`), so delays come back start-major (ascending
+    within each start), exactly as :func:`_collect_delays_loop` returns
+    them.
     """
     if max_delay_s <= 0:
         raise ConfigurationError("max delay must be positive")
-    impl = validate_impl(impl, "collect_delays impl")
-    if impl == LOOP:
-        return _collect_delays_loop(sorted_starts, sorted_stops, max_delay_s)
-    return _collect_delays_vectorized(sorted_starts, sorted_stops, max_delay_s)
+    starts, stops = partner_candidates(
+        np.asarray(sorted_starts, dtype=float),
+        np.asarray(sorted_stops, dtype=float),
+        max_delay_s,
+    )
+    lo, hi = window_slices(stops, starts - max_delay_s, starts + max_delay_s)
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0)
+    return stops[range_indices(lo, counts, total)] - np.repeat(starts, counts)
 
 
 def window_slices(
@@ -101,7 +107,7 @@ def window_slices(
     For each window ``[low_i, high_i]`` (both ends inclusive) the stops
     inside it are ``sorted_stops[lo_i:hi_i]``.  One ``np.searchsorted``
     call per side locates every boundary at once; this is the primitive
-    behind the vectorized delay collection and window counting.
+    behind the delay collection and window counting.
     """
     lo = np.searchsorted(sorted_stops, window_low, side="left")
     hi = np.searchsorted(sorted_stops, window_high, side="right")
@@ -214,7 +220,8 @@ def gaps_below(times: np.ndarray, limit: float, out: np.ndarray) -> np.ndarray:
 def _collect_delays_loop(
     sorted_starts: np.ndarray, sorted_stops: np.ndarray, max_delay_s: float
 ) -> np.ndarray:
-    """Reference oracle: the original per-start two-pointer sweep."""
+    """Reference oracle of :func:`collect_delays`: the original per-start
+    two-pointer sweep."""
     delays: list[np.ndarray] = []
     lo = 0
     n_stops = sorted_stops.size
@@ -229,28 +236,6 @@ def _collect_delays_loop(
     if not delays:
         return np.empty(0)
     return np.concatenate(delays)
-
-
-def _collect_delays_vectorized(
-    sorted_starts: np.ndarray, sorted_stops: np.ndarray, max_delay_s: float
-) -> np.ndarray:
-    """Batch path: every window boundary from two ``searchsorted`` calls.
-
-    The ragged per-start stop ranges are flattened with the standard
-    cumulative-offset trick, so the delay array comes out in exactly the
-    start-major order of the loop oracle.
-    """
-    starts, stops = partner_candidates(
-        np.asarray(sorted_starts, dtype=float),
-        np.asarray(sorted_stops, dtype=float),
-        max_delay_s,
-    )
-    lo, hi = window_slices(stops, starts - max_delay_s, starts + max_delay_s)
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0)
-    return stops[range_indices(lo, counts, total)] - np.repeat(starts, counts)
 
 
 def range_indices(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:

@@ -61,7 +61,6 @@ LIGHT_MODULES = frozenset(
         "repro.experiments",
         "repro.experiments.base",
         "repro.utils",
-        "repro.utils.dispatch",
         "repro.utils.io",
         "repro.utils.journal",
         "repro.utils.tables",

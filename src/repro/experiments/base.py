@@ -1,41 +1,12 @@
-"""Common result container and batch protocol for experiment drivers."""
+"""Common result container and override helpers for experiment drivers."""
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.errors import ConfigurationError
 from repro.utils.tables import format_series, format_table
-
-
-def batch_runner(run: Callable) -> Callable:
-    """Wrap a driver's ``run`` into the uniform ``run_batch`` protocol.
-
-    A driver opts into the run engine's batched-sweep fast path by
-    exporting ``run_batch = batch_runner(run)`` at module level: the
-    whole sweep then executes as one in-process call through the
-    driver's vectorized cores instead of a process pool of single
-    points.  Each point replays ``run`` with its own overrides — a
-    point's result (and cache entry) must be identical to a lone run,
-    so there is nothing to share across points beyond the warm process.
-    Results are *yielded* as each point completes, so the engine can
-    cache and archive finished points even if a later one fails.
-    Drivers with genuinely batchable cross-point structure can export a
-    hand-written ``run_batch`` (any iterable of results, one per point,
-    in order) with the same signature instead.
-    """
-
-    def run_batch(
-        points: Sequence[Mapping[str, object]],
-        seed: int = 0,
-        quick: bool = False,
-    ) -> Iterator:
-        """Yield each override point's result as soon as it completes."""
-        for point in points:
-            yield run(seed=seed, quick=quick, **point)
-
-    return run_batch
 
 
 def integer_override(experiment_id: str, name: str, value: object) -> int:

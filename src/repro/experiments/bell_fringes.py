@@ -13,7 +13,7 @@ import math
 
 from repro.core.schemes import TimeBinScheme
 from repro.errors import ConfigurationError
-from repro.experiments.base import ExperimentResult, batch_runner, integer_override
+from repro.experiments.base import ExperimentResult, integer_override
 from repro.quantum.bell import (
     CLASSICAL_BOUND,
     chsh_value,
@@ -21,7 +21,6 @@ from repro.quantum.bell import (
     visibility_to_chsh,
 )
 from repro.timebin.fringes import FringeScan
-from repro.utils.dispatch import validate_impl
 from repro.utils.rng import RandomStream
 
 PAPER_CLAIM = (
@@ -39,7 +38,6 @@ def run(
     num_channels: int | None = None,
     pump_phase_rad: float | None = None,
     dwell_s: float | None = None,
-    impl: str | None = None,
 ) -> ExperimentResult:
     """Scan interference fringes on each channel pair; derive CHSH.
 
@@ -49,11 +47,8 @@ def run(
 
     Overrides: ``num_channels`` (1..5) limits the scanned channel pairs,
     ``pump_phase_rad`` sets the double-pulse pump phase (rotating the
-    generated Bell state), ``dwell_s`` the per-step integration time,
-    ``impl`` the fringe-scan implementation (``"vectorized"`` default,
-    or the ``"loop"`` reference).
+    generated Bell state) and ``dwell_s`` the per-step integration time.
     """
-    impl = validate_impl("vectorized" if impl is None else impl, "E7 impl")
     scheme = (
         TimeBinScheme()
         if pump_phase_rad is None
@@ -103,7 +98,7 @@ def run(
             dwell_time_s=dwell,
             controller=controller,
         )
-        result = scan.run(rng.child(f"ch{order}"), impl=impl)
+        result = scan.run(rng.child(f"ch{order}"))
         visibility = result.visibility
         s_value = visibility_to_chsh(min(visibility, 1.0))
         s_error = visibility_to_chsh(result.visibility_error)
@@ -146,7 +141,3 @@ def run(
         rows=rows,
         metrics=metrics,
     )
-
-
-#: Batched-sweep entry point: all points in one in-process call.
-run_batch = batch_runner(run)

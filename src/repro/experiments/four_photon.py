@@ -11,9 +11,8 @@ import numpy as np
 
 from repro.core.schemes import MultiPhotonScheme
 from repro.errors import ConfigurationError
-from repro.experiments.base import ExperimentResult, batch_runner, integer_override
+from repro.experiments.base import ExperimentResult, integer_override
 from repro.timebin.fringes import FringeScan
-from repro.utils.dispatch import validate_impl
 from repro.utils.rng import RandomStream
 
 PAPER_CLAIM = (
@@ -29,7 +28,6 @@ def run(
     *,
     dwell_s: float | None = None,
     num_steps: int | None = None,
-    impl: str | None = None,
 ) -> ExperimentResult:
     """Scan the common analyser phase and fit the four-fold fringe.
 
@@ -40,10 +38,8 @@ def run(
 
     Overrides: ``dwell_s`` sets the per-step integration time,
     ``num_steps`` the phase-scan density (>= 16 so the 2x-frequency
-    fringe stays resolvable), ``impl`` the fringe-scan implementation
-    (``"vectorized"`` default, or the ``"loop"`` reference).
+    fringe stays resolvable).
     """
-    impl = validate_impl("vectorized" if impl is None else impl, "E8 impl")
     scheme = MultiPhotonScheme()
     rng = RandomStream(seed, label="E8")
     if dwell_s is None:
@@ -73,7 +69,7 @@ def run(
         scanned_photon=None,
         controller=scheme.phase_controller(),
     )
-    result = scan.run(rng, num_steps=num_steps, impl=impl)
+    result = scan.run(rng, num_steps=num_steps)
 
     v_state = scheme.calibration.state_visibility
     expected = 2.0 * v_state / (1.0 + v_state)
@@ -105,7 +101,3 @@ def run(
             )
         ],
     )
-
-
-#: Batched-sweep entry point: all points in one in-process call.
-run_batch = batch_runner(run)

@@ -4,22 +4,15 @@ Every driver shares the uniform signature
 ``run(seed=0, quick=False, *, <overrides>)``: the keyword-only tail
 names the physical parameters that run accepts as overrides (pump
 power, integration time, shot counts, ...).  The registry introspects
-that tail so callers — the CLI, the run engine's sweeps — can validate
-parameter names up front and report what a driver supports.
-
-Drivers may additionally expose a module-level
-``run_batch(points, seed=0, quick=False)`` executing a whole list of
-override points in one in-process call (the batched-sweep fast path of
-:meth:`repro.runtime.engine.RunEngine.run_batch`).  A batch runner must
-return exactly what point-by-point ``run`` calls would — the run
-engine's result cache depends on that equivalence.
+that tail so callers — the CLI, the run engine, the service — can
+validate parameter names up front (:func:`check_parameters`) and report
+what a driver supports.
 """
 
 from __future__ import annotations
 
 import inspect
-import sys
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -75,6 +68,21 @@ def experiment_parameters(experiment_id: str) -> dict[str, object]:
     }
 
 
+def check_parameters(experiment_id: str, names: Iterable[str]) -> None:
+    """Reject override names the driver does not accept.
+
+    The one home of the name check, so a typo'd override fails with the
+    supported names before anything runs, whoever the caller is.
+    """
+    supported = experiment_parameters(experiment_id)
+    unknown = sorted(set(names) - set(supported))
+    if unknown:
+        raise ConfigurationError(
+            f"{experiment_id.upper()} does not accept parameter(s) "
+            f"{unknown}; supported: {sorted(supported)}"
+        )
+
+
 def run_experiment(
     experiment_id: str,
     seed: int = 0,
@@ -91,13 +99,7 @@ def run_experiment(
     overrides = dict(params or {})
     if not overrides:
         return driver(seed=seed, quick=quick)
-    supported = experiment_parameters(experiment_id)
-    unknown = sorted(set(overrides) - set(supported))
-    if unknown:
-        raise ConfigurationError(
-            f"{experiment_id.upper()} does not accept parameter(s) "
-            f"{unknown}; supported: {sorted(supported)}"
-        )
+    check_parameters(experiment_id, overrides)
     try:
         return driver(seed=seed, quick=quick, **overrides)
     except TypeError as error:
@@ -108,81 +110,6 @@ def run_experiment(
             f"{experiment_id.upper()} rejected parameter values "
             f"{overrides}: {error}"
         ) from error
-
-
-def get_batch_runner(
-    experiment_id: str,
-) -> Callable[..., list[ExperimentResult]] | None:
-    """The driver module's native ``run_batch``, or None if it has none."""
-    driver = get_experiment(experiment_id)
-    module = sys.modules.get(driver.__module__)
-    return getattr(module, "run_batch", None)
-
-
-def supports_batch(experiment_id: str) -> bool:
-    """Whether a driver ships a native batched sweep implementation."""
-    return get_batch_runner(experiment_id) is not None
-
-
-def run_experiment_batch(
-    experiment_id: str,
-    points: Sequence[Mapping[str, object]],
-    seed: int = 0,
-    quick: bool = False,
-) -> Iterator[ExperimentResult]:
-    """Run one experiment over many override points in a single call.
-
-    Every point is validated against the driver's keyword-only
-    signature up front, then the whole list executes through the
-    driver's native ``run_batch`` when it has one, or point-by-point
-    otherwise.  Results are *yielded* in point order as they complete
-    (so the engine can persist each finished point before the next
-    runs), and each is identical to a lone :func:`run_experiment` call
-    with the same seed and overrides.  Raises ``ConfigurationError``
-    if the driver produces a different number of results than points.
-    """
-    key = experiment_id.upper()
-    supported = experiment_parameters(key)
-    normalised = []
-    for point in points:
-        overrides = dict(point)
-        unknown = sorted(set(overrides) - set(supported))
-        if unknown:
-            raise ConfigurationError(
-                f"{key} does not accept parameter(s) {unknown}; "
-                f"supported: {sorted(supported)}"
-            )
-        normalised.append(overrides)
-    batch = get_batch_runner(key)
-    if batch is None:
-        return (
-            run_experiment(key, seed=seed, quick=quick, params=point)
-            for point in normalised
-        )
-
-    def results() -> Iterator[ExperimentResult]:
-        """Stream the native batch, policing count and error contract."""
-        produced = 0
-        try:
-            for result in batch(normalised, seed=seed, quick=quick):
-                produced += 1
-                if produced > len(normalised):
-                    break
-                yield result
-        except TypeError as error:
-            # Same contract as run_experiment: a non-numeric override
-            # surfaces as a clean configuration problem, not a traceback.
-            raise ConfigurationError(
-                f"{key} rejected parameter values in a batch of "
-                f"{len(normalised)} points: {error}"
-            ) from error
-        if produced != len(normalised):
-            raise ConfigurationError(
-                f"{key} run_batch produced {produced} result(s) "
-                f"for {len(normalised)} points"
-            )
-
-    return results()
 
 
 def run_all(seed: int = 0, quick: bool = True) -> dict[str, ExperimentResult]:

@@ -13,8 +13,7 @@ import dataclasses
 from repro.core.schemes import TypeIIScheme
 from repro.detection.coincidence import car_from_tags, coincidence_histogram
 from repro.errors import ConfigurationError
-from repro.experiments.base import ExperimentResult, batch_runner
-from repro.utils.dispatch import validate_impl
+from repro.experiments.base import ExperimentResult
 from repro.utils.rng import RandomStream
 
 PAPER_CLAIM = (
@@ -31,16 +30,12 @@ def run(
     *,
     pump_mw: float | None = None,
     duration_s: float | None = None,
-    impl: str | None = None,
 ) -> ExperimentResult:
     """Correlate the two PBS output ports of the type-II source.
 
     Overrides: ``pump_mw`` rescales the total dual-polarization pump
-    (TE/TM ratio preserved), ``duration_s`` the correlation time, and
-    ``impl`` the coincidence-counting implementation (``"vectorized"``,
-    the default searchsorted fast path, or ``"loop"``, the reference).
+    (TE/TM ratio preserved) and ``duration_s`` the correlation time.
     """
-    impl = validate_impl("vectorized" if impl is None else impl, "E5 impl")
     scheme = TypeIIScheme()
     if pump_mw is not None:
         if pump_mw <= 0:
@@ -67,10 +62,9 @@ def run(
         tm_clicks,
         duration_s,
         window_s=scheme.calibration.coincidence_window_s,
-        impl=impl,
     )
     centres, counts = coincidence_histogram(
-        te_clicks, tm_clicks, bin_width_s=200e-12, max_delay_s=5e-9, impl=impl
+        te_clicks, tm_clicks, bin_width_s=200e-12, max_delay_s=5e-9
     )
 
     process = scheme.process()
@@ -111,7 +105,3 @@ def run(
             )
         ],
     )
-
-
-#: Batched-sweep entry point: all points in one in-process call.
-run_batch = batch_runner(run)

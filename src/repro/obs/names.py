@@ -26,8 +26,6 @@ from __future__ import annotations
 SPAN_ENGINE_RUN = "engine.run"
 #: A whole parameter sweep through :meth:`RunEngine.sweep`.
 SPAN_ENGINE_SWEEP = "engine.sweep"
-#: The batched in-process fast path over one sweep's cache misses.
-SPAN_ENGINE_BATCH = "engine.batch"
 #: Writing one run directory (manifest + record + datasets).
 SPAN_ENGINE_ARCHIVE = "engine.archive"
 #: One content-addressed result-cache consultation.
@@ -50,7 +48,6 @@ SPANS = frozenset(
     {
         SPAN_ENGINE_RUN,
         SPAN_ENGINE_SWEEP,
-        SPAN_ENGINE_BATCH,
         SPAN_ENGINE_ARCHIVE,
         SPAN_CACHE_LOOKUP,
         SPAN_POOL_EXECUTE,

@@ -229,7 +229,7 @@ class RunEngine:
         ``archive`` is off.
     max_workers:
         Upper bound on the shared pool's worker processes for
-        multi-spec batches (1 = in-process serial).
+        multi-spec batches and sweeps (1 = in-process serial).
     progress:
         Optional ``callable(message: str)`` receiving one line per
         completed run.
@@ -293,8 +293,19 @@ class RunEngine:
         done: int,
         on_outcome: Callable[[int, RunOutcome], None] | None = None,
     ) -> None:
-        """Execute cache misses per point, pooled when workers allow."""
-        if pending and self.max_workers > 1 and len(pending) > 1:
+        """Execute cache misses per point, pooled when workers allow.
+
+        Every miss's override names are checked before any point runs,
+        so a typo'd name archives nothing.
+        """
+        if not pending:
+            return
+        from repro.experiments.registry import check_parameters
+
+        for index in pending:
+            spec = specs[index]
+            check_parameters(spec.experiment_id, spec.params_dict())
+        if self.max_workers > 1 and len(pending) > 1:
             from concurrent.futures import as_completed
 
             from repro.runtime import pool
@@ -335,18 +346,13 @@ class RunEngine:
         seed: int = 0,
         quick: bool = False,
         base_params: Mapping[str, object] | None = None,
-        batch: bool | None = None,
     ) -> SweepOutcome:
         """Run an experiment once per scan point.
 
         ``base_params`` are fixed overrides applied to every point; scan
-        values win on collision.  ``batch`` selects the execution
-        strategy: ``True`` routes cache misses through
-        :meth:`run_batch` (one in-process vectorized call), ``False``
-        through :meth:`run_specs` (per-point, process pool when
-        ``max_workers > 1``), and ``None`` — the default — picks the
-        batch fast path exactly when the driver ships a native
-        ``run_batch`` and no worker pool was requested.
+        values win on collision.  Cache misses run as in
+        :meth:`run_specs`: in-process one after another, or across the
+        shared pool when ``max_workers > 1``.
         """
         points = list(scan)
         specs = []
@@ -363,6 +369,7 @@ class RunEngine:
             # publisher (which only needs the obs façade) is pulled in
             # at sweep time rather than at engine-import time.
             from repro.service.datasets import SweepPublisher
+            from repro.service.jobs import DONE, FAILED
 
             publisher = SweepPublisher.for_local(
                 experiment_id,
@@ -384,34 +391,25 @@ class RunEngine:
                 )
 
         sweep_start = time.perf_counter()
-        with obs.span(
-            obs_names.SPAN_ENGINE_SWEEP,
-            experiment=experiment_id.upper(),
-            points=len(points),
-        ) as sweep_span:
-            outcomes, pending, done = self._partition_hits(
-                specs, on_outcome=on_outcome
-            )
-            if pending:
-                # Decide the execution strategy only once something actually
-                # misses: a fully cached sweep must never import the driver
-                # stack (the registry pulls in numpy — see the lazy-import
-                # invariant in DESIGN.md).
-                if batch is None:
-                    from repro.experiments.registry import supports_batch
-
-                    batch = self.max_workers == 1 and supports_batch(
-                        experiment_id
-                    )
-                if batch:
-                    self._run_pending_batch(
-                        specs, outcomes, pending, done, on_outcome=on_outcome
-                    )
-                else:
-                    self._run_pending_pool(
-                        specs, outcomes, pending, done, on_outcome=on_outcome
-                    )
-            sweep_span.set(cached=len(points) - len(pending))
+        try:
+            with obs.span(
+                obs_names.SPAN_ENGINE_SWEEP,
+                experiment=experiment_id.upper(),
+                points=len(points),
+            ) as sweep_span:
+                outcomes, pending, done = self._partition_hits(
+                    specs, on_outcome=on_outcome
+                )
+                self._run_pending_pool(
+                    specs, outcomes, pending, done, on_outcome=on_outcome
+                )
+                sweep_span.set(cached=len(points) - len(pending))
+        except Exception:
+            # The sweep's topic is journaled: it must reach a terminal
+            # status, or offline dashboards replay it as running forever.
+            if publisher is not None:
+                publisher.finish(FAILED)
+            raise
         elapsed = time.perf_counter() - sweep_start
         if points and elapsed > 0:
             obs.gauge(
@@ -420,104 +418,13 @@ class RunEngine:
                 experiment=experiment_id.upper(),
             )
         if publisher is not None:
-            publisher.finish("done")
+            publisher.finish(DONE)
         return SweepOutcome(
             experiment_id=experiment_id.upper(),
             scan_description=scan.describe(),
             points=points,
             outcomes=[o for o in outcomes if o is not None],
         )
-
-    def run_batch(self, specs: list[RunSpec]) -> list[RunOutcome]:
-        """Run a batch of same-experiment specs as one in-process call.
-
-        The batched-sweep fast path: cache hits are served exactly as in
-        :meth:`run_specs`, and all misses execute through
-        :func:`repro.experiments.registry.run_experiment_batch` — one
-        in-process call into the driver instead of a process pool of
-        single points.  Results (and therefore cache entries) are
-        identical to per-point execution, and stream back point by
-        point so completed work is persisted even if a later point
-        fails.
-        """
-        ids = {spec.experiment_id for spec in specs}
-        if len(ids) > 1:
-            raise ConfigurationError(
-                f"run_batch needs specs of one experiment, got {sorted(ids)}"
-            )
-        seeds = {spec.seed for spec in specs}
-        quicks = {spec.quick for spec in specs}
-        if len(seeds) > 1 or len(quicks) > 1:
-            raise ConfigurationError(
-                "run_batch needs a single (seed, quick) across the batch"
-            )
-        outcomes, pending, done = self._partition_hits(specs)
-        self._run_pending_batch(specs, outcomes, pending, done)
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    def _run_pending_batch(
-        self,
-        specs: list[RunSpec],
-        outcomes: list[RunOutcome | None],
-        pending: list[int],
-        done: int,
-        on_outcome: Callable[[int, RunOutcome], None] | None = None,
-    ) -> None:
-        """Execute cache misses as one in-process registry batch call.
-
-        Results stream back point by point, and each is cached,
-        archived and reported as it arrives — a failure at point k
-        leaves points 0..k-1 persisted, exactly like serial execution.
-        """
-        if not pending:
-            return
-        from repro.experiments.registry import run_experiment_batch
-
-        first = specs[pending[0]]
-        with obs.span(
-            obs_names.SPAN_ENGINE_BATCH,
-            experiment=first.experiment_id,
-            points=len(pending),
-        ):
-            results = run_experiment_batch(
-                first.experiment_id,
-                [specs[index].params_dict() for index in pending],
-                seed=first.seed,
-                quick=first.quick,
-            )
-            results_iter = iter(results)
-            pending_iter = iter(pending)
-            last = time.perf_counter()
-            for index in pending_iter:
-                spec = specs[index]
-                try:
-                    result = next(results_iter)
-                except StopIteration:
-                    break  # registry contract: it polices the count itself
-                except Exception as error:  # noqa: BLE001 - re-raised unchanged
-                    # The driver failed computing *this* point; archive its
-                    # traceback before the original exception (type intact)
-                    # continues to the caller.
-                    self.record_failure(
-                        spec, _failure_from(error), time.perf_counter() - last
-                    )
-                    raise
-                now = time.perf_counter()
-                try:
-                    record = records.to_record(result)
-                    outcome = self.complete_record(spec, record, now - last)
-                except Exception as error:  # noqa: BLE001 - re-raised unchanged
-                    # Persisting this completed point failed (disk error,
-                    # broken progress pipe, ...) — still this point's fault
-                    # line in the archive, not the next one's.
-                    self.record_failure(spec, _failure_from(error), now - last)
-                    raise
-                outcomes[index] = outcome
-                done += 1
-                if on_outcome is not None:
-                    on_outcome(index, outcome)
-                self._report(done, len(specs), outcome)
-                last = time.perf_counter()
 
     def compute(self, spec: RunSpec) -> RunOutcome:
         """Execute one spec in-process (no cache consult) and persist it.
@@ -659,8 +566,10 @@ class RunEngine:
     ) -> tuple[list[RunOutcome | None], list[int], int]:
         """Serve cache hits; return (outcomes, pending indices, done).
 
-        Shared by both execution strategies so hit handling (reporting,
-        archive-on-hit) cannot diverge between them.
+        Shared by :meth:`run_specs` and :meth:`sweep` so hit handling
+        (reporting, archive-on-hit) cannot diverge between them.  It never
+        imports the registry: a fully cached call must not pull in the
+        driver stack (numpy — see the lazy-import invariant in DESIGN.md).
         """
         outcomes: list[RunOutcome | None] = [None] * len(specs)
         pending: list[int] = []

@@ -343,20 +343,14 @@ class ExperimentService:
         submission (fixed override *or* sweep axis) fails the RPC
         immediately instead of surfacing as a failed job minutes later.
         """
-        from repro.experiments.registry import experiment_parameters
+        from repro.experiments.registry import check_parameters
 
-        supported = experiment_parameters(experiment)
         names = set(params or {})
         if scan:
             from repro.runtime.scan import scan_from_describe
 
             names |= set(scan_from_describe(scan).names)
-        unknown = sorted(names - set(supported))
-        if unknown:
-            raise ConfigurationError(
-                f"{experiment.upper()} does not accept parameter(s) "
-                f"{unknown}; supported: {sorted(supported)}"
-            )
+        check_parameters(experiment, names)
 
     def _rpc_status(self, job_id: int | None = None) -> dict[str, object]:
         """One job's document, or every job's summary."""

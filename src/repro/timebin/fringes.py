@@ -5,14 +5,14 @@ accumulate post-selected coincidences for a dwell time, step the piezo,
 fit the resulting fringe, report visibility ± error.  Works for two-photon
 and four-photon (common-phase) scans.
 
-The visibility-error bootstrap ships two implementations selected
-with ``impl``: the loop reference resamples and refits one row at a
-time; the vectorized default draws the whole ``(n_resamples, n_steps)``
-block in one batched call and refits every resample through one
-multi-right-hand-side least squares.  Both consume the caller's
-:class:`RandomStream` positions identically, so the scanned counts are
-bit-identical between implementations; the bootstrap error can differ
-only at BLAS rounding level.
+The visibility-error bootstrap draws the whole ``(n_resamples,
+n_steps)`` block in one batched call and refits every resample through
+one multi-right-hand-side least squares.  The original row-at-a-time
+bootstrap stays as a private reference oracle
+(:func:`_fringe_visibility_error_loop`).  Both consume the caller's
+:class:`RandomStream` positions identically, so the equivalence tests
+find the same resamples in both; the bootstrap error differs only at
+BLAS rounding level.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError
 from repro.quantum.states import DensityMatrix
 from repro.timebin.postselect import coincidence_probability
 from repro.timebin.stabilization import PhaseController
-from repro.utils.dispatch import LOOP, validate_impl
 from repro.utils.fitting import (
     FringeFit,
     HarmonicFringeFit,
@@ -105,7 +104,6 @@ class FringeScan:
         rng: RandomStream,
         num_steps: int = 24,
         phase_span_rad: float = 2.0 * np.pi,
-        impl: str = "vectorized",
     ) -> FringeScanResult:
         """Execute the scan with Poisson counting noise and phase errors.
 
@@ -114,7 +112,6 @@ class FringeScan:
         the caller's ``rng``, so the scan is reproducible end-to-end
         from the experiment seed (and cacheable by the run engine).
         """
-        validate_impl(impl, "FringeScan impl")
         if num_steps < 6:
             raise ConfigurationError("need at least 6 phase steps")
         if phase_span_rad <= 0:
@@ -129,8 +126,8 @@ class FringeScan:
         )
         # Per-step child streams (not one batched draw): keeps the scanned
         # counts bit-identical to the pre-batching implementation for any
-        # given seed, and identical between impls.  num_steps is tiny, so
-        # the batching win lives in the bootstrap below, not here.
+        # given seed.  num_steps is tiny, so the batching win lives in the
+        # bootstrap below, not here.
         counts = np.array(
             [float(rng.child(f"step{k}").poisson(mean))
              for k, mean in enumerate(means)]
@@ -151,7 +148,6 @@ class FringeScan:
             counts,
             rng.child("bootstrap"),
             harmonic=harmonic,
-            impl=impl,
         )
         return FringeScanResult(
             phases_rad=set_points,
@@ -178,34 +174,41 @@ def _fringe_visibility_error(
     rng: RandomStream,
     n_resamples: int = 60,
     harmonic: bool = False,
-    impl: str = "vectorized",
 ) -> float:
     """Parametric-bootstrap error of the fitted visibility.
 
     Counts are Poisson, so resample each point from Poisson(observed) and
     refit; the spread of refitted visibilities estimates the one-sigma
     error, matching how the papers quote fringe visibilities.  The
-    resamples are drawn from the caller's stream (the loop reference one
-    row at a time, the vectorized path as one block — bit-identical
-    draws either way); the vectorized path then refits every resample in
-    a single multi-right-hand-side least squares.
+    resamples are drawn from the caller's stream as one block — the
+    draws :func:`_fringe_visibility_error_loop` takes row by row — and
+    refitted in a single multi-right-hand-side least squares.
     """
     means = np.clip(counts, 0.01, None)
-    if impl == LOOP:
-        estimates = np.empty(n_resamples)
-        for b in range(n_resamples):
-            resampled = rng.poisson(means).astype(float)
-            if not resampled.any():
-                estimates[b] = 0.0  # empty resample: no fringe to fit
-            elif harmonic:
-                estimates[b] = fit_fringe_harmonics(phases, resampled).visibility
-            else:
-                estimates[b] = fit_fringe(phases, resampled).visibility
-    else:
-        resampled = rng.poisson(means, size=(n_resamples, means.size))
-        estimates = _resample_visibilities(
-            phases, resampled.astype(float), harmonic
-        )
+    resampled = rng.poisson(means, size=(n_resamples, means.size))
+    estimates = _resample_visibilities(phases, resampled.astype(float), harmonic)
+    return float(np.std(estimates, ddof=1))
+
+
+def _fringe_visibility_error_loop(
+    phases: np.ndarray,
+    counts: np.ndarray,
+    rng: RandomStream,
+    n_resamples: int = 60,
+    harmonic: bool = False,
+) -> float:
+    """Reference oracle of :func:`_fringe_visibility_error`: resample and
+    refit one row at a time."""
+    means = np.clip(counts, 0.01, None)
+    estimates = np.empty(n_resamples)
+    for b in range(n_resamples):
+        resampled = rng.poisson(means).astype(float)
+        if not resampled.any():
+            estimates[b] = 0.0  # empty resample: no fringe to fit
+        elif harmonic:
+            estimates[b] = fit_fringe_harmonics(phases, resampled).visibility
+        else:
+            estimates[b] = fit_fringe(phases, resampled).visibility
     return float(np.std(estimates, ddof=1))
 
 

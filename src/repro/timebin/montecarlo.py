@@ -14,13 +14,13 @@ reference to bin tags into slots and post-select central-slot
 coincidences.  Agreement between this path and the POVM path is enforced
 by integration tests.
 
-The analysis chain ships two implementations selected with ``impl``:
-the original per-tag Python path (``"loop"``, set comprehensions over
-(pulse, slot) tuples, kept as the reference oracle) and a batched path
-(``"vectorized"``, the default) that classifies every tag of every phase
-point in stacked numpy arrays.  Random draws are taken from identical
-child streams and cursor positions in both, so counts are bit-identical
-for identical seeds.
+The fringe scan classifies every tag of every phase point in stacked
+numpy arrays.  The original per-phase, per-tag path (set comprehensions
+over (pulse, slot) tuples) stays as private reference oracles
+(:func:`_fringe_scan_loop`, :func:`_central_coincidences_loop`).  Both
+take their random draws from identical child streams and cursor
+positions, so the equivalence tests hold the counts bit-identical for
+identical seeds.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.errors import ConfigurationError
 from repro.quantum import hilbert
 from repro.quantum.states import DensityMatrix
 from repro.timebin.interferometer import UnbalancedMichelson
-from repro.utils.dispatch import LOOP, validate_impl
 from repro.utils.rng import RandomStream
 
 
@@ -190,9 +189,7 @@ class TimeBinCoincidenceSimulator:
             bin_separation_s=self.bin_separation_s,
         )
 
-    def count_central_coincidences(
-        self, record: TimeBinTagRecord, impl: str = "vectorized"
-    ) -> int:
+    def count_central_coincidences(self, record: TimeBinTagRecord) -> int:
         """Post-select central-slot coincidences from the raw tags.
 
         Implements the paper's analysis: each tag is referenced to its
@@ -200,16 +197,6 @@ class TimeBinCoincidenceSimulator:
         from the arrival time modulo the pulse period, and only events
         with *both* photons in slot 1 of the *same* pulse are kept.
         """
-        if validate_impl(impl, "count_central_coincidences impl") == "loop":
-            alice = _classify_slots(record.alice_tags_s, record)
-            bob = _classify_slots(record.bob_tags_s, record)
-            central_a = {
-                pulse for pulse, slot in alice if slot == 1
-            }
-            central_b = {
-                pulse for pulse, slot in bob if slot == 1
-            }
-            return len(central_a & central_b)
         pulse_a, slot_a = _classify_slot_arrays(record.alice_tags_s, record)
         pulse_b, slot_b = _classify_slot_arrays(record.bob_tags_s, record)
         central_a = np.unique(pulse_a[slot_a == 1])
@@ -222,47 +209,20 @@ class TimeBinCoincidenceSimulator:
         phases_rad: np.ndarray,
         pairs_per_point: int,
         rng: RandomStream,
-        impl: str = "vectorized",
     ) -> np.ndarray:
         """Central-slot coincidence counts vs Bob's analyser phase.
 
-        The loop reference simulates and post-selects one phase point at
-        a time; the vectorized path draws the same per-phase outcomes
-        (identical child streams, so the tags are bit-identical), stacks
-        them into ``(n_phases, pairs_per_point)`` arrays and classifies
-        every tag of the whole scan in one batch.
+        Random draws reuse the exact child streams and positions of
+        :func:`_fringe_scan_loop`, which simulates and post-selects one
+        phase point at a time (one outcome ``choice`` and two per-pair
+        jitter blocks per phase point), so every tag equals the oracle's;
+        all per-tag processing (tag synthesis, slot classification,
+        per-pulse coincidence post-selection) then runs once over the
+        stacked ``(n_phases, pairs_per_point)`` block of the whole scan.
         """
         phases = np.asarray(phases_rad, dtype=float)
         if pairs_per_point < 1:
             raise ConfigurationError("need at least one pair")
-        impl = validate_impl(impl, "fringe_scan impl")
-        if impl == LOOP:
-            counts = np.empty(phases.size)
-            for k, phase in enumerate(phases):
-                simulator = dataclasses.replace(
-                    self, bob=self.bob.with_phase(float(phase))
-                )
-                record = simulator.simulate(pairs_per_point, rng.child(f"p{k}"))
-                counts[k] = simulator.count_central_coincidences(
-                    record, impl="loop"
-                )
-            return counts
-        return self._fringe_scan_vectorized(phases, pairs_per_point, rng)
-
-    def _fringe_scan_vectorized(
-        self,
-        phases: np.ndarray,
-        pairs_per_point: int,
-        rng: RandomStream,
-    ) -> np.ndarray:
-        """Batched fringe scan over a stacked (n_phases, num_pairs) block.
-
-        Random draws reuse the loop reference's exact child streams and
-        positions (one outcome ``choice`` and two per-pair jitter blocks
-        per phase point), so every tag equals the loop path's; all
-        per-tag processing (tag synthesis, slot classification, per-pulse
-        coincidence post-selection) then runs once over the whole scan.
-        """
         n_phases = phases.size
         if n_phases == 0:
             return np.empty(0)
@@ -327,10 +287,36 @@ class TimeBinCoincidenceSimulator:
         return counts
 
 
-def _classify_slots(tags_s: np.ndarray, record: TimeBinTagRecord):
-    """(pulse index, slot) tuples for each tag — the loop oracle's view."""
-    pulse, slot = _classify_slot_arrays(tags_s, record)
-    return list(zip(pulse.tolist(), slot.tolist()))
+def _fringe_scan_loop(
+    simulator: TimeBinCoincidenceSimulator,
+    phases_rad: np.ndarray,
+    pairs_per_point: int,
+    rng: RandomStream,
+) -> np.ndarray:
+    """Reference oracle of :meth:`TimeBinCoincidenceSimulator.fringe_scan`:
+    simulate and post-select one phase point at a time."""
+    phases = np.asarray(phases_rad, dtype=float)
+    counts = np.empty(phases.size)
+    for k, phase in enumerate(phases):
+        point = dataclasses.replace(
+            simulator, bob=simulator.bob.with_phase(float(phase))
+        )
+        record = point.simulate(pairs_per_point, rng.child(f"p{k}"))
+        counts[k] = _central_coincidences_loop(record)
+    return counts
+
+
+def _central_coincidences_loop(record: TimeBinTagRecord) -> int:
+    """Reference oracle of
+    :meth:`TimeBinCoincidenceSimulator.count_central_coincidences`: sets
+    of central-slot pulses per photon, intersected."""
+    central = []
+    for tags_s in (record.alice_tags_s, record.bob_tags_s):
+        pulse, slot = _classify_slot_arrays(tags_s, record)
+        central.append(
+            {p for p, s in zip(pulse.tolist(), slot.tolist()) if s == 1}
+        )
+    return len(central[0] & central[1])
 
 
 def _classify_slot_arrays(

@@ -15,8 +15,6 @@ _LAZY_EXPORTS = {
     "dbm_to_watts": "repro.utils.units",
     "linear_to_db": "repro.utils.units",
     "watts_to_dbm": "repro.utils.units",
-    "IMPLEMENTATIONS": "repro.utils.dispatch",
-    "validate_impl": "repro.utils.dispatch",
     "append_line": "repro.utils.io",
     "atomic_write_text": "repro.utils.io",
     "read_json_lines": "repro.utils.io",

@@ -241,11 +241,11 @@ class TestQueries:
 
 class TestParseWhere:
     def test_exact_range_and_text(self):
-        where = parse_where(["pump_mw=2", "dwell_s=1:9", "impl=loop"])
+        where = parse_where(["pump_mw=2", "dwell_s=1:9", "label=loop"])
         assert where == {
             "pump_mw": 2.0,
             "dwell_s": (1.0, 9.0),
-            "impl": "loop",
+            "label": "loop",
         }
 
     @pytest.mark.parametrize("bad", ["", "noequals", "x=", "x=a:b"])

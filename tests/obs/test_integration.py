@@ -61,7 +61,6 @@ class TestEngineTelemetry:
             "E6",
             ListScan("pump_mw", [2.0, 3.0]),
             quick=True,
-            batch=False,
         )
         spans = [
             e for e in read_events(tmp_path) if e["kind"] == "span"

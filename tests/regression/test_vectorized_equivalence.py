@@ -1,19 +1,20 @@
 """Loop-vs-vectorized equivalence: the batched core against its oracle.
 
-Every switchable hot path keeps its original Python-loop implementation
-as a reference oracle (``impl="loop"``); these tests prove that the
-``impl="vectorized"`` fast path returns *identical* results for
-identical :class:`RandomStream` seeds — exact integer counts and
-bit-identical arrays wherever the implementations share float
-operations, and tight (BLAS-rounding-level) agreement for the one
-least-squares summary the batched bootstrap computes differently.
+Every hot path keeps its original Python-loop implementation as a
+private reference oracle next to it (``_collect_delays_loop``,
+``_car_from_tags_loop``, ``_fringe_scan_loop``, ...); these tests prove
+that the vectorized fast path returns *identical* results for identical
+:class:`RandomStream` seeds — exact integer counts and bit-identical
+arrays wherever the implementations share float operations, and tight
+(BLAS-rounding-level) agreement for the one least-squares summary the
+batched bootstrap computes differently.
 
 Hypothesis drives the detection-layer cases over adversarial tag
 streams (duplicates, bursts, empty streams, boundary-straddling
 windows); the timebin cases replay full Monte-Carlo scans.
 """
 
-import dataclasses
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.detection import tdc
 from repro.detection.coincidence import (
+    _car_from_tags_loop,
+    _count_window_loop,
     accidental_window_centers,
     car_from_tags,
     coincidence_histogram,
@@ -31,6 +34,8 @@ from repro.detection.coincidence import (
 from repro.detection.spd import _apply_dead_time, _dead_time_loop
 from repro.detection.tdc import (
     TimeToDigitalConverter,
+    _collect_delays_loop,
+    ascending,
     collect_delays,
     gaps_below,
     partner_candidates,
@@ -38,10 +43,15 @@ from repro.detection.tdc import (
 from repro.errors import ConfigurationError
 from repro.quantum.noise import add_white_noise
 from repro.quantum.states import DensityMatrix
+from repro.timebin import fringes
 from repro.timebin.encoding import time_bin_bell_state, time_bin_multiphoton_state
-from repro.timebin.fringes import FringeScan
+from repro.timebin.fringes import FringeScan, _fringe_visibility_error_loop
 from repro.timebin.interferometer import UnbalancedMichelson
-from repro.timebin.montecarlo import TimeBinCoincidenceSimulator
+from repro.timebin.montecarlo import (
+    TimeBinCoincidenceSimulator,
+    _central_coincidences_loop,
+    _fringe_scan_loop,
+)
 from repro.timebin.stabilization import PhaseController
 from repro.utils.fitting import (
     fit_fringe,
@@ -64,6 +74,18 @@ windows = st.floats(min_value=1e-4, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
 
 
+def _oracle_histogram(times_a_s, times_b_s, bin_width_s, max_delay_s):
+    """(centres, counts) of ``np.histogram`` over the loop oracle's
+    delays, on the bins the delay histograms use."""
+    n_bins = max(int(round(2.0 * max_delay_s / bin_width_s)), 2)
+    edges = np.linspace(-max_delay_s, max_delay_s, n_bins + 1)
+    delays = _collect_delays_loop(
+        ascending(times_a_s), ascending(times_b_s), max_delay_s
+    )
+    counts, _ = np.histogram(delays, bins=edges)
+    return 0.5 * (edges[:-1] + edges[1:]), counts.astype(float)
+
+
 class TestDetectionEquivalence:
     """TDC and coincidence paths: exact equality on adversarial streams."""
 
@@ -72,8 +94,8 @@ class TestDetectionEquivalence:
     def test_collect_delays_identical(self, starts, stops, max_delay):
         a = np.sort(np.asarray(starts, dtype=float))
         b = np.sort(np.asarray(stops, dtype=float))
-        loop = collect_delays(a, b, max_delay, impl="loop")
-        fast = collect_delays(a, b, max_delay, impl="vectorized")
+        loop = _collect_delays_loop(a, b, max_delay)
+        fast = collect_delays(a, b, max_delay)
         assert np.array_equal(loop, fast)
 
     @given(
@@ -87,8 +109,8 @@ class TestDetectionEquivalence:
     def test_count_coincidences_identical(self, starts, stops, window, center):
         a = np.asarray(starts, dtype=float)
         b = np.asarray(stops, dtype=float)
-        loop = count_coincidences(a, b, window, center, impl="loop")
-        fast = count_coincidences(a, b, window, center, impl="vectorized")
+        loop = _count_window_loop(ascending(a), ascending(b), window, center)
+        fast = count_coincidences(a, b, window, center)
         assert loop == fast
 
     @given(starts=click_times, stops=click_times, max_delay=windows)
@@ -97,16 +119,16 @@ class TestDetectionEquivalence:
         tdc = TimeToDigitalConverter(bin_width_s=max_delay / 16.0)
         a = np.asarray(starts, dtype=float)
         b = np.asarray(stops, dtype=float)
-        loop = tdc.delay_histogram(a, b, max_delay, impl="loop")
-        fast = tdc.delay_histogram(a, b, max_delay, impl="vectorized")
+        loop = _oracle_histogram(a, b, tdc.bin_width_s, max_delay)
+        fast = tdc.delay_histogram(a, b, max_delay)
         assert np.array_equal(loop[0], fast[0])
         assert np.array_equal(loop[1], fast[1])
 
     def test_car_from_tags_identical(self, rng):
         a = np.sort(rng.child("a").uniform(0.0, 30.0, 30_000))
         b = np.sort(a + rng.child("jit").normal(0.0, 0.4e-9, a.size))
-        loop = car_from_tags(a, b, 30.0, impl="loop")
-        fast = car_from_tags(a, b, 30.0, impl="vectorized")
+        loop = _car_from_tags_loop(a, b, 30.0)
+        fast = car_from_tags(a, b, 30.0)
         assert loop == fast
 
     @given(
@@ -147,9 +169,7 @@ class TestDetectionEquivalence:
         if sort_stops:
             b = np.sort(b)
         args = (a, b, 1.0, window, num_windows, offset)
-        assert car_from_tags(*args, impl="vectorized") == car_from_tags(
-            *args, impl="loop"
-        )
+        assert car_from_tags(*args) == _car_from_tags_loop(*args)
 
     @given(
         times=st.lists(
@@ -204,22 +224,18 @@ class TestDetectionEquivalence:
     def test_coincidence_histogram_identical(self, rng):
         a = rng.child("a").uniform(0.0, 5.0, 20_000)
         b = rng.child("b").uniform(0.0, 5.0, 20_000)
-        loop = coincidence_histogram(a, b, 1e-9, 40e-9, impl="loop")
-        fast = coincidence_histogram(a, b, 1e-9, 40e-9, impl="vectorized")
+        loop = _oracle_histogram(a, b, 1e-9, 40e-9)
+        fast = coincidence_histogram(a, b, 1e-9, 40e-9)
+        assert np.array_equal(loop[0], fast[0])
         assert np.array_equal(loop[1], fast[1])
 
     def test_unknown_impl_rejected(self):
+        # The oracles are private functions, not a driver override.
         from repro.experiments.registry import run_experiment
 
-        with pytest.raises(ConfigurationError):
-            collect_delays(np.zeros(1), np.zeros(1), 1.0, impl="gpu")
-        with pytest.raises(ConfigurationError):
-            count_coincidences(np.zeros(1), np.zeros(1), 1.0, impl="fast")
-        supported = r"one of \['loop', 'vectorized'\], got 'chunked'$"
-        with pytest.raises(ConfigurationError, match=supported):
-            car_from_tags(np.zeros(1), np.zeros(1), 1.0, impl="chunked")
-        with pytest.raises(ConfigurationError, match=supported):
-            run_experiment("E7", seed=1, quick=True, params={"impl": "chunked"})
+        unknown = r"does not accept parameter\(s\) \['impl'\]"
+        with pytest.raises(ConfigurationError, match=unknown):
+            run_experiment("E7", seed=1, quick=True, params={"impl": "loop"})
 
 
 #: Starts per stream in the sparse-filter cases: over a hundred anchors.
@@ -282,9 +298,7 @@ class TestSparseFilterEquivalence:
         a, b = _sparse_streams(seed, origin, reach, edges)
         assert partner_candidates(a, b, reach)[0].size < a.size
         args = (a, b, 1.0, window, num_windows, offset)
-        assert car_from_tags(*args, impl="vectorized") == car_from_tags(
-            *args, impl="loop"
-        )
+        assert car_from_tags(*args) == _car_from_tags_loop(*args)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -295,8 +309,8 @@ class TestSparseFilterEquivalence:
     def test_collect_delays_identical(self, seed, origin, max_delay):
         a, b = _sparse_streams(seed, origin, max_delay, [-max_delay, max_delay])
         assert partner_candidates(a, b, max_delay)[0].size < a.size
-        loop = collect_delays(a, b, max_delay, impl="loop")
-        fast = collect_delays(a, b, max_delay, impl="vectorized")
+        loop = _collect_delays_loop(a, b, max_delay)
+        fast = collect_delays(a, b, max_delay)
         assert loop.size > 0
         assert np.array_equal(loop, fast)
 
@@ -309,13 +323,10 @@ class TestSparseFilterEquivalence:
         a = a if n_starts is None else a[:n_starts]
         b = b if n_stops is None else b[:n_stops]
         assert np.array_equal(
-            collect_delays(a, b, 2.5e-7, impl="vectorized"),
-            collect_delays(a, b, 2.5e-7, impl="loop"),
+            collect_delays(a, b, 2.5e-7), _collect_delays_loop(a, b, 2.5e-7)
         )
         args = (a, b, 1.0, 2.5e-9, 10, 5e-8)
-        assert car_from_tags(*args, impl="vectorized") == car_from_tags(
-            *args, impl="loop"
-        )
+        assert car_from_tags(*args) == _car_from_tags_loop(*args)
 
     def test_dense_streams_skip_the_filter(self, rng):
         a = np.sort(rng.child("a").uniform(0.0, 2.0, 4000))
@@ -323,12 +334,9 @@ class TestSparseFilterEquivalence:
         kept_a, kept_b = partner_candidates(a, b, 2.5e-7)
         assert kept_a is a and kept_b is b
         assert np.array_equal(
-            collect_delays(a, b, 2.5e-7, impl="vectorized"),
-            collect_delays(a, b, 2.5e-7, impl="loop"),
+            collect_delays(a, b, 2.5e-7), _collect_delays_loop(a, b, 2.5e-7)
         )
-        assert car_from_tags(a, b, 2.0, impl="vectorized") == car_from_tags(
-            a, b, 2.0, impl="loop"
-        )
+        assert car_from_tags(a, b, 2.0) == _car_from_tags_loop(a, b, 2.0)
 
 
 def _single_merge_candidates(starts, stops, reach_s):
@@ -424,19 +432,15 @@ class TestTimebinEquivalence:
     def test_count_central_coincidences_identical(self, rng):
         simulator = _simulator()
         record = simulator.simulate(20_000, rng)
-        loop = simulator.count_central_coincidences(record, impl="loop")
-        fast = simulator.count_central_coincidences(record, impl="vectorized")
+        loop = _central_coincidences_loop(record)
+        fast = simulator.count_central_coincidences(record)
         assert loop == fast
 
     def test_fringe_scan_identical(self, rng_factory):
         simulator = _simulator()
         phases = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
-        loop = simulator.fringe_scan(
-            phases, 5_000, rng_factory("scan"), impl="loop"
-        )
-        fast = simulator.fringe_scan(
-            phases, 5_000, rng_factory("scan"), impl="vectorized"
-        )
+        loop = _fringe_scan_loop(simulator, phases, 5_000, rng_factory("scan"))
+        fast = simulator.fringe_scan(phases, 5_000, rng_factory("scan"))
         assert np.array_equal(loop, fast)
 
     @given(
@@ -451,12 +455,10 @@ class TestTimebinEquivalence:
     ):
         simulator = _simulator(visibility)
         phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-        loop = simulator.fringe_scan(
-            phases, n_pairs, RandomStream(seed, "eq"), impl="loop"
+        loop = _fringe_scan_loop(
+            simulator, phases, n_pairs, RandomStream(seed, "eq")
         )
-        fast = simulator.fringe_scan(
-            phases, n_pairs, RandomStream(seed, "eq"), impl="vectorized"
-        )
+        fast = simulator.fringe_scan(phases, n_pairs, RandomStream(seed, "eq"))
         assert np.array_equal(loop, fast)
 
     def test_fringe_scan_identical_with_pathological_jitter(self):
@@ -465,12 +467,10 @@ class TestTimebinEquivalence:
         # out-of-range handling and still agree exactly.
         simulator = _simulator(jitter_sigma_s=20e-9)
         phases = np.linspace(0.0, 6.0, 8)
-        loop = simulator.fringe_scan(
-            phases, 3_000, RandomStream(7, "wild"), impl="loop"
+        loop = _fringe_scan_loop(
+            simulator, phases, 3_000, RandomStream(7, "wild")
         )
-        fast = simulator.fringe_scan(
-            phases, 3_000, RandomStream(7, "wild"), impl="vectorized"
-        )
+        fast = simulator.fringe_scan(phases, 3_000, RandomStream(7, "wild"))
         assert np.array_equal(loop, fast)
 
 
@@ -502,8 +502,9 @@ class TestFringeScanEquivalence:
     @pytest.mark.parametrize("four_photon", [False, True])
     def test_counts_identical_and_error_close(self, four_photon):
         scan = self._scan(four_photon)
-        loop = scan.run(RandomStream(11, "fs"), impl="loop")
-        fast = scan.run(RandomStream(11, "fs"), impl="vectorized")
+        with _loop_bootstrap():
+            loop = scan.run(RandomStream(11, "fs"))
+        fast = scan.run(RandomStream(11, "fs"))
         assert np.array_equal(loop.counts, fast.counts)
         assert loop.visibility == fast.visibility
         # The batched bootstrap refits via a multi-RHS least squares;
@@ -528,8 +529,31 @@ class TestFringeScanEquivalence:
         assert np.allclose(many_h, singles_h, rtol=1e-9)
 
 
+def _loop_bootstrap():
+    """Fringe scans with the row-at-a-time bootstrap oracle."""
+    return mock.patch.object(
+        fringes, "_fringe_visibility_error", _fringe_visibility_error_loop
+    )
+
+
+def _loop_oracles(experiment_id):
+    """The loop oracles patched in under one driver's fast paths."""
+    if experiment_id != "E5":
+        return _loop_bootstrap()
+    from repro.experiments import typeii_car
+
+    patches = contextlib.ExitStack()
+    patches.enter_context(
+        mock.patch.object(typeii_car, "car_from_tags", _car_from_tags_loop)
+    )
+    patches.enter_context(
+        mock.patch.object(typeii_car, "coincidence_histogram", _oracle_histogram)
+    )
+    return patches
+
+
 class TestDriverEquivalence:
-    """E5/E7/E8 give identical metrics through every implementation."""
+    """E5/E7/E8 give identical metrics through the loop oracles."""
 
     pytestmark = pytest.mark.slow
 
@@ -544,14 +568,11 @@ class TestDriverEquivalence:
     def test_driver_impl_equivalence(self, experiment_id, params):
         from repro.experiments.registry import run_experiment
 
-        loop = run_experiment(
-            experiment_id, seed=42, quick=True,
-            params={**params, "impl": "loop"},
-        )
-        fast = run_experiment(
-            experiment_id, seed=42, quick=True,
-            params={**params, "impl": "vectorized"},
-        )
+        with _loop_oracles(experiment_id):
+            loop = run_experiment(
+                experiment_id, seed=42, quick=True, params=params
+            )
+        fast = run_experiment(experiment_id, seed=42, quick=True, params=params)
         assert loop.rows == fast.rows
         for name, value in loop.metrics.items():
             assert np.isclose(

@@ -92,8 +92,12 @@ class TestSingleRun:
         assert not engine.run("E6", quick=True).cached
 
     def test_unknown_param_rejected(self, engine):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="does not accept"):
             engine.run("E6", quick=True, params={"bogus": 1})
+        with pytest.raises(ConfigurationError, match="does not accept"):
+            engine.sweep("E6", ListScan("dwel_s", [5.0, 6.0]), quick=True)
+        # Rejected before computing: no failed run is archived.
+        assert engine.list_runs() == []
 
     def test_bad_worker_count_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -130,65 +134,51 @@ class TestSweep:
 
 
 class TestBatchPath:
-    """The batched-sweep fast path: equivalence, caching, atomicity."""
+    """A sweep's batch of cache misses: equivalence, caching, atomicity."""
 
-    def test_batch_sweep_matches_pool_sweep(self, tmp_path):
+    def test_serial_sweep_matches_pool_sweep(self, tmp_path):
         scan = ListScan("dwell_s", [5.0, 10.0])
-        batched = RunEngine(root=tmp_path / "a").sweep(
-            "E7", scan, quick=True, batch=True
+        serial = RunEngine(root=tmp_path / "a").sweep("E7", scan, quick=True)
+        pooled = RunEngine(root=tmp_path / "b", max_workers=2).sweep(
+            "E7", scan, quick=True
         )
-        pooled = RunEngine(root=tmp_path / "b").sweep(
-            "E7", scan, quick=True, batch=False
-        )
-        assert [o.result.metrics for o in batched.outcomes] == [
+        assert [o.result.metrics for o in serial.outcomes] == [
             o.result.metrics for o in pooled.outcomes
         ]
-        assert batched.num_cached == 0
+        assert serial.num_cached == 0
 
     def test_batch_results_cached_per_point(self, engine):
         scan = ListScan("dwell_s", [5.0, 10.0])
-        first = engine.sweep("E7", scan, quick=True, batch=True)
-        again = engine.sweep("E7", scan, quick=True, batch=True)
+        first = engine.sweep("E7", scan, quick=True)
+        again = engine.sweep("E7", scan, quick=True)
         assert first.num_cached == 0
         assert again.num_cached == 2
-        # A lone run of one point is served from the batch's entries.
+        # A lone run of one point is served from the sweep's entries.
         single = engine.run("E7", quick=True, params={"dwell_s": 5.0})
         assert single.cached
 
     def test_fully_cached_sweep_never_imports_drivers(self, engine, monkeypatch):
         scan = ListScan("dwell_s", [5.0])
         engine.sweep("E7", scan, quick=True)
-        # The auto-mode strategy decision must not run for pure hits
+        # The miss path's parameter check must not run for pure hits
         # (it imports the registry and with it the numpy stack).
         import repro.experiments.registry as registry
 
         def boom(*args, **kwargs):
             raise AssertionError("registry consulted on a fully cached sweep")
 
-        monkeypatch.setattr(registry, "supports_batch", boom)
+        monkeypatch.setattr(registry, "check_parameters", boom)
         cached = engine.sweep("E7", scan, quick=True)
         assert cached.num_cached == 1
 
     def test_failing_point_keeps_completed_points(self, engine):
-        # Point 2 of 3 is invalid: the batch raises, but point 1 must
+        # Point 2 of 3 is invalid: the sweep raises, but point 1 must
         # already be cached and archived (no work discarded).
         scan = ListScan("dwell_s", [5.0, -1.0, 10.0])
         with pytest.raises(ConfigurationError):
-            engine.sweep("E7", scan, quick=True, batch=True)
-        rerun = engine.sweep(
-            "E7", ListScan("dwell_s", [5.0]), quick=True, batch=True
-        )
+            engine.sweep("E7", scan, quick=True)
+        rerun = engine.sweep("E7", ListScan("dwell_s", [5.0]), quick=True)
         assert rerun.num_cached == 1
-
-    def test_mixed_experiment_batch_rejected(self, engine):
-        specs = [RunSpec.make("E6"), RunSpec.make("E7")]
-        with pytest.raises(ConfigurationError):
-            engine.run_batch(specs)
-
-    def test_mixed_seed_batch_rejected(self, engine):
-        specs = [RunSpec.make("E6", seed=0), RunSpec.make("E6", seed=1)]
-        with pytest.raises(ConfigurationError):
-            engine.run_batch(specs)
 
 
 class TestParallel:
@@ -237,7 +227,7 @@ class TestFailureManifests:
     def test_batch_failure_archives_failing_point(self, engine):
         scan = ListScan("dwell_s", [5.0, -1.0])
         with pytest.raises(ConfigurationError):
-            engine.sweep("E7", scan, quick=True, batch=True)
+            engine.sweep("E7", scan, quick=True)
         from repro.runtime.engine import RunSpec
 
         bad = RunSpec.make("E7", quick=True, params={"dwell_s": -1.0})

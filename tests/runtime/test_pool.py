@@ -38,7 +38,7 @@ def telemetry(tmp_path, monkeypatch):
 def test_batches_on_one_engine_share_worker_processes(fresh_pool, telemetry):
     engine = RunEngine(root=telemetry, max_workers=2)
     # Worker spans ride home only under an open caller span.
-    with obs.span(names.SPAN_ENGINE_BATCH):
+    with obs.span(names.SPAN_ENGINE_SWEEP):
         engine.run_specs([_spec(2.0), _spec(3.0)])
         engine.run_specs([_spec(4.0), _spec(5.0)])
     pids = {

@@ -91,6 +91,22 @@ class TestSweepPublisher:
             for p in snapshot["points"].values()
         )
 
+    def test_failed_engine_sweep_publishes_failed(self, tmp_path):
+        obs.configure(enabled=True)
+        from repro.errors import ConfigurationError
+        from repro.runtime.engine import RunEngine
+        from repro.runtime.scan import ListScan
+
+        engine = RunEngine(root=tmp_path)
+        with pytest.raises(ConfigurationError):
+            engine.sweep("E7", ListScan("dwell_s", [5.0, -1.0]), quick=True)
+        bus = obs.state().bus
+        topics = [t for t in bus.topics() if t.startswith("datasets.sweep.")]
+        snapshot = bus.subscribe(topics)[topics[0]]["init"]
+        # Terminal, so a journal replay does not show it running forever.
+        assert snapshot["status"] == "failed"
+        assert snapshot["counts"]["done"] == 1
+
 
 class TestMetricsPublisher:
     def test_disabled_publishes_nothing(self):
