@@ -14,17 +14,17 @@ peak on both pairs is recorded next to the ratios: it runs in time
 blocks, so it should stay a small fraction of one stream's float copy.
 
 The headline assertion mirrors the batched-core acceptance bar: the
-vectorized fringe/coincidence sweep — a phase scan whose points each
-run the time-bin Monte Carlo *and* the CAR/TDC analysis chain, exactly
-the mix E2/E5/E7 pay per sweep point — must beat the loop reference by
-at least 5x.  Per-path assertions are looser where the two
-implementations share irreducible RNG draws (the fringe Monte Carlo
-spends most of its time drawing identical outcomes in both paths).
+fringe/coincidence sweep — points that each run the fringe scan E7 and
+E8 run (``FringeScan.run``: Poisson counts, fit, bootstrap error) and
+the CAR analysis E2 and E5 run (``car_from_tags``) — must beat the same
+sweep with the loop oracles patched in (``_fringe_visibility_error_loop``
+and ``_car_from_tags_loop``) by at least 5x.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 import tracemalloc
 from unittest import mock
@@ -43,9 +43,9 @@ from repro.detection.tdc import (
 )
 from repro.quantum.noise import add_white_noise
 from repro.quantum.states import DensityMatrix
-from repro.timebin.encoding import time_bin_bell_state
-from repro.timebin.interferometer import UnbalancedMichelson
-from repro.timebin.montecarlo import TimeBinCoincidenceSimulator, _fringe_scan_loop
+from repro.timebin import fringes
+from repro.timebin.encoding import time_bin_bell_state, time_bin_multiphoton_state
+from repro.timebin.fringes import FringeScan, _fringe_visibility_error_loop
 from repro.utils.rng import RandomStream
 
 
@@ -172,50 +172,66 @@ def bench_vectorized_core(benchmark):
         lambda x, y: _assert(np.array_equal(x[1], y[1]), "TDC histograms diverged"),
     )
 
-    # --- timebin: Monte-Carlo fringe scan (shared RNG draws cap this) -
-    state = add_white_noise(
-        DensityMatrix.from_ket(time_bin_bell_state(0.0), [2, 2]), 0.85
-    )
-    simulator = TimeBinCoincidenceSimulator(
-        state=state, alice=UnbalancedMichelson(), bob=UnbalancedMichelson()
-    )
-    phases = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-    fringe_speedup = compare(
-        "montecarlo_fringe_scan",
-        lambda: _fringe_scan_loop(
-            simulator, phases, 50_000, RandomStream(7, "fb")
-        ),
-        lambda: simulator.fringe_scan(phases, 50_000, RandomStream(7, "fb")),
-        lambda x, y: _assert(np.array_equal(x, y), "fringe counts diverged"),
-    )
-
     # --- headline: the fringe+coincidence sweep, timed under pytest-
-    # benchmark.  Eight phase points; each runs the fringe Monte Carlo
-    # and the CAR analysis chain on its tag streams (the per-point mix
-    # every E2/E5/E7-style sweep pays).
-    sweep_phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    # benchmark.  Four points alternate an E7-style two-photon and an
+    # E8-style four-photon fringe scan; each point also runs the E2/E5
+    # CAR analysis on the tag streams.  The loop side patches the loop
+    # oracles in under the drivers' calls.
+    scans = [
+        FringeScan(
+            state=add_white_noise(
+                DensityMatrix.from_ket(time_bin_bell_state(0.0), [2, 2]), 0.83
+            ),
+            event_rate_hz=5_000.0,
+        ),
+        FringeScan(
+            state=add_white_noise(
+                DensityMatrix.from_ket(
+                    time_bin_multiphoton_state(0.0, 2), [2] * 4
+                ),
+                0.8,
+            ),
+            event_rate_hz=20_000.0,
+            dwell_time_s=120.0,
+            scanned_photon=None,
+        ),
+    ]
 
-    def sweep(fringe_scan, car):
-        counts = fringe_scan(sweep_phases, 20_000, RandomStream(11, "sw"))
-        return counts, car(a, b, 60.0).car
+    def sweep():
+        return [
+            (
+                scans[k % 2].run(RandomStream(11, f"sw{k}")),
+                coincidence.car_from_tags(a, b, 60.0),
+            )
+            for k in range(4)
+        ]
 
-    def loop_fringe_scan(*args):
-        return _fringe_scan_loop(simulator, *args)
+    def loop_sweep_fn():
+        with mock.patch.object(
+            fringes, "_fringe_visibility_error", _fringe_visibility_error_loop
+        ), mock.patch.object(coincidence, "car_from_tags", _car_from_tags_loop):
+            return sweep()
 
-    loop_sweep, loop_sweep_s = _time(
-        lambda: sweep(loop_fringe_scan, _car_from_tags_loop), repeats=2
-    )
-    fast_sweep = benchmark.pedantic(
-        lambda: sweep(simulator.fringe_scan, car_from_tags),
-        rounds=3,
-        iterations=1,
-    )
+    loop_sweep, loop_sweep_s = _time(loop_sweep_fn, repeats=2)
+    fast_sweep = benchmark.pedantic(sweep, rounds=3, iterations=1)
     fast_sweep_s = max(benchmark.stats.stats.min, 1e-9)
-    _assert(
-        np.array_equal(loop_sweep[0], fast_sweep[0])
-        and loop_sweep[1] == fast_sweep[1],
-        "sweep results diverged",
-    )
+    for (loop_scan, loop_car), (fast_scan, fast_car) in zip(
+        loop_sweep, fast_sweep
+    ):
+        _assert(
+            np.array_equal(loop_scan.counts, fast_scan.counts)
+            and _fits_equal(loop_scan.fit, fast_scan.fit)
+            and loop_car == fast_car,
+            "sweep results diverged",
+        )
+        # The batched bootstrap refits via a multi-RHS least squares;
+        # only BLAS rounding may differ from the per-resample loop.
+        _assert(
+            bool(np.isclose(loop_scan.visibility_error,
+                            fast_scan.visibility_error,
+                            rtol=1e-9, atol=1e-12)),
+            "bootstrap errors diverged",
+        )
     sweep_speedup = loop_sweep_s / fast_sweep_s
     entries["fringe_coincidence_sweep"] = {
         "loop_s": round(loop_sweep_s, 4),
@@ -274,19 +290,25 @@ def bench_vectorized_core(benchmark):
     )
     print(f"trajectory entry appended to {path.name}")
 
-    # Acceptance bar: the vectorized fringe/coincidence sweep beats the
-    # loop reference >= 5x; the pure counting paths far exceed it, the
-    # fringe Monte Carlo alone is capped by bit-identical shared draws.
+    # Acceptance bar: the fringe/coincidence sweep beats the loop
+    # oracles >= 5x, and so does each pure counting path.
     assert sweep_speedup >= 5.0, f"sweep speedup only {sweep_speedup:.1f}x"
     assert entries["car_from_tags"]["speedup"] >= 5.0
     assert entries["tdc_delay_histogram"]["speedup"] >= 5.0
-    assert fringe_speedup >= 1.2
     # The partner filter: a clear win on sparse streams, and on dense
     # ones (where its probe sends every start to the full gather) no
     # more than a probe's worth of overhead.
     for kernel in ("car_from_tags", "collect_delays"):
         assert filter_entries[f"{kernel}_sparse"]["speedup"] >= 1.5, kernel
         assert filter_entries[f"{kernel}_dense"]["speedup"] >= 1 / 1.2, kernel
+
+
+def _fits_equal(x, y) -> bool:
+    """Whether two fringe fits agree field by field, exactly."""
+    return all(
+        np.array_equal(getattr(x, field.name), getattr(y, field.name))
+        for field in dataclasses.fields(x)
+    )
 
 
 def _assert(condition: bool, message: str) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro import QuantumCombSource
 from repro.detection.coincidence import car_from_tags
-from repro.photonics.dispersion import fsr_mismatch_hz
 from repro.photonics.fwm import TypeIIProcess
 from repro.photonics.resonator import ring_for_linewidth
 from repro.photonics.waveguide import Waveguide
@@ -34,7 +33,7 @@ def design_sweep() -> None:
         wg = Waveguide(width_m=width_um * 1e-6, height_m=1.45e-6)
         ring = ring_for_linewidth(wg, 200e9, 800e6)
         process = TypeIIProcess(ring)
-        mismatch = fsr_mismatch_hz(wg, ring.circumference_m, LAMBDA)
+        mismatch = ring.free_spectral_range("TE") - ring.free_spectral_range("TM")
         rows.append(
             [
                 f"{width_um:.2f}",

@@ -19,6 +19,7 @@ from repro.devtools.check.rules.lazy_imports import LazyImportRule
 from repro.devtools.check.rules.locks import LockDisciplineRule
 from repro.devtools.check.rules.obs_names import ObsNamesRule
 from repro.devtools.check.rules.pools import ProcessPoolRule
+from repro.devtools.check.rules.reachability import ReachabilityRule
 from repro.devtools.check.rules.rng import RngDisciplineRule
 from repro.devtools.check.rules.stats_package import StatsPackageRule
 
@@ -32,6 +33,7 @@ __all__ = [
     "LockDisciplineRule",
     "ObsNamesRule",
     "ProcessPoolRule",
+    "ReachabilityRule",
     "RngDisciplineRule",
     "StatsPackageRule",
     "all_rules",
@@ -50,6 +52,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     BusTopicsRule,
     FleetIoRule,
     ProcessPoolRule,
+    ReachabilityRule,
 )
 
 

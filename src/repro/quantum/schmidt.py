@@ -67,43 +67,3 @@ def schmidt_decompose(jsa: np.ndarray) -> SchmidtDecomposition:
     if norm == 0:
         raise PhysicsError("JSA is identically zero")
     return SchmidtDecomposition(coefficients=singular_values / norm)
-
-
-def heralded_purity(jsa: np.ndarray) -> float:
-    """Purity of the photon heralded from a biphoton with the given JSA."""
-    return schmidt_decompose(jsa).purity
-
-
-def schmidt_modes(jsa: np.ndarray, num_modes: int = 4):
-    """Return (coefficients, signal_modes, idler_modes) of the leading modes.
-
-    Signal modes are the left singular vectors (columns), idler modes the
-    conjugated right singular vectors, matching F = Σ λₖ ψₖ(ω_s) φₖ(ω_i).
-    """
-    jsa = np.asarray(jsa, dtype=complex)
-    if jsa.ndim != 2 or jsa.size == 0:
-        raise ValueError("JSA must be a non-empty 2-D array")
-    u, s, vh = np.linalg.svd(jsa)
-    norm = np.linalg.norm(s)
-    if norm == 0:
-        raise PhysicsError("JSA is identically zero")
-    k = min(num_modes, s.size)
-    return s[:k] / norm, u[:, :k], vh[:k, :].conj()
-
-
-def reconstruct_jsa(
-    coefficients: np.ndarray,
-    signal_modes: np.ndarray,
-    idler_modes: np.ndarray,
-    norm: float = 1.0,
-) -> np.ndarray:
-    """Rebuild F = norm · Σ λₖ ψₖ φₖᵀ from Schmidt data (inverse of
-    :func:`schmidt_modes` up to overall normalisation)."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    signal_modes = np.asarray(signal_modes, dtype=complex)
-    idler_modes = np.asarray(idler_modes, dtype=complex)
-    if signal_modes.shape[1] != coefficients.size:
-        raise ValueError("signal modes must have one column per coefficient")
-    if idler_modes.shape[0] != coefficients.size:
-        raise ValueError("idler modes must have one row per coefficient")
-    return norm * (signal_modes * coefficients) @ idler_modes.conj()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 
+from repro.devtools.check import Checker
 from repro.devtools.check.rules import all_rules
 from repro.devtools.check.rules.atomic_io import AtomicIoRule
 from repro.devtools.check.rules.bus_topics import BusTopicsRule
@@ -23,6 +24,7 @@ from repro.devtools.check.rules.lazy_imports import (
 from repro.devtools.check.rules.locks import LockDisciplineRule
 from repro.devtools.check.rules.obs_names import ObsNamesRule
 from repro.devtools.check.rules.pools import ProcessPoolRule
+from repro.devtools.check.rules.reachability import ReachabilityRule
 from repro.devtools.check.rules.rng import RngDisciplineRule
 from repro.devtools.check.rules.stats_package import StatsPackageRule
 
@@ -774,3 +776,100 @@ class TestStatsPackageRule:
             [StatsPackageRule()],
         )
         assert findings == []
+
+
+#: A minimal package: the CLI plus the registry modules it roots.
+_REACH_PACKAGE = {
+    "src/repro/__init__.py": "",
+    "src/repro/cli.py": "from repro.errors import ReproError\n",
+    "src/repro/errors.py": "class ReproError(Exception):\n    pass\n",
+}
+
+
+class TestReachabilityRule:
+    def _unreached(self, make_tree, files, path="src"):
+        root = make_tree({**_REACH_PACKAGE, **files})
+        findings = Checker([ReachabilityRule()]).run([root / path]).findings
+        assert {f.rule for f in findings} <= {"REACH001"}
+        return sorted(f.module for f in findings)
+
+    def test_orphan_module_flagged(self, make_tree):
+        unreached = self._unreached(
+            make_tree,
+            {
+                "src/repro/orphan.py": "import numpy as np\n",
+                "src/repro/experiments/__init__.py": "",
+                "src/repro/experiments/registry.py": "import repro.physics\n",
+                "src/repro/physics.py": "",
+            },
+        )
+        assert unreached == ["repro/orphan.py"]
+
+    def test_function_level_import_and_module_string_reach(self, make_tree):
+        unreached = self._unreached(
+            make_tree,
+            {
+                "src/repro/cli.py": """
+                def run():
+                    from repro.engine import RunEngine
+                    return RunEngine
+                """,
+                "src/repro/engine.py": "RunEngine = object\n",
+                "src/repro/__init__.py": """
+                _LAZY_EXPORTS = {"QuantumCombSource": "repro.core.source"}
+                """,
+                "src/repro/core/__init__.py": "",
+                "src/repro/core/source.py": "from .device import ring\n",
+                "src/repro/core/device.py": "ring = None\n",
+            },
+        )
+        assert unreached == ["repro/errors.py"]
+
+    def test_type_checking_import_does_not_reach(self, make_tree):
+        unreached = self._unreached(
+            make_tree,
+            {
+                "src/repro/cli.py": """
+                from typing import TYPE_CHECKING
+                if TYPE_CHECKING:
+                    from repro.errors import ReproError
+                """,
+            },
+        )
+        assert unreached == ["repro/errors.py"]
+
+    def test_example_and_ablation_imports_are_roots(self, make_tree):
+        unreached = self._unreached(
+            make_tree,
+            {
+                "src/repro/jsa.py": "",
+                "src/repro/device.py": "",
+                "src/repro/only_bench.py": "",
+                "examples/design.py": "from repro import device\n",
+                "benchmarks/bench_ablation_purity.py": """
+                def bench():
+                    from repro.jsa import purity
+                """,
+                "benchmarks/bench_core.py": "import repro.only_bench\n",
+            },
+        )
+        assert unreached == ["repro/only_bench.py"]
+
+    def test_module_imported_only_by_tests_flagged(self, make_tree):
+        unreached = self._unreached(
+            make_tree,
+            {
+                "src/repro/montecarlo.py": "",
+                "tests/test_montecarlo.py": "from repro import montecarlo\n",
+            },
+            path=".",
+        )
+        assert unreached == ["repro/montecarlo.py"]
+
+    def test_silent_without_cli_in_checked_set(self, make_tree):
+        unreached = self._unreached(
+            make_tree,
+            {"src/repro/runtime/sneaky.py": "x = 1\n"},
+            path="src/repro/runtime",
+        )
+        assert unreached == []

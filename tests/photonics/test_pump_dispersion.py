@@ -1,20 +1,15 @@
-"""Unit tests for pump configurations and dispersion utilities."""
+"""Unit tests for pump configurations."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.photonics import dispersion
 from repro.photonics.pump import (
     CWPump,
     DoublePulsePump,
     DualPolarizationPump,
     SelfLockedPump,
 )
-from repro.photonics.resonator import ring_for_linewidth
-from repro.photonics.waveguide import Waveguide
-
-LAMBDA = 1550e-9
 
 
 class TestCWPump:
@@ -92,48 +87,3 @@ class TestDoublePulsePump:
     def test_invalid_separation(self):
         with pytest.raises(ConfigurationError):
             DoublePulsePump(pulse_separation_s=0.0)
-
-
-class TestDispersion:
-    def test_beta2_finite(self):
-        wg = Waveguide()
-        beta2 = dispersion.beta2_s2_per_m(wg, LAMBDA)
-        assert np.isfinite(beta2)
-        # Hydex guides sit within +/- 100 ps^2/km of zero dispersion.
-        assert abs(beta2) < 100e-27 * 1e3
-
-    def test_d_parameter_sign_consistent(self):
-        wg = Waveguide()
-        beta2 = dispersion.beta2_s2_per_m(wg, LAMBDA)
-        d = dispersion.dispersion_parameter_ps_nm_km(wg, LAMBDA)
-        assert np.sign(d) == -np.sign(beta2)
-
-    def test_integrated_dispersion_quadratic_ladder(self):
-        orders = np.arange(-5, 6, dtype=float)
-        d2 = 1e5
-        freqs = 193e12 + orders * 200e9 + 0.5 * d2 * orders**2
-        dint = dispersion.integrated_dispersion_hz(freqs, orders)
-        # D_int should be d2/2 * m^2 minus the local-FSR linear part.
-        assert np.isclose(dint[0], dint[-1], rtol=1e-6)
-        assert dint[0] > 0
-
-    def test_integrated_dispersion_validation(self):
-        with pytest.raises(ConfigurationError):
-            dispersion.integrated_dispersion_hz(np.array([1.0, 2.0]), np.array([0, 1]))
-
-    def test_d2_fit_recovers_value(self):
-        orders = np.arange(-6, 7, dtype=float)
-        d2 = 5e4
-        freqs = 193e12 + orders * 200e9 + 0.5 * d2 * orders**2
-        assert np.isclose(dispersion.d2_from_ladder(freqs, orders), d2, rtol=1e-6)
-
-    def test_fsr_mismatch_small_for_near_square(self):
-        wg = Waveguide()
-        ring = ring_for_linewidth(wg, 200e9, 800e6)
-        mismatch = dispersion.fsr_mismatch_hz(wg, ring.circumference_m, LAMBDA)
-        # Near-square Hydex guide: TE/TM FSR difference well below 1 GHz.
-        assert abs(mismatch) < 1e9
-
-    def test_fsr_mismatch_validation(self):
-        with pytest.raises(ConfigurationError):
-            dispersion.fsr_mismatch_hz(Waveguide(), 0.0, LAMBDA)

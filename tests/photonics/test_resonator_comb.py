@@ -83,6 +83,12 @@ class TestMicroring:
         offset = ring.polarization_offset()
         assert abs(offset) <= ring.free_spectral_range("TE") / 2
 
+    def test_fsr_mismatch_small_for_near_square(self):
+        ring = ring_for_linewidth(Waveguide(), 200e9, 800e6)
+        mismatch = ring.free_spectral_range("TE") - ring.free_spectral_range("TM")
+        # Near-square Hydex guide: TE/TM FSR difference well below 1 GHz.
+        assert abs(mismatch) < 1e9
+
     def test_polarization_offset_nonzero(self, ring):
         # The 1.5 x 1.45 um guide is birefringent enough to shift ladders.
         assert abs(ring.polarization_offset()) > 1e9

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.calibration import TimeBinCalibration
 from repro.core.schemes import TimeBinScheme
-from repro.extensions.qkd import BBM92Link
 from repro.quantum.bell import TSIRELSON_BOUND, chsh_value
 from repro.quantum.entanglement import concurrence
 
@@ -42,31 +41,3 @@ class TestTimeBinSchemeInvariants:
         )
         assert s_tighter >= s_value - 1e-9
         assert s_value <= TSIRELSON_BOUND + 1e-9
-
-
-class TestQKDInvariants:
-    @SETTINGS
-    @given(st.floats(min_value=0.001, max_value=0.45))
-    def test_qber_in_physical_range(self, mu):
-        link = BBM92Link(
-            scheme=TimeBinScheme(
-                calibration=TimeBinCalibration(mu_per_pulse=mu)
-            )
-        )
-        qber = link.expected_qber()
-        assert 0.0 <= qber <= 0.5
-
-    @SETTINGS
-    @given(st.floats(min_value=0.001, max_value=0.2))
-    def test_more_noise_more_errors(self, mu):
-        low = BBM92Link(
-            scheme=TimeBinScheme(
-                calibration=TimeBinCalibration(mu_per_pulse=mu)
-            )
-        ).expected_qber()
-        high = BBM92Link(
-            scheme=TimeBinScheme(
-                calibration=TimeBinCalibration(mu_per_pulse=min(mu * 2, 0.45))
-            )
-        ).expected_qber()
-        assert high >= low - 1e-12

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PhysicsError
-from repro.quantum.schmidt import (
-    SchmidtDecomposition,
-    heralded_purity,
-    reconstruct_jsa,
-    schmidt_decompose,
-    schmidt_modes,
-)
+from repro.quantum.schmidt import SchmidtDecomposition, schmidt_decompose
 from repro.quantum.twomode import TwoModeSqueezedVacuum
 
 
@@ -82,14 +76,14 @@ class TestSchmidt:
         signal = np.exp(-np.linspace(-2, 2, 21) ** 2)
         idler = np.exp(-np.linspace(-2, 2, 21) ** 2 / 2)
         jsa = np.outer(signal, idler)
-        assert np.isclose(heralded_purity(jsa), 1.0, atol=1e-10)
+        assert np.isclose(schmidt_decompose(jsa).purity, 1.0, atol=1e-10)
 
     def test_correlated_jsa_less_pure(self):
         grid = np.linspace(-2, 2, 41)
         s, i = np.meshgrid(grid, grid, indexing="ij")
         # Strong spectral anti-correlation (energy conservation ridge).
         jsa = np.exp(-((s + i) ** 2) / 0.05) * np.exp(-((s - i) ** 2) / 8)
-        purity = heralded_purity(jsa)
+        purity = schmidt_decompose(jsa).purity
         assert purity < 0.5
 
     def test_schmidt_number_inverse_of_purity(self):
@@ -120,12 +114,3 @@ class TestSchmidt:
         decomposition = SchmidtDecomposition(coefficients=coeffs)
         assert np.isclose(decomposition.entropy, 2.0)
         assert np.isclose(decomposition.schmidt_number, 4.0)
-
-    def test_modes_reconstruct_jsa(self):
-        grid = np.linspace(-1, 1, 17)
-        s, i = np.meshgrid(grid, grid, indexing="ij")
-        jsa = np.exp(-(s**2) - i**2 - s * i).astype(complex)
-        norm = np.linalg.norm(np.linalg.svd(jsa, compute_uv=False))
-        coeffs, smodes, imodes = schmidt_modes(jsa, num_modes=17)
-        rebuilt = reconstruct_jsa(coeffs, smodes, imodes, norm=norm)
-        assert np.allclose(rebuilt, jsa, atol=1e-10)

@@ -2,16 +2,16 @@
 
 Every hot path keeps its original Python-loop implementation as a
 private reference oracle next to it (``_collect_delays_loop``,
-``_car_from_tags_loop``, ``_fringe_scan_loop``, ...); these tests prove
-that the vectorized fast path returns *identical* results for identical
-:class:`RandomStream` seeds — exact integer counts and bit-identical
-arrays wherever the implementations share float operations, and tight
-(BLAS-rounding-level) agreement for the one least-squares summary the
-batched bootstrap computes differently.
+``_car_from_tags_loop``, ``_fringe_visibility_error_loop``, ...); these
+tests prove that the vectorized fast path returns *identical* results
+for identical :class:`RandomStream` seeds — exact integer counts and
+bit-identical arrays wherever the implementations share float
+operations, and tight (BLAS-rounding-level) agreement for the one
+least-squares summary the batched bootstrap computes differently.
 
 Hypothesis drives the detection-layer cases over adversarial tag
 streams (duplicates, bursts, empty streams, boundary-straddling
-windows); the timebin cases replay full Monte-Carlo scans.
+windows); the timebin cases replay full fringe scans.
 """
 
 import contextlib
@@ -46,12 +46,6 @@ from repro.quantum.states import DensityMatrix
 from repro.timebin import fringes
 from repro.timebin.encoding import time_bin_bell_state, time_bin_multiphoton_state
 from repro.timebin.fringes import FringeScan, _fringe_visibility_error_loop
-from repro.timebin.interferometer import UnbalancedMichelson
-from repro.timebin.montecarlo import (
-    TimeBinCoincidenceSimulator,
-    _central_coincidences_loop,
-    _fringe_scan_loop,
-)
 from repro.timebin.stabilization import PhaseController
 from repro.utils.fitting import (
     fit_fringe,
@@ -412,66 +406,6 @@ class TestBlockedScans:
             kept = _apply_dead_time(t, dead_time)
         assert np.array_equal(mask, np.diff(t) < dead_time)
         assert np.array_equal(kept, _dead_time_loop(t, dead_time))
-
-
-def _simulator(visibility=0.85, jitter_sigma_s=120e-12):
-    state = add_white_noise(
-        DensityMatrix.from_ket(time_bin_bell_state(0.0), [2, 2]), visibility
-    )
-    return TimeBinCoincidenceSimulator(
-        state=state,
-        alice=UnbalancedMichelson(),
-        bob=UnbalancedMichelson(),
-        jitter_sigma_s=jitter_sigma_s,
-    )
-
-
-class TestTimebinEquivalence:
-    """Monte-Carlo fringe scans: identical counts for identical seeds."""
-
-    def test_count_central_coincidences_identical(self, rng):
-        simulator = _simulator()
-        record = simulator.simulate(20_000, rng)
-        loop = _central_coincidences_loop(record)
-        fast = simulator.count_central_coincidences(record)
-        assert loop == fast
-
-    def test_fringe_scan_identical(self, rng_factory):
-        simulator = _simulator()
-        phases = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
-        loop = _fringe_scan_loop(simulator, phases, 5_000, rng_factory("scan"))
-        fast = simulator.fringe_scan(phases, 5_000, rng_factory("scan"))
-        assert np.array_equal(loop, fast)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        visibility=st.floats(min_value=0.0, max_value=1.0),
-        n_phases=st.integers(min_value=1, max_value=6),
-        n_pairs=st.integers(min_value=1, max_value=400),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_fringe_scan_identical_property(
-        self, seed, visibility, n_phases, n_pairs
-    ):
-        simulator = _simulator(visibility)
-        phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-        loop = _fringe_scan_loop(
-            simulator, phases, n_pairs, RandomStream(seed, "eq")
-        )
-        fast = simulator.fringe_scan(phases, n_pairs, RandomStream(seed, "eq"))
-        assert np.array_equal(loop, fast)
-
-    def test_fringe_scan_identical_with_pathological_jitter(self):
-        # Jitter comparable to the pulse period pushes tags across pulse
-        # boundaries — the vectorized grid must fall back to the oracle's
-        # out-of-range handling and still agree exactly.
-        simulator = _simulator(jitter_sigma_s=20e-9)
-        phases = np.linspace(0.0, 6.0, 8)
-        loop = _fringe_scan_loop(
-            simulator, phases, 3_000, RandomStream(7, "wild")
-        )
-        fast = simulator.fringe_scan(phases, 3_000, RandomStream(7, "wild"))
-        assert np.array_equal(loop, fast)
 
 
 class TestFringeScanEquivalence:

@@ -95,7 +95,13 @@ class TestDesignDocIndex:
 
     def test_examples_exist_and_have_main(self):
         scripts = list((REPO_ROOT / "examples").glob("*.py"))
-        assert len(scripts) >= 6
+        assert {script.name for script in scripts} == {
+            "cross_polarized_pairs.py",
+            "four_photon_states.py",
+            "heralded_single_photons.py",
+            "quickstart.py",
+            "time_bin_entanglement.py",
+        }
         for script in scripts:
             content = script.read_text(encoding="utf-8")
             assert '"""' in content.split("\n", 2)[0] + content[:400]
