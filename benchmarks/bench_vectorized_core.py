@@ -13,6 +13,11 @@ first and costing little on the second.  The filter's tracemalloc
 peak on both pairs is recorded next to the ratios: it runs in time
 blocks, so it should stay a small fraction of one stream's float copy.
 
+The detector's dead-time filter is timed against its sequential oracle
+on a sparse E3-like stream (20 kHz of clicks, 10 us dead time) and a
+saturated one (2 MHz), where one blocked run spans the whole stream;
+both rows assert identical clicks and set no timing bound.
+
 The headline assertion mirrors the batched-core acceptance bar: the
 fringe/coincidence sweep — points that each run the fringe scan E7 and
 E8 run (``FringeScan.run``: Poisson counts, fit, bootstrap error) and
@@ -35,6 +40,7 @@ from conftest import record_trajectory
 
 from repro.detection import coincidence, tdc as tdc_module
 from repro.detection.coincidence import _car_from_tags_loop, car_from_tags
+from repro.detection.spd import _apply_dead_time, _dead_time_loop
 from repro.detection.tdc import (
     TimeToDigitalConverter,
     _collect_delays_loop,
@@ -171,6 +177,22 @@ def bench_vectorized_core(benchmark):
         lambda: tdc.delay_histogram(a, b, 10e-9),
         lambda x, y: _assert(np.array_equal(x[1], y[1]), "TDC histograms diverged"),
     )
+
+    # --- detector dead time: sparse (E3's rates) and saturated --------
+    for regime, rate_hz, duration_s in (
+        ("sparse", 20e3, 30.0), ("saturated", 2e6, 0.15)
+    ):
+        clicks = np.sort(RandomStream(7, f"bench-dead-{regime}").uniform(
+            0.0, duration_s, int(rate_hz * duration_s)
+        ))
+        compare(
+            f"dead_time_{regime}",
+            lambda: _dead_time_loop(clicks, 10e-6),
+            lambda: _apply_dead_time(clicks, 10e-6),
+            lambda x, y: _assert(
+                np.array_equal(x, y), "dead-time filters diverged"
+            ),
+        )
 
     # --- headline: the fringe+coincidence sweep, timed under pytest-
     # benchmark.  Four points alternate an E7-style two-photon and an

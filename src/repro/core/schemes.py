@@ -75,12 +75,17 @@ class HeraldedSingleScheme:
         pairs = self.pair_source().generate(
             duration_s, rng.child(f"pairs/{channel_order}")
         )
+        # Hold each photon stream only until its own detector pass.
+        signal_photons = pairs.signal_times_s
+        idler_photons = pairs.idler_times_s
+        del pairs
         detector = self.detector(channel_order)
         signal = detector.detect(
-            pairs.signal_times_s, duration_s, rng.child(f"sig/{channel_order}")
+            signal_photons, duration_s, rng.child(f"sig/{channel_order}")
         )
+        del signal_photons
         idler = detector.detect(
-            pairs.idler_times_s, duration_s, rng.child(f"idl/{channel_order}")
+            idler_photons, duration_s, rng.child(f"idl/{channel_order}")
         )
         return signal, idler
 
@@ -156,13 +161,16 @@ class TypeIIScheme:
         )
         te_sig, tm_leak_sig = pbs.split(pairs.signal_times_s, "TE", rng.child("ps"))
         te_leak_idl, tm_idl = pbs.split(pairs.idler_times_s, "TM", rng.child("pi"))
+        del pairs
         # Each split keeps its input sorted: timsort merges the two runs.
         te_port = np.concatenate([te_sig, te_leak_idl])
         te_port.sort(kind="stable")
         tm_port = np.concatenate([tm_idl, tm_leak_sig])
         tm_port.sort(kind="stable")
+        del te_sig, tm_leak_sig, te_leak_idl, tm_idl
         detector = self.detector()
         clicks_te = detector.detect(te_port, duration_s, rng.child("dte"))
+        del te_port  # held only until its own detector pass
         clicks_tm = detector.detect(tm_port, duration_s, rng.child("dtm"))
         return clicks_te, clicks_tm
 

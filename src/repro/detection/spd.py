@@ -8,6 +8,10 @@ Section II, which is why the model carries them explicitly.
 Dead time is applied by an exact vectorised equivalent of the sequential
 filter (kept as its oracle), whatever the stream length; its gap scan
 runs in time blocks (:func:`repro.detection.tdc.gaps_below`).
+
+:meth:`DetectorModel.detect` holds one stream-sized buffer: the darks
+are drawn straight into the tail of the click buffer, which is sorted in
+place and then compacted in place to the dead-time survivors.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ import dataclasses
 
 import numpy as np
 
-from repro.detection.tdc import gaps_below
+from repro.detection import tdc
 from repro.errors import ConfigurationError
 from repro.utils.rng import RandomStream
+
+#: Candidates a hop tries one by one before its binary search, on
+#: streams where fewer than half the clicks are blocked.
+_WALK_STEPS = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,16 +82,20 @@ class DetectorModel:
 
         detected = photon_times[rng.random(photon_times.size) < self.efficiency]
         if self.jitter_sigma_s > 0 and detected.size:
-            detected = detected + rng.normal(0.0, self.jitter_sigma_s, detected.size)
+            detected += rng.normal(0.0, self.jitter_sigma_s, detected.size)
 
-        n_dark = rng.poisson(self.dark_count_rate_hz * duration_s)
-        darks = rng.uniform(0.0, duration_s, int(n_dark))
-
-        clicks = np.concatenate([detected, darks])
-        del detected, darks  # free both copies before the sort
+        # The darks are drawn straight into the tail of the click buffer,
+        # so the detected photons and the darks are never held twice.
+        n_dark = int(rng.poisson(self.dark_count_rate_hz * duration_s))
+        clicks = np.empty(detected.size + n_dark)
+        clicks[: detected.size] = detected
+        rng.uniform(0.0, duration_s, out=clicks[detected.size :])
+        del detected
         clicks.sort()
         if self.dead_time_s > 0 and clicks.size > 1:
-            clicks = _apply_dead_time(clicks, self.dead_time_s)
+            keep = _dead_time_keep(clicks, self.dead_time_s)
+            if keep is not None:
+                _compact(clicks, keep)
         return clicks
 
     def expected_singles_rate_hz(self, photon_rate_hz: float) -> float:
@@ -112,45 +124,112 @@ def _apply_dead_time(times: np.ndarray, dead_time_s: float) -> np.ndarray:
     """Drop clicks closer than the dead time to the previous *kept* click.
 
     The filter is sequential (:func:`_dead_time_loop`); this is its exact
-    equivalent, jumping from kept click to kept click.
+    equivalent (:func:`_dead_time_keep`), and leaves ``times`` untouched.
+    """
+    keep = _dead_time_keep(times, dead_time_s)
+    return times if keep is None else times[keep]
+
+
+def _dead_time_keep(
+    times: np.ndarray, dead_time_s: float
+) -> np.ndarray | None:
+    """The keep mask of the dead-time filter (``None`` when it keeps all).
 
     A click whose gap to its immediate predecessor is at least the dead
     time is always kept: dropping earlier clicks only widens its gap.  The
     other ("blocked") clicks form runs, each headed by a kept click.  From
     a kept click ``k`` the next kept one is the first ``j`` with
     ``t[j] - t[k] >= dead_time`` — the loop's own comparison, monotone in
-    ``j`` — located by ``searchsorted`` and nudged onto that exact
-    comparison.  Every run is walked at once, one kept click per step, so
-    streams with short runs finish in a few vectorised steps.  A walk only
+    ``j``.  A run of one blocked click needs no search: that click is
+    dropped.  Longer runs hop to their next kept click
+    (:func:`_next_clear`), every run at once, one kept click per step, so
+    streams with short runs finish in a few vectorised steps.  A hop only
     moves forward within its own run, so each kept click is unblocked in
     place and the one mask becomes the keep mask.
     """
     n = times.size
-    blocked = np.zeros(n, dtype=bool)
-    gaps_below(times, dead_time_s, out=blocked[1:])
-    if not blocked.any():
-        return times
-    current = np.flatnonzero(~blocked[:-1] & blocked[1:])
+    # A never-blocked slot past the end closes every run.
+    blocked = np.zeros(n + 1, dtype=bool)
+    tdc.gaps_below(times, dead_time_s, out=blocked[1:n])
+    n_blocked = np.count_nonzero(blocked)
+    if not n_blocked:
+        return None
+    # Where fewer than half the clicks are blocked, most hops end within a
+    # click or two; on dense streams a hop spans many clicks and the
+    # binary search is cheaper from the first step.
+    walk = _WALK_STEPS if n_blocked < n // 2 else 0
+    current = np.flatnonzero(np.greater(blocked[1:n], blocked[: n - 1]))
+    current = current[blocked[current + 2]]
     while current.size:
-        current = _next_clear(times, current, dead_time_s)
-        current = current[current < n]
+        current = _next_clear(times, current, dead_time_s, walk)
         current = current[blocked[current]]
         blocked[current] = False
-    return times[np.logical_not(blocked, out=blocked)]
+    return np.logical_not(blocked[:n], out=blocked[:n])
+
+
+def _compact(values: np.ndarray, keep: np.ndarray) -> None:
+    """Shrink ``values`` in place to ``values[keep]``.
+
+    The kept values move forward one block of
+    :data:`repro.detection.tdc.CLICK_BLOCK` at a time (a block never
+    writes past its own start), so no second stream-sized buffer is
+    allocated; the freed tail is then handed back.  ``values`` must own
+    its data and have no views.
+    """
+    count = 0
+    for lo in range(0, values.size, tdc.CLICK_BLOCK):
+        hi = lo + tdc.CLICK_BLOCK
+        block = values[lo:hi][keep[lo:hi]]
+        values[count : count + block.size] = block
+        count += block.size
+    values.resize(count, refcheck=False)
 
 
 def _next_clear(
-    times: np.ndarray, indices: np.ndarray, dead_time_s: float
+    times: np.ndarray, indices: np.ndarray, dead_time_s: float, walk: int
 ) -> np.ndarray:
     """For each index k, the first j > k with ``times[j] - times[k] >=
-    dead_time_s`` (``times.size`` when there is none)."""
+    dead_time_s`` (``times.size`` when there is none).
+
+    The first ``walk`` candidates are tried one by one, all indices at
+    once; the indices still short of the dead time then jump by
+    ``searchsorted``, nudged onto the exact comparison.
+    """
     n = times.size
     start = times[indices]
+    first = indices + 1
+    if not walk:
+        return _jump(times, start, first, dead_time_s)
+    pending = np.arange(indices.size)
+    for _ in range(walk):
+        candidate = first[pending]
+        ahead = candidate < n
+        gap = times[candidate[ahead]] - start[pending[ahead]]
+        ahead[ahead] = gap < dead_time_s
+        pending = pending[ahead]
+        if not pending.size:
+            return first
+        first[pending] += 1
+    first[pending] = _jump(times, start[pending], first[pending], dead_time_s)
+    return first
+
+
+def _jump(
+    times: np.ndarray, start: np.ndarray, lower: np.ndarray, dead_time_s: float
+) -> np.ndarray:
+    """For each ``start``, the first j >= ``lower`` with ``times[j] - start
+    >= dead_time_s``, given that none before ``lower`` qualifies.
+
+    ``searchsorted`` locates ``start + dead_time_s``, whose rounding can
+    differ from the subtraction's by an ulp; the nudges settle the
+    difference on the subtraction itself.
+    """
+    n = times.size
     first = np.maximum(
-        np.searchsorted(times, start + dead_time_s, side="left"), indices + 1
+        np.searchsorted(times, start + dead_time_s, side="left"), lower
     )
     while True:
-        back = first > indices + 1
+        back = first > lower
         back[back] = times[first[back] - 1] - start[back] >= dead_time_s
         if not back.any():
             break

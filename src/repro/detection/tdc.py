@@ -15,9 +15,9 @@ The fast path first drops the clicks that cannot have a partner
 experiment rates fewer than 1 % of clicks have one within a few
 hundred nanoseconds, so one merge of the two sorted streams replaces
 most of the binary searches.  That merge, like the detector's
-dead-time gap scan (:func:`gaps_below`), runs in time blocks of
-:data:`CLICK_BLOCK` clicks, so neither builds a temporary that grows
-with the streams.
+dead-time gap scan (:func:`gaps_below`) and its in-place compaction of
+the survivors, runs in time blocks of :data:`CLICK_BLOCK` clicks, so
+none of them builds a temporary that grows with the streams.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ _PROBE_STRIDE = 64
 _DENSE_SHARE = 1 / 16
 
 #: Clicks per stream in one block of the full-stream scans (the partner
-#: merge and the dead-time gap scan), so their temporaries stay a few MB
-#: however long the streams run.
+#: merge, the dead-time gap scan and the detector's compaction), so their
+#: temporaries stay a few MB however long the streams run.
 CLICK_BLOCK = 2**16
 
 

@@ -86,8 +86,12 @@ class BiphotonSource:
         # Laplace delay: exponential magnitude with random sign.  Halved in
         # place, with the idler written over the emissions: the values of
         # emission ± delay / 2 without three more stream-sized buffers.
+        # The sign spends one uniform per pair, negative below one half:
+        # the draws and values of ``choice([-1.0, 1.0])`` times the delay.
         half_delay = rng.exponential(1.0 / self.correlation_decay_rate, n_pairs)
-        half_delay *= rng.choice(np.array([-1.0, 1.0]), size=n_pairs)
+        negative = rng.random(n_pairs) < 0.5
+        np.negative(half_delay, out=half_delay, where=negative)
+        del negative
         half_delay /= 2.0
         signal = emission + half_delay
         idler = np.subtract(emission, half_delay, out=emission)

@@ -91,14 +91,23 @@ def _fold_key(parent_key: int, label: str) -> int:
 # Inverse-CDF samplers: one uniform in, one value out, per position.
 # ---------------------------------------------------------------------------
 
-def uniform_from_uniforms(u, low=0.0, high=1.0):
-    """Map unit uniforms onto ``[low, high)``."""
-    return low + u * (high - low)
+def uniform_from_uniforms(u, low=0.0, high=1.0, out=None):
+    """Map unit uniforms onto ``[low, high)``.
+
+    ``out`` (which may be ``u`` itself) receives the values instead of a
+    new array; the ufuncs and their order, hence the bits, are the same.
+    """
+    values = np.multiply(u, high - low, out=out)
+    return np.add(low, values, out=out)
 
 
-def exponential_from_uniforms(u, scale=1.0):
-    """Map unit uniforms to exponential draws with mean ``scale``."""
-    return -scale * np.log1p(-u)
+def exponential_from_uniforms(u, scale=1.0, out=None):
+    """Map unit uniforms to exponential draws with mean ``scale``.
+
+    ``out`` works as in :func:`uniform_from_uniforms`.
+    """
+    values = np.log1p(np.negative(u, out=out), out=out)
+    return np.multiply(-scale, values, out=out)
 
 
 def normal_from_uniforms(u, loc=0.0, scale=1.0):
@@ -249,28 +258,55 @@ class RandomStream:
             generator.random(remainder)  # discard to mid-block alignment
         return generator
 
-    def _uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms, advancing the cursor."""
+    def _uniforms(
+        self, count: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The next ``count`` uniforms, advancing the cursor.
+
+        ``out`` (``count`` elements, C-contiguous float64) receives them
+        instead of a new array: the same values and cursor advance.
+        """
         if count < 0:
             raise ValueError(f"draw count must be >= 0, got {count}")
         if self._live is None:
             self._live = self._generator_at(self._pos)
-        values = self._live.random(count)
+        if out is None:
+            values = self._live.random(count)
+        else:
+            values = self._live.random(out=out)
         self._pos += count
         return values
 
-    def _mapped(self, size, params, mapper):
+    def _mapped(self, size, params, mapper, in_place=False, out=None):
         """Draw one uniform per output element and map it.
 
         ``size=None`` broadcasts the parameter shapes (matching numpy's
         Generator semantics); scalar parameters then yield a scalar.
+
+        An ``in_place`` mapper (one taking ``out=``) with scalar
+        parameters writes its values over the draw buffer, which the
+        stream owns, instead of allocating; ``out`` supplies that buffer.
+        Array-valued parameters broadcast, so they keep the allocating
+        path.
         """
         shape = _as_shape(size)
+        scalar = all(np.ndim(p) == 0 for p in params)
+        if out is not None:
+            if not scalar or shape not in (None, out.shape):
+                raise ValueError(
+                    "out= needs scalar parameters and a size equal to "
+                    "its shape"
+                )
+            self._uniforms(out.size, out)
+            return mapper(out, *params, out=out)
         if shape is None:
             shape = np.broadcast_shapes(*(np.shape(p) for p in params))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         u = self._uniforms(count).reshape(shape)
-        values = mapper(u, *params)
+        if in_place and scalar:
+            values = mapper(u, *params, out=u)
+        else:
+            values = mapper(u, *params)
         return values[()] if shape == () else values
 
     # ------------------------------------------------------------------
@@ -282,9 +318,16 @@ class RandomStream:
         """Poisson draw(s) with mean ``lam``."""
         return self._mapped(size, (lam,), poisson_from_uniforms)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        """Uniform draw(s) on [low, high)."""
-        return self._mapped(size, (low, high), uniform_from_uniforms)
+    def uniform(self, low=0.0, high=1.0, size=None, out=None):
+        """Uniform draw(s) on [low, high).
+
+        ``out`` (a C-contiguous float64 array; ``low`` and ``high``
+        scalars) receives the draws and is returned: the values and
+        cursor advance of ``uniform(low, high, out.shape)``.
+        """
+        return self._mapped(
+            size, (low, high), uniform_from_uniforms, in_place=True, out=out
+        )
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         """Gaussian draw(s)."""
@@ -292,7 +335,9 @@ class RandomStream:
 
     def exponential(self, scale=1.0, size=None):
         """Exponential draw(s) with the given scale (mean)."""
-        return self._mapped(size, (scale,), exponential_from_uniforms)
+        return self._mapped(
+            size, (scale,), exponential_from_uniforms, in_place=True
+        )
 
     def choice(self, options, size=None, p=None):
         """Draw from ``options`` with optional probabilities ``p``."""

@@ -1,11 +1,12 @@
 """Memory bounds of the full-stream click kernels.
 
-The partner filter and the detector's dead-time scan run in time blocks
-(:data:`repro.detection.tdc.CLICK_BLOCK`), so their temporaries stay a
-few MB however long the streams run, and the pair source builds its
-delays in place.  tracemalloc counts numpy's buffers exactly, so these
-bounds depend only on array sizes: not on timing, machine speed or core
-count.
+The partner filter and the detector's dead-time scan and compaction run
+in time blocks (:data:`repro.detection.tdc.CLICK_BLOCK`), so their
+temporaries stay a few MB however long the streams run.  The detector
+draws its darks into its click buffer and compacts that buffer in place,
+and the pair source builds its delays in place.  tracemalloc counts
+numpy's buffers exactly, so these bounds depend only on array sizes: not
+on timing, machine speed or core count.
 """
 
 import tracemalloc
@@ -61,10 +62,13 @@ def test_detect_holds_no_copy_beyond_its_input_and_output():
         detector.detect, photons, duration_s, rng.child("clicks")
     )
     assert clicks.size > 0.9 * CLICKS
-    # The sorted clicks and the dead-time survivors are the two copies the
-    # filter needs; everything else (draws, gap masks) stays under half a
-    # copy.  A full-stream float diff alone would add one more.
+    # A full-stream float diff alone would add one more copy.
     assert peak < 2.5 * clicks.nbytes
+    # The click buffer is the one copy: the darks are drawn into it and
+    # the survivors compacted within it, so only the gap mask and the run
+    # heads (about a quarter copy) come on top.  Concatenating the darks
+    # or gathering the survivors into a new array would add a whole copy.
+    assert peak < 1.5 * clicks.nbytes
 
 
 def test_pair_source_builds_its_delays_in_place():
@@ -73,7 +77,11 @@ def test_pair_source_builds_its_delays_in_place():
         source.generate, CLICKS / 15e3, RandomStream(17, "working-set-pairs")
     )
     copy = pairs.signal_times_s.nbytes
-    # The emissions and the half delays are two copies; drawing the signs
-    # (uniforms, indices, values) adds three at the peak.  Keeping the
-    # magnitudes, signs and delay alongside both outputs took seven.
+    # Keeping the magnitudes, signs and delay alongside both outputs took
+    # seven copies.
     assert peak < 6 * copy
+    # The emissions, the half delays and the sign uniforms are three
+    # copies, plus the sign mask (an eighth); the samplers map their
+    # draws in place.  Drawing the signs with ``choice`` (uniforms,
+    # indices, values) or mapping into new arrays would add two more.
+    assert peak < 3.5 * copy

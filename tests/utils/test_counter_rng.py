@@ -22,7 +22,9 @@ from repro.utils.rng import (
     binomial_from_uniforms,
     choice_cdf,
     choice_indices_from_uniforms,
+    exponential_from_uniforms,
     poisson_from_uniforms,
+    uniform_from_uniforms,
 )
 from repro.utils.stats import poisson_interval
 
@@ -84,6 +86,93 @@ class TestSliceInvariance:
         assert np.array_equal(
             drawn, choice_indices_from_uniforms(uniforms, choice_cdf(p))
         )
+
+
+def _uniform_formula(u, low, high):
+    return low + u * (high - low)
+
+
+def _exponential_formula(u, scale):
+    return -scale * np.log1p(-u)
+
+
+class TestInPlaceMapping:
+    """Scalar-parameter uniform and exponential draws map their uniforms
+    in place (and ``uniform`` into a caller's ``out``): the same bits,
+    cursor and pickle resume as mapping them into new arrays."""
+
+    SAMPLERS = {
+        "uniform": (lambda s, size: s.uniform(-1.5, 2.0, size),
+                    lambda u: _uniform_formula(u, -1.5, 2.0)),
+        "exponential": (lambda s, size: s.exponential(0.7, size),
+                        lambda u: _exponential_formula(u, 0.7)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    @pytest.mark.parametrize("size", [0, 1, 7, 1001, (3, 4), None])
+    def test_values_cursor_and_resume(self, rng_factory, name, size):
+        draw, formula = self.SAMPLERS[name]
+        count = int(np.prod(size)) if size is not None else 1
+        raw = rng_factory(name).random(count + 5)
+        stream = rng_factory(name)
+        drawn = draw(stream, size)
+        expected = formula(raw[:count].reshape(np.shape(drawn)))
+        assert _bitwise_equal(drawn, expected)
+        assert stream.position == count
+        clone = pickle.loads(pickle.dumps(stream))
+        assert np.array_equal(clone.random(5), raw[count:])
+
+    @pytest.mark.parametrize("size", [0, 5, 1001])
+    def test_uniform_out_matches_sized_draw(self, rng_factory, size):
+        expected_stream = rng_factory("out")
+        expected = expected_stream.uniform(0.0, 600.0, size)
+        buffer = np.full(size + 3, -1.0)
+        stream = rng_factory("out")
+        tail = buffer[3:]
+        assert stream.uniform(0.0, 600.0, out=tail) is tail
+        assert _bitwise_equal(buffer[3:], expected)
+        assert np.array_equal(buffer[:3], [-1.0] * 3)
+        assert stream.position == expected_stream.position == size
+        clone = pickle.loads(pickle.dumps(stream))
+        assert np.array_equal(clone.random(4), expected_stream.random(4))
+
+    def test_uniform_out_rejects_what_it_cannot_fill_without_drawing(
+        self, rng
+    ):
+        buffer = np.empty(4)
+        with pytest.raises(ValueError):
+            rng.uniform(np.zeros(4), 1.0, out=buffer)
+        with pytest.raises(ValueError):
+            rng.uniform(0.0, 1.0, size=3, out=buffer)
+        assert rng.position == 0
+
+    def test_array_parameters_broadcast_as_before(self, rng_factory):
+        low = np.array([[0.0], [10.0]])
+        high = np.array([1.0, 2.0, 4.0])
+        scale = np.array([0.5, 2.0, 8.0])
+        u = rng_factory("broadcast").random(12)
+        stream = rng_factory("broadcast")
+        assert _bitwise_equal(
+            stream.uniform(low, high),
+            _uniform_formula(u[:6].reshape(2, 3), low, high),
+        )
+        assert _bitwise_equal(
+            stream.exponential(scale, size=(2, 3)),
+            _exponential_formula(u[6:].reshape(2, 3), scale),
+        )
+        assert stream.position == 12
+
+    def test_mappers_leave_the_callers_uniforms_alone(self):
+        u = EDGE_UNIFORMS.copy()
+        assert _bitwise_equal(
+            uniform_from_uniforms(u, 2.0, 5.0),
+            _uniform_formula(EDGE_UNIFORMS, 2.0, 5.0),
+        )
+        assert _bitwise_equal(
+            exponential_from_uniforms(u, 3.0),
+            _exponential_formula(EDGE_UNIFORMS, 3.0),
+        )
+        assert _bitwise_equal(u, EDGE_UNIFORMS)
 
 
 class TestChildren:
