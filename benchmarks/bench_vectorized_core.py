@@ -18,6 +18,11 @@ on a sparse E3-like stream (20 kHz of clicks, 10 us dead time) and a
 saturated one (2 MHz), where one blocked run spans the whole stream;
 both rows assert identical clicks and set no timing bound.
 
+The ``car_matrix_5x5`` row times one :func:`car_matrix` over five
+E1-sized signal and idler streams against its 25 cells as separate
+``car_from_tags`` calls (the "loop" column); it asserts identical
+results and sets no timing bound.
+
 The headline assertion mirrors the batched-core acceptance bar: the
 fringe/coincidence sweep — points that each run the fringe scan E7 and
 E8 run (``FringeScan.run``: Poisson counts, fit, bootstrap error) and
@@ -39,7 +44,11 @@ import numpy as np
 from conftest import record_trajectory
 
 from repro.detection import coincidence, tdc as tdc_module
-from repro.detection.coincidence import _car_from_tags_loop, car_from_tags
+from repro.detection.coincidence import (
+    _car_from_tags_loop,
+    car_from_tags,
+    car_matrix,
+)
 from repro.detection.spd import _apply_dead_time, _dead_time_loop
 from repro.detection.tdc import (
     TimeToDigitalConverter,
@@ -79,9 +88,9 @@ def _streams(duration_s=60.0, rate_hz=1500.0):
     return a, b
 
 
-def _sparse_streams(duration_s=40.0, clicks=600_000, paired=0.01):
+def _sparse_streams(duration_s=40.0, clicks=600_000, paired=0.01, seed=5):
     """E1-shaped streams: independent singles plus ~1 % true pairs."""
-    rng = RandomStream(5, "bench-sparse")
+    rng = RandomStream(seed, "bench-sparse")
     a = np.sort(rng.child("a").uniform(0.0, duration_s, clicks))
     n_pairs = int(paired * clicks)
     partners = a[:: clicks // n_pairs][:n_pairs]
@@ -111,8 +120,8 @@ def _car_counts(a, b):
 def _unfiltered():
     """The pair kernels with the partner filter switched off: every
     start goes through ``window_slices``."""
-    def keep_all(starts, stops, reach_s):
-        return starts, stops
+    def keep_all(streams, reach_s):
+        return list(streams)
 
     with mock.patch.object(coincidence, "partner_candidates", keep_all), \
             mock.patch.object(tdc_module, "partner_candidates", keep_all):
@@ -138,7 +147,7 @@ def _filter_peak_mb(starts, stops, reach_s):
     """The partner filter's tracemalloc peak, in MB."""
     tracemalloc.start()
     try:
-        partner_candidates(starts, stops, reach_s)
+        partner_candidates([starts, stops], reach_s)
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -168,6 +177,17 @@ def bench_vectorized_core(benchmark):
         lambda: car_from_tags(a, b, 60.0),
         lambda x, y: _assert(x == y, "CAR results diverged"),
     )
+
+    # --- CAR matrix: one 5x5 pass against 25 one-cell calls ----------
+    pairs = [_sparse_streams(seed=k) for k in range(5)]
+    signals, idlers = [s for s, _ in pairs], [i for _, i in pairs]
+    compare(
+        "car_matrix_5x5",
+        lambda: [[car_from_tags(s, i, 40.0) for i in idlers] for s in signals],
+        lambda: car_matrix(signals, idlers, 40.0),
+        lambda x, y: _assert(x == y, "CAR matrix diverged from its cells"),
+    )
+    del pairs, signals, idlers
 
     # --- TDC: start-stop correlator histogram -------------------------
     tdc = TimeToDigitalConverter()

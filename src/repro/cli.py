@@ -1805,6 +1805,10 @@ def _round(value: object) -> object:
     return value
 
 
+#: The commands that compute experiments: their process runs OpenBLAS on
+#: one thread (:func:`repro.utils.blas.one_blas_thread`).
+_COMPUTE_COMMANDS = frozenset({"run", "sweep", "report", "serve", "runner"})
+
 #: Exhaustive command → handler dispatch used by :func:`main`.
 _COMMANDS = {
     "list": command_list,
@@ -1847,6 +1851,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.command in _COMPUTE_COMMANDS:
+        from repro.utils.blas import one_blas_thread
+
+        one_blas_thread()
     try:
         return handler(args)
     except ReproError as error:

@@ -5,12 +5,16 @@ centred on zero delay, divided by the accidental level measured in offset
 windows.  Section II reports CAR between 12.8 and 32.4 at 15 mW;
 Section III reports CAR ≈ 10 at 2 mW for the type-II source.
 
-Counting finds window boundaries with ``np.searchsorted``.  The CAR
-first keeps only the clicks with a partner in reach of any window
-(:func:`~repro.detection.tdc.partner_candidates`), gathers every (a, b)
-pair inside the union of its coincidence and accidental windows with
-one pair of ``np.searchsorted`` passes over those, then counts each
-window on that small candidate set with the same float comparisons a
+Counting finds window boundaries with ``np.searchsorted``.  The CAR is
+measured on a set of streams at once (:func:`car_matrix`, every start
+stream against every stop stream, as in the coincidence matrix of E1;
+:func:`car_from_tags` is its one-cell case).  One partner filter over
+the whole set keeps only the clicks with a partner in reach of any
+window (:func:`~repro.detection.tdc.partner_candidates`); each start
+stream then gathers every pair inside the union of its coincidence and
+accidental windows against the merged, labelled stop candidates with one
+pair of ``np.searchsorted`` calls, and each window of each cell is
+counted on that small candidate set with the same float comparisons a
 one-window count uses.  The original per-window, per-start sweep stays
 as private reference oracles (:func:`_count_window_loop`,
 :func:`_car_from_tags_loop`); the equivalence tests hold the counts
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -62,46 +67,6 @@ def _count_window_loop(
     original per-start sweep over stream b shifted by ``center_s``."""
     shifted = sorted_b - center_s if center_s != 0.0 else sorted_b
     return int(_collect_delays_loop(sorted_a, shifted, window_s / 2.0).size)
-
-
-def _count_windows(
-    sorted_a: np.ndarray,
-    sorted_b: np.ndarray,
-    window_s: float,
-    centers_s: list[float],
-) -> list[int]:
-    """Window counts for several centres from one gather of candidate pairs.
-
-    Only clicks with a partner within ``max |c| + window/2`` can be in a
-    window, so the rest are dropped first (:func:`partner_candidates`).
-    Rounding is monotone, so ``b - c`` only shrinks as ``c`` grows: a pair
-    inside any window lies at or above the lowest window's lower edge and
-    at or below the highest window's upper edge, both found by one
-    ``searchsorted`` pass.  The pairs between those edges are flattened
-    as in the TDC delay collection (:func:`range_indices`), and each
-    window is then counted on them with the exact comparisons of
-    :func:`count_coincidences` — so every count equals the per-window one.
-    """
-    half = window_s / 2.0
-    low_center, high_center = min(centers_s), max(centers_s)
-    reach = max(abs(low_center), abs(high_center)) + half
-    sorted_a, sorted_b = partner_candidates(sorted_a, sorted_b, reach)
-    lo = np.searchsorted(sorted_b - low_center, sorted_a - half, side="left")
-    hi = np.searchsorted(sorted_b - high_center, sorted_a + half, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return [0] * len(centers_s)
-    pair_b = sorted_b[range_indices(lo, counts, total)]
-    pair_a = np.repeat(sorted_a, counts)
-    window_low = pair_a - half
-    window_high = pair_a + half
-    result = []
-    for center in centers_s:
-        shifted = pair_b - center if center != 0.0 else pair_b
-        inside = (shifted >= window_low) & (shifted <= window_high)
-        result.append(int(np.count_nonzero(inside)))
-    return result
 
 
 def coincidence_histogram(
@@ -180,22 +145,34 @@ def accidental_window_centers(
     return centers
 
 
-def car_from_tags(
-    times_a_s: np.ndarray,
-    times_b_s: np.ndarray,
+def car_matrix(
+    starts: Sequence[np.ndarray],
+    stops: Sequence[np.ndarray],
     duration_s: float,
     window_s: float = 2.5e-9,
     num_accidental_windows: int = 10,
     accidental_offset_s: float = 50e-9,
-) -> CoincidenceResult:
-    """Measure coincidences and accidentals exactly as the experiment does.
+) -> list[list[CoincidenceResult]]:
+    """The CAR of every (start stream, stop stream) pair, ``[m][n]``.
 
-    Coincidences are counted in a window centred at zero delay; the
-    accidental level is the mean count over ``num_accidental_windows``
-    windows offset far outside the biphoton correlation time (alternating
-    sides to cancel slow drifts).  Each stream is sorted once and every
-    window is counted from one gather of candidate pairs
-    (:func:`_count_windows`).
+    Each cell is measured exactly as the experiment does: coincidences
+    in a window centred at zero delay, and the accidental level as the
+    mean count over ``num_accidental_windows`` windows offset far outside
+    the biphoton correlation time (alternating sides to cancel slow
+    drifts).
+
+    One partner filter over all the streams keeps the clicks that may
+    have a partner within the widest window's reach,
+    ``max |centre| + window/2`` (:func:`partner_candidates`).  The stop
+    candidates are merged into one labelled, sorted array.  Rounding is
+    monotone, so ``b - c`` only shrinks as ``c`` grows: a pair inside any
+    window lies at or above the lowest window's lower edge and at or below
+    the highest window's upper edge, so one ``searchsorted`` pass per
+    start stream gathers every pair of every cell in its row.  The pairs
+    are flattened as in the TDC delay collection (:func:`range_indices`),
+    and each window is counted on them with the exact comparisons of
+    :func:`count_coincidences`, split by stop stream with ``np.bincount``
+    — so every count equals the per-window, per-pair one.
     """
     if duration_s <= 0:
         raise ConfigurationError("duration must be positive")
@@ -205,18 +182,85 @@ def car_from_tags(
         raise ConfigurationError(
             "accidental offset must exceed the coincidence window"
         )
-    centers = accidental_window_centers(
-        num_accidental_windows, accidental_offset_s
+    if not starts or not stops:
+        raise ConfigurationError("need at least one start and one stop stream")
+    centers = [
+        0.0, *accidental_window_centers(num_accidental_windows, accidental_offset_s)
+    ]
+    half = window_s / 2.0
+    low_center, high_center = min(centers), max(centers)
+    reach = max(abs(low_center), abs(high_center)) + half
+    candidates = partner_candidates(
+        [ascending(times) for times in (*starts, *stops)], reach
     )
-    coincidences, *accidental_counts = _count_windows(
-        ascending(times_a_s), ascending(times_b_s), window_s, [0.0, *centers]
-    )
-    return CoincidenceResult(
-        coincidences=coincidences,
-        accidentals_mean=float(np.mean(accidental_counts)),
-        duration_s=duration_s,
-        window_s=window_s,
-    )
+    kept_starts, kept_stops = candidates[: len(starts)], candidates[len(starts) :]
+    stop_times, labels = _labelled_merge(kept_stops)
+    counts = np.zeros((len(starts), len(stops), len(centers)), dtype=np.int64)
+    for row, a in zip(counts, kept_starts):
+        lo = np.searchsorted(stop_times - low_center, a - half, side="left")
+        hi = np.searchsorted(stop_times - high_center, a + half, side="right")
+        per_start = hi - lo
+        total = int(per_start.sum())
+        if total == 0:
+            continue
+        pairs = range_indices(lo, per_start, total)
+        pair_b, pair_label = stop_times[pairs], labels[pairs]
+        del pairs  # as large as the stream on dense sets: free it early
+        pair_a = np.repeat(a, per_start)
+        window_low = pair_a - half
+        window_high = pair_a + half
+        for k, center in enumerate(centers):
+            shifted = pair_b - center if center != 0.0 else pair_b
+            inside = (shifted >= window_low) & (shifted <= window_high)
+            row[:, k] = np.bincount(pair_label[inside], minlength=len(stops))
+    return [
+        [
+            CoincidenceResult(
+                coincidences=int(cell[0]),
+                accidentals_mean=float(np.mean(cell[1:])),
+                duration_s=duration_s,
+                window_s=window_s,
+            )
+            for cell in row
+        ]
+        for row in counts
+    ]
+
+
+def _labelled_merge(streams: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted streams merged into one sorted array, with each click's
+    stream index as a one-byte label (wider past 256 streams).
+
+    A single stream is returned as it is, with an all-zero label view, so
+    a one-pair measurement copies nothing stream-sized.
+    """
+    dtype = np.min_scalar_type(len(streams) - 1)
+    if len(streams) == 1:
+        return streams[0], np.broadcast_to(np.zeros(1, dtype), streams[0].shape)
+    merged = np.concatenate(streams)
+    order = np.argsort(merged)
+    labels = np.repeat(np.arange(len(streams), dtype=dtype), [s.size for s in streams])
+    return merged[order], labels[order]
+
+
+def car_from_tags(
+    times_a_s: np.ndarray,
+    times_b_s: np.ndarray,
+    duration_s: float,
+    window_s: float = 2.5e-9,
+    num_accidental_windows: int = 10,
+    accidental_offset_s: float = 50e-9,
+) -> CoincidenceResult:
+    """Measure coincidences and accidentals on one channel pair: the
+    one-cell :func:`car_matrix`."""
+    return car_matrix(
+        [times_a_s],
+        [times_b_s],
+        duration_s,
+        window_s,
+        num_accidental_windows,
+        accidental_offset_s,
+    )[0][0]
 
 
 def _car_from_tags_loop(

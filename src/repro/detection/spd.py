@@ -16,6 +16,7 @@ place and then compacted in place to the dead-time survivors.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
 import numpy as np
@@ -27,6 +28,12 @@ from repro.utils.rng import RandomStream
 #: Candidates a hop tries one by one before its binary search, on
 #: streams where fewer than half the clicks are blocked.
 _WALK_STEPS = 4
+
+#: Open runs below which the dead-time filter stops hopping every run at
+#: once: a vectorised hop costs about twenty numpy calls whatever its
+#: size, as much as a dozen or two single hops in Python
+#: (:func:`_follow_run`).
+_MIN_VECTOR_RUNS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,7 +152,10 @@ def _dead_time_keep(
     (:func:`_next_clear`), every run at once, one kept click per step, so
     streams with short runs finish in a few vectorised steps.  A hop only
     moves forward within its own run, so each kept click is unblocked in
-    place and the one mask becomes the keep mask.
+    place and the one mask becomes the keep mask.  Once fewer than
+    :data:`_MIN_VECTOR_RUNS` runs are open (a saturated stream is one
+    run), each is followed on its own, one kept click per scalar hop
+    (:func:`_follow_run`), so no step costs more than the click it keeps.
     """
     n = times.size
     # A never-blocked slot past the end closes every run.
@@ -160,11 +170,43 @@ def _dead_time_keep(
     walk = _WALK_STEPS if n_blocked < n // 2 else 0
     current = np.flatnonzero(np.greater(blocked[1:n], blocked[: n - 1]))
     current = current[blocked[current + 2]]
-    while current.size:
+    while current.size >= _MIN_VECTOR_RUNS:
         current = _next_clear(times, current, dead_time_s, walk)
         current = current[blocked[current]]
         blocked[current] = False
+    # A kept click followed by an unblocked one has ended its run; the
+    # others' runs end at a blocked click followed by an unblocked one
+    # (or by the closing slot).
+    current = current[blocked[current + 1]]
+    if current.size:
+        ends = np.flatnonzero(np.greater(blocked[:n], blocked[1:]))
+        for head, end in zip(current, ends[np.searchsorted(ends, current)]):
+            blocked[head + _follow_run(times[head : end + 1], dead_time_s)] = False
     return np.logical_not(blocked[:n], out=blocked[:n])
+
+
+def _follow_run(run: np.ndarray, dead_time_s: float) -> np.ndarray:
+    """The kept clicks of one blocked run, as offsets into ``run`` (its
+    kept head followed by its blocked clicks).
+
+    Each hop bisects the run for the first click a dead time after the
+    last kept one, nudged onto the loop's own comparison.  A hop past the
+    run's end reaches its unblocked successor, which is kept anyway.
+    """
+    times = run.tolist()
+    kept = []
+    last = 0
+    while True:
+        start = times[last]
+        j = bisect.bisect_left(times, start + dead_time_s, last + 1)
+        while j > last + 1 and times[j - 1] - start >= dead_time_s:
+            j -= 1
+        while j < len(times) and times[j] - start < dead_time_s:
+            j += 1
+        if j == len(times):
+            return np.asarray(kept, dtype=np.intp)
+        kept.append(j)
+        last = j
 
 
 def _compact(values: np.ndarray, keep: np.ndarray) -> None:

@@ -12,17 +12,21 @@ fast path to, delay for delay.
 
 The fast path first drops the clicks that cannot have a partner
 (:func:`partner_candidates`, shared with the CAR counter): at
-experiment rates fewer than 1 % of clicks have one within a few
-hundred nanoseconds, so one merge of the two sorted streams replaces
-most of the binary searches.  That merge, like the detector's
+experiment rates fewer than 1 % of a pair's clicks have one within a
+few hundred nanoseconds, so one merge of the sorted streams replaces
+most of the binary searches.  The filter works on a set of streams, two
+for a delay histogram and as many as a coincidence matrix correlates,
+with one merge for the whole set.  That merge, like the detector's
 dead-time gap scan (:func:`gaps_below`) and its in-place compaction of
-the survivors, runs in time blocks of :data:`CLICK_BLOCK` clicks, so
-none of them builds a temporary that grows with the streams.
+the survivors, runs in time blocks of at most :data:`CLICK_BLOCK`
+clicks per stream, so none of them builds a temporary that grows with
+the streams.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -85,8 +89,7 @@ def collect_delays(
     if max_delay_s <= 0:
         raise ConfigurationError("max delay must be positive")
     starts, stops = partner_candidates(
-        np.asarray(sorted_starts, dtype=float),
-        np.asarray(sorted_stops, dtype=float),
+        [np.asarray(times, dtype=float) for times in (sorted_starts, sorted_stops)],
         max_delay_s,
     )
     lo, hi = window_slices(stops, starts - max_delay_s, starts + max_delay_s)
@@ -125,87 +128,141 @@ def ascending(times_s: np.ndarray) -> np.ndarray:
     return times
 
 
-# The partner filter probes one start in _PROBE_STRIDE and skips itself
-# when more than _DENSE_SHARE of those have a partner: the merge would
-# then cost more than it saves.
+# The partner filter probes one click in _PROBE_STRIDE of the first
+# stream and skips itself when those find a partner in more than
+# _DENSE_SHARE of the other streams on average: the merge would then cost
+# more than it saves.  It maps its flags back by an indirect sort once the
+# number of streams times the probe's partnered share exceeds
+# _ORDER_SHARE (measured crossover 0.06-0.09 on 2-10 uniform streams).
 _PROBE_STRIDE = 64
 _DENSE_SHARE = 1 / 16
+_ORDER_SHARE = 1 / 12
 
 #: Clicks per stream in one block of the full-stream scans (the partner
 #: merge, the dead-time gap scan and the detector's compaction), so their
-#: temporaries stay a few MB however long the streams run.
+#: temporaries stay a few MB however long the streams run.  A partner
+#: merge of N streams cuts each every ``2 * CLICK_BLOCK // N`` clicks, so
+#: its blocks hold no more than a two-stream block does.
 CLICK_BLOCK = 2**16
 
 
 def partner_candidates(
-    starts: np.ndarray, stops: np.ndarray, reach_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The clicks of two sorted streams that may have a partner in reach.
+    streams: Sequence[np.ndarray], reach_s: float
+) -> list[np.ndarray]:
+    """The clicks of a set of sorted streams that may have a partner in reach.
 
-    Returns order-preserving subsequences of both streams that keep every
-    (start, stop) pair whose window comparisons place the stop within
-    ``reach_s`` of the start, so the pair kernels give bit-identical
-    counts and delays on them.  The streams are merged and every click
-    with a merged neighbour in reach is kept.  Dense streams, where a
-    strided probe of the starts finds too many partners for that to pay,
-    come back unchanged, as do empty start streams.
+    Returns an order-preserving subsequence of each stream that keeps
+    every pair of clicks, from any two of the streams, whose window
+    comparisons place them within ``reach_s`` of each other, so the pair
+    kernels give bit-identical counts and delays on them.  All the
+    streams are merged once and every click with a merged neighbour in
+    reach is kept; a neighbour from any stream only brings the nearest
+    one closer, so the kept set is a superset of each pair's own.  Dense
+    sets, where a strided probe of the first stream finds too many
+    partners for the merge to pay, come back unchanged, as do sets whose
+    first stream is empty.
 
-    The merge runs in time blocks holding at most :data:`CLICK_BLOCK`
-    distinct clicks of each stream, each padded with both streams'
-    nearest clicks outside it, so every click sees its global merged
-    neighbours while no temporary grows with the streams.
+    The merge runs in time blocks holding at most ``2 * CLICK_BLOCK``
+    distinct clicks in all, each padded with every stream's nearest
+    clicks outside it, so every click sees its global merged neighbours
+    while no temporary grows with the streams.  The flags go back to
+    their streams by value while few clicks are flagged, and by the
+    merge's own order once the probe expects many per stream.
     """
-    probe = starts[::_PROBE_STRIDE]
-    lo, hi = window_slices(stops, probe - reach_s, probe + reach_s)
-    if not probe.size or _DENSE_SHARE * probe.size < np.count_nonzero(hi > lo):
-        return starts, stops
+    streams = list(streams)
+    probe = streams[0][::_PROBE_STRIDE]
+    hits = 0
+    for other in streams[1:]:
+        lo, hi = window_slices(other, probe - reach_s, probe + reach_s)
+        hits += np.count_nonzero(hi > lo)
+    if not probe.size or hits > _DENSE_SHARE * probe.size * (len(streams) - 1):
+        return streams
     # A counted pair passes fl(b - c) against fl(a ± h) (CAR) or b against
     # fl(a ± D) (TDC).  Each rounding moves a value of size at most
     # T + reach (T = max |t|) by at most u = eps/2, so the pair's true gap
     # is at most reach + eps·(T + reach); its merged neighbour is no
     # farther, and diff adds a relative u.  A slack of 4·eps·(T + reach)
     # covers both with room for rounding the threshold itself.
-    ends = np.concatenate([starts[[0, -1]], stops[[0, -1]] if stops.size else []])
+    ends = np.concatenate([s[[0, -1]] for s in streams if s.size])
     scale = max(-ends.min(), ends.max()) + reach_s
     threshold = reach_s + 4.0 * np.finfo(float).eps * scale
-    every = slice(CLICK_BLOCK, None, CLICK_BLOCK)
-    edges = np.union1d(starts[every], stops[every])
-    start_cuts = [0, *np.searchsorted(starts, edges), starts.size]
-    stop_cuts = [0, *np.searchsorted(stops, edges), stops.size]
-    kept_starts, kept_stops = [], []
-    for s0, s1, p0, p1 in zip(start_cuts, start_cuts[1:], stop_cuts, stop_cuts[1:]):
-        # Both streams' blocks span [edge, next edge) and the pads lie
+    # Mapping back by value searches every stream for every flagged value,
+    # about streams × flagged searches; the indirect sort costs about one
+    # more sort of the block instead.
+    keep_flagged = (
+        _kept_by_order
+        if len(streams) * hits > _ORDER_SHARE * probe.size
+        else _kept_by_value
+    )
+    stride = max(2 * CLICK_BLOCK // len(streams), 1)
+    every = slice(stride, None, stride)
+    edges = np.unique(np.concatenate([s[every] for s in streams]))
+    cuts = [[0, *np.searchsorted(s, edges), s.size] for s in streams]
+    kept: list[list[np.ndarray]] = [[] for _ in streams]
+    for block in range(edges.size + 1):
+        # Every stream's block spans [edge, next edge) and the pads lie
         # outside it, so the block's clicks take exactly their own flags.
-        values = _flagged_values(
-            starts[max(s0 - 1, 0):s1 + 1], stops[max(p0 - 1, 0):p1 + 1], threshold
-        )
-        kept_starts.append(_with_values(starts[s0:s1], values))
-        kept_stops.append(_with_values(stops[p0:p1], values))
-    return np.concatenate(kept_starts), np.concatenate(kept_stops)
+        bounds = [(cut[block], cut[block + 1]) for cut in cuts]
+        padded = [s[max(lo - 1, 0):hi + 1] for s, (lo, hi) in zip(streams, bounds)]
+        # Where each stream's own clicks sit in its padded block.
+        cores = [(int(lo > 0), hi - lo) for lo, hi in bounds]
+        for parts, core in zip(kept, keep_flagged(padded, cores, threshold)):
+            parts.append(core)
+    return [np.concatenate(parts) for parts in kept]
 
 
-def _flagged_values(
-    starts: np.ndarray, stops: np.ndarray, threshold: float
-) -> np.ndarray:
-    """The distinct values of the merged streams with a merged neighbour
-    within ``threshold``."""
-    merged = np.concatenate([starts, stops])
-    merged.sort(kind="stable")  # timsort: one merge of two ascending runs
+def _near_neighbour(merged: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the sorted ``merged`` values with a neighbour within
+    ``threshold``."""
     close = np.diff(merged) <= threshold
     flagged = np.zeros(merged.size, dtype=bool)
     flagged[:-1] = close
     flagged[1:] |= close
-    # A start equal to a flagged value shares that value's partners, so
+    return flagged
+
+
+def _kept_by_value(
+    padded: list[np.ndarray], cores: list[tuple[int, int]], threshold: float
+) -> list[np.ndarray]:
+    """The clicks of each block's core, ``padded[i][start:start + size]``
+    for ``(start, size) = cores[i]``, equal to a flagged value of the
+    merged blocks."""
+    merged = np.concatenate(padded)
+    merged.sort()
+    # A click equal to a flagged value shares that value's partners, so
     # mapping values back (duplicates and cross-stream ties included)
     # keeps every candidate.
-    return np.unique(merged[flagged])
+    values = np.unique(merged[_near_neighbour(merged, threshold)])
+    kept = []
+    for pad, (start, size) in zip(padded, cores):
+        core = pad[start:start + size]
+        lo, hi = window_slices(core, values, values)
+        counts = hi - lo
+        kept.append(core[range_indices(lo, counts, int(counts.sum()))])
+    return kept
 
 
-def _with_values(sorted_times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The elements equal to any of the sorted, distinct ``values``."""
-    lo, hi = window_slices(sorted_times, values, values)
-    counts = hi - lo
-    return sorted_times[range_indices(lo, counts, int(counts.sum()))]
+def _kept_by_order(
+    padded: list[np.ndarray], cores: list[tuple[int, int]], threshold: float
+) -> list[np.ndarray]:
+    """The flagged clicks of each block's core (as in
+    :func:`_kept_by_value`), found through the merge's permutation.
+
+    Equal clicks are adjacent in the merge with a zero gap, so each is
+    flagged itself and this keeps what :func:`_kept_by_value` keeps.
+    """
+    joined = np.concatenate(padded)
+    order = np.argsort(joined)
+    joined = joined[order]
+    flagged = np.zeros(joined.size, dtype=bool)
+    flagged[order[_near_neighbour(joined, threshold)]] = True
+    kept = []
+    offset = 0
+    for pad, (start, size) in zip(padded, cores):
+        flags = flagged[offset + start:offset + start + size]
+        kept.append(pad[start:start + size][flags])
+        offset += pad.size
+    return kept
 
 
 def gaps_below(times: np.ndarray, limit: float, out: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.schemes import HeraldedSingleScheme
-from repro.detection.coincidence import car_from_tags
+from repro.detection.coincidence import car_matrix
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult, integer_override
 from repro.utils.rng import RandomStream
@@ -68,17 +68,17 @@ def run(
         idler_streams.append(idler)
 
     matrix = np.zeros((num_channels, num_channels))
-    car_matrix = np.zeros((num_channels, num_channels))
-    for m in range(num_channels):
-        for n in range(num_channels):
-            result = car_from_tags(
-                signal_streams[m],
-                idler_streams[n],
-                duration_s,
-                window_s=scheme.calibration.coincidence_window_s,
-            )
+    cars = np.zeros((num_channels, num_channels))
+    results = car_matrix(
+        signal_streams,
+        idler_streams,
+        duration_s,
+        window_s=scheme.calibration.coincidence_window_s,
+    )
+    for m, row in enumerate(results):
+        for n, result in enumerate(row):
             matrix[m, n] = result.true_coincidence_rate_hz
-            car_matrix[m, n] = min(result.car, 1e4)
+            cars[m, n] = min(result.car, 1e4)
 
     headers = ["signal \\ idler"] + [f"i{n + 1}" for n in range(num_channels)]
     rows = []
@@ -89,7 +89,7 @@ def run(
 
     diagonal = np.diag(matrix)
     off_diagonal = matrix[~np.eye(num_channels, dtype=bool)]
-    diagonal_cars = np.diag(car_matrix)
+    diagonal_cars = np.diag(cars)
     metrics = {
         "diagonal_rate_min_hz": float(diagonal.min()),
         "diagonal_rate_max_hz": float(diagonal.max()),

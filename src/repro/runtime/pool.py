@@ -7,10 +7,11 @@ fleet runner all call :func:`submit`, which runs the engine's
 ``RunEngine.finish_worker_result``.  The pool starts on the first miss,
 importing the experiment registry first so forked workers inherit numpy
 (a process serving only cache hits never imports it).  It has
-``min(requested, usable_cpus())`` workers and is replaced only when a
-caller asks for more.  A dead worker fails the pool's futures with
-``BrokenExecutor`` and the next :func:`submit` starts a fresh pool; a
-child made by ``os.fork()`` starts with none.
+``min(requested, usable_cpus())`` workers, each running OpenBLAS on one
+thread, and is replaced only when a caller asks for more.  A dead worker
+fails the pool's futures with ``BrokenExecutor`` and the next
+:func:`submit` starts a fresh pool; a child made by ``os.fork()`` starts
+with none.
 """
 
 from __future__ import annotations
@@ -88,7 +89,11 @@ def _live(workers: int) -> ProcessPoolExecutor:
         # inherit it instead of each paying the numpy import.
         import repro.experiments.registry  # noqa: F401
 
-        pool = ProcessPoolExecutor(max_workers=wanted)
+        from repro.utils.blas import one_blas_thread
+
+        pool = ProcessPoolExecutor(
+            max_workers=wanted, initializer=one_blas_thread
+        )
         _replace(pool, wanted)
     return pool
 

@@ -45,10 +45,29 @@ def streams():
 
 def test_partner_filter_peak_is_a_fraction_of_one_copy(streams):
     a, b = streams
-    (kept_a, kept_b), peak = _traced_peak(partner_candidates, a, b, 8e-9)
+    (kept_a, kept_b), peak = _traced_peak(partner_candidates, [a, b], 8e-9)
     assert 0 < kept_a.size < a.size // 100  # the merge ran and filtered
     # One whole-stream merge would hold 2 + 2 copies (concatenation, diff).
     assert peak < FLOAT_COPY / 2
+
+
+def test_ten_stream_partner_filter_peak_is_a_fraction_of_one_copy():
+    # E1's set: five signal and five idler streams at 15 kHz each, one
+    # copy in all, filtered at the reach of E1's widest window.
+    rng = RandomStream(17, "working-set-ten")
+    per_stream = CLICKS // 10
+    streams = [
+        np.sort(rng.child(f"s{k}").uniform(0.0, per_stream / 15e3, per_stream))
+        for k in range(10)
+    ]
+    kept, peak = _traced_peak(partner_candidates, streams, 2.5e-7)
+    # The merge ran and kept E1's share, ~7 %, which it maps back through
+    # the merge's own order.
+    assert 0.01 < sum(k.size for k in kept) / CLICKS < 0.2
+    # One merge of the whole set would hold four copies (concatenation,
+    # order, sorted values, gaps); the blocks plus the survivors stay
+    # under three quarters of one.
+    assert peak < 0.75 * FLOAT_COPY
 
 
 def test_detect_holds_no_copy_beyond_its_input_and_output():

@@ -22,12 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.detection import tdc
+from repro.detection import spd, tdc
 from repro.detection.coincidence import (
     _car_from_tags_loop,
     _count_window_loop,
     accidental_window_centers,
     car_from_tags,
+    car_matrix,
     coincidence_histogram,
     count_coincidences,
 )
@@ -193,6 +194,29 @@ class TestDetectionEquivalence:
             _dead_time_loop(values, dead_time),
         )
 
+    @given(
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            max_size=80,
+        ),
+        grid=st.sampled_from([None, 1e-3, 1e-2]),
+        dead_time=st.sampled_from([1e-3, 3e-2, 0.1, 0.3]),
+        min_vector_runs=st.sampled_from([1, 2, 4, 10**9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dead_time_single_run_hops_identical(
+        self, times, grid, dead_time, min_vector_runs
+    ):
+        # 1 hops every run vectorised to its end; 10**9 follows each run
+        # on its own from the start; 2 and 4 switch partway.
+        values = np.asarray(times, dtype=float)
+        if grid is not None:
+            values = np.round(values / grid) * grid
+        values = np.sort(values)
+        with mock.patch.object(spd, "_MIN_VECTOR_RUNS", min_vector_runs):
+            kept = _apply_dead_time(values, dead_time)
+        assert np.array_equal(kept, _dead_time_loop(values, dead_time))
+
     @pytest.mark.parametrize(
         "label, size, duration_s, dead_time_s, grid_s",
         [
@@ -290,7 +314,7 @@ class TestSparseFilterEquivalence:
         reach = max(abs(c) for c in centers) + half
         edges = [c + side for c in centers for side in (-half, half)]
         a, b = _sparse_streams(seed, origin, reach, edges)
-        assert partner_candidates(a, b, reach)[0].size < a.size
+        assert partner_candidates([a, b], reach)[0].size < a.size
         args = (a, b, 1.0, window, num_windows, offset)
         assert car_from_tags(*args) == _car_from_tags_loop(*args)
 
@@ -302,7 +326,7 @@ class TestSparseFilterEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_collect_delays_identical(self, seed, origin, max_delay):
         a, b = _sparse_streams(seed, origin, max_delay, [-max_delay, max_delay])
-        assert partner_candidates(a, b, max_delay)[0].size < a.size
+        assert partner_candidates([a, b], max_delay)[0].size < a.size
         loop = _collect_delays_loop(a, b, max_delay)
         fast = collect_delays(a, b, max_delay)
         assert loop.size > 0
@@ -325,7 +349,7 @@ class TestSparseFilterEquivalence:
     def test_dense_streams_skip_the_filter(self, rng):
         a = np.sort(rng.child("a").uniform(0.0, 2.0, 4000))
         b = np.sort(a + rng.child("jit").normal(0.0, 0.4e-9, a.size))
-        kept_a, kept_b = partner_candidates(a, b, 2.5e-7)
+        kept_a, kept_b = partner_candidates([a, b], 2.5e-7)
         assert kept_a is a and kept_b is b
         assert np.array_equal(
             collect_delays(a, b, 2.5e-7), _collect_delays_loop(a, b, 2.5e-7)
@@ -333,19 +357,95 @@ class TestSparseFilterEquivalence:
         assert car_from_tags(a, b, 2.0) == _car_from_tags_loop(a, b, 2.0)
 
 
-def _single_merge_candidates(starts, stops, reach_s):
+def _loop_matrix(starts, stops, *args):
+    """Every cell of a CAR matrix from the loop oracle, one pair at a time."""
+    return [[_car_from_tags_loop(a, b, *args) for b in stops] for a in starts]
+
+
+class TestCarMatrixEquivalence:
+    """Every cell of :func:`car_matrix` against the one-pair loop oracle,
+    on 1x1, 1x3 and 5x5 sets."""
+
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 3), (5, 5)]),
+        streams=st.lists(click_times, min_size=10, max_size=10),
+        ties=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 59)),
+            max_size=8,
+        ),
+        window=windows,
+        offset_factor=st.floats(min_value=1.01, max_value=4.0),
+        num_windows=st.integers(min_value=1, max_value=11),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cells_match_loop_oracle(
+        self, shape, streams, ties, window, offset_factor, num_windows
+    ):
+        m, n = shape
+        sets = [np.asarray(times, dtype=float) for times in streams[: m + n]]
+        # Cross-stream ties: clicks copied from one stream into another.
+        for source, target, index in ties:
+            source, target = source % (m + n), target % (m + n)
+            if sets[source].size:
+                tie = sets[source][index % sets[source].size]
+                sets[target] = np.append(sets[target], tie)
+        args = (1.0, window, num_windows, window * offset_factor)
+        starts, stops = sets[:m], sets[m:]
+        assert car_matrix(starts, stops, *args) == _loop_matrix(starts, stops, *args)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 5)])
+    @pytest.mark.parametrize("case", ["ties", "empty", "single"])
+    def test_sparse_sets_match_loop_oracle(self, shape, case):
+        m, n = shape
+        pairs = [_sparse_streams(11 + k, 600.0, 2.5e-7, [0.0]) for k in range(5)]
+        starts = [a for a, _ in pairs][:m]
+        stops = [b for _, b in pairs][:n]
+        if case == "ties":
+            # Clicks shared across streams of the set, not only within a pair.
+            stops[-1] = np.sort(np.concatenate([stops[-1], starts[0][::499]]))
+            starts[-1] = np.sort(np.concatenate([starts[-1], stops[0][::491]]))
+        elif case == "empty":
+            stops[-1] = stops[-1][:0]
+            starts[-1] = starts[-1][:0] if m > 1 else starts[-1]
+        else:
+            stops[0] = stops[0][5:6]
+            starts[-1] = starts[-1][7:8] if m > 1 else starts[-1]
+        assert partner_candidates([*starts, *stops], 2.5e-7)[0].size < starts[0].size
+        args = (1.0, 2.5e-9, 10, 5e-8)
+        assert car_matrix(starts, stops, *args) == _loop_matrix(starts, stops, *args)
+
+    def test_dense_set_skips_the_filter(self, rng):
+        a = np.sort(rng.child("a").uniform(0.0, 0.5, 1000))
+        sets = [
+            np.sort(a + rng.child(f"jit{k}").normal(0.0, 0.4e-9, a.size))
+            for k in range(10)
+        ]
+        kept = partner_candidates(sets, 2.5e-7)
+        assert all(k is s for k, s in zip(kept, sets))
+        starts, stops = sets[:5], sets[5:]
+        args = (0.5, 2.5e-9, 10, 5e-8)
+        assert car_matrix(starts, stops, *args) == _loop_matrix(starts, stops, *args)
+
+    def test_needs_a_start_and_a_stop_stream(self):
+        with pytest.raises(ConfigurationError, match="start and one stop"):
+            car_matrix([], [np.zeros(3)], 1.0)
+        with pytest.raises(ConfigurationError, match="start and one stop"):
+            car_matrix([np.zeros(3)], [], 1.0)
+
+
+def _single_merge_candidates(streams, reach_s):
     """The partner filter as one merge of the whole streams: the oracle
     of the blocked merge in :func:`partner_candidates` (probe left out)."""
-    if not starts.size:
-        return starts, stops
-    merged = np.sort(np.concatenate([starts, stops]), kind="stable")
+    if not streams[0].size:
+        return streams
+    merged = np.sort(np.concatenate(streams), kind="stable")
     scale = max(-merged[0], merged[-1]) + reach_s
     close = np.diff(merged) <= reach_s + 4.0 * np.finfo(float).eps * scale
     flagged = np.zeros(merged.size, dtype=bool)
     flagged[:-1] = close
     flagged[1:] |= close
     values = merged[flagged]
-    return starts[np.isin(starts, values)], stops[np.isin(stops, values)]
+    return [s[np.isin(s, values)] for s in streams]
 
 
 #: Strategy: click times as integer multiples of a step (the reach, or a
@@ -388,10 +488,51 @@ class TestBlockedScans:
         # _DENSE_SHARE = 1 keeps the strided probe from skipping the merge.
         with mock.patch.object(tdc, "CLICK_BLOCK", block), \
                 mock.patch.object(tdc, "_DENSE_SHARE", 1.0):
-            kept_a, kept_b = partner_candidates(a, b, reach)
-        oracle_a, oracle_b = _single_merge_candidates(a, b, reach)
+            kept_a, kept_b = partner_candidates([a, b], reach)
+        oracle_a, oracle_b = _single_merge_candidates([a, b], reach)
         assert np.array_equal(kept_a, oracle_a)
         assert np.array_equal(kept_b, oracle_b)
+
+    @pytest.mark.parametrize(
+        "order_share", [np.inf, -1.0], ids=["by_value", "by_order"]
+    )
+    @given(
+        streams=st.lists(grid_clicks, min_size=1, max_size=5),
+        block=st.integers(min_value=1, max_value=8),
+        origin=st.sampled_from([0.0, 600.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(streams=[[0, 1, 1, 5], [1, 2], [1, 9], [], [5, 5]], block=1,
+             origin=600.0)
+    @example(streams=[[4], [], [], [4]], block=2, origin=0.0)
+    def test_stream_sets_keep_every_pair_in_reach(
+        self, order_share, streams, block, origin
+    ):
+        reach = 2.5e-7
+        sets = [origin + reach * np.sort(np.asarray(s, dtype=float)) for s in streams]
+        # order_share selects the map-back: by value (inf) or by the
+        # merge's own order (-1); _DENSE_SHARE = 1 keeps the probe from
+        # skipping the merge.
+        with mock.patch.object(tdc, "CLICK_BLOCK", block), \
+                mock.patch.object(tdc, "_DENSE_SHARE", 1.0), \
+                mock.patch.object(tdc, "_ORDER_SHARE", order_share):
+            kept = partner_candidates(sets, reach)
+        for stream, (i, survivors) in zip(sets, enumerate(kept)):
+            # An order-preserving subsequence: ascending, and each value
+            # kept no more often than the stream holds it.
+            assert np.all(np.diff(survivors) >= 0)
+            values, counts = np.unique(survivors, return_counts=True)
+            assert np.all(counts <= np.searchsorted(stream, values, "right")
+                          - np.searchsorted(stream, values, "left"))
+            # Every click within reach of a click of another stream stays.
+            others = [s for j, s in enumerate(sets) if j != i]
+            for click in stream:
+                if any(np.any(np.abs(s - click) <= reach) for s in others):
+                    assert click in survivors
+        assert all(
+            np.array_equal(k, o)
+            for k, o in zip(kept, _single_merge_candidates(sets, reach))
+        )
 
     @given(
         times=grid_clicks,

@@ -56,8 +56,20 @@ def _raw_rpc(url, method, params, timeout=10.0):
         return json.loads(response.read().decode("utf-8"))
 
 
-def _park_events_poll(service, seconds):
-    """Occupy the single poll slot with a parked events long-poll."""
+def _park_events_poll(service, seconds, release=None):
+    """Occupy the single poll slot with a parked events long-poll.
+
+    With a ``release`` event, the parked poll returns as soon as the test
+    sets it instead of waiting out its ``seconds``.
+    """
+    if release is not None:
+        wait_events = service.store.wait_events
+
+        def releasable_wait(since, timeout=0.0):
+            release.wait(timeout)
+            return wait_events(since, 0.0)
+
+        service.store.wait_events = releasable_wait
     client = ServiceClient(_url(service))
     thread = threading.Thread(
         target=lambda: client.events(since=10_000, timeout=seconds),
@@ -74,16 +86,20 @@ def _park_events_poll(service, seconds):
 
 class TestAdmissionControl:
     def test_overflow_poll_is_shed_with_retry_after(self, service):
-        thread = _park_events_poll(service, seconds=5.0)
+        release = threading.Event()
+        thread = _park_events_poll(service, seconds=5.0, release=release)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _raw_rpc(_url(service), "events", {"since": 0, "timeout": 5.0})
         assert excinfo.value.code == 503
         assert excinfo.value.headers.get("Retry-After")
         excinfo.value.read()
+        release.set()
         thread.join(timeout=30.0)
+        assert not thread.is_alive()
 
     def test_control_plane_is_never_capped(self, service):
-        thread = _park_events_poll(service, seconds=5.0)
+        release = threading.Event()
+        thread = _park_events_poll(service, seconds=5.0, release=release)
         client = ServiceClient(_url(service))
         # Health, status and the fleet work plane bypass the cap.
         assert client.health()["ok"] is True
@@ -94,7 +110,9 @@ class TestAdmissionControl:
             {"host": "h", "pid": 1, "workers": 1},
         )
         assert reply["result"]["runner_id"]
+        release.set()
         thread.join(timeout=30.0)
+        assert not thread.is_alive()
 
     def test_client_retries_after_shed_poll(self, service):
         # Park the slot briefly: the client's 503 retry (honouring
