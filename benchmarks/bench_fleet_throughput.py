@@ -1,7 +1,7 @@
 """Fleet load generator: fully-cached jobs/sec through a live master.
 
 The distributed analogue of ``bench_service_throughput``: a
-broker-only master (``workers=0, dispatch="remote"``) fronts a warmed
+broker-only master (``workers=0``) fronts a warmed
 result cache while real ``repro runner`` subprocesses hammer the
 ``runner.claim`` RPC over HTTP.  Every spec is already cached, so each
 job's cost is pure coordination — one classify probe under the store
@@ -80,9 +80,7 @@ def bench_fleet_throughput(benchmark, tmp_path):
     for mw in POWERS:
         warm_engine.run("E6", quick=True, params={"pump_mw": mw})
 
-    service = ExperimentService(
-        root=root, workers=0, use_processes=False, dispatch="remote"
-    )
+    service = ExperimentService(root=root, workers=0, use_processes=False)
     host, port = service.start()
     url = f"http://{host}:{port}"
     runners = []

@@ -331,23 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help=(
-            "scheduler worker threads / pool processes (default 2; "
-            "0 = broker-only master, fleet runners do all compute)"
+            "claim threads / pool processes (default 2): they take any "
+            "pending job and fleet runners lease what they leave; "
+            "0 = broker-only master (runners do all compute, analysis "
+            "submissions are rejected)"
         ),
     )
     serve_parser.add_argument(
         "--in-process",
         action="store_true",
         help="compute cache misses on worker threads instead of a process pool",
-    )
-    serve_parser.add_argument(
-        "--dispatch",
-        choices=("auto", "local", "remote"),
-        default="auto",
-        help=(
-            "where run/sweep jobs execute: local pool, remote fleet "
-            "runners, or auto (local until runners register; default)"
-        ),
     )
     serve_parser.add_argument(
         "--lease-ttl",
@@ -1148,15 +1141,14 @@ def command_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=max(0, args.workers),
         use_processes=not args.in_process,
-        dispatch=args.dispatch,
         on_event=lambda message: print(message, file=sys.stderr),
         **extra,
     )
     host, port = service.start()
     print(
         f"experiment service on http://{host}:{port} "
-        f"(root {service.root}, {service.scheduler.workers} workers, "
-        f"dispatch {service.scheduler.dispatch}); Ctrl-C to stop",
+        f"(root {service.root}, {service.scheduler.workers} workers); "
+        "Ctrl-C to stop",
         file=sys.stderr,
     )
     service.serve_forever()

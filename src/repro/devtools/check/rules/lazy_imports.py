@@ -84,6 +84,7 @@ LIGHT_MODULES = frozenset(
         "repro.fleet.client",
         "repro.fleet.coordinator",
         "repro.fleet.protocol",
+        "repro.fleet.runner",
         "repro.service",
         "repro.service.api",
         "repro.service.client",

@@ -15,9 +15,12 @@ runner cannot be trusted with:
   append — the >1k jobs/s path) and leases the rest.  Every
   result-bearing RPC is fenced against the lease table, so a runner
   that lost its lease mid-job gets a clean rejection instead of
-  double-completing work that was already re-dispatched.
-- **All result IO.**  Runners ship raw records; archive, cache and
-  index writes happen here through the engine's ordinary
+  double-completing work that was already re-dispatched.  The master's
+  own claim threads :meth:`adopt` what they claim under a
+  ``local/<worker>`` holder and call the same methods in-process.
+- **All result IO.**  Every point of every job is looked up through
+  :meth:`lookup` and enters the archive and cache through
+  :meth:`ingest`, via the engine's ordinary
   ``complete_record``/``record_failure`` path, preserving the
   atomic-write and journal invariants no matter where compute ran.
 
@@ -228,12 +231,11 @@ class FleetCoordinator:
     def lookup(
         self, runner_id: str, job_id: int, spec: dict[str, object]
     ) -> dict[str, object]:
-        """Proxied cache lookup for one spec of a leased job.
+        """The cache consult for one point of a held job.
 
         Runs the engine's real ``lookup`` (not just a probe) so a hit
-        whose run directory was pruned is re-archived here, exactly as
-        a local execution would — runners stay numpy-light until an
-        actual miss forces them to compute.
+        whose run directory was pruned is re-archived here — runners
+        stay numpy-light until an actual miss forces them to compute.
         """
         self._require_lease(runner_id, int(job_id))
         outcome = self.engine.lookup(spec_from_payload(spec))
@@ -255,13 +257,13 @@ class FleetCoordinator:
         duration_s: float = 0.0,
         spans: list[dict[str, object]] | None = None,
     ) -> dict[str, object]:
-        """Persist one remotely-computed result (or failure) master-side.
+        """Persist one computed result (or failure) master-side.
 
         The only door results enter through: archive, cache and index
-        writes all happen here via the engine, and the runner's
-        captured spans are journaled into this daemon's telemetry —
-        the same transport pool workers use (workers compute, the
-        parent persists).
+        writes all happen here via the engine, and the worker's
+        captured spans are journaled into this daemon's telemetry
+        (workers compute, the master persists).  Only records from
+        registered runners count as ``fleet.ingested``.
         """
         self._require_lease(runner_id, int(job_id))
         run_spec = spec_from_payload(spec)
@@ -278,7 +280,8 @@ class FleetCoordinator:
         outcome = self.engine.complete_record(
             run_spec, record, float(duration_s)
         )
-        obs.count(obs_names.METRIC_FLEET_INGESTED)
+        if str(runner_id) in self._runners:
+            obs.count(obs_names.METRIC_FLEET_INGESTED)
         return {
             "run_id": outcome.run_id,
             "metrics": dict(outcome.result.metrics),
@@ -338,12 +341,12 @@ class FleetCoordinator:
         lease = self._require_lease(runner_id, int(job_id))
         job: Job = lease["job"]
         status = CANCELLED if job.cancel_requested else DONE
+        if status != DONE:
+            metrics = None
         publisher = lease["publisher"]
         if publisher is not None:
             publisher.finish(status, metrics=metrics)
-        self.store.finish(
-            job, status, metrics=metrics if status == DONE else None
-        )
+        self.store.finish(job, status, metrics=metrics)
         self._settle(runner_id, int(job_id), "completed")
         return {"status": job.status}
 
@@ -382,24 +385,6 @@ class FleetCoordinator:
             "runners": runners,
             "leases": leases,
         }
-
-    def probe(self, job: Job):
-        """The drain verdict for one pending job (dispatch policy input).
-
-        A tuple means "cached, serve inline"; :data:`VERDICT_LEASE`
-        means remote-eligible; ``None`` means master-only.  Safe under
-        the store lock — see :meth:`_classify`.
-        """
-        return self._classify(job)
-
-    def live_runner_count(self) -> int:
-        """How many runners are currently alive (dispatch policy input)."""
-        with self._lock:
-            return sum(
-                1
-                for doc in self._runners.values()
-                if doc["status"] == RUNNER_ALIVE
-            )
 
     # ------------------------------------------------------------------
     # Classification (runs under the store lock — stat-cheap only)
@@ -452,6 +437,31 @@ class FleetCoordinator:
             self._probe[key] = probe
             while len(self._probe) > PROBE_LRU:
                 self._probe.popitem(last=False)
+
+    # ------------------------------------------------------------------
+    # Local holders (the master's own claim threads)
+    # ------------------------------------------------------------------
+    def adopt(self, holder: str, job: Job) -> None:
+        """Lease a job a master claim thread took from the store.
+
+        The lease has no runner doc behind it, so the reaper (which
+        walks runner docs) never expires it; the store's O_EXCL claim
+        marker fences the job as for any claim.  ``complete``/``fail``
+        settle it; :meth:`drop` clears whatever they did not.
+        """
+        with self._lock:
+            self._leases[job.job_id] = {
+                "runner_id": holder,
+                "job": job,
+                "publisher": None,
+            }
+
+    def drop(self, holder: str, job_id: int) -> None:
+        """Forget ``holder``'s lease on ``job_id`` if it still has one."""
+        with self._lock:
+            lease = self._leases.get(job_id)
+            if lease is not None and lease["runner_id"] == holder:
+                del self._leases[job_id]
 
     # ------------------------------------------------------------------
     # Fencing and expiry

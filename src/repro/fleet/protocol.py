@@ -1,8 +1,8 @@
 """Wire-level constants and payload helpers of the fleet protocol.
 
 Shared by the master-side coordinator and the runner-side client, so
-both agree on lease timing defaults and on how a job or spec crosses
-the JSON-RPC boundary.  Stdlib-only and numpy-free: this module is in
+both agree on lease timing defaults and on how a spec crosses the
+JSON-RPC boundary.  Stdlib-only and numpy-free: this module is in
 the lazy-import closure (IMP001) because :mod:`repro.service.api`
 imports the coordinator, which imports this.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.runtime.engine import RunSpec
-from repro.service.jobs import Job
 
 #: Seconds without a heartbeat after which a runner's leases expire.
 DEFAULT_LEASE_TTL_S = 10.0
@@ -69,8 +68,3 @@ def spec_from_payload(payload: Mapping[str, object]) -> RunSpec:
         quick=bool(payload.get("quick", False)),
         params=dict(payload.get("params") or {}),
     )
-
-
-def job_from_payload(payload: Mapping[str, object]) -> Job:
-    """Rebuild a leased :class:`Job` from its ``to_dict`` document."""
-    return Job.from_dict(payload)

@@ -1,22 +1,24 @@
-"""The fleet runner process: lease, compute, ship home, repeat.
+"""The fleet runner process and the one point loop every job runs.
 
 :class:`FleetRunner` is the body of ``repro runner --master URL``.  It
 holds **no engine root** — no queue, archive, cache or index — only an
-open RPC connection to its master.  The per-job protocol:
+open RPC connection to its master.  ``runner.claim`` leases it a batch
+(cache-hit run jobs were already served master-side and never arrive
+here), and each leased job runs through :func:`execute_points`:
 
-1. ``runner.claim`` leases a batch (cache-hit run jobs were already
-   served master-side and never arrive here).
-2. For each spec the runner first asks ``runner.lookup`` — the proxied
-   cache consult that keeps it numpy-light until a genuine miss.
-3. Misses compute through the engine's ``_execute_safe`` — on the
-   process-wide pool of :mod:`repro.runtime.pool` when
-   ``use_processes``, in-thread otherwise — exactly the code path of a
-   local scheduler miss, which is why remote records are bit-identical
-   to local ones.
-4. ``runner.ingest`` ships the record home with the worker's spans
-   (recorded under the runner's ``fleet.execute`` span while telemetry
-   is on); ``runner.progress``/``runner.complete``/``runner.fail``
-   drive the job's lifecycle on the master.
+1. For each spec ``lookup`` consults the master's cache — the proxied
+   consult that keeps a runner numpy-light until a genuine miss.
+2. Misses go through :func:`compute`: the engine's ``_execute_safe`` on
+   the process-wide pool of :mod:`repro.runtime.pool`, or in-thread.
+3. ``ingest`` ships the record home with the worker's spans (recorded
+   under the runner's ``fleet.execute`` span while telemetry is on);
+   ``progress``/``complete``/``fail`` drive the job's lifecycle.
+
+:func:`execute_points` speaks only those five verbs, so the master's
+own claim threads (:class:`repro.service.scheduler.Scheduler`) run the
+same loop with the :class:`~repro.fleet.coordinator.FleetCoordinator`
+itself as the client.  One loop over one ingest door is why a record
+is byte-identical wherever it was computed.
 
 A heartbeat thread fences the lease; any lease rejection
 (``ConfigurationError`` from the client) means the master moved on —
@@ -33,10 +35,11 @@ import os
 import socket
 import threading
 import time
+from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.errors import ConfigurationError, ServiceError
-from repro.fleet.client import RunnerClient
 from repro.fleet.protocol import (
     DEFAULT_CLAIM_BATCH,
     heartbeat_interval,
@@ -45,6 +48,10 @@ from repro.fleet.protocol import (
 from repro.obs import names as obs_names
 from repro.runtime import pool
 from repro.service.jobs import Job
+
+if TYPE_CHECKING:
+    from repro.fleet.client import RunnerClient
+    from repro.runtime.engine import RunSpec, WorkerResult
 
 #: Fault-injection hook: seconds to stall between claim and compute.
 STALL_ENV_VAR = "REPRO_RUNNER_STALL_S"
@@ -84,7 +91,13 @@ class FleetRunner:
             raise ConfigurationError(
                 f"runner workers must be >= 1, got {workers}"
             )
-        self.client = client or RunnerClient(master_url)
+        if client is None:
+            # Deferred: the client imports the service API, which imports
+            # this module's point loop for the scheduler.
+            from repro.fleet.client import RunnerClient
+
+            client = RunnerClient(master_url)
+        self.client = client
         self.workers = int(workers)
         self.use_processes = use_processes
         self.on_event = on_event
@@ -247,7 +260,13 @@ class FleetRunner:
                 kind=job.kind,
                 experiment=job.experiment_id,
             ):
-                self._execute_points(runner_id, job)
+                execute_points(
+                    self.client,
+                    runner_id,
+                    job,
+                    self._compute,
+                    lambda: self._is_cancelled(job.job_id),
+                )
         except ConfigurationError as error:
             self._log(f"{job.label()} lease lost: {error}")
         except ServiceError as error:
@@ -266,57 +285,78 @@ class FleetRunner:
             except (ConfigurationError, ServiceError):
                 pass  # lease already gone; the master moved on
 
-    def _execute_points(self, runner_id: str, job: Job) -> None:
-        """Per-point lookup, compute on miss, report; cancel at boundaries.
-
-        A run job is a single point with no scan coordinates.
-        """
-        pairs = job.points()
-        last_metrics: dict[str, float] = {}
-        for index, (point, spec) in enumerate(pairs):
-            if self._is_cancelled(job.job_id):
-                break
-            payload = spec_payload(spec)
-            reply = self.client.lookup(runner_id, job.job_id, payload)
-            cached = bool(reply.get("hit"))
-            if not cached:
-                record, failure, duration, spans = self._compute(spec)
-                reply = self.client.ingest(
-                    runner_id, job.job_id, payload, record=record,
-                    failure=failure, duration_s=duration, spans=spans,
-                )
-                if failure is not None:
-                    self.client.fail(runner_id, job.job_id, failure)
-                    return
-            last_metrics = dict(reply.get("metrics") or {})
-            progress = self.client.progress(
-                runner_id, job.job_id, index + 1, len(pairs),
-                run_id=str(reply.get("run_id")), cached=cached,
-                point=point, metrics=last_metrics,
-            )
-            if progress.get("cancel_requested"):
-                break
-        # The master turns this into cancelled when a cancel is pending.
-        self.client.complete(runner_id, job.job_id, metrics=last_metrics)
-
     def _is_cancelled(self, job_id: int) -> bool:
         with self._lock:
             return job_id in self._cancelled
 
-    def _compute(self, spec):
-        """Execute one miss: on the shared process pool, or in-thread.
-
-        Either way the result tuple carries the worker's spans, which
-        ``runner.ingest`` ships home.  Lazy import: a runner that only
-        ever serves proxied cache hits never loads the driver stack
-        (numpy) at all.
-        """
-        if self.use_processes:
-            return pool.submit(spec, self.workers).result()
-        from repro.runtime.engine import _execute_safe
-
-        return _execute_safe(spec, obs.context())
+    def _compute(self, spec: RunSpec) -> WorkerResult:
+        return compute(spec, self.workers if self.use_processes else 0)
 
     def _log(self, message: str) -> None:
         if self.on_event is not None:
             self.on_event(message)
+
+
+def execute_points(
+    client,
+    holder: str,
+    job: Job,
+    compute: Callable[[RunSpec], WorkerResult],
+    cancelled: Callable[[], bool],
+) -> None:
+    """Drive one held job to a terminal state, one point at a time.
+
+    ``client`` speaks the runner verbs — ``lookup``, ``ingest``,
+    ``progress``, ``complete`` and ``fail``, each fenced by the lease
+    ``holder`` names: a :class:`RunnerClient` on a runner, the
+    coordinator itself on the master.  Each point is a cache lookup,
+    then on a miss ``compute(spec)`` (the ``_execute_safe`` tuple) and
+    an ingest; a failed compute fails the job with the worker's
+    traceback.  Cancellation takes effect at point boundaries, from
+    ``cancelled()`` or the progress reply: a cancel that lands
+    mid-compute cannot abort the point (its record is ingested
+    regardless), but the job still finishes ``cancelled``.  A run job
+    is a single point with no scan coordinates.
+    """
+    pairs = job.points()
+    last_metrics: dict[str, float] = {}
+    for index, (point, spec) in enumerate(pairs):
+        if cancelled():
+            break
+        payload = spec_payload(spec)
+        reply = client.lookup(holder, job.job_id, payload)
+        cached = bool(reply.get("hit"))
+        if not cached:
+            record, failure, duration, spans = compute(spec)
+            reply = client.ingest(
+                holder, job.job_id, payload, record=record,
+                failure=failure, duration_s=duration, spans=spans,
+            )
+            if failure is not None:
+                client.fail(holder, job.job_id, failure)
+                return
+        last_metrics = dict(reply.get("metrics") or {})
+        progress = client.progress(
+            holder, job.job_id, index + 1, len(pairs),
+            run_id=str(reply.get("run_id")), cached=cached,
+            point=point, metrics=last_metrics,
+        )
+        if progress.get("cancel_requested"):
+            break
+    # The coordinator turns this into cancelled when a cancel is pending.
+    client.complete(holder, job.job_id, metrics=last_metrics)
+
+
+def compute(spec: RunSpec, processes: int) -> WorkerResult:
+    """Execute one miss: on the shared pool, or in-thread at ``processes=0``.
+
+    ``processes`` bounds the pool's size.  Either way the result tuple
+    carries the worker's spans for ``ingest`` to journal.  Lazy import:
+    a runner that only ever serves proxied cache hits never loads the
+    driver stack (numpy) at all.
+    """
+    if processes:
+        return pool.submit(spec, processes).result()
+    from repro.runtime.engine import _execute_safe
+
+    return _execute_safe(spec, obs.context())

@@ -429,10 +429,9 @@ class RunEngine:
     def compute(self, spec: RunSpec) -> RunOutcome:
         """Execute one spec in-process (no cache consult) and persist it.
 
-        The building block the serial path and the service scheduler's
-        thread workers share: on failure the formatted traceback is
-        archived as a failure manifest before the original exception —
-        type intact — continues to the caller.
+        The serial path's building block: on failure the formatted
+        traceback is archived as a failure manifest before the original
+        exception — type intact — continues to the caller.
         """
         with obs.span(
             obs_names.SPAN_ENGINE_RUN,
@@ -589,8 +588,8 @@ class RunEngine:
     def lookup(self, spec: RunSpec) -> RunOutcome | None:
         """A cache-served outcome for ``spec``, or None on a miss.
 
-        Public because the service scheduler routes jobs by it: hits
-        are served on cheap worker threads, misses go to processes.
+        Public because the fleet coordinator serves every job point's
+        cache consult through it, for claim threads and runners alike.
         """
         if self.cache is None:
             return None

@@ -1,10 +1,11 @@
 """The one process pool: every front-end's cache misses compute here.
 
-The engine (``repro sweep --parallel``), the service scheduler and the
-fleet runner all call :func:`submit`, which runs the engine's
-``_execute_safe`` with the caller's span context on one process-wide
-``ProcessPoolExecutor``; callers persist results through
-``RunEngine.finish_worker_result``.  The pool starts on the first miss,
+The engine (``repro sweep --parallel``) and the fleet point loop that
+service claim threads and runners share all call :func:`submit`, which
+runs the engine's ``_execute_safe`` with the caller's span context on
+one process-wide ``ProcessPoolExecutor``; results are persisted through
+``RunEngine.finish_worker_result`` or the coordinator's ``ingest``.
+The pool starts on the first miss,
 importing the experiment registry first so forked workers inherit numpy
 (a process serving only cache hits never imports it).  It has
 ``min(requested, usable_cpus())`` workers, each running OpenBLAS on one

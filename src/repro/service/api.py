@@ -94,7 +94,6 @@ class ExperimentService:
         workers: int = 2,
         use_processes: bool = True,
         on_event=None,
-        dispatch: str = "auto",
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         max_polls: int = DEFAULT_MAX_POLLS,
     ) -> None:
@@ -121,7 +120,6 @@ class ExperimentService:
             workers=workers,
             use_processes=use_processes,
             on_event=on_event,
-            dispatch=dispatch,
             fleet=self.fleet,
         )
         self._httpd: ThreadingHTTPServer | None = None
@@ -311,6 +309,14 @@ class ExperimentService:
             from repro.analysis.pipelines import get_pipeline
 
             get_pipeline(analysis)
+            if not self.scheduler.workers:
+                # Analyses read this master's archive, so runners never
+                # lease them; without claim threads one would wait
+                # forever.
+                raise ConfigurationError(
+                    "analysis jobs run on the master's own workers; this "
+                    "master has none (repro serve --workers 0)"
+                )
         else:
             if not experiment:
                 raise ConfigurationError(

@@ -156,9 +156,9 @@ class Job:
     def points(self) -> list[tuple[dict[str, object] | None, RunSpec]]:
         """``(scan point, spec)`` pairs of a run or sweep job, in order.
 
-        A run job is one pair with no scan point.  The scheduler and
-        fleet runners both execute from this list, so remote execution
-        cannot drift from local execution.
+        A run job is one pair with no scan point.  The one point loop,
+        :func:`repro.fleet.runner.execute_points`, executes from this
+        list on claim threads and runners alike.
         """
         if self.kind == KIND_RUN:
             return [(None, self.spec())]

@@ -1,20 +1,22 @@
-"""The scheduler: drains the job store through a worker pool.
+"""The scheduler: the master's claim threads.
 
 ARTIQ's master runs one experiment pipeline per worker process; this
 scheduler is the offline equivalent sized for the reproduction's
 workload mix.  A configurable number of *claim threads* pull jobs off
-the :class:`repro.service.store.JobStore` in priority order.  Each
-claimed job is routed by cost:
+the :class:`repro.service.store.JobStore` in priority order — any
+pending job; fleet runners lease what the threads leave, and
+``workers=0`` makes the master a pure broker.
 
-- **cache hits** are served directly on the claim thread — a hit is a
-  JSON read, so threads give maximal throughput (the ≥50 jobs/s bar of
-  ``benchmarks/bench_service_throughput.py``);
-- **compute** goes through the process-wide pool of
-  :mod:`repro.runtime.pool` (unless ``use_processes=False``) — the same
-  pool the engine's parallel sweeps and a fleet runner use — keeping
-  the GIL out of Monte-Carlo work while all persistence — archiving,
-  caching, job-file writes — stays in the scheduler process (the
-  engine's parent-side-I/O invariant).
+Run and sweep jobs go through the one point loop,
+:func:`repro.fleet.runner.execute_points`, with the daemon's
+:class:`~repro.fleet.coordinator.FleetCoordinator` as its client: the
+claim thread adopts the job as a ``local/<worker>`` lease, each point
+is a ``lookup`` (a hit is a JSON read, served on the thread — the
+≥50 jobs/s bar of ``benchmarks/bench_service_throughput.py``), and a
+miss computes on the process-wide pool of :mod:`repro.runtime.pool`
+(unless ``use_processes=False``) and comes back through ``ingest``.
+All persistence — archiving, caching, job-file writes — stays in this
+process, exactly as for a result a remote runner ships home.
 
 Sweep jobs stream: after every finished point the job file is rewritten
 with the new progress counters, so ``repro watch`` and the long-poll
@@ -30,24 +32,11 @@ import threading
 from collections.abc import Callable
 
 from repro import obs
+from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.runner import compute, execute_points
 from repro.obs import names as obs_names
-from repro.runtime import pool
-from repro.runtime.engine import (
-    RunEngine,
-    RunOutcome,
-    RunSpec,
-    _failure_from,
-)
-from repro.service.datasets import SweepPublisher
-from repro.service.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    KIND_ANALYZE,
-    KIND_RUN,
-    KIND_SWEEP,
-    Job,
-)
+from repro.runtime.engine import RunEngine, RunSpec, WorkerResult, _failure_from
+from repro.service.jobs import CANCELLED, DONE, KIND_ANALYZE, Job
 from repro.service.store import JobStore
 
 
@@ -73,18 +62,12 @@ class Scheduler:
     on_event:
         Optional ``callable(message: str)`` receiving one line per
         job transition (the CLI's ``serve`` log).
-    dispatch:
-        Where run/sweep jobs execute. ``"local"`` — always on this
-        host's pool (pre-fleet behaviour). ``"remote"`` — claim threads
-        only take analyze jobs; everything else waits for fleet
-        runners (``workers=0`` masters are pure brokers). ``"auto"``
-        (the service default) — local execution steps back once live
-        runners exist, except for analyze jobs and inline-servable
-        cache hits, which stay on the master where they are cheapest.
     fleet:
-        The daemon's :class:`repro.fleet.coordinator.FleetCoordinator`
-        (None for fleet-less embedded use; dispatch then degrades to
-        ``"local"``).
+        The daemon's :class:`repro.fleet.coordinator.FleetCoordinator`,
+        which holds the claim threads' leases.  Without one the
+        scheduler makes its own and never starts it (no reaper, no
+        runners); ``workers=0`` needs the daemon's, since only its
+        runners would execute anything.
     """
 
     def __init__(
@@ -95,20 +78,13 @@ class Scheduler:
         use_processes: bool = True,
         poll_s: float = 1.0,
         on_event: Callable[[str], None] | None = None,
-        dispatch: str = "local",
-        fleet=None,
+        fleet: FleetCoordinator | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if dispatch not in ("auto", "local", "remote"):
+        if workers == 0 and fleet is None:
             raise ValueError(
-                f"dispatch must be 'auto', 'local' or 'remote', "
-                f"got {dispatch!r}"
-            )
-        if workers == 0 and (dispatch == "local" or fleet is None):
-            raise ValueError(
-                "workers=0 needs a fleet and a non-local dispatch policy "
-                "(nothing would ever execute)"
+                "workers=0 needs a fleet (nothing would ever execute)"
             )
         self.store = store
         self.engine = engine
@@ -116,8 +92,7 @@ class Scheduler:
         self.use_processes = use_processes
         self.poll_s = poll_s
         self.on_event = on_event
-        self.dispatch = dispatch
-        self.fleet = fleet
+        self.fleet = fleet or FleetCoordinator(store, engine)
         self._host = socket.gethostname()
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -177,41 +152,21 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _worker_loop(self, name: str) -> None:
         """One claim thread: claim → execute → repeat until stopped."""
-        accept = (
-            None
-            if self.dispatch == "local" or self.fleet is None
-            else self._accept_job
-        )
         identity = (f"local/{name}", self._host, os.getpid())
         while not self._stop.is_set():
-            job = self.store.claim(name, accept=accept, identity=identity)
+            job = self.store.claim(name, identity=identity)
             if job is None:
                 self.store.wait_for_work(self.poll_s)
                 continue
-            self._run_job(job)
+            self._run_job(job, identity[0])
 
-    def _accept_job(self, job: Job) -> bool:
-        """The dispatch policy: should a *local* thread take this job?
+    def _run_job(self, job: Job, holder: str = "local") -> None:
+        """Execute one claimed job through to a terminal state.
 
-        Runs under the store lock, so every branch is cheap: analyze
-        jobs are always local (they read the master's archive/index),
-        ``remote`` refuses everything else, and ``auto`` keeps
-        run/sweep work local only while no runner is alive — except
-        cache-hit run jobs, which serve inline faster than any lease
-        round-trip could.
+        The job is held as ``holder``'s lease on the coordinator while
+        it runs, and the lease is gone when this returns — done,
+        cancelled or failed.
         """
-        if job.kind == KIND_ANALYZE:
-            return True
-        if self.dispatch == "remote":
-            return False
-        if self.fleet.live_runner_count() == 0:
-            return True
-        return job.kind == KIND_RUN and isinstance(
-            self.fleet.probe(job), tuple
-        )
-
-    def _run_job(self, job: Job) -> None:
-        """Execute one claimed job through to a terminal state."""
         self._log(f"{job.label()} started (attempt {job.attempt})")
         if job.wait_s is not None:
             obs.observe(obs_names.METRIC_QUEUE_WAIT_SECONDS, job.wait_s)
@@ -221,29 +176,25 @@ class Scheduler:
             kind=job.kind,
             experiment=job.experiment_id,
         )
+        self.fleet.adopt(holder, job)
         try:
             with job_span:
                 if job.kind == KIND_ANALYZE:
                     self._run_analyze(job)
                 else:
-                    self._run_points(job)
+                    execute_points(
+                        self.fleet,
+                        holder,
+                        job,
+                        self._compute,
+                        lambda: job.cancel_requested,
+                    )
                 job_span.set(status=job.status)
         except Exception as error:  # noqa: BLE001 - job-level isolation
-            # First line only: a WorkerError's message embeds the whole
-            # worker traceback, which the traceback field already holds.
-            message = str(error).splitlines()[0] if str(error) else ""
-            failure = (
-                {
-                    "type": type(error).__name__,
-                    "message": message,
-                    "traceback": getattr(error, "worker_traceback", "")
-                    or _failure_from(error)["traceback"],
-                }
-            )
             try:
-                self.store.finish(job, FAILED, error=failure)
+                self.fleet.fail(holder, job.job_id, _failure_from(error))
             except Exception as second:  # noqa: BLE001 - keep thread alive
-                # finish() can itself fail (illegal transition after a
+                # fail() can itself fail (illegal transition after a
                 # persist error left the job terminal in memory, disk
                 # full, ...).  A claim thread must survive regardless —
                 # a dead worker silently halves the pool.
@@ -251,63 +202,11 @@ class Scheduler:
                     f"{job.label()} failure could not be recorded: "
                     f"{type(second).__name__}: {second}"
                 )
-            else:
-                self._log(f"{job.label()} failed: {failure['type']}")
-        else:
-            self._log(f"{job.label()} {job.status}")
+        finally:
+            self.fleet.drop(holder, job.job_id)
+        detail = f": {job.error['type']}" if job.error else ""
+        self._log(f"{job.label()} {job.status}{detail}")
         obs.count(obs_names.METRIC_JOBS_FINISHED, status=job.status)
-
-    def _run_points(self, job: Job) -> None:
-        """Run or sweep job: stream every point through cache or compute.
-
-        A run job is one point.  Cancellation takes effect at point
-        boundaries; a cancel request that lands mid-compute cannot abort
-        the point (its work is archived and cached regardless) but the
-        job still finishes ``cancelled``, so the terminal state matches
-        what the user asked for.
-        """
-        points = job.points()
-        publisher = (
-            SweepPublisher.for_job(job, len(points))
-            if job.kind == KIND_SWEEP
-            else None
-        )
-        last_metrics: dict[str, float] = {}
-        try:
-            for index, (point, spec) in enumerate(points):
-                if job.cancel_requested:
-                    break
-                outcome = self.engine.lookup(spec)
-                cached = outcome is not None
-                if outcome is None:
-                    outcome = self._compute(spec)
-                last_metrics = dict(outcome.result.metrics)
-                if publisher is not None:
-                    publisher.point(
-                        index,
-                        point or {},
-                        last_metrics,
-                        run_id=outcome.run_id,
-                        cached=cached,
-                    )
-                self.store.update_progress(
-                    job,
-                    index + 1,
-                    len(points),
-                    run_id=outcome.run_id,
-                    cached=cached,
-                )
-        except Exception:
-            # The job-level handler records the failure; the topic must
-            # still reach a terminal status for dashboards.
-            if publisher is not None:
-                publisher.finish(FAILED)
-            raise
-        status = CANCELLED if job.cancel_requested else DONE
-        metrics = last_metrics if status == DONE else None
-        if publisher is not None:
-            publisher.finish(status, metrics=metrics)
-        self.store.finish(job, status, metrics=metrics)
 
     def _run_analyze(self, job: Job) -> None:
         """Analyze-kind job: run a pipeline, streaming per-analyzer progress.
@@ -353,12 +252,9 @@ class Scheduler:
             },
         )
 
-    def _compute(self, spec: RunSpec) -> RunOutcome:
+    def _compute(self, spec: RunSpec) -> WorkerResult:
         """Execute one cache miss (shared process pool or in-thread)."""
-        if not self.use_processes:
-            return self.engine.compute(spec)
-        result = pool.submit(spec, self.workers).result()
-        return self.engine.finish_worker_result(spec, result)
+        return compute(spec, self.workers if self.use_processes else 0)
 
     def _log(self, message: str) -> None:
         """Emit one scheduler log line through the configured callback."""

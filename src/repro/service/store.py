@@ -368,7 +368,6 @@ class JobStore:
     def claim(
         self,
         worker: str = "?",
-        accept=None,
         identity: tuple[str, str | None, int | None] | None = None,
     ) -> Job | None:
         """Atomically claim the highest-priority pending job, or None.
@@ -378,18 +377,12 @@ class JobStore:
         from double-running the job; within one process the store lock
         already serialises claims.
 
-        ``accept`` is an optional ``accept(job) -> bool`` predicate
-        evaluated under the store lock (so it must be cheap): jobs it
-        rejects stay pending for another claimant — the hook the
-        scheduler's dispatch policy uses to leave remote-eligible work
-        for fleet runners.  ``identity`` is an optional
-        ``(runner_id, host, pid)`` triple stamped onto the job so
-        status output names the executing worker.
+        ``identity`` is an optional ``(runner_id, host, pid)`` triple
+        stamped onto the job so status output names the executing
+        worker.
         """
         with self._changed:
             for job in sorted(self._with_status(PENDING), key=Job.sort_key):
-                if accept is not None and not accept(job):
-                    continue
                 if not self._take_claim(job.job_id, worker):
                     continue
                 # Re-read the status file after winning the marker: a

@@ -7,6 +7,7 @@ called directly, exactly as :mod:`repro.service.api` dispatches them.
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.protocol import spec_payload
@@ -178,3 +179,50 @@ class TestCancelPropagation:
         # complete() on a cancel-pending job lands as cancelled.
         fleet.complete(runner_id, job.job_id, metrics={})
         assert store.get(job.job_id).status == "cancelled"
+
+
+class TestLocalHolders:
+    def test_adopted_lease_is_never_reaped(self, harness):
+        store, _, fleet = harness
+        job, _ = store.submit("E6", quick=True)
+        fleet.adopt("local/worker-0", store.claim("worker-0"))
+        assert fleet.expire_overdue() == []
+        (lease,) = fleet.status()["leases"]
+        assert lease["runner_id"] == "local/worker-0"
+        assert fleet.status()["runners"] == []
+        fleet.complete("local/worker-0", job.job_id, metrics={})
+        assert store.get(job.job_id).status == DONE
+        assert fleet.status()["leases"] == []
+
+    def test_drop_clears_only_the_holders_own_lease(self, harness):
+        store, _, fleet = harness
+        job, _ = store.submit("E6", quick=True)
+        fleet.adopt("local/worker-0", store.claim("worker-0"))
+        fleet.drop("local/worker-1", job.job_id)
+        assert len(fleet.status()["leases"]) == 1
+        fleet.drop("local/worker-0", job.job_id)
+        assert fleet.status()["leases"] == []
+
+    def test_only_runner_ingests_count_as_fleet_work(
+        self, harness, monkeypatch
+    ):
+        store, _, fleet = harness
+        monkeypatch.delenv(obs.OBS_ENV_VAR, raising=False)
+        obs.reset()
+        obs.configure(enabled=True)
+        try:
+            local, _ = store.submit("E6", quick=True, params={"pump_mw": 5.0})
+            fleet.adopt("local/worker-0", store.claim("worker-0"))
+            runner_id = _register(fleet)
+            remote, _ = store.submit("E6", quick=True, params={"pump_mw": 6.0})
+            fleet.claim(runner_id)
+            for holder, job in (("local/worker-0", local), (runner_id, remote)):
+                spec = job.spec()
+                record, _, duration, _ = _execute_safe(spec, None)
+                fleet.ingest(holder, job.job_id, spec_payload(spec),
+                             record=record, duration_s=duration)
+            counters = obs.snapshot()["counters"]
+            assert counters["engine.runs"] == 2
+            assert counters["fleet.ingested"] == 1
+        finally:
+            obs.reset()

@@ -1,7 +1,7 @@
 """End-to-end fleet tests: a real master, a real runner, real HTTP.
 
-The master boots with ``workers=0, dispatch="remote"`` — a pure broker
-that computes nothing itself — so every assertion about finished jobs
+The master boots with ``workers=0`` — a pure broker that computes
+nothing itself — so every assertion about finished jobs
 proves the remote path: claim over JSON-RPC, proxied cache lookup,
 compute in the runner, ingest back through the master.  Compute stays
 in-thread on both sides (``use_processes=False``) to keep the suite
@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.errors import ConfigurationError
 from repro.fleet.runner import FleetRunner
 from repro.obs import names
 from repro.obs.journal import read_events
@@ -37,7 +38,6 @@ def service(tmp_path):
         root=tmp_path / "engine-root",
         workers=0,
         use_processes=False,
-        dispatch="remote",
         lease_ttl_s=5.0,
     )
     host, port = service.start()
@@ -125,6 +125,26 @@ class TestRemoteExecution:
         assert finished["status"] == "failed"
         assert finished["error"]["type"]
         assert client.fleet_status()["counts"]["leases"] == 0
+
+
+    def test_runner_failure_names_driver_exception(self, service, runner):
+        _, url = service
+        client = ServiceClient(url)
+        job = client.submit("E7", quick=True, params={"dwell_s": -1.0})
+        error = client.wait(job["job_id"], timeout=60.0)["error"]
+        assert error["type"] == "ConfigurationError"
+        assert "bell_fringes.py" in error["traceback"]
+
+
+class TestBroker:
+    def test_analysis_submission_rejected_without_workers(self, service):
+        # Runners never lease analyses (they read the master's archive),
+        # so a broker with no claim threads could never run one.
+        master, url = service
+        client = ServiceClient(url)
+        with pytest.raises(ConfigurationError, match="--workers 0"):
+            client.submit(analysis="car")
+        assert master.store.counts().get("pending", 0) == 0
 
 
 class TestRunnerTelemetry:

@@ -48,7 +48,7 @@ def _spawn_master(root):
     """A broker-only master with an aggressive lease TTL."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--workers", "0",
-         "--dispatch", "remote", "--lease-ttl", "1.5", "--in-process"],
+         "--lease-ttl", "1.5", "--in-process"],
         env=_env(root),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,

@@ -30,7 +30,9 @@ class TestDetectorFailures:
         """A detector flooded with darks (e.g. failed cooling) destroys
         the CAR even though true pairs still arrive."""
         source = BiphotonSource(pair_rate_hz=3000.0, linewidth_hz=110e6)
-        duration = 30.0
+        # 3 s keeps both margins wide (CAR ~20-27 healthy, ~1.00 flooded
+        # over seeds 0-4) at a tenth of the clicks and memory of 30 s.
+        duration = 3.0
         stream = source.generate(duration, rng.child("pairs"))
         healthy = DetectorModel(
             efficiency=0.1, dark_count_rate_hz=15e3,

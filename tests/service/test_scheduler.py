@@ -103,14 +103,15 @@ class TestCancellation:
         scheduler = Scheduler(store, engine, workers=1, use_processes=False)
         job, _ = store.submit("E6", quick=True)
         claimed = store.claim("test")
-        real_compute = engine.compute
+        real_compute = scheduler._compute
 
         def compute_then_cancel(spec):
-            outcome = real_compute(spec)
+            result = real_compute(spec)
             store.cancel(job.job_id)  # request lands while run in flight
-            return outcome
+            return result
 
-        monkeypatch.setattr(engine, "compute", compute_then_cancel)
+        # The point loop's compute seam: what every miss runs through.
+        monkeypatch.setattr(scheduler, "_compute", compute_then_cancel)
         scheduler._run_job(claimed)
         assert store.get(job.job_id).status == CANCELLED
 
@@ -162,6 +163,76 @@ class TestFailures:
         assert "Traceback" in manifest["error"]["traceback"]
 
 
+    def test_failure_names_driver_exception_and_keeps_traceback(
+        self, harness
+    ):
+        store, _, scheduler = harness
+        job, _ = store.submit("E7", quick=True, params={"dwell_s": -1.0})
+        assert scheduler.drain(60.0)
+        error = store.get(job.job_id).error
+        assert error["type"] == "ConfigurationError"
+        assert error["message"] == "E7 dwell_s must be > 0, got -1.0"
+        assert "bell_fringes.py" in error["traceback"]
+
+
+class TestLocalLeases:
+    """A claim thread's lease on the coordinator ends with its job."""
+
+    def test_lease_held_while_running_then_gone(self, root, monkeypatch):
+        store = JobStore(root)
+        engine = RunEngine(root=root)
+        scheduler = Scheduler(store, engine, workers=1, use_processes=False)
+        job, _ = store.submit("E6", quick=True)
+        claimed = store.claim("worker-0")
+        real_compute = scheduler._compute
+        seen = []
+
+        def compute_and_look(spec):
+            seen.extend(scheduler.fleet.status()["leases"])
+            return real_compute(spec)
+
+        monkeypatch.setattr(scheduler, "_compute", compute_and_look)
+        scheduler._run_job(claimed, "local/worker-0")
+        assert store.get(job.job_id).status == DONE
+        assert [lease["runner_id"] for lease in seen] == ["local/worker-0"]
+        assert scheduler.fleet.status()["leases"] == []
+
+    def test_no_lease_after_cancel(self, root):
+        store = JobStore(root)
+        scheduler = Scheduler(store, RunEngine(root=root), workers=1,
+                              use_processes=False)
+        job, _ = store.submit("E6", quick=True)
+        claimed = store.claim("worker-0")
+        store.cancel(job.job_id)
+        scheduler._run_job(claimed)
+        assert store.get(job.job_id).status == CANCELLED
+        assert scheduler.fleet.status()["leases"] == []
+
+    def test_no_lease_after_failure(self, harness):
+        store, _, scheduler = harness
+        job, _ = store.submit("E7", quick=True, params={"dwell_s": -1.0})
+        assert scheduler.drain(60.0)
+        assert store.get(job.job_id).status == FAILED
+        assert scheduler.fleet.status()["leases"] == []
+
+    def test_no_lease_when_the_failure_cannot_be_recorded(
+        self, root, monkeypatch
+    ):
+        store = JobStore(root)
+        scheduler = Scheduler(store, RunEngine(root=root), workers=1,
+                              use_processes=False)
+        store.submit("E6", quick=True)
+        claimed = store.claim("worker-0")
+
+        def broken(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(scheduler.fleet, "lookup", broken)
+        monkeypatch.setattr(scheduler.fleet, "fail", broken)
+        scheduler._run_job(claimed)  # the claim thread survives
+        assert scheduler.fleet.status()["leases"] == []
+
+
 @pytest.mark.slow
 class TestProcessPool:
     def test_compute_through_processes_matches_in_thread(self, tmp_path):
@@ -178,3 +249,17 @@ class TestProcessPool:
             scheduler.stop(wait=True)
             results[mode] = store.get(job.job_id).metrics
         assert results["thread"] == pytest.approx(results["process"])
+
+    def test_pooled_failure_keeps_the_worker_traceback(self, root):
+        store = JobStore(root)
+        scheduler = Scheduler(store, RunEngine(root=root), workers=1,
+                              use_processes=True, poll_s=0.05)
+        scheduler.start()
+        job, _ = store.submit("E7", quick=True, params={"dwell_s": -1.0})
+        assert scheduler.drain(120.0)
+        scheduler.stop(wait=True)
+        error = store.get(job.job_id).error
+        # The driver's own exception, formatted in the pool worker.
+        assert error["type"] == "ConfigurationError"
+        assert "bell_fringes.py" in error["traceback"]
+        assert scheduler.fleet.status()["leases"] == []
