@@ -63,11 +63,11 @@ def bench_obs_disabled_overhead(benchmark, tmp_path):
 
     def publish_mod():
         obs.publish_mod(
-            names.TOPIC_QUEUE, {"op": "set", "key": "x", "value": 1}
+            names.TOPIC_METRICS, {"op": "set", "key": "x", "value": 1}
         )
 
     def publish_init():
-        obs.publish_init(names.TOPIC_QUEUE, {"x": 1})
+        obs.publish_init(names.TOPIC_METRICS, {"x": 1})
 
     def measure():
         return {

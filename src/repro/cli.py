@@ -30,7 +30,7 @@ Experiment-service subcommands (the always-on daemon)::
     python -m repro submit E6 --quick --scan pump_mw=2:20:10
     python -m repro status [JOB_ID]       # queue table / one job (+traceback)
     python -m repro watch [JOB_ID]        # stream the live event feed
-    python -m repro dashboard             # live TUI over the dataset bus
+    python -m repro dashboard             # live TUI over the daemon
     python -m repro dashboard --replay    # re-render a root's obs journal
     python -m repro cancel JOB_ID
 
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard_parser = subparsers.add_parser(
         "dashboard",
         help=(
-            "live terminal dashboard over the dataset bus (queue, "
+            "live terminal dashboard over the daemon (queue, "
             "sweeps, metrics); --replay re-renders a finished root"
         ),
     )
@@ -1407,16 +1407,20 @@ def _paint_frame(frame: str, once: bool) -> None:
 def command_dashboard(args: argparse.Namespace) -> int:
     """The live terminal dashboard (or an offline journal replay).
 
-    Live mode subscribes to every bus topic on the daemon and keeps
-    long-polling ``poll_datasets`` with the accumulated cursors; each
-    reply mutates the :class:`~repro.obs.dashboard.DashboardModel` and
-    repaints.  ``--replay`` drives the same model from the root's obs
-    journal — no daemon, no sockets.
+    Live mode long-polls the queue journal's ``events`` feed (the one
+    ``repro watch`` reads), re-reads ``health`` for the counts and
+    polls the bus topics it subscribed to by name (metrics, fleet and
+    the held sweep jobs); each cycle mutates the
+    :class:`~repro.obs.dashboard.DashboardModel` and repaints.
+    ``--replay`` drives the same model from the root's obs journal — no
+    daemon, no sockets.
     """
     import time
 
     from repro.obs.dashboard import (
         DashboardModel,
+        attach,
+        refresh,
         render_frame,
         replay_frames,
     )
@@ -1441,30 +1445,16 @@ def command_dashboard(args: argparse.Namespace) -> int:
 
     client = _service_client(args)
     model = DashboardModel()
-    model.apply_subscribe(client.subscribe())
     try:
+        attach(client, model)
         while True:
             _paint_frame(render_frame(model), once=args.once)
             if args.once:
                 return 0
-            if model.cursors:
-                payload = client.poll_datasets(
-                    model.cursors, timeout=args.interval
-                )
-                if payload:
-                    model.apply_poll(payload)
-            else:
-                time.sleep(args.interval)
-            # Topics born after we subscribed (new sweep jobs) are
-            # invisible to poll_datasets; pick them up each cycle.
-            fresh = client.subscribe()
-            model.apply_subscribe(
-                {
-                    topic: entry
-                    for topic, entry in fresh.items()
-                    if topic not in model.cursors
-                }
-            )
+            # At most one frame per interval, however busy the queue.
+            started = time.monotonic()
+            refresh(client, model, timeout=args.interval)
+            time.sleep(max(0.0, args.interval - (time.monotonic() - started)))
     except KeyboardInterrupt:
         return 0
 

@@ -13,7 +13,6 @@ from repro.detection.tdc import TimeToDigitalConverter
 from repro.detection.coincidence import (
     CoincidenceResult,
     car_from_tags,
-    coincidence_histogram,
     count_coincidences,
 )
 from repro.detection.herald import heralded_g2_from_tags, heralding_efficiency
@@ -33,7 +32,6 @@ __all__ = [
     "PolarizingBeamSplitter",
     "TimeToDigitalConverter",
     "car_from_tags",
-    "coincidence_histogram",
     "count_coincidences",
     "heralded_g2_from_tags",
     "heralding_efficiency",

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.detection.tdc import _collect_delays_loop, ascending, collect_delays
+from repro.detection.tdc import _collect_delays_loop, ascending
 from repro.detection.tdc import partner_candidates, range_indices, window_slices
 from repro.utils import stats
 
@@ -67,25 +67,6 @@ def _count_window_loop(
     original per-start sweep over stream b shifted by ``center_s``."""
     shifted = sorted_b - center_s if center_s != 0.0 else sorted_b
     return int(_collect_delays_loop(sorted_a, shifted, window_s / 2.0).size)
-
-
-def coincidence_histogram(
-    times_a_s: np.ndarray,
-    times_b_s: np.ndarray,
-    bin_width_s: float,
-    max_delay_s: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Delay histogram (centres, counts) between two click streams."""
-    if bin_width_s <= 0 or max_delay_s <= 0:
-        raise ConfigurationError("bin width and max delay must be positive")
-    a = ascending(times_a_s)
-    b = ascending(times_b_s)
-    delays = collect_delays(a, b, max_delay_s)
-    n_bins = max(int(round(2.0 * max_delay_s / bin_width_s)), 2)
-    edges = np.linspace(-max_delay_s, max_delay_s, n_bins + 1)
-    counts, _ = np.histogram(delays, bins=edges)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    return centres, counts.astype(float)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.schemes import TypeIIScheme
-from repro.detection.coincidence import car_from_tags, coincidence_histogram
+from repro.detection.coincidence import car_from_tags
+from repro.detection.tdc import TimeToDigitalConverter
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
 from repro.utils.rng import RandomStream
@@ -63,9 +64,9 @@ def run(
         duration_s,
         window_s=scheme.calibration.coincidence_window_s,
     )
-    centres, counts = coincidence_histogram(
-        te_clicks, tm_clicks, bin_width_s=200e-12, max_delay_s=5e-9
-    )
+    centres, counts = TimeToDigitalConverter(
+        bin_width_s=200e-12
+    ).delay_histogram(te_clicks, tm_clicks, max_delay_s=5e-9)
 
     process = scheme.process()
     pump = scheme.pump()

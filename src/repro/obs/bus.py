@@ -5,8 +5,9 @@ concurrent subscribers as an ``init`` snapshot followed by ordered,
 structured ``mod`` diffs — the protocol ARTIQ's ``sync_struct`` uses
 between master and dashboards.  Three topic families ride on it (see
 :mod:`repro.obs.names`): per-sweep datasets (``datasets.sweep.<key>``),
-the metrics registry (``metrics.registry``) and job-queue state
-(``queue.state``).
+the metrics registry (``metrics.registry``) and the runner fleet
+(``fleet.state``).  Job-queue state does not: its transitions have one
+feed, the queue journal behind the ``events`` RPC.
 
 Wire contract, mirroring the PR 7 long-poll gap semantics of the queue
 feed:

@@ -1,40 +1,45 @@
-"""The ``repro dashboard`` terminal UI: live panels over the dataset bus.
+"""The ``repro dashboard`` terminal UI: live panels over the daemon's feeds.
 
 Pure presentation, pure stdlib: a :class:`DashboardModel` accumulates
-the ``subscribe``/``poll_datasets`` payloads a
-:class:`~repro.service.client.ServiceClient` fetches (or the journal
-entries of a finished run, for ``--replay``), and
-:func:`render_frame` turns the model into one ANSI-free text frame the
-CLI paints in place.  Keeping model and renderer free of sockets and
-terminals makes every panel unit-testable with plain dicts.
+what :func:`attach`/:func:`refresh` fetch through a
+:class:`~repro.service.client.ServiceClient` (or the journal entries of
+a finished run, for ``--replay``), and :func:`render_frame` turns the
+model into one ANSI-free text frame the CLI paints in place.  Keeping
+model and renderer free of sockets and terminals makes every panel
+unit-testable with plain dicts.
 
 Panels:
 
-* **queue** — worker utilisation, per-status counts, the most recent
-  jobs;
+* **queue** — worker utilisation and per-status counts from
+  ``health``, and the newest :data:`MAX_JOBS` jobs folded from the
+  queue journal's ``events`` feed (the one ``repro watch`` reads), so
+  it works with telemetry off;
 * **fleet** — remote runner registry (alive/lost counts, per-runner
   lease and completion tallies), shown once runners have registered;
-* **one panel per live sweep** — progress counters plus a sparkline
-  per headline metric series (fringe visibility, CHSH S, CAR, ...)
-  ordered by scan index, exactly the live view the paper's Bell-fringe
-  and CAR scans need;
+* **one panel per held sweep job** — progress counters plus a
+  sparkline per headline metric series (fringe visibility, CHSH S,
+  CAR, ...) ordered by scan index, exactly the live view the paper's
+  Bell-fringe and CAR scans need;
 * **metrics** — counter deltas since the previous broadcast, so rates
   are visible without a second tool.
 
 Adding a panel: give the topic a section in :func:`render_frame` (the
-model is topic-agnostic — any ``init`` + ``mods`` stream accumulates),
-and pick its headline series in :data:`PREFERRED_METRICS` if it is a
-sweep-like dataset.  See DESIGN.md "Live datasets and dashboard".
+model is topic-agnostic — any ``init`` + ``mods`` stream accumulates)
+and in :meth:`DashboardModel.wanted_topics`, and pick its headline
+series in :data:`PREFERRED_METRICS` if it is a sweep-like dataset.  See
+DESIGN.md "Live datasets and dashboard".
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from typing import Any
 
 from repro.obs import names
 from repro.obs.bus import apply_mod
+from repro.service.datasets import job_key
 from repro.utils.tables import sparkline
 
 #: Sweep metric keys promoted into sparkline rows, best first.
@@ -51,18 +56,31 @@ PREFERRED_METRICS = (
 #: How many sparkline rows one sweep panel shows.
 MAX_SERIES = 3
 
-#: How many recent jobs the queue panel lists.
+#: How many recent jobs the queue panel lists (and the model holds).
 MAX_JOBS = 6
+
+#: How far behind the journal head :func:`attach` starts its ``events``
+#: cursor: inside the store's in-memory tail (``EVENT_BUFFER``, 4096),
+#: so attaching never makes the daemon read the journal files.
+BACKFILL = 1024
+
+#: The job fields a queue line shows, as journal entries carry them.
+_JOB_FIELDS = (
+    "kind", "experiment_id", "status", "done_points", "total_points"
+)
 
 
 class DashboardModel:
-    """Client-side state of every subscribed topic.
+    """Client-side state of the queue and of every subscribed topic.
 
-    Mirrors the bus contract: an ``init`` replaces a topic's snapshot,
-    ordered ``mods`` mutate it through the shared
+    Topics follow the bus contract: an ``init`` replaces a topic's
+    snapshot, ordered ``mods`` mutate it through the shared
     :func:`~repro.obs.bus.apply_mod`, and a ``gap`` flag is remembered
     so the frame can badge lossy topics.  Counter deltas are computed
-    against the previous metrics broadcast.
+    against the previous metrics broadcast.  The queue is ``workers``
+    and ``counts`` from ``health`` plus ``jobs`` (id → fields of its
+    last event, newest :data:`MAX_JOBS` only) folded from ``events``
+    up to the cursor ``seq``.
     """
 
     def __init__(self) -> None:
@@ -71,6 +89,59 @@ class DashboardModel:
         self.gapped: set[str] = set()
         self.deltas: dict[str, float] = {}
         self.source = "live"
+        self.workers: int | None = None
+        self.counts: dict[str, int] = {}
+        self.jobs: dict[int, dict[str, Any]] = {}
+        self.seq = 0
+        self.queue_gapped = False
+
+    def apply_health(self, health: Mapping[str, object]) -> None:
+        """Take worker count and per-status counts from a ``health`` reply."""
+        workers = health.get("workers")
+        self.workers = workers if isinstance(workers, int) else 0
+        counts = health.get("counts")
+        self.counts = dict(counts) if isinstance(counts, Mapping) else {}
+
+    def apply_events(
+        self,
+        events: Iterable[Mapping[str, object]],
+        seq: int,
+        gap: bool = False,
+    ) -> None:
+        """Fold an ``events`` reply into the held jobs; advance the cursor.
+
+        A ``gap`` (transitions lost) drops the held jobs, rebuilds them
+        from the events that follow and badges the panel.  Once
+        :data:`MAX_JOBS` are held, a job older than all of them is
+        ignored.
+        """
+        if gap:
+            self.jobs.clear()
+            self.queue_gapped = True
+        for event in events:
+            job_id = event.get("job_id")
+            if not isinstance(job_id, int):
+                continue
+            job = self.jobs.get(job_id)
+            if job is None:
+                if len(self.jobs) >= MAX_JOBS:
+                    oldest = min(self.jobs)
+                    if job_id < oldest:
+                        continue
+                    del self.jobs[oldest]
+                job = self.jobs[job_id] = {}
+            job.update(
+                (key, event[key]) for key in _JOB_FIELDS if key in event
+            )
+        self.seq = int(seq)
+
+    def wanted_topics(self) -> set[str]:
+        """The bus topics the frame shows: metrics, fleet, held sweeps."""
+        return {names.TOPIC_METRICS, names.TOPIC_FLEET} | {
+            names.sweep_topic(job_key(job_id))
+            for job_id, job in self.jobs.items()
+            if job.get("kind") == "sweep"
+        }
 
     def apply_subscribe(
         self, payload: Mapping[str, Mapping[str, object]]
@@ -176,39 +247,30 @@ def _bar(fraction: float, width: int = 20) -> str:
     return "█" * filled + "░" * (width - filled)
 
 
-def _queue_lines(snapshot: Mapping[str, object]) -> list[str]:
+def _queue_lines(model: DashboardModel) -> list[str]:
     """The queue panel's body lines."""
-    counts = snapshot.get("counts")
-    counts = dict(counts) if isinstance(counts, Mapping) else {}
-    workers = snapshot.get("workers")
+    counts = model.counts
+    workers = model.workers
     running = int(counts.get("running", 0) or 0)
     lines = []
     folded = (
         "  ".join(f"{k}={counts[k]}" for k in sorted(counts)) or "empty"
     )
-    if isinstance(workers, int) and workers > 0:
+    if workers:
         lines.append(
             f"workers {running}/{workers} busy "
             f"{_bar(running / workers, 10)}  {folded}"
         )
     else:
         lines.append(folded)
-    jobs = snapshot.get("jobs")
-    documents = (
-        sorted(
-            (d for d in jobs.values() if isinstance(d, Mapping)),
-            key=lambda d: int(d.get("job_id", 0) or 0),
-        )
-        if isinstance(jobs, Mapping)
-        else []
-    )
-    for document in documents[-MAX_JOBS:]:
-        done = int(document.get("done_points", 0) or 0)
-        total = int(document.get("total_points", 1) or 1)
+    for job_id in sorted(model.jobs):
+        job = model.jobs[job_id]
+        done = int(job.get("done_points", 0) or 0)
+        total = int(job.get("total_points", 1) or 1)
         lines.append(
-            f"job {document.get('job_id')} "
-            f"{document.get('kind')} {document.get('experiment_id')} "
-            f"{document.get('status')} {done}/{total} "
+            f"job {job_id} {job.get('kind', '?')} "
+            f"{job.get('experiment_id', '?')} {job.get('status', '?')} "
+            f"{done}/{total} "
             f"{_bar(done / total if total else 0.0, 12)}"
         )
     return lines
@@ -301,12 +363,9 @@ def render_frame(model: DashboardModel, width: int = 78) -> str:
         ]
 
     lines = [f"repro dashboard ({model.source})", rule]
-    queue = model.topics.get(names.TOPIC_QUEUE)
-    if queue is not None:
-        title = "queue"
-        if names.TOPIC_QUEUE in model.gapped:
-            title += " [gap]"
-        lines += panel(title, _queue_lines(queue))
+    if model.workers is not None:
+        title = "queue [gap]" if model.queue_gapped else "queue"
+        lines += panel(title, _queue_lines(model))
     fleet = model.topics.get(names.TOPIC_FLEET)
     if fleet is not None and fleet.get("runners"):
         title = "fleet"
@@ -315,6 +374,8 @@ def render_frame(model: DashboardModel, width: int = 78) -> str:
         lines += panel(title, _fleet_lines(fleet))
     for topic in model.sweep_topics():
         snapshot = model.topics[topic]
+        if not snapshot:
+            continue  # subscribed before the sweep's first publish
         key = topic[len(names.TOPIC_SWEEP_PREFIX) :]
         experiment = snapshot.get("experiment", "?")
         title = f"sweep {key} — {experiment}"
@@ -325,6 +386,48 @@ def render_frame(model: DashboardModel, width: int = 78) -> str:
     if metrics is not None:
         lines += panel("metrics", _metrics_lines(metrics, model.deltas))
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Live fetch cycles
+# ---------------------------------------------------------------------------
+
+
+def attach(client, model: DashboardModel) -> None:
+    """The first fetch: queue state, recent jobs and the bus topics.
+
+    The ``events`` cursor starts :data:`BACKFILL` entries behind the
+    journal head ``health`` reports, which the daemon answers from
+    memory however long it has been running.
+    """
+    health = client.health()
+    model.apply_health(health)
+    since = max(0, int(health.get("seq", 0)) - BACKFILL)
+    model.apply_events(*client.events(since))
+    _follow_topics(client, model)
+
+
+def refresh(client, model: DashboardModel, timeout: float) -> None:
+    """One live cycle: wait up to ``timeout`` for queue events, then
+    re-read the counts and the bus topics."""
+    model.apply_events(*client.events(model.seq, timeout=timeout))
+    model.apply_health(client.health())
+    _follow_topics(client, model)
+
+
+def _follow_topics(client, model: DashboardModel) -> None:
+    """Subscribe to newly wanted topics by name, drop unwanted ones and
+    poll the rest without waiting."""
+    wanted = model.wanted_topics()
+    for topic in set(model.cursors) - wanted:
+        del model.topics[topic], model.cursors[topic]
+        model.gapped.discard(topic)
+    held = dict(model.cursors)
+    fresh = sorted(wanted - set(held))
+    if fresh:
+        model.apply_subscribe(client.subscribe(fresh))
+    if held:
+        model.apply_poll(client.poll_datasets(held))
 
 
 # ---------------------------------------------------------------------------

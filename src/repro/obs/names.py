@@ -175,8 +175,6 @@ HISTOGRAMS: dict[str, tuple[float, ...]] = {
 # Dataset-bus topic names (publish/subscribe broadcast channels)
 # ---------------------------------------------------------------------------
 
-#: Job-queue state: counts, worker sizing, per-job summaries.
-TOPIC_QUEUE = "queue.state"
 #: The metrics registry, rate-limited and diffed against the last
 #: broadcast (see ``repro.service.datasets.MetricsPublisher``).
 TOPIC_METRICS = "metrics.registry"
@@ -191,7 +189,7 @@ TOPIC_SWEEP_PREFIX = "datasets.sweep."
 TOPIC_FLEET = "fleet.state"
 
 #: Every declared fixed topic name (families validate by prefix).
-TOPICS = frozenset({TOPIC_QUEUE, TOPIC_METRICS, TOPIC_FLEET})
+TOPICS = frozenset({TOPIC_METRICS, TOPIC_FLEET})
 
 #: Declared topic-family prefixes (member topics carry a dynamic key).
 TOPIC_PREFIXES = (TOPIC_SWEEP_PREFIX,)

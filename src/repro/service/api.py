@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -45,8 +46,9 @@ from repro.errors import (
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.protocol import DEFAULT_LEASE_TTL_S
 from repro.obs import names as obs_names
-from repro.runtime.engine import RunEngine, default_root
+from repro.runtime.engine import RunEngine, _failure_from, default_root
 from repro.service import datasets
+from repro.service.jobs import FAILED, KIND_ANALYZE
 from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
 from repro.utils.io import atomic_write_text
@@ -75,6 +77,12 @@ DEFAULT_MAX_POLLS = 32
 
 #: ``Retry-After`` hint sent with a 503 overload rejection, seconds.
 RETRY_AFTER_S = 1
+
+#: Why a master without claim threads cannot run an analysis job.
+NO_WORKERS = (
+    "analysis jobs run on the master's own workers; this master has "
+    "none (repro serve --workers 0)"
+)
 
 
 class ExperimentService:
@@ -161,6 +169,16 @@ class ExperimentService:
         """Boot scheduler + HTTP server; returns the bound (host, port)."""
         if self._httpd is not None:
             raise ServiceError("service already started")
+        if not self.scheduler.workers:
+            # Runners never lease analyses: fail the recovered ones.
+            _, stranded = self.store.drain(
+                "master",
+                sys.maxsize,
+                lambda job: "lease" if job.kind == KIND_ANALYZE else None,
+            )
+            error = _failure_from(ConfigurationError(NO_WORKERS))
+            for job in stranded:
+                self.store.finish(job, FAILED, error=error)
         self.scheduler.start()
         self.fleet.start()
         service = self
@@ -183,11 +201,6 @@ class ExperimentService:
         )
         self._http_thread.start()
         self._publish_address()
-        # Seed the queue topic with the recovered queue and start the
-        # periodic metrics broadcasts (both no-ops while obs is off).
-        datasets.publish_queue_init(
-            self.store.snapshot(), self.scheduler.workers
-        )
         self.metrics_publisher.start()
         return self.address
 
@@ -313,10 +326,7 @@ class ExperimentService:
                 # Analyses read this master's archive, so runners never
                 # lease them; without claim threads one would wait
                 # forever.
-                raise ConfigurationError(
-                    "analysis jobs run on the master's own workers; this "
-                    "master has none (repro serve --workers 0)"
-                )
+                raise ConfigurationError(NO_WORKERS)
         else:
             if not experiment:
                 raise ConfigurationError(
@@ -473,7 +483,7 @@ class ExperimentService:
         return {"topics": bus.poll(wanted, min(timeout, MAX_POLL_S))}
 
     def _rpc_health(self) -> dict[str, object]:
-        """Liveness snapshot: pid, uptime, worker and queue counts."""
+        """Liveness snapshot: pid, uptime, workers, queue counts and seq."""
         counts = self.store.counts()
         return {
             "ok": True,
@@ -484,6 +494,7 @@ class ExperimentService:
             ),
             "workers": self.scheduler.workers,
             "counts": counts,
+            "seq": self.store.seq,
             "fleet": self.fleet.status()["counts"],
             "cache": (
                 self.engine.cache.stats() if self.engine.cache else None

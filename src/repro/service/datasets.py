@@ -1,7 +1,7 @@
-"""Dataset publishers: sweeps, queue state and metrics onto the obs bus.
+"""Dataset publishers: sweeps and metrics onto the obs bus.
 
 The service-side half of the live-dataset layer (the bus itself lives
-in :mod:`repro.obs.bus`).  Three topic families are produced here:
+in :mod:`repro.obs.bus`).  Two topic families are produced here:
 
 ``datasets.sweep.<key>``
     One topic per sweep.  The scheduler keys it by job id
@@ -13,15 +13,14 @@ in :mod:`repro.obs.bus`).  Three topic families are produced here:
     them out of order), and a final ``update`` publishes the terminal
     status.  Journaled — the offline dashboard replays these.
 
-``queue.state``
-    One snapshot of the job queue per daemon, maintained by
-    :class:`repro.service.store.JobStore` calling
-    :func:`publish_queue_job` on every transition.
-
 ``metrics.registry``
     Periodic diffs of the process metrics snapshot, produced by the
     :class:`MetricsPublisher` thread — rate-limited and diffed against
     the last broadcast so an idle daemon broadcasts nothing.
+
+Job-queue state is not on the bus: each transition's one record is
+its queue-journal line (:mod:`repro.service.store`), which the
+``events`` RPC serves to ``repro watch`` and ``repro dashboard``.
 
 Everything here is stdlib-only and imports nothing but the obs façade,
 so the runtime engine can lazily import it from inside ``sweep()``
@@ -38,7 +37,7 @@ from collections.abc import Mapping
 from repro import obs
 from repro.obs import names
 
-#: Version stamp carried in every sweep/queue init snapshot.
+#: Version stamp carried in every dataset init snapshot.
 DATASET_SCHEMA = 1
 
 #: Default broadcast cadence of the metrics publisher thread.
@@ -184,77 +183,6 @@ class SweepPublisher:
         if metrics is not None:
             value["metrics"] = dict(metrics)
         obs.publish_mod(self.topic, {"op": "update", "key": "", "value": value})
-
-
-# ---------------------------------------------------------------------------
-# Queue-state topic
-# ---------------------------------------------------------------------------
-
-
-def publish_queue_init(
-    snapshot: Mapping[str, object], workers: int
-) -> None:
-    """Broadcast the queue topic's init from a store snapshot document."""
-    if not obs.enabled():
-        return
-    jobs = snapshot.get("jobs")
-    documents = {
-        str(doc["job_id"]): _job_summary(doc)
-        for doc in (jobs if isinstance(jobs, list) else [])
-        if isinstance(doc, dict)
-    }
-    obs.publish_init(
-        names.TOPIC_QUEUE,
-        {
-            "schema": DATASET_SCHEMA,
-            "workers": int(workers),
-            "counts": dict(snapshot.get("counts") or {}),
-            "jobs": documents,
-        },
-    )
-
-
-def publish_queue_job(
-    job_document: Mapping[str, object], counts: Mapping[str, int]
-) -> None:
-    """Broadcast one job transition onto the queue topic.
-
-    Called by the store with the job's serialized document and the
-    fresh per-status counts; two mods keep the topic's ``jobs.<id>``
-    entry and the aggregate counters in lock-step.
-    """
-    if not obs.enabled():
-        return
-    summary = _job_summary(job_document)
-    obs.publish_mod(
-        names.TOPIC_QUEUE,
-        {
-            "op": "set",
-            "key": f"jobs.{job_document['job_id']}",
-            "value": summary,
-        },
-    )
-    obs.publish_mod(
-        names.TOPIC_QUEUE,
-        {"op": "set", "key": "counts", "value": dict(counts)},
-    )
-
-
-def _job_summary(document: Mapping[str, object]) -> dict[str, object]:
-    """The dashboard-sized slice of one job document."""
-    return {
-        key: document.get(key)
-        for key in (
-            "job_id",
-            "kind",
-            "experiment_id",
-            "status",
-            "done_points",
-            "total_points",
-            "cached_points",
-            "priority",
-        )
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -136,16 +136,7 @@ class Scheduler:
 
     def drain(self, timeout: float = 60.0) -> bool:
         """Block until no job is pending or running (False on timeout)."""
-        import time
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            counts = self.store.counts()
-            live = counts.get("pending", 0) + counts.get("running", 0)
-            if live == 0:
-                return True
-            self.store.wait_for_work(0.05)
-        return False
+        return self.store.wait_idle(timeout)
 
     # ------------------------------------------------------------------
     # Workers

@@ -45,7 +45,6 @@ from operator import attrgetter
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.obs import names as obs_names
-from repro.service import datasets
 from repro.runtime.engine import RunEngine, RunSpec, default_root
 from repro.service.jobs import (
     ANALYSIS_EXPERIMENT,
@@ -74,10 +73,6 @@ EVENT_BUFFER = 4096
 #: Live journal lines at which the journal rotates to ``journal-1.jsonl``
 #: (one line per job transition and sweep point).
 JOURNAL_MAX_LINES = 20_000
-
-#: A transition written by :meth:`JobStore._write_entry` but not yet
-#: journaled: ``(journal entry, job document)``.
-_Prepared = tuple[dict[str, object], dict[str, object]]
 
 
 class JobStore:
@@ -267,7 +262,7 @@ class JobStore:
         ``priority``/``pipeline`` optional).
         """
         jobs: list[Job] = []
-        batch: list[_Prepared] = []
+        batch: list[dict[str, object]] = []
         now = time.time()
         with self._changed:
             for request in requests:
@@ -425,7 +420,7 @@ class JobStore:
         """
         served: list[Job] = []
         leased: list[Job] = []
-        batch: list[_Prepared] = []
+        batch: list[dict[str, object]] = []
         with self._changed:
             for job in sorted(self._with_status(PENDING), key=Job.sort_key):
                 if len(served) + len(leased) >= max_jobs:
@@ -678,6 +673,15 @@ class JobStore:
                 return True
             return self._changed.wait(timeout)
 
+    def wait_idle(self, timeout: float) -> bool:
+        """Block until no job is pending or running (False on timeout).
+
+        Re-checks the status index only when a transition is journaled
+        (or :meth:`kick` is called), never in a polling loop.
+        """
+        with self._changed:
+            return self._changed.wait_for(lambda: not self._live(), timeout)
+
     def kick(self) -> None:
         """Wake every waiter (used by scheduler shutdown and tests)."""
         with self._changed:
@@ -699,7 +703,7 @@ class JobStore:
         """
         self._persist_batch([self._write_entry(job, event, **extra)])
 
-    def _persist_batch(self, batch: list[_Prepared]) -> None:
+    def _persist_batch(self, batch: list[dict[str, object]]) -> None:
         """Journal many prepared entries with ONE fsynced append.
 
         Caller holds the lock and already called :meth:`_write_entry`
@@ -710,30 +714,30 @@ class JobStore:
         """
         if not batch:
             return
-        self.journal.append(entry for entry, _ in batch)
-        for _, document in batch:
-            self._publish(document)
+        self.journal.append(batch)
+        if obs.enabled():
+            obs.gauge(obs_names.METRIC_QUEUE_DEPTH, self._live())
         self._changed.notify_all()
 
-    def _write_entry(self, job: Job, event: str, **extra: object) -> _Prepared:
+    def _write_entry(
+        self, job: Job, event: str, **extra: object
+    ) -> dict[str, object]:
         """Rewrite the job file and build (but not journal) its event.
 
-        Returns ``(entry, document)``: the journal entry (the journal
-        stamps its ``seq``) and the job document the file was written
-        from, which the bus publish reuses.  The status index is
-        updated *before* the disk write, so it mirrors the in-memory
-        status even when the write fails.
+        Returns the journal entry (the journal stamps its ``seq``).  The
+        status index is updated *before* the disk write, so it mirrors
+        the in-memory status even when the write fails.
         """
         self._index(job)
-        document = job.to_dict()
         atomic_write_text(
             self.job_path(job.job_id),
-            json.dumps(document, indent=2, sort_keys=True),
+            json.dumps(job.to_dict(), indent=2, sort_keys=True),
         )
         entry: dict[str, object] = {
             "unix": time.time(),
             "event": event,
             "job_id": job.job_id,
+            "kind": job.kind,
             "status": job.status,
             "experiment_id": job.experiment_id,
             "done_points": job.done_points,
@@ -742,7 +746,7 @@ class JobStore:
         if job.wait_s is not None:
             entry["wait_s"] = job.wait_s
         entry.update(extra)
-        return entry, document
+        return entry
 
     def _put(self, job: Job) -> None:
         """Insert or replace ``job`` in ``_jobs`` and the index (lock held)."""
@@ -779,6 +783,10 @@ class JobStore:
         else:
             self._by_status[status].discard(job_id)
 
+    def _live(self) -> int:
+        """How many jobs are pending or running, from the status index."""
+        return len(self._by_status[PENDING]) + len(self._by_status[RUNNING])
+
     def _with_status(self, status: str) -> list[Job]:
         """The jobs in ``status``, from the index (caller holds the lock).
 
@@ -792,18 +800,6 @@ class JobStore:
             ids = self._by_status.get(status, ())
             candidates = map(self._jobs.__getitem__, ids)
         return [job for job in candidates if job.status == status]
-
-    def _publish(self, document: dict[str, object]) -> None:
-        """Publish one journaled transition as the dashboard's live view.
-
-        ``document`` is the job document :meth:`_write_entry` wrote; the
-        ``queue.state`` publish reuses it instead of serialising again.
-        """
-        if obs.enabled():
-            counts = self.counts()
-            depth = counts.get(PENDING, 0) + counts.get(RUNNING, 0)
-            obs.gauge(obs_names.METRIC_QUEUE_DEPTH, depth)
-            datasets.publish_queue_job(document, counts)
 
 
 def _count_journal_read(skipped: int, fallback: bool) -> None:

@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.detection.coincidence import (
     CoincidenceResult,
     car_from_tags,
-    coincidence_histogram,
     count_coincidences,
     expected_car,
 )
@@ -59,15 +58,17 @@ class TestCoincidenceHistogram:
     def test_peak_at_zero_for_pairs(self, rng):
         src = BiphotonSource(pair_rate_hz=20_000.0, linewidth_hz=200e6)
         stream = src.generate(5.0, rng)
-        centres, counts = coincidence_histogram(
-            stream.signal_times_s, stream.idler_times_s, 100e-12, 10e-9
+        centres, counts = TimeToDigitalConverter(100e-12).delay_histogram(
+            stream.signal_times_s, stream.idler_times_s, 10e-9
         )
         assert abs(centres[np.argmax(counts)]) < 0.5e-9
 
     def test_flat_for_uncorrelated(self, rng):
         a = uncorrelated_stream(50_000.0, 2.0, rng.child("a"))
         b = uncorrelated_stream(50_000.0, 2.0, rng.child("b"))
-        centres, counts = coincidence_histogram(a, b, 1e-9, 50e-9)
+        centres, counts = TimeToDigitalConverter(1e-9).delay_histogram(
+            a, b, 50e-9
+        )
         # No structure: max bin within 5 sigma of the mean bin.
         assert counts.max() < counts.mean() + 5 * np.sqrt(counts.mean())
 

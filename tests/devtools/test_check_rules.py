@@ -564,13 +564,13 @@ class TestBusTopicsRule:
                 from repro.obs import names
 
                 def announce(snapshot):
-                    obs.publish_init(names.TOPIC_QUEU, snapshot)
+                    obs.publish_init(names.TOPIC_METRIC, snapshot)
                 """
             },
             [BusTopicsRule()],
         )
         assert len(findings) == 1
-        assert "TOPIC_QUEU" in findings[0].message
+        assert "TOPIC_METRIC" in findings[0].message
 
     def test_constants_builders_and_variables_clean(self, run_rules):
         findings = run_rules(
@@ -580,7 +580,7 @@ class TestBusTopicsRule:
                 from repro.obs import names
 
                 def announce(snapshot, key, topic):
-                    obs.publish_init(names.TOPIC_QUEUE, snapshot)
+                    obs.publish_init(names.TOPIC_METRICS, snapshot)
                     obs.publish_init(names.sweep_topic(key), snapshot)
                     obs.publish_mod(topic, {"op": "set"})
                 """

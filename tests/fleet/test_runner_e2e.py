@@ -146,6 +146,23 @@ class TestBroker:
             client.submit(analysis="car")
         assert master.store.counts().get("pending", 0) == 0
 
+    def test_recovered_pending_analysis_fails_at_boot(self, tmp_path):
+        from repro.service.api import NO_WORKERS
+        from repro.service.store import JobStore
+
+        root = tmp_path / "recovered-root"
+        job, _ = JobStore(root).submit("", analysis="car")
+        master = ExperimentService(root=root, workers=0, use_processes=False)
+        master.start()
+        try:
+            failed = master.store.get(job.job_id)
+            assert failed.status == "failed"
+            assert failed.error["type"] == "ConfigurationError"
+            assert failed.error["message"] == NO_WORKERS
+            assert master.store.counts() == {"failed": 1}
+        finally:
+            master.stop()
+
 
 class TestRunnerTelemetry:
     def test_master_journals_runner_worker_span(

@@ -65,7 +65,7 @@ class TestDetectorFailures:
 
     def test_huge_jitter_washes_out_coherence_peak(self, rng):
         """Jitter far beyond the coherence time flattens the g2 peak."""
-        from repro.detection.coincidence import coincidence_histogram
+        from repro.detection.tdc import TimeToDigitalConverter
 
         source = BiphotonSource(pair_rate_hz=50_000.0, linewidth_hz=110e6)
         duration = 10.0
@@ -76,7 +76,9 @@ class TestDetectorFailures:
         )
         s = blurry.detect(stream.signal_times_s, duration, rng.child("s"))
         i = blurry.detect(stream.idler_times_s, duration, rng.child("i"))
-        _, counts = coincidence_histogram(s, i, 500e-12, 10e-9)
+        _, counts = TimeToDigitalConverter(500e-12).delay_histogram(
+            s, i, 10e-9
+        )
         # No resolved peak: max bin within ~4 sigma of the mean.
         assert counts.max() < counts.mean() + 4 * np.sqrt(counts.mean() + 1)
 

@@ -46,7 +46,7 @@ class TestApplyMod:
 class TestTopicRegistry:
     def test_known_topics_accepted(self):
         bus = DatasetBus()
-        assert bus.publish_init(names.TOPIC_QUEUE, {"jobs": {}}) == 1
+        assert bus.publish_init(names.TOPIC_METRICS, {"jobs": {}}) == 1
         assert bus.publish_init(names.sweep_topic("job-1"), {}) == 1
 
     def test_unregistered_topic_rejected(self):
@@ -55,7 +55,7 @@ class TestTopicRegistry:
 
     def test_journaled_prefix(self):
         assert is_journaled(names.sweep_topic("E7-abc"))
-        assert not is_journaled(names.TOPIC_QUEUE)
+        assert not is_journaled(names.TOPIC_METRICS)
         assert not is_journaled(names.TOPIC_METRICS)
 
 
@@ -87,9 +87,9 @@ class TestBusCore:
 
     def test_current_cursor_yields_no_mods_and_no_resync(self):
         bus = DatasetBus()
-        bus.publish_init(names.TOPIC_QUEUE, {})
-        reply = bus.poll({names.TOPIC_QUEUE: 1})
-        assert reply[names.TOPIC_QUEUE] == {"mods": [], "seq": 1}
+        bus.publish_init(names.TOPIC_METRICS, {})
+        reply = bus.poll({names.TOPIC_METRICS: 1})
+        assert reply[names.TOPIC_METRICS] == {"mods": [], "seq": 1}
 
     def test_subscriber_reconstruction_matches_live_snapshot(self):
         bus = DatasetBus()
@@ -114,12 +114,12 @@ class TestBusCore:
         # A fresh init makes older cursors stale, not lossy: the new
         # snapshot *contains* everything the missed mods built.
         bus = DatasetBus()
-        bus.publish_init(names.TOPIC_QUEUE, {"jobs": {}})
+        bus.publish_init(names.TOPIC_METRICS, {"jobs": {}})
         bus.publish_mod(
-            names.TOPIC_QUEUE, {"op": "set", "key": "jobs.1", "value": {}}
+            names.TOPIC_METRICS, {"op": "set", "key": "jobs.1", "value": {}}
         )
-        bus.publish_init(names.TOPIC_QUEUE, {"jobs": {"1": {}, "2": {}}})
-        reply = bus.poll({names.TOPIC_QUEUE: 1})[names.TOPIC_QUEUE]
+        bus.publish_init(names.TOPIC_METRICS, {"jobs": {"1": {}, "2": {}}})
+        reply = bus.poll({names.TOPIC_METRICS: 1})[names.TOPIC_METRICS]
         assert reply["init"] == {"jobs": {"1": {}, "2": {}}}
         assert not reply.get("gap")
         assert reply["mods"] == []
@@ -138,18 +138,18 @@ class TestBusCore:
         assert reply["init"] == bus.subscribe([topic])[topic]["init"]
 
     def test_unknown_topic_cursor_zero_is_quietly_empty(self):
-        reply = DatasetBus().poll({names.TOPIC_QUEUE: 0})
-        assert reply[names.TOPIC_QUEUE] == {"mods": [], "seq": 0}
+        reply = DatasetBus().poll({names.TOPIC_METRICS: 0})
+        assert reply[names.TOPIC_METRICS] == {"mods": [], "seq": 0}
 
     def test_unknown_topic_with_positive_cursor_flags_gap(self):
-        reply = DatasetBus().poll({names.TOPIC_QUEUE: 5})
-        entry = reply[names.TOPIC_QUEUE]
+        reply = DatasetBus().poll({names.TOPIC_METRICS: 5})
+        entry = reply[names.TOPIC_METRICS]
         assert entry["gap"] is True and entry["init"] == {}
 
     def test_future_cursor_resyncs_with_gap(self):
         bus = DatasetBus()
-        bus.publish_init(names.TOPIC_QUEUE, {})
-        assert bus.poll({names.TOPIC_QUEUE: 99})[names.TOPIC_QUEUE]["gap"]
+        bus.publish_init(names.TOPIC_METRICS, {})
+        assert bus.poll({names.TOPIC_METRICS: 99})[names.TOPIC_METRICS]["gap"]
 
     def test_default_replay_buffer_size(self):
         assert DatasetBus()._topics == {}
@@ -198,7 +198,7 @@ class TestJournalFallback:
 class TestLongPoll:
     def test_poll_wakes_on_cross_thread_publish(self):
         bus = DatasetBus()
-        topic = names.TOPIC_QUEUE
+        topic = names.TOPIC_METRICS
         bus.publish_init(topic, {})
         results = {}
 
@@ -215,21 +215,21 @@ class TestLongPoll:
 
     def test_poll_timeout_returns_current_heads(self):
         bus = DatasetBus()
-        bus.publish_init(names.TOPIC_QUEUE, {})
-        reply = bus.poll({names.TOPIC_QUEUE: 1}, timeout=0.05)
-        assert reply[names.TOPIC_QUEUE] == {"mods": [], "seq": 1}
+        bus.publish_init(names.TOPIC_METRICS, {})
+        reply = bus.poll({names.TOPIC_METRICS: 1}, timeout=0.05)
+        assert reply[names.TOPIC_METRICS] == {"mods": [], "seq": 1}
 
 
 class TestFacadePublish:
     def test_disabled_facade_publish_is_free_and_zero(self):
-        assert obs.publish_init(names.TOPIC_QUEUE, {"x": 1}) == 0
+        assert obs.publish_init(names.TOPIC_METRICS, {"x": 1}) == 0
         assert obs.publish_mod(
-            names.TOPIC_QUEUE, {"op": "set", "key": "x", "value": 1}
+            names.TOPIC_METRICS, {"op": "set", "key": "x", "value": 1}
         ) == 0
 
     def test_only_dataset_topics_are_journaled(self, tmp_path):
         obs.configure(enabled=True, root=tmp_path)
-        obs.publish_init(names.TOPIC_QUEUE, {"jobs": {}})
+        obs.publish_init(names.TOPIC_METRICS, {"jobs": {}})
         obs.publish_init(names.sweep_topic("x"), {"points": {}})
         obs.publish_mod(
             names.sweep_topic("x"),

@@ -5,7 +5,11 @@ from __future__ import annotations
 from repro import obs
 from repro.obs import names
 from repro.obs.dashboard import (
+    BACKFILL,
+    MAX_JOBS,
     DashboardModel,
+    attach,
+    refresh,
     render_frame,
     replay_frames,
     sweep_series,
@@ -22,6 +26,22 @@ def _sweep_payload(topic_key: str = "job-1"):
         "status": "running",
     }
     return topic, init
+
+
+def _event(job_id, event, status, kind=None, done=0, total=1, seq=0):
+    """One queue-journal entry as the ``events`` feed returns it."""
+    entry = {
+        "seq": seq,
+        "event": event,
+        "job_id": job_id,
+        "status": status,
+        "experiment_id": "E7",
+        "done_points": done,
+        "total_points": total,
+    }
+    if kind is not None:
+        entry["kind"] = kind
+    return entry
 
 
 class TestModel:
@@ -131,26 +151,20 @@ class TestRenderFrame:
     def test_panels_render_deterministically(self):
         topic, init = _sweep_payload()
         model = DashboardModel()
+        model.apply_health(
+            {"workers": 2, "counts": {"running": 1, "pending": 2}}
+        )
+        model.apply_events(
+            [
+                _event(1, "submitted", "pending", kind="sweep", total=3),
+                _event(1, "started", "running"),
+                _event(1, "progress", "running", done=1, total=3),
+            ],
+            seq=3,
+        )
         model.apply_subscribe(
             {
                 topic: {"init": init, "seq": 1},
-                names.TOPIC_QUEUE: {
-                    "init": {
-                        "workers": 2,
-                        "counts": {"running": 1, "pending": 2},
-                        "jobs": {
-                            "1": {
-                                "job_id": 1,
-                                "kind": "sweep",
-                                "experiment_id": "E7",
-                                "status": "running",
-                                "done_points": 1,
-                                "total_points": 3,
-                            }
-                        },
-                    },
-                    "seq": 1,
-                },
                 names.TOPIC_METRICS: {
                     "init": {"counters": {"engine.runs": 3}},
                     "seq": 1,
@@ -173,6 +187,127 @@ class TestRenderFrame:
         model.apply_subscribe({topic: {"init": init, "seq": 1}})
         model.gapped.add(topic)
         assert "[gap: resynced from snapshot]" in render_frame(model)
+
+
+class TestQueueFold:
+    def test_long_feed_holds_only_the_newest_jobs(self):
+        model = DashboardModel()
+        model.apply_health({"workers": 1, "counts": {"done": 4000}})
+        lifecycle = [
+            ("submitted", "pending", 0),
+            ("started", "running", 0),
+            ("done", "done", 1),
+        ]
+        events = [
+            _event(job_id, event, status, kind="run", done=done, seq=seq)
+            for seq, (job_id, (event, status, done)) in enumerate(
+                ((job_id, step) for job_id in range(1, 4001)
+                 for step in lifecycle),
+                start=1,
+            )
+        ]
+        assert len(events) >= 10_000
+        for start in range(0, len(events), 700):
+            chunk = events[start : start + 700]
+            model.apply_events(chunk, seq=chunk[-1]["seq"])
+            assert len(model.jobs) <= MAX_JOBS
+        assert sorted(model.jobs) == list(range(4001 - MAX_JOBS, 4001))
+        assert model.seq == len(events)
+        # A transition of a job older than every held one is ignored.
+        model.apply_events([_event(3, "requeued", "pending")], seq=12_001)
+        assert 3 not in model.jobs
+        frame = render_frame(model)
+        assert "job 4000 run E7 done 1/1" in frame
+        assert "[gap]" not in frame
+
+    def test_gap_resyncs_and_badges_the_panel(self):
+        model = DashboardModel()
+        model.apply_health({"workers": 1, "counts": {"done": 2}})
+        model.apply_events(
+            [_event(1, "done", "done", kind="run"),
+             _event(2, "done", "done", kind="run")],
+            seq=2,
+        )
+        model.apply_events(
+            [_event(9, "submitted", "pending", kind="run", seq=9)],
+            seq=9,
+            gap=True,
+        )
+        assert sorted(model.jobs) == [9]
+        frame = render_frame(model)
+        assert "┌ queue [gap]" in frame
+        assert "job 9 run E7 pending 0/1" in frame
+        assert "job 1 " not in frame
+
+    def test_no_queue_panel_without_a_queue_feed(self):
+        assert "┌ queue" not in render_frame(DashboardModel())
+
+
+class _FakeClient:
+    """The client methods the live cycle calls, over a scripted feed."""
+
+    def __init__(self, events, head):
+        self.events_feed = events
+        self.head = head
+        self.since: list[int] = []
+        self.subscribed: list[object] = []
+        self.polled: list[dict[str, int]] = []
+
+    def health(self):
+        return {"workers": 2, "counts": {"pending": 1}, "seq": self.head}
+
+    def events(self, since, timeout=0.0):
+        self.since.append(since)
+        fresh = [e for e in self.events_feed if e["seq"] > since]
+        return fresh, self.head, False
+
+    def subscribe(self, topics=None):
+        self.subscribed.append(topics)
+        return {topic: {"init": {}, "seq": 0} for topic in topics}
+
+    def poll_datasets(self, cursors, timeout=0.0):
+        self.polled.append(dict(cursors))
+        return {t: {"mods": [], "seq": seq} for t, seq in cursors.items()}
+
+
+class TestLiveCycle:
+    def test_attach_starts_inside_the_journal_tail(self):
+        from repro.service.store import EVENT_BUFFER
+
+        assert BACKFILL < EVENT_BUFFER
+        client = _FakeClient([], head=50_000)
+        attach(client, DashboardModel())
+        assert client.since == [50_000 - BACKFILL]
+        client = _FakeClient([], head=10)
+        attach(client, DashboardModel())
+        assert client.since == [0]
+
+    def test_topics_are_subscribed_by_name_and_dropped(self):
+        feed = [
+            _event(1, "submitted", "pending", kind="sweep", total=4, seq=1),
+            _event(2, "submitted", "pending", kind="run", seq=2),
+        ]
+        client = _FakeClient(feed, head=2)
+        model = DashboardModel()
+        attach(client, model)
+        sweep_1 = names.sweep_topic("job-1")
+        assert client.subscribed == [
+            sorted([names.TOPIC_FLEET, names.TOPIC_METRICS, sweep_1])
+        ]
+        refresh(client, model, timeout=0.0)
+        assert len(client.subscribed) == 1  # nothing new to subscribe
+        # Newer jobs push sweep 1 out of the model and off the cursors.
+        client.events_feed += [
+            _event(job_id, "submitted", "pending", kind="run", seq=job_id)
+            for job_id in range(3, 3 + MAX_JOBS)
+        ]
+        client.head = 2 + MAX_JOBS
+        refresh(client, model, timeout=0.0)
+        assert 1 not in model.jobs
+        assert sweep_1 not in model.cursors
+        assert all(isinstance(t, list) for t in client.subscribed)
+        assert sweep_1 not in client.polled[-1]
+        assert "job 8 run E7 pending" in render_frame(model)
 
 
 class TestReplay:

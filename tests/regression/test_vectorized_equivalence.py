@@ -29,7 +29,6 @@ from repro.detection.coincidence import (
     accidental_window_centers,
     car_from_tags,
     car_matrix,
-    coincidence_histogram,
     count_coincidences,
 )
 from repro.detection.spd import _apply_dead_time, _dead_time_loop
@@ -239,11 +238,11 @@ class TestDetectionEquivalence:
             _dead_time_loop(times, dead_time_s),
         )
 
-    def test_coincidence_histogram_identical(self, rng):
+    def test_delay_histogram_large(self, rng):
         a = rng.child("a").uniform(0.0, 5.0, 20_000)
         b = rng.child("b").uniform(0.0, 5.0, 20_000)
         loop = _oracle_histogram(a, b, 1e-9, 40e-9)
-        fast = coincidence_histogram(a, b, 1e-9, 40e-9)
+        fast = TimeToDigitalConverter(1e-9).delay_histogram(a, b, 40e-9)
         assert np.array_equal(loop[0], fast[0])
         assert np.array_equal(loop[1], fast[1])
 
@@ -622,7 +621,13 @@ def _loop_oracles(experiment_id):
         mock.patch.object(typeii_car, "car_from_tags", _car_from_tags_loop)
     )
     patches.enter_context(
-        mock.patch.object(typeii_car, "coincidence_histogram", _oracle_histogram)
+        mock.patch.object(
+            tdc.TimeToDigitalConverter,
+            "delay_histogram",
+            lambda self, a, b, max_delay_s: _oracle_histogram(
+                a, b, self.bin_width_s, max_delay_s
+            ),
+        )
     )
     return patches
 

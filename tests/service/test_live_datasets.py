@@ -128,21 +128,25 @@ class TestMetricsPublisher:
         assert snapshot["gauges"]["queue.depth"] == 7
 
 
-class TestQueuePublishing:
-    def test_store_transitions_reach_the_queue_topic(self, tmp_path):
+class TestQueueFeed:
+    def test_store_transitions_reach_the_queue_panel(self, tmp_path):
         obs.configure(enabled=True)
+        from repro.obs.dashboard import DashboardModel, render_frame
         from repro.service.store import JobStore
 
         store = JobStore(tmp_path)
-        datasets.publish_queue_init(store.snapshot(), workers=2)
         job, _ = store.submit("E6", quick=True, params={"pump_mw": 2.0})
-        snapshot = obs.state().bus.subscribe([names.TOPIC_QUEUE])[
-            names.TOPIC_QUEUE
-        ]["init"]
-        assert snapshot["workers"] == 2
-        summary = snapshot["jobs"][str(job.job_id)]
-        assert summary["status"] == "pending"
-        assert snapshot["counts"] == {"pending": 1}
+        model = DashboardModel()
+        model.apply_health({"workers": 2, "counts": store.counts()})
+        events, gap = store.wait_events(0)
+        model.apply_events(events, store.seq, gap)
+        assert model.jobs[job.job_id]["status"] == "pending"
+        assert model.jobs[job.job_id]["kind"] == "run"
+        frame = render_frame(model)
+        assert "workers 0/2 busy" in frame
+        assert f"job {job.job_id} run E6 pending 0/1" in frame
+        # The transition's one record is the journal line, not the bus.
+        assert obs.state().bus.topics() == []
 
 
 class _Subscriber(threading.Thread):
@@ -263,20 +267,67 @@ class TestLiveSweepAcceptance:
         follow = client.poll_datasets({topic: reply["seq"]}, timeout=0.2)
         assert follow[topic] == {"mods": [], "seq": reply["seq"]}
 
-    def test_queue_and_metrics_topics_live_on_daemon(self, service):
+    def test_queue_panel_and_metrics_on_daemon(self, service):
+        from repro.obs.dashboard import DashboardModel, attach, render_frame
+
         client = ServiceClient.discover(service.root)
         job = client.submit("E6", quick=True, params={"pump_mw": 3.0})
         client.wait(job["job_id"], timeout=60.0)
-        topics = client.subscribe()
-        queue = topics[names.TOPIC_QUEUE]["init"]
-        assert queue["workers"] == 1
-        assert queue["jobs"][str(job["job_id"])]["status"] == "done"
+        model = DashboardModel()
+        attach(client, model)
+        assert model.workers == 1
+        assert model.jobs[job["job_id"]]["status"] == "done"
+        assert f"job {job['job_id']} run E6 done 1/1" in render_frame(model)
         # A metrics subscription is valid even before the publisher's
         # first rate-limited broadcast: empty snapshot at seq 0.
         entry = client.subscribe([names.TOPIC_METRICS])[names.TOPIC_METRICS]
         assert entry["seq"] >= 0
-        reply = client.poll_datasets({names.TOPIC_QUEUE: 0}, timeout=0.5)
-        assert names.TOPIC_QUEUE in reply
+        reply = client.poll_datasets({names.TOPIC_METRICS: 0}, timeout=0.5)
+        assert names.TOPIC_METRICS in reply
+
+    def test_bus_holds_no_job_state_after_fifty_jobs(self, service):
+        client = ServiceClient.discover(service.root)
+        jobs = [
+            client.submit("E6", quick=True, params={"pump_mw": 2.0 + n / 10})
+            for n in range(50)
+        ]
+        for job in jobs:
+            assert client.wait(job["job_id"], timeout=60.0)["status"] == "done"
+        assert set(obs.state().bus.topics()) <= {
+            names.TOPIC_METRICS,
+            names.TOPIC_FLEET,
+        }
+
+
+class TestQueuePanelWithoutTelemetry:
+    def test_dashboard_frame_under_repro_obs_0(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(obs.OBS_ENV_VAR, "0")
+        obs.reset()
+        service = ExperimentService(
+            root=tmp_path / "engine-root", port=0, workers=1,
+            use_processes=False,
+        )
+        service.start()
+        try:
+            assert not obs.enabled()
+            client = ServiceClient.discover(service.root)
+            job = client.submit("E7", quick=True, scan=SCAN, seed=7)
+            finished = client.wait(job["job_id"], timeout=120.0)
+            assert finished["status"] == "done"
+            from repro.cli import main
+
+            assert main(
+                ["dashboard", "--once", "--archive-dir", str(service.root)]
+            ) == 0
+        finally:
+            service.stop()
+        frame = capsys.readouterr().out
+        assert "┌ queue" in frame
+        assert "workers 0/1 busy" in frame
+        assert "done=1" in frame
+        assert "job 1 sweep E7 done 4/4" in frame
 
 
 class TestEventFeedPartialCompaction:

@@ -1,5 +1,7 @@
 """Scheduler behaviour: draining, streaming sweeps, cancel, failures."""
 
+import threading
+
 import pytest
 
 from repro.runtime.engine import RunEngine
@@ -52,6 +54,42 @@ class TestDrain:
         ]
         assert scheduler.drain(60.0)
         assert all(store.get(j.job_id).status == DONE for j in jobs)
+
+
+class TestDrainWaits:
+    def test_drain_wakes_per_transition_not_per_poll(self, root):
+        # A drain re-reads the queue only when a transition is
+        # journaled, so the status reads on the draining thread stay
+        # below the transitions.
+        store = JobStore(root, recover=True)
+        engine = RunEngine(root=root)
+        engine.run("E6", quick=True)
+        jobs = store.submit_batch(
+            [{"experiment_id": "E6", "quick": True}] * 120
+        )
+        scheduler = Scheduler(store, engine, workers=1, use_processes=False)
+        drainer = threading.current_thread()
+        reads = 0
+        for name in ("counts", "_live"):
+            original = getattr(store, name)
+
+            def counted(*args, _original=original, **kwargs):
+                nonlocal reads
+                if threading.current_thread() is drainer:
+                    reads += 1
+                return _original(*args, **kwargs)
+
+            setattr(store, name, counted)
+        seq = store.seq
+        scheduler.start()
+        try:
+            assert scheduler.drain(60.0)
+        finally:
+            scheduler.stop(wait=True)
+        assert all(store.get(j.job_id).status == DONE for j in jobs)
+        transitions = store.seq - seq
+        assert transitions >= 2 * len(jobs)
+        assert reads <= transitions
 
 
 class TestSweepStreaming:
