@@ -11,13 +11,14 @@ result record or npz archive.
 Layout under the engine root::
 
     <root>/index/index.json     compacted base catalog (atomic writes)
-    <root>/index/journal.jsonl  append-only upsert/remove ops written by
-                                the run engine at archive time
+    <root>/index/journal.jsonl  upsert/remove op log written by the run
+                                engine at archive time (a rotating
+                                :class:`~repro.utils.journal.Journal`)
 
 Maintenance model (mirrors the service job store): the engine appends
-one fsynced journal line per archived run — O(1), no read-modify-write
-— and :meth:`ArchiveIndex.refresh` folds journal + a stat-based scan of
-the runs directory into a fresh compacted base.  Killing any process at
+one fsynced op-log line per archived run — O(1), no read-modify-write
+— and :meth:`ArchiveIndex.refresh` folds the op log + a stat-based scan
+of the runs directory into a fresh compacted base.  Killing any process at
 any instant leaves a readable index; at worst the next refresh re-scans
 a handful of run directories.
 
@@ -34,13 +35,15 @@ from __future__ import annotations
 
 import json
 import pathlib
+import threading
 import time
 import zipfile
 from collections.abc import Iterable, Mapping
 
 from repro.errors import AnalysisError
 from repro.runtime.engine import MANIFEST_FILE, RESULT_FILE, default_root
-from repro.utils.io import append_line, atomic_write_text, read_json_lines
+from repro.utils import journal
+from repro.utils.io import atomic_write_text
 
 #: Directory and file names inside the engine root.
 INDEX_DIR = "index"
@@ -49,6 +52,10 @@ JOURNAL_FILE = "journal.jsonl"
 
 #: Bump when the entry layout changes; readers rebuild older schemas.
 INDEX_SCHEMA = 1
+
+#: Op-log lines at which it rotates.  An op that rotates out for good is
+#: not lost: :meth:`ArchiveIndex.refresh` rescans unindexed run dirs.
+JOURNAL_MAX_LINES = 100_000
 
 #: Entry statuses.
 STATUS_OK = "ok"
@@ -62,6 +69,21 @@ def index_dir(root: str | pathlib.Path | None = None) -> pathlib.Path:
     return base / INDEX_DIR
 
 
+#: This process's op-log writer per root (each resumes ``seq`` once).
+_OP_LOGS: dict[pathlib.Path, journal.Journal] = {}
+_OP_LOGS_LOCK = threading.Lock()
+
+
+def _op_log(root: str | pathlib.Path) -> journal.Journal:
+    """The op-log :class:`~repro.utils.journal.Journal` of a root."""
+    path = index_dir(root) / JOURNAL_FILE
+    with _OP_LOGS_LOCK:
+        log = _OP_LOGS.get(path)
+        if log is None:
+            log = _OP_LOGS[path] = journal.Journal(path, JOURNAL_MAX_LINES)
+    return log
+
+
 def journal_append(
     root: str | pathlib.Path, entry: Mapping[str, object]
 ) -> None:
@@ -70,18 +92,12 @@ def journal_append(
     O(1) and pure stdlib so the run engine can call it on every archive
     without a read-modify-write of the whole catalog.
     """
-    append_line(
-        index_dir(root) / JOURNAL_FILE,
-        json.dumps({"op": "upsert", "entry": dict(entry)}, sort_keys=True),
-    )
+    _op_log(root).append([{"op": "upsert", "entry": dict(entry)}])
 
 
 def journal_remove(root: str | pathlib.Path, run_id: str) -> None:
     """Append one remove op for a pruned run (engine prune hook)."""
-    append_line(
-        index_dir(root) / JOURNAL_FILE,
-        json.dumps({"op": "remove", "run_id": run_id}, sort_keys=True),
-    )
+    _op_log(root).append([{"op": "remove", "run_id": run_id}])
 
 
 def payload_signature(run_dir: pathlib.Path) -> list[list[object]]:
@@ -178,9 +194,7 @@ class ArchiveIndex:
                 for run_id, entry in entries.items():
                     if isinstance(entry, dict):
                         self._entries[str(run_id)] = entry
-        for op in read_json_lines(self.journal_path):
-            if not isinstance(op, dict):
-                continue
+        for op in journal.read(self.journal_path)[0]:
             if op.get("op") == "upsert" and isinstance(op.get("entry"), dict):
                 entry = op["entry"]
                 run_id = str(entry.get("run_id", ""))
@@ -266,6 +280,7 @@ class ArchiveIndex:
         )
         if self.journal_path.exists():
             atomic_write_text(self.journal_path, "")
+        journal.rotated_path(self.journal_path).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Queries

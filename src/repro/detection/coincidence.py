@@ -126,6 +126,17 @@ def accidental_window_centers(
     return centers
 
 
+def car_reach(
+    window_s: float = 2.5e-9,
+    num_accidental_windows: int = 10,
+    accidental_offset_s: float = 50e-9,
+) -> float:
+    """The widest delay a CAR measurement's windows reach,
+    ``max |centre| + window/2``: pairs farther apart are never counted."""
+    centers = accidental_window_centers(num_accidental_windows, accidental_offset_s)
+    return max(abs(center) for center in centers) + window_s / 2.0
+
+
 def car_matrix(
     starts: Sequence[np.ndarray],
     stops: Sequence[np.ndarray],
@@ -143,12 +154,12 @@ def car_matrix(
     drifts).
 
     One partner filter over all the streams keeps the clicks that may
-    have a partner within the widest window's reach,
-    ``max |centre| + window/2`` (:func:`partner_candidates`).  The stop
-    candidates are merged into one labelled, sorted array.  Rounding is
-    monotone, so ``b - c`` only shrinks as ``c`` grows: a pair inside any
-    window lies at or above the lowest window's lower edge and at or below
-    the highest window's upper edge, so one ``searchsorted`` pass per
+    have a partner within the widest window's reach (:func:`car_reach`,
+    :func:`partner_candidates`).  The stop candidates are merged into
+    one labelled, sorted array.  Rounding is monotone, so ``b - c`` only
+    shrinks as ``c`` grows: a pair inside any window lies at or above the
+    lowest window's lower edge and at or below the highest window's
+    upper edge, so one ``searchsorted`` pass per
     start stream gathers every pair of every cell in its row.  The pairs
     are flattened as in the TDC delay collection (:func:`range_indices`),
     and each window is counted on them with the exact comparisons of
@@ -170,9 +181,9 @@ def car_matrix(
     ]
     half = window_s / 2.0
     low_center, high_center = min(centers), max(centers)
-    reach = max(abs(low_center), abs(high_center)) + half
     candidates = partner_candidates(
-        [ascending(times) for times in (*starts, *stops)], reach
+        [ascending(times) for times in (*starts, *stops)],
+        car_reach(window_s, num_accidental_windows, accidental_offset_s),
     )
     kept_starts, kept_stops = candidates[: len(starts)], candidates[len(starts) :]
     stop_times, labels = _labelled_merge(kept_stops)

@@ -11,8 +11,12 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.schemes import TypeIIScheme
-from repro.detection.coincidence import car_from_tags
-from repro.detection.tdc import TimeToDigitalConverter
+from repro.detection.coincidence import car_from_tags, car_reach
+from repro.detection.tdc import (
+    TimeToDigitalConverter,
+    ascending,
+    partner_candidates,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
 from repro.utils.rng import RandomStream
@@ -23,6 +27,9 @@ PAPER_CLAIM = (
 )
 
 PAPER_CAR = 10.0
+
+#: Half-width of the coincidence histogram's delay axis.
+HISTOGRAM_REACH_S = 5e-9
 
 
 def run(
@@ -58,15 +65,17 @@ def run(
     rng = RandomStream(seed, label="E5")
 
     te_clicks, tm_clicks = scheme.detected_streams(duration_s, rng)
-    result = car_from_tags(
-        te_clicks,
-        tm_clicks,
-        duration_s,
-        window_s=scheme.calibration.coincidence_window_s,
+    # One partner filter at the wider of the two kernels' reaches: both
+    # count the same pairs on the candidates as on the full streams.
+    window_s = scheme.calibration.coincidence_window_s
+    te_near, tm_near = partner_candidates(
+        [ascending(te_clicks), ascending(tm_clicks)],
+        max(car_reach(window_s), HISTOGRAM_REACH_S),
     )
+    result = car_from_tags(te_near, tm_near, duration_s, window_s=window_s)
     centres, counts = TimeToDigitalConverter(
         bin_width_s=200e-12
-    ).delay_histogram(te_clicks, tm_clicks, max_delay_s=5e-9)
+    ).delay_histogram(te_near, tm_near, max_delay_s=HISTOGRAM_REACH_S)
 
     process = scheme.process()
     pump = scheme.pump()

@@ -5,7 +5,7 @@ The ARTIQ-master-inspired always-on layer over the run engine
 
 - :mod:`repro.service.jobs` — the job model and lifecycle state machine.
 - :mod:`repro.service.store` — the crash-safe persistent queue under
-  ``<root>/queue/`` (per-job status files + JSONL journal).
+  ``<root>/queue/`` (a JSONL journal of job transitions + job snapshots).
 - :mod:`repro.service.scheduler` — claim threads + process pool
   draining the queue in priority order.
 - :mod:`repro.service.api` — :class:`ExperimentService`, the JSON-RPC

@@ -483,7 +483,11 @@ class ExperimentService:
         return {"topics": bus.poll(wanted, min(timeout, MAX_POLL_S))}
 
     def _rpc_health(self) -> dict[str, object]:
-        """Liveness snapshot: pid, uptime, workers, queue counts and seq."""
+        """Liveness snapshot: pid, uptime, workers, queue counts and seq.
+
+        Costs the same however many jobs and cache entries there are:
+        ``repro cache stats`` is the place that counts cache entries.
+        """
         counts = self.store.counts()
         return {
             "ok": True,
@@ -496,9 +500,6 @@ class ExperimentService:
             "counts": counts,
             "seq": self.store.seq,
             "fleet": self.fleet.status()["counts"],
-            "cache": (
-                self.engine.cache.stats() if self.engine.cache else None
-            ),
         }
 
     def _rpc_metrics(self) -> dict[str, object]:

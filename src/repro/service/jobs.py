@@ -14,9 +14,11 @@ lifecycle state machine::
 (single runs).  ``requeue`` returns any terminal job to ``pending``
 with its attempt counter bumped.
 
-Jobs are plain JSON documents on disk (see
-:class:`repro.service.store.JobStore`); everything here round-trips
-losslessly through :meth:`Job.to_dict` / :meth:`Job.from_dict`.
+Jobs live on disk as queue-journal lines (see
+:class:`repro.service.store.JobStore`): the submission line carries
+every field, later lines only what a transition changed, and
+:meth:`Job.apply` folds them.  Everything here round-trips losslessly
+through :meth:`Job.to_dict` / :meth:`Job.from_dict`.
 
 Pure stdlib: the model sits below the CLI's no-numpy fast path.
 """
@@ -27,7 +29,8 @@ import dataclasses
 import datetime
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.runtime.engine import RunSpec
@@ -72,7 +75,7 @@ KIND_ANALYZE = "analyze"
 ANALYSIS_EXPERIMENT = "ANALYSIS"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Job:
     """One queued experiment run or sweep, with its full lifecycle state."""
 
@@ -234,16 +237,7 @@ class Job:
         elif status in TERMINAL:
             self.finished_unix = now
         elif status == PENDING:  # requeue
-            self.attempt += 1
-            self.cancel_requested = False
-            self.started_unix = None
-            self.finished_unix = None
-            self.done_points = 0
-            self.run_ids = []
-            self.cached_points = 0
-            self.metrics = None
-            self.error = None
-            self.clear_runner()
+            self.reset_to_pending()
 
     def reset_to_pending(self) -> None:
         """Return a running job to ``pending`` for another attempt.
@@ -265,6 +259,13 @@ class Job:
         self.error = None
         self.clear_runner()
 
+    def serve_cached(self, run_id: str, metrics: Mapping[str, float]) -> None:
+        """End a running job as done from one cached point."""
+        self.transition(DONE)
+        self.done_points = self.total_points = self.cached_points = 1
+        self.run_ids = [sys.intern(run_id)]
+        self.metrics = shared_keys(metrics)
+
     def assign_runner(
         self, runner_id: str, host: str | None, pid: int | None
     ) -> None:
@@ -283,52 +284,44 @@ class Job:
     # Persistence
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        """The JSON-native document stored as the job's status file.
+        """The JSON-native document of the job: its :meth:`fields`, plus
+        derived human-readable timing.
 
-        Alongside the raw dataclass fields, the document carries derived
-        human-readable timing: ISO-8601 ``queued_at``/``started_at``/
+        The derived block carries ISO-8601 ``queued_at``/``started_at``/
         ``finished_at`` plus ``wait_s`` (queue wait) and ``run_s``
         (execution time).  :meth:`from_dict` ignores unknown keys, so
-        the derived block never threatens the round-trip.
-
-        Built field by field rather than through ``dataclasses.asdict``
-        (a recursive deep copy, and the store builds one document per
-        transition): only the container fields are copied, so mutating
-        the document never reaches back into the job.
+        the derived block never threatens the round-trip.  Only the
+        container fields are copied (``dataclasses.asdict`` would deep
+        copy everything), so mutating the document never reaches back
+        into the job.
         """
-        document: dict[str, object] = {
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "experiment_id": self.experiment_id,
-            "seed": self.seed,
-            "quick": self.quick,
-            "params": _copy_json(self.params),
-            "scan": _copy_json(self.scan),
-            "analysis_pipeline": self.analysis_pipeline,
-            "pipeline": self.pipeline,
-            "priority": self.priority,
-            "status": self.status,
-            "cancel_requested": self.cancel_requested,
-            "attempt": self.attempt,
-            "submitted_unix": self.submitted_unix,
-            "started_unix": self.started_unix,
-            "finished_unix": self.finished_unix,
-            "done_points": self.done_points,
-            "total_points": self.total_points,
-            "run_ids": _copy_json(self.run_ids),
-            "cached_points": self.cached_points,
-            "metrics": _copy_json(self.metrics),
-            "error": _copy_json(self.error),
-            "runner_id": self.runner_id,
-            "runner_host": self.runner_host,
-            "runner_pid": self.runner_pid,
-        }
+        document = {k: _copy_json(v) for k, v in self.fields().items()}
         document["queued_at"] = _iso(self.submitted_unix)
         document["started_at"] = _iso(self.started_unix)
         document["finished_at"] = _iso(self.finished_unix)
         document["wait_s"] = self.wait_s
         document["run_s"] = self.run_s
         return document
+
+    def fields(self, names: Iterable[str] | None = None) -> dict[str, object]:
+        """The named dataclass fields (default: all, in declaration
+        order), as the job holds them: nothing is copied."""
+        if names is None:
+            names = _FIELD_ORDER
+        return {name: getattr(self, name) for name in names}
+
+    def apply(self, changes: Mapping[str, Any]) -> None:
+        """Set the fields one journal line carries (see :meth:`fields`).
+
+        ``run_ids_from``, when present, says the line's ``run_ids`` are
+        the list's tail from that index on, not the whole list.
+        """
+        for name, value in changes.items():
+            if name == "run_ids":
+                value = self.run_ids[: changes.get("run_ids_from", 0)] + value
+            if name in _FIELDS:
+                setattr(self, name, value)
+        self.status = sys.intern(self.status)
 
     @classmethod
     def from_dict(cls, document: Mapping[str, object]) -> "Job":
@@ -342,8 +335,17 @@ class Job:
             ) from error
 
 
+#: The dataclass field names, in declaration order.
+_FIELD_ORDER = tuple(field.name for field in dataclasses.fields(Job))
+
 #: The dataclass field names :meth:`Job.from_dict` accepts.
-_FIELDS = frozenset(field.name for field in dataclasses.fields(Job))
+_FIELDS = frozenset(_FIELD_ORDER)
+
+
+def shared_keys(metrics: Mapping[str, float]) -> dict[str, float]:
+    """A copy of ``metrics`` whose names are interned: a daemon holds
+    the metrics of every job it ran, under the same few names."""
+    return {sys.intern(name): value for name, value in metrics.items()}
 
 
 def _copy_json(value: object) -> object:

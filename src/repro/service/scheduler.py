@@ -15,13 +15,13 @@ is a ``lookup`` (a hit is a JSON read, served on the thread — the
 ≥50 jobs/s bar of ``benchmarks/bench_service_throughput.py``), and a
 miss computes on the process-wide pool of :mod:`repro.runtime.pool`
 (unless ``use_processes=False``) and comes back through ``ingest``.
-All persistence — archiving, caching, job-file writes — stays in this
-process, exactly as for a result a remote runner ships home.
+All persistence — archiving, caching, queue-journal lines — stays in
+this process, exactly as for a result a remote runner ships home.
 
-Sweep jobs stream: after every finished point the job file is rewritten
-with the new progress counters, so ``repro watch`` and the long-poll
-subscription see points as they complete, and a cancel request takes
-effect at the next point boundary.
+Sweep jobs stream: every finished point is one ``progress`` line in the
+queue journal, so ``repro watch`` and the long-poll subscription see
+points as they complete, and a cancel request takes effect at the next
+point boundary.
 """
 
 from __future__ import annotations

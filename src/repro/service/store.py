@@ -2,29 +2,41 @@
 
 Layout::
 
-    <root>/queue/jobs/<id>.json    per-job status file (atomic writes,
-                                   the source of truth)
-    <root>/queue/jobs/<id>.claim   O_EXCL claim marker while running
-    <root>/queue/journal.jsonl     sequenced event log: each job
-                                   transition's one durable record
+    <root>/queue/journal.jsonl     sequenced event log, the source of
+                                   truth: one line per job transition,
                                    and the long-poll feed
     <root>/queue/journal-1.jsonl   the generation rotated out at
                                    JOURNAL_MAX_LINES lines
+    <root>/queue/journal.lock      flock taken by every store writing
+                                   the journal
+    <root>/queue/jobs/<id>.json    the id's O_EXCL reservation (empty),
+                                   filled with the job's snapshot when
+                                   it ends and emptied if it is requeued
+    <root>/queue/jobs/<id>.claim   O_EXCL claim marker while running
     <root>/queue/service.json      live server address (written by the
                                    HTTP layer, see repro.service.api)
 
-Durability model: every job mutation rewrites the job file atomically
-and appends one event line to the journal (a rotating
-:class:`~repro.utils.journal.Journal`), so killing the process at any
-instant leaves a readable queue.  On restart with ``recover=True``
-any job found ``running`` is returned to ``pending`` (its server died
-mid-run) and stale claim markers are released — the acceptance
-criterion of surviving a kill mid-drain.
+Durability model: each job transition is one fsynced journal line (a
+rotating :class:`~repro.utils.journal.Journal`).  A submission line
+carries the whole job document; later lines carry the fields the
+transition changed, and a job's state is the fold of its lines.  A job
+that ends also gets its snapshot in ``jobs/<id>.json``, and every live
+job does when the journal rotates, so the lines a rotation drops are
+always covered by a snapshot.  Opening a store folds the journal onto
+the snapshots; a root whose journal lines carry no job fields (the
+older layout, where job files were rewritten on every transition) is
+read from its job files alone.  On restart with ``recover=True`` any job
+found ``running`` is returned to ``pending`` (its server died mid-run)
+and stale claim markers are released — the acceptance criterion of
+surviving a kill mid-drain.
 
 Concurrency model: one :class:`JobStore` instance is thread-safe via a
 single condition variable (submitters notify waiting scheduler workers
-and long-pollers).  Two *processes* sharing a queue directory are kept
-from double-running a job by the O_EXCL claim markers.
+and long-pollers).  Several stores, in one process or many, may share a
+queue directory: each transition is made under the journal's lock after
+folding the lines the other stores appended (:meth:`JobStore._follow`),
+waiters follow the journal while they wait, and the O_EXCL claim markers
+keep two stores from running one job.
 
 Deduplication: a run-kind submission whose fingerprint is already in
 the engine's result cache completes instantly as a cache hit, and one
@@ -34,18 +46,21 @@ many-clients-one-cache behaviour the paper's sweep campaigns need.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
+import sys
 import threading
 import time
 from collections.abc import Iterable, Mapping
 from operator import attrgetter
+from typing import Any
 
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.obs import names as obs_names
-from repro.runtime.engine import RunEngine, RunSpec, default_root
+from repro.runtime.engine import RunEngine, default_root
 from repro.service.jobs import (
     ANALYSIS_EXPERIMENT,
     CANCELLED,
@@ -58,6 +73,7 @@ from repro.service.jobs import (
     STATUSES,
     TERMINAL,
     Job,
+    shared_keys,
 )
 from repro.utils.io import atomic_write_text
 from repro.utils.journal import Journal
@@ -74,6 +90,23 @@ EVENT_BUFFER = 4096
 #: (one line per job transition and sweep point).
 JOURNAL_MAX_LINES = 20_000
 
+#: Longest a waiter sleeps before looking for other stores' transitions.
+FOLLOW_S = 0.05
+
+#: The journal-entry key of the job fields a line carries.  It is kept
+#: out of the event feed, which serves the rest of the entry.
+STATE = "job"
+
+#: The job fields each transition sets; a submission carries them all.
+STARTED = ("status", "started_unix", "runner_id", "runner_host", "runner_pid")
+PROGRESS = ("done_points", "total_points", "cached_points")
+FINISHED = ("status", "finished_unix", "metrics", "error")
+SERVED = (*STARTED, *PROGRESS, "finished_unix", "run_ids", "metrics")
+RESET = (
+    *STARTED, *PROGRESS, *FINISHED[1:], "attempt", "cancel_requested",
+    "run_ids",
+)
+
 
 class JobStore:
     """The persistent, thread-safe priority queue of service jobs."""
@@ -89,7 +122,10 @@ class JobStore:
         self.journal_path = self.queue_dir / JOURNAL_FILE
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        #: Notified on every transition; ``_work`` only when a job
+        #: becomes pending, so idle claim threads sleep through the rest.
         self._changed = threading.Condition(self._lock)
+        self._work = threading.Condition(self._lock)
         self._jobs: dict[int, Job] = {}
         #: The status index, kept in step with every job that enters
         #: ``_jobs`` (:meth:`_put`) or changes status (:meth:`_index`)
@@ -103,11 +139,19 @@ class JobStore:
         self._done = 0
         #: The highest job id this store has loaded or allocated.
         self._max_id = 0
+        #: Pending ids whose claim marker another holder had at this
+        #: store's last try: :meth:`wait_for_work` does not wake for them.
+        self._fenced: set[int] = set()
+        #: Ended jobs whose snapshot write failed; rotation retries them.
+        self._unsnapshotted: set[int] = set()
         self.journal = Journal(
             self.journal_path,
             JOURNAL_MAX_LINES,
             tail=EVENT_BUFFER,
             on_read=_count_journal_read,
+            shared=True,
+            on_rotate=self._snapshot_live,
+            disk_only=(STATE,),
         )
         self._load(recover=recover)
 
@@ -115,36 +159,53 @@ class JobStore:
     # Loading and recovery
     # ------------------------------------------------------------------
     def _load(self, recover: bool) -> None:
-        """Read every job file back into memory."""
-        for path in sorted(self.jobs_dir.glob("*.json")):
+        """Read the snapshots, then fold the journal onto them.
+
+        An ended job whose snapshot is missing or older than its last
+        line (a crash came between the two) is snapshotted again: at
+        once when recovering, else when the journal next rotates.
+        """
+        ended: dict[int, float | None] = {}
+        for path in self.jobs_dir.glob("*.json"):
             try:
                 document = json.loads(path.read_text(encoding="utf-8"))
                 job = Job.from_dict(document)
             except (OSError, ValueError, ConfigurationError):
-                continue  # torn or foreign file; jobs are single-writer
+                continue  # a reservation, or a torn or foreign file
             self._put(job)
             self._max_id = max(self._max_id, job.job_id)
-        if recover:
-            self._recover()
+            ended[job.job_id] = job.finished_unix
+        with self._changed, self.journal.locked():
+            self._follow()
+            self._unsnapshotted = {
+                job.job_id
+                for job in self._jobs.values()
+                if job.is_terminal
+                and ended.get(job.job_id) != job.finished_unix
+            }
+            if recover:
+                self._recover()
 
     def _recover(self) -> None:
-        """Return orphaned ``running`` jobs to ``pending`` after a crash.
+        """Return orphaned ``running`` jobs to ``pending`` after a crash,
+        and write the snapshots the crash skipped.
 
         Only *orphaned* ones: a running job whose claim marker names a
         still-alive pid belongs to another daemon sharing this root and
         must be left alone — recovery fences dead servers, it must not
         steal live work.
         """
-        with self._changed:
-            for job in self._jobs.values():
-                if self._claim_holder_alive(job.job_id):
-                    continue
-                if job.status == RUNNING:
-                    job.status = PENDING
-                    job.started_unix = None
-                    job.clear_runner()
-                    self._persist(job, "recovered")
-                self._claim_path(job.job_id).unlink(missing_ok=True)
+        for job_id in sorted(self._unsnapshotted):
+            self._snapshot(self._jobs[job_id])
+        for job in list(self._jobs.values()):
+            if self._claim_holder_alive(job.job_id):
+                continue
+            if job.status == RUNNING:
+                job.status = PENDING
+                job.started_unix = None
+                job.clear_runner()
+                self._persist(job, "recovered", STARTED)
+            self._claim_path(job.job_id).unlink(missing_ok=True)
 
     def _claim_holder_alive(self, job_id: int) -> bool:
         """Whether the pid written into a claim marker is still running.
@@ -169,6 +230,44 @@ class JobStore:
         except OSError:
             return False
         return not _is_zombie(pid)
+
+    def _follow(self) -> None:
+        """Fold the lines other stores journaled since this one looked.
+
+        Each transition is made after this call under the journal's
+        lock, so it always starts from the queue's current state.  A
+        waiter is woken when anything was folded.
+        """
+        folded = False
+        for entry in self.journal.follow():
+            folded |= self._fold(entry)
+        if folded:
+            self._changed.notify_all()
+            self._work.notify_all()
+
+    def _fold(self, entry: Mapping[str, object]) -> bool:
+        """Apply one journal line's job fields (caller holds the lock).
+
+        A line without fields (the older layout) or naming a job this
+        store cannot build is skipped.
+        """
+        state = entry.get(STATE)
+        job_id = entry.get("job_id")
+        if not isinstance(state, dict) or type(job_id) is not int:
+            return False
+        job = self._jobs.get(job_id)
+        if job is None:
+            try:
+                job = Job.from_dict(state)
+            except (ConfigurationError, TypeError, ValueError, AttributeError):
+                return False
+            self._put(job)
+            self._max_id = max(self._max_id, job_id)
+        else:
+            job.apply(state)
+            self._index(job)
+        self._fenced.discard(job_id)
+        return True
 
     # ------------------------------------------------------------------
     # Submission
@@ -197,15 +296,11 @@ class JobStore:
         live analyze job of the same pipeline — the analysis layer's
         own content-addressed cache handles result reuse).
         """
-        if analysis and scan:
-            raise ConfigurationError(
-                "a submission is either a scan sweep or an analysis, not both"
-            )
-        if analysis:
-            kind = KIND_ANALYZE
-            experiment_id = ANALYSIS_EXPERIMENT
-        else:
-            kind = KIND_SWEEP if scan else KIND_RUN
+        job = _new_job(
+            experiment_id, seed, quick, params, scan, analysis, priority,
+            pipeline,
+        )
+        kind = job.kind
         # Cache consult happens *outside* the store lock: a hit on a
         # pruned run re-archives it (numpy + npz writes), and that disk
         # work must not stall claims and long-polls.  The cache is
@@ -213,31 +308,19 @@ class JobStore:
         outcome = None
         if dedupe and kind == KIND_RUN and engine is not None:
             if engine.cache is not None:
-                spec = RunSpec.make(
-                    experiment_id, seed=seed, quick=quick, params=params
-                )
-                outcome = engine.lookup(spec)
-        with self._changed:
-            job = Job(
-                job_id=0,  # allocated below, after dedup short-circuits
-                kind=kind,
-                experiment_id=experiment_id,
-                seed=int(seed),
-                quick=bool(quick),
-                params=dict(params or {}),
-                scan=dict(scan) if scan else None,
-                analysis_pipeline=analysis or None,
-                pipeline=pipeline,
-                priority=int(priority),
-                submitted_unix=time.time(),
-            )
+                outcome = engine.lookup(job.spec())
+        with self._changed, self.journal.locked():
+            self._follow()
             if dedupe and kind == KIND_RUN:
                 twin = self._live_twin(job)
                 if twin is not None:
                     return twin, True
                 if outcome is not None:
                     job.job_id = self._allocate_id()
-                    self._serve_from_cache(job, outcome)
+                    job.transition(RUNNING)
+                    job.serve_cached(outcome.run_id, outcome.result.metrics)
+                    self._put(job)
+                    self._persist(job, "cached")
                     return job, True
             if dedupe and kind == KIND_ANALYZE:
                 twin = self._live_analysis_twin(job)
@@ -249,7 +332,7 @@ class JobStore:
         return job, False
 
     def submit_batch(
-        self, requests: Iterable[Mapping[str, object]]
+        self, requests: Iterable[Mapping[str, Any]]
     ) -> list[Job]:
         """Bulk-enqueue submissions with ONE fsynced journal append.
 
@@ -261,44 +344,25 @@ class JobStore:
         ``seed``/``quick``/``params``/``scan``/``analysis``/
         ``priority``/``pipeline`` optional).
         """
-        jobs: list[Job] = []
-        batch: list[dict[str, object]] = []
-        now = time.time()
-        with self._changed:
-            for request in requests:
-                analysis = request.get("analysis")
-                scan = request.get("scan")
-                if analysis:
-                    kind = KIND_ANALYZE
-                    experiment_id = ANALYSIS_EXPERIMENT
-                else:
-                    kind = KIND_SWEEP if scan else KIND_RUN
-                    experiment_id = str(request["experiment_id"])
-                job = Job(
-                    job_id=self._allocate_id(),
-                    kind=kind,
-                    experiment_id=experiment_id,
-                    seed=int(request.get("seed", 0)),
-                    quick=bool(request.get("quick", False)),
-                    params=dict(request.get("params") or {}),
-                    scan=dict(scan) if scan else None,
-                    analysis_pipeline=analysis or None,
-                    pipeline=str(request.get("pipeline", "main")),
-                    priority=int(request.get("priority", 0)),
-                    submitted_unix=now,
-                )
+        with self._changed, self.journal.locked():
+            self._follow()
+            jobs = [
+                _new_job(**request, job_id=self._allocate_id())
+                for request in requests
+            ]
+            for job in jobs:
                 self._put(job)
-                batch.append(self._write_entry(job, "submitted"))
-                jobs.append(job)
-            self._persist_batch(batch)
+            self._persist_batch(
+                [(job, self._entry(job, "submitted")) for job in jobs]
+            )
         return jobs
 
     def _allocate_id(self) -> int:
         """Claim the next free job id atomically across processes.
 
-        The id is reserved by O_EXCL-creating its job file (a stub the
-        immediate ``_persist`` overwrites), so two stores submitting to
-        one queue directory can never clobber each other's job files.
+        The id is reserved by O_EXCL-creating its (empty) job file, so
+        two stores submitting to one queue directory can never hand out
+        the same id.
         """
         candidate = self._max_id
         while True:
@@ -342,21 +406,6 @@ class JobStore:
         ]
         return min(twins, key=attrgetter("job_id"), default=None)
 
-    def _serve_from_cache(self, job: Job, outcome) -> None:
-        """Complete ``job`` instantly from an already-served cache hit.
-
-        ``outcome`` is the :class:`~repro.runtime.engine.RunOutcome`
-        the submitter looked up before taking the lock.
-        """
-        job.transition(RUNNING)
-        job.transition(DONE)
-        job.done_points = 1
-        job.cached_points = 1
-        job.run_ids = [outcome.run_id]
-        job.metrics = dict(outcome.result.metrics)
-        self._put(job)
-        self._persist(job, "cached")
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -376,23 +425,8 @@ class JobStore:
         stamped onto the job so status output names the executing
         worker.
         """
-        with self._changed:
-            for job in sorted(self._with_status(PENDING), key=Job.sort_key):
-                if not self._take_claim(job.job_id, worker):
-                    continue
-                # Re-read the status file after winning the marker: a
-                # *second* store on this queue directory may have run
-                # the job to completion since our in-memory snapshot.
-                job = self._reload(job.job_id) or job
-                if job.status != PENDING:
-                    self._claim_path(job.job_id).unlink(missing_ok=True)
-                    continue
-                job.transition(RUNNING)
-                if identity is not None:
-                    job.assign_runner(*identity)
-                self._persist(job, "started", worker=worker)
-                return job
-        return None
+        _, leased = self.drain(worker, 1, lambda job: "lease", identity)
+        return leased[0] if leased else None
 
     def drain(
         self,
@@ -420,8 +454,9 @@ class JobStore:
         """
         served: list[Job] = []
         leased: list[Job] = []
-        batch: list[dict[str, object]] = []
-        with self._changed:
+        batch: list[tuple[Job, dict[str, object]]] = []
+        with self._changed, self.journal.locked():
+            self._follow()
             for job in sorted(self._with_status(PENDING), key=Job.sort_key):
                 if len(served) + len(leased) >= max_jobs:
                     break
@@ -430,30 +465,23 @@ class JobStore:
                     continue
                 if not self._take_claim(job.job_id, worker):
                     continue
-                job = self._reload(job.job_id) or job
-                if job.status != PENDING:
-                    self._claim_path(job.job_id).unlink(missing_ok=True)
-                    continue
                 job.transition(RUNNING)
                 if identity is not None:
                     job.assign_runner(*identity)
                 if verdict == "lease" or job.kind != KIND_RUN:
-                    batch.append(
-                        self._write_entry(job, "started", worker=worker)
-                    )
+                    batch.append((job, self._entry(
+                        job, "started", STARTED, worker=worker
+                    )))
                     leased.append(job)
                     continue
-                _, run_id, metrics = verdict
-                job.transition(DONE)
-                job.done_points = 1
-                job.total_points = 1
-                job.cached_points = 1
-                job.run_ids = [run_id]
-                job.metrics = dict(metrics)
-                batch.append(self._write_entry(job, "served", worker=worker))
-                self._claim_path(job.job_id).unlink(missing_ok=True)
+                job.serve_cached(*verdict[1:])
+                batch.append((job, self._entry(
+                    job, "served", SERVED, worker=worker
+                )))
                 served.append(job)
             self._persist_batch(batch)
+            for job in served:
+                self._claim_path(job.job_id).unlink(missing_ok=True)
         return served, leased
 
     def release(self, job: Job, event: str = "lease_expired") -> None:
@@ -465,24 +493,13 @@ class JobStore:
         cleared; the claim marker is unlinked only after the pending
         state is durable, mirroring :meth:`finish`.
         """
-        with self._changed:
+        with self._changed, self.journal.locked():
+            self._follow()
             if job.status != RUNNING:
                 return
             job.reset_to_pending()
-            self._persist(job, event)
+            self._persist(job, event, RESET)
             self._claim_path(job.job_id).unlink(missing_ok=True)
-
-    def _reload(self, job_id: int) -> Job | None:
-        """Refresh one job from disk (syncs cross-process state)."""
-        try:
-            document = json.loads(
-                self.job_path(job_id).read_text(encoding="utf-8")
-            )
-            job = Job.from_dict(document)
-        except (OSError, ValueError, ConfigurationError):
-            return self._jobs.get(job_id)
-        self._put(job)
-        return job
 
     def _claim_path(self, job_id: int) -> pathlib.Path:
         """The claim-marker path of one job id."""
@@ -496,6 +513,7 @@ class JobStore:
                 os.O_CREAT | os.O_EXCL | os.O_WRONLY,
             )
         except FileExistsError:
+            self._fenced.add(job_id)
             return False
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()} {worker}\n")
@@ -509,15 +527,21 @@ class JobStore:
         run_id: str | None = None,
         cached: bool = False,
     ) -> None:
-        """Stream one finished sweep point into the job's status file."""
-        with self._changed:
+        """Journal one finished sweep point of a running job."""
+        with self._changed, self.journal.locked():
+            self._follow()
             job.done_points = done_points
             job.total_points = total_points
-            if run_id is not None:
-                job.run_ids.append(run_id)
             if cached:
                 job.cached_points += 1
-            self._persist(job, "progress")
+            entry = self._entry(job, "progress", PROGRESS)
+            if run_id is not None:
+                # Only the new id: the line splices it onto the list.
+                entry[STATE].update(
+                    run_ids=[run_id], run_ids_from=len(job.run_ids)
+                )
+                job.run_ids.append(sys.intern(run_id))  # jobs share ids
+            self._persist_batch([(job, entry)])
 
     def finish(
         self,
@@ -527,16 +551,17 @@ class JobStore:
         error: Mapping[str, str] | None = None,
     ) -> None:
         """Transition a running job to a terminal state and persist it."""
-        with self._changed:
+        with self._changed, self.journal.locked():
+            self._follow()
             job.transition(status)
             if metrics is not None:
-                job.metrics = dict(metrics)
+                job.metrics = shared_keys(metrics)
             if error is not None:
                 job.error = dict(error)
             # Persist the terminal state *before* releasing the claim
             # marker: a second store sharing this queue directory must
-            # never win the marker and re-read a stale 'running' file.
-            self._persist(job, status)
+            # never win the marker of a job it still sees running.
+            self._persist(job, status, FINISHED)
             self._claim_path(job.job_id).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
@@ -585,7 +610,8 @@ class JobStore:
         A running job only observes the request at its next sweep-point
         boundary; terminal jobs reject cancellation.
         """
-        with self._changed:
+        with self._changed, self.journal.locked():
+            self._follow()
             job = self.get(job_id)
             if job.is_terminal:
                 raise ConfigurationError(
@@ -593,18 +619,25 @@ class JobStore:
                 )
             if job.status == PENDING:
                 job.transition(CANCELLED)
-                self._persist(job, CANCELLED)
+                self._persist(job, CANCELLED, FINISHED)
             else:
                 job.cancel_requested = True
-                self._persist(job, "cancel_requested")
+                self._persist(job, "cancel_requested", ("cancel_requested",))
         return job
 
     def requeue(self, job_id: int) -> Job:
-        """Return a terminal job to ``pending`` (attempt counter bumped)."""
-        with self._changed:
+        """Return a terminal job to ``pending`` (attempt counter bumped).
+
+        Its snapshot is emptied back to the id reservation: it describes
+        an attempt that is over, and the journal holds the new one.
+        """
+        with self._changed, self.journal.locked():
+            self._follow()
             job = self.get(job_id)
             job.transition(PENDING)
-            self._persist(job, "requeued")
+            self._persist(job, "requeued", RESET)
+            with contextlib.suppress(FileNotFoundError):
+                os.truncate(self.job_path(job.job_id), 0)
         return job
 
     def snapshot(self) -> dict[str, object]:
@@ -655,84 +688,106 @@ class JobStore:
         Returns the job in whatever state it is in when the wait ends;
         callers check :attr:`Job.is_terminal`.
         """
-        deadline = time.monotonic() + max(0.0, timeout)
         with self._changed:
-            while True:
-                job = self.get(job_id)
-                if job.is_terminal:
-                    return job
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return job
-                self._changed.wait(remaining)
+            self._wait_until(lambda: self.get(job_id).is_terminal, timeout)
+            return self.get(job_id)
 
     def wait_for_work(self, timeout: float) -> bool:
-        """Block a scheduler worker until something changes (or timeout)."""
+        """Block a scheduler worker until something changes (or timeout).
+
+        Returns at once while a pending job is claimable, else wakes
+        when a job becomes pending; a job whose claim marker another
+        holder had at the last try waits for a change to it, or for the
+        timeout.
+        """
         with self._changed:
-            if self._with_status(PENDING):
+            if not self._by_status[PENDING] <= self._fenced:
                 return True
-            return self._changed.wait(timeout)
+            woke = self._work.wait(timeout)
+            if not woke:
+                self._fenced.clear()  # markers may be gone: try again
+            return woke
 
     def wait_idle(self, timeout: float) -> bool:
         """Block until no job is pending or running (False on timeout).
 
-        Re-checks the status index only when a transition is journaled
-        (or :meth:`kick` is called), never in a polling loop.
+        Re-checks the status index when a transition is journaled (or
+        :meth:`kick` is called), and after folding other stores' lines
+        every :data:`FOLLOW_S` without one — never in a busy loop.
         """
         with self._changed:
-            return self._changed.wait_for(lambda: not self._live(), timeout)
+            return self._wait_until(lambda: not self._live(), timeout)
+
+    def _wait_until(self, ready, timeout: float) -> bool:
+        """Wait (lock held) until ``ready()``, following the journal."""
+        deadline = time.monotonic() + max(0.0, timeout)
+        while not ready():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            if not self._changed.wait(min(remaining, FOLLOW_S)):
+                self._follow()
+        return True
 
     def kick(self) -> None:
         """Wake every waiter (used by scheduler shutdown and tests)."""
         with self._changed:
             self._changed.notify_all()
+            self._work.notify_all()
 
     # ------------------------------------------------------------------
     # Persistence internals
     # ------------------------------------------------------------------
     def job_path(self, job_id: int) -> pathlib.Path:
-        """The status-file path of one job id."""
+        """The reservation and snapshot path of one job id."""
         return self.jobs_dir / f"{job_id}.json"
 
-    def _persist(self, job: Job, event: str, **extra: object) -> None:
-        """Atomically rewrite the job file and journal one event.
+    def _persist(
+        self, job: Job, event: str, fields: Iterable[str] | None = None,
+        **extra: object,
+    ) -> None:
+        """Journal one transition of ``job`` (caller holds both locks).
 
-        Caller holds the lock.  The journal line is the transition's one
-        durable record and carries the sequence number that drives the
-        long-poll subscription feed.
+        ``fields`` names the job fields the transition set; None (a
+        job's first line) carries them all.
         """
-        self._persist_batch([self._write_entry(job, event, **extra)])
+        self._persist_batch([(job, self._entry(job, event, fields, **extra))])
 
-    def _persist_batch(self, batch: list[dict[str, object]]) -> None:
+    def _persist_batch(
+        self, batch: list[tuple[Job, dict[str, object]]]
+    ) -> None:
         """Journal many prepared entries with ONE fsynced append.
 
-        Caller holds the lock and already called :meth:`_write_entry`
-        for each job.  The journal fsyncs once per append, so the
+        Caller holds both locks and built each entry with
+        :meth:`_entry`.  The journal fsyncs once per append, so the
         batched drain/submit paths hand it all their lines at once —
         this is what lifts fully-cached throughput from per-job fsync
-        pacing to >1k jobs/s.
+        pacing to >1k jobs/s.  Jobs the batch ended are snapshotted
+        after the append.
         """
         if not batch:
             return
-        self.journal.append(batch)
+        self.journal.append(entry for _, entry in batch)
         if obs.enabled():
             obs.gauge(obs_names.METRIC_QUEUE_DEPTH, self._live())
         self._changed.notify_all()
+        if any(job.status == PENDING for job, _ in batch):
+            self._work.notify_all()
+        for job, _ in batch:
+            if job.is_terminal:
+                self._snapshot(job)
 
-    def _write_entry(
-        self, job: Job, event: str, **extra: object
+    def _entry(
+        self, job: Job, event: str, fields: Iterable[str] | None = None,
+        **extra: object,
     ) -> dict[str, object]:
-        """Rewrite the job file and build (but not journal) its event.
+        """Index ``job``'s status and build (but not journal) its event.
 
-        Returns the journal entry (the journal stamps its ``seq``).  The
-        status index is updated *before* the disk write, so it mirrors
-        the in-memory status even when the write fails.
+        Returns the journal entry (the journal stamps its ``seq``): the
+        event summary the feed serves, plus the job fields under
+        :data:`STATE`.
         """
         self._index(job)
-        atomic_write_text(
-            self.job_path(job.job_id),
-            json.dumps(job.to_dict(), indent=2, sort_keys=True),
-        )
         entry: dict[str, object] = {
             "unix": time.time(),
             "event": event,
@@ -746,7 +801,30 @@ class JobStore:
         if job.wait_s is not None:
             entry["wait_s"] = job.wait_s
         entry.update(extra)
+        entry[STATE] = job.fields(fields)
         return entry
+
+    def _snapshot(self, job: Job) -> None:
+        """Write ``job``'s document to its job file (caller holds the lock)."""
+        self._unsnapshotted.add(job.job_id)
+        atomic_write_text(
+            self.job_path(job.job_id),
+            json.dumps(job.to_dict(), sort_keys=True),
+        )
+        self._unsnapshotted.discard(job.job_id)
+
+    def _snapshot_live(self) -> None:
+        """Snapshot every job whose state the journal alone holds.
+
+        Runs as the journal rotates, just before the older generation's
+        lines are dropped: live jobs, and ended jobs whose snapshot
+        write failed.
+        """
+        for job_id in sorted(
+            self._by_status[PENDING] | self._by_status[RUNNING]
+            | self._unsnapshotted
+        ):
+            self._snapshot(self._jobs[job_id])
 
     def _put(self, job: Job) -> None:
         """Insert or replace ``job`` in ``_jobs`` and the index (lock held)."""
@@ -762,7 +840,7 @@ class JobStore:
 
         Only the store's own job objects are indexed: a caller passing
         an object ``_jobs`` does not hold (a stale copy, another store's
-        job) changes the file on disk but not this store's view.
+        job) changes the journal but not this store's view.
         """
         if self._jobs.get(job.job_id) is not job:
             return
@@ -818,3 +896,35 @@ def _is_zombie(pid: int) -> bool:
         return stat.rpartition(")")[2].split()[0] == "Z"
     except (OSError, IndexError):
         return False
+
+
+def _new_job(
+    experiment_id: str = "",
+    seed: int = 0,
+    quick: bool = False,
+    params: Mapping[str, object] | None = None,
+    scan: Mapping[str, object] | None = None,
+    analysis: str | None = None,
+    priority: int = 0,
+    pipeline: str = "main",
+    job_id: int = 0,
+) -> Job:
+    """A pending job of the submission fields :meth:`JobStore.submit`
+    takes (a sweep carries ``scan``, an analysis ``analysis``)."""
+    if analysis and scan:
+        raise ConfigurationError(
+            "a submission is either a scan sweep or an analysis, not both"
+        )
+    return Job(
+        job_id=job_id,
+        kind=KIND_ANALYZE if analysis else KIND_SWEEP if scan else KIND_RUN,
+        experiment_id=ANALYSIS_EXPERIMENT if analysis else str(experiment_id),
+        seed=int(seed),
+        quick=bool(quick),
+        params=dict(params or {}),
+        scan=dict(scan) if scan else None,
+        analysis_pipeline=analysis or None,
+        pipeline=str(pipeline),
+        priority=int(priority),
+        submitted_unix=time.time(),
+    )

@@ -11,20 +11,30 @@ and skip and count entries whose ``seq`` is not an integer — admitting
 one would re-deliver it to every cursor forever.  Telemetry-free on
 purpose: callers count skips and fallbacks (``on_read``).  Pure stdlib:
 this sits below the no-numpy CLI path.
+
+A *shared* journal has writers in several processes.  They take turns
+under an ``flock`` on ``<stem>.lock`` (:meth:`Journal.locked`), and each
+keeps a byte cursor into the files: :meth:`Journal.follow` hands over,
+in file order, the lines the other writers appended since this one last
+looked.  Each writer stamps its own ``seq`` values, so two writers' lines
+are told apart by their place in the file, never by ``seq``.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
+import fcntl
 import json
 import os
 import pathlib
 import threading
-from collections.abc import Callable, Iterable
+import weakref
+from collections.abc import Callable, Collection, Iterable, Iterator
 from operator import itemgetter
 from typing import Any
 
-from repro.utils.io import append_line, read_json_lines
+from repro.utils.io import append_line
 
 #: One journal entry: a JSON object whose ``seq`` the journal stamps.
 Entry = dict[str, Any]
@@ -39,6 +49,45 @@ def rotated_path(path: str | pathlib.Path) -> pathlib.Path:
     return path.with_name(f"{path.stem}-1{path.suffix}")
 
 
+def _scan(
+    path: pathlib.Path, start: int = 0
+) -> tuple[list[Entry], int, int, int | None, int]:
+    """``(entries, skipped, end, inode, lines)`` of one file from byte
+    ``start`` to ``end``, in file order (``inode`` None when missing).
+
+    Blank and torn lines are dropped; parsed lines that are not objects
+    with an integer ``seq`` count as skipped.
+    """
+    try:
+        with open(path, "rb") as handle:
+            inode = os.fstat(handle.fileno()).st_ino
+            handle.seek(start)
+            data = handle.read()
+    except FileNotFoundError:
+        return [], 0, start, None, 0
+    entries: list[Entry] = []
+    skipped = 0
+    for raw in data.split(b"\n"):
+        try:
+            entry = json.loads(raw)
+        except ValueError:
+            continue  # blank or torn
+        seq = entry.get("seq") if isinstance(entry, dict) else None
+        if type(seq) is not int:  # bools and coerced strings too
+            skipped += 1
+        else:
+            entries.append(entry)
+    return entries, skipped, start + len(data), inode, data.count(b"\n")
+
+
+def _inode(path: pathlib.Path) -> int | None:
+    """The inode of ``path``, None when it is missing."""
+    try:
+        return os.stat(path).st_ino
+    except FileNotFoundError:
+        return None
+
+
 def read(
     path: str | pathlib.Path, since: int = 0
 ) -> tuple[list[Entry], int]:
@@ -49,17 +98,11 @@ def read(
     ``repro trace`` and ``repro metrics``.
     """
     path = pathlib.Path(path)
-    entries: list[Entry] = []
-    skipped = 0
-    for part in (rotated_path(path), path):
-        for entry in read_json_lines(part):
-            seq = entry.get("seq") if isinstance(entry, dict) else None
-            if type(seq) is not int:  # bools and coerced strings too
-                skipped += 1
-            elif seq > since:
-                entries.append(entry)
+    older, skipped, *_ = _scan(rotated_path(path))
+    live, bad, *_ = _scan(path)
+    entries = [entry for entry in older + live if entry["seq"] > since]
     entries.sort(key=itemgetter("seq"))
-    return entries, skipped
+    return entries, skipped + bad
 
 
 class Journal:
@@ -68,7 +111,12 @@ class Journal:
     ``max_lines`` is the live file's rotation threshold and ``tail`` how
     many of the newest entries :meth:`since` answers from memory.
     ``on_read(skipped, fallback)``, if given, hears of every read of the
-    files: the one at open and each disk fallback of :meth:`since`.
+    files: the one at open, each disk fallback of :meth:`since` and each
+    :meth:`follow` that skipped a line.  ``shared`` makes this one of
+    several writers (see the module docstring); ``on_rotate()`` runs
+    under the lock just before a rotation drops the older generation.
+    Keys in ``disk_only`` are written to disk but kept out of the tail
+    and of what :meth:`since` returns.
     """
 
     def __init__(
@@ -77,21 +125,43 @@ class Journal:
         max_lines: int,
         tail: int = 0,
         on_read: ReadHook | None = None,
+        shared: bool = False,
+        on_rotate: Callable[[], None] | None = None,
+        disk_only: Collection[str] = (),
     ) -> None:
         self.path = pathlib.Path(path)
         self.rotated_path = rotated_path(self.path)
         self.max_lines = max_lines
         self._on_read = on_read
-        self._lock = threading.Lock()
-        entries, skipped = read(self.path)
+        self._on_rotate = on_rotate
+        self._disk_only = frozenset(disk_only)
+        self._lock = threading.RLock()
+        self._holds = 0
+        self._lock_fd: int | None = None
+        #: Where reading resumes: (inode, offset) in the live file;
+        #: inode 0 before the first read.
+        self._cursor: tuple[int | None, int] = (0, 0)
+        self._lines = 0
+        if shared:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._lock_fd = os.open(
+                self.path.with_suffix(".lock"),
+                os.O_RDWR | os.O_CREAT | os.O_CLOEXEC,
+                0o666,
+            )
+            weakref.finalize(self, os.close, self._lock_fd)
+        with self.locked():
+            if shared:  # so the cursor can name the live file
+                os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666))
+            entries, skipped = self._read_new()
+        #: Entries read but not yet handed over by :meth:`follow`: a
+        #: follower starts at the oldest retained entry.
+        self._backlog: list[Entry] = entries if shared else []
         self._seq: int = max((e["seq"] for e in entries), default=0)
+        entries = sorted(entries, key=itemgetter("seq"))[-tail:] if tail else []
         self._tail: collections.deque[Entry] = collections.deque(
-            entries[-tail:] if tail else (), maxlen=tail
+            map(self._feed, entries), maxlen=tail
         )
-        try:
-            self._lines = self.path.read_bytes().count(b"\n")
-        except FileNotFoundError:
-            self._lines = 0
         if on_read is not None:
             on_read(skipped, False)
 
@@ -101,6 +171,21 @@ class Journal:
         with self._lock:
             return self._seq
 
+    @contextlib.contextmanager
+    def locked(self) -> Iterator[None]:
+        """Hold the journal against this process's other threads and,
+        when shared, against the other writers (reentrant)."""
+        with self._lock:
+            if self._lock_fd is not None and not self._holds:
+                fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
+            self._holds += 1
+            try:
+                yield
+            finally:
+                self._holds -= 1
+                if self._lock_fd is not None and not self._holds:
+                    fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+
     def append(self, entries: Iterable[Entry]) -> None:
         """Stamp consecutive seqs onto ``entries`` (in place), write them
         in one fsynced append, then rotate if the live file is full (a
@@ -108,7 +193,9 @@ class Journal:
         batch = list(entries)
         if not batch:
             return
-        with self._lock:
+        with self.locked():
+            if self._lock_fd is not None:
+                self._backlog += self._read_new()[0]
             for entry in batch:
                 self._seq += 1
                 entry["seq"] = self._seq
@@ -116,14 +203,65 @@ class Journal:
                 self.path,
                 "\n".join(json.dumps(e, sort_keys=True) for e in batch),
             )
-            self._tail.extend(batch)
+            self._tail.extend(map(self._feed, batch))
             self._lines += len(batch)
-            if self._lines >= self.max_lines:
-                try:
-                    os.replace(self.path, self.rotated_path)
-                except OSError:
-                    return  # best-effort; appends continue regardless
-                self._lines = 0
+            if self._lock_fd is not None:
+                stat = os.stat(self.path)
+                self._cursor = (stat.st_ino, stat.st_size)
+            if self._lines < self.max_lines:
+                return
+            if self._on_rotate is not None:
+                self._on_rotate()
+            try:
+                os.replace(self.path, self.rotated_path)
+            except OSError:
+                return  # best-effort; appends continue regardless
+            self._lines = 0
+            if self._lock_fd is not None:  # start the next generation
+                os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666))
+                self._cursor = (_inode(self.path), 0)
+
+    def follow(self) -> list[Entry]:
+        """The entries other writers appended since this journal last
+        looked, in file order (the first call also hands over every
+        entry read at open)."""
+        with self.locked():
+            found, skipped = self._read_new()
+            found, self._backlog = self._backlog + found, []
+        if skipped and self._on_read is not None:
+            self._on_read(skipped, False)
+        return found
+
+    def _read_new(self) -> tuple[list[Entry], int]:
+        """``(entries past the cursor, lines skipped)`` in file order;
+        moves the cursor to the end (lock held).  After a rotation the
+        rest of the generation the cursor was in comes first; the first
+        read takes all of both generations."""
+        inode, offset = self._cursor
+        try:
+            live = os.stat(self.path)
+        except FileNotFoundError:
+            live = None
+        older: list[Entry] = []
+        skipped = 0
+        if live is None or live.st_ino != inode:
+            if inode == 0 or _inode(self.rotated_path) == inode:
+                older, skipped, *_ = _scan(self.rotated_path, offset)
+            offset = self._lines = 0
+        elif live.st_size == offset:
+            return [], 0
+        elif live.st_size < offset:
+            offset = self._lines = 0  # rewritten in place: read it afresh
+        found, bad, end, inode, lines = _scan(self.path, offset)
+        self._cursor = (inode, end)
+        self._lines += lines
+        return older + found, skipped + bad
+
+    def _feed(self, entry: Entry) -> Entry:
+        """``entry`` as the tail and :meth:`since` serve it."""
+        if not self._disk_only.intersection(entry):
+            return entry
+        return {k: v for k, v in entry.items() if k not in self._disk_only}
 
     def since(self, seq: int) -> tuple[list[Entry], bool]:
         """``(entries with seq > seq, gap)``, oldest first.
@@ -137,10 +275,11 @@ class Journal:
                 return [], False
             if self._tail and self._tail[0]["seq"] <= seq + 1:
                 return [e for e in self._tail if e["seq"] > seq], False
-            # Read under the lock: a rotation between reading the two
-            # generations would hide the live one.
+        # Read under the lock: a rotation between reading the two
+        # generations would hide the live one.
+        with self.locked():
             entries, skipped = read(self.path, since=seq)
         if self._on_read is not None:
             self._on_read(skipped, True)
         gap = not entries or entries[0]["seq"] > seq + 1
-        return entries, gap
+        return list(map(self._feed, entries)), gap

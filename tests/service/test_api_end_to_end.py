@@ -7,8 +7,6 @@ event feed, cancelling a queued job, and recovering the queue intact
 after the server dies mid-drain.
 """
 
-import json
-
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
@@ -177,7 +175,7 @@ class TestRecovery:
                           priority=mw)
             for mw in range(2, 7)
         ]
-        # Hard-kill simulation: claim one job so its status file says
+        # Hard-kill simulation: claim one job so the journal says it is
         # 'running' with a live claim marker, then drop everything
         # without any shutdown path.
         store = svc.store
@@ -186,11 +184,9 @@ class TestRecovery:
         svc._httpd.shutdown()
         svc._httpd.server_close()
         svc._httpd = None  # skip clean stop(): the point is the crash
-        # The on-disk queue is exactly what a SIGKILL leaves behind.
-        running_doc = json.loads(
-            store.job_path(claimed.job_id).read_text(encoding="utf-8")
-        )
-        assert running_doc["status"] == "running"
+        # The on-disk queue is exactly what a SIGKILL leaves behind: its
+        # journal folds to the claimed job running.
+        assert JobStore(root).get(claimed.job_id).status == "running"
 
         # A fresh server on the same root recovers and finishes the lot.
         reborn = ExperimentService(root=root, port=0, use_processes=False)

@@ -1,6 +1,5 @@
 """JobStore: persistence, priority claims, dedup, cancel, recovery."""
 
-import json
 import threading
 
 import pytest
@@ -9,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.runtime.engine import RunEngine
 from repro.service.jobs import CANCELLED, DONE, FAILED, PENDING, RUNNING
 from repro.service.store import JobStore
+from repro.utils.io import read_json_lines
 
 
 @pytest.fixture
@@ -28,9 +28,12 @@ class TestSubmit:
         job, deduped = store.submit("e6", quick=True, priority=2)
         assert not deduped
         assert job.status == PENDING and job.experiment_id == "E6"
-        document = json.loads(store.job_path(job.job_id).read_text())
-        assert document["priority"] == 2
-        assert store.journal_path.exists()
+        # The job file is the id's empty reservation; the submission's
+        # journal line carries the whole job document.
+        assert store.job_path(job.job_id).read_text() == ""
+        (line,) = read_json_lines(store.journal_path)
+        assert line["job"] == job.fields()
+        assert line["job"]["priority"] == 2
         assert store.seq >= 1
 
     def test_ids_are_sequential(self, store):
@@ -144,7 +147,7 @@ class TestPersistenceAndRecovery:
         first.submit("E6")
         claimed = first.claim("w0")
         assert claimed.status == RUNNING
-        # Simulate a SIGKILL: the claim marker and running status file
+        # Simulate a SIGKILL: the claim marker and running journal line
         # are exactly what a dead server leaves behind.
         recovered = JobStore(root, recover=True)
         job = recovered.get(claimed.job_id)

@@ -197,8 +197,8 @@ class TestNoScan:
 
     def test_claim_that_rereads_a_changed_file_reindexes(self, root):
         # A second store finishes the job behind the first one's back:
-        # the first store's claim re-reads the file, skips the job, and
-        # its index must follow the status it read.
+        # the first store's claim folds the second's journal lines, skips
+        # the job, and its index must follow the status it folded.
         first = JobStore(root)
         job, _ = first.submit("E6")
         second = JobStore(root)
