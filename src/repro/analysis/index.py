@@ -33,9 +33,9 @@ the CLI's no-numpy fast path.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
-import threading
 import time
 import zipfile
 from collections.abc import Iterable, Mapping
@@ -69,19 +69,10 @@ def index_dir(root: str | pathlib.Path | None = None) -> pathlib.Path:
     return base / INDEX_DIR
 
 
-#: This process's op-log writer per root (each resumes ``seq`` once).
-_OP_LOGS: dict[pathlib.Path, journal.Journal] = {}
-_OP_LOGS_LOCK = threading.Lock()
-
-
-def _op_log(root: str | pathlib.Path) -> journal.Journal:
-    """The op-log :class:`~repro.utils.journal.Journal` of a root."""
-    path = index_dir(root) / JOURNAL_FILE
-    with _OP_LOGS_LOCK:
-        log = _OP_LOGS.get(path)
-        if log is None:
-            log = _OP_LOGS[path] = journal.Journal(path, JOURNAL_MAX_LINES)
-    return log
+@functools.lru_cache(maxsize=16)
+def _op_log(path: pathlib.Path) -> journal.Journal:
+    """This process's writer of one op log (opened once: it reads it)."""
+    return journal.Journal(path, JOURNAL_MAX_LINES)
 
 
 def journal_append(
@@ -92,12 +83,16 @@ def journal_append(
     O(1) and pure stdlib so the run engine can call it on every archive
     without a read-modify-write of the whole catalog.
     """
-    _op_log(root).append([{"op": "upsert", "entry": dict(entry)}])
+    _op_log(index_dir(root) / JOURNAL_FILE).append(
+        [{"op": "upsert", "entry": dict(entry)}]
+    )
 
 
 def journal_remove(root: str | pathlib.Path, run_id: str) -> None:
     """Append one remove op for a pruned run (engine prune hook)."""
-    _op_log(root).append([{"op": "remove", "run_id": run_id}])
+    _op_log(index_dir(root) / JOURNAL_FILE).append(
+        [{"op": "remove", "run_id": run_id}]
+    )
 
 
 def payload_signature(run_dir: pathlib.Path) -> list[list[object]]:

@@ -75,7 +75,7 @@ KIND_ANALYZE = "analyze"
 ANALYSIS_EXPERIMENT = "ANALYSIS"
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass
 class Job:
     """One queued experiment run or sweep, with its full lifecycle state."""
 
@@ -263,8 +263,8 @@ class Job:
         """End a running job as done from one cached point."""
         self.transition(DONE)
         self.done_points = self.total_points = self.cached_points = 1
-        self.run_ids = [sys.intern(run_id)]
-        self.metrics = shared_keys(metrics)
+        self.run_ids = [run_id]
+        self.metrics = dict(metrics)
 
     def assign_runner(
         self, runner_id: str, host: str | None, pid: int | None
@@ -321,7 +321,6 @@ class Job:
                 value = self.run_ids[: changes.get("run_ids_from", 0)] + value
             if name in _FIELDS:
                 setattr(self, name, value)
-        self.status = sys.intern(self.status)
 
     @classmethod
     def from_dict(cls, document: Mapping[str, object]) -> "Job":
@@ -340,12 +339,6 @@ _FIELD_ORDER = tuple(field.name for field in dataclasses.fields(Job))
 
 #: The dataclass field names :meth:`Job.from_dict` accepts.
 _FIELDS = frozenset(_FIELD_ORDER)
-
-
-def shared_keys(metrics: Mapping[str, float]) -> dict[str, float]:
-    """A copy of ``metrics`` whose names are interned: a daemon holds
-    the metrics of every job it ran, under the same few names."""
-    return {sys.intern(name): value for name, value in metrics.items()}
 
 
 def _copy_json(value: object) -> object:

@@ -21,11 +21,11 @@ rotating :class:`~repro.utils.journal.Journal`).  A submission line
 carries the whole job document; later lines carry the fields the
 transition changed, and a job's state is the fold of its lines.  A job
 that ends also gets its snapshot in ``jobs/<id>.json``, and every live
-job does when the journal rotates, so the lines a rotation drops are
-always covered by a snapshot.  Opening a store folds the journal onto
-the snapshots; a root whose journal lines carry no job fields (the
-older layout, where job files were rewritten on every transition) is
-read from its job files alone.  On restart with ``recover=True`` any job
+job does before an append that rotates the journal, so the lines a
+rotation drops are always covered by a snapshot.  Opening a store
+folds the journal onto the snapshots; a root whose journal lines carry
+no job fields (the older layout, where job files were rewritten on
+every transition) is read from its job files alone.  On restart with ``recover=True`` any job
 found ``running`` is returned to ``pending`` (its server died mid-run)
 and stale claim markers are released — the acceptance criterion of
 surviving a kill mid-drain.
@@ -50,7 +50,6 @@ import contextlib
 import json
 import os
 import pathlib
-import sys
 import threading
 import time
 from collections.abc import Iterable, Mapping
@@ -73,7 +72,6 @@ from repro.service.jobs import (
     STATUSES,
     TERMINAL,
     Job,
-    shared_keys,
 )
 from repro.utils.io import atomic_write_text
 from repro.utils.journal import Journal
@@ -149,9 +147,6 @@ class JobStore:
             JOURNAL_MAX_LINES,
             tail=EVENT_BUFFER,
             on_read=_count_journal_read,
-            shared=True,
-            on_rotate=self._snapshot_live,
-            disk_only=(STATE,),
         )
         self._load(recover=recover)
 
@@ -159,32 +154,36 @@ class JobStore:
     # Loading and recovery
     # ------------------------------------------------------------------
     def _load(self, recover: bool) -> None:
-        """Read the snapshots, then fold the journal onto them.
+        """Read the snapshots and fold the whole journal onto them."""
+        with self._changed, self.journal.locked():
+            self.journal.rewind()
+            self._follow()
+            if recover:
+                self._recover()
 
-        An ended job whose snapshot is missing or older than its last
-        line (a crash came between the two) is snapshotted again: at
-        once when recovering, else when the journal next rotates.
+    def _read_snapshots(self) -> dict[int, float | None]:
+        """Set every job to its snapshot (lock held); returns each
+        snapshotted job's ``finished_unix``.
+
+        Known jobs are updated in place, so the objects callers hold
+        stay this store's own.
         """
         ended: dict[int, float | None] = {}
         for path in self.jobs_dir.glob("*.json"):
             try:
                 document = json.loads(path.read_text(encoding="utf-8"))
-                job = Job.from_dict(document)
-            except (OSError, ValueError, ConfigurationError):
+                job = self._jobs.get(document["job_id"])
+                if job is None:
+                    job = Job.from_dict(document)
+            except (OSError, ValueError, KeyError, TypeError,
+                    ConfigurationError):
                 continue  # a reservation, or a torn or foreign file
+            if job.job_id in self._jobs:
+                job.apply(document)
             self._put(job)
             self._max_id = max(self._max_id, job.job_id)
             ended[job.job_id] = job.finished_unix
-        with self._changed, self.journal.locked():
-            self._follow()
-            self._unsnapshotted = {
-                job.job_id
-                for job in self._jobs.values()
-                if job.is_terminal
-                and ended.get(job.job_id) != job.finished_unix
-            }
-            if recover:
-                self._recover()
+        return ended
 
     def _recover(self) -> None:
         """Return orphaned ``running`` jobs to ``pending`` after a crash,
@@ -235,13 +234,27 @@ class JobStore:
         """Fold the lines other stores journaled since this one looked.
 
         Each transition is made after this call under the journal's
-        lock, so it always starts from the queue's current state.  A
-        waiter is woken when anything was folded.
+        lock, so it always starts from the queue's current state.  When
+        the journal rewound (at open, or when lines rotated out before
+        this store read them) the snapshots are read first: rotation
+        snapshots every live job before it drops a generation.  An
+        ended job whose snapshot is missing or older than its last line
+        (a crash came between the two) is snapshotted again: at once
+        when recovering, else when the journal next rotates.  A waiter
+        is woken when anything was folded.
         """
-        folded = False
-        for entry in self.journal.follow():
-            folded |= self._fold(entry)
-        if folded:
+        entries, rewound = self.journal.follow()
+        ended = self._read_snapshots() if rewound else {}
+        folded = [self._fold(entry) for entry in entries]
+        if rewound:
+            self._fenced.clear()
+            self._unsnapshotted.update(
+                job.job_id
+                for job in self._jobs.values()
+                if job.is_terminal
+                and ended.get(job.job_id) != job.finished_unix
+            )
+        if rewound or any(folded):
             self._changed.notify_all()
             self._work.notify_all()
 
@@ -251,7 +264,7 @@ class JobStore:
         A line without fields (the older layout) or naming a job this
         store cannot build is skipped.
         """
-        state = entry.get(STATE)
+        state = entry.pop(STATE, None)  # the tail keeps the summary
         job_id = entry.get("job_id")
         if not isinstance(state, dict) or type(job_id) is not int:
             return False
@@ -540,7 +553,7 @@ class JobStore:
                 entry[STATE].update(
                     run_ids=[run_id], run_ids_from=len(job.run_ids)
                 )
-                job.run_ids.append(sys.intern(run_id))  # jobs share ids
+                job.run_ids.append(run_id)
             self._persist_batch([(job, entry)])
 
     def finish(
@@ -555,7 +568,7 @@ class JobStore:
             self._follow()
             job.transition(status)
             if metrics is not None:
-                job.metrics = shared_keys(metrics)
+                job.metrics = dict(metrics)
             if error is not None:
                 job.error = dict(error)
             # Persist the terminal state *before* releasing the claim
@@ -628,14 +641,15 @@ class JobStore:
     def requeue(self, job_id: int) -> Job:
         """Return a terminal job to ``pending`` (attempt counter bumped).
 
-        Its snapshot is emptied back to the id reservation: it describes
-        an attempt that is over, and the journal holds the new one.
+        The ``requeued`` line carries the whole job, as a submission
+        does, so the job's snapshot is emptied back to the id
+        reservation: it describes an attempt that is over.
         """
         with self._changed, self.journal.locked():
             self._follow()
             job = self.get(job_id)
             job.transition(PENDING)
-            self._persist(job, "requeued", RESET)
+            self._persist(job, "requeued")
             with contextlib.suppress(FileNotFoundError):
                 os.truncate(self.job_path(job.job_id), 0)
         return job
@@ -676,7 +690,7 @@ class JobStore:
             while True:
                 fresh, gap = self.journal.since(since)
                 if fresh or gap:
-                    return fresh, gap
+                    return [_summary(entry) for entry in fresh], gap
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return [], False
@@ -763,11 +777,16 @@ class JobStore:
         batched drain/submit paths hand it all their lines at once —
         this is what lifts fully-cached throughput from per-job fsync
         pacing to >1k jobs/s.  Jobs the batch ended are snapshotted
-        after the append.
+        after the append, and every live job before an append that
+        rotates the journal.
         """
         if not batch:
             return
+        if self.journal.lines + len(batch) >= self.journal.max_lines:
+            self._snapshot_live()
         self.journal.append(entry for _, entry in batch)
+        for _, entry in batch:
+            del entry[STATE]  # the journal's tail keeps the summary
         if obs.enabled():
             obs.gauge(obs_names.METRIC_QUEUE_DEPTH, self._live())
         self._changed.notify_all()
@@ -816,9 +835,9 @@ class JobStore:
     def _snapshot_live(self) -> None:
         """Snapshot every job whose state the journal alone holds.
 
-        Runs as the journal rotates, just before the older generation's
-        lines are dropped: live jobs, and ended jobs whose snapshot
-        write failed.
+        Runs before an append that rotates the journal, so before the
+        older generation's lines are dropped: live jobs, and ended jobs
+        whose snapshot write failed.
         """
         for job_id in sorted(
             self._by_status[PENDING] | self._by_status[RUNNING]
@@ -886,6 +905,14 @@ def _count_journal_read(skipped: int, fallback: bool) -> None:
         obs.count(obs_names.METRIC_EVENTS_JOURNAL_FALLBACKS)
     if skipped:
         obs.count(obs_names.METRIC_QUEUE_JOURNAL_MALFORMED, skipped)
+
+
+def _summary(entry: dict[str, object]) -> dict[str, object]:
+    """A journal entry as the event feed serves it: without the job
+    fields it carries when read back from the files."""
+    if STATE not in entry:
+        return entry
+    return {key: value for key, value in entry.items() if key != STATE}
 
 
 def _is_zombie(pid: int) -> bool:

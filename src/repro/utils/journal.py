@@ -12,12 +12,13 @@ one would re-deliver it to every cursor forever.  Telemetry-free on
 purpose: callers count skips and fallbacks (``on_read``).  Pure stdlib:
 this sits below the no-numpy CLI path.
 
-A *shared* journal has writers in several processes.  They take turns
-under an ``flock`` on ``<stem>.lock`` (:meth:`Journal.locked`), and each
-keeps a byte cursor into the files: :meth:`Journal.follow` hands over,
-in file order, the lines the other writers appended since this one last
-looked.  Each writer stamps its own ``seq`` values, so two writers' lines
-are told apart by their place in the file, never by ``seq``.
+Writers in several processes share a journal.  They take turns under
+an ``flock`` on ``<stem>.lock`` (:meth:`Journal.locked`), and each keeps
+a byte cursor into the files: before it appends it reads what the others
+appended since it last looked, so ``seq`` rises in file order across
+all writers and every writer counts the same lines towards rotation.
+:meth:`Journal.follow` hands those lines over to a writer that wants
+them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import os
 import pathlib
 import threading
 import weakref
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from operator import itemgetter
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.utils.io import append_line
 
@@ -49,22 +50,12 @@ def rotated_path(path: str | pathlib.Path) -> pathlib.Path:
     return path.with_name(f"{path.stem}-1{path.suffix}")
 
 
-def _scan(
-    path: pathlib.Path, start: int = 0
-) -> tuple[list[Entry], int, int, int | None, int]:
-    """``(entries, skipped, end, inode, lines)`` of one file from byte
-    ``start`` to ``end``, in file order (``inode`` None when missing).
+def _parse(data: bytes) -> tuple[list[Entry], int]:
+    """``(entries, skipped)`` of JSONL bytes, in order.
 
     Blank and torn lines are dropped; parsed lines that are not objects
     with an integer ``seq`` count as skipped.
     """
-    try:
-        with open(path, "rb") as handle:
-            inode = os.fstat(handle.fileno()).st_ino
-            handle.seek(start)
-            data = handle.read()
-    except FileNotFoundError:
-        return [], 0, start, None, 0
     entries: list[Entry] = []
     skipped = 0
     for raw in data.split(b"\n"):
@@ -77,7 +68,15 @@ def _scan(
             skipped += 1
         else:
             entries.append(entry)
-    return entries, skipped, start + len(data), inode, data.count(b"\n")
+    return entries, skipped
+
+
+def _read_bytes(path: pathlib.Path) -> bytes:
+    """The bytes of ``path``, empty when it is missing."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return b""
 
 
 def _inode(path: pathlib.Path) -> int | None:
@@ -93,16 +92,18 @@ def read(
 ) -> tuple[list[Entry], int]:
     """``(entries with seq > since, entries skipped)``, both generations.
 
-    Ordered by ``seq`` (stably: writers sharing a file keep their own
-    order).  Needs no :class:`Journal`: the read-only path of
-    ``repro trace`` and ``repro metrics``.
+    Ordered by ``seq``, which is file order for lines a :class:`Journal`
+    wrote (the sort orders files that older writers shared).  Needs no
+    :class:`Journal`: the read-only path of ``repro trace`` and
+    ``repro metrics``.
     """
     path = pathlib.Path(path)
-    older, skipped, *_ = _scan(rotated_path(path))
-    live, bad, *_ = _scan(path)
-    entries = [entry for entry in older + live if entry["seq"] > since]
+    entries, skipped = _parse(
+        _read_bytes(rotated_path(path)) + b"\n" + _read_bytes(path)
+    )
+    entries = [entry for entry in entries if entry["seq"] > since]
     entries.sort(key=itemgetter("seq"))
-    return entries, skipped + bad
+    return entries, skipped
 
 
 class Journal:
@@ -112,11 +113,7 @@ class Journal:
     many of the newest entries :meth:`since` answers from memory.
     ``on_read(skipped, fallback)``, if given, hears of every read of the
     files: the one at open, each disk fallback of :meth:`since` and each
-    :meth:`follow` that skipped a line.  ``shared`` makes this one of
-    several writers (see the module docstring); ``on_rotate()`` runs
-    under the lock just before a rotation drops the older generation.
-    Keys in ``disk_only`` are written to disk but kept out of the tail
-    and of what :meth:`since` returns.
+    catch-up with the other writers that skipped a line.
     """
 
     def __init__(
@@ -125,77 +122,68 @@ class Journal:
         max_lines: int,
         tail: int = 0,
         on_read: ReadHook | None = None,
-        shared: bool = False,
-        on_rotate: Callable[[], None] | None = None,
-        disk_only: Collection[str] = (),
     ) -> None:
         self.path = pathlib.Path(path)
         self.rotated_path = rotated_path(self.path)
         self.max_lines = max_lines
         self._on_read = on_read
-        self._on_rotate = on_rotate
-        self._disk_only = frozenset(disk_only)
         self._lock = threading.RLock()
         self._holds = 0
-        self._lock_fd: int | None = None
-        #: Where reading resumes: (inode, offset) in the live file;
-        #: inode 0 before the first read.
-        self._cursor: tuple[int | None, int] = (0, 0)
-        self._lines = 0
-        if shared:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._lock_fd = os.open(
-                self.path.with_suffix(".lock"),
-                os.O_RDWR | os.O_CREAT | os.O_CLOEXEC,
-                0o666,
-            )
-            weakref.finalize(self, os.close, self._lock_fd)
-        with self.locked():
-            if shared:  # so the cursor can name the live file
-                os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666))
-            entries, skipped = self._read_new()
-        #: Entries read but not yet handed over by :meth:`follow`: a
-        #: follower starts at the oldest retained entry.
-        self._backlog: list[Entry] = entries if shared else []
-        self._seq: int = max((e["seq"] for e in entries), default=0)
-        entries = sorted(entries, key=itemgetter("seq"))[-tail:] if tail else []
-        self._tail: collections.deque[Entry] = collections.deque(
-            map(self._feed, entries), maxlen=tail
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock_fd = os.open(
+            self.path.with_suffix(".lock"),
+            os.O_RDWR | os.O_CREAT | os.O_CLOEXEC,
+            0o666,
         )
+        weakref.finalize(self, os.close, self._lock_fd)
+        #: Where reading resumes: the generation file read last, at its
+        #: position, held open so its inode cannot name another file.
+        self._held: BinaryIO | None = None
+        self._held_inode: int | None = None
+        #: Lines in the live file, for rotation.
+        self.lines = 0
+        self._seq = 0
+        self._tail: collections.deque[Entry] = collections.deque(maxlen=tail)
+        with self.locked():  # the live file exists, so the cursor names it
+            os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666))
+            skipped = self._read_new()[1]
         if on_read is not None:
             on_read(skipped, False)
 
     @property
     def seq(self) -> int:
-        """The sequence number of the last appended entry."""
+        """The sequence number of the last entry written or read."""
         with self._lock:
             return self._seq
 
     @contextlib.contextmanager
     def locked(self) -> Iterator[None]:
-        """Hold the journal against this process's other threads and,
-        when shared, against the other writers (reentrant)."""
+        """Hold the journal against this process's other threads and
+        against the other writers (reentrant)."""
         with self._lock:
-            if self._lock_fd is not None and not self._holds:
+            if not self._holds:
                 fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
             self._holds += 1
             try:
                 yield
             finally:
                 self._holds -= 1
-                if self._lock_fd is not None and not self._holds:
+                if not self._holds:
                     fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
 
     def append(self, entries: Iterable[Entry]) -> None:
         """Stamp consecutive seqs onto ``entries`` (in place), write them
         in one fsynced append, then rotate if the live file is full (a
-        large batch may overshoot ``max_lines``; it is never split)."""
+        large batch may overshoot ``max_lines``; it is never split).
+
+        Lines other writers appended since this one last looked are read
+        first, and :meth:`follow` no longer hands them over.
+        """
         batch = list(entries)
         if not batch:
             return
         with self.locked():
-            if self._lock_fd is not None:
-                self._backlog += self._read_new()[0]
+            self._read_new()
             for entry in batch:
                 self._seq += 1
                 entry["seq"] = self._seq
@@ -203,65 +191,100 @@ class Journal:
                 self.path,
                 "\n".join(json.dumps(e, sort_keys=True) for e in batch),
             )
-            self._tail.extend(map(self._feed, batch))
-            self._lines += len(batch)
-            if self._lock_fd is not None:
-                stat = os.stat(self.path)
-                self._cursor = (stat.st_ino, stat.st_size)
-            if self._lines < self.max_lines:
+            self._tail.extend(batch)
+            self.lines += len(batch)
+            if _inode(self.path) != self._held_inode:
+                self._hold(self.path)
+            if self._held is not None:
+                self._held.seek(0, os.SEEK_END)  # past the batch
+            if self.lines < self.max_lines:
                 return
-            if self._on_rotate is not None:
-                self._on_rotate()
             try:
                 os.replace(self.path, self.rotated_path)
             except OSError:
                 return  # best-effort; appends continue regardless
-            self._lines = 0
-            if self._lock_fd is not None:  # start the next generation
-                os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666))
-                self._cursor = (_inode(self.path), 0)
+            self.lines = 0  # the cursor stays in the rotated generation
 
-    def follow(self) -> list[Entry]:
-        """The entries other writers appended since this journal last
-        looked, in file order (the first call also hands over every
-        entry read at open)."""
+    def follow(self) -> tuple[list[Entry], bool]:
+        """``(entries, rewound)``: what the other writers appended since
+        this journal last looked, in file order.
+
+        ``rewound`` is True when the generation this journal last read
+        has rotated out unseen (or :meth:`rewind` was called): the
+        entries are then every retained one, and whatever else it held
+        is gone from the files.
+        """
         with self.locked():
-            found, skipped = self._read_new()
-            found, self._backlog = self._backlog + found, []
-        if skipped and self._on_read is not None:
-            self._on_read(skipped, False)
-        return found
+            found, _, rewound = self._read_new()
+        return found, rewound
 
-    def _read_new(self) -> tuple[list[Entry], int]:
-        """``(entries past the cursor, lines skipped)`` in file order;
-        moves the cursor to the end (lock held).  After a rotation the
-        rest of the generation the cursor was in comes first; the first
-        read takes all of both generations."""
-        inode, offset = self._cursor
+    def rewind(self) -> None:
+        """Make the next :meth:`follow` hand over every retained entry."""
+        with self.locked():
+            self._hold(None)
+
+    def _read_new(self) -> tuple[list[Entry], int, bool]:
+        """``(entries past the cursor, lines skipped, rewound)`` in file
+        order; moves the cursor to the end (lock held).
+
+        After a rotation the rest of the generation the cursor was in
+        comes first.  When that generation is gone from both files (or
+        the live file shrank in place, or nothing is held) every
+        retained entry is read again.  Entries newer than :attr:`seq`
+        join the tail and raise it.  Skipped lines are reported unless
+        it rewound: a re-read meets lines reported before.
+        """
         try:
             live = os.stat(self.path)
         except FileNotFoundError:
             live = None
-        older: list[Entry] = []
-        skipped = 0
-        if live is None or live.st_ino != inode:
-            if inode == 0 or _inode(self.rotated_path) == inode:
-                older, skipped, *_ = _scan(self.rotated_path, offset)
-            offset = self._lines = 0
-        elif live.st_size == offset:
-            return [], 0
-        elif live.st_size < offset:
-            offset = self._lines = 0  # rewritten in place: read it afresh
-        found, bad, end, inode, lines = _scan(self.path, offset)
-        self._cursor = (inode, end)
-        self._lines += lines
-        return older + found, skipped + bad
+        held = self._held
+        if held is not None and live is not None \
+                and live.st_ino == self._held_inode:
+            if live.st_size == held.tell():
+                return [], 0, False
+            rewound = live.st_size < held.tell()  # rewritten in place
+            if rewound:
+                held.seek(0)
+                self.lines = 0
+            data = held.read()
+            self.lines += data.count(b"\n")
+        else:
+            rewound = held is None or (
+                _inode(self.rotated_path) != self._held_inode
+            )
+            if rewound:
+                self._hold(self.rotated_path)
+            data = self._held.read() if self._held else b""
+            self.lines = 0
+            if live is not None:
+                self._hold(self.path)
+                live_data = self._held.read() if self._held else b""
+                self.lines = live_data.count(b"\n")
+                data += b"\n" + live_data
+        found, skipped = _parse(data)
+        fresh = sorted(
+            (entry for entry in found if entry["seq"] > self._seq),
+            key=itemgetter("seq"),
+        )
+        if fresh:
+            self._tail.extend(fresh)
+            self._seq = fresh[-1]["seq"]
+        if skipped and not rewound and self._on_read is not None:
+            self._on_read(skipped, False)
+        return found, skipped, rewound
 
-    def _feed(self, entry: Entry) -> Entry:
-        """``entry`` as the tail and :meth:`since` serve it."""
-        if not self._disk_only.intersection(entry):
-            return entry
-        return {k: v for k, v in entry.items() if k not in self._disk_only}
+    def _hold(self, path: pathlib.Path | None) -> None:
+        """Move the cursor to the start of ``path`` (None: nowhere)."""
+        if self._held is not None:
+            self._held.close()
+        try:
+            self._held = open(path, "rb") if path is not None else None
+        except FileNotFoundError:
+            self._held = None
+        self._held_inode = (
+            os.fstat(self._held.fileno()).st_ino if self._held else None
+        )
 
     def since(self, seq: int) -> tuple[list[Entry], bool]:
         """``(entries with seq > seq, gap)``, oldest first.
@@ -282,4 +305,4 @@ class Journal:
         if self._on_read is not None:
             self._on_read(skipped, True)
         gap = not entries or entries[0]["seq"] > seq + 1
-        return list(map(self._feed, entries)), gap
+        return entries, gap

@@ -359,3 +359,20 @@ class TestCrashSafety:
             )
         )
         assert index.get(spec.run_id())["metrics"] == record["metrics"]
+
+
+def test_op_log_writers_in_two_processes_fold_in_file_order(tmp_path):
+    from repro.analysis import index
+    from repro.utils.journal import Journal
+
+    path = index.index_dir(tmp_path) / index.JOURNAL_FILE
+    other = Journal(path, index.JOURNAL_MAX_LINES)  # a long-lived process
+    other.append([{"op": "upsert", "entry": {"run_id": "a"}}])
+    index._op_log.cache_clear()  # this process opens the log afresh
+    for run_id in ("x", "y", "b"):
+        index.journal_append(tmp_path, {"run_id": run_id})
+    other.append([{"op": "remove", "run_id": "b"}])
+    loaded = ArchiveIndex(tmp_path).load()
+    assert sorted(entry["run_id"] for entry in loaded.entries()) == [
+        "a", "x", "y",
+    ]

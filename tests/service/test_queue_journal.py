@@ -88,7 +88,24 @@ class TestFold:
         assert snapshot == job.to_dict()
         store.requeue(job.job_id)
         assert store.job_path(job.job_id).read_text() == ""
-        assert JobStore(root).get(job.job_id).status == PENDING
+        assert JobStore(root).get(job.job_id).to_dict() == job.to_dict()
+
+    def test_a_requeue_survives_the_rotation_of_the_submission(
+        self, root, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 4)
+        store = JobStore(root)
+        job = _run_to_done(store)
+        for _ in range(3):  # two rotations drop the job's four lines
+            _run_to_done(store)
+        lines = read_json_lines(store.journal_path) + read_json_lines(
+            store.journal.rotated_path
+        )
+        assert job.job_id not in {line["job_id"] for line in lines}
+        store.requeue(job.job_id)
+        for reopened in (JobStore(root), JobStore(root, recover=True)):
+            assert reopened.get(job.job_id).to_dict() == job.to_dict()
+            assert reopened.get(job.job_id).status == PENDING
 
     def test_live_jobs_survive_the_rotations_that_drop_their_lines(
         self, root, monkeypatch
@@ -210,6 +227,23 @@ class TestOtherStores:
         JobStore(root).cancel(job.job_id)
         worker.update_progress(job, 0, 1)  # the holder follows first
         assert job.cancel_requested
+
+    def test_a_store_idle_across_two_rotations_rebuilds_its_view(
+        self, root, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 4)
+        busy = JobStore(root)
+        jobs = [busy.submit("E6", quick=True, seed=n)[0] for n in range(3)]
+        idle = JobStore(root)  # sees three pending jobs, then looks away
+        for _ in jobs:
+            job = busy.claim("w0")
+            busy.update_progress(job, 1, 1, run_id=f"E6-run-{job.job_id}")
+            busy.finish(job, DONE, metrics={"car": 1.0})
+        # 12 lines at 4 a generation: the one idle read last is gone.
+        assert idle.wait_idle(5.0)
+        assert idle.claim("w1") is None
+        for job in jobs:
+            assert idle.get(job.job_id).to_dict() == job.to_dict()
 
     def test_claim_threads_sleep_while_another_store_holds_the_claim(
         self, root

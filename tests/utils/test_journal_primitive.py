@@ -125,6 +125,37 @@ class TestMalformed:
         assert Journal(path, max_lines=10).seq == 0
 
 
+class TestWriters:
+    def test_writers_share_seq_and_rotation(self, path):
+        first = Journal(path, max_lines=4)
+        second = Journal(path, max_lines=4)
+        for _ in range(3):
+            first.append(entries(1))
+            second.append(entries(1))
+        # One rotation, at the file's fourth line: nothing is dropped.
+        assert seqs(read(path)[0]) == [1, 2, 3, 4, 5, 6]
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_follow_hands_over_other_writers_lines_in_file_order(self, path):
+        reader = Journal(path, max_lines=100)
+        writer = Journal(path, max_lines=100)
+        writer.append(entries(2))
+        reader.append(entries(1))  # reads 1-2 first: they are not followed
+        writer.append(entries(2, late=True))
+        found, rewound = reader.follow()
+        assert seqs(found) == [4, 5] and not rewound
+        assert reader.seq == 5 and reader.follow() == ([], False)
+
+    def test_follow_rewinds_when_its_generation_rotated_out_unseen(self, path):
+        reader = Journal(path, max_lines=3)
+        writer = Journal(path, max_lines=3)
+        for size in (3, 3, 1):  # two rotations: the reader's file is gone
+            writer.append(entries(size))
+        found, rewound = reader.follow()
+        assert rewound and seqs(found) == [4, 5, 6, 7]
+        assert reader.follow() == ([], False)
+
+
 def test_concurrent_appends_and_reads_keep_seq_consecutive(path):
     # More threads than cores, a tiny switch interval and a rotation in
     # the middle: a lost update would duplicate or skip a seq.
