@@ -13,7 +13,7 @@ A *pipeline* is a named, ordered tuple of analyzer ids.  Running one:
 4. computes misses and persists their outputs atomically.
 
 The runner streams: ``on_outcome`` fires after every analyzer (the
-service scheduler maps it onto job progress updates) and
+service maps it onto job progress updates) and
 ``should_stop`` is consulted between analyzers (cooperative cancel at
 analyzer granularity, mirroring sweep-point cancel semantics).
 """

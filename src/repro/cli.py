@@ -23,7 +23,7 @@ Analysis subcommands (the archive as a query surface)::
 
 Experiment-service subcommands (the always-on daemon)::
 
-    python -m repro serve --workers 4     # boot the scheduler + JSON-RPC API
+    python -m repro serve --workers 4     # boot the job queue + JSON-RPC API
     python -m repro runner --master URL   # lease + execute jobs remotely
     python -m repro fleet [--json]        # runner fleet status (leases)
     python -m repro submit E5 --quick --set pump_mw=2 --priority 5 --wait
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve_parser = subparsers.add_parser(
-        "serve", help="run the experiment service (scheduler + JSON-RPC API)"
+        "serve", help="run the experiment service (job queue + JSON-RPC API)"
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default localhost)"
@@ -331,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help=(
-            "claim threads / pool processes (default 2): they take any "
-            "pending job and fleet runners lease what they leave; "
-            "0 = broker-only master (runners do all compute, analysis "
-            "submissions are rejected)"
+            "the daemon's own runner: worker threads, each running one "
+            "job at a time, and pool processes (default 2); they claim "
+            "through the same door as fleet runners and alone take "
+            "analysis jobs; 0 = broker-only master (runners do all "
+            "compute, analysis submissions are rejected)"
         ),
     )
     serve_parser.add_argument(
@@ -1147,7 +1148,7 @@ def command_serve(args: argparse.Namespace) -> int:
     host, port = service.start()
     print(
         f"experiment service on http://{host}:{port} "
-        f"(root {service.root}, {service.scheduler.workers} workers); "
+        f"(root {service.root}, {service.workers} workers); "
         "Ctrl-C to stop",
         file=sys.stderr,
     )

@@ -1,7 +1,7 @@
 """IO001 — atomic-IO discipline.
 
 The runtime, service and analysis layers all persist state under a
-shared engine root that concurrent engines, schedulers and clients
+shared engine root that concurrent engines, daemons and clients
 read while it is being written.  PR 3 exists because ad-hoc writes
 corrupted shared roots; since then every persisted file goes through
 :mod:`repro.utils.io` (temp file + ``os.replace``, or fsynced

@@ -1,6 +1,6 @@
 """EXC001 — exception hygiene.
 
-The scheduler's claim threads and the engine's pool workers run user
+The runners' claim threads and the engine's pool workers run user
 code; when they fail, the *only* diagnostic artifact is the traceback
 that travels into the failure manifest and the job document (PR 3's
 failure-reporting contract).  A ``bare except:`` or an ``except

@@ -90,7 +90,6 @@ LIGHT_MODULES = frozenset(
         "repro.service.client",
         "repro.service.datasets",
         "repro.service.jobs",
-        "repro.service.scheduler",
         "repro.service.store",
         "repro.analysis",
         "repro.analysis.analyzers",

@@ -1,7 +1,7 @@
 """LCK001 — lock discipline in the concurrent state holders.
 
-The job store, the scheduler and the archive index are mutated by
-claim threads, HTTP handler threads and long-pollers at once.  Their
+The job store, the fleet coordinator and the archive index are mutated
+by claim threads, HTTP handler threads and long-pollers at once.  Their
 convention: every *public* entry point takes the instance lock
 (``with self._lock`` / ``with self._changed`` / ``with
 self._pool_lock``) before touching shared attributes, while private
@@ -17,7 +17,7 @@ including ``__init__``) are exempt: they are the documented
 caller-holds-the-lock helpers.
 
 Scope: the modules that actually hold cross-thread state —
-``repro/service/store.py``, ``repro/service/scheduler.py``,
+``repro/service/store.py``, ``repro/fleet/coordinator.py``,
 ``repro/service/api.py`` and ``repro/analysis/index.py``.
 """
 
@@ -33,7 +33,7 @@ from repro.devtools.check.framework import Finding, ModuleContext, Rule
 SCOPED_MODULES = frozenset(
     {
         "repro/service/store.py",
-        "repro/service/scheduler.py",
+        "repro/fleet/coordinator.py",
         "repro/service/api.py",
         "repro/analysis/index.py",
     }
@@ -161,8 +161,8 @@ class LockDisciplineRule(Rule):
     rule_id = "LCK001"
     title = "lock discipline"
     description = (
-        "In the concurrent state holders (service store/scheduler/api, "
-        "archive index), an instance attribute mutated under 'with "
+        "In the concurrent state holders (service store/api, fleet "
+        "coordinator, archive index), an instance attribute mutated under 'with "
         "self._lock'-style blocks anywhere in the class must not also "
         "be mutated outside a lock in a public method.  Private "
         "'_helper' methods are the documented caller-holds-the-lock "

@@ -1,7 +1,7 @@
 """POL001 — one process pool per process.
 
-The engine, the service scheduler and the fleet runner all compute on
-the single pool of :mod:`repro.runtime.pool`, which owns the sizing,
+The engine and the fleet runners (the daemon's workers among them)
+compute on the single pool of :mod:`repro.runtime.pool`, which owns the sizing,
 worker-death and fork rules.  This rule keeps a second pool from
 coming back: outside ``repro/runtime/pool.py`` it flags every call
 named ``ProcessPoolExecutor`` or ``Pool`` (``multiprocessing.Pool``,

@@ -10,14 +10,17 @@ runner cannot be trusted with:
   declared lost and its leases are released back to ``pending`` — the
   remote-pid extension of the store's local pid/zombie claim fencing
   (``os.kill(pid, 0)`` cannot reach another host, heartbeats can).
-- **Leases.**  Claims go through :meth:`JobStore.drain`, which serves
-  already-cached run jobs inline on the master (one batched journal
-  append — the >1k jobs/s path) and leases the rest.  Every
-  result-bearing RPC is fenced against the lease table, so a runner
-  that lost its lease mid-job gets a clean rejection instead of
-  double-completing work that was already re-dispatched.  The master's
-  own claim threads :meth:`adopt` what they claim under a
-  ``local/<worker>`` holder and call the same methods in-process.
+- **Leases.**  Every job leaves ``pending`` through :meth:`claim`,
+  which runs :meth:`JobStore.claim`: already-cached run jobs are
+  served inline on the master (one batched journal append — the >1k
+  jobs/s path) and the rest are leased.  Every result-bearing RPC is
+  fenced against the lease table, so a runner that lost its lease
+  mid-job gets a clean rejection instead of double-completing work
+  that was already re-dispatched.  The master's own workers are a
+  :class:`~repro.fleet.runner.FleetRunner` in this process whose
+  client is the coordinator itself: they register, heartbeat and hold
+  leases like any runner, and only they are leased analysis jobs
+  (:meth:`analyze`).
 - **All result IO.**  Every point of every job is looked up through
   :meth:`lookup` and enters the archive and cache through
   :meth:`ingest`, via the engine's ordinary
@@ -32,6 +35,8 @@ from __future__ import annotations
 
 import collections
 import itertools
+import os
+import socket
 import threading
 import time
 
@@ -40,6 +45,7 @@ from repro.errors import ConfigurationError
 from repro.fleet.protocol import (
     DEFAULT_CLAIM_BATCH,
     DEFAULT_LEASE_TTL_S,
+    IDLE_POLL_S,
     RUNNER_ALIVE,
     RUNNER_LOST,
     VERDICT_LEASE,
@@ -47,7 +53,8 @@ from repro.fleet.protocol import (
     spec_from_payload,
 )
 from repro.obs import names as obs_names
-from repro.runtime.engine import RunEngine
+from repro.obs.dashboard import MAX_JOBS
+from repro.runtime.engine import RunEngine, _failure_from
 from repro.service.datasets import DATASET_SCHEMA, SweepPublisher
 from repro.service.jobs import (
     CANCELLED,
@@ -78,7 +85,8 @@ class FleetCoordinator:
         Seconds without a heartbeat before a runner is declared lost
         and its leased jobs return to ``pending``.
     claim_batch:
-        Upper bound on jobs handed out per claim RPC.
+        Upper bound on jobs one claim ends or leases, cached ones
+        served inline included.
     on_event:
         Optional ``callable(message: str)`` receiving one line per
         fleet lifecycle change (the CLI's ``serve`` log).
@@ -112,6 +120,8 @@ class FleetCoordinator:
         self._stop = threading.Event()
         self._reaper: threading.Thread | None = None
         self._expired_total = 0
+        #: Topics of ended sweep jobs, oldest first, still on the bus.
+        self._ended_sweeps: collections.deque[str] = collections.deque()
         if obs.enabled():
             obs.publish_init(
                 obs_names.TOPIC_FLEET,
@@ -137,8 +147,10 @@ class FleetCoordinator:
         self._reaper.start()
 
     def stop(self) -> None:
-        """Stop and join the reaper thread (leases stay as they are)."""
+        """Stop and join the reaper thread (leases stay as they are);
+        empty claims stop waiting, so stopping workers are not held."""
         self._stop.set()
+        self.store.kick()
         if self._reaper is not None:
             self._reaper.join(timeout=5.0)
             self._reaper = None
@@ -173,7 +185,6 @@ class FleetCoordinator:
             "runner_id": runner_id,
             "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_s": heartbeat_interval(self.lease_ttl_s),
-            "claim_batch": self.claim_batch,
         }
 
     def heartbeat(self, runner_id: str) -> dict[str, object]:
@@ -194,33 +205,43 @@ class FleetCoordinator:
     ) -> dict[str, object]:
         """Lease up to ``max_jobs`` pending jobs to a runner.
 
-        Cache-hit run jobs never leave the master: the store's batched
-        drain serves them inline (see :meth:`_classify`), and only the
-        genuinely-pending remainder crosses the wire.
+        The one door through which jobs leave ``pending``.  Cache-hit
+        run jobs never leave the master: the store's batched claim
+        serves them inline (see :meth:`_classify`), up to
+        ``claim_batch`` jobs per claim, and only the genuinely-pending
+        remainder is leased.  A claim that gets nothing waits up to
+        :data:`~repro.fleet.protocol.IDLE_POLL_S` for a job to become
+        pending before it answers, so an idle runner neither spins nor
+        sleeps through a submission.
         """
         with self._lock:
             doc = self._alive_doc(runner_id)
             doc["last_beat_unix"] = time.time()
             identity = (runner_id, str(doc["host"]), int(doc["pid"]))
+            local = _in_process(doc)
         limit = min(self.claim_batch, int(max_jobs or self.claim_batch))
-        served, leased = self.store.drain(
-            runner_id, max(1, limit), self._classify, identity=identity
+        seen = self.store.work_seq
+        served, leased = self.store.claim(
+            runner_id,
+            self.claim_batch,
+            lambda job: self._classify(job, local),
+            identity=identity,
+            max_leased=max(1, limit),
         )
+        if not (served or leased or self._stop.is_set()):
+            self.store.wait_for_work(seen, IDLE_POLL_S)
         if leased:
             obs.count(obs_names.METRIC_FLEET_LEASES, len(leased))
             with self._lock:
-                doc = self._runners.get(runner_id)
                 for job in leased:
                     self._leases[job.job_id] = {
                         "runner_id": runner_id,
                         "job": job,
                         "publisher": None,
                     }
-                    if doc is not None:
-                        doc["leases"].add(job.job_id)
-                        doc["leased_total"] += 1
-            if doc is not None:
-                self._publish_runner(doc)
+                    doc["leases"].add(job.job_id)
+                doc["leased_total"] += len(leased)
+            self._publish_runner(doc)
         if served:
             obs.count(obs_names.METRIC_CACHE_HIT, len(served))
         return {
@@ -263,7 +284,7 @@ class FleetCoordinator:
         writes all happen here via the engine, and the worker's
         captured spans are journaled into this daemon's telemetry
         (workers compute, the master persists).  Only records from
-        registered runners count as ``fleet.ingested``.
+        runners outside this process count as ``fleet.ingested``.
         """
         self._require_lease(runner_id, int(job_id))
         run_spec = spec_from_payload(spec)
@@ -280,7 +301,8 @@ class FleetCoordinator:
         outcome = self.engine.complete_record(
             run_spec, record, float(duration_s)
         )
-        if str(runner_id) in self._runners:
+        doc = self._runners.get(str(runner_id))
+        if doc is not None and not _in_process(doc):
             obs.count(obs_names.METRIC_FLEET_INGESTED)
         return {
             "run_id": outcome.run_id,
@@ -359,9 +381,49 @@ class FleetCoordinator:
         publisher = lease["publisher"]
         if publisher is not None:
             publisher.finish(FAILED)
-        self.store.finish(job, FAILED, error=dict(error))
-        self._settle(runner_id, int(job_id), "failed")
+        try:
+            self.store.finish(job, FAILED, error=dict(error))
+        finally:
+            # Even a failure the store could not record ends the lease.
+            self._settle(runner_id, int(job_id), "failed")
         return {"status": job.status}
+
+    def analyze(self, runner_id: str, job_id: int) -> dict[str, object]:
+        """Run a leased analysis job's pipeline to a terminal state.
+
+        Analyses are leased only to runners in this process (see
+        :meth:`_classify`): the pipeline reads this master's archive
+        and index directly.  Each analyzer is one progress line, and a
+        cancel request takes effect before the next analyzer, as before
+        the next sweep point.
+        """
+        from repro.analysis.pipelines import PipelineRunner, get_pipeline
+        from repro.analysis.report import write_report
+
+        job: Job = self._require_lease(runner_id, int(job_id))["job"]
+        name = str(job.analysis_pipeline)
+        done = itertools.count(1)
+        try:
+            total = len(get_pipeline(name))
+            result = PipelineRunner(self.engine.root).run(
+                name,
+                on_outcome=lambda outcome: self.store.update_progress(
+                    job, next(done), total, cached=outcome.cached
+                ),
+                should_stop=lambda: job.cancel_requested,
+            )
+            if result.completed:
+                write_report(self.engine.root, result)
+        except Exception as error:  # noqa: BLE001 - fail the job only
+            return self.fail(runner_id, int(job_id), _failure_from(error))
+        return self.complete(
+            runner_id,
+            int(job_id),
+            {
+                "analyzers": float(len(result.outcomes)),
+                "cached_analyzers": float(result.num_cached),
+            },
+        )
 
     def status(self) -> dict[str, object]:
         """The fleet snapshot behind ``repro fleet`` and CI assertions."""
@@ -389,18 +451,19 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
     # Classification (runs under the store lock — stat-cheap only)
     # ------------------------------------------------------------------
-    def _classify(self, job: Job):
+    def _classify(self, job: Job, local: bool):
         """Drain verdict for one pending job: skip, serve inline or lease.
 
-        Analyze jobs never lease (they read the master's archive and
-        index directly); sweeps always lease (their cache hits are
-        proxied per point).  A cached run job is served inline from the
-        numpy-free slice of its cache entry — unless its run directory
-        was pruned, in which case it leases so the proxied lookup can
-        re-archive it through the full engine path.
+        Analyze jobs lease only to a ``local`` runner, one in this
+        process (they read the master's archive and index directly);
+        sweeps always lease (their cache hits are proxied per point).
+        A cached run job is served inline from the numpy-free slice of
+        its cache entry — unless its run directory was pruned, in which
+        case it leases so the proxied lookup can re-archive it through
+        the full engine path.
         """
         if job.kind == KIND_ANALYZE:
-            return None
+            return VERDICT_LEASE if local else None
         if job.kind != KIND_RUN:
             return VERDICT_LEASE
         cache = self.engine.cache
@@ -439,31 +502,6 @@ class FleetCoordinator:
                 self._probe.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Local holders (the master's own claim threads)
-    # ------------------------------------------------------------------
-    def adopt(self, holder: str, job: Job) -> None:
-        """Lease a job a master claim thread took from the store.
-
-        The lease has no runner doc behind it, so the reaper (which
-        walks runner docs) never expires it; the store's O_EXCL claim
-        marker fences the job as for any claim.  ``complete``/``fail``
-        settle it; :meth:`drop` clears whatever they did not.
-        """
-        with self._lock:
-            self._leases[job.job_id] = {
-                "runner_id": holder,
-                "job": job,
-                "publisher": None,
-            }
-
-    def drop(self, holder: str, job_id: int) -> None:
-        """Forget ``holder``'s lease on ``job_id`` if it still has one."""
-        with self._lock:
-            lease = self._leases.get(job_id)
-            if lease is not None and lease["runner_id"] == holder:
-                del self._leases[job_id]
-
-    # ------------------------------------------------------------------
     # Fencing and expiry
     # ------------------------------------------------------------------
     def _alive_doc(self, runner_id: str) -> dict[str, object]:
@@ -496,21 +534,38 @@ class FleetCoordinator:
                     f"(current holder: {holder}); the lease expired or the "
                     "job was reassigned"
                 )
-            doc = self._runners.get(str(runner_id))
-            if doc is not None:
-                doc["last_beat_unix"] = time.time()
+            self._runners[str(runner_id)]["last_beat_unix"] = time.time()
             return lease
 
     def _settle(self, runner_id: str, job_id: int, counter: str) -> None:
         """Drop a finished lease and publish the runner's new state."""
         with self._lock:
-            self._leases.pop(job_id, None)
-            doc = self._runners.get(str(runner_id))
-            if doc is not None:
-                doc["leases"].discard(job_id)
-                doc[counter] = int(doc[counter]) + 1
-        if doc is not None:
-            self._publish_runner(doc)
+            lease = self._leases.pop(job_id, None)
+            doc = self._runners[str(runner_id)]
+            doc["leases"].discard(job_id)
+            doc[counter] = int(doc[counter]) + 1
+        self._publish_runner(doc)
+        if lease is not None and lease["publisher"] is not None:
+            self._retire_sweeps(lease["publisher"].topic)
+
+    def _retire_sweeps(self, ended: str) -> None:
+        """Drop ended sweep topics from the bus but the newest
+        :data:`MAX_JOBS`, as many jobs as the dashboard shows (a topic
+        a live lease publishes again stays)."""
+        with self._lock:
+            if ended in self._ended_sweeps:
+                self._ended_sweeps.remove(ended)
+            self._ended_sweeps.append(ended)
+            if len(self._ended_sweeps) <= MAX_JOBS:
+                return
+            oldest = self._ended_sweeps.popleft()
+            if any(
+                lease["publisher"] is not None
+                and lease["publisher"].topic == oldest
+                for lease in self._leases.values()
+            ):
+                return
+        obs.state().bus.retire(oldest)
 
     def expire_overdue(self) -> list[int]:
         """Expire runners past the lease TTL; returns released job ids.
@@ -548,6 +603,7 @@ class FleetCoordinator:
                 publisher = lease["publisher"]
                 if publisher is not None:
                     publisher.finish("released")
+                    self._retire_sweeps(publisher.topic)
                 self.store.release(job)
                 released.append(job.job_id)
             with self._lock:
@@ -617,3 +673,8 @@ class FleetCoordinator:
     def _log(self, message: str) -> None:
         if self.on_event is not None:
             self.on_event(message)
+
+
+def _in_process(doc: dict[str, object]) -> bool:
+    """Whether a registered runner lives in this process."""
+    return doc["pid"] == os.getpid() and doc["host"] == socket.gethostname()

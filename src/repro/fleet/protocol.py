@@ -32,16 +32,21 @@ DEFAULT_LEASE_TTL_S = 10.0
 #: be lost before the fence trips, so one slow GC pause is harmless).
 HEARTBEATS_PER_TTL = 5
 
-#: Jobs a runner asks for per claim RPC.  Large enough that a
+#: Most jobs one claim ends or leases (a runner thread leases one at a
+#: time; cached run jobs are served inline).  Large enough that a
 #: fully-cached drain is dominated by the master's batched journal
-#: append, small enough that work spreads across the fleet.
+#: append, small enough to bound one pass under the store lock.
 DEFAULT_CLAIM_BATCH = 32
+
+#: Longest a claim that finds nothing waits for a job to become
+#: pending before it answers empty, seconds.
+IDLE_POLL_S = 0.2
 
 #: Runner lifecycle states in the coordinator registry.
 RUNNER_ALIVE = "alive"
 RUNNER_LOST = "lost"
 
-#: ``classify`` verdict for :meth:`repro.service.store.JobStore.drain`.
+#: ``classify`` verdict for :meth:`repro.service.store.JobStore.claim`.
 VERDICT_LEASE = "lease"
 
 

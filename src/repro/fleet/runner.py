@@ -1,10 +1,14 @@
-"""The fleet runner process and the one point loop every job runs.
+"""The fleet runner and the one point loop every job runs.
 
-:class:`FleetRunner` is the body of ``repro runner --master URL``.  It
-holds **no engine root** — no queue, archive, cache or index — only an
-open RPC connection to its master.  ``runner.claim`` leases it a batch
-(cache-hit run jobs were already served master-side and never arrive
-here), and each leased job runs through :func:`execute_points`:
+:class:`FleetRunner` is the body of ``repro runner --master URL``, and
+of the master's own workers (``repro serve --workers N``).  It holds
+**no engine root** — no queue, archive, cache or index — only a client
+of its master: a :class:`~repro.fleet.client.RunnerClient` over HTTP,
+or, for the master's workers, the master's
+:class:`~repro.fleet.coordinator.FleetCoordinator` in process.  Each
+claim thread leases one job at a time through ``claim`` (cache-hit run
+jobs were already served master-side and never arrive here), and each
+leased run or sweep job runs through :func:`execute_points`:
 
 1. For each spec ``lookup`` consults the master's cache — the proxied
    consult that keeps a runner numpy-light until a genuine miss.
@@ -14,11 +18,10 @@ here), and each leased job runs through :func:`execute_points`:
    under the runner's ``fleet.execute`` span while telemetry is on);
    ``progress``/``complete``/``fail`` drive the job's lifecycle.
 
-:func:`execute_points` speaks only those five verbs, so the master's
-own claim threads (:class:`repro.service.scheduler.Scheduler`) run the
-same loop with the :class:`~repro.fleet.coordinator.FleetCoordinator`
-itself as the client.  One loop over one ingest door is why a record
-is byte-identical wherever it was computed.
+:func:`execute_points` speaks only those five verbs, so a record is
+byte-identical wherever it was computed: one loop, one ingest door.
+Analysis jobs are leased only to the master's own workers, which run
+them through the coordinator's ``analyze``.
 
 A heartbeat thread fences the lease; any lease rejection
 (``ConfigurationError`` from the client) means the master moved on —
@@ -35,19 +38,16 @@ import os
 import socket
 import threading
 import time
+import traceback
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.errors import ConfigurationError, ServiceError
-from repro.fleet.protocol import (
-    DEFAULT_CLAIM_BATCH,
-    heartbeat_interval,
-    spec_payload,
-)
+from repro.fleet.protocol import heartbeat_interval, spec_payload
 from repro.obs import names as obs_names
 from repro.runtime import pool
-from repro.service.jobs import Job
+from repro.service.jobs import KIND_ANALYZE, Job
 
 if TYPE_CHECKING:
     from repro.fleet.client import RunnerClient
@@ -56,19 +56,18 @@ if TYPE_CHECKING:
 #: Fault-injection hook: seconds to stall between claim and compute.
 STALL_ENV_VAR = "REPRO_RUNNER_STALL_S"
 
-#: Idle wait between empty claims, seconds.
-IDLE_POLL_S = 0.2
-
 
 class FleetRunner:
-    """One runner process: N claim threads against one master.
+    """N claim threads against one master.
 
     Parameters
     ----------
     master_url:
-        The master's base URL (``http://host:port``).
+        The master's base URL (``http://host:port``); unused when
+        ``client`` is given.
     workers:
-        Claim threads (= concurrently executing jobs on this runner).
+        Claim threads.  Each holds at most one leased job, so this
+        many jobs run at once.
     use_processes:
         Compute misses on the process-wide pool
         (:mod:`repro.runtime.pool`), asking for at most ``workers``
@@ -76,7 +75,10 @@ class FleetRunner:
     on_event:
         Optional ``callable(message: str)`` for lifecycle log lines.
     client:
-        Injectable :class:`RunnerClient` (tests).
+        The master's client: a :class:`RunnerClient` (the default,
+        built from ``master_url``), or the master's
+        :class:`~repro.fleet.coordinator.FleetCoordinator` for the
+        workers of ``repro serve``.
     """
 
     def __init__(
@@ -92,8 +94,8 @@ class FleetRunner:
                 f"runner workers must be >= 1, got {workers}"
             )
         if client is None:
-            # Deferred: the client imports the service API, which imports
-            # this module's point loop for the scheduler.
+            # Deferred: the client imports the service API, which
+            # imports this module for the master's workers.
             from repro.fleet.client import RunnerClient
 
             client = RunnerClient(master_url)
@@ -105,12 +107,12 @@ class FleetRunner:
         self.pid = os.getpid()
         self.runner_id: str | None = None
         self.heartbeat_s = heartbeat_interval(10.0)
-        self.claim_batch = DEFAULT_CLAIM_BATCH
         self.jobs_done = 0
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._cancelled: set[int] = set()
         self._beat_thread: threading.Thread | None = None
+        self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -120,28 +122,35 @@ class FleetRunner:
         reply = self.client.register(self.host, self.pid, self.workers)
         self.runner_id = str(reply["runner_id"])
         self.heartbeat_s = float(reply.get("heartbeat_s", self.heartbeat_s))
-        self.claim_batch = int(reply.get("claim_batch", self.claim_batch))
         self._log(
             f"registered as {self.runner_id} "
             f"(heartbeat {self.heartbeat_s:.1f}s)"
         )
         return self.runner_id
 
-    def run(
+    def start(
         self,
         max_jobs: int | None = None,
         idle_exit_s: float | None = None,
-    ) -> int:
-        """Execute jobs until stopped; returns how many were executed.
+    ) -> None:
+        """Register if need be, then spawn the heartbeat and claim threads.
 
         ``max_jobs`` bounds total executed jobs (tests); ``idle_exit_s``
-        exits after that long with nothing claimable (benchmark runner
-        processes drain and leave).  Both default to run-forever.
+        stops the threads after that long with nothing claimable
+        (benchmark runner processes drain and leave).  Both default to
+        run-forever.  A stopped runner may be started again.
         """
+        if self._threads:
+            return
         if self.runner_id is None:
             self.register()
-        self._start_heartbeat()
-        threads = [
+        self._stop.clear()
+        self._beat_thread = threading.Thread(
+            target=self._heartbeat_loop,
+            name="repro-runner-heartbeat",
+            daemon=True,
+        )
+        self._threads = [
             threading.Thread(
                 target=self._claim_loop,
                 args=(max_jobs, idle_exit_s),
@@ -150,35 +159,37 @@ class FleetRunner:
             )
             for index in range(self.workers)
         ]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            self.stop()
+        for thread in (self._beat_thread, *self._threads):
+            thread.start()
+
+    def run(
+        self,
+        max_jobs: int | None = None,
+        idle_exit_s: float | None = None,
+    ) -> int:
+        """:meth:`start`, then block until the claim threads are done;
+        returns how many jobs were executed."""
+        self.start(max_jobs, idle_exit_s)
+        for thread in self._threads:
+            thread.join()
+        self.stop()
         return self.jobs_done
 
     def stop(self) -> None:
-        """Stop claiming and stop the heartbeat."""
+        """Stop claiming; join the heartbeat and the claim threads (a job
+        in hand runs to its end, an idle claim answers within
+        :data:`~repro.fleet.protocol.IDLE_POLL_S`)."""
         self._stop.set()
         if self._beat_thread is not None:
             self._beat_thread.join(timeout=2.0)
             self._beat_thread = None
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
 
     # ------------------------------------------------------------------
     # Loops
     # ------------------------------------------------------------------
-    def _start_heartbeat(self) -> None:
-        if self._beat_thread is not None and self._beat_thread.is_alive():
-            return
-        self._beat_thread = threading.Thread(
-            target=self._heartbeat_loop,
-            name="repro-runner-heartbeat",
-            daemon=True,
-        )
-        self._beat_thread.start()
-
     def _heartbeat_loop(self) -> None:
         """Beat until stopped; collect cancel requests along the way."""
         while not self._stop.wait(self.heartbeat_s):
@@ -197,28 +208,27 @@ class FleetRunner:
     def _claim_loop(
         self, max_jobs: int | None, idle_exit_s: float | None
     ) -> None:
-        """One claim thread: claim a batch, execute it, repeat."""
+        """One claim thread: lease one job, execute it, repeat (an empty
+        claim already waited on the master for work)."""
         idle_since: float | None = None
         while not self._stop.is_set():
             if max_jobs is not None and self.jobs_done >= max_jobs:
                 self._stop.set()
                 return
             try:
-                reply = self.client.claim(
-                    str(self.runner_id), self.claim_batch
-                )
+                reply = self.client.claim(str(self.runner_id), 1)
             except ConfigurationError:
                 # Lost our identity (master restarted, or we were
                 # declared dead and resurrected): start a new life.
                 try:
                     self.register()
                 except (ConfigurationError, ServiceError):
-                    time.sleep(self.heartbeat_s)
+                    self._stop.wait(self.heartbeat_s)
                 continue
             except ServiceError:
-                time.sleep(self.heartbeat_s)
+                self._stop.wait(self.heartbeat_s)
                 continue
-            jobs = [Job.from_dict(doc) for doc in reply.get("jobs") or []]
+            jobs = reply.get("jobs") or []
             if not jobs:
                 if idle_exit_s is not None:
                     if idle_since is None:
@@ -226,17 +236,11 @@ class FleetRunner:
                     elif time.monotonic() - idle_since >= idle_exit_s:
                         self._stop.set()
                         return
-                self._stop.wait(IDLE_POLL_S)
                 continue
             idle_since = None
-            for job in jobs:
-                if self._stop.is_set():
-                    return
-                self._execute_job(job)
+            self._execute_job(Job.from_dict(jobs[0]))
+            with self._lock:
                 self.jobs_done += 1
-                if max_jobs is not None and self.jobs_done >= max_jobs:
-                    self._stop.set()
-                    return
 
     # ------------------------------------------------------------------
     # Execution
@@ -253,6 +257,7 @@ class FleetRunner:
         if stall > 0:
             time.sleep(stall)
         runner_id = str(self.runner_id)
+        self._log(f"{job.label()} started (attempt {job.attempt})")
         try:
             with obs.span(
                 obs_names.SPAN_FLEET_EXECUTE,
@@ -260,13 +265,17 @@ class FleetRunner:
                 kind=job.kind,
                 experiment=job.experiment_id,
             ):
-                execute_points(
-                    self.client,
-                    runner_id,
-                    job,
-                    self._compute,
-                    lambda: self._is_cancelled(job.job_id),
-                )
+                if job.kind == KIND_ANALYZE:
+                    reply = self.client.analyze(runner_id, job.job_id)
+                else:
+                    reply = execute_points(
+                        self.client,
+                        runner_id,
+                        job,
+                        self._compute,
+                        lambda: self._is_cancelled(job.job_id),
+                    )
+            self._log(f"{job.label()} {reply['status']}")
         except ConfigurationError as error:
             self._log(f"{job.label()} lease lost: {error}")
         except ServiceError as error:
@@ -279,11 +288,16 @@ class FleetRunner:
                     {
                         "type": type(error).__name__,
                         "message": str(error),
-                        "traceback": "",
+                        "traceback": traceback.format_exc(),
                     },
                 )
-            except (ConfigurationError, ServiceError):
-                pass  # lease already gone; the master moved on
+            except Exception as second:  # noqa: BLE001 - keep the thread
+                # A lost lease, an unreachable master or a store that
+                # cannot record the failure: the claim thread survives.
+                self._log(
+                    f"{job.label()} failure could not be recorded: "
+                    f"{type(second).__name__}: {second}"
+                )
 
     def _is_cancelled(self, job_id: int) -> bool:
         with self._lock:
@@ -303,7 +317,7 @@ def execute_points(
     job: Job,
     compute: Callable[[RunSpec], WorkerResult],
     cancelled: Callable[[], bool],
-) -> None:
+) -> dict[str, object]:
     """Drive one held job to a terminal state, one point at a time.
 
     ``client`` speaks the runner verbs — ``lookup``, ``ingest``,
@@ -316,7 +330,8 @@ def execute_points(
     ``cancelled()`` or the progress reply: a cancel that lands
     mid-compute cannot abort the point (its record is ingested
     regardless), but the job still finishes ``cancelled``.  A run job
-    is a single point with no scan coordinates.
+    is a single point with no scan coordinates.  Returns the reply of
+    the ``complete`` or ``fail`` that ended the job.
     """
     pairs = job.points()
     last_metrics: dict[str, float] = {}
@@ -333,8 +348,7 @@ def execute_points(
                 failure=failure, duration_s=duration, spans=spans,
             )
             if failure is not None:
-                client.fail(holder, job.job_id, failure)
-                return
+                return client.fail(holder, job.job_id, failure)
         last_metrics = dict(reply.get("metrics") or {})
         progress = client.progress(
             holder, job.job_id, index + 1, len(pairs),
@@ -344,7 +358,7 @@ def execute_points(
         if progress.get("cancel_requested"):
             break
     # The coordinator turns this into cancelled when a cancel is pending.
-    client.complete(holder, job.job_id, metrics=last_metrics)
+    return client.complete(holder, job.job_id, metrics=last_metrics)
 
 
 def compute(spec: RunSpec, processes: int) -> WorkerResult:

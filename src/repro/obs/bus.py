@@ -197,6 +197,15 @@ class DatasetBus:
             self._changed.notify_all()
             return entry.seq
 
+    def retire(self, topic: str) -> None:
+        """Forget a topic whose publisher is done with it.
+
+        A later cursor on it is answered as for a topic of a past life:
+        from the obs journal if it is journaled, else with a gap.
+        """
+        with self._changed:
+            self._topics.pop(topic, None)
+
     # ------------------------------------------------------------------
     # Subscribing
     # ------------------------------------------------------------------

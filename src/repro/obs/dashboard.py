@@ -14,8 +14,8 @@ Panels:
   ``health``, and the newest :data:`MAX_JOBS` jobs folded from the
   queue journal's ``events`` feed (the one ``repro watch`` reads), so
   it works with telemetry off;
-* **fleet** — remote runner registry (alive/lost counts, per-runner
-  lease and completion tallies), shown once runners have registered;
+* **fleet** — runner registry, the daemon's own workers included
+  (alive/lost counts, per-runner lease and completion tallies);
 * **one panel per held sweep job** — progress counters plus a
   sparkline per headline metric series (fringe visibility, CHSH S,
   CAR, ...) ordered by scan index, exactly the live view the paper's

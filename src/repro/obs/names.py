@@ -32,15 +32,14 @@ SPAN_ENGINE_ARCHIVE = "engine.archive"
 SPAN_CACHE_LOOKUP = "cache.lookup"
 #: One spec executing inside a process-pool worker.
 SPAN_POOL_EXECUTE = "pool.execute"
-#: One service job, claim to terminal state, on a scheduler thread.
-SPAN_SCHEDULER_JOB = "scheduler.job"
 #: One JSON-RPC request through the service HTTP layer.
 SPAN_RPC_REQUEST = "rpc.request"
 #: One analysis pipeline run end to end.
 SPAN_ANALYSIS_PIPELINE = "analysis.pipeline"
 #: One analyzer invocation inside a pipeline (cached or computed).
 SPAN_ANALYSIS_ANALYZER = "analysis.analyzer"
-#: One leased job executing on a fleet runner, claim to report.
+#: One leased service job executing on a fleet runner (the master's
+#: own workers included), claim to terminal state.
 SPAN_FLEET_EXECUTE = "fleet.execute"
 
 #: Every declared span name.
@@ -51,7 +50,6 @@ SPANS = frozenset(
         SPAN_ENGINE_ARCHIVE,
         SPAN_CACHE_LOOKUP,
         SPAN_POOL_EXECUTE,
-        SPAN_SCHEDULER_JOB,
         SPAN_RPC_REQUEST,
         SPAN_ANALYSIS_PIPELINE,
         SPAN_ANALYSIS_ANALYZER,
@@ -118,7 +116,7 @@ COUNTERS = frozenset(
 
 #: Monte-Carlo sweep throughput, points per second (gauge).
 METRIC_MC_POINTS_PER_SECOND = "mc.points_per_second"
-#: Pending + running jobs at the last scheduler claim (gauge).
+#: Pending + running jobs at the last queue transition (gauge).
 METRIC_QUEUE_DEPTH = "queue.depth"
 #: Registered fleet runners currently alive (gauge).
 METRIC_FLEET_RUNNERS = "fleet.runners"

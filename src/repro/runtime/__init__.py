@@ -12,7 +12,7 @@ The subsystem splits into six modules:
 - :mod:`repro.runtime.engine` — the :class:`RunEngine` scheduling single
   runs, batches, and whole sweeps across a process pool.
 - :mod:`repro.runtime.pool` — that pool: one per process, shared by the
-  engine, the service scheduler and the fleet runner.
+  engine and the fleet runners (the service daemon's workers included).
 
 Submodules are imported lazily (PEP 562) so a cached CLI invocation
 never pays the numpy import.

@@ -589,7 +589,7 @@ class RunEngine:
         """A cache-served outcome for ``spec``, or None on a miss.
 
         Public because the fleet coordinator serves every job point's
-        cache consult through it, for claim threads and runners alike.
+        cache consult through it, whichever runner holds the job.
         """
         if self.cache is None:
             return None

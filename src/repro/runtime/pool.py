@@ -1,7 +1,7 @@
 """The one process pool: every front-end's cache misses compute here.
 
-The engine (``repro sweep --parallel``) and the fleet point loop that
-service claim threads and runners share all call :func:`submit`, which
+The engine (``repro sweep --parallel``) and the fleet point loop of
+every runner (the daemon's workers included) call :func:`submit`, which
 runs the engine's ``_execute_safe`` with the caller's span context on
 one process-wide ``ProcessPoolExecutor``; results are persisted through
 ``RunEngine.finish_worker_result`` or the coordinator's ``ingest``.

@@ -1,4 +1,4 @@
-"""The experiment service: persistent scheduler + JSON-RPC API.
+"""The experiment service: persistent job queue + JSON-RPC API.
 
 The ARTIQ-master-inspired always-on layer over the run engine
 (see DESIGN.md "The service layer"):
@@ -6,10 +6,10 @@ The ARTIQ-master-inspired always-on layer over the run engine
 - :mod:`repro.service.jobs` — the job model and lifecycle state machine.
 - :mod:`repro.service.store` — the crash-safe persistent queue under
   ``<root>/queue/`` (a JSONL journal of job transitions + job snapshots).
-- :mod:`repro.service.scheduler` — claim threads + process pool
-  draining the queue in priority order.
 - :mod:`repro.service.api` — :class:`ExperimentService`, the JSON-RPC
-  over HTTP daemon behind ``repro serve``.
+  over HTTP daemon behind ``repro serve``; its workers are an
+  in-process :class:`repro.fleet.runner.FleetRunner` draining the
+  queue in priority order.
 - :mod:`repro.service.client` — :class:`ServiceClient`, the stdlib
   client behind ``repro submit/status/watch/cancel``.
 
@@ -25,7 +25,6 @@ from repro._lazy import lazy_exports
 _LAZY_EXPORTS = {
     "Job": "repro.service.jobs",
     "JobStore": "repro.service.store",
-    "Scheduler": "repro.service.scheduler",
     "ExperimentService": "repro.service.api",
     "ServiceClient": "repro.service.client",
     "read_service_file": "repro.service.api",

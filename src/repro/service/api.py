@@ -1,9 +1,10 @@
 """Localhost JSON-RPC-over-HTTP API of the experiment service.
 
 :class:`ExperimentService` bundles the persistent
-:class:`~repro.service.store.JobStore`, a
-:class:`~repro.service.scheduler.Scheduler` and a stdlib
-``ThreadingHTTPServer`` into the always-on daemon behind
+:class:`~repro.service.store.JobStore`, the
+:class:`~repro.fleet.coordinator.FleetCoordinator`, the daemon's own
+workers (an in-process :class:`~repro.fleet.runner.FleetRunner`) and a
+stdlib ``ThreadingHTTPServer`` into the always-on daemon behind
 ``repro serve``.  The wire protocol is JSON-RPC 2.0 over ``POST /rpc``
 (plus ``GET /healthz`` for probes)::
 
@@ -45,11 +46,11 @@ from repro.errors import (
 )
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.protocol import DEFAULT_LEASE_TTL_S
+from repro.fleet.runner import FleetRunner
 from repro.obs import names as obs_names
 from repro.runtime.engine import RunEngine, _failure_from, default_root
 from repro.service import datasets
 from repro.service.jobs import FAILED, KIND_ANALYZE
-from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
 from repro.utils.io import atomic_write_text
 
@@ -78,7 +79,7 @@ DEFAULT_MAX_POLLS = 32
 #: ``Retry-After`` hint sent with a 503 overload rejection, seconds.
 RETRY_AFTER_S = 1
 
-#: Why a master without claim threads cannot run an analysis job.
+#: Why a master without workers cannot run an analysis job.
 NO_WORKERS = (
     "analysis jobs run on the master's own workers; this master has "
     "none (repro serve --workers 0)"
@@ -86,12 +87,13 @@ NO_WORKERS = (
 
 
 class ExperimentService:
-    """The always-on experiment daemon: store + scheduler + HTTP API.
+    """The always-on experiment daemon: store + fleet + HTTP API.
 
     Parameters mirror the CLI: ``root`` is the engine root (queue,
     cache and archive all live under it), ``workers`` sizes the
-    scheduler, ``use_processes`` routes compute through a process pool,
-    and ``port=0`` binds an ephemeral port.
+    daemon's own runner (:attr:`runner`, None at ``workers=0``),
+    ``use_processes`` routes its compute through a process pool, and
+    ``port=0`` binds an ephemeral port.
     """
 
     def __init__(
@@ -122,13 +124,17 @@ class ExperimentService:
             lease_ttl_s=lease_ttl_s,
             on_event=on_event,
         )
-        self.scheduler = Scheduler(
-            self.store,
-            self.engine,
-            workers=workers,
-            use_processes=use_processes,
-            on_event=on_event,
-            fleet=self.fleet,
+        self.workers = workers
+        self.runner = (
+            FleetRunner(
+                "in-process",
+                workers=workers,
+                use_processes=use_processes,
+                on_event=on_event,
+                client=self.fleet,
+            )
+            if workers > 0
+            else None
         )
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
@@ -166,12 +172,12 @@ class ExperimentService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> tuple[str, int]:
-        """Boot scheduler + HTTP server; returns the bound (host, port)."""
+        """Boot workers + HTTP server; returns the bound (host, port)."""
         if self._httpd is not None:
             raise ServiceError("service already started")
-        if not self.scheduler.workers:
-            # Runners never lease analyses: fail the recovered ones.
-            _, stranded = self.store.drain(
+        if self.runner is None:
+            # Other runners never lease analyses: fail the recovered ones.
+            _, stranded = self.store.claim(
                 "master",
                 sys.maxsize,
                 lambda job: "lease" if job.kind == KIND_ANALYZE else None,
@@ -179,8 +185,9 @@ class ExperimentService:
             error = _failure_from(ConfigurationError(NO_WORKERS))
             for job in stranded:
                 self.store.finish(job, FAILED, error=error)
-        self.scheduler.start()
         self.fleet.start()
+        if self.runner is not None:
+            self.runner.start()
         service = self
 
         class _Handler(_RPCHandler):
@@ -219,7 +226,7 @@ class ExperimentService:
         return f"http://{host}:{port}"
 
     def stop(self) -> None:
-        """Shut down HTTP + scheduler and retract the discovery file."""
+        """Shut down HTTP + workers and retract the discovery file."""
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -229,7 +236,8 @@ class ExperimentService:
             self._http_thread = None
         self.metrics_publisher.stop()
         self.fleet.stop()
-        self.scheduler.stop(wait=True)
+        if self.runner is not None:
+            self.runner.stop()
         self.service_file_path().unlink(missing_ok=True)
 
     def serve_forever(self) -> None:
@@ -322,9 +330,9 @@ class ExperimentService:
             from repro.analysis.pipelines import get_pipeline
 
             get_pipeline(analysis)
-            if not self.scheduler.workers:
-                # Analyses read this master's archive, so runners never
-                # lease them; without claim threads one would wait
+            if self.runner is None:
+                # Analyses read this master's archive, so only its own
+                # workers take them; without them one would wait
                 # forever.
                 raise ConfigurationError(NO_WORKERS)
         else:
@@ -496,7 +504,7 @@ class ExperimentService:
             "uptime_s": (
                 time.time() - self._started_unix if self._started_unix else 0.0
             ),
-            "workers": self.scheduler.workers,
+            "workers": self.workers,
             "counts": counts,
             "seq": self.store.seq,
             "fleet": self.fleet.status()["counts"],

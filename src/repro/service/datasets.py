@@ -4,7 +4,7 @@ The service-side half of the live-dataset layer (the bus itself lives
 in :mod:`repro.obs.bus`).  Two topic families are produced here:
 
 ``datasets.sweep.<key>``
-    One topic per sweep.  The scheduler keys it by job id
+    One topic per sweep.  A service job's is keyed by job id
     (``job-<id>``); local engine sweeps key it by a content hash of the
     sweep request, so re-running the same sweep lands on the same
     topic.  An ``init`` carries the sweep header; every completed point
@@ -73,7 +73,7 @@ def sweep_key(
 
 
 def job_key(job_id: int) -> str:
-    """The topic key of one scheduler job's sweep."""
+    """The topic key of one service job's sweep."""
     return f"job-{int(job_id)}"
 
 
@@ -103,7 +103,7 @@ class SweepPublisher:
 
     @classmethod
     def for_job(cls, job: object, total: int) -> "SweepPublisher | None":
-        """A publisher for one scheduler sweep job (None when disabled)."""
+        """A publisher for one service sweep job (None when disabled)."""
         if not obs.enabled():
             return None
         topic = names.sweep_topic(job_key(job.job_id))  # type: ignore[attr-defined]

@@ -106,8 +106,8 @@ class Job:
     metrics: dict[str, float] | None = None
     #: Filled on failure: ``type``/``message``/``traceback`` strings.
     error: dict[str, str] | None = None
-    #: The executing worker's identity, stamped at claim time: a local
-    #: scheduler thread (``local/<worker>``) or a remote fleet runner.
+    #: The executing runner's identity, stamped at claim time (the
+    #: master's own workers are a runner too).
     #: Cleared whenever the job returns to ``pending`` so a stale
     #: identity can never outlive the claim it described.
     runner_id: str | None = None
@@ -161,7 +161,7 @@ class Job:
 
         A run job is one pair with no scan point.  The one point loop,
         :func:`repro.fleet.runner.execute_points`, executes from this
-        list on claim threads and runners alike.
+        list on every runner.
         """
         if self.kind == KIND_RUN:
             return [(None, self.spec())]

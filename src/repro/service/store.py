@@ -31,8 +31,8 @@ and stale claim markers are released — the acceptance criterion of
 surviving a kill mid-drain.
 
 Concurrency model: one :class:`JobStore` instance is thread-safe via a
-single condition variable (submitters notify waiting scheduler workers
-and long-pollers).  Several stores, in one process or many, may share a
+single condition variable (submitters notify waiting claimers and
+long-pollers).  Several stores, in one process or many, may share a
 queue directory: each transition is made under the journal's lock after
 folding the lines the other stores appended (:meth:`JobStore._follow`),
 waiters follow the journal while they wait, and the O_EXCL claim markers
@@ -121,7 +121,7 @@ class JobStore:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         #: Notified on every transition; ``_work`` only when a job
-        #: becomes pending, so idle claim threads sleep through the rest.
+        #: becomes pending, so idle claimers sleep through the rest.
         self._changed = threading.Condition(self._lock)
         self._work = threading.Condition(self._lock)
         self._jobs: dict[int, Job] = {}
@@ -137,9 +137,9 @@ class JobStore:
         self._done = 0
         #: The highest job id this store has loaded or allocated.
         self._max_id = 0
-        #: Pending ids whose claim marker another holder had at this
-        #: store's last try: :meth:`wait_for_work` does not wake for them.
-        self._fenced: set[int] = set()
+        #: Bumped with every ``_work`` notification: a claimer reads it
+        #: before a claim pass and hands it to :meth:`wait_for_work`.
+        self.work_seq = 0
         #: Ended jobs whose snapshot write failed; rotation retries them.
         self._unsnapshotted: set[int] = set()
         self.journal = Journal(
@@ -247,7 +247,6 @@ class JobStore:
         ended = self._read_snapshots() if rewound else {}
         folded = [self._fold(entry) for entry in entries]
         if rewound:
-            self._fenced.clear()
             self._unsnapshotted.update(
                 job.job_id
                 for job in self._jobs.values()
@@ -256,7 +255,7 @@ class JobStore:
             )
         if rewound or any(folded):
             self._changed.notify_all()
-            self._work.notify_all()
+            self._wake_claimers()
 
     def _fold(self, entry: Mapping[str, object]) -> bool:
         """Apply one journal line's job fields (caller holds the lock).
@@ -279,7 +278,6 @@ class JobStore:
         else:
             job.apply(state)
             self._index(job)
-        self._fenced.discard(job_id)
         return True
 
     # ------------------------------------------------------------------
@@ -424,43 +422,32 @@ class JobStore:
     # ------------------------------------------------------------------
     def claim(
         self,
-        worker: str = "?",
-        identity: tuple[str, str | None, int | None] | None = None,
-    ) -> Job | None:
-        """Atomically claim the highest-priority pending job, or None.
-
-        Claim order is ``(-priority, job_id)``.  The O_EXCL marker file
-        keeps a second scheduler *process* sharing this queue directory
-        from double-running the job; within one process the store lock
-        already serialises claims.
-
-        ``identity`` is an optional ``(runner_id, host, pid)`` triple
-        stamped onto the job so status output names the executing
-        worker.
-        """
-        _, leased = self.drain(worker, 1, lambda job: "lease", identity)
-        return leased[0] if leased else None
-
-    def drain(
-        self,
         worker: str,
         max_jobs: int,
         classify,
         identity: tuple[str, str | None, int | None] | None = None,
+        max_leased: int | None = None,
     ) -> tuple[list[Job], list[Job]]:
         """Claim up to ``max_jobs`` pending jobs in one locked pass.
 
-        The batch claim behind fleet leases.  ``classify(job)`` is
-        called under the store lock (so it must be cheap — a cache
-        *probe*, not a cache read) and returns one of:
+        The one way a job leaves ``pending`` (for a runner, through
+        :meth:`FleetCoordinator.claim
+        <repro.fleet.coordinator.FleetCoordinator.claim>`), in claim
+        order (:meth:`Job.sort_key`); the O_EXCL claim marker keeps a
+        second store *process* on this queue directory from taking a
+        job too.  ``classify(job)`` is called under the store lock (so
+        it must be cheap — a cache *probe*, not a cache read) and
+        returns one of:
 
         - ``None`` — skip; the job stays pending for another claimant,
         - ``"lease"`` — claim it ``running`` for the caller to execute,
         - ``("serve", run_id, metrics)`` — an already-cached run-kind
           job; it completes instantly, never leaving the master.
 
-        Returns ``(served, leased)``.  All journal lines of the batch
-        land in one fsynced append (see :meth:`_persist_batch`): a
+        Past ``max_leased`` leases (default: no bound), jobs to lease
+        stay pending while cached ones are still served.  Returns
+        ``(served, leased)``.  All journal lines of the batch land in
+        one fsynced append (see :meth:`_persist_batch`): a
         fully-cached 10k-job drain costs hundreds, not tens of
         thousands, of fsyncs — the difference between ~100 jobs/s and
         the >1k jobs/s fleet benchmark bar.
@@ -476,12 +463,15 @@ class JobStore:
                 verdict = classify(job)
                 if verdict is None:
                     continue
+                lease = verdict == "lease" or job.kind != KIND_RUN
+                if lease and len(leased) == max_leased:
+                    continue
                 if not self._take_claim(job.job_id, worker):
                     continue
                 job.transition(RUNNING)
                 if identity is not None:
                     job.assign_runner(*identity)
-                if verdict == "lease" or job.kind != KIND_RUN:
+                if lease:
                     batch.append((job, self._entry(
                         job, "started", STARTED, worker=worker
                     )))
@@ -526,7 +516,6 @@ class JobStore:
                 os.O_CREAT | os.O_EXCL | os.O_WRONLY,
             )
         except FileExistsError:
-            self._fenced.add(job_id)
             return False
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()} {worker}\n")
@@ -706,21 +695,15 @@ class JobStore:
             self._wait_until(lambda: self.get(job_id).is_terminal, timeout)
             return self.get(job_id)
 
-    def wait_for_work(self, timeout: float) -> bool:
-        """Block a scheduler worker until something changes (or timeout).
+    def wait_for_work(self, since: int, timeout: float) -> bool:
+        """Block a claimer until a job may have become claimable.
 
-        Returns at once while a pending job is claimable, else wakes
-        when a job becomes pending; a job whose claim marker another
-        holder had at the last try waits for a change to it, or for the
-        timeout.
+        ``since`` is the :attr:`work_seq` read before a claim pass that
+        took nothing: True at once if a job became pending since (so no
+        submission is missed), else when one does; False on timeout.
         """
         with self._changed:
-            if not self._by_status[PENDING] <= self._fenced:
-                return True
-            woke = self._work.wait(timeout)
-            if not woke:
-                self._fenced.clear()  # markers may be gone: try again
-            return woke
+            return self.work_seq != since or self._work.wait(timeout)
 
     def wait_idle(self, timeout: float) -> bool:
         """Block until no job is pending or running (False on timeout).
@@ -744,10 +727,15 @@ class JobStore:
         return True
 
     def kick(self) -> None:
-        """Wake every waiter (used by scheduler shutdown and tests)."""
+        """Wake every waiter (used by worker shutdown and tests)."""
         with self._changed:
             self._changed.notify_all()
-            self._work.notify_all()
+            self._wake_claimers()
+
+    def _wake_claimers(self) -> None:
+        """Wake the claimers waiting for work (caller holds the lock)."""
+        self.work_seq += 1
+        self._work.notify_all()
 
     # ------------------------------------------------------------------
     # Persistence internals
@@ -776,9 +764,9 @@ class JobStore:
         :meth:`_entry`.  The journal fsyncs once per append, so the
         batched drain/submit paths hand it all their lines at once —
         this is what lifts fully-cached throughput from per-job fsync
-        pacing to >1k jobs/s.  Jobs the batch ended are snapshotted
-        after the append, and every live job before an append that
-        rotates the journal.
+        pacing to >1k jobs/s.  Jobs the batch ended are counted and
+        snapshotted after the append, and every live job is snapshotted
+        before an append that rotates the journal.
         """
         if not batch:
             return
@@ -791,9 +779,14 @@ class JobStore:
             obs.gauge(obs_names.METRIC_QUEUE_DEPTH, self._live())
         self._changed.notify_all()
         if any(job.status == PENDING for job, _ in batch):
-            self._work.notify_all()
+            self._wake_claimers()
         for job, _ in batch:
-            if job.is_terminal:
+            if job.is_terminal:  # counted once, however it ended
+                obs.count(obs_names.METRIC_JOBS_FINISHED, status=job.status)
+                if job.wait_s is not None:
+                    obs.observe(
+                        obs_names.METRIC_QUEUE_WAIT_SECONDS, job.wait_s
+                    )
                 self._snapshot(job)
 
     def _entry(

@@ -5,10 +5,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime.engine import RunEngine
 from repro.service.jobs import CANCELLED, DONE, KIND_ANALYZE, Job
-from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
 
 from tests.analysis.test_index import archive_run
+from tests.service.workers import claim_one, local_workers
 
 
 @pytest.fixture
@@ -18,15 +18,11 @@ def root(tmp_path):
 
 @pytest.fixture
 def harness(root):
-    """(store, engine, started scheduler) wired for in-thread compute."""
+    """(store, engine, runner): the master's workers, in-thread compute."""
     store = JobStore(root, recover=True)
     engine = RunEngine(root=root)
-    scheduler = Scheduler(
-        store, engine, workers=2, use_processes=False, poll_s=0.05
-    )
-    scheduler.start()
-    yield store, engine, scheduler
-    scheduler.stop(wait=True)
+    with local_workers(store, engine) as runner:
+        yield store, engine, runner
 
 
 class TestJobModel:
@@ -77,10 +73,10 @@ class TestSubmission:
         """A running analyze job already snapshotted the archive; a new
         submission must queue its own job, not be answered stale."""
         store = JobStore(root)
-        first = store.claim("w0")
+        first = claim_one(store, "w0")
         assert first is None
         pending, _ = store.submit("", analysis="car")
-        claimed = store.claim("w0")
+        claimed = claim_one(store, "w0")
         assert claimed is not None and claimed.job_id == pending.job_id
         fresh, deduped = store.submit("", analysis="car")
         assert not deduped and fresh.job_id != pending.job_id
@@ -100,7 +96,7 @@ class TestSchedulerExecution:
     def test_analyze_job_runs_pipeline_and_writes_report(
         self, harness, root
     ):
-        store, engine, scheduler = harness
+        store, engine, _ = harness
         for mw, car in ((2.0, 11.0), (4.0, 7.0)):
             archive_run(
                 engine,
@@ -109,7 +105,7 @@ class TestSchedulerExecution:
                 metrics={"pump_total_mw": mw, "car": car, "car_error": 1.0},
             )
         job, _ = store.submit("", analysis="car")
-        assert scheduler.drain(30.0)
+        assert store.wait_idle(30.0)
         finished = store.get(job.job_id)
         assert finished.status == DONE
         assert finished.done_points == finished.total_points == 1
@@ -127,7 +123,7 @@ class TestSchedulerExecution:
     ):
         """The acceptance criterion: the same pipeline through the
         service returns the identical report payload."""
-        store, engine, scheduler = harness
+        store, engine, _ = harness
         archive_run(
             engine,
             "E7",
@@ -140,7 +136,7 @@ class TestSchedulerExecution:
         local = build_report(PipelineRunner(root).run("visibility"))
 
         job, _ = store.submit("", analysis="visibility")
-        assert scheduler.drain(30.0)
+        assert store.wait_idle(30.0)
         assert store.get(job.job_id).status == DONE
         # Served from the analysis cache: zero recompute, same payload.
         assert store.get(job.job_id).metrics["cached_analyzers"] == 1.0
@@ -153,9 +149,9 @@ class TestSchedulerExecution:
         assert store.get(job.job_id).status == CANCELLED
 
     def test_progress_streams_per_analyzer(self, harness, root):
-        store, engine, scheduler = harness
+        store, engine, _ = harness
         job, _ = store.submit("", analysis="paper-summary")
-        assert scheduler.drain(60.0)
+        assert store.wait_idle(60.0)
         finished = store.get(job.job_id)
         assert finished.status == DONE
         assert finished.total_points == 4  # four analyzers in the pipeline

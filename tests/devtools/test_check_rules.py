@@ -693,7 +693,7 @@ class TestProcessPoolRule:
     def test_pool_construction_outside_pool_module_flagged(self, run_rules):
         findings = run_rules(
             {
-                "repro/service/scheduler.py": """
+                "repro/fleet/runner.py": """
                 import concurrent.futures
                 import multiprocessing as mp
                 from multiprocessing import Pool

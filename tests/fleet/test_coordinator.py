@@ -5,6 +5,9 @@ tmp root — no HTTP, no runner subprocesses.  The RPC handlers are
 called directly, exactly as :mod:`repro.service.api` dispatches them.
 """
 
+import os
+import socket
+
 import pytest
 
 from repro import obs
@@ -32,6 +35,12 @@ def harness(root):
 
 def _register(fleet):
     reply = fleet.register("testhost", 4242, workers=1)
+    return str(reply["runner_id"])
+
+
+def _register_local(fleet):
+    """A runner in this process, as the master's own workers register."""
+    reply = fleet.register(socket.gethostname(), os.getpid(), workers=1)
     return str(reply["runner_id"])
 
 
@@ -182,26 +191,18 @@ class TestCancelPropagation:
 
 
 class TestLocalHolders:
-    def test_adopted_lease_is_never_reaped(self, harness):
-        store, _, fleet = harness
-        job, _ = store.submit("E6", quick=True)
-        fleet.adopt("local/worker-0", store.claim("worker-0"))
-        assert fleet.expire_overdue() == []
-        (lease,) = fleet.status()["leases"]
-        assert lease["runner_id"] == "local/worker-0"
-        assert fleet.status()["runners"] == []
-        fleet.complete("local/worker-0", job.job_id, metrics={})
-        assert store.get(job.job_id).status == DONE
-        assert fleet.status()["leases"] == []
+    """Runners in the master's own process: its workers."""
 
-    def test_drop_clears_only_the_holders_own_lease(self, harness):
+    def test_analysis_leases_only_to_a_runner_in_this_process(
+        self, harness
+    ):
         store, _, fleet = harness
-        job, _ = store.submit("E6", quick=True)
-        fleet.adopt("local/worker-0", store.claim("worker-0"))
-        fleet.drop("local/worker-1", job.job_id)
-        assert len(fleet.status()["leases"]) == 1
-        fleet.drop("local/worker-0", job.job_id)
-        assert fleet.status()["leases"] == []
+        remote = _register(fleet)
+        local = _register_local(fleet)
+        job, _ = store.submit("", analysis="paper-summary")
+        assert fleet.claim(remote)["jobs"] == []
+        (leased,) = fleet.claim(local)["jobs"]
+        assert leased["job_id"] == job.job_id
 
     def test_only_runner_ingests_count_as_fleet_work(
         self, harness, monkeypatch
@@ -211,12 +212,13 @@ class TestLocalHolders:
         obs.reset()
         obs.configure(enabled=True)
         try:
+            local_id = _register_local(fleet)
             local, _ = store.submit("E6", quick=True, params={"pump_mw": 5.0})
-            fleet.adopt("local/worker-0", store.claim("worker-0"))
+            fleet.claim(local_id, 1)
             runner_id = _register(fleet)
             remote, _ = store.submit("E6", quick=True, params={"pump_mw": 6.0})
-            fleet.claim(runner_id)
-            for holder, job in (("local/worker-0", local), (runner_id, remote)):
+            fleet.claim(runner_id, 1)
+            for holder, job in ((local_id, local), (runner_id, remote)):
                 spec = job.spec()
                 record, _, duration, _ = _execute_safe(spec, None)
                 fleet.ingest(holder, job.job_id, spec_payload(spec),

@@ -17,8 +17,12 @@ from repro.errors import ConfigurationError
 from repro.fleet.runner import FleetRunner
 from repro.obs import names
 from repro.obs.journal import read_events
+from repro.runtime.engine import RunEngine
 from repro.service.api import ExperimentService
 from repro.service.client import ServiceClient
+from repro.service.store import JobStore
+
+from tests.service.workers import local_workers
 
 
 @pytest.fixture
@@ -76,6 +80,35 @@ class TestRemoteExecution:
         # The executing runner's identity is stamped into the job doc.
         assert finished["runner_id"] == runner.runner_id
         assert finished["runner_pid"] == runner.pid
+
+    def test_records_match_the_masters_own_workers(
+        self, service, runner, tmp_path
+    ):
+        master, url = service
+        client = ServiceClient(url)
+        specs = [("E6", {"pump_mw": 7.0}), ("E7", {})]
+        remote = [
+            client.wait(
+                client.submit(experiment, quick=True, params=params)["job_id"],
+                timeout=120.0,
+            )
+            for experiment, params in specs
+        ]
+        local_root = tmp_path / "local-root"
+        store = JobStore(local_root)
+        with local_workers(store, RunEngine(root=local_root)):
+            local = [
+                store.submit(experiment, quick=True, params=params)[0]
+                for experiment, params in specs
+            ]
+            assert store.wait_idle(120.0)
+        for finished, job in zip(remote, local):
+            assert finished["runner_id"] == runner.runner_id
+            (run_id,) = finished["run_ids"]
+            assert store.get(job.job_id).run_ids == [run_id]
+            ours = master.root / "runs" / run_id / "result.json"
+            theirs = local_root / "runs" / run_id / "result.json"
+            assert ours.read_bytes() == theirs.read_bytes(), run_id
 
     def test_second_submit_served_from_master_cache(self, service, runner):
         _, url = service

@@ -1,11 +1,11 @@
-"""Local claim threads and a fleet runner draining one store together.
+"""The master's workers and a second fleet runner draining one store.
 
-The master's claim threads take any pending job; a runner leases what
-they leave.  Both run the same point loop
-(:func:`repro.fleet.runner.execute_points`) against the same
-coordinator — here the runner talks to it in-process, with no HTTP —
-so a mixed queue must drain to the same records as a local-only drain,
-every job must end exactly once, and no lease may outlive its job.
+The master's workers are a fleet runner on the coordinator, so both
+claim through ``coordinator.claim`` and run the same point loop
+(:func:`repro.fleet.runner.execute_points`) — here the second runner
+talks to the coordinator in-process too, with no HTTP — so a mixed
+queue must drain to the same records as a workers-only drain, every
+job must end exactly once, and no lease may outlive its job.
 """
 
 import threading
@@ -18,9 +18,10 @@ from repro.fleet.runner import FleetRunner
 from repro.runtime.engine import RunEngine
 from repro.runtime.scan import ListScan
 from repro.service.jobs import DONE, FAILED
-from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
 from repro.utils import journal
+
+from tests.service.workers import local_workers, workers_for
 
 #: Journal events that end a job: the store's terminal transitions plus
 #: the two cache-hit completions (at submission, at a runner's claim).
@@ -62,33 +63,30 @@ def _wait_until(predicate, timeout=60.0):
 
 
 def _local_drain(root):
-    """The reference: the same queue through claim threads alone."""
+    """The reference: the same queue through the master's workers alone."""
     engine = _warm(root)
     store = JobStore(root)
-    scheduler = Scheduler(store, engine, workers=2, use_processes=False,
-                          poll_s=0.02)
     jobs = _submit_mixed(store)
-    scheduler.start()
-    assert scheduler.drain(120.0)
-    scheduler.stop(wait=True)
-    assert scheduler.fleet.status()["leases"] == []
+    with local_workers(store, engine) as workers:
+        assert store.wait_idle(120.0)
+    assert workers.client.status()["leases"] == []
     return [store.get(job.job_id) for job in jobs]
 
 
 @pytest.fixture
 def mixed_drain(tmp_path):
-    """Claim threads + an in-process runner over the mixed queue.
+    """The master's workers + a second runner over the mixed queue.
 
-    The runner claims first and its first compute waits until a claim
-    thread has finished a job, so both executors demonstrably run work
+    The runner claims first and its first compute waits until a worker
+    has finished a job, so both executors demonstrably run work
     regardless of machine speed.
     """
     root = tmp_path / "shared"
     engine = _warm(root)
     store = JobStore(root)
     fleet = FleetCoordinator(store, engine, lease_ttl_s=30.0, claim_batch=2)
-    scheduler = Scheduler(store, engine, workers=2, use_processes=False,
-                          poll_s=0.02, fleet=fleet)
+    workers = workers_for(store, engine, workers=2, fleet=fleet)
+    workers.register()
     runner = FleetRunner("in-process", workers=1, use_processes=False,
                          client=fleet)
     jobs = _submit_mixed(store)
@@ -105,36 +103,37 @@ def mixed_drain(tmp_path):
     )
     thread.start()
     _wait_until(lambda: fleet.status()["leases"])
-    scheduler.start()
+    workers.start()
 
     def local_done():
         return any(
-            job.is_terminal and str(job.runner_id).startswith("local/")
+            job.is_terminal and job.runner_id == workers.runner_id
             for job in store.jobs()
         )
 
     _wait_until(local_done)
     local_finished.set()
     try:
-        assert scheduler.drain(120.0)
+        assert store.wait_idle(120.0)
     finally:
-        scheduler.stop(wait=True)
+        fleet.stop()
+        workers.stop()
         runner.stop()
         thread.join(timeout=10.0)
-    return store, engine, fleet, runner, jobs
+    return store, engine, fleet, runner, workers, jobs
 
 
 class TestSharedDrain:
     def test_both_executors_ran_work(self, mixed_drain):
-        store, _, _, runner, jobs = mixed_drain
+        store, _, _, runner, workers, jobs = mixed_drain
         holders = {store.get(job.job_id).runner_id for job in jobs}
         assert runner.runner_id in holders
-        assert any(str(h).startswith("local/") for h in holders)
+        assert workers.runner_id in holders
         # The gated first compute went to the runner.
         assert store.get(jobs[0].job_id).runner_id == runner.runner_id
 
     def test_every_job_terminal_exactly_once(self, mixed_drain):
-        store, _, _, _, jobs = mixed_drain
+        store, _, _, _, _, jobs = mixed_drain
         entries, skipped = journal.read(store.journal_path)
         assert skipped == 0
         for job in jobs:
@@ -148,15 +147,15 @@ class TestSharedDrain:
         assert statuses == [DONE] * (len(jobs) - 1) + [FAILED]
 
     def test_no_lease_outlives_its_job(self, mixed_drain):
-        _, _, fleet, _, _ = mixed_drain
+        _, _, fleet, _, _, _ = mixed_drain
         status = fleet.status()
         assert status["leases"] == []
         assert status["counts"]["leases"] == 0
-        (runner_doc,) = status["runners"]
-        assert runner_doc["leases"] == []
+        assert len(status["runners"]) == 2
+        assert all(doc["leases"] == [] for doc in status["runners"])
 
     def test_records_match_a_local_only_drain(self, mixed_drain, tmp_path):
-        store, engine, _, _, jobs = mixed_drain
+        store, engine, _, _, _, jobs = mixed_drain
         reference = _local_drain(tmp_path / "local")
         reference_engine = RunEngine(root=tmp_path / "local")
         for job, expected in zip(jobs, reference):
@@ -174,7 +173,7 @@ class TestSharedDrain:
     def test_failure_names_driver_exception_and_keeps_traceback(
         self, mixed_drain
     ):
-        store, _, _, _, jobs = mixed_drain
+        store, _, _, _, _, jobs = mixed_drain
         error = store.get(jobs[-1].job_id).error
         assert error["type"] == "ConfigurationError"
         assert "dwell_s must be > 0" in error["message"]

@@ -1,18 +1,22 @@
-"""Telemetry end to end: engine, scheduler, service RPC, job timing."""
+"""Telemetry end to end: engine, workers, service RPC, job timing."""
 
 from __future__ import annotations
 
 import time
 
 from repro import obs
+from repro.fleet.coordinator import FleetCoordinator
 from repro.obs import names
+from repro.obs.dashboard import MAX_JOBS
 from repro.obs.journal import read_events
 from repro.obs.render import render_trace, select_traces
 from repro.runtime.engine import RunEngine
 from repro.runtime.scan import ListScan
-from repro.service.scheduler import Scheduler
+from repro.service.datasets import job_key
 from repro.service.store import JobStore
 from repro.utils import journal
+
+from tests.service.workers import local_workers, workers_for
 
 
 def enabled_engine(root):
@@ -87,13 +91,9 @@ class TestSchedulerTelemetry:
         """Submit one quick job and drain it on a worker thread."""
         store = JobStore(root)
         engine = enabled_engine(root)
-        scheduler = Scheduler(
-            store, engine, workers=1, use_processes=False, poll_s=0.02
-        )
         job, _ = store.submit("E6", quick=True, params={"pump_mw": 5.0})
-        scheduler.start()
-        assert scheduler.drain(60.0)
-        scheduler.stop(wait=True)
+        with local_workers(store, engine, workers=1):
+            assert store.wait_idle(60.0)
         return store, job
 
     def test_job_transitions_mirrored_into_journal(self, tmp_path):
@@ -129,7 +129,97 @@ class TestSchedulerTelemetry:
             for e in read_events(tmp_path)
             if e["kind"] == "span"
         }
-        assert names.SPAN_SCHEDULER_JOB in span_names
+        assert names.SPAN_FLEET_EXECUTE in span_names
+
+
+class TestJobCounts:
+    def test_every_ended_job_is_counted_once(self, tmp_path):
+        # Jobs end in five ways: served at submission, served at a
+        # claim, run by a runner outside this process, run by the
+        # master's workers (one of them failing), cancelled pending.
+        engine = enabled_engine(tmp_path)
+        engine.run("E6", quick=True, params={"pump_mw": 2.0})
+        store = JobStore(tmp_path)
+        warm = {"experiment_id": "E6", "quick": True,
+                "params": {"pump_mw": 2.0}}
+        _, deduped = store.submit(**warm, engine=engine)
+        assert deduped
+        store.submit(**warm, dedupe=False)
+        store.submit("E6", quick=True, params={"pump_mw": 5.0})
+        fleet = FleetCoordinator(store, engine)
+        remote = workers_for(store, engine, fleet=fleet)
+        remote.pid += 1  # registers as a runner in another process
+        assert remote.run(max_jobs=1) == 1
+        store.submit("E6", quick=True, params={"pump_mw": 6.0})
+        store.submit("E7", quick=True, params={"dwell_s": -1.0})
+        cancelled, _ = store.submit("E6", quick=True, priority=-1)
+        store.cancel(cancelled.job_id)
+        with local_workers(store, engine, fleet=fleet):
+            assert store.wait_idle(60.0)
+        ended = [job for job in store.jobs() if job.is_terminal]
+        assert len(ended) == len(store.jobs()) == 6
+        snapshot = obs.snapshot()
+        finished = {
+            key: value
+            for key, value in snapshot["counters"].items()
+            if key.startswith(names.METRIC_JOBS_FINISHED)
+        }
+        assert finished == {
+            "jobs.finished{status=cancelled}": 1,
+            "jobs.finished{status=done}": 4,
+            "jobs.finished{status=failed}": 1,
+        }
+        waits = snapshot["histograms"][names.METRIC_QUEUE_WAIT_SECONDS]
+        assert waits["count"] == 5  # the cancelled job never started
+
+
+class TestSweepTopics:
+    SCAN = ListScan("pump_mw", [2.0, 4.0]).describe()
+
+    def test_ended_sweeps_leave_the_bus(self, tmp_path):
+        engine = enabled_engine(tmp_path)
+        store = JobStore(tmp_path)
+        store.submit_batch(
+            [{"experiment_id": "E6", "quick": True, "scan": self.SCAN}] * 50
+        )
+        with local_workers(store, engine):
+            assert store.wait_idle(120.0)
+        sweeps = [
+            topic
+            for topic in obs.state().bus.topics()
+            if topic.startswith(names.TOPIC_SWEEP_PREFIX)
+        ]
+        # Nothing is live: only the newest ended sweeps are kept.
+        assert len(sweeps) == MAX_JOBS
+        last = max(store.jobs(), key=lambda job: job.finished_unix)
+        assert names.sweep_topic(job_key(last.job_id)) in sweeps
+
+    def test_dashboard_draws_a_sweep_that_just_ended(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.service.api import ExperimentService
+
+        obs.configure(enabled=True)
+        service = ExperimentService(
+            root=tmp_path, workers=1, use_processes=False
+        )
+        service.start()
+        try:
+            for _ in range(MAX_JOBS + 2):
+                job = service.dispatch(
+                    "submit",
+                    {"experiment": "E6", "quick": True, "scan": self.SCAN},
+                )["job"]
+                assert service.store.wait_job(job["job_id"], 60.0).is_terminal
+            assert main(
+                ["dashboard", "--once", "--archive-dir", str(tmp_path)]
+            ) == 0
+        finally:
+            service.stop()
+        frame = capsys.readouterr().out
+        # Every sweep the queue panel holds still has its panel.
+        for job_id in range(job["job_id"] - MAX_JOBS + 1, job["job_id"] + 1):
+            panel = frame.split(f"sweep {job_key(job_id)} — E6")[1]
+            assert panel.splitlines()[1].startswith("│ done 2/2 points")
 
 
 class TestServiceTelemetry:

@@ -222,7 +222,7 @@ class TestServiceCommandsEndToEnd:
         assert "done" in capsys.readouterr().out
 
     def test_cancel_pending_job(self, service, capsys):
-        service.scheduler.stop(wait=True)  # keep the job queued
+        service.runner.stop()  # keep the job queued
         assert main(["submit", "E6", "--quick"]) == 0
         capsys.readouterr()
         assert main(["cancel", "1"]) == 0

@@ -16,6 +16,8 @@ from repro.service.client import ServiceClient
 from repro.service.jobs import DONE, PENDING
 from repro.service.store import JobStore
 
+from tests.service.workers import claim_one
+
 
 @pytest.fixture
 def root(tmp_path):
@@ -108,7 +110,7 @@ class TestAcceptanceBatch:
             engine.run("E6", quick=True, params={"pump_mw": float(mw)})
         # Pause the drain while submitting so cancelling a *queued* job
         # is deterministic (E6 quick completes in ~1 ms otherwise).
-        service.scheduler.stop(wait=True)
+        service.runner.stop()
         jobs = []
         for index, mw in enumerate(range(2, 22)):  # 20 jobs
             jobs.append(
@@ -123,7 +125,7 @@ class TestAcceptanceBatch:
         victim = next(j for j in jobs if j["status"] == PENDING)
         cancelled = client.cancel(victim["job_id"])
         assert cancelled["status"] == "cancelled"
-        service.scheduler.start()
+        service.runner.start()
         # Drain, following the long-poll event feed until quiet.
         seen_statuses: dict[int, list[str]] = {}
         seq = 0
@@ -163,13 +165,13 @@ class TestRecovery:
     """Kill the server mid-drain; a new one recovers the queue intact."""
 
     def test_restart_recovers_queue(self, root):
-        # A paused service: scheduler workers claim nothing because we
-        # stop the scheduler before submitting, simulating a server
+        # A paused service: its workers claim nothing because we stop
+        # them before submitting, simulating a server
         # that died with a drained-half queue on disk.
         svc = ExperimentService(root=root, port=0, use_processes=False)
         svc.start()
         client = ServiceClient.discover(root)
-        svc.scheduler.stop(wait=True)  # freeze the drain
+        svc.runner.stop()  # freeze the drain
         jobs = [
             client.submit("E6", quick=True, params={"pump_mw": float(mw)},
                           priority=mw)
@@ -179,7 +181,7 @@ class TestRecovery:
         # 'running' with a live claim marker, then drop everything
         # without any shutdown path.
         store = svc.store
-        claimed = store.claim("doomed-worker")
+        claimed = claim_one(store, "doomed-worker")
         assert claimed is not None
         svc._httpd.shutdown()
         svc._httpd.server_close()

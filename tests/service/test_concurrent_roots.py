@@ -1,4 +1,4 @@
-"""Two engines/schedulers sharing one runtime root must not corrupt it.
+"""Two engines/daemons sharing one runtime root must not corrupt it.
 
 The satellite stress test: multiple threads drive *separate*
 :class:`RunEngine` instances (and separate :class:`JobStore` views)
@@ -17,8 +17,9 @@ import pytest
 from repro.runtime import records
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import MANIFEST_FILE, RESULT_FILE, RunEngine
-from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
+
+from tests.service.workers import local_workers
 
 #: Overlapping pump powers every thread recomputes (cache-hit races).
 POWERS = [2.0, 5.0, 8.0, 11.0]
@@ -81,9 +82,9 @@ class TestConcurrentEngines:
 
 class TestConcurrentSchedulers:
     def test_two_schedulers_one_root_drain_their_queues(self, tmp_path):
-        """Two full service stacks (store+scheduler) share one root.
+        """Two full service stacks (store + workers) share one root.
 
-        Each scheduler drains its own store view; the claim markers
+        Each stack's workers drain its own store view; the claim markers
         keep a job from running twice even though both stores watch
         the same queue directory.
         """
@@ -93,22 +94,12 @@ class TestConcurrentSchedulers:
             store_a.submit("E6", quick=True, params={"pump_mw": float(mw)})[0]
             for mw in range(2, 10)
         ]
+        store_a2 = JobStore(root)
         store_b = JobStore(root)  # second process's view of the queue
-        scheduler_a = Scheduler(
-            JobStore(root), RunEngine(root=root), workers=2,
-            use_processes=False, poll_s=0.05,
-        )
-        scheduler_b = Scheduler(
-            store_b, RunEngine(root=root), workers=2,
-            use_processes=False, poll_s=0.05,
-        )
-        scheduler_a.start()
-        scheduler_b.start()
-        try:
-            assert scheduler_a.drain(60.0) and scheduler_b.drain(60.0)
-        finally:
-            scheduler_a.stop(wait=True)
-            scheduler_b.stop(wait=True)
+        with local_workers(store_a2, RunEngine(root=root)), local_workers(
+            store_b, RunEngine(root=root)
+        ):
+            assert store_a2.wait_idle(60.0) and store_b.wait_idle(60.0)
         # Every job completed exactly once somewhere; no claim marker
         # survived; the shared root is uncorrupted.
         fresh = JobStore(root)

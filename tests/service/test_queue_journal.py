@@ -33,9 +33,11 @@ from repro.service.jobs import (
     RUNNING,
     Job,
 )
-from repro.service.scheduler import Scheduler
+from repro.fleet import coordinator as coordinator_module
 from repro.service.store import JobStore
 from repro.utils.io import read_json_lines
+
+from tests.service.workers import claim_one, local_workers
 
 
 @pytest.fixture
@@ -45,7 +47,7 @@ def root(tmp_path):
 
 def _run_to_done(store, **submit):
     job, _ = store.submit("E6", quick=True, dedupe=False, **submit)
-    claimed = store.claim("w0", identity=("local/w0", "host", 7))
+    claimed = claim_one(store, "w0", identity=("local/w0", "host", 7))
     store.update_progress(claimed, 1, 1, run_id="E6-run-1", cached=True)
     store.finish(claimed, DONE, metrics={"car": 12.5})
     return claimed
@@ -57,7 +59,7 @@ class TestFold:
         done = _run_to_done(store)
         pending, _ = store.submit("E7", priority=3)
         running, _ = store.submit("E5", quick=True)
-        running = store.claim("w1")
+        running = claim_one(store, "w1")
         store.cancel(running.job_id)  # cooperative: still running
         reopened = JobStore(root)
         for job in (done, pending, running):
@@ -114,7 +116,7 @@ class TestFold:
         store = JobStore(root)
         waiting, _ = store.submit("E7", priority=1)
         running, _ = store.submit("E6", quick=True)
-        running = store.claim("w0")
+        running = claim_one(store, "w0")
         for point in range(12):  # three rotations: both jobs' early
             store.update_progress(  # lines are gone from disk
                 running, point + 1, 12, run_id=f"E6-run-{point}"
@@ -158,7 +160,7 @@ class TestOlderLayout:
         assert store.get(1).metrics == {"car": 11.0}
         assert store.seq == 5  # the four old lines and job 3's recovery
         # New transitions fold onto the old files from here on.
-        job = store.claim("w0")
+        job = claim_one(store, "w0")
         store.finish(job, DONE, metrics={"car": 9.0})
         again = JobStore(root)
         assert again.get(job.job_id).to_dict() == job.to_dict()
@@ -174,7 +176,7 @@ class TestCrash:
 
             store = store_module.JobStore(sys.argv[1])
             store.submit("E6", quick=True)
-            job = store.claim("w0")
+            _, (job,) = store.claim("w0", 1, lambda job: "lease")
             store.update_progress(job, 1, 1, run_id="E6-run-1", cached=True)
 
             def killed(path, text):
@@ -209,7 +211,7 @@ class TestOtherStores:
         waiter = JobStore(root)
         waiter.submit("E6")
         worker = JobStore(root)
-        job = worker.claim("w0")
+        job = claim_one(worker, "w0")
         ended = threading.Timer(0.2, worker.finish, args=(job, DONE))
         ended.start()
         started = time.monotonic()
@@ -223,7 +225,7 @@ class TestOtherStores:
     def test_a_cancel_request_reaches_the_store_running_the_job(self, root):
         worker = JobStore(root)
         worker.submit("E6")
-        job = worker.claim("w0")
+        job = claim_one(worker, "w0")
         JobStore(root).cancel(job.job_id)
         worker.update_progress(job, 0, 1)  # the holder follows first
         assert job.cancel_requested
@@ -236,12 +238,12 @@ class TestOtherStores:
         jobs = [busy.submit("E6", quick=True, seed=n)[0] for n in range(3)]
         idle = JobStore(root)  # sees three pending jobs, then looks away
         for _ in jobs:
-            job = busy.claim("w0")
+            job = claim_one(busy, "w0")
             busy.update_progress(job, 1, 1, run_id=f"E6-run-{job.job_id}")
             busy.finish(job, DONE, metrics={"car": 1.0})
         # 12 lines at 4 a generation: the one idle read last is gone.
         assert idle.wait_idle(5.0)
-        assert idle.claim("w1") is None
+        assert claim_one(idle, "w1") is None
         for job in jobs:
             assert idle.get(job.job_id).to_dict() == job.to_dict()
 
@@ -251,25 +253,24 @@ class TestOtherStores:
         mine = JobStore(root)
         mine.submit("E6", quick=True)
         theirs = JobStore(root)
-        assert theirs.claim("other") is not None  # held, never finished
+        assert claim_one(theirs, "other") is not None  # held, never finished
         mine.submit("E6", quick=True, params={"pump_mw": 2.0})
         (mine._claim_path(2)).write_text("1 another-holder\n")
+        fleet = coordinator_module.FleetCoordinator(mine, RunEngine(root=root))
         claims = []
-        real_claim = mine.claim
+        real_claim = fleet.claim
 
         def counting(*args, **kwargs):
             claims.append(time.monotonic())
             return real_claim(*args, **kwargs)
 
-        mine.claim = counting
-        scheduler = Scheduler(mine, RunEngine(root=root), workers=2,
-                              use_processes=False, poll_s=0.05)
-        scheduler.start()
-        time.sleep(1.0)
-        scheduler.stop(wait=True)
-        # One claim per poll interval and thread at most (a spinning
+        fleet.claim = counting
+        with local_workers(mine, fleet.engine, fleet=fleet):
+            time.sleep(1.0)
+        # One claim per idle wait and thread at most (a spinning
         # thread makes tens of thousands of calls in this second).
-        assert 2 <= len(claims) <= 2 * (1.0 / 0.05 + 2)
+        idle = coordinator_module.IDLE_POLL_S
+        assert 2 <= len(claims) <= 2 * (1.0 / idle + 2)
         assert {j.job_id: j.status for j in mine.jobs()} == {
             1: RUNNING, 2: PENDING,
         }
@@ -285,7 +286,7 @@ def test_stores_racing_on_one_root_run_each_job_once(root):
         try:
             for n in range(15):
                 store.submit("E6", dedupe=False, params={"n": index * 100 + n})
-                job = store.claim(f"w{index}")
+                job = claim_one(store, f"w{index}")
                 if job is not None:
                     store.update_progress(job, 1, 1, run_id=f"r{job.job_id}")
                     store.finish(job, DONE)
@@ -309,7 +310,7 @@ def test_stores_racing_on_one_root_run_each_job_once(root):
     assert not errors, errors
     fresh = JobStore(root)
     assert not fresh.jobs(RUNNING)
-    while (job := fresh.claim("sweeper")) is not None:  # unclaimed ones
+    while (job := claim_one(fresh, "sweeper")) is not None:  # unclaimed ones
         fresh.finish(job, DONE)
     lines = read_json_lines(root / "queue" / "journal.jsonl")
     submitted = [line["job_id"] for line in lines if line["event"] == "submitted"]
@@ -319,16 +320,16 @@ def test_stores_racing_on_one_root_run_each_job_once(root):
     assert JobStore(root).counts() == {DONE: 120}
 
 
-def test_cached_job_costs_at_most_nine_fsyncs(root, monkeypatch):
+def test_cached_job_costs_at_most_three_fsyncs(root, monkeypatch):
     RunEngine(root=root).run("E6", quick=True)  # warm the cache
     service = ExperimentService(root=root, port=0, use_processes=False)
     submit = {"experiment": "E6", "quick": True, "dedupe": False}
-    service.scheduler.start()
+    service.runner.start()
     try:
         warm = service.dispatch("submit", submit)["job"]
         assert service.store.wait_job(warm["job_id"], 60.0).status == DONE
     finally:
-        service.scheduler.stop(wait=True)  # its last telemetry is out
+        service.runner.stop()  # its last telemetry is out
     real_fsync = os.fsync
     synced: list[str] = []
 
@@ -340,17 +341,17 @@ def test_cached_job_costs_at_most_nine_fsyncs(root, monkeypatch):
         return real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", counting)
-    service.scheduler.start()
+    service.runner.start()
     try:
         job = service.dispatch("submit", submit)["job"]
         assert service.store.wait_job(job["job_id"], 60.0).status == DONE
     finally:
-        service.scheduler.stop(wait=True)
+        service.runner.stop()
     queue = [path for path in synced if f"{os.sep}queue{os.sep}" in path]
-    # Four journal lines (submitted, started, progress, done) and the
-    # terminal snapshot; the rest are telemetry lines.
-    assert len(queue) == 5 or "?" in synced
-    assert len(synced) <= 9
+    # Two journal lines (submitted, and served at the workers' claim)
+    # and the terminal snapshot; a served job writes no telemetry line.
+    assert len(queue) == 3 or "?" in synced
+    assert len(synced) <= 3
 
 
 def test_health_cost_does_not_grow_with_the_cache(root):

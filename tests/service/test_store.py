@@ -10,6 +10,8 @@ from repro.service.jobs import CANCELLED, DONE, FAILED, PENDING, RUNNING
 from repro.service.store import JobStore
 from repro.utils.io import read_json_lines
 
+from tests.service.workers import claim_one
+
 
 @pytest.fixture
 def root(tmp_path):
@@ -71,27 +73,27 @@ class TestClaim:
         low, _ = store.submit("E6", priority=0)
         high, _ = store.submit("E7", priority=9)
         mid, _ = store.submit("E5", priority=5)
-        order = [store.claim().job_id for _ in range(3)]
+        order = [claim_one(store).job_id for _ in range(3)]
         assert order == [high.job_id, mid.job_id, low.job_id]
 
     def test_claim_marks_running_and_creates_marker(self, store):
         job, _ = store.submit("E6")
-        claimed = store.claim("w0")
+        claimed = claim_one(store, "w0")
         assert claimed.job_id == job.job_id and claimed.status == RUNNING
         assert store._claim_path(job.job_id).exists()
 
     def test_empty_queue_claims_none(self, store):
-        assert store.claim() is None
+        assert claim_one(store) is None
 
     def test_foreign_claim_marker_skips_job(self, store):
         job, _ = store.submit("E6")
         other, _ = store.submit("E7")
         store._claim_path(job.job_id).touch()  # another process owns it
-        assert store.claim().job_id == other.job_id
+        assert claim_one(store).job_id == other.job_id
 
     def test_finish_releases_marker(self, store):
         job, _ = store.submit("E6")
-        claimed = store.claim()
+        claimed = claim_one(store)
         store.finish(claimed, DONE, metrics={"x": 1.0})
         assert not store._claim_path(job.job_id).exists()
         assert store.get(job.job_id).metrics == {"x": 1.0}
@@ -104,7 +106,7 @@ class TestCancelRequeue:
 
     def test_cancel_running_is_cooperative(self, store):
         store.submit("E6")
-        job = store.claim()
+        job = claim_one(store)
         cancelled = store.cancel(job.job_id)
         assert cancelled.status == RUNNING and cancelled.cancel_requested
 
@@ -116,7 +118,7 @@ class TestCancelRequeue:
 
     def test_requeue_failed_job(self, store):
         store.submit("E6")
-        job = store.claim()
+        job = claim_one(store)
         store.finish(job, FAILED, error={"type": "X", "message": "y",
                                          "traceback": "z"})
         requeued = store.requeue(job.job_id)
@@ -145,7 +147,7 @@ class TestPersistenceAndRecovery:
     def test_recovery_resets_running_jobs(self, root):
         first = JobStore(root)
         first.submit("E6")
-        claimed = first.claim("w0")
+        claimed = claim_one(first, "w0")
         assert claimed.status == RUNNING
         # Simulate a SIGKILL: the claim marker and running journal line
         # are exactly what a dead server leaves behind.
@@ -153,12 +155,12 @@ class TestPersistenceAndRecovery:
         job = recovered.get(claimed.job_id)
         assert job.status == PENDING
         assert not recovered._claim_path(job.job_id).exists()
-        assert recovered.claim("w1").job_id == job.job_id
+        assert claim_one(recovered, "w1").job_id == job.job_id
 
     def test_recovery_leaves_live_holders_alone(self, root):
         first = JobStore(root)
         first.submit("E6")
-        claimed = first.claim("w0")
+        claimed = claim_one(first, "w0")
         # Rewrite the claim marker to name a pid that is alive (pid 1):
         # the job belongs to another live daemon and must not be stolen.
         first._claim_path(claimed.job_id).write_text(
@@ -167,12 +169,12 @@ class TestPersistenceAndRecovery:
         recovered = JobStore(root, recover=True)
         assert recovered.get(claimed.job_id).status == RUNNING
         assert recovered._claim_path(claimed.job_id).exists()
-        assert recovered.claim("w1") is None  # nothing stealable
+        assert claim_one(recovered, "w1") is None  # nothing stealable
 
     def test_recovery_fences_dead_holders(self, root):
         first = JobStore(root)
         first.submit("E6")
-        claimed = first.claim("w0")
+        claimed = claim_one(first, "w0")
         # A pid that cannot exist: the holder is dead, the job orphaned.
         first._claim_path(claimed.job_id).write_text(
             "999999999 dead-daemon\n", encoding="utf-8"
@@ -184,7 +186,7 @@ class TestPersistenceAndRecovery:
     def test_reopen_without_recover_keeps_running(self, root):
         first = JobStore(root)
         first.submit("E6")
-        first.claim()
+        claim_one(first)
         inspector = JobStore(root)  # read-only peek, e.g. repro status
         assert inspector.jobs(RUNNING)
 
@@ -258,7 +260,7 @@ class TestEventsAndWaiting:
 
     def test_wait_job_returns_terminal(self, store):
         store.submit("E6")
-        job = store.claim()
+        job = claim_one(store)
 
         def finisher():
             store.finish(job, DONE)
@@ -272,7 +274,7 @@ class TestEventsAndWaiting:
     def test_snapshot_counts(self, store):
         store.submit("E6")
         store.submit("E7")
-        store.claim()
+        claim_one(store)
         counts = store.snapshot()["counts"]
         assert counts == {"pending": 1, "running": 1}
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.runtime.engine import RunEngine
 from repro.service.api import ExperimentService
 from repro.service.jobs import (
     CANCELLED,
@@ -32,8 +31,9 @@ from repro.service.jobs import (
     Job,
     _iso,
 )
-from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
+
+from tests.service.workers import claim_one
 
 
 @pytest.fixture
@@ -186,7 +186,7 @@ class TestNoScan:
         store._jobs = IterationCountingDict(store._jobs)
 
         job, deduped = store.submit("E6", quick=True, params={"pump_mw": 2.0})
-        claimed = store.claim("w0", identity=("local/w0", "host", 1))
+        claimed = claim_one(store, "w0", identity=("local/w0", "host", 1))
         store.update_progress(claimed, 1, 1, run_id="run-1", cached=True)
         store.finish(claimed, DONE, metrics={"car": 1.0})
         counts = store.counts()
@@ -202,8 +202,8 @@ class TestNoScan:
         first = JobStore(root)
         job, _ = first.submit("E6")
         second = JobStore(root)
-        second.finish(second.claim("w1"), DONE)
-        assert first.claim("w0") is None
+        second.finish(claim_one(second, "w1"), DONE)
+        assert claim_one(first, "w0") is None
         assert first.get(job.job_id).status == DONE
         assert first.counts() == {DONE: 1}
         assert first.jobs(PENDING) == []
@@ -218,7 +218,7 @@ class TestIndexReaders:
         first, _ = store.submit("E6", params={"pump_mw": 1.0})
         store.submit("E6", params={"pump_mw": 2.0})
         assert store.counts() == {PENDING: 2}
-        claimed = store.claim("w0")
+        claimed = claim_one(store, "w0")
         assert store.counts() == {PENDING: 1, RUNNING: 1}
         store.finish(claimed, DONE)
         store.cancel(store.jobs(PENDING)[0].job_id)
@@ -265,8 +265,6 @@ class TestIndexReaders:
         monkeypatch.setattr(service.store, "snapshot", no_snapshot)
         health = service.dispatch("health", {})
         assert health["counts"] == {PENDING: 1}
-        scheduler = Scheduler(service.store, RunEngine(root=root),
-                              use_processes=False)
-        assert scheduler.drain(timeout=0.1) is False
+        assert service.store.wait_idle(timeout=0.1) is False
         service.store.cancel(1)
-        assert scheduler.drain(timeout=1.0) is True
+        assert service.store.wait_idle(timeout=1.0) is True

@@ -39,6 +39,9 @@ from repro.service.jobs import (
 )
 from repro.service.store import JobStore
 
+from tests.service.workers import claim_one
+
+
 #: Pump powers of the submitted E6 specs; few, so twins are common.
 PUMPS = (1.0, 2.0, 3.0)
 
@@ -163,7 +166,7 @@ class JobStoreMachine(RuleBasedStateMachine):
             key=Job.sort_key,
         )
         expected = next((j.job_id for j in pending if self._claimable(j)), None)
-        claimed = self._call(self.store.claim, "w0")
+        claimed = self._call(claim_one, self.store, "w0")
         if self.store._jobs.get(expected) is None or claimed is None:
             assert claimed is None
             if expected is not None:
