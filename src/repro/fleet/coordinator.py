@@ -48,6 +48,7 @@ from repro.fleet.protocol import (
     IDLE_POLL_S,
     RUNNER_ALIVE,
     RUNNER_LOST,
+    VERDICT_COMPUTE,
     VERDICT_LEASE,
     heartbeat_interval,
     spec_from_payload,
@@ -460,7 +461,8 @@ class FleetCoordinator:
         A cached run job is served inline from the numpy-free slice of
         its cache entry — unless its run directory was pruned, in which
         case it leases so the proxied lookup can re-archive it through
-        the full engine path.
+        the full engine path — and a miss is to compute (held back by
+        the store while a running twin computes it).
         """
         if job.kind == KIND_ANALYZE:
             return VERDICT_LEASE if local else None
@@ -473,7 +475,7 @@ class FleetCoordinator:
         probe = self._probe_get(key)
         if probe is None:
             if not cache.contains(key):
-                return VERDICT_LEASE
+                return (VERDICT_COMPUTE, key)
             entry = cache.read_entry(key)
             record = entry.get("record") if entry else None
             metrics = (

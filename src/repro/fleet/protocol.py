@@ -9,14 +9,16 @@ imports the coordinator, which imports this.
 Lease protocol in one paragraph: a runner ``register``\\ s (master
 assigns its id and echoes the timing contract), then loops
 ``claim → execute → ingest → complete`` while a background thread
-``heartbeat``\\ s.  Every claim is fenced twice — the store's O_EXCL
+``heartbeat``\\ s.  Every lease is fenced twice — the store's O_EXCL
 claim marker (cross-process) and the coordinator's lease table keyed
-by runner id (cross-host).  A runner that misses heartbeats for one
-lease TTL is declared lost: its leases are released, the jobs return
-to ``pending`` with their attempt counter bumped, and any RPC the dead
-runner's ghost still sends is rejected because its lease entry is
-gone.  Completions are therefore exactly-once *per lease*, and results
-are idempotent beyond that because runs are content-addressed.
+by runner id (cross-host); a cached job served at a claim needs
+neither, as it ends inside the claim's hold of the journal lock.  A
+runner that misses heartbeats for one lease TTL is declared lost: its
+leases are released, the jobs return to ``pending`` with their attempt
+counter bumped, and any RPC the dead runner's ghost still sends is
+rejected because its lease entry is gone.  Completions are therefore
+exactly-once *per lease*, and results are idempotent beyond that
+because runs are content-addressed.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ IDLE_POLL_S = 0.2
 RUNNER_ALIVE = "alive"
 RUNNER_LOST = "lost"
 
-#: ``classify`` verdict for :meth:`repro.service.store.JobStore.claim`.
+#: ``classify`` verdicts for :meth:`repro.service.store.JobStore.claim`.
 VERDICT_LEASE = "lease"
+VERDICT_COMPUTE = "compute"
 
 
 def heartbeat_interval(lease_ttl_s: float) -> float:

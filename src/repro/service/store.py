@@ -9,10 +9,11 @@ Layout::
                                    JOURNAL_MAX_LINES lines
     <root>/queue/journal.lock      flock taken by every store writing
                                    the journal
-    <root>/queue/jobs/<id>.json    the id's O_EXCL reservation (empty),
-                                   filled with the job's snapshot when
-                                   it ends and emptied if it is requeued
-    <root>/queue/jobs/<id>.claim   O_EXCL claim marker while running
+    <root>/queue/jobs/<id>.json    the job's snapshot: written when it
+                                   ends (or, live, before a rotation)
+                                   and emptied if it is requeued
+    <root>/queue/jobs/<id>.claim   O_EXCL claim marker while a lease
+                                   runs the job (holder pid, worker)
     <root>/queue/service.json      live server address (written by the
                                    HTTP layer, see repro.service.api)
 
@@ -25,18 +26,18 @@ job does before an append that rotates the journal, so the lines a
 rotation drops are always covered by a snapshot.  Opening a store
 folds the journal onto the snapshots; a root whose journal lines carry
 no job fields (the older layout, where job files were rewritten on
-every transition) is read from its job files alone.  On restart with ``recover=True`` any job
-found ``running`` is returned to ``pending`` (its server died mid-run)
-and stale claim markers are released — the acceptance criterion of
-surviving a kill mid-drain.
+every transition) is read from its job files alone.  On restart with
+``recover=True`` any job found ``running`` is returned to ``pending``
+(its server died mid-run) and stale claim markers are released.
 
 Concurrency model: one :class:`JobStore` instance is thread-safe via a
 single condition variable (submitters notify waiting claimers and
 long-pollers).  Several stores, in one process or many, may share a
-queue directory: each transition is made under the journal's lock after
-folding the lines the other stores appended (:meth:`JobStore._follow`),
-waiters follow the journal while they wait, and the O_EXCL claim markers
-keep two stores from running one job.
+queue directory: each transition, id allocation included, is made under
+the journal's lock after folding the lines the other stores appended
+(:meth:`JobStore._follow`), and waiters follow the journal while they
+wait.  A leased job also gets an O_EXCL claim marker naming its
+holder's pid, so recovery can tell a live daemon's job from an orphan.
 
 Deduplication: a run-kind submission whose fingerprint is already in
 the engine's result cache completes instantly as a cache hit, and one
@@ -46,7 +47,6 @@ many-clients-one-cache behaviour the paper's sweep campaigns need.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import pathlib
@@ -135,7 +135,7 @@ class JobStore:
             status: set() for status in STATUSES if status != DONE
         }
         self._done = 0
-        #: The highest job id this store has loaded or allocated.
+        #: The highest job id allocated or named by a line or job file.
         self._max_id = 0
         #: Bumped with every ``_work`` notification: a claimer reads it
         #: before a claim pass and hands it to :meth:`wait_for_work`.
@@ -170,6 +170,8 @@ class JobStore:
         """
         ended: dict[int, float | None] = {}
         for path in self.jobs_dir.glob("*.json"):
+            if path.stem.isdigit():  # its id is taken, whatever it holds
+                self._max_id = max(self._max_id, int(path.stem))
             try:
                 document = json.loads(path.read_text(encoding="utf-8"))
                 job = self._jobs.get(document["job_id"])
@@ -177,11 +179,10 @@ class JobStore:
                     job = Job.from_dict(document)
             except (OSError, ValueError, KeyError, TypeError,
                     ConfigurationError):
-                continue  # a reservation, or a torn or foreign file
+                continue  # emptied, or a torn or foreign file
             if job.job_id in self._jobs:
                 job.apply(document)
             self._put(job)
-            self._max_id = max(self._max_id, job.job_id)
             ended[job.job_id] = job.finished_unix
         return ended
 
@@ -192,43 +193,20 @@ class JobStore:
         Only *orphaned* ones: a running job whose claim marker names a
         still-alive pid belongs to another daemon sharing this root and
         must be left alone — recovery fences dead servers, it must not
-        steal live work.
+        steal live work.  Stale markers go after their jobs' reset.
         """
         for job_id in sorted(self._unsnapshotted):
             self._snapshot(self._jobs[job_id])
-        for job in list(self._jobs.values()):
-            if self._claim_holder_alive(job.job_id):
-                continue
-            if job.status == RUNNING:
+        alive = {p: _holder_alive(p) for p in self.jobs_dir.glob("*.claim")}
+        for job in self._with_status(RUNNING):
+            if not alive.get(self._claim_path(job.job_id)):
                 job.status = PENDING
                 job.started_unix = None
                 job.clear_runner()
                 self._persist(job, "recovered", STARTED)
-            self._claim_path(job.job_id).unlink(missing_ok=True)
-
-    def _claim_holder_alive(self, job_id: int) -> bool:
-        """Whether the pid written into a claim marker is still running.
-
-        A SIGKILLed daemon can linger as an unreaped *zombie* — its pid
-        still answers ``kill(pid, 0)`` but it will never finish its
-        jobs — so on Linux the ``/proc`` state is consulted too.
-        """
-        try:
-            text = self._claim_path(job_id).read_text(encoding="utf-8")
-            pid = int(text.split()[0])
-        except (OSError, ValueError, IndexError):
-            return False
-        if pid == os.getpid():
-            return False  # our own previous life cannot still be running
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True  # exists, owned by another user
-        except OSError:
-            return False
-        return not _is_zombie(pid)
+        for path, held in alive.items():
+            if not held:
+                path.unlink(missing_ok=True)
 
     def _follow(self) -> None:
         """Fold the lines other stores journaled since this one looked.
@@ -261,10 +239,12 @@ class JobStore:
         """Apply one journal line's job fields (caller holds the lock).
 
         A line without fields (the older layout) or naming a job this
-        store cannot build is skipped.
+        store cannot build is skipped, but its id is never handed out.
         """
         state = entry.pop(STATE, None)  # the tail keeps the summary
         job_id = entry.get("job_id")
+        if type(job_id) is int:
+            self._max_id = max(self._max_id, job_id)
         if not isinstance(state, dict) or type(job_id) is not int:
             return False
         job = self._jobs.get(job_id)
@@ -274,7 +254,6 @@ class JobStore:
             except (ConfigurationError, TypeError, ValueError, AttributeError):
                 return False
             self._put(job)
-            self._max_id = max(self._max_id, job_id)
         else:
             job.apply(state)
             self._index(job)
@@ -369,25 +348,13 @@ class JobStore:
         return jobs
 
     def _allocate_id(self) -> int:
-        """Claim the next free job id atomically across processes.
+        """The next free job id (caller holds both locks and followed).
 
-        The id is reserved by O_EXCL-creating its (empty) job file, so
-        two stores submitting to one queue directory can never hand out
-        the same id.
+        Every id handed out is in a journal line this store folded, or
+        (rotated out) names a job file it read, so the next is free.
         """
-        candidate = self._max_id
-        while True:
-            candidate += 1
-            try:
-                descriptor = os.open(
-                    self.job_path(candidate),
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                )
-            except FileExistsError:
-                continue  # another process holds it; try the next id
-            os.close(descriptor)
-            self._max_id = candidate
-            return candidate
+        self._max_id += 1
+        return self._max_id
 
     def _live_twin(self, job: Job) -> Job | None:
         """The oldest pending/running job with the same fingerprint, if any."""
@@ -433,28 +400,29 @@ class JobStore:
         The one way a job leaves ``pending`` (for a runner, through
         :meth:`FleetCoordinator.claim
         <repro.fleet.coordinator.FleetCoordinator.claim>`), in claim
-        order (:meth:`Job.sort_key`); the O_EXCL claim marker keeps a
-        second store *process* on this queue directory from taking a
-        job too.  ``classify(job)`` is called under the store lock (so
-        it must be cheap — a cache *probe*, not a cache read) and
-        returns one of:
+        order (:meth:`Job.sort_key`), under the journal's lock.
+        ``classify(job)`` is called under the store lock (so it must be
+        cheap — a cache *probe*, not a cache read) and returns one of:
 
         - ``None`` — skip; the job stays pending for another claimant,
-        - ``"lease"`` — claim it ``running`` for the caller to execute,
+        - ``"lease"`` — claim it ``running`` for the caller to execute
+          under an O_EXCL claim marker (skipped if another holds it),
+        - ``("compute", fingerprint)`` — a run job the cache misses:
+          leased, unless a running job has that fingerprint; then it
+          stays pending until that twin ends and a claim serves it,
         - ``("serve", run_id, metrics)`` — an already-cached run-kind
-          job; it completes instantly, never leaving the master.
+          job; it completes instantly, never leaving the master, and
+          no other store ever sees it running.
 
         Past ``max_leased`` leases (default: no bound), jobs to lease
         stay pending while cached ones are still served.  Returns
-        ``(served, leased)``.  All journal lines of the batch land in
-        one fsynced append (see :meth:`_persist_batch`): a
-        fully-cached 10k-job drain costs hundreds, not tens of
-        thousands, of fsyncs — the difference between ~100 jobs/s and
-        the >1k jobs/s fleet benchmark bar.
+        ``(served, leased)``; the batch's lines land in one fsynced
+        append (:meth:`_persist_batch`).
         """
         served: list[Job] = []
         leased: list[Job] = []
         batch: list[tuple[Job, dict[str, object]]] = []
+        computing: set[str | None] | None = None  # built when needed
         with self._changed, self.journal.locked():
             self._follow()
             for job in sorted(self._with_status(PENDING), key=Job.sort_key):
@@ -463,15 +431,25 @@ class JobStore:
                 verdict = classify(job)
                 if verdict is None:
                     continue
-                lease = verdict == "lease" or job.kind != KIND_RUN
+                tag = verdict if isinstance(verdict, str) else verdict[0]
+                lease = tag != "serve" or job.kind != KIND_RUN
                 if lease and len(leased) == max_leased:
                     continue
-                if not self._take_claim(job.job_id, worker):
+                key = verdict[1] if tag == "compute" else None
+                if key is not None:
+                    if computing is None:
+                        running = self._with_status(RUNNING)
+                        computing = {other.fingerprint() for other in running}
+                    if key in computing:
+                        continue  # served once its running twin ends
+                if lease and not self._take_claim(job.job_id, worker):
                     continue
                 job.transition(RUNNING)
                 if identity is not None:
                     job.assign_runner(*identity)
                 if lease:
+                    if computing is not None:
+                        computing.add(key)
                     batch.append((job, self._entry(
                         job, "started", STARTED, worker=worker
                     )))
@@ -483,8 +461,6 @@ class JobStore:
                 )))
                 served.append(job)
             self._persist_batch(batch)
-            for job in served:
-                self._claim_path(job.job_id).unlink(missing_ok=True)
         return served, leased
 
     def release(self, job: Job, event: str = "lease_expired") -> None:
@@ -510,15 +486,13 @@ class JobStore:
 
     def _take_claim(self, job_id: int, worker: str) -> bool:
         """Create the O_EXCL claim marker; False if another holder won."""
+        marker = self._claim_path(job_id)
         try:
-            descriptor = os.open(
-                self._claim_path(job_id),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             return False
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {worker}\n")
+        os.write(fd, f"{os.getpid()} {worker}\n".encode())
+        os.close(fd)
         return True
 
     def update_progress(
@@ -631,16 +605,15 @@ class JobStore:
         """Return a terminal job to ``pending`` (attempt counter bumped).
 
         The ``requeued`` line carries the whole job, as a submission
-        does, so the job's snapshot is emptied back to the id
-        reservation: it describes an attempt that is over.
+        does, so the job's snapshot is emptied: it describes an attempt
+        that is over.
         """
         with self._changed, self.journal.locked():
             self._follow()
             job = self.get(job_id)
             job.transition(PENDING)
             self._persist(job, "requeued")
-            with contextlib.suppress(FileNotFoundError):
-                os.truncate(self.job_path(job.job_id), 0)
+            self.job_path(job.job_id).write_bytes(b"")
         return job
 
     def snapshot(self) -> dict[str, object]:
@@ -741,7 +714,7 @@ class JobStore:
     # Persistence internals
     # ------------------------------------------------------------------
     def job_path(self, job_id: int) -> pathlib.Path:
-        """The reservation and snapshot path of one job id."""
+        """The snapshot path of one job id."""
         return self.jobs_dir / f"{job_id}.json"
 
     def _persist(
@@ -761,12 +734,10 @@ class JobStore:
         """Journal many prepared entries with ONE fsynced append.
 
         Caller holds both locks and built each entry with
-        :meth:`_entry`.  The journal fsyncs once per append, so the
-        batched drain/submit paths hand it all their lines at once —
-        this is what lifts fully-cached throughput from per-job fsync
-        pacing to >1k jobs/s.  Jobs the batch ended are counted and
-        snapshotted after the append, and every live job is snapshotted
-        before an append that rotates the journal.
+        :meth:`_entry`.  The batched claim and submit paths hand it all
+        their lines at once, so a batch costs one fsync.  Jobs the batch
+        ended are counted and snapshotted after the append, and every
+        live job is snapshotted before an append that rotates the journal.
         """
         if not batch:
             return
@@ -906,6 +877,30 @@ def _summary(entry: dict[str, object]) -> dict[str, object]:
     if STATE not in entry:
         return entry
     return {key: value for key, value in entry.items() if key != STATE}
+
+
+def _holder_alive(marker: pathlib.Path) -> bool:
+    """Whether the pid written into a claim marker is still running.
+
+    A SIGKILLed daemon can linger as an unreaped *zombie* — its pid
+    still answers ``kill(pid, 0)`` but it will never finish its jobs —
+    so on Linux the ``/proc`` state is consulted too.
+    """
+    try:
+        pid = int(marker.read_text(encoding="utf-8").split()[0])
+    except (OSError, ValueError, IndexError):
+        return False
+    if pid == os.getpid():
+        return False  # our own previous life cannot still be running
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by another user
+    except OSError:
+        return False
+    return not _is_zombie(pid)
 
 
 def _is_zombie(pid: int) -> bool:

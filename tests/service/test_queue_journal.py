@@ -6,7 +6,7 @@ reopens and rotations, the snapshot written when a job ends, recovery
 of a root in the older layout (job files rewritten on every transition,
 journal lines without job fields), a SIGKILL between a terminal line
 and its snapshot, other stores following the journal, and the fsync
-budget of a cached job.
+and file-creation budgets of a cached job.
 """
 
 from __future__ import annotations
@@ -192,11 +192,11 @@ class TestCrash:
         (last,) = read_json_lines(root / "queue" / "journal.jsonl")[-1:]
         assert last["event"] == DONE
         job_file = root / "queue" / "jobs" / "1.json"
-        assert job_file.read_text() == ""  # the snapshot never landed
+        assert not job_file.exists()  # the snapshot never landed
 
         peek = JobStore(root)  # read-only: folds, writes nothing
         assert peek.get(1).status == DONE
-        assert job_file.read_text() == ""
+        assert not job_file.exists()
         store = JobStore(root, recover=True)
         job = store.get(1)
         assert job.status == DONE and job.metrics == {"car": 9.5}
@@ -352,6 +352,53 @@ def test_cached_job_costs_at_most_three_fsyncs(root, monkeypatch):
     # and the terminal snapshot; a served job writes no telemetry line.
     assert len(queue) == 3 or "?" in synced
     assert len(synced) <= 3
+
+
+#: Paths under a queue directory that a running test counts the
+#: creations of (None when no test counts); see :func:`_count_creations`.
+_created: list[str] | None = None
+_queue_marker = f"{os.sep}queue{os.sep}"
+
+
+def _count_creations(event, args):
+    """Audit hook: record each open that creates a file under ``queue/``.
+
+    Audit hooks see every open, ``os.open`` and C-level ones included,
+    and a file counts when it is created even if it is unlinked again.
+    """
+    if event != "open" or _created is None or isinstance(args[0], int):
+        return
+    path = os.fspath(args[0])
+    if _queue_marker in path and args[2] & os.O_CREAT and not os.path.exists(
+        path
+    ):
+        _created.append(path)
+
+
+sys.addaudithook(_count_creations)  # idle while ``_created`` is None
+
+
+def test_cached_jobs_create_at_most_one_file_each(root):
+    global _created
+    RunEngine(root=root).run("E6", quick=True)  # warm the cache
+    service = ExperimentService(root=root, port=0, use_processes=False)
+    submit = {"experiment": "E6", "quick": True, "dedupe": False}
+    service.runner.start()
+    try:
+        warm = service.dispatch("submit", submit)["job"]
+        assert service.store.wait_job(warm["job_id"], 60.0).status == DONE
+        _created = []
+        jobs = [service.dispatch("submit", submit)["job"] for _ in range(20)]
+        for job in jobs:
+            done = service.store.wait_job(job["job_id"], 60.0)
+            assert done.status == DONE and done.cached_points == 1
+        created = _created
+    finally:
+        _created = None
+        service.runner.stop()
+    # Each job's snapshot (its temp file); no id reservation, and no
+    # claim marker for a job served at a claim.
+    assert len(created) <= len(jobs), created
 
 
 def test_health_cost_does_not_grow_with_the_cache(root):

@@ -348,6 +348,32 @@ class TestClaimDoor:
             workers.stop()
         assert [store.get(job.job_id).status for job in jobs] == [DONE] * 2
 
+    def test_a_twin_of_a_computing_job_is_served_its_result(self, root):
+        store = JobStore(root)
+        workers = workers_for(store, RunEngine(root=root), workers=2)
+        computed = []
+        real_compute = workers._compute
+
+        def slow_compute(spec):
+            computed.append(spec)
+            time.sleep(0.3)  # the idle worker claims meanwhile
+            return real_compute(spec)
+
+        workers._compute = slow_compute
+        first, second = (
+            store.submit("E6", quick=True, dedupe=False)[0] for _ in range(2)
+        )
+        workers.start()
+        try:
+            assert store.wait_idle(60.0)
+        finally:
+            workers.client.stop()
+            workers.stop()
+        assert len(computed) == 1
+        assert store.get(first.job_id).cached_points == 0
+        assert store.get(second.job_id).status == DONE
+        assert store.get(second.job_id).cached_points == 1
+
     def test_a_remote_runner_does_not_spin_behind_busy_workers(self, root):
         # The analysis job stays pending while the one local worker is
         # busy, and no other runner may take it: the remote runner's

@@ -1,5 +1,8 @@
 """JobStore: persistence, priority claims, dedup, cancel, recovery."""
 
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -30,9 +33,9 @@ class TestSubmit:
         job, deduped = store.submit("e6", quick=True, priority=2)
         assert not deduped
         assert job.status == PENDING and job.experiment_id == "E6"
-        # The job file is the id's empty reservation; the submission's
-        # journal line carries the whole job document.
-        assert store.job_path(job.job_id).read_text() == ""
+        # No job file until the job ends: the submission's journal line
+        # carries the whole job document.
+        assert not store.job_path(job.job_id).exists()
         (line,) = read_json_lines(store.journal_path)
         assert line["job"] == job.fields()
         assert line["job"]["priority"] == 2
@@ -191,8 +194,9 @@ class TestPersistenceAndRecovery:
         assert inspector.jobs(RUNNING)
 
     def test_two_submitting_stores_never_clobber_ids(self, root):
-        # Two stores (as from two processes) submit interleaved: the
-        # O_EXCL id reservation must keep every job file distinct.
+        # Two stores (as from two processes) submit interleaved: each
+        # allocates under the journal lock after folding the other's
+        # lines, so every id is distinct.
         store_a = JobStore(root)
         store_b = JobStore(root)  # boots with the same (empty) snapshot
         a1, _ = store_a.submit("E6", params={"pump_mw": 1.0})
@@ -202,6 +206,58 @@ class TestPersistenceAndRecovery:
         fresh = JobStore(root)
         assert fresh.get(a1.job_id).experiment_id == "E6"
         assert fresh.get(b1.job_id).experiment_id == "E7"
+
+    def test_two_processes_submitting_at_once_get_each_id_once(self, root):
+        script = textwrap.dedent("""
+            import pathlib, sys, time
+            from repro.service.store import JobStore
+
+            root, name = pathlib.Path(sys.argv[1]), sys.argv[2]
+            store = JobStore(root)
+            (root / f"ready-{name}").touch()
+            while len(list(root.glob("ready-*"))) < 2:
+                time.sleep(0.001)
+            for n in range(200):
+                store.submit("E6", dedupe=False, params={"w": name, "n": n})
+        """)
+        root.mkdir(parents=True)
+        writers = [
+            subprocess.Popen([sys.executable, "-c", script, str(root), name])
+            for name in "ab"
+        ]
+        for writer in writers:
+            assert writer.wait(timeout=300) == 0
+        store = JobStore(root)
+        jobs = store.jobs()
+        assert sorted(job.job_id for job in jobs) == list(range(1, 401))
+        assert {(job.params["w"], job.params["n"]) for job in jobs} == {
+            (name, n) for name in "ab" for n in range(200)
+        }
+        lines = read_json_lines(store.journal_path)
+        assert sorted(line["job_id"] for line in lines) == list(range(1, 401))
+
+    def test_ids_named_by_unbuildable_lines_or_files_are_not_reused(
+        self, root
+    ):
+        writer = JobStore(root)
+        follower = JobStore(root)  # opened before the lines it follows
+
+        def foreign_line(job_id):
+            # A job kind this version cannot build (a newer writer's).
+            with writer.journal.locked():
+                writer.journal.append([{
+                    "event": "submitted", "job_id": job_id,
+                    "job": {"job_id": job_id, "kind": "calibrate"},
+                }])
+
+        foreign_line(7)
+        assert JobStore(root).submit("E6")[0].job_id == 8
+        foreign_line(20)
+        assert follower.submit("E6", dedupe=False)[0].job_id == 21
+        (writer.jobs_dir / "30.json").write_text("")  # an old reservation
+        assert JobStore(root).submit("E6", dedupe=False)[0].job_id == 31
+        (writer.jobs_dir / "40.json").write_text("{torn")
+        assert JobStore(root).submit("E6", dedupe=False)[0].job_id == 41
 
     def test_running_store_journal_stays_bounded(self, root, monkeypatch):
         import repro.service.store as store_module
