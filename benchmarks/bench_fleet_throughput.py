@@ -6,7 +6,7 @@ result cache while real ``repro runner`` subprocesses hammer the
 ``runner.claim`` RPC over HTTP.  Every spec is already cached, so each
 job's cost is pure coordination — one classify probe under the store
 lock, one batched journal append, zero compute — which is exactly the
-regime the batched ``store.drain`` + ``submit_batch`` fsync
+regime the batched ``JobStore.claim`` + ``submit_batch`` fsync
 amortisation was built for.
 
 The bar is adaptive to the CPUs this process may schedule onto:

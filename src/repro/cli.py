@@ -16,7 +16,6 @@ Analysis subcommands (the archive as a query surface)::
 
     python -m repro index                 # refresh + summarise the run index
     python -m repro query --experiment E7 --where pump_mw=2:8
-    python -m repro browse                # interactive archive browser
     python -m repro analyze --pipeline paper-summary
     python -m repro report                # archive-backed if analyzed,
                                           # live recompute otherwise
@@ -530,16 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds per poll cycle (live) or frame (replay); default 1.0",
     )
     _add_service_options(dashboard_parser)
-
-    browse_parser = subparsers.add_parser(
-        "browse",
-        help="interactive archive browser (filter, sort, inspect runs)",
-    )
-    browse_parser.add_argument(
-        "--archive-dir",
-        default=None,
-        help="engine root directory (default $REPRO_RUNTIME_ROOT or ./repro-runs)",
-    )
 
     metrics_parser = subparsers.add_parser(
         "metrics",
@@ -1460,15 +1449,6 @@ def command_dashboard(args: argparse.Namespace) -> int:
         return 0
 
 
-def command_browse(args: argparse.Namespace) -> int:
-    """The interactive archive browser over the run index."""
-    from repro.analysis.browse import ArchiveBrowser
-
-    return ArchiveBrowser(_telemetry_root(args)).run(
-        sys.stdin, sys.stdout
-    )
-
-
 def _telemetry_root(args: argparse.Namespace):
     """The engine root whose ``obs/`` journal telemetry commands read."""
     import pathlib
@@ -1812,7 +1792,6 @@ _COMMANDS = {
     "watch": command_watch,
     "cancel": command_cancel,
     "dashboard": command_dashboard,
-    "browse": command_browse,
     "metrics": command_metrics,
     "trace": command_trace,
     "bench-report": command_bench_report,

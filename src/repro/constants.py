@@ -42,13 +42,6 @@ TELECOM_BANDS = {
 }
 
 
-def wavelength_to_frequency(wavelength_m: float) -> float:
-    """Convert a vacuum wavelength [m] to an optical frequency [Hz]."""
-    if wavelength_m <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_m!r}")
-    return SPEED_OF_LIGHT / wavelength_m
-
-
 def frequency_to_wavelength(frequency_hz: float) -> float:
     """Convert an optical frequency [Hz] to a vacuum wavelength [m]."""
     if frequency_hz <= 0:
@@ -72,10 +65,3 @@ def band_of_wavelength(wavelength_m: float) -> str:
 def band_of_frequency(frequency_hz: float) -> str:
     """Return the telecom band letter containing an optical frequency [Hz]."""
     return band_of_wavelength(frequency_to_wavelength(frequency_hz))
-
-
-def photon_energy(frequency_hz: float) -> float:
-    """Energy of a single photon at ``frequency_hz`` [J]."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
-    return PLANCK * frequency_hz

@@ -181,13 +181,6 @@ class CheckResult:
     suppressed: int
     checked_files: int
 
-    def by_rule(self) -> dict[str, int]:
-        """Finding counts per rule id (for summaries)."""
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return counts
-
 
 class Checker:
     """Runs a set of rules over a set of files or directory trees."""

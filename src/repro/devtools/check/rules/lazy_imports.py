@@ -93,7 +93,6 @@ LIGHT_MODULES = frozenset(
         "repro.service.store",
         "repro.analysis",
         "repro.analysis.analyzers",
-        "repro.analysis.browse",
         "repro.analysis.index",
         "repro.analysis.pipelines",
         "repro.analysis.report",

@@ -85,9 +85,6 @@ class FleetCoordinator:
     lease_ttl_s:
         Seconds without a heartbeat before a runner is declared lost
         and its leased jobs return to ``pending``.
-    claim_batch:
-        Upper bound on jobs one claim ends or leases, cached ones
-        served inline included.
     on_event:
         Optional ``callable(message: str)`` receiving one line per
         fleet lifecycle change (the CLI's ``serve`` log).
@@ -98,7 +95,6 @@ class FleetCoordinator:
         store: JobStore,
         engine: RunEngine,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-        claim_batch: int = DEFAULT_CLAIM_BATCH,
         on_event=None,
     ) -> None:
         if lease_ttl_s <= 0:
@@ -108,7 +104,6 @@ class FleetCoordinator:
         self.store = store
         self.engine = engine
         self.lease_ttl_s = float(lease_ttl_s)
-        self.claim_batch = max(1, int(claim_batch))
         self.on_event = on_event
         self._lock = threading.Lock()
         self._runners: dict[str, dict[str, object]] = {}
@@ -209,7 +204,8 @@ class FleetCoordinator:
         The one door through which jobs leave ``pending``.  Cache-hit
         run jobs never leave the master: the store's batched claim
         serves them inline (see :meth:`_classify`), up to
-        ``claim_batch`` jobs per claim, and only the genuinely-pending
+        :data:`~repro.fleet.protocol.DEFAULT_CLAIM_BATCH` jobs per claim,
+        cached ones included, and only the genuinely-pending
         remainder is leased.  A claim that gets nothing waits up to
         :data:`~repro.fleet.protocol.IDLE_POLL_S` for a job to become
         pending before it answers, so an idle runner neither spins nor
@@ -220,11 +216,11 @@ class FleetCoordinator:
             doc["last_beat_unix"] = time.time()
             identity = (runner_id, str(doc["host"]), int(doc["pid"]))
             local = _in_process(doc)
-        limit = min(self.claim_batch, int(max_jobs or self.claim_batch))
+        limit = min(DEFAULT_CLAIM_BATCH, int(max_jobs or DEFAULT_CLAIM_BATCH))
         seen = self.store.work_seq
         served, leased = self.store.claim(
             runner_id,
-            self.claim_batch,
+            DEFAULT_CLAIM_BATCH,
             lambda job: self._classify(job, local),
             identity=identity,
             max_leased=max(1, limit),
@@ -442,7 +438,7 @@ class FleetCoordinator:
             counts = self._counts()
         return {
             "lease_ttl_s": self.lease_ttl_s,
-            "claim_batch": self.claim_batch,
+            "claim_batch": DEFAULT_CLAIM_BATCH,
             "counts": counts,
             "expired_total": self._expired_total,
             "runners": runners,

@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from repro.errors import ConfigurationError, PhysicsError
 from repro.photonics.resonator import Microring
 
@@ -161,13 +159,3 @@ class TypeIIProcess:
         """Stimulated-FWM suppression in dB (positive = suppressed)."""
         factor = self.stimulated_suppression()
         return -10.0 * math.log10(max(factor, 1e-300))
-
-
-def quadratic_power_scaling(
-    powers_w: np.ndarray, coefficient_hz_per_w2: float
-) -> np.ndarray:
-    """Convenience: R(P) = c·P² for sweep benchmarks."""
-    powers = np.asarray(powers_w, dtype=float)
-    if np.any(powers < 0):
-        raise PhysicsError("pump powers must be >= 0")
-    return coefficient_hz_per_w2 * powers**2

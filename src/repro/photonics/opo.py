@@ -77,37 +77,3 @@ class ParametricOscillator:
         if pump_power_w < 0:
             raise PhysicsError("pump power must be >= 0")
         return min(pump_power_w / self.threshold_power_w, 1.0)
-
-    @classmethod
-    def from_ring_parameters(
-        cls,
-        field_enhancement_power: float,
-        nonlinear_parameter_per_w_m: float,
-        circumference_m: float,
-        round_trip_loss: float,
-        slope_efficiency: float = 0.08,
-        below_threshold_coefficient_w_per_w2: float = 2.0e-6,
-    ) -> "ParametricOscillator":
-        """Derive the threshold from ring physics.
-
-        Threshold condition: parametric round-trip gain equals round-trip
-        loss, γ·P_circ·L = loss/2, with P_circ = FE²·P_in, giving
-        P_th = loss / (2·γ·L·FE²).
-        """
-        if field_enhancement_power <= 0:
-            raise ConfigurationError("field enhancement must be positive")
-        if nonlinear_parameter_per_w_m <= 0 or circumference_m <= 0:
-            raise ConfigurationError("gamma and circumference must be positive")
-        if not 0 < round_trip_loss < 1:
-            raise ConfigurationError("round-trip loss must be in (0, 1)")
-        threshold = round_trip_loss / (
-            2.0
-            * nonlinear_parameter_per_w_m
-            * circumference_m
-            * field_enhancement_power
-        )
-        return cls(
-            threshold_power_w=threshold,
-            below_threshold_coefficient_w_per_w2=below_threshold_coefficient_w_per_w2,
-            slope_efficiency=slope_efficiency,
-        )

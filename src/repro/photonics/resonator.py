@@ -199,21 +199,6 @@ class Microring:
         detuning = np.asarray(detuning_hz, dtype=float)
         return half_width / (half_width - 1j * detuning)
 
-    def drop_port_transmission(
-        self, detuning_hz: np.ndarray | float, polarization: str = "TE"
-    ) -> np.ndarray:
-        """Drop-port intensity transfer vs detuning from resonance.
-
-        T_drop(φ) = κ⁴·a / |1 - t²·a·e^{iφ}|² with φ = 2π·Δ/FSR.
-        """
-        detuning = np.asarray(detuning_hz, dtype=float)
-        phi = 2.0 * math.pi * detuning / self.free_spectral_range(polarization)
-        t_sq_a = self.coupling.loop_factor
-        kappa_sq = self.coupling.cross_coupling_power
-        numerator = kappa_sq**2 * self.coupling.round_trip_transmission
-        denominator = np.abs(1.0 - t_sq_a * np.exp(1j * phi)) ** 2
-        return numerator / denominator
-
     def field_enhancement_power(self) -> float:
         """Resonant intracavity intensity enhancement."""
         return self.coupling.field_enhancement_power

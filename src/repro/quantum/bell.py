@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -76,14 +75,6 @@ def chsh_value(state: DensityMatrix, settings: CHSHSettings | None = None) -> fl
     )
 
 
-def chsh_from_correlations(correlations: Sequence[float]) -> float:
-    """S from four measured correlations (a₁b₁, a₁b₂, a₂b₁, a₂b₂)."""
-    if len(correlations) != 4:
-        raise ValueError(f"CHSH needs exactly 4 correlations, got {len(correlations)}")
-    e11, e12, e21, e22 = correlations
-    return e11 + e12 + e21 - e22
-
-
 def correlation_matrix(state: DensityMatrix) -> np.ndarray:
     """T_ij = Tr(ρ · σᵢ ⊗ σⱼ) for i, j ∈ {x, y, z}."""
     if state.dims != (2, 2):
@@ -119,20 +110,6 @@ def visibility_to_chsh(visibility: float) -> float:
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {visibility}")
     return TSIRELSON_BOUND * visibility
-
-
-def chsh_to_visibility(s_value: float) -> float:
-    """Inverse of :func:`visibility_to_chsh`."""
-    if s_value < 0:
-        raise ValueError(f"S must be >= 0, got {s_value}")
-    return s_value / TSIRELSON_BOUND
-
-
-def violates_chsh(s_value: float, s_error: float = 0.0, n_sigma: float = 0.0) -> bool:
-    """True if S exceeds the classical bound by ``n_sigma`` standard errors."""
-    if s_error < 0 or n_sigma < 0:
-        raise ValueError("s_error and n_sigma must be >= 0")
-    return s_value - n_sigma * s_error > CLASSICAL_BOUND
 
 
 #: Minimum Werner-state visibility that still violates CHSH.

@@ -1,4 +1,4 @@
-"""Entanglement measures: concurrence, negativity, PPT, entropy."""
+"""Entanglement measures: concurrence, negativity, PPT."""
 
 from __future__ import annotations
 
@@ -31,15 +31,6 @@ def concurrence(state: DensityMatrix) -> float:
     roots.sort()
     value = roots[-1] - roots[-2] - roots[-3] - roots[-4]
     return float(max(0.0, value))
-
-
-def entanglement_of_formation(state: DensityMatrix) -> float:
-    """EoF of a two-qubit state via Wootters' formula, in ebits."""
-    c = concurrence(state)
-    if c == 0:
-        return 0.0
-    x = (1.0 + np.sqrt(1.0 - c**2)) / 2.0
-    return float(_binary_entropy(x))
 
 
 def partial_transpose(state: DensityMatrix, subsystem: int) -> np.ndarray:
@@ -78,18 +69,3 @@ def is_ppt(state: DensityMatrix, subsystem: int = 0, atol: float = 1e-9) -> bool
     pt = partial_transpose(state, subsystem)
     eigenvalues = np.linalg.eigvalsh(pt)
     return bool(eigenvalues.min() >= -atol)
-
-
-def entanglement_entropy(state: DensityMatrix, keep: tuple[int, ...] = (0,)) -> float:
-    """Von Neumann entropy of the reduced state — exact for pure ρ only.
-
-    For the pure two-qubit Bell states this is 1 ebit.
-    """
-    reduced = state.partial_trace(list(keep))
-    return reduced.von_neumann_entropy()
-
-
-def _binary_entropy(x: float) -> float:
-    if x <= 0 or x >= 1:
-        return 0.0
-    return -x * np.log2(x) - (1 - x) * np.log2(1 - x)

@@ -67,15 +67,3 @@ def sample_outcomes(
             "sampling requires a complete set"
         )
     return rng.multinomial(shots, probabilities)
-
-
-def correlation_counts_to_expectation(counts: np.ndarray, parities: np.ndarray) -> float:
-    """⟨A⊗B…⟩ estimate from outcome counts and their ±1 parities."""
-    counts = np.asarray(counts, dtype=float)
-    parities = np.asarray(parities, dtype=float)
-    if counts.shape != parities.shape:
-        raise ValueError("counts and parities must align")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("no counts recorded")
-    return float(np.dot(counts, parities) / total)

@@ -67,18 +67,6 @@ def dephasing(state: DensityMatrix, probability: float, qubit: int) -> DensityMa
     return DensityMatrix(result, state.dims)
 
 
-def dephasing_from_phase_noise(sigma_rad: float) -> float:
-    """Map Gaussian phase noise (std dev, radians) to a phase-flip probability.
-
-    Averaging e^{iφ} over φ ~ N(0, σ²) multiplies coherences by e^{-σ²/2};
-    the phase-flip channel multiplies them by (1 - 2p), so
-    p = (1 - e^{-σ²/2})/2.
-    """
-    if sigma_rad < 0:
-        raise PhysicsError(f"phase noise must be >= 0, got {sigma_rad}")
-    return float((1.0 - np.exp(-(sigma_rad**2) / 2.0)) / 2.0)
-
-
 def amplitude_damping(
     state: DensityMatrix, probability: float, qubit: int
 ) -> DensityMatrix:

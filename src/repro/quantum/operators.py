@@ -50,16 +50,6 @@ def qubit_rotation(axis: Sequence[float], angle: float) -> np.ndarray:
     )
 
 
-def phase_gate(phi: float) -> np.ndarray:
-    """diag(1, e^{iφ}) — the phase an analysis interferometer applies."""
-    return np.diag([1.0, np.exp(1j * phi)]).astype(complex)
-
-
-def hadamard() -> np.ndarray:
-    """The Hadamard gate."""
-    return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-
-
 def embed(
     operator: np.ndarray, target: int, num_qubits: int
 ) -> np.ndarray:

@@ -25,11 +25,6 @@ def plus_state() -> np.ndarray:
     return (hilbert.basis_ket(2, 0) + hilbert.basis_ket(2, 1)) / np.sqrt(2.0)
 
 
-def minus_state() -> np.ndarray:
-    """(|0⟩ - |1⟩)/√2."""
-    return (hilbert.basis_ket(2, 0) - hilbert.basis_ket(2, 1)) / np.sqrt(2.0)
-
-
 def bell_state(kind: str = "phi+", phase: float = 0.0) -> np.ndarray:
     """One of the four Bell states, with an optional extra relative phase.
 

@@ -222,11 +222,9 @@ class RunEngine:
         Serve repeated specs from the content-addressed result cache.
     archive:
         Persist each run's datasets/result/manifest under ``runs/``.
-    index:
-        Maintain the archive index incrementally: every archived run
-        (success or failure) appends one journal op consumed by
-        :class:`repro.analysis.index.ArchiveIndex`.  Ignored when
-        ``archive`` is off.
+        Every archived run (success or failure) also appends one op to
+        the archive index's journal, consumed by
+        :class:`repro.analysis.index.ArchiveIndex`.
     max_workers:
         Upper bound on the shared pool's worker processes for
         multi-spec batches and sweeps (1 = in-process serial).
@@ -240,7 +238,6 @@ class RunEngine:
         root: str | pathlib.Path | None = None,
         use_cache: bool = True,
         archive: bool = True,
-        index: bool = True,
         max_workers: int = 1,
         progress: Callable[[str], None] | None = None,
     ) -> None:
@@ -254,7 +251,6 @@ class RunEngine:
             ResultCache(self.root / "cache") if use_cache else None
         )
         self.archive = archive
-        self.index = archive and index
         self.max_workers = max_workers
         self.progress = progress
         # First engine root of the process hosts the telemetry journal
@@ -548,7 +544,7 @@ class RunEngine:
                 continue
             shutil.rmtree(self.runs_dir / run_id, ignore_errors=True)
             removed.append(run_id)
-        if removed and self.index:
+        if removed and self.archive:
             from repro.analysis.index import journal_remove
 
             for run_id in removed:
@@ -741,8 +737,6 @@ class RunEngine:
         maintenance must never break a run, so failures only surface
         through the progress callback.
         """
-        if not self.index:
-            return
         from repro.analysis.index import (
             entry_from_outcome,
             journal_append,

@@ -50,14 +50,3 @@ def time_bin_multiphoton_state(pump_phase_rad: float, num_pairs: int) -> np.ndar
     for _ in range(num_pairs - 1):
         state = np.kron(state, pair)
     return state
-
-
-def arrival_slot(bin_index: int, took_long_arm: bool) -> int:
-    """Detector arrival slot after an analysis interferometer.
-
-    Slots: 0 = early+short, 1 = central (early+long or late+short),
-    2 = late+long.  Only slot 1 erases the which-pulse information.
-    """
-    if bin_index not in (0, 1):
-        raise ValueError(f"bin index must be 0 (early) or 1 (late), got {bin_index}")
-    return bin_index + (1 if took_long_arm else 0)

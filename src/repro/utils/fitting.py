@@ -187,15 +187,6 @@ def fit_fringe_harmonics(
     )
 
 
-def visibility_from_extrema(maximum: float, minimum: float) -> float:
-    """Classic (max-min)/(max+min) visibility from fringe extrema."""
-    if maximum < minimum:
-        raise ValueError("maximum must be >= minimum")
-    if maximum + minimum <= 0:
-        raise ValueError("extrema must not both be zero")
-    return (maximum - minimum) / (maximum + minimum)
-
-
 @dataclasses.dataclass(frozen=True)
 class ExponentialDecayFit:
     """Result of the coincidence-peak fit.

@@ -9,34 +9,9 @@ scipy's slow-to-import ``stats`` package.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
-
-
-@dataclasses.dataclass(frozen=True)
-class CountRate:
-    """A measured rate with its one-sigma Poisson uncertainty."""
-
-    counts: int
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.counts < 0:
-            raise ValueError(f"counts must be >= 0, got {self.counts}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
-
-    @property
-    def rate_hz(self) -> float:
-        """Point estimate of the rate [Hz]."""
-        return self.counts / self.duration_s
-
-    @property
-    def rate_error_hz(self) -> float:
-        """One-sigma Poisson error on the rate [Hz]."""
-        return math.sqrt(max(self.counts, 1)) / self.duration_s
 
 
 def poisson_interval(counts: int, confidence: float = 0.68) -> tuple[float, float]:

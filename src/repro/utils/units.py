@@ -42,33 +42,3 @@ def loss_db_to_transmission(loss_db: float) -> float:
     if loss_db < 0:
         raise ValueError(f"insertion loss must be >= 0 dB, got {loss_db!r}")
     return 10.0 ** (-loss_db / 10.0)
-
-
-def transmission_to_loss_db(transmission: float) -> float:
-    """Convert a transmission in (0, 1] to an insertion loss in dB."""
-    if not 0 < transmission <= 1:
-        raise ValueError(f"transmission must be in (0, 1], got {transmission!r}")
-    return -10.0 * math.log10(transmission)
-
-
-def hz_to_nm_bandwidth(bandwidth_hz: float, center_wavelength_m: float) -> float:
-    """Convert a small frequency bandwidth [Hz] to wavelength bandwidth [nm].
-
-    Uses the first-order relation ``dλ = λ² dν / c`` valid for
-    ``bandwidth_hz`` much smaller than the carrier frequency.
-    """
-    from repro.constants import SPEED_OF_LIGHT
-
-    if bandwidth_hz < 0 or center_wavelength_m <= 0:
-        raise ValueError("bandwidth must be >= 0 and wavelength > 0")
-    return center_wavelength_m**2 * bandwidth_hz / SPEED_OF_LIGHT * 1e9
-
-
-def seconds_to_ps(duration_s: float) -> float:
-    """Convert seconds to picoseconds."""
-    return duration_s * 1e12
-
-
-def ps_to_seconds(duration_ps: float) -> float:
-    """Convert picoseconds to seconds."""
-    return duration_ps * 1e-12

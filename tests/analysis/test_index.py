@@ -7,7 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.index import (
+    JOURNAL_FILE,
     ArchiveIndex,
+    index_dir,
     parse_where,
     scan_run_dir,
 )
@@ -95,9 +97,14 @@ class TestIncrementalMaintenance:
         assert len(index) == 2
 
     def test_refresh_survives_foreign_runs_without_journal(self, engine):
-        # Simulate an archive written by an engine with index=False.
-        other = RunEngine(root=engine.root, index=False)
-        spec = archive_run(other, "E3", seed=9)
+        # A run directory whose index op-log line is missing.
+        spec = archive_run(engine, "E3", seed=9)
+        journal_path = index_dir(engine.root) / JOURNAL_FILE
+        lines = journal_path.read_text().splitlines(keepends=True)
+        journal_path.write_text(
+            "".join(line for line in lines if spec.run_id() not in line)
+        )
+        assert ArchiveIndex(engine.root).load().get(spec.run_id()) is None
         index = ArchiveIndex(engine.root).refresh()
         assert index.get(spec.run_id()) is not None
 

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.fleet import coordinator
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.runner import FleetRunner
 from repro.runtime.engine import RunEngine
@@ -74,17 +75,19 @@ def _local_drain(root):
 
 
 @pytest.fixture
-def mixed_drain(tmp_path):
+def mixed_drain(tmp_path, monkeypatch):
     """The master's workers + a second runner over the mixed queue.
 
     The runner claims first and its first compute waits until a worker
     has finished a job, so both executors demonstrably run work
-    regardless of machine speed.
+    regardless of machine speed.  Claims of two jobs spread the queue
+    over both executors.
     """
+    monkeypatch.setattr(coordinator, "DEFAULT_CLAIM_BATCH", 2)
     root = tmp_path / "shared"
     engine = _warm(root)
     store = JobStore(root)
-    fleet = FleetCoordinator(store, engine, lease_ttl_s=30.0, claim_batch=2)
+    fleet = FleetCoordinator(store, engine, lease_ttl_s=30.0)
     workers = workers_for(store, engine, workers=2, fleet=fleet)
     workers.register()
     runner = FleetRunner("in-process", workers=1, use_processes=False,

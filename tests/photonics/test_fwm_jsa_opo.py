@@ -8,7 +8,6 @@ from repro.photonics.fwm import (
     SFWMProcess,
     TypeIIProcess,
     phase_mismatch_suppression,
-    quadratic_power_scaling,
 )
 from repro.photonics.jsa import purity_vs_pump_bandwidth, ring_jsa
 from repro.photonics.opo import ParametricOscillator
@@ -57,10 +56,6 @@ class TestSFWM:
         mu = process.pair_probability_per_coherence_time(15e-3)
         xi = process.squeezing_parameter(15e-3)
         assert np.isclose(np.sinh(xi) ** 2, mu, rtol=1e-9)
-
-    def test_quadratic_scaling_helper(self):
-        rates = quadratic_power_scaling(np.array([1.0, 2.0, 3.0]), 2.0)
-        assert np.allclose(rates, [2.0, 8.0, 18.0])
 
 
 class TestSuppression:
@@ -182,16 +177,6 @@ class TestOPO:
         opo = ParametricOscillator(threshold_power_w=14e-3)
         assert opo.clamped_gain(7e-3) == 0.5
         assert opo.clamped_gain(28e-3) == 1.0
-
-    def test_from_ring_parameters(self):
-        opo = ParametricOscillator.from_ring_parameters(
-            field_enhancement_power=400.0,
-            nonlinear_parameter_per_w_m=0.25,
-            circumference_m=2 * np.pi * 135e-6,
-            round_trip_loss=0.0012,
-        )
-        # P_th = loss / (2 gamma L FE^2) lands in the mW regime.
-        assert 1e-3 < opo.threshold_power_w < 50e-3
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -89,13 +89,6 @@ class TestRingResponse:
         value = abs(ring.lorentzian_amplitude(detuning))
         assert value <= 1.0 + 1e-12
 
-    @SETTINGS
-    @given(st.floats(min_value=-100e9, max_value=100e9))
-    def test_drop_transmission_physical(self, detuning):
-        ring = ring_for_linewidth(Waveguide(), 200e9, 800e6)
-        value = float(ring.drop_port_transmission(detuning))
-        assert 0.0 <= value <= 1.0 + 1e-12
-
 
 class TestCombInvariants:
     @SETTINGS

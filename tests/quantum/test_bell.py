@@ -46,14 +46,6 @@ class TestCHSHValue:
         s = bell_mod.chsh_value(product)
         assert abs(s) <= bell_mod.CLASSICAL_BOUND + 1e-9
 
-    def test_chsh_from_correlations(self):
-        s = bell_mod.chsh_from_correlations([0.7, 0.7, 0.7, -0.7])
-        assert np.isclose(s, 2.8)
-
-    def test_chsh_from_correlations_needs_four(self):
-        with pytest.raises(ValueError):
-            bell_mod.chsh_from_correlations([1.0, 1.0])
-
 
 class TestHorodecki:
     def test_bell_maximum(self, phi_plus):
@@ -91,25 +83,6 @@ class TestVisibilityRelation:
         v = bell_mod.VISIBILITY_VIOLATION_THRESHOLD
         assert np.isclose(bell_mod.visibility_to_chsh(v), 2.0)
 
-    def test_round_trip(self):
-        assert np.isclose(
-            bell_mod.chsh_to_visibility(bell_mod.visibility_to_chsh(0.6)), 0.6
-        )
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             bell_mod.visibility_to_chsh(1.2)
-
-
-class TestViolates:
-    def test_simple_violation(self):
-        assert bell_mod.violates_chsh(2.35)
-        assert not bell_mod.violates_chsh(1.9)
-
-    def test_with_sigma_margin(self):
-        assert bell_mod.violates_chsh(2.35, s_error=0.1, n_sigma=3)
-        assert not bell_mod.violates_chsh(2.2, s_error=0.1, n_sigma=3)
-
-    def test_negative_error_rejected(self):
-        with pytest.raises(ValueError):
-            bell_mod.violates_chsh(2.3, s_error=-0.1)

@@ -46,21 +46,6 @@ class TestConcurrence:
             assert np.isclose(entanglement.concurrence(state), 1.0)
 
 
-class TestEntanglementOfFormation:
-    def test_bell_is_one_ebit(self, bell):
-        assert np.isclose(entanglement.entanglement_of_formation(bell), 1.0)
-
-    def test_separable_zero(self, product):
-        assert entanglement.entanglement_of_formation(product) == 0.0
-
-    def test_monotone_in_visibility(self, bell):
-        values = [
-            entanglement.entanglement_of_formation(add_white_noise(bell, v))
-            for v in (0.5, 0.7, 0.9, 1.0)
-        ]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
 class TestNegativity:
     def test_bell_negativity_half(self, bell):
         assert np.isclose(entanglement.negativity(bell), 0.5)
@@ -79,16 +64,6 @@ class TestNegativity:
         # Werner states are separable iff V <= 1/3.
         assert entanglement.is_ppt(add_white_noise(bell, 0.33))
         assert not entanglement.is_ppt(add_white_noise(bell, 0.35))
-
-
-class TestEntanglementEntropy:
-    def test_bell_one_ebit(self, bell):
-        assert np.isclose(entanglement.entanglement_entropy(bell), 1.0)
-
-    def test_product_zero(self, product):
-        assert np.isclose(
-            entanglement.entanglement_entropy(product), 0.0, atol=1e-9
-        )
 
 
 class TestPartialTranspose:

@@ -73,15 +73,6 @@ class TestDephasing:
         result = noise.dephasing(bell, 0.3, 0)
         assert np.allclose(np.diag(result.matrix), np.diag(bell.matrix))
 
-    def test_phase_noise_mapping(self):
-        assert noise.dephasing_from_phase_noise(0.0) == 0.0
-        p = noise.dephasing_from_phase_noise(0.5)
-        assert np.isclose(p, (1 - np.exp(-0.125)) / 2)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(PhysicsError):
-            noise.dephasing_from_phase_noise(-1.0)
-
 
 class TestAmplitudeDamping:
     def test_full_damping_resets_to_ground(self):
@@ -141,9 +132,3 @@ class TestBornSampling:
         projs = setting_projectors("ZZ") + [np.eye(4, dtype=complex)]
         with pytest.raises(PhysicsError):
             measurement.born_probabilities(bell, projs)
-
-    def test_correlation_from_counts(self):
-        counts = np.array([40, 10, 10, 40])
-        parities = np.array([1.0, -1.0, -1.0, 1.0])
-        value = measurement.correlation_counts_to_expectation(counts, parities)
-        assert np.isclose(value, 0.6)

@@ -125,9 +125,6 @@ class TestQubitStates:
         with pytest.raises(ValueError):
             qubits.ghz_state(1)
 
-    def test_plus_minus_orthogonal(self):
-        assert np.isclose(np.vdot(qubits.plus_state(), qubits.minus_state()), 0.0)
-
     def test_two_bell_pairs_dimension(self):
         ket = qubits.two_bell_pairs()
         assert ket.shape == (16,)

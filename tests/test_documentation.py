@@ -2,15 +2,19 @@
 
 These tests keep the docs honest: every public item carries a docstring,
 every experiment id in the registry is indexed in DESIGN.md and
-EXPERIMENTS.md, and every bench file named there exists.
+EXPERIMENTS.md, every bench file named there exists, and every CLI
+subcommand the docs name is one the parser accepts.
 """
 
+import argparse
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import repro
+from repro.cli import build_parser
 from repro.experiments.registry import EXPERIMENTS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -106,3 +110,23 @@ class TestDesignDocIndex:
             content = script.read_text(encoding="utf-8")
             assert '"""' in content.split("\n", 2)[0] + content[:400]
             assert "__main__" in content
+
+
+class TestCommandNames:
+    def test_documented_subcommands_exist(self):
+        """Every `` `repro <word>`` or ``python -m repro <word>`` is real."""
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        pattern = re.compile(r"(?:`repro|python -m repro) ([a-z][a-z-]*)")
+        unknown = sorted(
+            f"{doc}: repro {word}"
+            for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+            for word in set(
+                pattern.findall((REPO_ROOT / doc).read_text(encoding="utf-8"))
+            )
+            if word not in subparsers.choices
+        )
+        assert not unknown, f"docs name unknown subcommands: {unknown}"

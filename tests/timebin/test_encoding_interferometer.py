@@ -8,7 +8,6 @@ from repro.quantum.qubits import bell_state
 from repro.timebin.encoding import (
     EARLY,
     LATE,
-    arrival_slot,
     time_bin_bell_state,
     time_bin_ket,
     time_bin_multiphoton_state,
@@ -42,16 +41,6 @@ class TestEncoding:
     def test_multiphoton_validation(self):
         with pytest.raises(ValueError):
             time_bin_multiphoton_state(0.0, 0)
-
-    def test_arrival_slots(self):
-        assert arrival_slot(0, False) == 0
-        assert arrival_slot(0, True) == 1
-        assert arrival_slot(1, False) == 1
-        assert arrival_slot(1, True) == 2
-
-    def test_arrival_slot_validation(self):
-        with pytest.raises(ValueError):
-            arrival_slot(2, False)
 
 
 class TestUnbalancedMichelson:

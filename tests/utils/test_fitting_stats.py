@@ -37,13 +37,6 @@ class TestFringeFit:
         with pytest.raises(ValueError):
             fitting.fit_fringe(np.zeros(5), np.zeros(6))
 
-    def test_visibility_from_extrema(self):
-        assert np.isclose(fitting.visibility_from_extrema(183.0, 17.0), 0.83)
-
-    def test_extrema_order_enforced(self):
-        with pytest.raises(ValueError):
-            fitting.visibility_from_extrema(1.0, 2.0)
-
 
 class TestLinewidthConversions:
     def test_round_trip(self):
@@ -144,17 +137,6 @@ class TestPowerLawFit:
 
 
 class TestCountingStats:
-    def test_count_rate(self):
-        rate = stats.CountRate(counts=100, duration_s=10.0)
-        assert rate.rate_hz == 10.0
-        assert np.isclose(rate.rate_error_hz, 1.0)
-
-    def test_count_rate_validation(self):
-        with pytest.raises(ValueError):
-            stats.CountRate(counts=-1, duration_s=1.0)
-        with pytest.raises(ValueError):
-            stats.CountRate(counts=1, duration_s=0.0)
-
     def test_poisson_interval_contains_mean(self):
         low, high = stats.poisson_interval(100)
         assert low < 100 < high
