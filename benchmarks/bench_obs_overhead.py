@@ -61,13 +61,14 @@ def bench_obs_disabled_overhead(benchmark, tmp_path):
             pass
         obs.count(names.METRIC_CACHE_HIT)
 
+    # Built once: the disabled path returns before it reads the name.
+    topic = names.sweep_topic("x")
+
     def publish_mod():
-        obs.publish_mod(
-            names.TOPIC_METRICS, {"op": "set", "key": "x", "value": 1}
-        )
+        obs.publish_mod(topic, {"op": "set", "key": "x", "value": 1})
 
     def publish_init():
-        obs.publish_init(names.TOPIC_METRICS, {"x": 1})
+        obs.publish_init(topic, {"x": 1})
 
     def measure():
         return {

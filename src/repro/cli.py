@@ -1398,9 +1398,10 @@ def command_dashboard(args: argparse.Namespace) -> int:
     """The live terminal dashboard (or an offline journal replay).
 
     Live mode long-polls the queue journal's ``events`` feed (the one
-    ``repro watch`` reads), re-reads ``health`` for the counts and
-    polls the bus topics it subscribed to by name (metrics, fleet and
-    the held sweep jobs); each cycle mutates the
+    ``repro watch`` reads), re-reads ``health`` for the counts,
+    ``fleet.status`` for the fleet panel and ``metrics`` for the
+    metrics panel, and polls the bus topics of the held sweep jobs,
+    subscribed by name; each cycle mutates the
     :class:`~repro.obs.dashboard.DashboardModel` and repaints.
     ``--replay`` drives the same model from the root's obs journal — no
     daemon, no sockets.

@@ -1,22 +1,22 @@
 """OBS002 — dataset-bus topics come from the central registry.
 
-The dataset bus (PR 9) broadcasts under dotted topic names, and
-``repro.obs.names`` is their single registry: ``TOPIC_METRICS``,
-``TOPIC_FLEET`` and the ``sweep_topic()`` constructor for the
-``datasets.sweep.*`` family.  Dashboards subscribe by these names,
-the journal replays by them, and ``require_topic`` rejects strangers
-at publish time — but only at run time, on whatever code path happens
-to publish first.  An inline literal at a publish site forks the
-namespace exactly the way OBS001 describes for metric names: the
-subscriber watching ``names.TOPIC_METRICS`` never sees the
-publisher's ``"metrics-registry"``.  This rule checks the invariant statically:
+The dataset bus broadcasts per-sweep datasets under dotted topic
+names, and ``repro.obs.names`` is their single registry: the
+``sweep_topic()`` constructor for the ``datasets.sweep.*`` family.
+Dashboards subscribe by these names, the journal replays by them, and
+``require_topic`` rejects strangers at publish and subscribe time —
+but only at run time, on whatever code path happens to publish first.
+An inline literal at a publish site forks the namespace exactly the
+way OBS001 describes for metric names: the subscriber watching
+``names.sweep_topic(key)`` never sees the publisher's
+``"dataset.sweep.<key>"``.  This rule checks the invariant statically:
 
 * every topic argument of a bus publish call (``publish_init``,
   ``publish_mod`` — on the façade or a bus object) must be a
   ``names.TOPIC_*`` constant or a ``sweep_topic(...)`` call, never a
   string literal;
 * a referenced ``names`` attribute must exist in the registry and be
-  a topic constant — a typo'd ``names.TOPIC_METRIC`` fails here instead
+  a topic constant — a typo'd ``names.TOPIC_SWEEP`` fails here instead
   of raising ``ConfigurationError`` on a cold path.
 
 Variables and other dynamic expressions pass: publishers that carry a

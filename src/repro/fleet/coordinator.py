@@ -1,4 +1,4 @@
-"""Master-side fleet state: runner registry, leases, ingest.
+"""The master side of the fleet: runner registry, leases, ingest.
 
 One :class:`FleetCoordinator` lives inside the service daemon next to
 the :class:`~repro.service.store.JobStore` and the
@@ -56,7 +56,7 @@ from repro.fleet.protocol import (
 from repro.obs import names as obs_names
 from repro.obs.dashboard import MAX_JOBS
 from repro.runtime.engine import RunEngine, _failure_from
-from repro.service.datasets import DATASET_SCHEMA, SweepPublisher
+from repro.service.datasets import SweepPublisher
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -118,16 +118,6 @@ class FleetCoordinator:
         self._expired_total = 0
         #: Topics of ended sweep jobs, oldest first, still on the bus.
         self._ended_sweeps: collections.deque[str] = collections.deque()
-        if obs.enabled():
-            obs.publish_init(
-                obs_names.TOPIC_FLEET,
-                {
-                    "schema": DATASET_SCHEMA,
-                    "lease_ttl_s": self.lease_ttl_s,
-                    "runners": {},
-                    "counts": {"alive": 0, "lost": 0, "leases": 0},
-                },
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -176,7 +166,7 @@ class FleetCoordinator:
             }
             doc = self._runners[runner_id]
         self._log(f"runner {runner_id} registered ({host} pid {pid})")
-        self._publish_runner(doc)
+        self._gauge_runners()
         return {
             "runner_id": runner_id,
             "lease_ttl_s": self.lease_ttl_s,
@@ -238,7 +228,7 @@ class FleetCoordinator:
                     }
                     doc["leases"].add(job.job_id)
                 doc["leased_total"] += len(leased)
-            self._publish_runner(doc)
+            self._gauge_runners()
         if served:
             obs.count(obs_names.METRIC_CACHE_HIT, len(served))
         return {
@@ -542,7 +532,7 @@ class FleetCoordinator:
             doc = self._runners[str(runner_id)]
             doc["leases"].discard(job_id)
             doc[counter] = int(doc[counter]) + 1
-        self._publish_runner(doc)
+        self._gauge_runners()
         if lease is not None and lease["publisher"] is not None:
             self._retire_sweeps(lease["publisher"].topic)
 
@@ -606,7 +596,7 @@ class FleetCoordinator:
                 released.append(job.job_id)
             with self._lock:
                 self._expired_total += len(leases)
-            self._publish_runner(doc)
+            self._gauge_runners()
         if released:
             obs.count(
                 obs_names.METRIC_FLEET_LEASES_EXPIRED, len(released)
@@ -647,26 +637,11 @@ class FleetCoordinator:
         )
         return summary
 
-    def _publish_runner(self, doc: dict[str, object]) -> None:
-        """Broadcast one runner's state change onto the fleet topic."""
+    def _gauge_runners(self) -> None:
+        """Set the ``fleet.runners`` gauge after a runner state change."""
         with self._lock:
-            summary = self._runner_summary(doc)
-            counts = self._counts()
-        obs.gauge(obs_names.METRIC_FLEET_RUNNERS, counts["alive"])
-        if not obs.enabled():
-            return
-        obs.publish_mod(
-            obs_names.TOPIC_FLEET,
-            {
-                "op": "set",
-                "key": f"runners.{summary['runner_id']}",
-                "value": summary,
-            },
-        )
-        obs.publish_mod(
-            obs_names.TOPIC_FLEET,
-            {"op": "set", "key": "counts", "value": counts},
-        )
+            alive = self._counts()["alive"]
+        obs.gauge(obs_names.METRIC_FLEET_RUNNERS, alive)
 
     def _log(self, message: str) -> None:
         if self.on_event is not None:

@@ -40,7 +40,6 @@ from collections.abc import Iterable, Mapping
 
 from repro.obs import names
 from repro.obs.bus import DatasetBus
-from repro.obs.bus import is_journaled as bus_is_journaled
 from repro.obs.clock import Clock
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
@@ -63,9 +62,10 @@ def env_preference() -> bool | None:
 class ObsState:
     """The mutable telemetry state of one process.
 
-    Bundles the enabled flag, the process tracer, the metrics registry
-    and the (lazily attached) journal so the module-level façade is a
-    single attribute load away from the no-op return.
+    Bundles the enabled flag, the process tracer, the
+    :class:`~repro.obs.metrics.MetricsRegistry` and the (lazily
+    attached) journal so the module-level façade is a single attribute
+    load away from the no-op return.
     """
 
     def __init__(
@@ -93,7 +93,6 @@ class ObsState:
         if self.journal is not None:
             return
         self.journal = EventJournal(root, clock=self.clock)
-        self.bus.journal_root = self.journal.root
         self.journal.emit(
             names.EVENT_OBS_STARTED,
             {"pid": os.getpid(), "root": str(pathlib.Path(root))},
@@ -213,20 +212,18 @@ def event(name: str, attrs: Mapping[str, object] | None = None) -> None:
 def publish_init(topic: str, snapshot: Mapping[str, object]) -> int:
     """Broadcast a topic's full snapshot on the dataset bus.
 
-    Returns the bus sequence number (0 while disabled).  ``datasets.*``
-    topics are mirrored into the obs journal so stale subscribers and
-    the offline dashboard can replay them.
+    Returns the bus sequence number (0 while disabled).  Every publish
+    is mirrored into the obs journal so the offline dashboard
+    (``repro dashboard --replay``) can replay it.
     """
     state = _STATE
     if not state.enabled:
         return 0
     seq = state.bus.publish_init(topic, snapshot)
-    if state.journal is not None and bus_is_journaled(topic):
-        state.journal.emit(
-            names.EVENT_DATASET_INIT,
-            {"topic": topic, "bus_seq": seq, "snapshot": dict(snapshot)},
-        )
-        state.metrics.count(names.METRIC_JOURNAL_EVENTS)
+    event(
+        names.EVENT_DATASET_INIT,
+        {"topic": topic, "bus_seq": seq, "snapshot": dict(snapshot)},
+    )
     return seq
 
 
@@ -240,12 +237,10 @@ def publish_mod(topic: str, mod: Mapping[str, object]) -> int:
     if not state.enabled:
         return 0
     seq = state.bus.publish_mod(topic, mod)
-    if state.journal is not None and bus_is_journaled(topic):
-        state.journal.emit(
-            names.EVENT_DATASET_MOD,
-            {"topic": topic, "bus_seq": seq, "mod": dict(mod)},
-        )
-        state.metrics.count(names.METRIC_JOURNAL_EVENTS)
+    event(
+        names.EVENT_DATASET_MOD,
+        {"topic": topic, "bus_seq": seq, "mod": dict(mod)},
+    )
     return seq
 
 

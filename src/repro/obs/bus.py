@@ -1,15 +1,16 @@
 """The in-process publish/subscribe dataset bus (ARTIQ sync_struct idiom).
 
-One :class:`DatasetBus` per process broadcasts live datasets to many
-concurrent subscribers as an ``init`` snapshot followed by ordered,
-structured ``mod`` diffs — the protocol ARTIQ's ``sync_struct`` uses
-between master and dashboards.  Three topic families ride on it (see
-:mod:`repro.obs.names`): per-sweep datasets (``datasets.sweep.<key>``),
-the metrics registry (``metrics.registry``) and the runner fleet
-(``fleet.state``).  Job-queue state does not: its transitions have one
-feed, the queue journal behind the ``events`` RPC.
+One :class:`DatasetBus` per process broadcasts live sweep datasets to
+many concurrent subscribers as an ``init`` snapshot followed by
+ordered, structured ``mod`` diffs — the protocol ARTIQ's
+``sync_struct`` uses between master and dashboards.  One topic family
+rides on it (see :mod:`repro.obs.names`): per-sweep datasets
+(``datasets.sweep.<key>``).  Everything else a dashboard shows has its
+own feed: job-queue transitions the queue journal behind the
+``events`` RPC, the runner fleet the ``fleet.status`` RPC and the
+metrics snapshot the ``metrics`` RPC.
 
-Wire contract, mirroring the PR 7 long-poll gap semantics of the queue
+Wire contract, mirroring the long-poll gap semantics of the queue
 feed:
 
 * every publish on a topic increments that topic's monotonic sequence
@@ -17,12 +18,10 @@ feed:
 * a subscriber holds one cursor per topic and polls for entries with
   ``seq > cursor``; answers come from a bounded in-memory replay
   buffer;
-* a cursor behind the replay buffer falls back to re-reading the obs
-  journal (``datasets.*`` topics are journaled on publish);
-* ``gap: true`` is returned **only** when diffs are irrecoverably gone
-  (journal rotated away, or a non-journaled topic) — together with a
+* a cursor the buffer no longer covers (it fell behind, or names a
+  topic the bus does not hold) is answered with ``gap: true`` plus a
   fresh snapshot and the head sequence number, so pollers resynchronise
-  instead of spinning or silently losing points;
+  from the whole state instead of spinning or silently losing points;
 * a cursor predating the topic's current ``init`` is answered with the
   fresh snapshot (``init`` key, no gap): the missed diffs were
   superseded, not lost.
@@ -33,19 +32,18 @@ and every client (to reconstruct it) — both sides apply the same diffs
 to the same init, so reconstruction is byte-identical::
 
     {"op": "set",    "key": "points.3", "value": {...}}
-    {"op": "append", "key": "log",      "value": "line"}
     {"op": "update", "key": "counts",   "value": {"done": 4}}
 
 Pure stdlib, no numpy: the bus sits inside the cached-CLI import
 closure pinned by IMP001, and never imports the :mod:`repro.obs`
-façade (the façade imports *it*).
+façade (the façade imports *it*) nor reads the obs journal (the
+façade mirrors publishes there for ``repro dashboard --replay``).
 """
 
 from __future__ import annotations
 
 import collections
 import json
-import pathlib
 import threading
 import time
 from collections.abc import Mapping
@@ -57,16 +55,6 @@ BUS_SCHEMA = 1
 
 #: Default per-topic replay-buffer depth (mod entries).
 REPLAY_BUFFER = 1024
-
-#: Topic-name prefix of the journaled family: publishes are mirrored
-#: into the obs journal so stale cursors (and offline replay) recover.
-JOURNALED_PREFIX = "datasets."
-
-
-def is_journaled(topic: str) -> bool:
-    """Whether publishes on ``topic`` are mirrored to the obs journal."""
-    return topic.startswith(JOURNALED_PREFIX)
-
 
 def apply_mod(
     snapshot: dict[str, object], mod: Mapping[str, object]
@@ -101,12 +89,6 @@ def apply_mod(
     leaf = parts[-1]
     if op == "set":
         target[leaf] = value
-    elif op == "append":
-        slot = target.get(leaf)
-        if not isinstance(slot, list):
-            slot = []
-            target[leaf] = slot
-        slot.append(value)
     elif op == "update":
         if not isinstance(value, Mapping):
             raise ValueError(f"bus 'update' needs a mapping value at {key!r}")
@@ -116,7 +98,7 @@ def apply_mod(
             target[leaf] = slot
         slot.update(value)
     else:
-        raise ValueError(f"unknown bus mod op {op!r} (set/append/update)")
+        raise ValueError(f"unknown bus mod op {op!r} (set/update)")
     return snapshot
 
 
@@ -138,16 +120,12 @@ class DatasetBus:
     """The process-wide dataset broadcaster behind the ``repro.obs`` façade.
 
     Thread-safe via a single condition variable: publishers notify,
-    long-pollers wait on it across every topic they watch.  The bus
-    never performs journal *writes* (the façade owns the journal); it
-    only *reads* the journal — via :attr:`journal_root`, set when the
-    façade attaches a root — to serve cursors that fell behind the
-    in-memory replay buffer.
+    long-pollers wait on it across every topic they watch.  Answers
+    come from memory alone, so no poll ever holds the lock over I/O.
     """
 
     def __init__(self, replay: int = REPLAY_BUFFER) -> None:
         self.replay = max(1, int(replay))
-        self.journal_root: pathlib.Path | None = None
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._topics: dict[str, _Topic] = {}
@@ -201,7 +179,7 @@ class DatasetBus:
         """Forget a topic whose publisher is done with it.
 
         A later cursor on it is answered as for a topic of a past life:
-        from the obs journal if it is journaled, else with a gap.
+        with a gap and an empty snapshot.
         """
         with self._changed:
             self._topics.pop(topic, None)
@@ -214,19 +192,19 @@ class DatasetBus:
         with self._lock:
             return sorted(self._topics)
 
-    def subscribe(
-        self, topics: list[str] | None = None
-    ) -> dict[str, dict[str, object]]:
+    def subscribe(self, topics: list[str]) -> dict[str, dict[str, object]]:
         """Init snapshots: topic → ``{"init": snapshot, "seq": n}``.
 
-        ``None`` subscribes to every live topic.  Unknown topic names
-        are answered with an empty snapshot at seq 0, so a subscriber
-        can watch a topic that has not started publishing yet.
+        Every name must be a registered topic
+        (:func:`~repro.obs.names.require_topic`); one the bus does not
+        hold yet is answered with an empty snapshot at seq 0, so a
+        subscriber can watch a sweep that has not started publishing.
         """
+        for topic in topics:
+            names.require_topic(topic)
         with self._lock:
-            wanted = sorted(self._topics) if topics is None else list(topics)
             out: dict[str, dict[str, object]] = {}
-            for topic in wanted:
+            for topic in topics:
                 entry = self._topics.get(topic)
                 if entry is None:
                     out[topic] = {"init": {}, "seq": 0}
@@ -249,8 +227,11 @@ class DatasetBus:
         Per-topic payload: ``{"mods": [{"seq", "mod"}...], "seq": n}``
         plus ``"init"`` (a fresh snapshot, when the topic was re-inited
         past the cursor or after a loss) and ``"gap": true`` (diffs
-        irrecoverably lost — see the module docs).
+        not covered by the replay buffer — see the module docs).  Every
+        name must be a registered topic.
         """
+        for topic in cursors:
+            names.require_topic(str(topic))
         deadline = time.monotonic() + max(0.0, timeout)
         with self._changed:
             while True:
@@ -274,17 +255,10 @@ class DatasetBus:
             if since <= 0:
                 return {"mods": [], "seq": 0}
             # The subscriber knows a past life of this topic (daemon
-            # restart); recover from the journal or declare the gap.
-            recovered = self._journal_mods(topic, since)
-            if recovered:
-                return {"mods": recovered, "seq": recovered[-1]["seq"]}
+            # restart, or a retired sweep): declare the gap.
             return {"mods": [], "seq": 0, "gap": True, "init": {}}
         if since == entry.seq:
             return {"mods": [], "seq": entry.seq}
-        if since > entry.seq:
-            # A cursor from a different topic generation: resynchronise
-            # with a fresh snapshot rather than waiting forever.
-            return self._resync(entry, gap=True)
         if since < entry.init_seq:
             # The missed diffs were superseded by a newer init: the
             # fresh snapshot carries the whole state, nothing was lost.
@@ -297,16 +271,8 @@ class DatasetBus:
                 "mods": [dict(e) for e in pending],
                 "seq": entry.seq,
             }
-        # Replay buffer evicted the span; journaled topics re-read the
-        # obs journal (the PR 7 fallback idiom), everything else gaps.
-        recovered = self._journal_mods(topic, since)
-        if (
-            recovered
-            and recovered[0]["seq"] == since + 1
-            and recovered[-1]["seq"] == entry.seq
-            and len(recovered) == entry.seq - since
-        ):
-            return {"mods": recovered, "seq": entry.seq}
+        # The replay buffer evicted the span, or the cursor is ahead of
+        # the head (another topic generation): the snapshot carries it.
         return self._resync(entry, gap=True)
 
     @staticmethod
@@ -320,31 +286,3 @@ class DatasetBus:
         if gap:
             payload["gap"] = True
         return payload
-
-    def _journal_mods(
-        self, topic: str, since: int
-    ) -> list[dict[str, object]]:
-        """Replay one topic's journaled diffs with bus seq > ``since``.
-
-        Empty for non-journaled topics and rootless processes.  Entries
-        come back sorted by bus sequence number (journal line order is
-        not guaranteed to match publish order across threads).
-        """
-        if self.journal_root is None or not is_journaled(topic):
-            return []
-        from repro.obs.journal import read_events
-
-        recovered: list[dict[str, object]] = []
-        for entry in read_events(self.journal_root):
-            if entry.get("kind") != "event":
-                continue
-            if entry.get("name") != names.EVENT_DATASET_MOD:
-                continue
-            attrs = entry.get("attrs")
-            if not isinstance(attrs, dict) or attrs.get("topic") != topic:
-                continue
-            seq = attrs.get("bus_seq")
-            if isinstance(seq, int) and seq > since:
-                recovered.append({"seq": seq, "mod": attrs.get("mod", {})})
-        recovered.sort(key=lambda e: e["seq"])
-        return recovered

@@ -14,19 +14,20 @@ Panels:
   ``health``, and the newest :data:`MAX_JOBS` jobs folded from the
   queue journal's ``events`` feed (the one ``repro watch`` reads), so
   it works with telemetry off;
-* **fleet** — runner registry, the daemon's own workers included
-  (alive/lost counts, per-runner lease and completion tallies);
-* **one panel per held sweep job** — progress counters plus a
-  sparkline per headline metric series (fringe visibility, CHSH S,
-  CAR, ...) ordered by scan index, exactly the live view the paper's
-  Bell-fringe and CAR scans need;
-* **metrics** — counter deltas since the previous broadcast, so rates
-  are visible without a second tool.
+* **fleet** — the ``fleet.status`` reply: runner registry, the
+  daemon's own workers included (alive/lost counts, per-runner lease
+  and completion tallies), so it works with telemetry off too;
+* **one panel per held sweep job** — its ``datasets.sweep.job-<id>``
+  bus topic: progress counters plus a sparkline per headline metric
+  series (fringe visibility, CHSH S, CAR, ...) ordered by scan index,
+  exactly the live view the paper's Bell-fringe and CAR scans need;
+* **metrics** — the ``metrics`` reply, with each counter's change
+  since the previous reply, so rates are visible without a second
+  tool.
 
-Adding a panel: give the topic a section in :func:`render_frame` (the
-model is topic-agnostic — any ``init`` + ``mods`` stream accumulates)
-and in :meth:`DashboardModel.wanted_topics`, and pick its headline
-series in :data:`PREFERRED_METRICS` if it is a sweep-like dataset.  See
+Adding a panel: read it from the RPC that already serves its data in
+:func:`attach`/:func:`refresh` and give it a section in
+:func:`render_frame`; the bus is for per-point sweep data only.  See
 DESIGN.md "Live datasets and dashboard".
 """
 
@@ -71,16 +72,17 @@ _JOB_FIELDS = (
 
 
 class DashboardModel:
-    """Client-side state of the queue and of every subscribed topic.
+    """Client-side state of the queue, fleet, metrics and sweep topics.
 
-    Topics follow the bus contract: an ``init`` replaces a topic's
-    snapshot, ordered ``mods`` mutate it through the shared
+    Sweep topics follow the bus contract: an ``init`` replaces a
+    topic's snapshot, ordered ``mods`` mutate it through the shared
     :func:`~repro.obs.bus.apply_mod`, and a ``gap`` flag is remembered
-    so the frame can badge lossy topics.  Counter deltas are computed
-    against the previous metrics broadcast.  The queue is ``workers``
-    and ``counts`` from ``health`` plus ``jobs`` (id → fields of its
-    last event, newest :data:`MAX_JOBS` only) folded from ``events``
-    up to the cursor ``seq``.
+    so the frame can badge lossy topics.  The queue is ``workers`` and
+    ``counts`` from ``health`` plus ``jobs`` (id → fields of its last
+    event, newest :data:`MAX_JOBS` only) folded from ``events`` up to
+    the cursor ``seq``.  ``fleet`` and ``metrics`` are the latest
+    ``fleet.status`` and ``metrics`` replies; ``deltas`` are the
+    counter changes between the last two ``metrics`` replies.
     """
 
     def __init__(self) -> None:
@@ -88,6 +90,8 @@ class DashboardModel:
         self.cursors: dict[str, int] = {}
         self.gapped: set[str] = set()
         self.deltas: dict[str, float] = {}
+        self.fleet: dict[str, object] | None = None
+        self.metrics: dict[str, object] | None = None
         self.source = "live"
         self.workers: int | None = None
         self.counts: dict[str, int] = {}
@@ -99,8 +103,7 @@ class DashboardModel:
         """Take worker count and per-status counts from a ``health`` reply."""
         workers = health.get("workers")
         self.workers = workers if isinstance(workers, int) else 0
-        counts = health.get("counts")
-        self.counts = dict(counts) if isinstance(counts, Mapping) else {}
+        self.counts = _section(health, "counts")
 
     def apply_events(
         self,
@@ -135,9 +138,21 @@ class DashboardModel:
             )
         self.seq = int(seq)
 
+    def apply_metrics(self, snapshot: Mapping[str, object]) -> None:
+        """Take a ``metrics`` reply; record counter changes since the last."""
+        counters = _section(snapshot, "counters")
+        if self.metrics is not None:
+            before = _section(self.metrics, "counters")
+            self.deltas = {
+                str(series): float(value - before.get(series, 0))
+                for series, value in counters.items()
+                if value != before.get(series, 0)
+            }
+        self.metrics = dict(snapshot)
+
     def wanted_topics(self) -> set[str]:
-        """The bus topics the frame shows: metrics, fleet, held sweeps."""
-        return {names.TOPIC_METRICS, names.TOPIC_FLEET} | {
+        """The bus topics the frame shows: the held sweep jobs'."""
+        return {
             names.sweep_topic(job_key(job_id))
             for job_id, job in self.jobs.items()
             if job.get("kind") == "sweep"
@@ -165,8 +180,6 @@ class DashboardModel:
             if isinstance(init, Mapping):
                 self.topics[topic] = dict(init)
             snapshot = self.topics.setdefault(topic, {})
-            if topic == names.TOPIC_METRICS:
-                self._track_deltas(snapshot, entry.get("mods"))
             for mod in entry.get("mods") or []:  # type: ignore[union-attr]
                 if isinstance(mod, Mapping) and isinstance(
                     mod.get("mod"), Mapping
@@ -174,39 +187,15 @@ class DashboardModel:
                     apply_mod(snapshot, mod["mod"])  # type: ignore[arg-type]
             self.cursors[topic] = int(entry.get("seq", self.cursors.get(topic, 0)))  # type: ignore[arg-type]
 
-    def _track_deltas(
-        self, snapshot: Mapping[str, object], mods: object
-    ) -> None:
-        """Record counter increments carried by metrics-topic mods."""
-        previous = snapshot.get("counters")
-        if not isinstance(previous, Mapping):
-            previous = {}
-        for mod in mods or []:  # type: ignore[union-attr]
-            if not isinstance(mod, Mapping):
-                continue
-            inner = mod.get("mod")
-            if (
-                isinstance(inner, Mapping)
-                and inner.get("key") == "counters"
-                and isinstance(inner.get("value"), Mapping)
-            ):
-                for series, value in inner["value"].items():  # type: ignore[union-attr]
-                    if isinstance(value, (int, float)):
-                        before = previous.get(series, 0)
-                        base = (
-                            float(before)
-                            if isinstance(before, (int, float))
-                            else 0.0
-                        )
-                        self.deltas[str(series)] = float(value) - base
-
     def sweep_topics(self) -> list[str]:
-        """Every sweep-family topic currently held, sorted."""
-        return sorted(
-            t
-            for t in self.topics
-            if t.startswith(names.TOPIC_SWEEP_PREFIX)
-        )
+        """Every topic held (the bus carries only sweeps), sorted."""
+        return sorted(self.topics)
+
+
+def _section(document: Mapping[str, object], key: str) -> dict[str, Any]:
+    """One mapping member of a reply, or ``{}`` when absent or malformed."""
+    value = document.get(key)
+    return dict(value) if isinstance(value, Mapping) else {}
 
 
 def sweep_series(
@@ -276,25 +265,22 @@ def _queue_lines(model: DashboardModel) -> list[str]:
     return lines
 
 
-def _fleet_lines(snapshot: Mapping[str, object]) -> list[str]:
+def _fleet_lines(status: Mapping[str, object]) -> list[str]:
     """The fleet panel's body: runner counts plus one line per runner."""
-    counts = snapshot.get("counts")
-    counts = dict(counts) if isinstance(counts, Mapping) else {}
+    counts = _section(status, "counts")
     lines = [
         f"runners alive={counts.get('alive', 0)} "
         f"lost={counts.get('lost', 0)} "
         f"leases={counts.get('leases', 0)}"
     ]
-    runners = snapshot.get("runners")
-    if isinstance(runners, Mapping):
-        for name in sorted(runners):
-            doc = runners[name]
-            if not isinstance(doc, Mapping):
-                continue
+    runners = status.get("runners")
+    if isinstance(runners, list):
+        docs = [doc for doc in runners if isinstance(doc, Mapping)]
+        for doc in sorted(docs, key=lambda d: str(d.get("runner_id"))):
             leases = doc.get("leases")
             busy = len(leases) if isinstance(leases, (list, tuple)) else 0
             lines.append(
-                f"{name:<12} {doc.get('status', '?'):<6} "
+                f"{doc.get('runner_id', '?'):<12} {doc.get('status', '?'):<6} "
                 f"{doc.get('host', '?')}:{doc.get('pid', '?')} "
                 f"busy={busy} done={doc.get('completed', 0)} "
                 f"failed={doc.get('failed', 0)}"
@@ -304,8 +290,7 @@ def _fleet_lines(snapshot: Mapping[str, object]) -> list[str]:
 
 def _sweep_lines(topic: str, snapshot: Mapping[str, object]) -> list[str]:
     """One sweep panel's body lines (progress + metric sparklines)."""
-    counts = snapshot.get("counts")
-    counts = dict(counts) if isinstance(counts, Mapping) else {}
+    counts = _section(snapshot, "counts")
     done = int(counts.get("done", 0) or 0)
     total = int(counts.get("total", 0) or 0)
     cached = int(counts.get("cached", 0) or 0)
@@ -328,8 +313,7 @@ def _metrics_lines(
     snapshot: Mapping[str, object], deltas: Mapping[str, float]
 ) -> list[str]:
     """The metrics panel's body: counters with deltas, top gauges."""
-    counters = snapshot.get("counters")
-    counters = dict(counters) if isinstance(counters, Mapping) else {}
+    counters = _section(snapshot, "counters")
     lines = []
     for series in sorted(counters)[:8]:
         value = counters[series]
@@ -366,12 +350,8 @@ def render_frame(model: DashboardModel, width: int = 78) -> str:
     if model.workers is not None:
         title = "queue [gap]" if model.queue_gapped else "queue"
         lines += panel(title, _queue_lines(model))
-    fleet = model.topics.get(names.TOPIC_FLEET)
-    if fleet is not None and fleet.get("runners"):
-        title = "fleet"
-        if names.TOPIC_FLEET in model.gapped:
-            title += " [gap]"
-        lines += panel(title, _fleet_lines(fleet))
+    if model.fleet is not None and model.fleet.get("runners"):
+        lines += panel("fleet", _fleet_lines(model.fleet))
     for topic in model.sweep_topics():
         snapshot = model.topics[topic]
         if not snapshot:
@@ -382,9 +362,8 @@ def render_frame(model: DashboardModel, width: int = 78) -> str:
         if topic in model.gapped:
             title += " [gap: resynced from snapshot]"
         lines += panel(title, _sweep_lines(topic, snapshot))
-    metrics = model.topics.get(names.TOPIC_METRICS)
-    if metrics is not None:
-        lines += panel("metrics", _metrics_lines(metrics, model.deltas))
+    if model.metrics is not None:
+        lines += panel("metrics", _metrics_lines(model.metrics, model.deltas))
     return "\n".join(lines)
 
 
@@ -394,7 +373,8 @@ def render_frame(model: DashboardModel, width: int = 78) -> str:
 
 
 def attach(client, model: DashboardModel) -> None:
-    """The first fetch: queue state, recent jobs and the bus topics.
+    """The first fetch: queue state, recent jobs, fleet, metrics and
+    the held sweeps' bus topics.
 
     The ``events`` cursor starts :data:`BACKFILL` entries behind the
     journal head ``health`` reports, which the daemon answers from
@@ -404,14 +384,21 @@ def attach(client, model: DashboardModel) -> None:
     model.apply_health(health)
     since = max(0, int(health.get("seq", 0)) - BACKFILL)
     model.apply_events(*client.events(since))
-    _follow_topics(client, model)
+    _fetch_panels(client, model)
 
 
 def refresh(client, model: DashboardModel, timeout: float) -> None:
     """One live cycle: wait up to ``timeout`` for queue events, then
-    re-read the counts and the bus topics."""
+    re-read the counts, the fleet, the metrics and the bus topics."""
     model.apply_events(*client.events(model.seq, timeout=timeout))
     model.apply_health(client.health())
+    _fetch_panels(client, model)
+
+
+def _fetch_panels(client, model: DashboardModel) -> None:
+    """Re-read the fleet and metrics RPCs and follow the sweep topics."""
+    model.fleet = dict(client.fleet_status())
+    model.apply_metrics(client.metrics())
     _follow_topics(client, model)
 
 
@@ -441,9 +428,9 @@ def replay_events(
     """The journaled dataset publishes of a root, in bus order.
 
     Reads ``<root>/obs/events.jsonl`` (rotated file included) and keeps
-    only the ``dataset.init``/``dataset.mod`` entries — the journaled
-    (``datasets.*``) topic families — sorted by topic and bus sequence
-    number so replay applies them exactly as the bus broadcast them.
+    only the ``dataset.init``/``dataset.mod`` entries — the mirror of
+    every sweep-topic publish — sorted by topic and bus sequence number
+    so replay applies them exactly as the bus broadcast them.
     """
     from repro.obs.journal import read_events
 

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""Process metrics: counters, gauges, fixed-bucket histograms.
 
 One :class:`MetricsRegistry` per process accumulates every metric the
 instrumented layers record.  Names must be declared in

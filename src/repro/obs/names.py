@@ -173,24 +173,13 @@ HISTOGRAMS: dict[str, tuple[float, ...]] = {
 # Dataset-bus topic names (publish/subscribe broadcast channels)
 # ---------------------------------------------------------------------------
 
-#: The metrics registry, rate-limited and diffed against the last
-#: broadcast (see ``repro.service.datasets.MetricsPublisher``).
-TOPIC_METRICS = "metrics.registry"
-#: Per-sweep live datasets: one topic per sweep, keyed below the
-#: family prefix (``datasets.sweep.<key>``).  The ``datasets.`` family
-#: is journaled, so stale subscribers can recover from the obs journal
-#: and ``repro dashboard --replay`` works offline.
+#: Per-sweep live datasets, the bus's one topic family: one topic per
+#: sweep, keyed below the prefix (``datasets.sweep.<key>``).  Every
+#: publish is mirrored into the obs journal, so ``repro dashboard
+#: --replay`` works offline.  The fleet and the metrics snapshot are
+#: not topics: dashboards read the ``fleet.status`` and ``metrics``
+#: RPCs.
 TOPIC_SWEEP_PREFIX = "datasets.sweep."
-#: Fleet state: registered runners, live leases, lifetime totals —
-#: maintained by :class:`repro.fleet.coordinator.FleetCoordinator` so
-#: ``repro dashboard`` shows the runner fleet next to the queue.
-TOPIC_FLEET = "fleet.state"
-
-#: Every declared fixed topic name (families validate by prefix).
-TOPICS = frozenset({TOPIC_METRICS, TOPIC_FLEET})
-
-#: Declared topic-family prefixes (member topics carry a dynamic key).
-TOPIC_PREFIXES = (TOPIC_SWEEP_PREFIX,)
 
 
 def sweep_topic(key: str) -> str:
@@ -201,22 +190,18 @@ def sweep_topic(key: str) -> str:
 def require_topic(name: str) -> str:
     """Validate a dataset-bus topic name; returns it unchanged.
 
-    A topic is either a fixed member of :data:`TOPICS` or belongs to a
-    declared family (a :data:`TOPIC_PREFIXES` prefix plus a non-empty
-    key) — anything else is an unregistered topic, mirroring
-    :func:`require_span` for the bus.
+    A topic is the sweep prefix plus a non-empty key — anything else
+    is an unregistered topic, mirroring :func:`require_span` for the
+    bus.
     """
-    if name in TOPICS:
+    if name.startswith(TOPIC_SWEEP_PREFIX) and name != TOPIC_SWEEP_PREFIX:
         return name
-    for prefix in TOPIC_PREFIXES:
-        if name.startswith(prefix) and len(name) > len(prefix):
-            return name
     from repro.errors import ConfigurationError
 
     raise ConfigurationError(
-        f"unregistered bus topic {name!r}; declare it in repro.obs.names "
-        f"(known topics: {sorted(TOPICS)}, families: "
-        f"{[p + '<key>' for p in TOPIC_PREFIXES]})"
+        f"unregistered bus topic {name!r}; the dataset bus carries only "
+        f"the {TOPIC_SWEEP_PREFIX}<key> family (build names with "
+        f"repro.obs.names.sweep_topic)"
     )
 
 
@@ -234,10 +219,10 @@ EVENT_ANALYZER_FINISHED = "analyzer.finished"
 EVENT_PIPELINE_FINISHED = "pipeline.finished"
 #: Telemetry came up in a process (``pid``, ``root``).
 EVENT_OBS_STARTED = "obs.started"
-#: A dataset-bus ``init`` snapshot was published on a journaled topic
+#: A dataset-bus ``init`` snapshot was published
 #: (``topic``, ``bus_seq``, ``snapshot``).
 EVENT_DATASET_INIT = "dataset.init"
-#: A dataset-bus ``mod`` diff was published on a journaled topic
+#: A dataset-bus ``mod`` diff was published
 #: (``topic``, ``bus_seq``, ``mod``).
 EVENT_DATASET_MOD = "dataset.mod"
 

@@ -49,7 +49,6 @@ from repro.fleet.protocol import DEFAULT_LEASE_TTL_S
 from repro.fleet.runner import FleetRunner
 from repro.obs import names as obs_names
 from repro.runtime.engine import RunEngine, _failure_from, default_root
-from repro.service import datasets
 from repro.service.jobs import FAILED, KIND_ANALYZE
 from repro.service.store import JobStore
 from repro.utils.io import atomic_write_text
@@ -139,7 +138,6 @@ class ExperimentService:
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self._started_unix: float | None = None
-        self.metrics_publisher = datasets.MetricsPublisher()
         self.max_polls = max(1, int(max_polls))
         self._poll_slots = threading.BoundedSemaphore(self.max_polls)
         self._poll_lock = threading.Lock()
@@ -208,7 +206,6 @@ class ExperimentService:
         )
         self._http_thread.start()
         self._publish_address()
-        self.metrics_publisher.start()
         return self.address
 
     @property
@@ -234,7 +231,6 @@ class ExperimentService:
         if self._http_thread is not None:
             self._http_thread.join(timeout=5.0)
             self._http_thread = None
-        self.metrics_publisher.stop()
         self.fleet.stop()
         if self.runner is not None:
             self.runner.stop()
@@ -450,18 +446,21 @@ class ExperimentService:
     def _rpc_subscribe(
         self, topics: list[str] | None = None
     ) -> dict[str, object]:
-        """Init snapshots + cursors of the dataset bus's topics.
+        """Init snapshots + cursors of the named sweep topics.
 
-        ``topics`` restricts the subscription (``None`` = everything
-        currently live); unknown names subscribe at seq 0 so a client
-        can watch a sweep that has not started yet.  The returned
-        per-topic ``seq`` values are the cursors to feed
-        :meth:`_rpc_poll_datasets`.
+        ``topics`` is a non-empty list of ``datasets.sweep.<key>``
+        names; one the bus does not hold yet subscribes at seq 0 so a
+        client can watch a sweep that has not started.  Any other
+        name is a 400.  The returned per-topic ``seq`` values are the
+        cursors to feed :meth:`_rpc_poll_datasets`.
         """
-        if topics is not None and not isinstance(topics, list):
-            raise ConfigurationError("subscribe 'topics' must be a list")
+        if not isinstance(topics, list) or not topics:
+            raise ConfigurationError(
+                "subscribe needs a non-empty 'topics' list of "
+                "datasets.sweep.<key> names"
+            )
         bus = obs.state().bus
-        return {"topics": bus.subscribe(topics)}
+        return {"topics": bus.subscribe([str(t) for t in topics])}
 
     def _rpc_poll_datasets(
         self,
@@ -472,9 +471,11 @@ class ExperimentService:
 
         Per-topic payloads follow the bus wire contract: ordered
         ``mods`` with consecutive sequence numbers, an ``init``
-        snapshot on resynchronisation, and ``"gap": true`` only when
-        diffs were irrecoverably lost (see :mod:`repro.obs.bus`).
-        Many concurrent pollers each block on their own request thread.
+        snapshot on resynchronisation, and ``"gap": true`` when the
+        replay buffer no longer covers the cursor (see
+        :mod:`repro.obs.bus`).  A name outside the
+        ``datasets.sweep.<key>`` family is a 400.  Many concurrent
+        pollers each block on their own request thread.
         """
         if not isinstance(cursors, dict) or not cursors:
             raise ConfigurationError(

@@ -263,30 +263,30 @@ class ServiceClient:
             bool(result.get("gap", False)),
         )
 
-    def subscribe(
-        self, topics: list[str] | None = None
-    ) -> dict[str, dict[str, object]]:
-        """Subscribe to dataset-bus topics; returns topic → init payload.
+    def subscribe(self, topics: list[str]) -> dict[str, dict[str, object]]:
+        """Subscribe to sweep topics; returns topic → init payload.
 
-        Each payload is ``{"init": snapshot, "seq": n}``; feed the seqs
-        back to :meth:`poll_datasets` as the starting cursors.  ``None``
-        subscribes to every topic currently live on the daemon.
+        ``topics`` names ``datasets.sweep.<key>`` topics (build them
+        with :func:`repro.obs.names.sweep_topic`); any other name is a
+        :class:`ServiceError`.  Each payload is ``{"init": snapshot,
+        "seq": n}``; feed the seqs back to :meth:`poll_datasets` as the
+        starting cursors.
         """
-        params: dict[str, object] = {}
-        if topics is not None:
-            params["topics"] = list(topics)
-        return dict(self.call("subscribe", params).get("topics", {}))
+        result = self.call("subscribe", {"topics": list(topics)})
+        return dict(result.get("topics", {}))
 
     def poll_datasets(
         self,
         cursors: dict[str, int],
         timeout: float = 0.0,
     ) -> dict[str, dict[str, object]]:
-        """Long-poll the dataset bus; returns topic → diff payload.
+        """Long-poll sweep topics; returns topic → diff payload.
 
         Per-topic payloads carry ordered ``mods`` (apply with
         :func:`repro.obs.bus.apply_mod`), plus ``init`` and ``gap`` on
         resynchronisation — see :mod:`repro.obs.bus` for the contract.
+        A name outside the ``datasets.sweep.<key>`` family is a
+        :class:`ServiceError`.
         """
         result = self.call(
             "poll_datasets",

@@ -1,26 +1,20 @@
-"""Dataset publishers: sweeps and metrics onto the obs bus.
+"""The sweep publisher: per-point sweep datasets onto the obs bus.
 
 The service-side half of the live-dataset layer (the bus itself lives
-in :mod:`repro.obs.bus`).  Two topic families are produced here:
+in :mod:`repro.obs.bus`).  Each sweep gets one ``datasets.sweep.<key>``
+topic.  A service job's is keyed by job id (``job-<id>``); local
+engine sweeps key it by a content hash of the sweep request, so
+re-running the same sweep lands on the same topic.  An ``init``
+carries the sweep header; every completed point arrives as a ``set
+points.<index>`` diff (points are a dict keyed by the stringified scan
+index because pooled execution completes them out of order), and a
+final ``update`` publishes the terminal status.  The obs journal
+mirrors every publish, so the offline dashboard replays these.
 
-``datasets.sweep.<key>``
-    One topic per sweep.  A service job's is keyed by job id
-    (``job-<id>``); local engine sweeps key it by a content hash of the
-    sweep request, so re-running the same sweep lands on the same
-    topic.  An ``init`` carries the sweep header; every completed point
-    arrives as a ``set points.<index>`` diff (points are a dict keyed
-    by the stringified scan index because pooled execution completes
-    them out of order), and a final ``update`` publishes the terminal
-    status.  Journaled — the offline dashboard replays these.
-
-``metrics.registry``
-    Periodic diffs of the process metrics snapshot, produced by the
-    :class:`MetricsPublisher` thread — rate-limited and diffed against
-    the last broadcast so an idle daemon broadcasts nothing.
-
-Job-queue state is not on the bus: each transition's one record is
-its queue-journal line (:mod:`repro.service.store`), which the
-``events`` RPC serves to ``repro watch`` and ``repro dashboard``.
+Nothing else is on the bus.  Each job transition's one record is its
+queue-journal line (:mod:`repro.service.store`), which the ``events``
+RPC serves to ``repro watch`` and ``repro dashboard``; the dashboard
+reads the fleet and the metrics snapshot from their RPCs.
 
 Everything here is stdlib-only and imports nothing but the obs façade,
 so the runtime engine can lazily import it from inside ``sweep()``
@@ -31,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from collections.abc import Mapping
 
 from repro import obs
@@ -39,9 +32,6 @@ from repro.obs import names
 
 #: Version stamp carried in every dataset init snapshot.
 DATASET_SCHEMA = 1
-
-#: Default broadcast cadence of the metrics publisher thread.
-METRICS_INTERVAL_S = 2.0
 
 
 def sweep_key(
@@ -184,79 +174,3 @@ class SweepPublisher:
             value["metrics"] = dict(metrics)
         obs.publish_mod(self.topic, {"op": "update", "key": "", "value": value})
 
-
-# ---------------------------------------------------------------------------
-# Metrics-registry topic
-# ---------------------------------------------------------------------------
-
-
-class MetricsPublisher:
-    """Broadcasts metrics-snapshot diffs on a timer thread.
-
-    Every tick takes :func:`repro.obs.snapshot` and publishes only the
-    series that changed since the last broadcast (one ``update`` mod
-    per changed section), so subscribers pay for activity, not for
-    time.  The first tick publishes the init snapshot.  The daemon owns
-    the thread's lifecycle; :meth:`publish_once` is the testable core.
-    """
-
-    def __init__(self, interval_s: float = METRICS_INTERVAL_S) -> None:
-        self.interval_s = max(0.05, float(interval_s))
-        self._last: dict[str, dict[str, object]] | None = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def publish_once(self) -> int:
-        """One broadcast cycle; returns how many publishes went out."""
-        if not obs.enabled():
-            return 0
-        snapshot = obs.snapshot()
-        document = {
-            section: dict(snapshot.get(section) or {})
-            for section in ("counters", "gauges", "histograms")
-        }
-        if self._last is None:
-            obs.publish_init(
-                names.TOPIC_METRICS,
-                {"schema": DATASET_SCHEMA, **document},
-            )
-            self._last = document
-            return 1
-        published = 0
-        for section, series in document.items():
-            previous = self._last[section]
-            changed = {
-                key: value
-                for key, value in series.items()
-                if previous.get(key) != value
-            }
-            if changed:
-                obs.publish_mod(
-                    names.TOPIC_METRICS,
-                    {"op": "update", "key": section, "value": changed},
-                )
-                published += 1
-        self._last = document
-        return published
-
-    def start(self) -> None:
-        """Spawn the broadcast thread (idempotent while running)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-metrics-publisher", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop and join the broadcast thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _loop(self) -> None:
-        """Publish until stopped, pacing on the stop event's timeout."""
-        while not self._stop.wait(self.interval_s):
-            self.publish_once()

@@ -580,7 +580,6 @@ class TestBusTopicsRule:
                 from repro.obs import names
 
                 def announce(snapshot, key, topic):
-                    obs.publish_init(names.TOPIC_METRICS, snapshot)
                     obs.publish_init(names.sweep_topic(key), snapshot)
                     obs.publish_mod(topic, {"op": "set"})
                 """

@@ -95,33 +95,17 @@ class TestModel:
         assert topic in model.gapped
 
     def test_metrics_deltas_tracked_across_updates(self):
+        client = _FakeClient([], head=0)
         model = DashboardModel()
-        model.apply_subscribe(
-            {
-                names.TOPIC_METRICS: {
-                    "init": {"counters": {"engine.runs": 10}},
-                    "seq": 1,
-                }
-            }
-        )
-        model.apply_poll(
-            {
-                names.TOPIC_METRICS: {
-                    "mods": [
-                        {
-                            "seq": 2,
-                            "mod": {
-                                "op": "update",
-                                "key": "counters",
-                                "value": {"engine.runs": 14},
-                            },
-                        }
-                    ],
-                    "seq": 2,
-                }
-            }
-        )
-        assert model.deltas["engine.runs"] == 4.0
+        client.counters = {"engine.runs": 10}
+        refresh(client, model, timeout=0.0)
+        assert model.deltas == {}
+        assert "(+" not in render_frame(model)
+        client.counters = {"engine.runs": 14, "cache.hits": 2}
+        refresh(client, model, timeout=0.0)
+        assert model.deltas == {"engine.runs": 4.0, "cache.hits": 2.0}
+        frame = render_frame(model)
+        assert "engine.runs" in frame and "(+4)" in frame
 
 
 class TestSweepSeries:
@@ -162,21 +146,18 @@ class TestRenderFrame:
             ],
             seq=3,
         )
-        model.apply_subscribe(
-            {
-                topic: {"init": init, "seq": 1},
-                names.TOPIC_METRICS: {
-                    "init": {"counters": {"engine.runs": 3}},
-                    "seq": 1,
-                },
-            }
-        )
+        model.apply_subscribe({topic: {"init": init, "seq": 1}})
+        model.fleet = _FakeClient([], head=0).fleet_status()
+        model.apply_metrics({"counters": {"engine.runs": 3}})
         frame = render_frame(model)
         assert frame == render_frame(model)  # deterministic
         assert "repro dashboard (live)" in frame
         assert "┌ queue" in frame
         assert "workers 1/2 busy" in frame
         assert "job 1 sweep E7 running 1/3" in frame
+        assert "┌ fleet" in frame
+        assert "runners alive=1 lost=0 leases=1" in frame
+        assert "runner-1" in frame and "busy=1" in frame
         assert "┌ sweep job-1 — E7" in frame
         assert "┌ metrics" in frame
         assert "engine.runs" in frame
@@ -252,16 +233,36 @@ class _FakeClient:
         self.since: list[int] = []
         self.subscribed: list[object] = []
         self.polled: list[dict[str, int]] = []
+        self.counters: dict[str, int] = {}
 
     def health(self):
         return {"workers": 2, "counts": {"pending": 1}, "seq": self.head}
+
+    def fleet_status(self):
+        runner = {
+            "runner_id": "runner-1",
+            "status": "alive",
+            "host": "h",
+            "pid": 7,
+            "leases": [1],
+            "completed": 3,
+            "failed": 0,
+        }
+        return {
+            "counts": {"alive": 1, "lost": 0, "leases": 1},
+            "runners": [runner],
+            "leases": [],
+        }
+
+    def metrics(self):
+        return {"counters": dict(self.counters), "gauges": {}}
 
     def events(self, since, timeout=0.0):
         self.since.append(since)
         fresh = [e for e in self.events_feed if e["seq"] > since]
         return fresh, self.head, False
 
-    def subscribe(self, topics=None):
+    def subscribe(self, topics):
         self.subscribed.append(topics)
         return {topic: {"init": {}, "seq": 0} for topic in topics}
 
@@ -291,9 +292,7 @@ class TestLiveCycle:
         model = DashboardModel()
         attach(client, model)
         sweep_1 = names.sweep_topic("job-1")
-        assert client.subscribed == [
-            sorted([names.TOPIC_FLEET, names.TOPIC_METRICS, sweep_1])
-        ]
+        assert client.subscribed == [[sweep_1]]
         refresh(client, model, timeout=0.0)
         assert len(client.subscribed) == 1  # nothing new to subscribe
         # Newer jobs push sweep 1 out of the model and off the cursors.
@@ -302,11 +301,13 @@ class TestLiveCycle:
             for job_id in range(3, 3 + MAX_JOBS)
         ]
         client.head = 2 + MAX_JOBS
+        polls = len(client.polled)
         refresh(client, model, timeout=0.0)
         assert 1 not in model.jobs
         assert sweep_1 not in model.cursors
         assert all(isinstance(t, list) for t in client.subscribed)
-        assert sweep_1 not in client.polled[-1]
+        # No sweep is held any more, so the cycle polls no topic.
+        assert client.polled[polls:] == []
         assert "job 8 run E7 pending" in render_frame(model)
 
 

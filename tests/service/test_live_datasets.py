@@ -108,26 +108,6 @@ class TestSweepPublisher:
         assert snapshot["counts"]["done"] == 1
 
 
-class TestMetricsPublisher:
-    def test_disabled_publishes_nothing(self):
-        assert datasets.MetricsPublisher().publish_once() == 0
-
-    def test_init_then_diffed_updates(self):
-        obs.configure(enabled=True)
-        obs.count(names.METRIC_ENGINE_RUNS, 2)
-        publisher = datasets.MetricsPublisher()
-        assert publisher.publish_once() == 1  # the init snapshot
-        assert publisher.publish_once() == 0  # nothing changed
-        obs.count(names.METRIC_ENGINE_RUNS, 3)
-        obs.gauge(names.METRIC_QUEUE_DEPTH, 7)
-        assert publisher.publish_once() == 2  # counters + gauges sections
-        snapshot = obs.state().bus.subscribe([names.TOPIC_METRICS])[
-            names.TOPIC_METRICS
-        ]["init"]
-        assert snapshot["counters"]["engine.runs"] == 5
-        assert snapshot["gauges"]["queue.depth"] == 7
-
-
 class TestQueueFeed:
     def test_store_transitions_reach_the_queue_panel(self, tmp_path):
         obs.configure(enabled=True)
@@ -251,13 +231,12 @@ class TestLiveSweepAcceptance:
         stale = client.subscribe([topic])[topic]["seq"]  # 0: pre-birth
         job = client.submit("E7", quick=True, scan=SCAN, seed=9)
         client.wait(job["job_id"], timeout=120.0)
-        # Starve the replay buffer below the published history and drop
-        # the journal fallback, making the stale cursor irrecoverable.
+        # Starve the replay buffer below the published history: the
+        # stale cursor resyncs from the snapshot (the journal is not
+        # consulted, though it still mirrors every publish).
         bus = obs.state().bus
         record = bus._topics[topic]
         record.mods = collections.deque(list(record.mods)[-1:], maxlen=1)
-        for path in (service.root / "obs").glob("events*.jsonl"):
-            path.unlink()
         reply = client.poll_datasets({topic: stale + 1}, timeout=5.0)[topic]
         assert reply["gap"] is True
         assert reply["mods"] == []
@@ -268,7 +247,12 @@ class TestLiveSweepAcceptance:
         assert follow[topic] == {"mods": [], "seq": reply["seq"]}
 
     def test_queue_panel_and_metrics_on_daemon(self, service):
-        from repro.obs.dashboard import DashboardModel, attach, render_frame
+        from repro.obs.dashboard import (
+            DashboardModel,
+            attach,
+            refresh,
+            render_frame,
+        )
 
         client = ServiceClient.discover(service.root)
         job = client.submit("E6", quick=True, params={"pump_mw": 3.0})
@@ -277,13 +261,34 @@ class TestLiveSweepAcceptance:
         attach(client, model)
         assert model.workers == 1
         assert model.jobs[job["job_id"]]["status"] == "done"
-        assert f"job {job['job_id']} run E6 done 1/1" in render_frame(model)
-        # A metrics subscription is valid even before the publisher's
-        # first rate-limited broadcast: empty snapshot at seq 0.
-        entry = client.subscribe([names.TOPIC_METRICS])[names.TOPIC_METRICS]
-        assert entry["seq"] >= 0
-        reply = client.poll_datasets({names.TOPIC_METRICS: 0}, timeout=0.5)
-        assert names.TOPIC_METRICS in reply
+        frame = render_frame(model)
+        assert f"job {job['job_id']} run E6 done 1/1" in frame
+        # The fleet and metrics panels read their RPCs, not the bus.
+        assert "┌ fleet" in frame and "runners alive=1" in frame
+        assert "┌ metrics" in frame
+        assert model.metrics["counters"], "the first job counted something"
+        again = client.submit("E6", quick=True, params={"pump_mw": 3.0})
+        client.wait(again["job_id"], timeout=60.0)
+        refresh(client, model, timeout=0.0)
+        assert model.deltas, "the second job moved some counter"
+        assert "(+" in render_frame(model)
+
+    def test_subscriptions_take_sweep_topics_only(self, service):
+        from repro.errors import ConfigurationError
+
+        client = ServiceClient.discover(service.root)
+        # An older client asking for a deleted topic gets a 400, which
+        # the client raises as ConfigurationError, like any bad param.
+        for name in ("metrics.registry", "fleet.state", "no.such.topic"):
+            with pytest.raises(ConfigurationError, match="datasets.sweep"):
+                client.subscribe([name])
+            with pytest.raises(ConfigurationError, match="datasets.sweep"):
+                client.poll_datasets({name: 0})
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            client.subscribe([])
+        # A sweep topic subscribes at seq 0 before its job exists.
+        topic = names.sweep_topic(datasets.job_key(9))
+        assert client.subscribe([topic]) == {topic: {"init": {}, "seq": 0}}
 
     def test_bus_holds_no_job_state_after_fifty_jobs(self, service):
         client = ServiceClient.discover(service.root)
@@ -293,10 +298,7 @@ class TestLiveSweepAcceptance:
         ]
         for job in jobs:
             assert client.wait(job["job_id"], timeout=60.0)["status"] == "done"
-        assert set(obs.state().bus.topics()) <= {
-            names.TOPIC_METRICS,
-            names.TOPIC_FLEET,
-        }
+        assert obs.state().bus.topics() == []
 
 
 class TestQueuePanelWithoutTelemetry:
@@ -328,6 +330,9 @@ class TestQueuePanelWithoutTelemetry:
         assert "workers 0/1 busy" in frame
         assert "done=1" in frame
         assert "job 1 sweep E7 done 4/4" in frame
+        # The fleet panel reads ``fleet.status``, so it shows too.
+        assert "┌ fleet" in frame
+        assert "runners alive=1" in frame
 
 
 class TestEventFeedPartialCompaction:
