@@ -203,6 +203,27 @@ class TestStaleCursorReadsNoJournal:
         }
 
 
+class TestJournalFallback:
+    def test_gap_after_journal_loss(self, tmp_path):
+        obs.configure(enabled=True, root=tmp_path)
+        bus = obs.state().bus
+        topic = names.sweep_topic("jloss")
+        obs.publish_init(topic, {"points": {}})
+        for index in range(8):
+            obs.publish_mod(
+                topic, {"op": "set", "key": f"points.{index}", "value": index}
+            )
+        import collections
+
+        record = bus._topics[topic]
+        record.mods = collections.deque(list(record.mods)[-2:], maxlen=2)
+        for path in (tmp_path / "obs").glob("events*.jsonl"):
+            path.unlink()
+        reply = bus.poll({topic: 1})[topic]
+        assert reply["gap"] is True
+        assert reply["init"] == bus.subscribe([topic])[topic]["init"]
+
+
 class TestLongPoll:
     def test_poll_wakes_on_cross_thread_publish(self):
         bus = DatasetBus()
