@@ -93,9 +93,9 @@ def write_baseline(
         key=lambda e: (e["module"], e["rule"], e["context"]),
     )
     document = {"schema": BASELINE_SCHEMA, "findings": entries}
-    return atomic_write_text(
+    return pathlib.Path(atomic_write_text(
         path, json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
+    ))
 
 
 def apply_baseline(

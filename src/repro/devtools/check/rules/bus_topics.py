@@ -1,26 +1,24 @@
-"""OBS002 — dataset-bus topics come from the central registry.
+"""OBS002 — dataset-bus topics are built by the central registry.
 
 The dataset bus broadcasts per-sweep datasets under dotted topic
 names, and ``repro.obs.names`` is their single registry: the
-``sweep_topic()`` constructor for the ``datasets.sweep.*`` family.
-Dashboards subscribe by these names, the journal replays by them, and
-``require_topic`` rejects strangers at publish and subscribe time —
-but only at run time, on whatever code path happens to publish first.
-An inline literal at a publish site forks the namespace exactly the
-way OBS001 describes for metric names: the subscriber watching
-``names.sweep_topic(key)`` never sees the publisher's
-``"dataset.sweep.<key>"``.  This rule checks the invariant statically:
-
-* every topic argument of a bus publish call (``publish_init``,
-  ``publish_mod`` — on the façade or a bus object) must be a
-  ``names.TOPIC_*`` constant or a ``sweep_topic(...)`` call, never a
-  string literal;
-* a referenced ``names`` attribute must exist in the registry and be
-  a topic constant — a typo'd ``names.TOPIC_SWEEP`` fails here instead
-  of raising ``ConfigurationError`` on a cold path.
+``sweep_topic()`` constructor for the ``datasets.sweep.*`` family, the
+bus's one topic family.  Dashboards subscribe by these names, the
+journal replays by them, and ``require_topic`` rejects strangers at
+publish and subscribe time — but only at run time, on whatever code
+path happens to publish first.  An inline literal at a publish site
+forks the namespace exactly the way OBS001 describes for metric names:
+the subscriber watching ``names.sweep_topic(key)`` never sees the
+publisher's ``"dataset.sweep.<key>"``.  This rule checks the invariant
+statically: the topic argument of every bus publish call
+(``publish_init``, ``publish_mod`` — on the façade or a bus object)
+must be a ``sweep_topic(...)`` call or a variable, never a string
+literal and never a registry attribute.  No ``names`` constant is a
+topic: ``TOPIC_SWEEP_PREFIX`` is the bare family prefix, which
+``require_topic`` rejects.
 
 Variables and other dynamic expressions pass: publishers that carry a
-registry-derived topic in an attribute (the sweep publisher's
+registry-built topic in an attribute (the sweep publisher's
 ``self.topic``) are the normal case.  The ``repro/obs/`` package is
 exempt — the bus handles topics generically and the registry is where
 the literals live.
@@ -44,35 +42,22 @@ PUBLISH_CALLS = frozenset({"publish_init", "publish_mod"})
 #: Local aliases under which the registry module is imported.
 NAMES_ALIASES = frozenset({"names", "obs_names"})
 
-#: The registry's topic-constructor function for dynamic families.
-TOPIC_BUILDERS = frozenset({"sweep_topic", "job_key"})
-
-
-def _topic_constants() -> frozenset[str]:
-    """Every ``TOPIC_*`` constant defined by ``repro.obs.names``."""
-    from repro.obs import names
-
-    return frozenset(
-        attr for attr in vars(names) if attr.startswith("TOPIC_")
-    )
+#: The registry's topic constructor.
+TOPIC_BUILDER = "sweep_topic"
 
 
 class BusTopicsRule(Rule):
-    """Flag literal or unknown topic names at bus publish sites."""
+    """Flag literal or registry-constant topic names at publish sites."""
 
     rule_id = "OBS002"
     title = "dataset-bus topic registry"
     description = (
         "Topic names passed to the dataset bus "
-        "(publish_init/publish_mod) must be TOPIC_* constants from "
-        "repro.obs.names or sweep_topic(...) constructions — never "
-        "inline string literals, and never registry attributes that "
-        "do not exist.  The repro/obs/ package itself is exempt."
+        "(publish_init/publish_mod) must be sweep_topic(...) "
+        "constructions from repro.obs.names, or variables — never "
+        "inline string literals or registry attributes.  The "
+        "repro/obs/ package itself is exempt."
     )
-
-    def __init__(self) -> None:
-        """Capture the registry's topic constants once per run."""
-        self._topics = _topic_constants()
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         """Yield OBS002 findings for one module."""
@@ -105,33 +90,30 @@ class BusTopicsRule(Rule):
                 node,
                 self.rule_id,
                 f"{function}({argument.value!r}, ...) hard-codes a bus "
-                "topic; use a TOPIC_* constant from repro.obs.names "
-                "(or names.sweep_topic(...) for the sweep family) so "
-                "publishers and subscribers share one namespace",
+                "topic; build it with names.sweep_topic(key) so "
+                "publishers and subscribers share one namespace (no "
+                "TOPIC_* constant of repro.obs.names is a topic)",
             )
             return
         if (
             isinstance(argument, ast.Attribute)
             and isinstance(argument.value, ast.Name)
             and argument.value.id in NAMES_ALIASES
-            and argument.attr not in self._topics
         ):
             yield module.finding(
                 node,
                 self.rule_id,
-                f"{argument.value.id}.{argument.attr} is not a TOPIC_* "
-                "constant of repro.obs.names; bus topics must come "
-                "from the central registry (typo, or add the topic "
-                "there first)",
+                f"{argument.value.id}.{argument.attr} is not a bus topic; "
+                "build topics with names.sweep_topic(key) (the "
+                "registry's constants are prefixes, not topics)",
             )
 
     @staticmethod
     def _topic_argument(node: ast.Call) -> ast.AST | None:
         """The topic argument of one publish call, if present.
 
-        A ``sweep_topic(...)``/``job_key(...)`` construction in
-        argument position is registry-sanctioned and reported as
-        absent (nothing to check).
+        A ``sweep_topic(...)`` construction in argument position is
+        registry-sanctioned and reported as absent (nothing to check).
         """
         argument: ast.AST | None = None
         if node.args:
@@ -143,6 +125,6 @@ class BusTopicsRule(Rule):
                     break
         if isinstance(argument, ast.Call):
             builder = dotted_call_name(argument.func) or ""
-            if builder.split(".")[-1] in TOPIC_BUILDERS:
+            if builder.split(".")[-1] == TOPIC_BUILDER:
                 return None
         return argument

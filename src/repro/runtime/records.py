@@ -143,7 +143,7 @@ def save(result: ExperimentResult, path: str | pathlib.Path) -> pathlib.Path:
     """
     from repro.utils.io import atomic_write_text
 
-    return atomic_write_text(path, dumps(result, indent=2))
+    return pathlib.Path(atomic_write_text(path, dumps(result, indent=2)))
 
 
 def load(path: str | pathlib.Path) -> ExperimentResult:

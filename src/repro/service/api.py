@@ -6,7 +6,7 @@
 workers (an in-process :class:`~repro.fleet.runner.FleetRunner`) and a
 stdlib ``ThreadingHTTPServer`` into the always-on daemon behind
 ``repro serve``.  The wire protocol is JSON-RPC 2.0 over ``POST /rpc``
-(plus ``GET /healthz`` for probes)::
+(plus ``GET /healthz`` for probes) on HTTP/1.1 keep-alive connections::
 
     → {"jsonrpc": "2.0", "id": 1, "method": "submit",
        "params": {"experiment": "E5", "quick": true,
@@ -16,9 +16,12 @@ stdlib ``ThreadingHTTPServer`` into the always-on daemon behind
 
 Methods: ``submit``, ``status``, ``result`` (long-poll until terminal),
 ``cancel``, ``requeue``, ``queue`` (snapshot), ``events`` (long-poll
-subscription feed), ``health`` and ``shutdown``.  Long-polls block only
-their own request thread — ``ThreadingHTTPServer`` gives each request
-its own.
+subscription feed), ``health`` and ``shutdown``.  The server gives each
+connection its own handler thread, which serves that connection's
+requests one after another; a client thread keeps one connection open
+across its calls (:mod:`repro.service.client`).  A connection idle for
+:data:`IDLE_TIMEOUT_S` between requests is closed, and the client
+reconnects.  Long-polls block only their own connection's thread.
 
 On boot the server publishes its address to
 ``<root>/queue/service.json`` so clients (and the CLI subcommands)
@@ -32,6 +35,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import selectors
+import socket
 import sys
 import threading
 import time
@@ -65,10 +70,16 @@ RPC_SERVER_ERROR = -32000
 #: Longest allowed long-poll, seconds; clients re-poll past this.
 MAX_POLL_S = 60.0
 
-#: Methods that park a request thread for up to :data:`MAX_POLL_S`.
-#: ``ThreadingHTTPServer`` spawns one thread per request with no upper
-#: bound, so these — and only these — are admission-controlled through
-#: a bounded semaphore (the work-plane ``runner.*`` RPCs return
+#: Seconds a kept-alive connection may wait for its next request line
+#: before the server closes it.  Busy clients send again well within
+#: it; an idle one reconnects on its next call, so an idle connection
+#: does not hold a handler thread for long.
+IDLE_TIMEOUT_S = 1.0
+
+#: Methods that park a handler thread for up to :data:`MAX_POLL_S`.
+#: ``ThreadingHTTPServer`` spawns one thread per connection with no
+#: upper bound, so these — and only these — are admission-controlled
+#: through a bounded semaphore (the work-plane ``runner.*`` RPCs return
 #: promptly and must never be starved by a dashboard crowd).
 LONG_POLL_METHODS = frozenset({"events", "poll_datasets", "result"})
 
@@ -77,6 +88,10 @@ DEFAULT_MAX_POLLS = 32
 
 #: ``Retry-After`` hint sent with a 503 overload rejection, seconds.
 RETRY_AFTER_S = 1
+
+#: Reply header that ends the connection (``send_header`` also sets
+#: the handler's ``close_connection``).
+_CLOSE = {"Connection": "close"}
 
 #: Why a master without workers cannot run an analysis job.
 NO_WORKERS = (
@@ -135,8 +150,14 @@ class ExperimentService:
             if workers > 0
             else None
         )
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _Server | None = None
         self._http_thread: threading.Thread | None = None
+        #: Serialises :meth:`start` and :meth:`stop` (the shutdown RPC
+        #: and ``repro serve`` may both stop); :attr:`_stopped` is set
+        #: while the service is not serving.
+        self._lifecycle_lock = threading.Lock()
+        self._stopped = threading.Event()
+        self._stopped.set()
         self._started_unix: float | None = None
         self.max_polls = max(1, int(max_polls))
         self._poll_slots = threading.BoundedSemaphore(self.max_polls)
@@ -193,18 +214,16 @@ class ExperimentService:
 
             context = service
 
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self._requested_port), _Handler
-        )
-        # Long-poll handler threads must not block process exit.
-        self._httpd.daemon_threads = True
-        self._started_unix = time.time()
-        self._http_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-service-http",
-            daemon=True,
-        )
-        self._http_thread.start()
+        with self._lifecycle_lock:
+            self._httpd = _Server((self.host, self._requested_port), _Handler)
+            self._started_unix = time.time()
+            self._stopped.clear()
+            self._http_thread = threading.Thread(
+                target=self._httpd.serve_forever,
+                name="repro-service-http",
+                daemon=True,
+            )
+            self._http_thread.start()
         self._publish_address()
         return self.address
 
@@ -223,24 +242,31 @@ class ExperimentService:
         return f"http://{host}:{port}"
 
     def stop(self) -> None:
-        """Shut down HTTP + workers and retract the discovery file."""
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._http_thread is not None:
-            self._http_thread.join(timeout=5.0)
-            self._http_thread = None
-        self.fleet.stop()
-        if self.runner is not None:
-            self.runner.stop()
-        self.service_file_path().unlink(missing_ok=True)
+        """Shut down HTTP + workers and retract the discovery file.
+
+        The server stops accepting at once and ends its kept-alive
+        connections, so once this returns no further request reaches
+        the service (a request already being dispatched still gets its
+        reply).
+        """
+        with self._lifecycle_lock:
+            if self._httpd is not None:
+                self._httpd.shutdown()
+                self._httpd.server_close()
+                self._httpd = None
+            if self._http_thread is not None:
+                self._http_thread.join(timeout=5.0)
+                self._http_thread = None
+            self.fleet.stop()
+            if self.runner is not None:
+                self.runner.stop()
+            self.service_file_path().unlink(missing_ok=True)
+            self._stopped.set()
 
     def serve_forever(self) -> None:
-        """Block until interrupted (the body of ``repro serve``)."""
+        """Block until interrupted or stopped (the body of ``repro serve``)."""
         try:
-            while self._httpd is not None:
-                time.sleep(0.2)
+            self._stopped.wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -531,15 +557,111 @@ class ExperimentService:
         return {"ok": True}
 
 
+class _Server(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that knows its connections.
+
+    The stock ``shutdown`` waits for ``serve_forever``'s next 0.5 s
+    poll; here it wakes the loop at once through a socket pair, and
+    also ends every open connection.
+    """
+
+    #: Long-poll handler threads must not block process exit.
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        self.closed = False
+        self._connections: set[socket.socket] = set()
+        self._lock = threading.Lock()
+        self._wake_read, self._wake_write = socket.socketpair()
+        self._stopped = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Accept connections until :meth:`shutdown` (no polling)."""
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_read, selectors.EVENT_READ)
+                while True:
+                    selector.select()
+                    if self.closed:
+                        return
+                    self._handle_request_noblock()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop accepting, end every open connection, and wait for the loop.
+
+        Shutting a connection's read side wakes a handler waiting for
+        its next request; a handler mid-dispatch still writes its reply.
+        The lock keeps a handler from closing a socket mid-shutdown.
+        """
+        with self._lock:
+            self.closed = True
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already went away
+        self._wake_write.send(b"\0")
+        self._stopped.wait()
+
+    def process_request(self, request, client_address) -> None:
+        """Track the connection, then hand it to its own thread."""
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """Forget a connection its handler thread is done with."""
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket and the wake pair."""
+        super().server_close()
+        self._wake_read.close()
+        self._wake_write.close()
+
+
 class _RPCHandler(BaseHTTPRequestHandler):
-    """Minimal JSON-RPC 2.0 handler over ``POST /rpc`` + ``GET /healthz``."""
+    """Minimal JSON-RPC 2.0 handler over ``POST /rpc`` + ``GET /healthz``.
+
+    HTTP/1.1: one handler serves a connection's requests in turn.
+    """
 
     #: Bound by :meth:`ExperimentService.start` to the owning service.
     context: ExperimentService
+    server: _Server
+
+    protocol_version = "HTTP/1.1"
+
+    #: Headers and body go out in two writes; without ``TCP_NODELAY``
+    #: the body waits for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     #: Quiet the default stderr access log (the CLI has its own).
     def log_message(self, format: str, *args: object) -> None:
         """Suppress per-request stderr logging."""
+
+    def handle_one_request(self) -> None:
+        """Serve one request; close the connection after an idle wait.
+
+        The idle limit covers only the wait for the request line;
+        :meth:`parse_request` lifts it for the rest of the exchange.
+        """
+        self.connection.settimeout(IDLE_TIMEOUT_S)
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; refuse once the server closed."""
+        self.connection.settimeout(None)
+        if self.server.closed:
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Health probe + read-only Prometheus scrape endpoint."""
@@ -560,16 +682,29 @@ class _RPCHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """Dispatch one JSON-RPC request."""
+        # A reply sent before the body is read closes the connection:
+        # the unread body would otherwise be parsed as the next request.
         if self.path.rstrip("/") != "/rpc":
             self._reply(
                 404,
                 _rpc_error(
                     None, RPC_INVALID_REQUEST, f"unknown path {self.path!r}"
                 ),
+                extra_headers=_CLOSE,
             )
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reply(
+                400,
+                _rpc_error(None, RPC_INVALID_REQUEST, "bad Content-Length"),
+                extra_headers=_CLOSE,
+            )
+            return
+        try:
             request = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, TypeError):
             self._reply(
@@ -679,11 +814,12 @@ class _RPCHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
         try:
+            self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client gave up on a long-poll; nothing to salvage
+            # The client gave up on a long-poll; nothing to salvage.
+            self.close_connection = True
 
 
 def _rpc_error(

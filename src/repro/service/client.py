@@ -1,9 +1,12 @@
 """Thin JSON-RPC client for the experiment service.
 
-:class:`ServiceClient` wraps ``urllib.request`` (stdlib, no new
-dependencies) around the daemon's ``POST /rpc`` endpoint.  Construct it
-with an explicit URL, or let :meth:`ServiceClient.discover` read the
-address a running ``repro serve`` published under the engine root::
+:class:`ServiceClient` speaks to the daemon's ``POST /rpc`` endpoint
+over ``http.client`` (stdlib, no new dependencies).  Each calling
+thread keeps one HTTP/1.1 connection open across its calls, so a busy
+client costs the daemon one connection and one handler thread.
+Construct it with an explicit URL, or let
+:meth:`ServiceClient.discover` read the address a running
+``repro serve`` published under the engine root::
 
     from repro.service.client import ServiceClient
 
@@ -20,11 +23,11 @@ Every method returns plain JSON-native dicts (the job documents of
 
 from __future__ import annotations
 
+import http.client
 import json
 import pathlib
+import threading
 import time
-import urllib.error
-import urllib.request
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.service.api import RPC_INVALID_PARAMS, read_service_file
@@ -48,6 +51,11 @@ class ServiceClient:
         self.url = url.rstrip("/")
         self.timeout = timeout
         self._request_id = 0
+        netloc, slash, prefix = self.url.partition("://")[2].partition("/")
+        self._netloc = netloc
+        self._prefix = slash + prefix
+        #: ``connection``: the calling thread's kept-alive connection.
+        self._local = threading.local()
 
     @classmethod
     def discover(
@@ -80,40 +88,19 @@ class ServiceClient:
                 "params": params or {},
             }
         ).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.url}/rpc",
-            data=payload,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
         for attempt in range(_OVERLOAD_RETRIES + 1):
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=timeout or self.timeout
-                ) as response:
-                    reply = json.loads(response.read().decode("utf-8"))
+            status, retry_after, body = self._exchange(
+                "POST", "/rpc", payload, timeout or self.timeout
+            )
+            # 503 = the server's long-poll admission control shed this
+            # request; honour Retry-After briefly and retry.
+            if status != 503 or attempt == _OVERLOAD_RETRIES:
                 break
-            except urllib.error.HTTPError as error:
-                # 503 = the server's long-poll admission control shed
-                # this request; honour Retry-After briefly and retry.
-                if error.code == 503 and attempt < _OVERLOAD_RETRIES:
-                    self._drain(error)
-                    time.sleep(self._retry_after(error))
-                    continue
-                reply = self._error_body(error)
-                break
-            except urllib.error.URLError as error:
-                raise ServiceError(
-                    f"experiment service unreachable at {self.url}: "
-                    f"{error.reason}"
-                ) from error
-            except OSError as error:
-                # A daemon dying mid-request resets the socket, which
-                # surfaces as a bare OSError rather than a URLError.
-                raise ServiceError(
-                    f"experiment service connection failed at {self.url}: "
-                    f"{error}"
-                ) from error
+            time.sleep(_retry_delay(retry_after))
+        try:
+            reply = json.loads(body.decode("utf-8"))
+        except ValueError:
+            reply = {"error": {"code": None, "message": f"HTTP {status}"}}
         if not isinstance(reply, dict):
             raise ServiceError(
                 f"rpc {method!r}: malformed reply {reply!r}"
@@ -129,32 +116,54 @@ class ServiceClient:
             raise ServiceError(f"rpc {method!r} failed: {message}")
         return reply.get("result", {})
 
-    @staticmethod
-    def _error_body(error: urllib.error.HTTPError) -> dict[str, object]:
-        """Parse a JSON-RPC error envelope out of an HTTP error body."""
-        try:
-            return json.loads(error.read().decode("utf-8"))
-        except (OSError, ValueError):
-            return {
-                "error": {"code": None, "message": f"HTTP {error.code}"}
-            }
+    def _exchange(
+        self, verb: str, path: str, body: bytes | None, timeout: float
+    ) -> tuple[int, str | None, bytes]:
+        """One HTTP round trip on the calling thread's connection.
 
-    @staticmethod
-    def _drain(error: urllib.error.HTTPError) -> None:
-        """Consume a retried error's body so its connection can be reused."""
+        Returns ``(status, Retry-After header, body)``.  The server
+        closes a connection only between requests, so a reused
+        connection that fails before any reply arrived never delivered
+        its request: that one case is retried on a fresh connection.
+        Any other failure drops the connection and raises ServiceError.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(self._netloc)
+            self._local.connection = connection
+        connection.timeout = timeout  # applies to the next connect
+        reused = connection.sock is not None
+        if reused:
+            connection.sock.settimeout(timeout)
+        headers = {"Content-Type": "application/json"} if body else {}
         try:
-            error.read()
-        except OSError:
-            pass
-
-    @staticmethod
-    def _retry_after(error: urllib.error.HTTPError) -> float:
-        """The (clamped) Retry-After delay of a 503, defaulting to 0.5s."""
-        try:
-            delay = float(error.headers.get("Retry-After", "0.5"))
-        except (TypeError, ValueError):
-            delay = 0.5
-        return min(max(delay, 0.1), _MAX_RETRY_AFTER_S)
+            try:
+                connection.request(verb, self._prefix + path, body, headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(verb, self._prefix + path, body, headers)
+                response = connection.getresponse()
+            return (
+                response.status,
+                response.getheader("Retry-After"),
+                response.read(),
+            )
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            reach = (
+                "unreachable"
+                if isinstance(error, ConnectionRefusedError)
+                else "connection failed"
+            )
+            raise ServiceError(
+                f"experiment service {reach} at {self.url}: {error}"
+            ) from error
+        except BaseException:
+            connection.close()  # interrupted mid-exchange: state unknown
+            raise
 
     # ------------------------------------------------------------------
     # API surface
@@ -300,19 +309,14 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The daemon's ``GET /metrics`` Prometheus exposition text."""
-        request = urllib.request.Request(
-            f"{self.url}/metrics", method="GET"
+        status, _, body = self._exchange(
+            "GET", "/metrics", None, self.timeout
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as error:
+        if status != 200:
             raise ServiceError(
-                f"experiment service unreachable at {self.url}: "
-                f"{getattr(error, 'reason', error)}"
-            ) from error
+                f"GET {self.url}/metrics failed: HTTP {status}"
+            )
+        return body.decode("utf-8")
 
     def health(self) -> dict[str, object]:
         """The daemon's liveness snapshot."""
@@ -332,3 +336,12 @@ class ServiceClient:
             self.call("shutdown")
         except ServiceError:
             pass  # the daemon may drop the connection while stopping
+
+
+def _retry_delay(retry_after: str | None) -> float:
+    """The (clamped) Retry-After delay of a 503, defaulting to 0.5s."""
+    try:
+        delay = float(retry_after or 0.5)
+    except ValueError:
+        delay = 0.5
+    return min(max(delay, 0.1), _MAX_RETRY_AFTER_S)

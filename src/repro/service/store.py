@@ -119,6 +119,9 @@ class JobStore:
         self.jobs_dir = self.queue_dir / JOBS_DIR
         self.journal_path = self.queue_dir / JOURNAL_FILE
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
+        #: ``jobs_dir`` as a string: job files are written through plain
+        #: strings, since a ``Path`` per write interns every new name.
+        self._jobs_dir = os.fspath(self.jobs_dir)
         self._lock = threading.RLock()
         #: Notified on every transition; ``_work`` only when a job
         #: becomes pending, so idle claimers sleep through the rest.
@@ -715,7 +718,11 @@ class JobStore:
     # ------------------------------------------------------------------
     def job_path(self, job_id: int) -> pathlib.Path:
         """The snapshot path of one job id."""
-        return self.jobs_dir / f"{job_id}.json"
+        return pathlib.Path(self._job_file(job_id))
+
+    def _job_file(self, job_id: int) -> str:
+        """:meth:`job_path` as a plain string."""
+        return os.path.join(self._jobs_dir, f"{job_id}.json")
 
     def _persist(
         self, job: Job, event: str, fields: Iterable[str] | None = None,
@@ -791,7 +798,7 @@ class JobStore:
         """Write ``job``'s document to its job file (caller holds the lock)."""
         self._unsnapshotted.add(job.job_id)
         atomic_write_text(
-            self.job_path(job.job_id),
+            self._job_file(job.job_id),
             json.dumps(job.to_dict(), sort_keys=True),
         )
         self._unsnapshotted.discard(job.job_id)

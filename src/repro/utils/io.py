@@ -30,6 +30,7 @@ import collections
 import os
 import pathlib
 import threading
+from typing import TypeVar
 
 #: Per-process uniquifier for temp-file names; two threads of one
 #: process writing the same destination must not share a temp path.
@@ -39,54 +40,60 @@ _COUNTER = 0
 #: Most append descriptors :func:`append_line` keeps open at once.
 APPEND_HANDLES = 8
 
+#: A destination path, handed back as the caller gave it.
+_PathT = TypeVar("_PathT", str, pathlib.Path)
 
-def _temp_path(path: pathlib.Path) -> pathlib.Path:
-    """A process-and-thread-unique sibling temp path for ``path``."""
+
+def _temp_path(path: str) -> str:
+    """A process-and-thread-unique sibling temp path for ``path``.
+
+    Plain strings: a ``pathlib.Path`` per write would intern every new
+    file name for the life of the process.
+    """
     global _COUNTER
     with _COUNTER_LOCK:
         _COUNTER += 1
         serial = _COUNTER
-    return path.with_name(f".{path.name}.tmp-{os.getpid()}-{serial}")
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.tmp-{os.getpid()}-{serial}")
 
 
-def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    The parent directory is created if missing.  Concurrent writers of
-    the same path serialise to last-writer-wins with no interleaving;
-    readers always see either the previous or the new complete content.
-    """
-    path = pathlib.Path(path)
+def _replace_with(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp sibling, fsync it, and rename it over ``path``."""
     tmp = _temp_path(path)
     try:
         try:
-            handle = open(tmp, "w", encoding="utf-8")
+            handle = open(tmp, "wb")
         except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = open(tmp, "w", encoding="utf-8")
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            handle = open(tmp, "wb")
         with handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
-
-
-def atomic_write_bytes(path: str | pathlib.Path, data: bytes) -> pathlib.Path:
-    """Binary twin of :func:`atomic_write_text` (npz archives etc.)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = _temp_path(path)
-    try:
-        with open(tmp, "wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+
+
+def atomic_write_text(path: _PathT, text: str) -> _PathT:
+    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+
+    The parent directory is created if missing.  Concurrent writers of
+    the same path serialise to last-writer-wins with no interleaving;
+    readers always see either the previous or the new complete content.
+    Returns ``path`` as given.
+    """
+    _replace_with(os.fspath(path), text.encode("utf-8"))
+    return path
+
+
+def atomic_write_bytes(path: _PathT, data: bytes) -> _PathT:
+    """Binary twin of :func:`atomic_write_text` (npz archives etc.)."""
+    _replace_with(os.fspath(path), data)
     return path
 
 

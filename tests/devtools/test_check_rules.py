@@ -572,6 +572,24 @@ class TestBusTopicsRule:
         assert len(findings) == 1
         assert "TOPIC_METRIC" in findings[0].message
 
+    def test_registry_prefix_is_not_a_topic(self, run_rules):
+        # The bare family prefix exists in the registry, but
+        # require_topic rejects it at publish time.
+        findings = run_rules(
+            {
+                "repro/service/queue.py": """
+                from repro import obs
+                from repro.obs import names
+
+                def announce(snapshot):
+                    obs.publish_init(names.TOPIC_SWEEP_PREFIX, snapshot)
+                """
+            },
+            [BusTopicsRule()],
+        )
+        assert len(findings) == 1
+        assert "TOPIC_SWEEP_PREFIX" in findings[0].message
+
     def test_constants_builders_and_variables_clean(self, run_rules):
         findings = run_rules(
             {

@@ -1,8 +1,9 @@
 """Long-poll admission control: bounded parking, 503 shedding, retry.
 
-The daemon's ``ThreadingHTTPServer`` spawns a thread per request, so
-parked long-polls (``events``/``poll_datasets``/``result``) used to be
-an unbounded thread amplifier.  These tests pin the fix: a semaphore
+The daemon's ``ThreadingHTTPServer`` spawns a thread per connection,
+and a client thread keeps one connection open, so parked long-polls
+(``events``/``poll_datasets``/``result``) used to be an unbounded
+thread amplifier.  These tests pin the fix: a semaphore
 of ``max_polls`` slots guards exactly the long-poll methods, overflow
 is shed with ``503 + Retry-After`` (never queued), the control plane
 (health, status, ``runner.*``) stays uncapped, and the client retries
