@@ -41,7 +41,7 @@ Telemetry subcommands (the observability surface)::
 
 Developer tooling::
 
-    python -m repro check [PATHS] [--rule ID] [--json] [--baseline FILE]
+    python -m repro check [PATHS] [--rule ID] [--json]
     python -m repro check --list-rules
 
 ``run``, ``report`` and ``sweep`` dispatch through the
@@ -613,27 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--json",
         action="store_true",
-        help="print the schema-1 JSON findings document instead of text",
-    )
-    check_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "subtract a committed baseline of known findings "
-            "(default: discover .repro-check-baseline.json above the paths)"
-        ),
-    )
-    check_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip baseline auto-discovery; report every finding",
-    )
-    check_parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a baseline file and exit",
+        help="print the schema-2 JSON findings document instead of text",
     )
     check_parser.add_argument(
         "--update-digests",
@@ -723,13 +703,13 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, object]:
 
 
 def command_list(args: argparse.Namespace) -> int:
-    """Print the experiment registry with each driver's override params."""
-    from repro.experiments.registry import EXPERIMENTS, experiment_parameters
+    """Print the experiment catalog with each driver's override params."""
+    from repro.experiments.catalog import CATALOG
     from repro.utils.tables import format_table
 
     rows = [
-        [key, description, " ".join(sorted(experiment_parameters(key))) or "-"]
-        for key, (_, description) in sorted(EXPERIMENTS.items())
+        [key, description, " ".join(sorted(names)) or "-"]
+        for key, (description, names) in sorted(CATALOG.items())
     ]
     print(
         format_table(

@@ -4,23 +4,19 @@ Kept out of :mod:`repro.cli` so the main CLI module stays a thin
 dispatcher; :func:`run_check` receives the parsed
 :class:`argparse.Namespace` built there.
 
-Exit codes follow the repo convention: ``0`` clean, ``1`` findings
-(after baseline subtraction), ``2`` for configuration errors
-(unknown rule id, broken baseline file — raised as
+Exit codes follow the repo convention: ``0`` clean, ``1`` any
+finding, ``2`` for configuration errors (unknown rule id — raised as
 :class:`~repro.errors.ConfigurationError` and mapped by ``main``).
 
-The ``--json`` document (``"schema": 1``) is part of the tool's
+The ``--json`` document (``"schema": 2``) is part of the tool's
 contract — see DESIGN.md, "Static analysis"::
 
     {
-      "schema": 1,
+      "schema": 2,
       "checked_files": 63,
       "suppressed": 2,            # inline `# repro: allow[...]` hits
-      "baseline": ".repro-check-baseline.json" | null,
-      "baselined": 0,             # findings absorbed by the baseline
-      "stale_baseline": [...],    # baseline entries nothing matched
-      "counts": {"RNG001": 1},    # new findings per rule id
-      "findings": [               # new findings only, sorted
+      "counts": {"RNG001": 1},    # findings per rule id
+      "findings": [               # sorted
         {"path", "module", "line", "col", "rule", "message", "context"}
       ]
     }
@@ -35,19 +31,13 @@ import sys
 import textwrap
 from collections.abc import Sequence
 
-from repro.devtools.check.baseline import (
-    BaselineMatch,
-    apply_baseline,
-    discover_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.devtools.check.framework import Checker, CheckResult, Finding
 from repro.devtools.check.rules import all_rules
 from repro.errors import ConfigurationError
 
-#: Bump when the ``--json`` document layout changes.
-CHECK_JSON_SCHEMA = 1
+#: Bump when the ``--json`` document layout changes (2: the baseline
+#: keys are gone).
+CHECK_JSON_SCHEMA = 2
 
 
 def default_paths() -> list[str]:
@@ -79,27 +69,10 @@ def run_check(args: argparse.Namespace) -> int:
             )
         rules = [rule for rule in rules if rule.rule_id in wanted]
     result = Checker(rules).run(paths)
-    if args.write_baseline:
-        path = write_baseline(args.write_baseline, result.findings)
-        print(f"wrote {len(result.findings)} finding(s) to {path}")
-        return 0
-    baseline_path: pathlib.Path | None = None
-    if args.baseline:
-        baseline_path = pathlib.Path(args.baseline)
-    elif not args.no_baseline:
-        baseline_path = discover_baseline(paths)
-    entries = load_baseline(baseline_path) if baseline_path is not None else []
-    match = apply_baseline(result.findings, entries)
     if args.json:
-        print(
-            json.dumps(
-                _json_document(result, match, baseline_path),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 1 if match.new else 0
-    return _render_text(result, match, baseline_path)
+        print(json.dumps(_json_document(result), indent=2, sort_keys=True))
+        return 1 if result.findings else 0
+    return _render_text(result)
 
 
 def _list_rules() -> int:
@@ -135,54 +108,34 @@ def _update_digests(paths: Sequence[str]) -> int:
     return 0
 
 
-def _json_document(
-    result: CheckResult,
-    match: BaselineMatch,
-    baseline_path: pathlib.Path | None,
-) -> dict[str, object]:
-    """Build the schema-1 ``--json`` document."""
+def _json_document(result: CheckResult) -> dict[str, object]:
+    """Build the schema-2 ``--json`` document."""
     return {
         "schema": CHECK_JSON_SCHEMA,
         "checked_files": result.checked_files,
         "suppressed": result.suppressed,
-        "baseline": str(baseline_path) if baseline_path else None,
-        "baselined": len(match.baselined),
-        "stale_baseline": match.stale,
-        "counts": _counts(match.new),
-        "findings": [finding.to_json() for finding in match.new],
+        "counts": _counts(result.findings),
+        "findings": [finding.to_json() for finding in result.findings],
     }
 
 
 def _counts(findings: Sequence[Finding]) -> dict[str, int]:
-    """New-finding counts per rule id."""
+    """Finding counts per rule id."""
     counts: dict[str, int] = {}
     for finding in findings:
         counts[finding.rule] = counts.get(finding.rule, 0) + 1
     return counts
 
 
-def _render_text(
-    result: CheckResult,
-    match: BaselineMatch,
-    baseline_path: pathlib.Path | None,
-) -> int:
-    """Human output: one line per new finding plus a summary line."""
-    for finding in match.new:
+def _render_text(result: CheckResult) -> int:
+    """Human output: one line per finding plus a summary line."""
+    for finding in result.findings:
         print(finding.render())
-    for entry in match.stale:
-        print(
-            "warning: stale baseline entry "
-            f"{entry['module']} {entry['rule']} ({entry['context']!r}) — "
-            "the finding is gone; regenerate the baseline",
-            file=sys.stderr,
-        )
     parts = [
-        f"{len(match.new)} finding(s)",
+        f"{len(result.findings)} finding(s)",
         f"{result.checked_files} file(s) checked",
     ]
-    if baseline_path is not None:
-        parts.append(f"{len(match.baselined)} baselined")
     if result.suppressed:
         parts.append(f"{result.suppressed} suppressed inline")
     print(", ".join(parts), file=sys.stderr)
-    return 1 if match.new else 0
+    return 1 if result.findings else 0

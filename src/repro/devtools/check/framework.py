@@ -3,13 +3,10 @@
 A :class:`Rule` inspects one parsed module at a time and yields
 :class:`Finding` objects; the :class:`Checker` walks a set of paths,
 parses every ``.py`` file once, dispatches it to each selected rule,
-and folds in the two escape hatches that keep a lint gate honest:
-
-* **inline suppressions** — ``# repro: allow[RULE1,RULE2]`` on the
-  offending physical line silences exactly those rules on exactly that
-  line (``allow[*]`` silences every rule);
-* **a committed baseline** — see :mod:`repro.devtools.check.baseline` —
-  so pre-existing debt is tracked without blocking new work.
+and folds in the one escape hatch, **inline suppressions**:
+``# repro: allow[RULE1,RULE2]`` on the offending physical line silences
+exactly those rules on exactly that line (``allow[*]`` silences every
+rule).  Any other finding fails the gate.
 
 Rules are scoped by *module identity*, not absolute location: a file's
 identity is its path from the last ``repro`` directory component
@@ -44,9 +41,8 @@ class Finding:
 
     ``path`` is the file as it was reached from the scan arguments
     (what a human clicks on); ``module`` is the location-independent
-    identity (``repro/...`` or a bare file name) that the baseline and
-    the JSON output key on, so a baseline written on one machine
-    matches on any other.
+    identity (``repro/...`` or a bare file name) that the JSON output
+    keys on, so a document written on one machine matches on any other.
     """
 
     path: str
@@ -60,14 +56,6 @@ class Finding:
     def render(self) -> str:
         """The human one-liner: ``path:line:col: RULE message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def key(self) -> tuple[str, str, str]:
-        """The location-independent identity used for baseline matching.
-
-        Line numbers are deliberately absent: unrelated edits move
-        violations around a file without changing what they are.
-        """
-        return (self.module, self.rule, self.context)
 
     def to_json(self) -> dict[str, object]:
         """The JSON document of one finding (``schema`` documented in
@@ -151,8 +139,8 @@ class Rule:
     every module has been dispatched.
     """
 
-    #: Stable identifier (``RNG001``) used in output, suppressions,
-    #: ``--rule`` filters and the baseline.
+    #: Stable identifier (``RNG001``) used in output, suppressions and
+    #: ``--rule`` filters.
     rule_id: str = "RULE000"
     #: One-line human name shown by ``repro check --list-rules``.
     title: str = ""
@@ -173,8 +161,7 @@ class CheckResult:
     """Everything one ``Checker.run`` produced.
 
     ``findings`` excludes inline-suppressed ones (counted in
-    ``suppressed``); baseline subtraction happens in the CLI layer, not
-    here, so library callers always see the full picture.
+    ``suppressed``).
     """
 
     findings: list[Finding]

@@ -4,15 +4,16 @@ Every driver shares the uniform signature
 ``run(seed=0, quick=False, *, <overrides>)``: the keyword-only tail
 names the physical parameters that run accepts as overrides (pump
 power, integration time, shot counts, ...).  The registry introspects
-that tail so callers — the CLI, the run engine, the service — can
-validate parameter names up front (:func:`check_parameters`) and report
-what a driver supports.
+that tail (:func:`experiment_parameters`); the names and descriptions
+callers check against without importing a driver are in
+:mod:`repro.experiments.catalog`, whose :func:`check_parameters` this
+module re-exports.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -27,19 +28,28 @@ from repro.experiments import (
     typeii_car,
 )
 from repro.experiments.base import ExperimentResult
+from repro.experiments.catalog import CATALOG, check_parameters
 
 #: Experiment id → (driver, one-line description).
 EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
-    "E1": (coincidence_matrix.run, "signal/idler coincidence matrix (II)"),
-    "E2": (car_rates.run, "per-channel CAR and pair rates at 15 mW (II)"),
-    "E3": (coherence_time.run, "time-resolved linewidth, 110 MHz (II)"),
-    "E4": (stability.run, "weeks-long < 5% stability (II)"),
-    "E5": (typeii_car.run, "type-II CAR ~ 10 at 2 mW (III)"),
-    "E6": (opo_power.run, "OPO threshold at 14 mW, quadratic->linear (III)"),
-    "E7": (bell_fringes.run, "83% visibility + CHSH on 5 channels (IV)"),
-    "E8": (four_photon.run, "89% four-photon interference (V)"),
-    "E9": (tomography_fidelity.run, "tomography, 64% four-photon fidelity (V)"),
+    key: (driver, CATALOG[key][0])
+    for key, driver in (
+        ("E1", coincidence_matrix.run),
+        ("E2", car_rates.run),
+        ("E3", coherence_time.run),
+        ("E4", stability.run),
+        ("E5", typeii_car.run),
+        ("E6", opo_power.run),
+        ("E7", bell_fringes.run),
+        ("E8", four_photon.run),
+        ("E9", tomography_fidelity.run),
+    )
 }
+
+__all__ = [
+    "EXPERIMENTS", "check_parameters", "experiment_parameters",
+    "get_experiment", "run_all", "run_experiment",
+]
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
@@ -66,21 +76,6 @@ def experiment_parameters(experiment_id: str) -> dict[str, object]:
         for name, parameter in signature.parameters.items()
         if parameter.kind is inspect.Parameter.KEYWORD_ONLY
     }
-
-
-def check_parameters(experiment_id: str, names: Iterable[str]) -> None:
-    """Reject override names the driver does not accept.
-
-    The one home of the name check, so a typo'd override fails with the
-    supported names before anything runs, whoever the caller is.
-    """
-    supported = experiment_parameters(experiment_id)
-    unknown = sorted(set(names) - set(supported))
-    if unknown:
-        raise ConfigurationError(
-            f"{experiment_id.upper()} does not accept parameter(s) "
-            f"{unknown}; supported: {sorted(supported)}"
-        )
 
 
 def run_experiment(

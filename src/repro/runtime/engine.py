@@ -296,7 +296,7 @@ class RunEngine:
         """
         if not pending:
             return
-        from repro.experiments.registry import check_parameters
+        from repro.experiments.catalog import check_parameters
 
         for index in pending:
             spec = specs[index]

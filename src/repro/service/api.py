@@ -385,11 +385,13 @@ class ExperimentService:
     ) -> None:
         """Reject unknown experiments / override / scan names at submit.
 
-        Registry introspection runs here — in the daemon — so a typo'd
-        submission (fixed override *or* sweep axis) fails the RPC
-        immediately instead of surfacing as a failed job minutes later.
+        The check runs here — in the daemon — so a typo'd submission
+        (fixed override *or* sweep axis) fails the RPC immediately
+        instead of surfacing as a failed job minutes later.  It reads
+        the driver-free catalog, so a daemon serving cache hits never
+        imports the drivers.
         """
-        from repro.experiments.registry import check_parameters
+        from repro.experiments.catalog import check_parameters
 
         names = set(params or {})
         if scan:

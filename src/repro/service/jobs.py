@@ -17,8 +17,10 @@ with its attempt counter bumped.
 Jobs live on disk as queue-journal lines (see
 :class:`repro.service.store.JobStore`): the submission line carries
 every field, later lines only what a transition changed, and
-:meth:`Job.apply` folds them.  Everything here round-trips losslessly
-through :meth:`Job.to_dict` / :meth:`Job.from_dict`.
+:meth:`Job.apply` folds them; an ended job whose lines rotated out is
+one line of :meth:`Job.fields` in a compacted file.  Everything here
+round-trips losslessly through :meth:`Job.to_dict` /
+:meth:`Job.from_dict`.
 
 Pure stdlib: the model sits below the CLI's no-numpy fast path.
 """
@@ -136,9 +138,9 @@ class Job:
         self.experiment_id = self.experiment_id.upper()
         if not self.pipeline:
             raise ConfigurationError("pipeline name must be non-empty")
-        # A daemon holds every job it ever ran, most of them re-read
-        # from disk; sharing these few-valued strings keeps each job's
-        # footprint to what is really its own.
+        # Jobs are rebuilt from disk over and over (every journal fold,
+        # every ended job read back); sharing these few-valued strings
+        # keeps each job's footprint to what is really its own.
         for name in ("kind", "experiment_id", "pipeline", "status"):
             value = getattr(self, name)
             if type(value) is str:

@@ -6,29 +6,44 @@ Layout::
                                    truth: one line per job transition,
                                    and the long-poll feed
     <root>/queue/journal-1.jsonl   the generation rotated out at
-                                   JOURNAL_MAX_LINES lines
+                                   JOURNAL_MAX_LINES lines (the feed's
+                                   history; the queue reads only the
+                                   compacted files below)
     <root>/queue/journal.lock      flock taken by every store writing
                                    the journal
-    <root>/queue/jobs/<id>.json    the job's snapshot: written when it
-                                   ends (or, live, before a rotation)
-                                   and emptied if it is requeued
+    <root>/queue/ended/<seq>-<lo>-<hi>.jsonl
+                                   one compacted file per rotation: a
+                                   header line (the queue's counts and
+                                   live jobs as of journal line <seq>),
+                                   then the jobs ended in the rotated
+                                   generation, one document per line,
+                                   sorted by id from <lo> to <hi>
     <root>/queue/jobs/<id>.claim   O_EXCL claim marker while a lease
                                    runs the job (holder pid, worker)
     <root>/queue/service.json      live server address (written by the
                                    HTTP layer, see repro.service.api)
 
 Durability model: each job transition is one fsynced journal line (a
-rotating :class:`~repro.utils.journal.Journal`).  A submission line
-carries the whole job document; later lines carry the fields the
-transition changed, and a job's state is the fold of its lines.  A job
-that ends also gets its snapshot in ``jobs/<id>.json``, and every live
-job does before an append that rotates the journal, so the lines a
-rotation drops are always covered by a snapshot.  Opening a store
-folds the journal onto the snapshots; a root whose journal lines carry
-no job fields (the older layout, where job files were rewritten on
-every transition) is read from its job files alone.  On restart with
-``recover=True`` any job found ``running`` is returned to ``pending``
-(its server died mid-run) and stale claim markers are released.
+rotating :class:`~repro.utils.journal.Journal`).  A submission line,
+and a requeue's, carries the whole job document; later lines carry the
+fields the transition changed, and a job's state is the fold of its
+lines.  Before the live journal file rotates out, the ended jobs whose
+lines it holds are folded, one at a time in id order, into one
+compacted file, which is fsynced (with its directory) before the
+rotation can drop anything: its header checkpoints the queue up to the
+file's last line, so a store opens by reading that header and folding
+only the live journal lines past it.  An ended job is then read back
+(``get``, ``status``, ``result``) from the live journal or by a bisect
+of the compacted files.  A root in an older layout (a snapshot
+``jobs/<id>.json`` per ended job, or no job fields in the journal lines)
+is folded into one compacted file the first time it is opened.  On
+restart with ``recover=True`` any job found ``running`` is returned to
+``pending`` (its server died mid-run) and stale claim markers are
+released.
+
+Memory model: a store holds its live (pending and running) jobs, the
+counts by status, and the :data:`ENDED_JOBS` ended jobs it touched last;
+so its memory is bounded by the live work, not by the jobs it served.
 
 Concurrency model: one :class:`JobStore` instance is thread-safe via a
 single condition variable (submitters notify waiting claimers and
@@ -47,14 +62,17 @@ many-clients-one-cache behaviour the paper's sweep campaigns need.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import os
 import pathlib
 import threading
 import time
-from collections.abc import Iterable, Mapping
+from array import array
+from collections.abc import Iterable, Iterator, Mapping
 from operator import attrgetter
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -63,22 +81,21 @@ from repro.runtime.engine import RunEngine, default_root
 from repro.service.jobs import (
     ANALYSIS_EXPERIMENT,
     CANCELLED,
-    DONE,
     KIND_ANALYZE,
     KIND_RUN,
     KIND_SWEEP,
     PENDING,
     RUNNING,
-    STATUSES,
     TERMINAL,
     Job,
 )
-from repro.utils.io import atomic_write_text
+from repro.utils.io import atomic_write_lines
 from repro.utils.journal import Journal
 
 #: Directory and file names inside the engine root.
 QUEUE_DIR = "queue"
 JOBS_DIR = "jobs"
+ENDED_DIR = "ended"
 JOURNAL_FILE = "journal.jsonl"
 
 #: How many recent events the journal's in-memory long-poll tail keeps.
@@ -87,6 +104,10 @@ EVENT_BUFFER = 4096
 #: Live journal lines at which the journal rotates to ``journal-1.jsonl``
 #: (one line per job transition and sweep point).
 JOURNAL_MAX_LINES = 20_000
+
+#: Ended jobs a store keeps in memory, the least recently used leaving
+#: first; an older one is read back from disk when asked for.
+ENDED_JOBS = 256
 
 #: Longest a waiter sleeps before looking for other stores' transitions.
 FOLLOW_S = 0.05
@@ -105,6 +126,16 @@ RESET = (
     "run_ids",
 )
 
+#: The statuses a store holds every job of, by id.
+LIVE = (PENDING, RUNNING)
+
+#: A compacted body line's sort key packs the job id above the index of
+#: the journal line it came from.
+_LINE_BITS = 32
+
+#: A bisect of a compacted body reads the last this many bytes whole.
+_SCAN_BYTES = 1 << 14
+
 
 class JobStore:
     """The persistent, thread-safe priority queue of service jobs."""
@@ -117,89 +148,109 @@ class JobStore:
         self.root = pathlib.Path(root) if root is not None else default_root()
         self.queue_dir = self.root / QUEUE_DIR
         self.jobs_dir = self.queue_dir / JOBS_DIR
+        self.ended_dir = self.queue_dir / ENDED_DIR
         self.journal_path = self.queue_dir / JOURNAL_FILE
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        #: ``jobs_dir`` as a string: job files are written through plain
-        #: strings, since a ``Path`` per write interns every new name.
-        self._jobs_dir = os.fspath(self.jobs_dir)
+        self.ended_dir.mkdir(exist_ok=True)
         self._lock = threading.RLock()
         #: Notified on every transition; ``_work`` only when a job
         #: becomes pending, so idle claimers sleep through the rest.
         self._changed = threading.Condition(self._lock)
         self._work = threading.Condition(self._lock)
+        #: The jobs in memory: every live one, and the ended ones in
+        #: ``_recent``.  The objects callers hold are these.
         self._jobs: dict[int, Job] = {}
         #: The status index, kept in step with every job that enters
-        #: ``_jobs`` (:meth:`_put`) or changes status (:meth:`_index`)
-        #: so scheduling reads never scan every job: the ids of each
-        #: status in a set, except ``done`` — the bulk of a long-lived
-        #: queue, which the index only counts.  A known id in no set is
-        #: done.
-        self._by_status: dict[str, set[int]] = {
-            status: set() for status in STATUSES if status != DONE
-        }
-        self._done = 0
+        #: ``_jobs`` (:meth:`_admit`) or changes status (:meth:`_index`),
+        #: so scheduling reads never scan a job table: the ids of each
+        #: live status, and a count of each ended one.
+        self._by_status: dict[str, set[int]] = {status: set() for status in LIVE}
+        self._ended: collections.Counter[str] = collections.Counter()
+        #: The ended jobs in ``_jobs``, least recently used first, each
+        #: with the status it is counted under.
+        self._recent: collections.OrderedDict[int, str] = (
+            collections.OrderedDict()
+        )
+        #: ``(seq, lo, hi, path)`` of each compacted file, oldest first.
+        self._compacted: list[tuple[int, int, int, str]] = []
         #: The highest job id allocated or named by a line or job file.
         self._max_id = 0
         #: Bumped with every ``_work`` notification: a claimer reads it
         #: before a claim pass and hands it to :meth:`wait_for_work`.
         self.work_seq = 0
-        #: Ended jobs whose snapshot write failed; rotation retries them.
-        self._unsnapshotted: set[int] = set()
         self.journal = Journal(
             self.journal_path,
             JOURNAL_MAX_LINES,
             tail=EVENT_BUFFER,
             on_read=_count_journal_read,
         )
+        self.journal.before_rotate = self._compact
         self._load(recover=recover)
 
     # ------------------------------------------------------------------
     # Loading and recovery
     # ------------------------------------------------------------------
     def _load(self, recover: bool) -> None:
-        """Read the snapshots and fold the whole journal onto them."""
+        """Read the newest checkpoint and fold the live journal past it."""
         with self._changed, self.journal.locked():
-            self.journal.rewind()
-            self._follow()
+            for entry in self.journal.follow()[0]:
+                entry.pop(STATE, None)  # the tail keeps the summary
+            self._reload()
             if recover:
                 self._recover()
 
-    def _read_snapshots(self) -> dict[int, float | None]:
-        """Set every job to its snapshot (lock held); returns each
-        snapshotted job's ``finished_unix``.
+    def _reload(self) -> None:
+        """Rebuild the in-memory queue from disk (both locks held).
 
-        Known jobs are updated in place, so the objects callers hold
-        stay this store's own.
+        The newest compacted file's header gives the counts, the live
+        jobs and the highest id as of its line; the live journal's
+        later lines are folded onto them.  A root in an older layout is
+        compacted first (:meth:`_migrate`).  Jobs this store held stay
+        the same objects, updated in place.
         """
-        ended: dict[int, float | None] = {}
-        for path in self.jobs_dir.glob("*.json"):
-            if path.stem.isdigit():  # its id is taken, whatever it holds
-                self._max_id = max(self._max_id, int(path.stem))
-            try:
-                document = json.loads(path.read_text(encoding="utf-8"))
-                job = self._jobs.get(document["job_id"])
-                if job is None:
-                    job = Job.from_dict(document)
-            except (OSError, ValueError, KeyError, TypeError,
-                    ConfigurationError):
-                continue  # emptied, or a torn or foreign file
-            if job.job_id in self._jobs:
-                job.apply(document)
-            self._put(job)
-            ended[job.job_id] = job.finished_unix
-        return ended
+        held = self._jobs
+        self._jobs = {}
+        self._recent.clear()
+        self._by_status = {status: set() for status in LIVE}
+        self._ended = collections.Counter()
+        snapshots = self._snapshot_files()
+        if snapshots:  # their ids are taken, whatever the files hold
+            self._max_id = max(self._max_id, max(snapshots))
+        self._list_compacted()
+        if not self._compacted and (
+            snapshots or self.journal.rotated_path.exists()
+        ):
+            self._migrate(snapshots)
+        header = self._header()
+        after = 0
+        if header is not None:
+            after = header["seq"]
+            self._max_id = max(self._max_id, header["max_id"])
+            self._ended.update(header["counts"])
+            for fields in header["live"]:
+                job = _replay(None, fields)
+                if job is not None:
+                    self._admit(job)
+        for entry in self._entries(after):
+            self._fold(entry)
+        for job_id, job in self._jobs.items():
+            old = held.get(job_id)
+            if old is not None and old is not job:
+                old.apply(job.fields())
+                self._jobs[job_id] = old
 
     def _recover(self) -> None:
         """Return orphaned ``running`` jobs to ``pending`` after a crash,
-        and write the snapshots the crash skipped.
+        and delete the temp file of a compaction the crash cut short.
 
         Only *orphaned* ones: a running job whose claim marker names a
         still-alive pid belongs to another daemon sharing this root and
         must be left alone — recovery fences dead servers, it must not
         steal live work.  Stale markers go after their jobs' reset.
         """
-        for job_id in sorted(self._unsnapshotted):
-            self._snapshot(self._jobs[job_id])
+        for name in os.listdir(self.ended_dir):
+            if name.startswith("."):  # no compaction runs: we hold the lock
+                os.unlink(os.path.join(self.ended_dir, name))
         alive = {p: _holder_alive(p) for p in self.jobs_dir.glob("*.claim")}
         for job in self._with_status(RUNNING):
             if not alive.get(self._claim_path(job.job_id)):
@@ -216,51 +267,101 @@ class JobStore:
 
         Each transition is made after this call under the journal's
         lock, so it always starts from the queue's current state.  When
-        the journal rewound (at open, or when lines rotated out before
-        this store read them) the snapshots are read first: rotation
-        snapshots every live job before it drops a generation.  An
-        ended job whose snapshot is missing or older than its last line
-        (a crash came between the two) is snapshotted again: at once
-        when recovering, else when the journal next rotates.  A waiter
-        is woken when anything was folded.
+        lines rotated out before this store read them, it reloads from
+        disk instead (the rotation compacted them first).  A waiter is
+        woken when anything was folded.
         """
         entries, rewound = self.journal.follow()
-        ended = self._read_snapshots() if rewound else {}
-        folded = [self._fold(entry) for entry in entries]
         if rewound:
-            self._unsnapshotted.update(
-                job.job_id
-                for job in self._jobs.values()
-                if job.is_terminal
-                and ended.get(job.job_id) != job.finished_unix
-            )
-        if rewound or any(folded):
-            self._changed.notify_all()
-            self._wake_claimers()
+            for entry in entries:
+                entry.pop(STATE, None)
+            self._reload()
+        elif not any([self._fold(entry) for entry in entries]):
+            return
+        self._changed.notify_all()
+        self._wake_claimers()
 
-    def _fold(self, entry: Mapping[str, object]) -> bool:
+    def _fold(self, entry: dict[str, object]) -> bool:
         """Apply one journal line's job fields (caller holds the lock).
 
-        A line without fields (the older layout) or naming a job this
-        store cannot build is skipped, but its id is never handed out.
+        A line naming a job this store holds updates it in place.  A
+        whole job (a submission, or a requeue carrying the status the
+        job was counted under as ``was``) enters memory; a later line of
+        an ended job this store let go reads the job back from disk
+        first.  A line without fields (the older layout) or naming a job
+        this store cannot build is skipped, but its id is never handed
+        out.
         """
         state = entry.pop(STATE, None)  # the tail keeps the summary
         job_id = entry.get("job_id")
+        new = type(job_id) is int and job_id > self._max_id
         if type(job_id) is int:
             self._max_id = max(self._max_id, job_id)
         if not isinstance(state, dict) or type(job_id) is not int:
             return False
         job = self._jobs.get(job_id)
-        if job is None:
-            try:
-                job = Job.from_dict(state)
-            except (ConfigurationError, TypeError, ValueError, AttributeError):
+        if job is None and "kind" in state:
+            job = _replay(None, state)
+            if job is None:
                 return False
-            self._put(job)
-        else:
-            job.apply(state)
-            self._index(job)
+            was = entry.get("was")
+            if not new and was in TERMINAL:
+                self._ended[was] -= 1
+            self._admit(job)
+            return True
+        if job is None:
+            job = self._read_job(job_id, before=entry.get("seq"))
+            if job is None:
+                return False
+            self._remember(job)
+        job.apply(state)
+        self._index(job)
         return True
+
+    def _migrate(self, snapshots: Mapping[int, str]) -> None:
+        """Fold a root in an older layout into one compacted file.
+
+        The older layouts kept a snapshot ``jobs/<id>.json`` of every
+        ended job (and, before that, of every job at every transition,
+        with journal lines carrying no job fields).  The snapshots are
+        read, every retained journal line is folded onto them, and the
+        result is written as the first compacted file; the snapshots are
+        deleted once it is durable.
+        """
+        jobs: dict[int, Job] = {}
+        for path in snapshots.values():
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    job = Job.from_dict(json.load(handle))
+            except (OSError, ValueError, KeyError, TypeError,
+                    AttributeError, ConfigurationError):
+                continue  # emptied, or a torn or foreign file
+            jobs[job.job_id] = job
+        for path in (self.journal.rotated_path, self.journal_path):
+            for entry in self._entries(0, path):
+                if type(entry.get("job_id")) is int:
+                    self._max_id = max(self._max_id, entry["job_id"])
+                _fold_into(jobs, entry)
+        ended = sorted(
+            (job for job in jobs.values() if job.is_terminal),
+            key=attrgetter("job_id"),
+        )
+        self._write_compacted(
+            collections.Counter(job.status for job in ended),
+            [job.fields() for job in jobs.values() if not job.is_terminal],
+            (ended[0].job_id, ended[-1].job_id) if ended else (0, 0),
+            (job.fields() for job in ended),
+        )
+        for path in snapshots.values():
+            os.unlink(path)
+
+    def _snapshot_files(self) -> dict[int, str]:
+        """The older layout's ``jobs/<id>.json`` files, by id."""
+        return {
+            int(name[:-5]): os.path.join(self.jobs_dir, name)
+            for name in os.listdir(self.jobs_dir)
+            if name.endswith(".json") and name[:-5].isdigit()
+        }
 
     # ------------------------------------------------------------------
     # Submission
@@ -312,7 +413,7 @@ class JobStore:
                     job.job_id = self._allocate_id()
                     job.transition(RUNNING)
                     job.serve_cached(outcome.run_id, outcome.result.metrics)
-                    self._put(job)
+                    self._admit(job)
                     self._persist(job, "cached")
                     return job, True
             if dedupe and kind == KIND_ANALYZE:
@@ -320,7 +421,7 @@ class JobStore:
                 if twin is not None:
                     return twin, True
             job.job_id = self._allocate_id()
-            self._put(job)
+            self._admit(job)
             self._persist(job, "submitted")
         return job, False
 
@@ -344,7 +445,7 @@ class JobStore:
                 for request in requests
             ]
             for job in jobs:
-                self._put(job)
+                self._admit(job)
             self._persist_batch(
                 [(job, self._entry(job, "submitted")) for job in jobs]
             )
@@ -354,7 +455,8 @@ class JobStore:
         """The next free job id (caller holds both locks and followed).
 
         Every id handed out is in a journal line this store folded, or
-        (rotated out) names a job file it read, so the next is free.
+        (rotated out) under a compacted header's highest id, so the next
+        is free.
         """
         self._max_id += 1
         return self._max_id
@@ -364,7 +466,7 @@ class JobStore:
         fingerprint = job.fingerprint()
         twins = [
             other
-            for status in (PENDING, RUNNING)
+            for status in LIVE
             for other in self._with_status(status)
             if other.kind == KIND_RUN and other.fingerprint() == fingerprint
         ]
@@ -547,25 +649,51 @@ class JobStore:
     # Client operations
     # ------------------------------------------------------------------
     def get(self, job_id: int) -> Job:
-        """The job with ``job_id`` (ConfigurationError if unknown)."""
+        """The job with ``job_id`` (ConfigurationError if unknown).
+
+        An ended job this store no longer holds is read back from the
+        live journal or the compacted files.
+        """
+        job_id = int(job_id)
         with self._lock:
-            job = self._jobs.get(int(job_id))
+            job = self._jobs.get(job_id)
+            if job is not None:
+                if job_id in self._recent:
+                    self._recent.move_to_end(job_id)
+                return job
+            with self.journal.locked():
+                self._follow()
+                job = self._jobs.get(job_id)
+                if job is None and 0 < job_id <= self._max_id:
+                    job = self._read_job(job_id)
+                    if job is not None:
+                        self._remember(job)
             if job is None:
+                total = sum(self.counts().values())
                 known = (
-                    f"{len(self._jobs)} known, ids "
-                    f"{min(self._jobs)}..{max(self._jobs)}"
-                    if self._jobs
+                    f"{total} known, ids 1..{self._max_id}"
+                    if total
                     else "none yet"
                 )
                 raise ConfigurationError(f"no job {job_id}; {known}")
         return job
 
     def jobs(self, status: str | None = None) -> list[Job]:
-        """All jobs (optionally filtered by status), in claim order."""
-        with self._lock:
-            if status is None:
-                return sorted(self._jobs.values(), key=Job.sort_key)
-            return sorted(self._with_status(status), key=Job.sort_key)
+        """All jobs (optionally filtered by status), in claim order.
+
+        Live statuses are read from memory; the others read every
+        compacted file and the live journal.
+        """
+        with self._changed, self.journal.locked():
+            self._follow()
+            if status in LIVE:
+                found: Iterable[Job] = self._with_status(status)
+            else:
+                found = [
+                    job for job in self._every_job().values()
+                    if status is None or job.status == status
+                ]
+            return sorted(found, key=Job.sort_key)
 
     def counts(self) -> dict[str, int]:
         """How many jobs are in each status (empty statuses omitted).
@@ -579,8 +707,11 @@ class JobStore:
                 for status, ids in self._by_status.items()
                 if ids
             }
-            if self._done:
-                counts[DONE] = self._done
+            counts.update(
+                (status, count)
+                for status, count in self._ended.items()
+                if count
+            )
             return counts
 
     def cancel(self, job_id: int) -> Job:
@@ -608,15 +739,15 @@ class JobStore:
         """Return a terminal job to ``pending`` (attempt counter bumped).
 
         The ``requeued`` line carries the whole job, as a submission
-        does, so the job's snapshot is emptied: it describes an attempt
-        that is over.
+        does, and the status it ended with (``was``), so a store that
+        no longer holds the job moves it out of that count.
         """
         with self._changed, self.journal.locked():
             self._follow()
             job = self.get(job_id)
+            was = job.status
             job.transition(PENDING)
-            self._persist(job, "requeued")
-            self.job_path(job.job_id).write_bytes(b"")
+            self._persist(job, "requeued", was=was)
         return job
 
     def snapshot(self) -> dict[str, object]:
@@ -716,14 +847,6 @@ class JobStore:
     # ------------------------------------------------------------------
     # Persistence internals
     # ------------------------------------------------------------------
-    def job_path(self, job_id: int) -> pathlib.Path:
-        """The snapshot path of one job id."""
-        return pathlib.Path(self._job_file(job_id))
-
-    def _job_file(self, job_id: int) -> str:
-        """:meth:`job_path` as a plain string."""
-        return os.path.join(self._jobs_dir, f"{job_id}.json")
-
     def _persist(
         self, job: Job, event: str, fields: Iterable[str] | None = None,
         **extra: object,
@@ -742,14 +865,11 @@ class JobStore:
 
         Caller holds both locks and built each entry with
         :meth:`_entry`.  The batched claim and submit paths hand it all
-        their lines at once, so a batch costs one fsync.  Jobs the batch
-        ended are counted and snapshotted after the append, and every
-        live job is snapshotted before an append that rotates the journal.
+        their lines at once, so a batch costs one fsync.  An append
+        that fills the live file compacts it first (:meth:`_compact`).
         """
         if not batch:
             return
-        if self.journal.lines + len(batch) >= self.journal.max_lines:
-            self._snapshot_live()
         self.journal.append(entry for _, entry in batch)
         for _, entry in batch:
             del entry[STATE]  # the journal's tail keeps the summary
@@ -765,7 +885,6 @@ class JobStore:
                     obs.observe(
                         obs_names.METRIC_QUEUE_WAIT_SECONDS, job.wait_s
                     )
-                self._snapshot(job)
 
     def _entry(
         self, job: Job, event: str, fields: Iterable[str] | None = None,
@@ -794,36 +913,214 @@ class JobStore:
         entry[STATE] = job.fields(fields)
         return entry
 
-    def _snapshot(self, job: Job) -> None:
-        """Write ``job``'s document to its job file (caller holds the lock)."""
-        self._unsnapshotted.add(job.job_id)
-        atomic_write_text(
-            self._job_file(job.job_id),
-            json.dumps(job.to_dict(), sort_keys=True),
-        )
-        self._unsnapshotted.discard(job.job_id)
+    def _compact(self, generation: pathlib.Path) -> None:
+        """Write the jobs ended in ``generation`` into one compacted file.
 
-    def _snapshot_live(self) -> None:
-        """Snapshot every job whose state the journal alone holds.
-
-        Runs before an append that rotates the journal, so before the
-        older generation's lines are dropped: live jobs, and ended jobs
-        whose snapshot write failed.
+        The journal's :attr:`~repro.utils.journal.Journal.before_rotate`
+        hook: it runs under both locks, after the append that filled the
+        live file and before that file rotates out.  The file's header
+        is this store's checkpoint (counts, live jobs, highest id, the
+        last seq); its body is each job that has a line in the
+        generation past the previous checkpoint and is ended now, in id
+        order.  The lines are indexed first (packed integers), then each
+        job is folded alone, from memory if this store holds it, so the
+        pass holds one job at a time.
         """
-        for job_id in sorted(
-            self._by_status[PENDING] | self._by_status[RUNNING]
-            | self._unsnapshotted
-        ):
-            self._snapshot(self._jobs[job_id])
+        if self._compacted and self._compacted[-1][0] >= self.journal.seq:
+            return  # compacted already; a crash came before the rotation
+        after = self._compacted[-1][0] if self._compacted else 0
+        keys = array("q")
+        offsets = array("q")
+        with open(generation, "rb") as handle:
+            offset = 0
+            for raw in handle:
+                entry = _line(raw)
+                if (
+                    entry is not None
+                    and entry["seq"] > after
+                    and type(entry.get("job_id")) is int
+                    and isinstance(entry.get(STATE), dict)
+                    and self._indexed_status(entry["job_id"]) not in LIVE
+                ):
+                    keys.append(
+                        entry["job_id"] << _LINE_BITS | len(offsets)
+                    )
+                    offsets.append(offset)
+                offset += len(raw)
+            order = sorted(keys)
+            self._write_compacted(
+                self._ended,
+                [
+                    job.fields() for job in sorted(
+                        self._with_status(PENDING) + self._with_status(RUNNING),
+                        key=attrgetter("job_id"),
+                    )
+                ],
+                (order[0] >> _LINE_BITS, order[-1] >> _LINE_BITS) if order
+                else (0, 0),
+                self._ended_fields(handle, order, offsets),
+            )
 
-    def _put(self, job: Job) -> None:
-        """Insert or replace ``job`` in ``_jobs`` and the index (lock held)."""
-        known = job.job_id in self._jobs
+    def _ended_fields(
+        self, handle: BinaryIO, keys: list[int], offsets: array
+    ) -> Iterator[dict[str, object]]:
+        """The fields of each ended job the sorted line ``keys`` name."""
+        live = self._header_live()
+        job_id, lines = 0, []
+        for key in itertools.chain(keys, [0]):  # 0 ends the last job
+            if key >> _LINE_BITS != job_id:
+                job = self._jobs.get(job_id)
+                if job is None and lines:
+                    job = _fold_states(
+                        job_id,
+                        [_state_at(handle, offsets[line]) for line in lines],
+                        lambda job_id: self._compacted_job(job_id, live),
+                    )
+                if job is not None and job.is_terminal:
+                    yield job.fields()
+                job_id, lines = key >> _LINE_BITS, []
+            lines.append(key & ((1 << _LINE_BITS) - 1))
+
+    def _write_compacted(
+        self,
+        counts: Mapping[str, int],
+        live: list[dict[str, object]],
+        ids: tuple[int, int],
+        ended: Iterable[dict[str, object]],
+    ) -> None:
+        """Write one compacted file at the journal's seq (locks held).
+
+        ``ids`` bounds the ids of the ``ended`` fields, which come in id
+        order.  The file is streamed (:func:`atomic_write_lines`), so it
+        is durable under its name ``<seq>-<lo>-<hi>.jsonl`` before the
+        caller drops anything it covers.
+        """
+        seq = self.journal.seq
+        header = {
+            "seq": seq,
+            "max_id": self._max_id,
+            "counts": {status: n for status, n in counts.items() if n},
+            "live": live,
+        }
+        path = os.path.join(self.ended_dir, f"{seq}-{ids[0]}-{ids[1]}.jsonl")
+        atomic_write_lines(path, itertools.chain(
+            [json.dumps(header)], map(json.dumps, ended)
+        ))
+        self._compacted.append((seq, *ids, path))
+
+    def _list_compacted(self) -> None:
+        """Read the compacted files' seqs and id ranges from their names."""
+        found = []
+        for name in os.listdir(self.ended_dir):
+            parts = name[:-6].split("-") if name.endswith(".jsonl") else ()
+            if len(parts) == 3 and all(part.isdigit() for part in parts):
+                seq, lo, hi = map(int, parts)
+                found.append((seq, lo, hi, os.path.join(self.ended_dir, name)))
+        self._compacted = sorted(found)
+
+    def _header(self) -> dict[str, Any] | None:
+        """The newest compacted file's header, None before the first."""
+        if not self._compacted:
+            return None
+        with open(self._compacted[-1][3], "rb") as handle:
+            return json.loads(handle.readline())
+
+    def _header_live(self) -> dict[int, dict[str, object]]:
+        """The newest header's live jobs' fields, by id."""
+        header = self._header()
+        return {} if header is None else {
+            fields["job_id"]: fields for fields in header["live"]
+        }
+
+    def _compacted_job(
+        self, job_id: int, live: Mapping[int, Mapping[str, object]]
+    ) -> Job | None:
+        """A job as the compacted files leave it: live at the newest
+        header (``live``), else the newest body holding it."""
+        if job_id in live:
+            return _replay(None, live[job_id])
+        for _, lo, hi, path in reversed(self._compacted):
+            if lo <= job_id <= hi:
+                fields = _bisect(path, job_id)
+                if fields is not None:
+                    return _replay(None, fields)
+        return None
+
+    def _entries(
+        self, after: int, path: pathlib.Path | None = None,
+        job_id: int | None = None,
+    ) -> Iterator[dict[str, Any]]:
+        """The entries of a journal file (the live one by default) with
+        seq > ``after``, in file order; only ``job_id``'s when given."""
+        needles = () if job_id is None else (
+            b'"job_id": %d,' % job_id, b'"job_id": %d}' % job_id
+        )
+        try:
+            handle = open(path or self.journal_path, "rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            for raw in handle:
+                if needles and not any(n in raw for n in needles):
+                    continue
+                entry = _line(raw)
+                if entry is not None and entry["seq"] > after and (
+                    job_id is None or entry.get("job_id") == job_id
+                ):
+                    yield entry
+
+    def _read_job(self, job_id: int, before: object = None) -> Job | None:
+        """One job as the disk holds it (both locks held): its lines in
+        the live journal (those before seq ``before``, if given) folded
+        onto the compacted files' copy."""
+        after = self._compacted[-1][0] if self._compacted else 0
+        states = [
+            entry[STATE]
+            for entry in self._entries(after, job_id=job_id)
+            if isinstance(entry.get(STATE), dict)
+            and (type(before) is not int or entry["seq"] < before)
+        ]
+        live = self._header_live()
+        return _fold_states(
+            job_id, states, lambda job_id: self._compacted_job(job_id, live)
+        )
+
+    def _every_job(self) -> dict[int, Job]:
+        """Every job, read from the compacted files and the live journal
+        (both locks held): the whole history at once."""
+        found: dict[int, dict[str, object]] = {}
+        for _, _, _, path in self._compacted:
+            with open(path, "rb") as handle:
+                handle.readline()  # the header
+                for raw in handle:
+                    fields = json.loads(raw)
+                    found[fields["job_id"]] = fields
+        found.update(self._header_live())
+        jobs = {}
+        for job_id, fields in found.items():
+            job = _replay(None, fields)
+            if job is not None:
+                jobs[job_id] = job
+        after = self._compacted[-1][0] if self._compacted else 0
+        for entry in self._entries(after):
+            _fold_into(jobs, entry)
+        jobs.update(self._jobs)
+        return jobs
+
+    # ------------------------------------------------------------------
+    # The status index
+    # ------------------------------------------------------------------
+    def _admit(self, job: Job) -> None:
+        """Take a job this store has not counted into memory (lock held)."""
         self._jobs[job.job_id] = job
-        if known:
-            self._index(job)
-        else:
-            self._count(job.job_id, job.status, +1)
+        self._count(job.job_id, job.status, +1)
+
+    def _remember(self, job: Job) -> None:
+        """Hold an ended job read back from disk; it is counted already."""
+        if job.is_terminal:
+            self._jobs[job.job_id] = job
+            self._recent[job.job_id] = job.status
+            self._evict()
 
     def _index(self, job: Job) -> None:
         """Record a known job's current status (caller holds the lock).
@@ -834,40 +1131,55 @@ class JobStore:
         """
         if self._jobs.get(job.job_id) is not job:
             return
-        previous = next(
-            (s for s, ids in self._by_status.items() if job.job_id in ids),
-            DONE,
-        )
+        previous = self._indexed_status(job.job_id)
         if previous != job.status:
             self._count(job.job_id, previous, -1)
             self._count(job.job_id, job.status, +1)
 
-    def _count(self, job_id: int, status: str, delta: int) -> None:
+    def _indexed_status(self, job_id: int) -> str | None:
+        """The status the index holds ``job_id`` under (None: not held)."""
+        for status in LIVE:
+            if job_id in self._by_status[status]:
+                return status
+        return self._recent.get(job_id)
+
+    def _count(self, job_id: int, status: str | None, delta: int) -> None:
         """Add (``+1``) or remove (``-1``) one id under ``status``."""
-        if status == DONE:
-            self._done += delta
-        elif delta > 0:
-            self._by_status.setdefault(status, set()).add(job_id)
-        else:
-            self._by_status[status].discard(job_id)
+        if status in self._by_status:
+            if delta > 0:
+                self._by_status[status].add(job_id)
+            else:
+                self._by_status[status].discard(job_id)
+        elif status is not None:
+            self._ended[status] += delta
+            if delta > 0:
+                self._recent[job_id] = status
+                self._evict()
+            else:
+                self._recent.pop(job_id, None)
+
+    def _evict(self) -> None:
+        """Let the least recently used ended jobs go, past :data:`ENDED_JOBS`
+        (the newest always stays: its caller is still using it)."""
+        while len(self._recent) > max(1, ENDED_JOBS):
+            job_id, _ = self._recent.popitem(last=False)
+            del self._jobs[job_id]
 
     def _live(self) -> int:
         """How many jobs are pending or running, from the status index."""
         return len(self._by_status[PENDING]) + len(self._by_status[RUNNING])
 
     def _with_status(self, status: str) -> list[Job]:
-        """The jobs in ``status``, from the index (caller holds the lock).
+        """The jobs in a live ``status``, from the index (lock held).
 
         Each job's own status is re-checked, so a stale index entry can
         only drop a candidate, never admit a job in another state.
-        ``done`` jobs have no id set and are found by a scan.
         """
-        if status == DONE:
-            candidates: Iterable[Job] = self._jobs.values()
-        else:
-            ids = self._by_status.get(status, ())
-            candidates = map(self._jobs.__getitem__, ids)
-        return [job for job in candidates if job.status == status]
+        ids = self._by_status.get(status, ())
+        return [
+            job for job in map(self._jobs.__getitem__, ids)
+            if job.status == status
+        ]
 
 
 def _count_journal_read(skipped: int, fallback: bool) -> None:
@@ -918,6 +1230,92 @@ def _is_zombie(pid: int) -> bool:
         return stat.rpartition(")")[2].split()[0] == "Z"
     except (OSError, IndexError):
         return False
+
+
+def _line(raw: bytes) -> dict[str, Any] | None:
+    """One journal line parsed; None when torn or without an integer seq."""
+    try:
+        entry = json.loads(raw)
+    except ValueError:
+        return None
+    if isinstance(entry, dict) and type(entry.get("seq")) is int:
+        return entry
+    return None
+
+
+def _state_at(handle: BinaryIO, offset: int) -> dict[str, Any]:
+    """The job fields of the journal line at ``offset``."""
+    handle.seek(offset)
+    return json.loads(handle.readline())[STATE]
+
+
+def _replay(job: Job | None, state: Mapping[str, Any]) -> Job | None:
+    """``job`` with one line's fields applied, or, when there is no
+    ``job``, the job a whole line describes (None if it cannot be built)."""
+    if job is not None:
+        job.apply(state)
+        return job
+    try:
+        return Job.from_dict(state)
+    except (ConfigurationError, TypeError, ValueError, AttributeError):
+        return None
+
+
+def _fold_states(
+    job_id: int, states: list[dict[str, Any]], base
+) -> Job | None:
+    """One job folded from its lines' fields, oldest first.
+
+    A first line that is not a whole job applies to ``base(job_id)``,
+    the job as it was before these lines.
+    """
+    job = None if states and "kind" in states[0] else base(job_id)
+    for state in states:
+        job = _replay(job, state)
+    return job
+
+
+def _fold_into(jobs: dict[int, Job], entry: Mapping[str, Any]) -> None:
+    """Fold one journal line into a table of jobs, skipping a line
+    without fields or naming a job it cannot build."""
+    state, job_id = entry.get(STATE), entry.get("job_id")
+    if isinstance(state, dict) and type(job_id) is int:
+        job = _replay(jobs.get(job_id), state)
+        if job is not None:
+            jobs[job_id] = job
+
+
+def _bisect(path: str, job_id: int) -> dict[str, Any] | None:
+    """A job's fields from a compacted file's id-sorted body, by bisecting
+    its bytes (None when the body does not hold it)."""
+    with open(path, "rb") as handle:
+        handle.readline()  # the header
+        lo, hi = handle.tell(), os.fstat(handle.fileno()).st_size
+        # Every line starting before ``lo`` holds a smaller id, and every
+        # line starting at ``hi`` or after a larger one.
+        while hi - lo > _SCAN_BYTES:
+            middle = (lo + hi) // 2
+            handle.seek(middle - 1)
+            handle.readline()  # to the first line starting at ``middle`` on
+            start = handle.tell()
+            raw = handle.readline()
+            if start >= hi or not raw:
+                hi = middle
+                continue
+            found = json.loads(raw)
+            if found["job_id"] == job_id:
+                return found
+            if found["job_id"] < job_id:
+                lo = handle.tell()
+            else:
+                hi = start
+        handle.seek(lo)
+        block = handle.read(hi - lo) + handle.readline()
+    for raw in block.splitlines():
+        found = json.loads(raw)
+        if found["job_id"] == job_id:
+            return found
+    return None
 
 
 def _new_job(

@@ -1,10 +1,11 @@
 """Crash-safe file primitives shared by the runtime and service layers.
 
 Everything that persists engine or queue state goes through
-:func:`atomic_write_text`: the text lands in a same-directory temp file
-first and is ``os.replace``-d over the destination, so a reader — or a
-second engine sharing the same ``$REPRO_RUNTIME_ROOT`` — can never
-observe a torn half-written file.  Appends (the journals of
+:func:`atomic_write_text` (or :func:`atomic_write_lines`, which streams
+a file too large to build whole): the text lands in a same-directory
+temp file first and is ``os.replace``-d over the destination, so a
+reader — or a second engine sharing the same ``$REPRO_RUNTIME_ROOT`` —
+can never observe a torn half-written file.  Appends (the journals of
 :mod:`repro.utils.journal`, the index op log) go through
 :func:`append_line`, which writes and fsyncs every call so a crash
 loses at most the line being written — and the next descriptor opened
@@ -30,6 +31,7 @@ import collections
 import os
 import pathlib
 import threading
+from collections.abc import Iterable
 from typing import TypeVar
 
 #: Per-process uniquifier for temp-file names; two threads of one
@@ -58,8 +60,9 @@ def _temp_path(path: str) -> str:
     return os.path.join(head, f".{name}.tmp-{os.getpid()}-{serial}")
 
 
-def _replace_with(path: str, data: bytes) -> None:
-    """Write ``data`` to a temp sibling, fsync it, and rename it over ``path``."""
+def _replace_with(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temp sibling, fsync it, and rename it over
+    ``path``."""
     tmp = _temp_path(path)
     try:
         try:
@@ -68,7 +71,8 @@ def _replace_with(path: str, data: bytes) -> None:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             handle = open(tmp, "wb")
         with handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -87,13 +91,31 @@ def atomic_write_text(path: _PathT, text: str) -> _PathT:
     readers always see either the previous or the new complete content.
     Returns ``path`` as given.
     """
-    _replace_with(os.fspath(path), text.encode("utf-8"))
+    _replace_with(os.fspath(path), (text.encode("utf-8"),))
     return path
 
 
 def atomic_write_bytes(path: _PathT, data: bytes) -> _PathT:
     """Binary twin of :func:`atomic_write_text` (npz archives etc.)."""
-    _replace_with(os.fspath(path), data)
+    _replace_with(os.fspath(path), (data,))
+    return path
+
+
+def atomic_write_lines(path: _PathT, lines: Iterable[str]) -> _PathT:
+    """Write ``lines`` to ``path`` atomically, one at a time as they come.
+
+    :func:`atomic_write_text` for a file too large to build whole: each
+    line (a newline is added) goes to the temp file as the iterable
+    yields it.  The directory is fsynced after the rename, so the file
+    is durable under its name when this returns.  Returns ``path``.
+    """
+    name = os.fspath(path)
+    _replace_with(name, ((line + "\n").encode("utf-8") for line in lines))
+    directory = os.open(os.path.dirname(name) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     return path
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import fcntl
+import functools
 import json
 import os
 import pathlib
@@ -42,6 +43,9 @@ Entry = dict[str, Any]
 
 #: ``on_read(skipped, fallback)``, see :class:`Journal`.
 ReadHook = Callable[[int, bool], None]
+
+#: Bytes read at a time when an open scans a file from its end.
+BLOCK = 1 << 16
 
 
 def rotated_path(path: str | pathlib.Path) -> pathlib.Path:
@@ -87,6 +91,20 @@ def _inode(path: pathlib.Path) -> int | None:
         return None
 
 
+def _lines_backwards(handle: BinaryIO) -> Iterator[bytes]:
+    """The lines of an open file, newest first, read in blocks from its end."""
+    position = handle.seek(0, os.SEEK_END)
+    rest = b""
+    while position > 0:
+        step = min(BLOCK, position)
+        position -= step
+        handle.seek(position)
+        lines = (handle.read(step) + rest).split(b"\n")
+        rest = lines[0]
+        yield from reversed(lines[1:])
+    yield rest
+
+
 def read(
     path: str | pathlib.Path, since: int = 0
 ) -> tuple[list[Entry], int]:
@@ -112,9 +130,15 @@ class Journal:
     ``max_lines`` is the live file's rotation threshold and ``tail`` how
     many of the newest entries :meth:`since` answers from memory.
     ``on_read(skipped, fallback)``, if given, hears of every read of the
-    files: the one at open, each disk fallback of :meth:`since` and each
+    files: the one at open (of the newest lines, enough to fill the tail
+    and find :attr:`seq`), each disk fallback of :meth:`since` and each
     catch-up with the other writers that skipped a line.
     """
+
+    #: Called, under the lock, with the live file's path just before the
+    #: live file rotates out; an ``OSError`` it raises postpones the
+    #: rotation to the next append.  The job queue compacts here.
+    before_rotate: Callable[[pathlib.Path], None] | None = None
 
     def __init__(
         self,
@@ -146,9 +170,45 @@ class Journal:
         self._tail: collections.deque[Entry] = collections.deque(maxlen=tail)
         with self.locked():  # the live file exists, so the cursor names it
             os.close(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666))
-            skipped = self._read_new()[1]
+            skipped = self._open()
         if on_read is not None:
             on_read(skipped, False)
+
+    def _open(self) -> int:
+        """Put the cursor at the live file's end, and read the newest
+        entries into the tail and :attr:`seq` (lock held); returns the
+        lines those reads skipped.
+
+        Only as many lines are parsed as the tail holds (one at least,
+        for ``seq``), newest first; the live file's lines are counted,
+        not parsed, for rotation.
+        """
+        self._hold(self.path)
+        want = max(self._tail.maxlen or 0, 1)
+        newest: list[Entry] = []
+        skipped = 0
+        for path in (self.path, self.rotated_path):
+            try:
+                handle = open(path, "rb")
+            except FileNotFoundError:
+                continue
+            with handle:
+                for raw in _lines_backwards(handle):
+                    found, bad = _parse(raw)
+                    newest += found
+                    skipped += bad
+                    if len(newest) >= want:
+                        break
+            if len(newest) >= want:
+                break
+        if self._held is not None:
+            blocks = iter(functools.partial(self._held.read, BLOCK), b"")
+            self.lines = sum(block.count(b"\n") for block in blocks)
+        if newest:
+            newest.sort(key=itemgetter("seq"))
+            self._tail.extend(newest)
+            self._seq = newest[-1]["seq"]
+        return skipped
 
     @property
     def seq(self) -> int:
@@ -200,6 +260,8 @@ class Journal:
             if self.lines < self.max_lines:
                 return
             try:
+                if self.before_rotate is not None:
+                    self.before_rotate(self.path)
                 os.replace(self.path, self.rotated_path)
             except OSError:
                 return  # best-effort; appends continue regardless
@@ -210,18 +272,12 @@ class Journal:
         this journal last looked, in file order.
 
         ``rewound`` is True when the generation this journal last read
-        has rotated out unseen (or :meth:`rewind` was called): the
-        entries are then every retained one, and whatever else it held
-        is gone from the files.
+        has rotated out unseen: the entries are then every retained one,
+        and whatever else it held is gone from the files.
         """
         with self.locked():
             found, _, rewound = self._read_new()
         return found, rewound
-
-    def rewind(self) -> None:
-        """Make the next :meth:`follow` hand over every retained entry."""
-        with self.locked():
-            self._hold(None)
 
     def _read_new(self) -> tuple[list[Entry], int, bool]:
         """``(entries past the cursor, lines skipped, rewound)`` in file

@@ -1,4 +1,4 @@
-"""CLI-level tests: exit codes, output formats, baseline gate, self-check."""
+"""CLI-level tests: exit codes, output formats, self-check."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from repro.devtools.check.cli import CHECK_JSON_SCHEMA
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
-#: The committed repository baseline (satellite contract: empty).
+#: The repository's baseline file, which nothing reads: it stays empty,
+#: because any finding fails the gate.
 COMMITTED_BASELINE = REPO_ROOT / ".repro-check-baseline.json"
 
 #: Every key of the documented --json document, exactly.
@@ -21,9 +22,6 @@ JSON_DOCUMENT_KEYS = {
     "schema",
     "checked_files",
     "suppressed",
-    "baseline",
-    "baselined",
-    "stale_baseline",
     "counts",
     "findings",
 }
@@ -59,11 +57,6 @@ class TestExitCodes:
         root = _tree(tmp_path, {"repro/mod.py": "X = 1\n"})
         assert main(["check", str(root), "--rule", "NOPE999"]) == 2
         assert "unknown rule" in capsys.readouterr().err
-
-    def test_missing_baseline_file_exits_two(self, tmp_path, capsys):
-        root = _tree(tmp_path, {"repro/mod.py": "X = 1\n"})
-        code = main(["check", str(root), "--baseline", str(tmp_path / "no.json")])
-        assert code == 2
 
 
 class TestTextOutput:
@@ -114,53 +107,13 @@ class TestJsonOutput:
         assert document["counts"] == {}
 
 
-class TestBaselineGate:
-    def test_write_then_check_against_baseline(self, tmp_path, capsys):
-        root = _tree(tmp_path, {"repro/runtime/mod.py": _VIOLATION})
-        baseline = tmp_path / "baseline.json"
-        assert main(["check", str(root), "--write-baseline", str(baseline)]) == 0
-        assert main(["check", str(root), "--baseline", str(baseline)]) == 0
-        # A new violation on top of the baselined one still fails.
-        (root / "repro/runtime/mod.py").write_text(
-            _VIOLATION + "RNG2 = np.random.default_rng()\n", encoding="utf-8"
-        )
-        assert main(["check", str(root), "--baseline", str(baseline)]) == 1
-
-    def test_stale_entries_warn_but_pass(self, tmp_path, capsys):
-        root = _tree(tmp_path, {"repro/runtime/mod.py": _VIOLATION})
-        baseline = tmp_path / "baseline.json"
-        main(["check", str(root), "--write-baseline", str(baseline)])
-        (root / "repro/runtime/mod.py").write_text("X = 1\n", encoding="utf-8")
-        assert main(["check", str(root), "--baseline", str(baseline)]) == 0
-        assert "stale" in capsys.readouterr().err
-
-    def test_committed_baseline_is_discovered(self, tmp_path, capsys):
-        baseline_dir = _tree(
-            tmp_path, {"repro/runtime/mod.py": _VIOLATION}
-        ).parent
-        main(
-            ["check", str(baseline_dir), "--write-baseline",
-             str(baseline_dir / ".repro-check-baseline.json")]
-        )
-        assert main(["check", str(baseline_dir)]) == 0
-        assert main(["check", str(baseline_dir), "--no-baseline"]) == 1
-
-
 class TestSelfCheck:
     """The repository itself must satisfy its own gate."""
 
     def test_src_matches_committed_baseline(self, capsys):
-        code = main(
-            [
-                "check",
-                str(REPO_ROOT / "src"),
-                "--baseline",
-                str(COMMITTED_BASELINE),
-            ]
-        )
+        code = main(["check", str(REPO_ROOT / "src")])
         captured = capsys.readouterr()
-        assert code == 0, f"repro check src found new findings:\n{captured.out}"
-        assert "stale" not in captured.err, captured.err
+        assert code == 0, f"repro check src found findings:\n{captured.out}"
 
     def test_committed_baseline_is_empty(self):
         document = json.loads(COMMITTED_BASELINE.read_text(encoding="utf-8"))
@@ -178,9 +131,7 @@ class TestSelfCheck:
                 "repro/service/raw.py": 'fh = open("state.json", "w")\n',
             },
         )
-        code = main(
-            ["check", str(root), "--baseline", str(COMMITTED_BASELINE)]
-        )
+        code = main(["check", str(root)])
         out = capsys.readouterr().out
         assert code == 1
         assert "RNG001" in out

@@ -1,27 +1,16 @@
-"""Framework-level tests: identity, suppression, baseline, syntax."""
+"""Framework-level tests: identity, suppression, syntax."""
 
 from __future__ import annotations
 
-import json
 import pathlib
 
-import pytest
-
-from repro.devtools.check import Checker, Finding
-from repro.devtools.check.baseline import (
-    BASELINE_SCHEMA,
-    apply_baseline,
-    discover_baseline,
-    load_baseline,
-    write_baseline,
-)
+from repro.devtools.check import Checker
 from repro.devtools.check.framework import (
     SYNTAX_RULE_ID,
     dotted_name,
     module_identity,
 )
 from repro.devtools.check.rules.rng import RngDisciplineRule
-from repro.errors import ConfigurationError
 
 
 class TestModuleIdentity:
@@ -101,69 +90,3 @@ class TestSyntaxFindings:
         result = Checker([RngDisciplineRule()]).run([root])
         assert [f.rule for f in result.findings] == [SYNTAX_RULE_ID]
         assert result.checked_files == 1
-
-
-def _finding(module="repro/a.py", rule="RNG001", context="x = 1", line=3):
-    return Finding(
-        path=f"src/{module}",
-        module=module,
-        line=line,
-        col=1,
-        rule=rule,
-        message="m",
-        context=context,
-    )
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [_finding()])
-        entries = load_baseline(path)
-        assert entries == [
-            {"module": "repro/a.py", "rule": "RNG001", "context": "x = 1"}
-        ]
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["schema"] == BASELINE_SCHEMA
-
-    def test_baseline_matching_ignores_line_numbers(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [_finding(line=3)])
-        match = apply_baseline([_finding(line=99)], load_baseline(path))
-        assert match.new == []
-        assert len(match.baselined) == 1
-        assert match.stale == []
-
-    def test_multiset_matching_budgets_duplicates(self):
-        entries = [
-            {"module": "repro/a.py", "rule": "RNG001", "context": "x = 1"}
-        ]
-        match = apply_baseline([_finding(line=1), _finding(line=2)], entries)
-        assert len(match.baselined) == 1
-        assert len(match.new) == 1
-
-    def test_stale_entries_reported(self):
-        entries = [
-            {"module": "repro/gone.py", "rule": "RNG001", "context": "y"}
-        ]
-        match = apply_baseline([], entries)
-        assert match.stale == entries
-
-    def test_missing_baseline_is_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            load_baseline(tmp_path / "nope.json")
-
-    def test_malformed_baseline_is_configuration_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": 999, "findings": []}', encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            load_baseline(path)
-
-    def test_discovery_walks_ancestors(self, tmp_path):
-        (tmp_path / "baselinehome").mkdir()
-        baseline = tmp_path / "baselinehome" / ".repro-check-baseline.json"
-        write_baseline(baseline, [])
-        nested = tmp_path / "baselinehome" / "src" / "repro"
-        nested.mkdir(parents=True)
-        assert discover_baseline([nested]) == baseline
-        assert discover_baseline([tmp_path]) is None

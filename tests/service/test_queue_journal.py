@@ -1,12 +1,13 @@
-"""The queue journal is the queue: folds, snapshots, old roots, crashes.
+"""The queue journal is the queue: folds, compaction, old roots, crashes.
 
 Each job transition is one journal line; a job's state is the fold of
-its lines onto its last snapshot.  These tests pin the fold across
-reopens and rotations, the snapshot written when a job ends, recovery
-of a root in the older layout (job files rewritten on every transition,
-journal lines without job fields), a SIGKILL between a terminal line
-and its snapshot, other stores following the journal, and the fsync
-and file-creation budgets of a cached job.
+its lines onto the compacted copy a rotation left.  These tests pin the
+fold across reopens and rotations, the compacted file a rotation writes
+for the jobs that ended, recovery of a root in the older layout (job
+files rewritten on every transition, journal lines without job fields),
+a SIGKILL between a terminal line and the compaction that holds it,
+other stores following the journal, and the fsync and file-creation
+budgets of a cached job.
 """
 
 from __future__ import annotations
@@ -83,14 +84,24 @@ class TestFold:
         assert progress["run_ids_from"] == 0
         assert set(finished) == set(store_module.FINISHED)
 
-    def test_an_ended_job_is_snapshotted_and_a_requeue_empties_it(self, root):
+    def test_an_ended_job_is_snapshotted_and_a_requeue_empties_it(
+        self, root, monkeypatch
+    ):
+        # An ended job has no file of its own: the rotation of its lines
+        # snapshots it into the compacted file, and a requeue supersedes
+        # that copy.
+        monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 4)
         store = JobStore(root)
-        job = _run_to_done(store)
-        snapshot = json.loads(store.job_path(job.job_id).read_text())
-        assert snapshot == job.to_dict()
+        job = _run_to_done(store)  # four lines: the journal rotates
+        assert sorted(os.listdir(root / "queue" / "jobs")) == []
+        (compacted,) = (root / "queue" / "ended").iterdir()
+        header, *body = read_json_lines(compacted)
+        assert header["seq"] == 4 and header["counts"] == {DONE: 1}
+        assert body == [json.loads(json.dumps(job.fields()))]
+        assert compacted.name == f"4-{job.job_id}-{job.job_id}.jsonl"
         store.requeue(job.job_id)
-        assert store.job_path(job.job_id).read_text() == ""
         assert JobStore(root).get(job.job_id).to_dict() == job.to_dict()
+        assert JobStore(root).counts() == {PENDING: 1}
 
     def test_a_requeue_survives_the_rotation_of_the_submission(
         self, root, monkeypatch
@@ -169,20 +180,26 @@ class TestOlderLayout:
 
 class TestCrash:
     def test_sigkill_between_terminal_line_and_snapshot(self, root):
+        # The terminal line fills the journal, and the process dies while
+        # the rotation's compacted file is being written.
         script = textwrap.dedent("""
             import os, signal, sys
             import repro.service.store as store_module
             from repro.service.jobs import DONE
 
+            store_module.JOURNAL_MAX_LINES = 4
             store = store_module.JobStore(sys.argv[1])
             store.submit("E6", quick=True)
             _, (job,) = store.claim("w0", 1, lambda job: "lease")
             store.update_progress(job, 1, 1, run_id="E6-run-1", cached=True)
+            real_fsync = os.fsync
 
-            def killed(path, text):
-                os.kill(os.getpid(), signal.SIGKILL)
+            def killed(fd):
+                if "ended" in os.readlink(f"/proc/self/fd/{fd}"):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real_fsync(fd)
 
-            store_module.atomic_write_text = killed
+            os.fsync = killed
             store.finish(job, DONE, metrics={"car": 9.5})
         """)
         result = subprocess.run(
@@ -191,19 +208,22 @@ class TestCrash:
         assert result.returncode == -signal.SIGKILL
         (last,) = read_json_lines(root / "queue" / "journal.jsonl")[-1:]
         assert last["event"] == DONE
-        job_file = root / "queue" / "jobs" / "1.json"
-        assert not job_file.exists()  # the snapshot never landed
+        ended = root / "queue" / "ended"
+        (temp,) = os.listdir(ended)  # the compacted file never landed
+        assert temp.startswith(".")
+        assert not (root / "queue" / "journal-1.jsonl").exists()
 
         peek = JobStore(root)  # read-only: folds, writes nothing
         assert peek.get(1).status == DONE
-        assert not job_file.exists()
+        assert os.listdir(ended) == [temp]
         store = JobStore(root, recover=True)
         job = store.get(1)
         assert job.status == DONE and job.metrics == {"car": 9.5}
         assert job.run_ids == ["E6-run-1"]
         assert not store._claim_path(1).exists()
-        # Recovery wrote the missing snapshot.
-        assert json.loads(job_file.read_text()) == job.to_dict()
+        # Recovery deleted the torn temp file.
+        assert os.listdir(ended) == []
+        assert store.counts() == {DONE: 1}
 
 
 class TestOtherStores:
@@ -320,7 +340,7 @@ def test_stores_racing_on_one_root_run_each_job_once(root):
     assert JobStore(root).counts() == {DONE: 120}
 
 
-def test_cached_job_costs_at_most_three_fsyncs(root, monkeypatch):
+def test_cached_job_costs_at_most_two_fsyncs(root, monkeypatch):
     RunEngine(root=root).run("E6", quick=True)  # warm the cache
     service = ExperimentService(root=root, port=0, use_processes=False)
     submit = {"experiment": "E6", "quick": True, "dedupe": False}
@@ -348,10 +368,11 @@ def test_cached_job_costs_at_most_three_fsyncs(root, monkeypatch):
     finally:
         service.runner.stop()
     queue = [path for path in synced if f"{os.sep}queue{os.sep}" in path]
-    # Two journal lines (submitted, and served at the workers' claim)
-    # and the terminal snapshot; a served job writes no telemetry line.
-    assert len(queue) == 3 or "?" in synced
-    assert len(synced) <= 3
+    # Two journal lines (submitted, and served at the workers' claim);
+    # an ended job has no file of its own, and a served job writes no
+    # telemetry line.
+    assert len(queue) == 2 or "?" in synced
+    assert len(synced) <= 2
 
 
 #: Paths under a queue directory that a running test counts the
@@ -396,9 +417,9 @@ def test_cached_jobs_create_at_most_one_file_each(root):
     finally:
         _created = None
         service.runner.stop()
-    # Each job's snapshot (its temp file); no id reservation, and no
-    # claim marker for a job served at a claim.
-    assert len(created) <= len(jobs), created
+    # No snapshot (an ended job has no file of its own), no id
+    # reservation, and no claim marker for a job served at a claim.
+    assert created == []
 
 
 def test_health_cost_does_not_grow_with_the_cache(root):

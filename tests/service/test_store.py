@@ -33,9 +33,10 @@ class TestSubmit:
         job, deduped = store.submit("e6", quick=True, priority=2)
         assert not deduped
         assert job.status == PENDING and job.experiment_id == "E6"
-        # No job file until the job ends: the submission's journal line
-        # carries the whole job document.
-        assert not store.job_path(job.job_id).exists()
+        # No job file: the submission's journal line carries the whole
+        # job document.
+        assert not any(store.jobs_dir.iterdir())
+        assert not any(store.ended_dir.iterdir())
         (line,) = read_json_lines(store.journal_path)
         assert line["job"] == job.fields()
         assert line["job"]["priority"] == 2
