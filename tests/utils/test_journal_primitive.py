@@ -63,6 +63,22 @@ class TestAppend:
         assert seqs(read(path)[0]) == [1, 2, 3, 4, 5, 6]
         assert len(path.read_text().splitlines()) == 2
 
+    def test_a_failing_rotation_hook_postpones_the_rotation(self, path):
+        log = Journal(path, max_lines=2)
+        seen = []
+
+        def hook(live):
+            seen.append(len(live.read_text().splitlines()))
+            if len(seen) == 1:
+                raise OSError("disk full")
+
+        log.before_rotate = hook
+        log.append(entries(2))  # full: the hook fails, nothing rotates
+        assert not log.rotated_path.exists() and seen == [2]
+        log.append(entries(1))  # retried: the hook saw every line first
+        assert seen == [2, 3] and not path.exists()
+        assert seqs(read(log.rotated_path)[0]) == [1, 2, 3]
+
     def test_reopen_resumes_seq_from_both_generations(self, path):
         Journal(path, max_lines=2).append(entries(2))  # rotates: live gone
         reopened = Journal(path, max_lines=2)
@@ -119,6 +135,19 @@ class TestMalformed:
         reopened = Journal(path, max_lines=100, tail=8, on_read=reads)
         assert reopened.seq == 2 and reads.calls == [(4, False)]
         assert seqs(reopened.since(0)[0]) == [1, 2]
+
+    def test_open_parses_only_the_lines_its_tail_holds(self, path):
+        path.parent.mkdir(parents=True)
+        path.write_text('{"seq": "old"}\n' + "".join(
+            json.dumps({"seq": seq}) + "\n" for seq in range(1, 1001)
+        ))
+        reads = Reads()
+        log = Journal(path, max_lines=5000, tail=8, on_read=reads)
+        assert log.seq == 1000 and log.lines == 1001
+        assert reads.calls == [(0, False)]  # the old bad line: not read
+        assert seqs(log.since(992)[0]) == list(range(993, 1001))
+        assert len(log.since(0)[0]) == 1000  # from disk
+        assert reads.calls[-1] == (1, True)
 
     def test_missing_files_read_empty(self, path):
         assert read(path) == ([], 0)
