@@ -1088,19 +1088,18 @@ class JobStore:
     def _every_job(self) -> dict[int, Job]:
         """Every job, read from the compacted files and the live journal
         (both locks held): the whole history at once."""
-        found: dict[int, dict[str, object]] = {}
-        for _, _, _, path in self._compacted:
+        jobs: dict[int, Job] = {}
+        for _, _, _, path in self._compacted:  # newer copies replace older
             with open(path, "rb") as handle:
                 handle.readline()  # the header
                 for raw in handle:
-                    fields = json.loads(raw)
-                    found[fields["job_id"]] = fields
-        found.update(self._header_live())
-        jobs = {}
-        for job_id, fields in found.items():
+                    job = _replay(None, json.loads(raw))
+                    if job is not None:
+                        jobs[job.job_id] = job
+        for fields in self._header_live().values():
             job = _replay(None, fields)
             if job is not None:
-                jobs[job_id] = job
+                jobs[job.job_id] = job
         after = self._compacted[-1][0] if self._compacted else 0
         for entry in self._entries(after):
             _fold_into(jobs, entry)
