@@ -171,7 +171,9 @@ class JobStore:
         self._recent: collections.OrderedDict[int, str] = (
             collections.OrderedDict()
         )
-        #: ``(seq, lo, hi, path)`` of each compacted file, oldest first.
+        #: ``(seq, lo, hi, path)`` of each compacted file, oldest first;
+        #: listed again before each read of them, as other stores
+        #: sharing the root add files.
         self._compacted: list[tuple[int, int, int, str]] = []
         #: The highest job id allocated or named by a line or job file.
         self._max_id = 0
@@ -268,16 +270,18 @@ class JobStore:
         Each transition is made after this call under the journal's
         lock, so it always starts from the queue's current state.  When
         lines rotated out before this store read them, it reloads from
-        disk instead (the rotation compacted them first).  A waiter is
-        woken when anything was folded.
+        disk instead (the rotation compacted them first).  It holds the
+        journal's lock throughout, so no rotation falls between its
+        reads of the files.  A waiter is woken when anything was folded.
         """
-        entries, rewound = self.journal.follow()
-        if rewound:
-            for entry in entries:
-                entry.pop(STATE, None)
-            self._reload()
-        elif not any([self._fold(entry) for entry in entries]):
-            return
+        with self.journal.locked():
+            entries, rewound = self.journal.follow()
+            if rewound:
+                for entry in entries:
+                    entry.pop(STATE, None)
+                self._reload()
+            elif not any([self._fold(entry) for entry in entries]):
+                return
         self._changed.notify_all()
         self._wake_claimers()
 
@@ -926,6 +930,7 @@ class JobStore:
         job is folded alone, from memory if this store holds it, so the
         pass holds one job at a time.
         """
+        self._list_compacted()
         if self._compacted and self._compacted[-1][0] >= self.journal.seq:
             return  # compacted already; a crash came before the rotation
         after = self._compacted[-1][0] if self._compacted else 0
@@ -1073,6 +1078,7 @@ class JobStore:
         """One job as the disk holds it (both locks held): its lines in
         the live journal (those before seq ``before``, if given) folded
         onto the compacted files' copy."""
+        self._list_compacted()
         after = self._compacted[-1][0] if self._compacted else 0
         states = [
             entry[STATE]
@@ -1089,6 +1095,7 @@ class JobStore:
         """Every job, read from the compacted files and the live journal
         (both locks held): the whole history at once."""
         jobs: dict[int, Job] = {}
+        self._list_compacted()
         for _, _, _, path in self._compacted:  # newer copies replace older
             with open(path, "rb") as handle:
                 handle.readline()  # the header

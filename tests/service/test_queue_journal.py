@@ -267,6 +267,28 @@ class TestOtherStores:
         for job in jobs:
             assert idle.get(job.job_id).to_dict() == job.to_dict()
 
+    def test_stores_taking_turns_read_each_others_compacted_jobs(
+        self, root, monkeypatch
+    ):
+        # Each store follows every line, so neither rewinds: it must
+        # still find the compacted files the other one wrote, both to
+        # read back a job it let go and to compact one it did not hold.
+        monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 4)
+        monkeypatch.setattr(store_module, "ENDED_JOBS", 1)
+        stores = (JobStore(root), JobStore(root))
+        ended = {}
+        for n in range(12):
+            store = stores[n % 2]
+            store.submit("E6", quick=True, seed=n)
+            job = claim_one(store, "w0")
+            store.finish(job, DONE, metrics={"car": float(n)})
+            ended[job.job_id] = job.to_dict()
+        assert len(os.listdir(root / "queue" / "ended")) == 9
+        for reader in (*stores, JobStore(root)):
+            for job_id, document in ended.items():
+                assert reader.get(job_id).to_dict() == document
+            assert reader.counts() == {DONE: 12}
+
     def test_claim_threads_sleep_while_another_store_holds_the_claim(
         self, root
     ):
