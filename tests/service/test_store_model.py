@@ -1,16 +1,17 @@
 """Model-based test of JobStore: its status index against a model.
 
-A Hypothesis state machine drives one store through random sequences
-of submit (dedupe on and off), batch submit, claim, update_progress,
-finish, cancel, requeue, release, reads of ended jobs, reopen-with-
-recovery and one-shot compaction failures.  The journal rotates every
-few lines and the store holds only two ended jobs, so compactions and
-reads of jobs it let go happen inside the machine.  After every step
-the status index (live id sets, plus counts of ended jobs) must equal a
-recount of the model, ``counts()`` must equal the recount, and the
-store and a second store opened on the same root must give every job
-the model's document.  Each claim must take the first pending job in
-``Job.sort_key`` order.
+A Hypothesis state machine drives two stores on one root through
+random sequences of submit (dedupe on and off), batch submit, claim,
+update_progress, finish, cancel, requeue, release, reads of ended jobs,
+reopen-with-recovery, one-shot compaction failures and switches of the
+store that acts.  The journal rotates every few lines and each store
+holds only two ended jobs, so compactions and reads of jobs a store let
+go happen inside the machine, some of them of files the other store
+wrote.  After every step the acting store's status index (live id sets,
+plus counts of ended jobs) must equal a recount of the model,
+``counts()`` must equal the recount, and both stores and a third
+opened on the same root must give every job the model's document.
+Each claim must take the first pending job in ``Job.sort_key`` order.
 
 Below the machine, a subprocess is SIGKILLed inside a compaction —
 before its file is durable, after, and after the rotation dropped the
@@ -86,6 +87,8 @@ class JobStoreMachine(RuleBasedStateMachine):
         #: Every job's document, as the operations left it.
         self.model: dict[int, dict[str, object]] = {}
         self.store = JobStore(self.root)
+        #: A second store on the root, swapped in by :meth:`switch_store`.
+        self.other = JobStore(self.root)
 
     def teardown(self) -> None:
         JobStore._write_compacted = self.real_write
@@ -259,6 +262,14 @@ class JobStoreMachine(RuleBasedStateMachine):
     def fail_next_compaction_write(self) -> None:
         self.fail_next_compaction = True
 
+    @rule()
+    def switch_store(self) -> None:
+        # The other store followed every line, so it never rewinds: it
+        # must still read and compact what this one compacted.
+        self.store, self.other = self.other, self.store
+        with self.store._changed:
+            self.store._follow()
+
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
@@ -280,11 +291,13 @@ class JobStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_store_gives_the_model_its_jobs(self) -> None:
-        reopened = JobStore(self.root)
-        assert reopened.counts() == self.store.counts()
-        for job_id, document in self.model.items():
-            assert self.store.get(job_id).to_dict() == document
-            assert reopened.get(job_id).to_dict() == document
+        with self.other._changed:
+            self.other._follow()
+        stores = (self.store, self.other, JobStore(self.root))
+        for store in stores:
+            assert store.counts() == self.store.counts()
+            for job_id, document in self.model.items():
+                assert store.get(job_id).to_dict() == document
 
 
 TestJobStoreModel = JobStoreMachine.TestCase
