@@ -359,6 +359,55 @@ def test_stores_racing_on_one_root_run_each_job_once(root):
     ended = [line["job_id"] for line in lines if line["event"] == DONE]
     assert sorted(submitted) == list(range(1, 121))
     assert sorted(ended) == sorted(submitted)  # each ended exactly once
+
+
+def test_stores_racing_through_rotations_keep_every_job(root, monkeypatch):
+    # The same race, with the journal rotating every few lines and each
+    # store holding two ended jobs: every store compacts, and reads back
+    # jobs that other stores compacted, while the others append.
+    monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 7)
+    monkeypatch.setattr(store_module, "ENDED_JOBS", 2)
+    stores = [JobStore(root) for _ in range(4)]
+    errors: list[str] = []
+
+    def worker(store, index):
+        mine = []
+        try:
+            for n in range(15):
+                job, _ = store.submit(
+                    "E6", dedupe=False, params={"n": index * 100 + n}
+                )
+                mine.append(job.job_id)
+                claimed = claim_one(store, f"w{index}")
+                if claimed is not None:
+                    store.finish(claimed, DONE)
+                assert store.get(mine[0]).job_id == mine[0]
+        except Exception as error:  # noqa: BLE001 - collected for assert
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(store, index))
+            for index, store in enumerate(stores * 2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    fresh = JobStore(root)
+    while (job := claim_one(fresh, "sweeper")) is not None:  # unclaimed ones
+        fresh.finish(job, DONE)
+    assert fresh.counts() == {DONE: 120}
+    assert [job.job_id for job in fresh.jobs()] == list(range(1, 121))
+    for store in stores:
+        assert store.jobs(PENDING) == []  # follows the last lines first
+        assert store.counts() == {DONE: 120}
     assert JobStore(root).counts() == {DONE: 120}
 
 
