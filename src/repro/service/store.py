@@ -819,11 +819,14 @@ class JobStore:
     def wait_idle(self, timeout: float) -> bool:
         """Block until no job is pending or running (False on timeout).
 
-        Re-checks the status index when a transition is journaled (or
-        :meth:`kick` is called), and after folding other stores' lines
-        every :data:`FOLLOW_S` without one — never in a busy loop.
+        Folds other stores' lines first, so a job submitted through
+        another store counts; then re-checks the status index when a
+        transition is journaled (or :meth:`kick` is called), and after
+        folding other stores' lines every :data:`FOLLOW_S` without one —
+        never in a busy loop.
         """
         with self._changed:
+            self._follow()
             return self._wait_until(lambda: not self._live(), timeout)
 
     def _wait_until(self, ready, timeout: float) -> bool:

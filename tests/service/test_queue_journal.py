@@ -242,6 +242,11 @@ class TestOtherStores:
         assert time.monotonic() - started < 5.0
         assert waiter.get(job.job_id).status == DONE
 
+    def test_wait_idle_counts_a_job_another_store_submitted(self, root):
+        waiter = JobStore(root)
+        JobStore(root).submit("E6")
+        assert not waiter.wait_idle(0.0)
+
     def test_a_cancel_request_reaches_the_store_running_the_job(self, root):
         worker = JobStore(root)
         worker.submit("E6")
@@ -406,7 +411,7 @@ def test_stores_racing_through_rotations_keep_every_job(root, monkeypatch):
     assert fresh.counts() == {DONE: 120}
     assert [job.job_id for job in fresh.jobs()] == list(range(1, 121))
     for store in stores:
-        assert store.jobs(PENDING) == []  # follows the last lines first
+        assert store.wait_idle(0.0)  # folds the sweeper's lines first
         assert store.counts() == {DONE: 120}
     assert JobStore(root).counts() == {DONE: 120}
 
