@@ -63,6 +63,7 @@ many-clients-one-cache behaviour the paper's sweep campaigns need.
 from __future__ import annotations
 
 import collections
+import heapq
 import itertools
 import json
 import os
@@ -132,6 +133,10 @@ LIVE = (PENDING, RUNNING)
 #: A compacted body line's sort key packs the job id above the index of
 #: the journal line it came from.
 _LINE_BITS = 32
+
+#: A compaction sorts its line keys in runs of this many, then merges
+#: them, so it never holds a Python int per line of the generation.
+_SORT_RUN = 1024
 
 #: A bisect of a compacted body reads the last this many bytes whole.
 _SCAN_BYTES = 1 << 14
@@ -929,15 +934,17 @@ class JobStore:
         is this store's checkpoint (counts, live jobs, highest id, the
         last seq); its body is each job that has a line in the
         generation past the previous checkpoint and is ended now, in id
-        order.  The lines are indexed first (packed integers), then each
-        job is folded alone, from memory if this store holds it, so the
-        pass holds one job at a time.
+        order.  The lines are indexed first (packed integers, sorted in
+        runs of :data:`_SORT_RUN` that are merged as the body is
+        written), then each job is folded alone, from memory if this
+        store holds it, so the pass holds one job at a time.
         """
         self._list_compacted()
         if self._compacted and self._compacted[-1][0] >= self.journal.seq:
             return  # compacted already; a crash came before the rotation
         after = self._compacted[-1][0] if self._compacted else 0
-        keys = array("q")
+        runs: list[array] = []
+        run: list[int] = []
         offsets = array("q")
         with open(generation, "rb") as handle:
             offset = 0
@@ -950,12 +957,13 @@ class JobStore:
                     and isinstance(entry.get(STATE), dict)
                     and self._indexed_status(entry["job_id"]) not in LIVE
                 ):
-                    keys.append(
-                        entry["job_id"] << _LINE_BITS | len(offsets)
-                    )
+                    run.append(entry["job_id"] << _LINE_BITS | len(offsets))
                     offsets.append(offset)
+                    if len(run) == _SORT_RUN:
+                        runs.append(array("q", sorted(run)))
+                        run = []
                 offset += len(raw)
-            order = sorted(keys)
+            runs.append(array("q", sorted(run)))
             self._write_compacted(
                 self._ended,
                 [
@@ -964,13 +972,15 @@ class JobStore:
                         key=attrgetter("job_id"),
                     )
                 ],
-                (order[0] >> _LINE_BITS, order[-1] >> _LINE_BITS) if order
-                else (0, 0),
-                self._ended_fields(handle, order, offsets),
+                (
+                    min(part[0] for part in runs if part) >> _LINE_BITS,
+                    max(part[-1] for part in runs if part) >> _LINE_BITS,
+                ) if offsets else (0, 0),
+                self._ended_fields(handle, heapq.merge(*runs), offsets),
             )
 
     def _ended_fields(
-        self, handle: BinaryIO, keys: list[int], offsets: array
+        self, handle: BinaryIO, keys: Iterable[int], offsets: array
     ) -> Iterator[dict[str, object]]:
         """The fields of each ended job the sorted line ``keys`` name."""
         live = self._header_live()

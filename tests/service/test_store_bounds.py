@@ -47,6 +47,7 @@ def _serve(store, count, batch=1000):
 def test_ended_jobs_read_back_from_the_compacted_files(root, monkeypatch):
     monkeypatch.setattr(store_module, "JOURNAL_MAX_LINES", 200)
     monkeypatch.setattr(store_module, "ENDED_JOBS", 3)
+    monkeypatch.setattr(store_module, "_SORT_RUN", 7)  # many runs to merge
     store = JobStore(root)
     ended = {}
     for n in range(300):

@@ -76,10 +76,11 @@ class JobStoreMachine(RuleBasedStateMachine):
         self.fail_next_compaction = False
         self.patched = {
             name: getattr(store_module, name)
-            for name in ("JOURNAL_MAX_LINES", "ENDED_JOBS")
+            for name in ("JOURNAL_MAX_LINES", "ENDED_JOBS", "_SORT_RUN")
         }
         store_module.JOURNAL_MAX_LINES = MAX_LINES
         store_module.ENDED_JOBS = ENDED_JOBS
+        store_module._SORT_RUN = 2
         self.real_write = JobStore._write_compacted
         JobStore._write_compacted = (
             lambda store, *args: self._write(store, *args)
