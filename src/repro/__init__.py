@@ -19,7 +19,7 @@ Quick start::
 Sub-packages
 ------------
 ``repro.quantum``
-    Discrete-variable quantum optics: states, tomography, CHSH, TMSV.
+    Discrete-variable quantum optics: states, tomography, CHSH.
 ``repro.photonics``
     Materials, waveguides, microrings, SFWM, OPO, pump configurations.
 ``repro.detection``

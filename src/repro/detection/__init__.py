@@ -3,8 +3,8 @@
 Monte-Carlo models of everything between the ring's drop port and the
 numbers in the paper: single-photon detectors (efficiency, dark counts,
 timing jitter, dead time), a time-to-digital converter, coincidence
-counting with CAR extraction, heralded autocorrelation, and passive
-components (filters, demux, polarizing beam splitter).
+counting with CAR extraction, heralded autocorrelation, and the
+polarizing beam splitter of the type-II experiments.
 """
 
 from repro.detection.spd import DetectorModel
@@ -15,18 +15,12 @@ from repro.detection.coincidence import (
     car_from_tags,
     count_coincidences,
 )
-from repro.detection.herald import heralded_g2_from_tags, heralding_efficiency
-from repro.detection.components import (
-    BandpassFilter,
-    DWDMDemux,
-    PolarizingBeamSplitter,
-)
+from repro.detection.herald import heralded_g2_from_tags
+from repro.detection.components import PolarizingBeamSplitter
 
 __all__ = [
-    "BandpassFilter",
     "BiphotonSource",
     "CoincidenceResult",
-    "DWDMDemux",
     "DetectorModel",
     "PairStream",
     "PolarizingBeamSplitter",
@@ -34,5 +28,4 @@ __all__ = [
     "car_from_tags",
     "count_coincidences",
     "heralded_g2_from_tags",
-    "heralding_efficiency",
 ]

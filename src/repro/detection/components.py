@@ -1,8 +1,8 @@
 """Passive optical components of the measurement chain.
 
-These enter the quantum observables only through transmission factors and
-routing probabilities, so each component is a small stochastic map on
-click/photon streams.
+A component enters the quantum observables only through transmission
+factors and routing probabilities, so it is a small stochastic map on
+photon streams.
 """
 
 from __future__ import annotations
@@ -15,72 +15,6 @@ from repro.errors import ConfigurationError
 from repro.detection.timetags import thin_stream
 from repro.utils.rng import RandomStream
 from repro.utils.units import loss_db_to_transmission
-
-
-@dataclasses.dataclass(frozen=True)
-class BandpassFilter:
-    """A bandpass filter selecting one comb line.
-
-    Parameters
-    ----------
-    center_frequency_hz / bandwidth_hz:
-        Passband definition (used to decide which channels pass).
-    insertion_loss_db:
-        Loss applied to the passing stream.
-    """
-
-    center_frequency_hz: float
-    bandwidth_hz: float = 100e9
-    insertion_loss_db: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.center_frequency_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ConfigurationError("center and bandwidth must be positive")
-        if self.insertion_loss_db < 0:
-            raise ConfigurationError("insertion loss must be >= 0 dB")
-
-    def passes(self, frequency_hz: float) -> bool:
-        """True if a photon at this frequency is inside the passband."""
-        return abs(frequency_hz - self.center_frequency_hz) <= self.bandwidth_hz / 2.0
-
-    def apply(
-        self, times_s: np.ndarray, frequency_hz: float, rng: RandomStream
-    ) -> np.ndarray:
-        """Filter a photon stream of the given carrier frequency."""
-        if not self.passes(frequency_hz):
-            return np.empty(0)
-        return thin_stream(
-            times_s, loss_db_to_transmission(self.insertion_loss_db), rng
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class DWDMDemux:
-    """A demultiplexer with per-port insertion loss (one port per channel)."""
-
-    insertion_loss_db: float = 2.0
-    adjacent_channel_isolation_db: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.insertion_loss_db < 0 or self.adjacent_channel_isolation_db < 0:
-            raise ConfigurationError("losses must be >= 0 dB")
-
-    @property
-    def transmission(self) -> float:
-        """In-band power transmission of each port."""
-        return loss_db_to_transmission(self.insertion_loss_db)
-
-    @property
-    def crosstalk(self) -> float:
-        """Fraction of an adjacent channel leaking into a port."""
-        return loss_db_to_transmission(self.adjacent_channel_isolation_db)
-
-    def route(
-        self, times_s: np.ndarray, rng: RandomStream, in_band: bool = True
-    ) -> np.ndarray:
-        """Pass a stream through a port (in-band) or as crosstalk leak."""
-        factor = self.transmission if in_band else self.transmission * self.crosstalk
-        return thin_stream(times_s, factor, rng)
 
 
 @dataclasses.dataclass(frozen=True)

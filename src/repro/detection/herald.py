@@ -1,11 +1,10 @@
 """Heralded single-photon figures of merit.
 
 Section II's "pure heralded single photons" claim is quantified by the
-heralded autocorrelation g²_h(0) (≪ 1 for a single photon) and the
-heralding (Klyshko) efficiency.  Both are computed from click streams the
-same way the experiment does: the signal arm is split on a 50/50 coupler
-onto two detectors, and triple/double coincidences with the idler herald
-are counted.
+heralded autocorrelation g²_h(0) (≪ 1 for a single photon).  It is
+computed from click streams the same way the experiment does: the signal
+arm is split on a 50/50 coupler onto two detectors, and triple/double
+coincidences with the idler herald are counted.
 """
 
 from __future__ import annotations
@@ -57,25 +56,6 @@ def heralded_g2_from_tags(
         return 0.0
     n_h12 = _triple_coincidences(herald, arm1, arm2, window_s)
     return float(n_herald * n_h12 / (n_h1 * n_h2))
-
-
-def heralding_efficiency(
-    herald_times_s: np.ndarray,
-    signal_times_s: np.ndarray,
-    window_s: float,
-) -> float:
-    """Klyshko efficiency: coincidences / herald singles.
-
-    Measures the probability that a heralded photon is actually delivered
-    (the signal-arm transmission including its detector).
-    """
-    if window_s <= 0:
-        raise ConfigurationError("window must be positive")
-    herald = np.asarray(herald_times_s, dtype=float)
-    if herald.size == 0:
-        raise ConfigurationError("no herald clicks recorded")
-    coincidences = count_coincidences(herald, signal_times_s, window_s)
-    return float(coincidences / herald.size)
 
 
 def _triple_coincidences(

@@ -43,11 +43,6 @@ class TimeToDigitalConverter:
         if self.bin_width_s <= 0:
             raise ConfigurationError("bin width must be positive")
 
-    def quantize(self, times_s: np.ndarray) -> np.ndarray:
-        """Snap times to the TDC grid (floor convention)."""
-        times = np.asarray(times_s, dtype=float)
-        return np.floor(times / self.bin_width_s) * self.bin_width_s
-
     def delay_histogram(
         self,
         start_times_s: np.ndarray,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.constants import (
     COMB_SPACING,
     SPEED_OF_LIGHT,
@@ -68,11 +66,6 @@ class ChannelPair:
         return abs(self.signal.index)
 
     @property
-    def energy_sum_hz(self) -> float:
-        """ν_s + ν_i; equals 2·ν_pump exactly on an ideal grid."""
-        return self.signal.frequency_hz + self.idler.frequency_hz
-
-    @property
     def label(self) -> str:
         """Label like "±3"."""
         return f"±{self.order}"
@@ -116,10 +109,6 @@ class CombGrid:
             frequency_hz=self.pump_frequency_hz + index * self.spacing_hz,
         )
 
-    def channels(self) -> list[CombChannel]:
-        """All tracked lines, idler side to signal side."""
-        return [self.channel(i) for i in range(-self.num_pairs, self.num_pairs + 1)]
-
     def pair(self, order: int) -> ChannelPair:
         """The symmetric signal/idler pair of the given order ≥ 1."""
         if order < 1:
@@ -135,29 +124,6 @@ class CombGrid:
                 f"count must be in [1, {self.num_pairs}], got {count}"
             )
         return [self.pair(m) for m in range(1, count + 1)]
-
-    def bands_covered(self) -> list[str]:
-        """Telecom bands spanned by the tracked grid, in spectral order."""
-        seen = []
-        for channel in self.channels():
-            band = channel.band
-            if band not in seen:
-                seen.append(band)
-        return seen
-
-    def itu_channel_number(self, index: int) -> float:
-        """ITU DWDM channel number: n = (ν - 190 THz) / 100 GHz.
-
-        193.1 THz is ITU channel 31.  Returns a float because 200 GHz
-        comb lines land on integer channel numbers only when the pump is
-        ITU-aligned.
-        """
-        channel = self.channel(index)
-        return (channel.frequency_hz - 190.0e12) / 100e9
-
-    def frequency_grid(self) -> np.ndarray:
-        """All tracked line frequencies as an array."""
-        return np.array([c.frequency_hz for c in self.channels()])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -55,28 +55,6 @@ class SFWMProcess:
             raise PhysicsError(f"pump power must be >= 0, got {pump_power_w}")
         return self.pair_rate_coefficient_hz_per_w2 * pump_power_w**2
 
-    def pair_probability_per_coherence_time(self, pump_power_w: float) -> float:
-        """μ: probability of a pair within one photon coherence time.
-
-        Governs multi-pair contamination (CAR ceilings, visibility): two
-        pairs within the same coherence window are indistinguishable from
-        an accidental.
-        """
-        rate = self.pair_generation_rate_hz(pump_power_w)
-        tau = 2.0 * self.ring.photon_lifetime_s()
-        mu = rate * tau
-        if mu >= 1.0:
-            raise PhysicsError(
-                f"pair probability per coherence time {mu:.3f} >= 1; the "
-                "low-gain SFWM model does not apply at this power"
-            )
-        return mu
-
-    def squeezing_parameter(self, pump_power_w: float) -> float:
-        """ξ per coherence window, from μ = sinh²(ξ) inverted at low gain."""
-        mu = self.pair_probability_per_coherence_time(pump_power_w)
-        return math.asinh(math.sqrt(mu))
-
 
 def phase_mismatch_suppression(detuning_hz: float, linewidth_hz: float) -> float:
     """Lorentzian suppression of a process detuned from resonance.

@@ -43,11 +43,6 @@ class JointSpectralAmplitude:
         """Purity of the heralded single photon."""
         return self.schmidt().purity
 
-    @property
-    def joint_intensity(self) -> np.ndarray:
-        """|F|², the joint spectral intensity the experiment measures."""
-        return np.abs(self.matrix) ** 2
-
 
 def ring_jsa(
     ring: Microring,

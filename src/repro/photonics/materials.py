@@ -71,20 +71,6 @@ class Material:
         dn_dlam = (n_plus - n_minus) / (2.0 * step_m)
         return float(n - lam * dn_dlam)
 
-    def gvd_parameter(self, wavelength_m: float, step_m: float = 1e-10) -> float:
-        """Material dispersion D = -(λ/c)·d²n/dλ² [s/m²].
-
-        Multiply by 1e6 to get the engineering unit ps/(nm·km).
-        """
-        from repro.constants import SPEED_OF_LIGHT
-
-        lam = wavelength_m
-        n_plus = self.refractive_index(lam + step_m)
-        n_minus = self.refractive_index(lam - step_m)
-        n = self.refractive_index(lam)
-        d2n = (n_plus - 2.0 * n + n_minus) / step_m**2
-        return float(-lam / SPEED_OF_LIGHT * d2n)
-
     def _validated_um(self, wavelength_m: float) -> float:
         if wavelength_m <= 0:
             raise ConfigurationError(f"wavelength must be positive, got {wavelength_m}")
@@ -105,15 +91,6 @@ SILICA = Material(
     sellmeier_c=(0.0684043**2, 0.1162414**2, 9.896161**2),
     kerr_index_m2_per_w=2.6e-20,
     transparency_window_um=(0.25, 2.3),
-)
-
-#: Stoichiometric silicon nitride (Luke et al. 2015), for comparison runs.
-SILICON_NITRIDE = Material(
-    name="Si3N4",
-    sellmeier_b=(3.0249, 40314.0),
-    sellmeier_c=(0.1353406**2, 1239.842**2),
-    kerr_index_m2_per_w=2.5e-19,
-    transparency_window_um=(0.31, 5.5),
 )
 
 #: Hydex-like doped silica glass.  The exact composition is proprietary;

@@ -60,20 +60,3 @@ class ParametricOscillator:
         )
         above = at_threshold + self.slope_efficiency * (pump - self.threshold_power_w)
         return np.where(pump < self.threshold_power_w, below, above)
-
-    def is_above_threshold(self, pump_power_w: float) -> bool:
-        """True if the pump exceeds the oscillation threshold."""
-        if pump_power_w < 0:
-            raise PhysicsError("pump power must be >= 0")
-        return pump_power_w >= self.threshold_power_w
-
-    def clamped_gain(self, pump_power_w: float) -> float:
-        """Round-trip gain relative to loss: min(P/P_th, 1) above threshold.
-
-        Gain clamping is what linearises the transfer curve: once the gain
-        reaches the loss it cannot grow further, so extra pump photons
-        convert to output at fixed efficiency.
-        """
-        if pump_power_w < 0:
-            raise PhysicsError("pump power must be >= 0")
-        return min(pump_power_w / self.threshold_power_w, 1.0)

@@ -11,7 +11,6 @@ depending on how it is pumped:
 * :class:`DoublePulsePump` — phase-coherent double pulses from an
   imbalanced, phase-stabilised Michelson interferometer ([8]).
   → time-bin entangled pairs (and multi-photon states).
-* :class:`CWPump` — a plain external CW pump, the baseline configuration.
 """
 
 from __future__ import annotations
@@ -23,22 +22,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import RandomStream
-
-
-@dataclasses.dataclass(frozen=True)
-class CWPump:
-    """A plain continuous-wave pump at a single resonance."""
-
-    power_w: float
-    detuning_hz: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.power_w < 0:
-            raise ConfigurationError(f"power must be >= 0, got {self.power_w}")
-
-    def average_power_w(self) -> float:
-        """Average optical power delivered to the ring."""
-        return self.power_w
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,14 +104,6 @@ class DualPolarizationPump:
         """Combined pump power (the x-axis of the OPO transfer curve)."""
         return self.power_te_w + self.power_tm_w
 
-    @classmethod
-    def balanced(cls, total_power_w: float) -> "DualPolarizationPump":
-        """Equal TE/TM split of a total power."""
-        if total_power_w < 0:
-            raise ConfigurationError("total power must be >= 0")
-        half = total_power_w / 2.0
-        return cls(power_te_w=half, power_tm_w=half)
-
 
 @dataclasses.dataclass(frozen=True)
 class DoublePulsePump:
@@ -170,15 +145,6 @@ class DoublePulsePump:
                 "double pulses overlap the next repetition period"
             )
 
-    @property
-    def pair_state_phase_rad(self) -> float:
-        """Phase of the |ll⟩ branch of the generated Bell state: 2·φ_p."""
-        return 2.0 * self.relative_phase_rad
-
     def average_power_w(self) -> float:
         """Average power: two pulses per repetition period."""
         return 2.0 * self.pulse_energy_j * self.repetition_rate_hz
-
-    def with_phase(self, phase_rad: float) -> "DoublePulsePump":
-        """A copy with a different inter-pulse phase (piezo scan step)."""
-        return dataclasses.replace(self, relative_phase_rad=phase_rad)

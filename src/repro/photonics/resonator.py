@@ -132,25 +132,6 @@ class Microring:
         n_g = self.waveguide.group_index(self.center_wavelength_m, polarization)
         return SPEED_OF_LIGHT / (n_g * self.circumference_m)
 
-    def resonance_frequencies(
-        self,
-        orders: np.ndarray | range,
-        polarization: str = "TE",
-        anomalous_d2_hz: float = 0.0,
-    ) -> np.ndarray:
-        """Resonance ladder ν_m = ν₀(pol) + m·FSR(pol) + D₂·m²/2.
-
-        ``orders`` are mode numbers relative to the resonance nearest the
-        pump; ``anomalous_d2_hz`` is the integrated dispersion parameter D₂
-        (positive = anomalous).  The absolute ladder position per
-        polarization comes from the phase index, which is what offsets the
-        TE and TM ladders in the type-II design.
-        """
-        orders = np.asarray(list(orders), dtype=float)
-        fsr = self.free_spectral_range(polarization)
-        nu0 = self.resonance_origin(polarization)
-        return nu0 + orders * fsr + 0.5 * anomalous_d2_hz * orders**2
-
     def resonance_origin(self, polarization: str = "TE") -> float:
         """Frequency of the resonance closest to the centre wavelength.
 
@@ -184,10 +165,6 @@ class Microring:
         nu = SPEED_OF_LIGHT / self.center_wavelength_m
         return nu / self.linewidth_hz(polarization)
 
-    def photon_lifetime_s(self, polarization: str = "TE") -> float:
-        """Cavity photon (energy) lifetime τ = 1/(2π·δν)."""
-        return 1.0 / (2.0 * math.pi * self.linewidth_hz(polarization))
-
     def lorentzian_amplitude(
         self, detuning_hz: np.ndarray | float, polarization: str = "TE"
     ) -> np.ndarray:
@@ -202,12 +179,6 @@ class Microring:
     def field_enhancement_power(self) -> float:
         """Resonant intracavity intensity enhancement."""
         return self.coupling.field_enhancement_power
-
-    def circulating_power_w(self, input_power_w: float) -> float:
-        """Intracavity circulating power for a resonant pump."""
-        if input_power_w < 0:
-            raise PhysicsError(f"input power must be >= 0, got {input_power_w}")
-        return input_power_w * self.field_enhancement_power()
 
 
 def ring_for_linewidth(

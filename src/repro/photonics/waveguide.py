@@ -172,20 +172,3 @@ class Waveguide:
         n = self.effective_index(wavelength_m, polarization)
         dn = (n_plus - n_minus) / (2.0 * step_m)
         return float(n - wavelength_m * dn)
-
-    def nonlinear_parameter(
-        self, wavelength_m: float, effective_area_m2: float = 2.0e-12
-    ) -> float:
-        """Kerr nonlinear parameter γ = 2π·n₂ / (λ·A_eff)  [1/(W·m)].
-
-        The Hydex effective area of ~2 µm² gives γ ≈ 0.25 /(W·m), matching
-        the published platform value ([5]).
-        """
-        if effective_area_m2 <= 0:
-            raise ConfigurationError("effective area must be positive")
-        return float(
-            2.0
-            * math.pi
-            * self.core.kerr_index_m2_per_w
-            / (wavelength_m * effective_area_m2)
-        )

@@ -1,29 +1,23 @@
 """Discrete-variable quantum optics substrate.
 
 Implements (from scratch, on numpy only) the quantum-information machinery
-the paper's experiments rest on: Fock spaces, density matrices, qubit
-algebra, two-mode squeezed vacuum statistics, Schmidt decompositions,
-entanglement measures, projective measurement sampling, maximum-likelihood
-state tomography and CHSH/Bell analysis.
+the paper's experiments rest on: density matrices, qubit algebra, Schmidt
+decompositions, entanglement measures, projective measurement sampling,
+maximum-likelihood state tomography and CHSH/Bell analysis.
 """
 
-from repro.quantum.states import DensityMatrix, ket_to_density, fidelity, purity
+from repro.quantum.states import DensityMatrix
 from repro.quantum.qubits import (
     bell_state,
     computational_ket,
-    ghz_state,
-    plus_state,
     product_state,
 )
 from repro.quantum.operators import (
-    PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    expectation,
-    qubit_rotation,
 )
-from repro.quantum.entanglement import concurrence, is_ppt, log_negativity, negativity
+from repro.quantum.entanglement import concurrence, log_negativity, negativity
 from repro.quantum.bell import (
     chsh_value,
     horodecki_chsh_maximum,
@@ -31,48 +25,25 @@ from repro.quantum.bell import (
 )
 from repro.quantum.tomography import (
     TomographyResult,
-    linear_inversion,
     mle_tomography,
-    simulate_pauli_counts,
 )
-from repro.quantum.twomode import TwoModeSqueezedVacuum
-from repro.quantum.noise import (
-    add_white_noise,
-    amplitude_damping,
-    dephasing,
-    depolarizing,
-)
+from repro.quantum.noise import add_white_noise
 
 __all__ = [
     "DensityMatrix",
-    "PAULI_I",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
     "TomographyResult",
-    "TwoModeSqueezedVacuum",
     "add_white_noise",
-    "amplitude_damping",
     "bell_state",
     "chsh_value",
     "computational_ket",
     "concurrence",
-    "dephasing",
-    "depolarizing",
-    "expectation",
-    "fidelity",
-    "ghz_state",
     "horodecki_chsh_maximum",
-    "is_ppt",
-    "ket_to_density",
-    "linear_inversion",
     "log_negativity",
     "mle_tomography",
     "negativity",
-    "plus_state",
     "product_state",
-    "purity",
-    "qubit_rotation",
-    "simulate_pauli_counts",
     "visibility_to_chsh",
 ]

@@ -1,4 +1,4 @@
-"""Entanglement measures: concurrence, negativity, PPT."""
+"""Entanglement measures: concurrence and negativity."""
 
 from __future__ import annotations
 
@@ -58,14 +58,3 @@ def negativity(state: DensityMatrix, subsystem: int = 0) -> float:
 def log_negativity(state: DensityMatrix, subsystem: int = 0) -> float:
     """E_N = log₂ ‖ρ^{T_A}‖₁."""
     return float(np.log2(2.0 * negativity(state, subsystem) + 1.0))
-
-
-def is_ppt(state: DensityMatrix, subsystem: int = 0, atol: float = 1e-9) -> bool:
-    """True if the partial transpose is positive semidefinite.
-
-    For 2x2 and 2x3 systems PPT ⇔ separable, so ``not is_ppt`` certifies
-    entanglement for the paper's photon pairs.
-    """
-    pt = partial_transpose(state, subsystem)
-    eigenvalues = np.linalg.eigvalsh(pt)
-    return bool(eigenvalues.min() >= -atol)

@@ -119,24 +119,3 @@ def partial_trace(
     result = np.einsum(reshaped, row_labels + col_labels, output_labels)
     kept_dim = total_dimension([dims[k] for k in keep]) if keep else 1
     return result.reshape(kept_dim, kept_dim)
-
-
-def permute_subsystems(
-    matrix: np.ndarray, dims: Sequence[int], order: Sequence[int]
-) -> np.ndarray:
-    """Reorder tensor factors of a density operator.
-
-    ``order[i] = j`` means output subsystem ``i`` is input subsystem ``j``.
-    """
-    matrix = check_square(matrix, "density operator")
-    dims = list(dims)
-    check_dims_match(matrix, dims)
-    order = list(order)
-    if sorted(order) != list(range(len(dims))):
-        raise ValueError(f"order must be a permutation of 0..{len(dims) - 1}")
-    n = len(dims)
-    reshaped = matrix.reshape(dims + dims)
-    axes = order + [n + j for j in order]
-    permuted = np.transpose(reshaped, axes)
-    total = total_dimension(dims)
-    return permuted.reshape(total, total)

@@ -20,11 +20,6 @@ def computational_ket(bits: str) -> np.ndarray:
     return hilbert.tensor(*factors)
 
 
-def plus_state() -> np.ndarray:
-    """(|0⟩ + |1⟩)/√2."""
-    return (hilbert.basis_ket(2, 0) + hilbert.basis_ket(2, 1)) / np.sqrt(2.0)
-
-
 def bell_state(kind: str = "phi+", phase: float = 0.0) -> np.ndarray:
     """One of the four Bell states, with an optional extra relative phase.
 
@@ -49,16 +44,6 @@ def bell_state(kind: str = "phi+", phase: float = 0.0) -> np.ndarray:
         ket = zero_one - branch_phase * one_zero
     else:
         raise ValueError(f"unknown Bell state kind {kind!r}")
-    return ket / np.sqrt(2.0)
-
-
-def ghz_state(num_qubits: int, phase: float = 0.0) -> np.ndarray:
-    """(|0…0⟩ + e^{iφ}|1…1⟩)/√2 on ``num_qubits`` qubits."""
-    if num_qubits < 2:
-        raise ValueError(f"GHZ needs at least 2 qubits, got {num_qubits}")
-    ket = computational_ket("0" * num_qubits) + np.exp(1j * phase) * computational_ket(
-        "1" * num_qubits
-    )
     return ket / np.sqrt(2.0)
 
 

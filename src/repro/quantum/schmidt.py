@@ -40,18 +40,6 @@ class SchmidtDecomposition:
         coeffs = np.asarray(self.coefficients, dtype=float)
         return float(np.sum(coeffs**4))
 
-    @property
-    def schmidt_number(self) -> float:
-        """Effective mode number K = 1 / P ≥ 1."""
-        return 1.0 / self.purity
-
-    @property
-    def entropy(self) -> float:
-        """Entanglement entropy of the biphoton in bits."""
-        probabilities = np.asarray(self.coefficients, dtype=float) ** 2
-        probabilities = probabilities[probabilities > 1e-15]
-        return float(-np.sum(probabilities * np.log2(probabilities)))
-
 
 def schmidt_decompose(jsa: np.ndarray) -> SchmidtDecomposition:
     """Decompose a discretised JSA matrix F(ω_s, ω_i) via SVD.

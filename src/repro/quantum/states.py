@@ -9,10 +9,6 @@ import numpy as np
 from repro.errors import DimensionMismatchError, StateValidationError
 from repro.quantum import hilbert
 
-#: Numerical tolerance used by state validation.
-VALIDATION_ATOL = 1e-9
-
-
 class DensityMatrix:
     """A validated density operator, optionally with subsystem structure.
 
@@ -20,7 +16,7 @@ class DensityMatrix:
     ----------
     matrix:
         Square complex matrix; validated to be Hermitian, unit trace and
-        positive semidefinite (up to :data:`VALIDATION_ATOL`).
+        positive semidefinite.
     dims:
         Subsystem dimensions; defaults to a single system of full size.
     """
@@ -112,12 +108,6 @@ class DensityMatrix:
         eigenvalues = np.clip(eigenvalues.real, 0.0, None)
         return float(np.sum(np.sqrt(eigenvalues)) ** 2)
 
-    def von_neumann_entropy(self, base: float = 2.0) -> float:
-        """S(ρ) = -Tr ρ log ρ, in bits by default."""
-        eigenvalues = np.linalg.eigvalsh(self._matrix)
-        eigenvalues = eigenvalues[eigenvalues > 1e-15]
-        return float(-np.sum(eigenvalues * np.log(eigenvalues)) / np.log(base))
-
     def expectation(self, observable: np.ndarray) -> float:
         """⟨O⟩ = Re Tr(O ρ) for a Hermitian observable."""
         observable = hilbert.check_square(observable, "observable")
@@ -142,58 +132,13 @@ class DensityMatrix:
         kept_dims = [self._dims[k] for k in keep]
         return DensityMatrix(reduced, kept_dims)
 
-    def permute(self, order: Sequence[int]) -> "DensityMatrix":
-        """Reorder tensor factors."""
-        permuted = hilbert.permute_subsystems(self._matrix, self._dims, order)
-        new_dims = [self._dims[j] for j in order]
-        return DensityMatrix(permuted, new_dims)
-
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """ρ ⊗ σ with concatenated subsystem structure."""
         product = np.kron(self._matrix, other._matrix)
         return DensityMatrix(product, list(self._dims) + list(other._dims))
 
-    def evolve(self, unitary: np.ndarray) -> "DensityMatrix":
-        """U ρ U† under a unitary of matching dimension."""
-        unitary = hilbert.check_square(unitary, "unitary")
-        if unitary.shape != self._matrix.shape:
-            raise DimensionMismatchError(
-                f"unitary shape {unitary.shape} does not match state "
-                f"dimension {self._matrix.shape}"
-            )
-        deviation = np.linalg.norm(
-            unitary.conj().T @ unitary - np.eye(unitary.shape[0])
-        )
-        if deviation > 1e-8:
-            raise StateValidationError(
-                f"matrix is not unitary (‖U†U - I‖ = {deviation:.2e})"
-            )
-        return DensityMatrix(unitary @ self._matrix @ unitary.conj().T, self._dims)
-
-    def is_close(self, other: "DensityMatrix", atol: float = 1e-9) -> bool:
-        """Element-wise comparison of two states."""
-        return (
-            self.dims == other.dims
-            and bool(np.allclose(self._matrix, other._matrix, atol=atol))
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DensityMatrix(dims={self.dims}, purity={self.purity():.4f})"
-
-
-def ket_to_density(ket: np.ndarray, dims: Sequence[int] | None = None) -> DensityMatrix:
-    """Convenience alias for :meth:`DensityMatrix.from_ket`."""
-    return DensityMatrix.from_ket(ket, dims)
-
-
-def fidelity(state: DensityMatrix, target: DensityMatrix | np.ndarray) -> float:
-    """Module-level fidelity, see :meth:`DensityMatrix.fidelity`."""
-    return state.fidelity(target)
-
-
-def purity(state: DensityMatrix) -> float:
-    """Module-level purity, see :meth:`DensityMatrix.purity`."""
-    return state.purity()
 
 
 def _validate_density(matrix: np.ndarray) -> None:

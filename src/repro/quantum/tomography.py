@@ -1,32 +1,29 @@
-"""Quantum state tomography: measurement simulation, linear inversion, MLE.
+"""Quantum state tomography: Pauli measurement settings and MLE.
 
 The paper performs quantum state tomography on the time-bin Bell pairs and
 on the four-photon state (reporting a fidelity of 64 % for the latter).
-This module implements the full pipeline the experiment uses:
+This module implements the reconstruction the experiment uses:
 
 1. choose local Pauli measurement settings (3ⁿ bases for n qubits);
-2. collect finite-shot outcome counts (:func:`simulate_pauli_counts` stands
-   in for the coincidence logger);
-3. reconstruct ρ by linear inversion (fast, possibly unphysical) or by
-   iterative maximum-likelihood (RρR algorithm, always physical);
-4. report fidelity against the ideal target.
+2. reconstruct ρ from finite-shot outcome counts by iterative
+   maximum-likelihood (RρR algorithm, always physical);
+3. report fidelity against the ideal target.
+
+The E9 driver simulates the counts, standing in for the coincidence
+logger.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro.errors import TomographyError
 from repro.quantum import hilbert
-from repro.quantum.measurement import sample_outcomes
-from repro.quantum.operators import PAULI_BY_NAME, pauli_string
 from repro.quantum.states import DensityMatrix
-from repro.utils.rng import RandomStream
 
 #: Eigenprojectors of each measurement letter, indexed [letter][outcome_bit];
 #: outcome bit 0 ↔ eigenvalue +1, bit 1 ↔ eigenvalue -1.
@@ -67,98 +64,6 @@ def setting_projectors(setting: str) -> list[np.ndarray]:
         factors = [_EIGENPROJECTORS[letter][bit] for letter, bit in zip(setting, bits)]
         projectors.append(hilbert.tensor(*factors))
     return projectors
-
-
-def simulate_pauli_counts(
-    state: DensityMatrix,
-    shots_per_setting: int,
-    rng: RandomStream,
-    settings: Sequence[str] | None = None,
-) -> dict[str, np.ndarray]:
-    """Finite-shot tomography data for ``state``.
-
-    Returns a mapping setting → integer counts array of length 2ⁿ.  In the
-    experiment "shots" are post-selected coincidence events at fixed
-    analyser settings; the multinomial model is exact for that situation.
-    """
-    n = state.num_subsystems
-    if any(d != 2 for d in state.dims):
-        raise TomographyError(f"Pauli tomography needs qubits, got dims {state.dims}")
-    if settings is None:
-        settings = measurement_settings(n)
-    counts: dict[str, np.ndarray] = {}
-    for setting in settings:
-        if len(setting) != n:
-            raise TomographyError(
-                f"setting {setting!r} has {len(setting)} letters for {n} qubits"
-            )
-        projectors = setting_projectors(setting)
-        counts[setting] = sample_outcomes(
-            state, projectors, shots_per_setting, rng.child(f"tomo/{setting}")
-        )
-    return counts
-
-
-def pauli_expectations_from_counts(
-    counts: Mapping[str, np.ndarray], num_qubits: int
-) -> dict[str, float]:
-    """Estimate ⟨P⟩ for every Pauli string from basis-setting counts.
-
-    A string with identity letters is estimated from every compatible
-    setting (those matching it on its support), averaging the parity
-    estimates weighted by total shots.
-    """
-    expectations: dict[str, float] = {"I" * num_qubits: 1.0}
-    strings = [
-        "".join(p)
-        for p in itertools.product("IXYZ", repeat=num_qubits)
-        if any(letter != "I" for letter in p)
-    ]
-    for string in strings:
-        estimates = []
-        weights = []
-        for setting, setting_counts in counts.items():
-            if _compatible(string, setting):
-                value, total = _parity_estimate(string, setting_counts, num_qubits)
-                if total > 0:
-                    estimates.append(value)
-                    weights.append(total)
-        if not estimates:
-            raise TomographyError(
-                f"no measurement setting is compatible with Pauli string {string!r}"
-            )
-        expectations[string] = float(np.average(estimates, weights=weights))
-    return expectations
-
-
-def linear_inversion(
-    counts: Mapping[str, np.ndarray], num_qubits: int
-) -> np.ndarray:
-    """Direct reconstruction ρ = 2⁻ⁿ Σ_P ⟨P⟩·P.
-
-    Fast but not guaranteed positive for finite data — returns a raw matrix.
-    Feed it to :func:`project_to_physical_state` or use
-    :func:`mle_tomography` when a valid state is required.
-    """
-    expectations = pauli_expectations_from_counts(counts, num_qubits)
-    dim = 2**num_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    for string, value in expectations.items():
-        rho += value * pauli_string(string)
-    return rho / dim
-
-
-def project_to_physical_state(matrix: np.ndarray) -> DensityMatrix:
-    """Nearest physical state: clip negative eigenvalues, renormalise."""
-    hermitian = 0.5 * (matrix + matrix.conj().T)
-    eigenvalues, vectors = np.linalg.eigh(hermitian)
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    total = eigenvalues.sum()
-    if total <= 0:
-        raise TomographyError("linear inversion produced a zero state")
-    rho = (vectors * (eigenvalues / total)) @ vectors.conj().T
-    n = int(round(math.log2(rho.shape[0])))
-    return DensityMatrix(rho, [2] * n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,44 +180,3 @@ def _check_setting(setting: str) -> None:
 
 def _outcome_bits(outcome: int, num_qubits: int) -> list[int]:
     return [(outcome >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
-
-
-def _compatible(pauli: str, setting: str) -> bool:
-    """True if ``setting`` measures ``pauli`` (matches it on its support)."""
-    return all(p == "I" or p == s for p, s in zip(pauli, setting))
-
-
-def _parity_estimate(
-    pauli: str, counts: np.ndarray, num_qubits: int
-) -> tuple[float, float]:
-    """(⟨P⟩ estimate, total shots) from one setting's outcome counts."""
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total == 0:
-        return 0.0, 0.0
-    value = 0.0
-    for outcome, count in enumerate(counts):
-        if count == 0:
-            continue
-        bits = _outcome_bits(outcome, num_qubits)
-        parity = 1.0
-        for letter, bit in zip(pauli, bits):
-            if letter != "I" and bit == 1:
-                parity = -parity
-        value += parity * count
-    return value / total, total
-
-
-# PAULI_BY_NAME is re-exported for callers that build custom observables
-# from tomography settings.
-__all__ = [
-    "PAULI_BY_NAME",
-    "TomographyResult",
-    "linear_inversion",
-    "measurement_settings",
-    "mle_tomography",
-    "pauli_expectations_from_counts",
-    "project_to_physical_state",
-    "setting_projectors",
-    "simulate_pauli_counts",
-]

@@ -6,31 +6,21 @@ arrival-slot post-selection that erases which-pulse information, and
 fringe scans with visibility fits.
 """
 
-from repro.timebin.encoding import (
-    EARLY,
-    LATE,
-    time_bin_ket,
-    time_bin_bell_state,
-)
+from repro.timebin.encoding import time_bin_bell_state
 from repro.timebin.interferometer import UnbalancedMichelson
 from repro.timebin.postselect import (
     central_slot_povm,
     coincidence_probability,
-    fourfold_probability,
 )
 from repro.timebin.stabilization import PhaseController
 from repro.timebin.fringes import FringeScan, FringeScanResult
 
 __all__ = [
-    "EARLY",
     "FringeScan",
     "FringeScanResult",
-    "LATE",
     "PhaseController",
     "UnbalancedMichelson",
     "central_slot_povm",
     "coincidence_probability",
-    "fourfold_probability",
     "time_bin_bell_state",
-    "time_bin_ket",
 ]

@@ -12,24 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quantum import hilbert
 from repro.quantum.qubits import bell_state
-
-#: The |early⟩ basis ket (computational |0⟩).
-EARLY = hilbert.basis_ket(2, 0)
-
-#: The |late⟩ basis ket (computational |1⟩).
-LATE = hilbert.basis_ket(2, 1)
-
-
-def time_bin_ket(early_amplitude: complex, late_amplitude: complex) -> np.ndarray:
-    """A normalised single-photon time-bin qubit α|early⟩ + β|late⟩."""
-    ket = np.array([early_amplitude, late_amplitude], dtype=complex)
-    norm = np.linalg.norm(ket)
-    if norm == 0:
-        raise ValueError("time-bin amplitudes must not both be zero")
-    return ket / norm
-
 
 def time_bin_bell_state(pump_phase_rad: float = 0.0) -> np.ndarray:
     """The pair state from a double-pulse pump: (|ee⟩+e^{2iφ_p}|ll⟩)/√2."""

@@ -65,21 +65,6 @@ def coincidence_probability(
     return state.probability(povm)
 
 
-def fourfold_probability(state: DensityMatrix, common_phase_rad: float) -> float:
-    """Four-photon central-slot probability with one shared analyser phase.
-
-    Section V passes all four photons (two frequency pairs) through
-    interferometers set to the same phase; the four-fold coincidence rate
-    versus that phase is the four-photon interference fringe.
-    """
-    if state.num_subsystems != 4:
-        raise DimensionMismatchError(
-            f"four-fold probability needs a 4-photon state, got "
-            f"{state.num_subsystems} subsystems"
-        )
-    return coincidence_probability(state, [common_phase_rad] * 4)
-
-
 def ideal_twofold_fringe(
     phase_sum_rad: np.ndarray, pair_phase_rad: float = 0.0
 ) -> np.ndarray:
@@ -90,30 +75,3 @@ def ideal_twofold_fringe(
     """
     phases = np.asarray(phase_sum_rad, dtype=float)
     return (1.0 + np.cos(phases + pair_phase_rad)) / 16.0
-
-
-def ideal_fourfold_fringe(
-    common_phase_rad: np.ndarray, pair_phase_rad: float = 0.0
-) -> np.ndarray:
-    """Analytic four-photon fringe for two identical Bell pairs.
-
-    P(φ) = (1 + cos(2φ + θ))² / 256 with all four analysers at φ — the
-    squared two-photon fringe, oscillating at *twice* the scan phase since
-    each pair accumulates 2φ.  The doubled fringe frequency is the
-    signature of genuine four-photon interference in [8].
-    """
-    phases = np.asarray(common_phase_rad, dtype=float)
-    return (1.0 + np.cos(2.0 * phases + pair_phase_rad)) ** 2 / 256.0
-
-
-def postselection_efficiency(num_photons: int, transmission: float = 1.0) -> float:
-    """Phase-averaged fraction of n-photon events surviving post-selection.
-
-    Each photon lands centrally with phase-averaged probability T/4, so a
-    full-fringe scan keeps (T/4)ⁿ of the generated n-photon events.
-    """
-    if num_photons < 1:
-        raise ConfigurationError("need at least one photon")
-    if not 0.0 < transmission <= 1.0:
-        raise ConfigurationError("transmission must be in (0, 1]")
-    return (transmission / 4.0) ** num_photons

@@ -61,27 +61,3 @@ class PhaseController:
         step_sigma = self.drift_rate_rad_per_sqrt_s * math.sqrt(dwell_time_s)
         walk = np.cumsum(rng.normal(0.0, step_sigma, set_points.size))
         return set_points + walk
-
-    def coherence_factor(self) -> float:
-        """Expected fringe-visibility factor from residual phase noise.
-
-        ⟨e^{iδφ}⟩ = e^{-σ²/2} for Gaussian residuals; 0 when unlocked (the
-        random walk explores many radians during a scan).
-        """
-        if not self.locked:
-            return 0.0
-        return float(math.exp(-(self.residual_sigma_rad**2) / 2.0))
-
-    def combined_coherence_factor(self, num_interferometers: int) -> float:
-        """Visibility factor when several independent analysers contribute.
-
-        Residual errors add in quadrature in the phase *sum* the fringe
-        depends on, so n analysers contribute e^{-n·σ²/2}.
-        """
-        if num_interferometers < 1:
-            raise ConfigurationError("need at least one interferometer")
-        if not self.locked:
-            return 0.0
-        return float(
-            math.exp(-num_interferometers * self.residual_sigma_rad**2 / 2.0)
-        )

@@ -52,23 +52,13 @@ _MIN_UNIFORM = 5e-324
 # callers of this module never load it.
 
 
-def derive_seed(base_seed: int, label: str) -> int:
-    """Derive a child seed from ``base_seed`` and a human-readable label.
-
-    The derivation is stable across processes and Python versions (it uses
-    SHA-256, not ``hash()``).
-    """
-    digest = hashlib.sha256(f"{base_seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 def derive_key(base_seed: int, label: str) -> int:
     """The 128-bit Philox key for a seeded stream ``(base_seed, label)``.
 
-    Like :func:`derive_seed` this is stable across processes: the key is
-    the first 16 bytes (little-endian) of ``sha256(f"{seed}:{label}")``,
-    so a stream's draws are a pure function of the seed and the full
-    slash-joined label path.
+    The key is stable across processes and Python versions (SHA-256, not
+    ``hash()``): it is the first 16 bytes (little-endian) of
+    ``sha256(f"{seed}:{label}")``, so a stream's draws are a pure function
+    of the seed and the full slash-joined label path.
     """
     digest = hashlib.sha256(f"{base_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")

@@ -126,11 +126,6 @@ class TestCAR:
 
 
 class TestTDC:
-    def test_quantize_floor(self):
-        tdc = TimeToDigitalConverter(bin_width_s=1e-9)
-        times = np.array([0.1e-9, 1.9e-9, 2.0e-9])
-        assert np.allclose(tdc.quantize(times), [0.0, 1e-9, 2e-9])
-
     def test_histogram_shape(self, rng):
         tdc = TimeToDigitalConverter(bin_width_s=100e-12)
         src = BiphotonSource(pair_rate_hz=20_000.0, linewidth_hz=110e6)

@@ -1,19 +1,11 @@
-"""Unit tests for heralded g2 and passive components."""
+"""Unit tests for heralded g2 and the polarizing beam splitter."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.detection.components import (
-    BandpassFilter,
-    DWDMDemux,
-    PolarizingBeamSplitter,
-)
-from repro.detection.herald import (
-    heralded_g2_from_tags,
-    heralding_efficiency,
-    split_on_beamsplitter,
-)
+from repro.detection.components import PolarizingBeamSplitter
+from repro.detection.herald import heralded_g2_from_tags, split_on_beamsplitter
 from repro.detection.timetags import BiphotonSource, thin_stream, uncorrelated_stream
 
 
@@ -61,63 +53,6 @@ class TestHeraldedG2:
         arm1 = np.array([0.0])
         arm2 = np.array([100.0])
         assert heralded_g2_from_tags(herald, arm1, arm2, 1e-9) == 0.0
-
-
-class TestHeraldingEfficiency:
-    def test_matches_transmission(self, rng):
-        src = BiphotonSource(pair_rate_hz=50_000.0, linewidth_hz=110e6)
-        stream = src.generate(10.0, rng.child("pairs"))
-        signal = thin_stream(stream.signal_times_s, 0.25, rng.child("s"))
-        eff = heralding_efficiency(stream.idler_times_s, signal, window_s=20e-9)
-        assert np.isclose(eff, 0.25, atol=0.03)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            heralding_efficiency(np.empty(0), np.array([1.0]), 1e-9)
-
-
-class TestBandpassFilter:
-    def test_passband_logic(self):
-        bp = BandpassFilter(center_frequency_hz=193e12, bandwidth_hz=100e9)
-        assert bp.passes(193e12)
-        assert bp.passes(193.04e12)
-        assert not bp.passes(193.2e12)
-
-    def test_out_of_band_blocked(self, rng):
-        bp = BandpassFilter(center_frequency_hz=193e12, bandwidth_hz=100e9)
-        out = bp.apply(np.array([1.0, 2.0]), 194e12, rng)
-        assert out.size == 0
-
-    def test_in_band_attenuated(self, rng):
-        bp = BandpassFilter(
-            center_frequency_hz=193e12, bandwidth_hz=100e9, insertion_loss_db=3.0
-        )
-        times = np.sort(rng.uniform(0, 1, 100_000))
-        out = bp.apply(times, 193e12, rng)
-        assert abs(out.size / times.size - 0.501) < 0.01
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BandpassFilter(center_frequency_hz=0.0)
-
-
-class TestDWDM:
-    def test_transmission_and_crosstalk(self):
-        demux = DWDMDemux(insertion_loss_db=3.0, adjacent_channel_isolation_db=30.0)
-        assert np.isclose(demux.transmission, 0.501, atol=1e-3)
-        assert np.isclose(demux.crosstalk, 1e-3)
-
-    def test_route_in_band(self, rng):
-        demux = DWDMDemux(insertion_loss_db=3.0)
-        times = np.sort(rng.uniform(0, 1, 50_000))
-        routed = demux.route(times, rng)
-        assert abs(routed.size / times.size - 0.501) < 0.02
-
-    def test_route_crosstalk_rare(self, rng):
-        demux = DWDMDemux(insertion_loss_db=0.0, adjacent_channel_isolation_db=20.0)
-        times = np.sort(rng.uniform(0, 1, 50_000))
-        leaked = demux.route(times, rng, in_band=False)
-        assert leaked.size < 0.02 * times.size
 
 
 class TestPBS:

@@ -13,10 +13,6 @@ from repro.devtools.check.cli import CHECK_JSON_SCHEMA
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
-#: The repository's baseline file, which nothing reads: it stays empty,
-#: because any finding fails the gate.
-COMMITTED_BASELINE = REPO_ROOT / ".repro-check-baseline.json"
-
 #: Every key of the documented --json document, exactly.
 JSON_DOCUMENT_KEYS = {
     "schema",
@@ -114,13 +110,6 @@ class TestSelfCheck:
         code = main(["check", str(REPO_ROOT / "src")])
         captured = capsys.readouterr()
         assert code == 0, f"repro check src found findings:\n{captured.out}"
-
-    def test_committed_baseline_is_empty(self):
-        document = json.loads(COMMITTED_BASELINE.read_text(encoding="utf-8"))
-        assert document["findings"] == [], (
-            "the committed baseline must stay empty: fix violations "
-            "instead of baselining them"
-        )
 
     def test_deliberate_violation_fails_the_gate(self, tmp_path, capsys):
         """The acceptance smoke: a literal seed under a runtime root fails."""

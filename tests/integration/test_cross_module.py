@@ -17,8 +17,6 @@ from repro.detection.spd import DetectorModel
 from repro.detection.tdc import TimeToDigitalConverter
 from repro.detection.timetags import BiphotonSource
 from repro.quantum.bell import chsh_value, visibility_to_chsh
-from repro.quantum.fock import FockSpace
-from repro.quantum.twomode import TwoModeSqueezedVacuum
 from repro.timebin.fringes import FringeScan
 from repro.timebin.stabilization import PhaseController
 from repro.utils.fitting import fit_coincidence_peak, linewidth_to_decay_rate
@@ -89,21 +87,6 @@ class TestMonteCarloVsAnalytic:
         s_from_visibility = visibility_to_chsh(min(result.visibility, 1.0))
         s_true = chsh_value(state)
         assert abs(s_from_visibility - s_true) < 0.08
-
-
-class TestFockVsClosedForm:
-    def test_tmsv_marginal_g2_via_fock(self):
-        """The truncated-Fock marginal reproduces thermal g2 = 2."""
-        tmsv = TwoModeSqueezedVacuum(0.25, cutoff=14)
-        marginal = tmsv.signal_marginal()
-        fock = FockSpace(14)
-        assert np.isclose(fock.g2_zero(marginal), 2.0, atol=1e-3)
-
-    def test_tmsv_mean_photons_via_fock(self):
-        tmsv = TwoModeSqueezedVacuum(0.3, cutoff=16)
-        fock = FockSpace(16)
-        mean = fock.mean_photon_number(tmsv.signal_marginal())
-        assert np.isclose(mean, tmsv.mean_photons_per_arm, rtol=1e-3)
 
 
 class TestSchemeLevelConsistency:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, PhysicsError
-from repro.photonics.materials import HYDEX, SILICA, SILICON_NITRIDE, Material
+from repro.photonics.materials import HYDEX, SILICA, Material
 from repro.photonics.waveguide import Waveguide, slab_effective_index
 
 LAMBDA = 1550e-9
@@ -17,12 +17,9 @@ class TestMaterials:
     def test_silica_index_at_1550(self):
         assert np.isclose(SILICA.refractive_index(LAMBDA), 1.444, atol=0.002)
 
-    def test_nitride_index_at_1550(self):
-        assert np.isclose(SILICON_NITRIDE.refractive_index(LAMBDA), 1.996, atol=0.01)
-
     def test_group_index_exceeds_phase_index(self):
         # Normal material dispersion: n_g > n in the telecom window.
-        for material in (HYDEX, SILICA, SILICON_NITRIDE):
+        for material in (HYDEX, SILICA):
             n = material.refractive_index(LAMBDA)
             ng = material.group_index(LAMBDA)
             assert ng > n, material.name
@@ -38,10 +35,6 @@ class TestMaterials:
     def test_mismatched_sellmeier_rejected(self):
         with pytest.raises(ConfigurationError):
             Material("bad", (1.0,), (1.0, 2.0), 1e-20)
-
-    def test_gvd_parameter_finite(self):
-        d = HYDEX.gvd_parameter(LAMBDA)
-        assert np.isfinite(d)
 
 
 class TestSlabSolver:
@@ -117,12 +110,6 @@ class TestWaveguide:
     def test_group_index_exceeds_effective_index(self):
         wg = Waveguide()
         assert wg.group_index(LAMBDA, "TE") > wg.effective_index(LAMBDA, "TE")
-
-    def test_nonlinear_parameter_magnitude(self):
-        wg = Waveguide()
-        gamma = wg.nonlinear_parameter(LAMBDA)
-        # Published Hydex value is ~0.25 /(W m).
-        assert 0.1 < gamma < 0.5
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ConfigurationError):

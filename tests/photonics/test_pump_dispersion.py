@@ -5,20 +5,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.photonics.pump import (
-    CWPump,
     DoublePulsePump,
     DualPolarizationPump,
     SelfLockedPump,
 )
-
-
-class TestCWPump:
-    def test_average_power(self):
-        assert CWPump(power_w=2e-3).average_power_w() == 2e-3
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CWPump(power_w=-1.0)
 
 
 class TestSelfLockedPump:
@@ -54,7 +44,7 @@ class TestSelfLockedPump:
 
 class TestDualPolarizationPump:
     def test_balanced_split(self):
-        pump = DualPolarizationPump.balanced(2e-3)
+        pump = DualPolarizationPump(power_te_w=1e-3, power_tm_w=1e-3)
         assert pump.power_te_w == 1e-3
         assert pump.power_tm_w == 1e-3
         assert pump.total_power_w == 2e-3
@@ -65,17 +55,6 @@ class TestDualPolarizationPump:
 
 
 class TestDoublePulsePump:
-    def test_pair_phase_doubles_pump_phase(self):
-        pump = DoublePulsePump(relative_phase_rad=0.7)
-        assert np.isclose(pump.pair_state_phase_rad, 1.4)
-
-    def test_with_phase_copies(self):
-        pump = DoublePulsePump()
-        shifted = pump.with_phase(1.0)
-        assert shifted.relative_phase_rad == 1.0
-        assert pump.relative_phase_rad == 0.0
-        assert shifted.pulse_separation_s == pump.pulse_separation_s
-
     def test_average_power(self):
         pump = DoublePulsePump(pulse_energy_j=1e-12, repetition_rate_hz=16.8e6)
         assert np.isclose(pump.average_power_w(), 2 * 1e-12 * 16.8e6)

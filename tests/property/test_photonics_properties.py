@@ -100,13 +100,8 @@ class TestCombInvariants:
     def test_pair_energy_conservation(self, pump, spacing, order):
         grid = CombGrid(pump, spacing, num_pairs=10)
         pair = grid.pair(order)
-        assert np.isclose(pair.energy_sum_hz, 2 * pump, rtol=1e-12)
-
-    @SETTINGS
-    @given(st.integers(min_value=1, max_value=12))
-    def test_channels_count(self, num_pairs):
-        grid = CombGrid(num_pairs=num_pairs)
-        assert len(grid.channels()) == 2 * num_pairs + 1
+        energy_sum = pair.signal.frequency_hz + pair.idler.frequency_hz
+        assert np.isclose(energy_sum, 2 * pump, rtol=1e-12)
 
 
 class TestSuppressionAndOPO:

@@ -9,12 +9,12 @@ from repro.errors import DimensionMismatchError
 from repro.quantum import bell as bell_mod
 from repro.quantum.noise import add_white_noise
 from repro.quantum.qubits import bell_state, computational_ket
-from repro.quantum.states import DensityMatrix, ket_to_density
+from repro.quantum.states import DensityMatrix
 
 
 @pytest.fixture
 def phi_plus():
-    return ket_to_density(bell_state("phi+"), [2, 2])
+    return DensityMatrix.from_ket(bell_state("phi+"), [2, 2])
 
 
 class TestCorrelation:
@@ -42,7 +42,7 @@ class TestCHSHValue:
             assert np.isclose(s, bell_mod.TSIRELSON_BOUND * v, atol=1e-9)
 
     def test_product_state_no_violation(self):
-        product = ket_to_density(computational_ket("00"), [2, 2])
+        product = DensityMatrix.from_ket(computational_ket("00"), [2, 2])
         s = bell_mod.chsh_value(product)
         assert abs(s) <= bell_mod.CLASSICAL_BOUND + 1e-9
 
@@ -61,12 +61,12 @@ class TestHorodecki:
         assert np.isclose(s_settings, s_max, atol=1e-9)
 
     def test_separable_state_below_two(self):
-        product = ket_to_density(computational_ket("01"), [2, 2])
+        product = DensityMatrix.from_ket(computational_ket("01"), [2, 2])
         assert bell_mod.horodecki_chsh_maximum(product) <= 2.0 + 1e-9
 
     def test_all_bell_states_saturate(self):
         for kind in ("phi+", "phi-", "psi+", "psi-"):
-            state = ket_to_density(bell_state(kind), [2, 2])
+            state = DensityMatrix.from_ket(bell_state(kind), [2, 2])
             assert np.isclose(
                 bell_mod.horodecki_chsh_maximum(state), bell_mod.TSIRELSON_BOUND
             )

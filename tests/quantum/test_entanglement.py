@@ -7,17 +7,17 @@ from repro.errors import DimensionMismatchError
 from repro.quantum import entanglement
 from repro.quantum.noise import add_white_noise
 from repro.quantum.qubits import bell_state, computational_ket
-from repro.quantum.states import DensityMatrix, ket_to_density
+from repro.quantum.states import DensityMatrix
 
 
 @pytest.fixture
 def bell():
-    return ket_to_density(bell_state("phi+"), [2, 2])
+    return DensityMatrix.from_ket(bell_state("phi+"), [2, 2])
 
 
 @pytest.fixture
 def product():
-    return ket_to_density(computational_ket("01"), [2, 2])
+    return DensityMatrix.from_ket(computational_ket("01"), [2, 2])
 
 
 class TestConcurrence:
@@ -42,7 +42,7 @@ class TestConcurrence:
 
     def test_all_bell_states_maximal(self):
         for kind in ("phi+", "phi-", "psi+", "psi-"):
-            state = ket_to_density(bell_state(kind), [2, 2])
+            state = DensityMatrix.from_ket(bell_state(kind), [2, 2])
             assert np.isclose(entanglement.concurrence(state), 1.0)
 
 
@@ -56,14 +56,12 @@ class TestNegativity:
     def test_log_negativity_bell(self, bell):
         assert np.isclose(entanglement.log_negativity(bell), 1.0)
 
-    def test_ppt_detects_entanglement(self, bell, product):
-        assert not entanglement.is_ppt(bell)
-        assert entanglement.is_ppt(product)
-
     def test_werner_ppt_threshold(self, bell):
-        # Werner states are separable iff V <= 1/3.
-        assert entanglement.is_ppt(add_white_noise(bell, 0.33))
-        assert not entanglement.is_ppt(add_white_noise(bell, 0.35))
+        # Werner states are separable iff V <= 1/3: their partial
+        # transpose is positive there, so the negativity is zero.
+        below = entanglement.negativity(add_white_noise(bell, 0.33))
+        assert np.isclose(below, 0.0, atol=1e-12)
+        assert entanglement.negativity(add_white_noise(bell, 0.35)) > 1e-3
 
 
 class TestPartialTranspose:

@@ -124,30 +124,6 @@ class TestPartialTrace:
             hilbert.partial_trace(np.eye(4) / 4, [2, 2], keep=[0, 0])
 
 
-class TestPermuteSubsystems:
-    def test_swap_two_qubits(self):
-        rho_a = np.diag([1.0, 0.0]).astype(complex)
-        rho_b = np.diag([0.25, 0.75]).astype(complex)
-        joint = np.kron(rho_a, rho_b)
-        swapped = hilbert.permute_subsystems(joint, [2, 2], [1, 0])
-        assert np.allclose(swapped, np.kron(rho_b, rho_a))
-
-    def test_identity_permutation(self):
-        rho = np.eye(4) / 4
-        assert np.allclose(hilbert.permute_subsystems(rho, [2, 2], [0, 1]), rho)
-
-    def test_invalid_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            hilbert.permute_subsystems(np.eye(4) / 4, [2, 2], [0, 0])
-
-    def test_three_subsystem_cycle(self):
-        rhos = [np.diag([p, 1 - p]).astype(complex) for p in (1.0, 0.5, 0.2)]
-        joint = np.kron(np.kron(rhos[0], rhos[1]), rhos[2])
-        cycled = hilbert.permute_subsystems(joint, [2, 2, 2], [2, 0, 1])
-        expected = np.kron(np.kron(rhos[2], rhos[0]), rhos[1])
-        assert np.allclose(cycled, expected)
-
-
 class TestTotalDimension:
     def test_product(self):
         assert hilbert.total_dimension([2, 3, 4]) == 24

@@ -1,10 +1,9 @@
-"""Unit tests for Pauli algebra and standard qubit states."""
+"""Unit tests for Pauli algebra, measurement bases and standard qubit states."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DimensionMismatchError
-from repro.quantum import hilbert, operators, qubits
+from repro.quantum import operators, qubits
 
 
 class TestPaulis:
@@ -21,58 +20,6 @@ class TestPaulis:
             operators.PAULI_X @ operators.PAULI_Y, 1j * operators.PAULI_Z
         )
 
-    def test_pauli_string(self):
-        xz = operators.pauli_string("XZ")
-        assert xz.shape == (4, 4)
-        assert np.allclose(xz, np.kron(operators.PAULI_X, operators.PAULI_Z))
-
-    def test_pauli_string_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            operators.pauli_string("XQ")
-
-    def test_pauli_string_rejects_empty(self):
-        with pytest.raises(ValueError):
-            operators.pauli_string("")
-
-
-class TestRotations:
-    def test_rotation_is_unitary(self):
-        u = operators.qubit_rotation([0, 0, 1], 0.7)
-        assert np.allclose(u @ u.conj().T, np.eye(2))
-
-    def test_x_rotation_pi_flips(self):
-        u = operators.qubit_rotation([1, 0, 0], np.pi)
-        zero = hilbert.basis_ket(2, 0)
-        flipped = u @ zero
-        assert np.isclose(abs(flipped[1]), 1.0)
-
-    def test_direction_normalised(self):
-        u1 = operators.qubit_rotation([0, 0, 2], 0.5)
-        u2 = operators.qubit_rotation([0, 0, 1], 0.5)
-        assert np.allclose(u1, u2)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            operators.qubit_rotation([0, 0, 0], 0.5)
-
-
-class TestEmbedding:
-    def test_embed_on_first_qubit(self):
-        op = operators.embed(operators.PAULI_X, 0, 2)
-        assert np.allclose(op, np.kron(operators.PAULI_X, np.eye(2)))
-
-    def test_embed_on_last_qubit(self):
-        op = operators.embed(operators.PAULI_Z, 2, 3)
-        assert np.allclose(op, np.kron(np.eye(4), operators.PAULI_Z))
-
-    def test_embed_rejects_multiqubit_operator(self):
-        with pytest.raises(DimensionMismatchError):
-            operators.embed(np.eye(4), 0, 2)
-
-    def test_embed_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            operators.embed(operators.PAULI_X, 2, 2)
-
 
 class TestMeasurementBasis:
     def test_z_basis_projectors(self):
@@ -87,6 +34,16 @@ class TestMeasurementBasis:
     def test_projectors_idempotent(self):
         plus, _ = operators.measurement_basis([1, 0, 1])
         assert np.allclose(plus @ plus, plus)
+
+    def test_direction_normalised(self):
+        assert np.allclose(
+            operators.measurement_basis([0, 0, 2]),
+            operators.measurement_basis([0, 0, 1]),
+        )
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError):
+            operators.measurement_basis([0, 0, 0])
 
 
 class TestQubitStates:
@@ -114,16 +71,6 @@ class TestQubitStates:
         ket = qubits.bell_state("phi+", phase=np.pi)
         expected = qubits.bell_state("phi-")
         assert np.isclose(abs(np.vdot(ket, expected)), 1.0)
-
-    def test_ghz_normalised(self):
-        ket = qubits.ghz_state(3)
-        assert np.isclose(np.linalg.norm(ket), 1.0)
-        assert np.isclose(abs(ket[0]), 1 / np.sqrt(2))
-        assert np.isclose(abs(ket[-1]), 1 / np.sqrt(2))
-
-    def test_ghz_minimum_size(self):
-        with pytest.raises(ValueError):
-            qubits.ghz_state(1)
 
     def test_two_bell_pairs_dimension(self):
         ket = qubits.two_bell_pairs()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DimensionMismatchError, StateValidationError
 from repro.quantum.qubits import bell_state, computational_ket
-from repro.quantum.states import DensityMatrix, fidelity, ket_to_density, purity
+from repro.quantum.states import DensityMatrix
 
 
 class TestConstruction:
@@ -44,32 +44,30 @@ class TestConstruction:
 
 class TestFunctionals:
     def test_pure_state_purity_one(self):
-        state = ket_to_density(computational_ket("0"))
+        state = DensityMatrix.from_ket(computational_ket("0"))
         assert np.isclose(state.purity(), 1.0)
-        assert np.isclose(purity(state), 1.0)
 
     def test_maximally_mixed_purity(self):
         state = DensityMatrix.maximally_mixed([2, 2])
         assert np.isclose(state.purity(), 0.25)
 
     def test_fidelity_identical_states(self):
-        state = ket_to_density(bell_state("phi+"), [2, 2])
+        state = DensityMatrix.from_ket(bell_state("phi+"), [2, 2])
         assert np.isclose(state.fidelity(state), 1.0)
 
     def test_fidelity_orthogonal_states(self):
-        a = ket_to_density(computational_ket("0"))
-        b = ket_to_density(computational_ket("1"))
+        a = DensityMatrix.from_ket(computational_ket("0"))
+        b = DensityMatrix.from_ket(computational_ket("1"))
         assert np.isclose(a.fidelity(b), 0.0, atol=1e-10)
 
     def test_fidelity_against_ket(self):
-        state = ket_to_density(bell_state("phi+"), [2, 2])
+        state = DensityMatrix.from_ket(bell_state("phi+"), [2, 2])
         assert np.isclose(state.fidelity(bell_state("phi+")), 1.0)
 
     def test_fidelity_symmetry(self):
-        a = ket_to_density(computational_ket("0"))
+        a = DensityMatrix.from_ket(computational_ket("0"))
         mixed = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
         assert np.isclose(a.fidelity(mixed), mixed.fidelity(a))
-        assert np.isclose(fidelity(a, mixed), a.fidelity(mixed))
 
     def test_fidelity_dimension_mismatch(self):
         a = DensityMatrix.maximally_mixed([2])
@@ -77,27 +75,19 @@ class TestFunctionals:
         with pytest.raises(DimensionMismatchError):
             a.fidelity(b)
 
-    def test_entropy_pure_zero(self):
-        state = ket_to_density(computational_ket("0"))
-        assert np.isclose(state.von_neumann_entropy(), 0.0, atol=1e-9)
-
-    def test_entropy_maximally_mixed(self):
-        state = DensityMatrix.maximally_mixed([2, 2])
-        assert np.isclose(state.von_neumann_entropy(), 2.0)
-
     def test_expectation_of_identity(self):
         state = DensityMatrix.maximally_mixed([2])
         assert np.isclose(state.expectation(np.eye(2)), 1.0)
 
     def test_probability_clipped(self):
-        state = ket_to_density(computational_ket("0"))
+        state = DensityMatrix.from_ket(computational_ket("0"))
         proj = np.diag([1.0, 0.0]).astype(complex)
         assert 0.0 <= state.probability(proj) <= 1.0
 
 
 class TestStructure:
     def test_bell_partial_trace_mixed(self):
-        state = ket_to_density(bell_state("phi+"), [2, 2])
+        state = DensityMatrix.from_ket(bell_state("phi+"), [2, 2])
         reduced = state.partial_trace([0])
         assert np.allclose(reduced.matrix, np.eye(2) / 2.0)
 
@@ -105,24 +95,3 @@ class TestStructure:
         a = DensityMatrix.maximally_mixed([2])
         b = DensityMatrix.maximally_mixed([2, 2])
         assert a.tensor(b).dims == (2, 2, 2)
-
-    def test_permute_round_trip(self):
-        state = ket_to_density(bell_state("psi+"), [2, 2])
-        round_trip = state.permute([1, 0]).permute([1, 0])
-        assert state.is_close(round_trip)
-
-    def test_evolve_unitary(self):
-        state = ket_to_density(computational_ket("0"))
-        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-        evolved = state.evolve(hadamard)
-        assert np.isclose(evolved.matrix[0, 1].real, 0.5)
-
-    def test_evolve_rejects_non_unitary(self):
-        state = ket_to_density(computational_ket("0"))
-        with pytest.raises(StateValidationError):
-            state.evolve(np.array([[1, 0], [0, 2]], dtype=complex))
-
-    def test_evolve_rejects_wrong_dimension(self):
-        state = ket_to_density(computational_ket("0"))
-        with pytest.raises(DimensionMismatchError):
-            state.evolve(np.eye(4))

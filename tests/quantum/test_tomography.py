@@ -1,18 +1,23 @@
-"""Unit tests for state tomography (simulation, inversion, MLE)."""
+"""Unit tests for state tomography (settings and MLE).
+
+The counts come from the E9 driver's simulator with no analyser phase
+error, the path the experiment itself runs.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import TomographyError
+from repro.experiments.tomography_fidelity import simulate_counts_with_phase_errors
 from repro.quantum import tomography
 from repro.quantum.noise import add_white_noise
 from repro.quantum.qubits import bell_state, computational_ket
-from repro.quantum.states import DensityMatrix, ket_to_density
+from repro.quantum.states import DensityMatrix
 
 
 @pytest.fixture
 def bell():
-    return ket_to_density(bell_state("phi+"), [2, 2])
+    return DensityMatrix.from_ket(bell_state("phi+"), [2, 2])
 
 
 class TestSettings:
@@ -46,89 +51,34 @@ class TestSettings:
             tomography.setting_projectors("XI")
 
 
-class TestSimulatedCounts:
-    def test_counts_shape_and_total(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 500, rng)
-        assert set(counts) == set(tomography.measurement_settings(2))
-        for array in counts.values():
-            assert array.shape == (4,)
-            assert array.sum() == 500
-
-    def test_zz_perfect_correlation(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 2000, rng, settings=["ZZ"])
-        array = counts["ZZ"]
-        # phi+ has support only on |00> and |11>: outcomes 0 and 3.
-        assert array[1] == 0
-        assert array[2] == 0
-
-    def test_rejects_non_qubit_state(self, rng):
-        state = DensityMatrix.maximally_mixed([3])
-        with pytest.raises(TomographyError):
-            tomography.simulate_pauli_counts(state, 10, rng)
-
-
-class TestPauliExpectations:
-    def test_bell_expectations(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 4000, rng)
-        expectations = tomography.pauli_expectations_from_counts(counts, 2)
-        assert np.isclose(expectations["XX"], 1.0, atol=0.05)
-        assert np.isclose(expectations["YY"], -1.0, atol=0.05)
-        assert np.isclose(expectations["ZZ"], 1.0, atol=0.05)
-        assert np.isclose(expectations["XZ"], 0.0, atol=0.08)
-        assert expectations["II"] == 1.0
-
-    def test_marginal_expectation_uses_all_settings(self, rng):
-        # <ZI> for |0><0| x I/2 should be ~1 from any setting with Z first.
-        state = ket_to_density(computational_ket("0")).tensor(
-            DensityMatrix.maximally_mixed([2])
-        )
-        counts = tomography.simulate_pauli_counts(state, 3000, rng)
-        expectations = tomography.pauli_expectations_from_counts(counts, 2)
-        assert np.isclose(expectations["ZI"], 1.0, atol=0.05)
-        assert np.isclose(expectations["IZ"], 0.0, atol=0.08)
-
-
-class TestLinearInversion:
-    def test_reconstructs_bell(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 5000, rng)
-        raw = tomography.linear_inversion(counts, 2)
-        state = tomography.project_to_physical_state(raw)
-        assert state.fidelity(bell) > 0.97
-
-    def test_trace_one(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 1000, rng)
-        raw = tomography.linear_inversion(counts, 2)
-        assert np.isclose(np.trace(raw).real, 1.0)
-
-
 class TestMLE:
     def test_reconstructs_pure_bell(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 3000, rng)
+        counts = simulate_counts_with_phase_errors(bell, 3000, 0.0, rng)
         result = tomography.mle_tomography(counts, 2)
         assert result.fidelity(bell) > 0.97
         assert result.converged
 
     def test_reconstructs_werner(self, bell, rng):
         werner = add_white_noise(bell, 0.8)
-        counts = tomography.simulate_pauli_counts(werner, 5000, rng)
+        counts = simulate_counts_with_phase_errors(werner, 5000, 0.0, rng)
         result = tomography.mle_tomography(counts, 2)
         assert result.fidelity(werner) > 0.98
 
     def test_single_qubit(self, rng):
-        state = ket_to_density(computational_ket("0"))
-        counts = tomography.simulate_pauli_counts(state, 2000, rng)
+        state = DensityMatrix.from_ket(computational_ket("0"))
+        counts = simulate_counts_with_phase_errors(state, 2000, 0.0, rng)
         result = tomography.mle_tomography(counts, 1)
         assert result.fidelity(state) > 0.98
 
     def test_result_is_physical(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 200, rng)
+        counts = simulate_counts_with_phase_errors(bell, 200, 0.0, rng)
         result = tomography.mle_tomography(counts, 2)
         eigenvalues = np.linalg.eigvalsh(result.state.matrix)
         assert eigenvalues.min() >= -1e-9
         assert np.isclose(np.trace(result.state.matrix).real, 1.0)
 
     def test_diluted_variant_converges(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 1000, rng)
+        counts = simulate_counts_with_phase_errors(bell, 1000, 0.0, rng)
         result = tomography.mle_tomography(counts, 2, dilution=0.5)
         assert result.fidelity(bell) > 0.95
 
@@ -147,7 +97,7 @@ class TestMLE:
             tomography.mle_tomography(counts, 2)
 
     def test_bad_dilution_rejected(self, bell, rng):
-        counts = tomography.simulate_pauli_counts(bell, 100, rng)
+        counts = simulate_counts_with_phase_errors(bell, 100, 0.0, rng)
         with pytest.raises(TomographyError):
             tomography.mle_tomography(counts, 2, dilution=0.0)
 
@@ -201,8 +151,8 @@ class TestStackedMLEMatchesPerProjectorLoop:
 
     @pytest.mark.parametrize("dilution", [1.0, 0.5])
     def test_two_qubits(self, bell, rng, dilution):
-        counts = tomography.simulate_pauli_counts(
-            add_white_noise(bell, 0.85), 400, rng
+        counts = simulate_counts_with_phase_errors(
+            add_white_noise(bell, 0.85), 400, 0.0, rng
         )
         counts["XY"] = np.zeros(4, dtype=int)  # an empty setting is skipped
         self._assert_matches(counts, 2, 300, dilution)
@@ -210,7 +160,7 @@ class TestStackedMLEMatchesPerProjectorLoop:
     @pytest.mark.parametrize("dilution", [1.0, 0.5])
     def test_four_qubits(self, bell, rng, dilution):
         state = add_white_noise(bell.tensor(bell), 0.7)
-        counts = tomography.simulate_pauli_counts(state, 60, rng)
+        counts = simulate_counts_with_phase_errors(state, 60, 0.0, rng)
         self._assert_matches(counts, 4, 60, dilution)
 
     @staticmethod

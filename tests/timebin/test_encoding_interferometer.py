@@ -4,30 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.quantum.qubits import bell_state
-from repro.timebin.encoding import (
-    EARLY,
-    LATE,
-    time_bin_bell_state,
-    time_bin_ket,
-    time_bin_multiphoton_state,
-)
+from repro.quantum.qubits import bell_state, computational_ket
+from repro.timebin.encoding import time_bin_bell_state, time_bin_multiphoton_state
 from repro.timebin.interferometer import UnbalancedMichelson
 
 
 class TestEncoding:
-    def test_basis_orthonormal(self):
-        assert np.isclose(np.vdot(EARLY, LATE), 0.0)
-        assert np.isclose(np.linalg.norm(EARLY), 1.0)
-
-    def test_time_bin_ket_normalises(self):
-        ket = time_bin_ket(3.0, 4.0)
-        assert np.isclose(np.linalg.norm(ket), 1.0)
-
-    def test_zero_ket_rejected(self):
-        with pytest.raises(ValueError):
-            time_bin_ket(0.0, 0.0)
-
     def test_bell_state_phase_doubling(self):
         # Pump phase phi_p enters the pair as 2 phi_p.
         state = time_bin_bell_state(np.pi / 2.0)
@@ -46,18 +28,18 @@ class TestEncoding:
 class TestUnbalancedMichelson:
     def test_slot_probabilities_early_input(self):
         interferometer = UnbalancedMichelson(phase_rad=0.0)
-        probs = interferometer.slot_probabilities(EARLY)
+        probs = interferometer.slot_probabilities(computational_ket("0"))
         # Early photon: slots 0 and 1 each with 1/4; slot 2 empty.
         assert np.allclose(probs, [0.25, 0.25, 0.0])
 
     def test_slot_probabilities_late_input(self):
         interferometer = UnbalancedMichelson(phase_rad=0.7)
-        probs = interferometer.slot_probabilities(LATE)
+        probs = interferometer.slot_probabilities(computational_ket("1"))
         assert np.allclose(probs, [0.0, 0.25, 0.25])
 
     def test_central_slot_interference(self):
         # Superposition input interferes in the central slot.
-        plus = time_bin_ket(1.0, 1.0)
+        plus = (computational_ket("0") + computational_ket("1")) / np.sqrt(2.0)
         constructive = UnbalancedMichelson(phase_rad=0.0)
         destructive = UnbalancedMichelson(phase_rad=np.pi)
         assert np.isclose(constructive.central_slot_probability(plus), 0.5)
@@ -67,7 +49,8 @@ class TestUnbalancedMichelson:
 
     def test_total_probability_bounded_by_transmission(self):
         interferometer = UnbalancedMichelson(phase_rad=0.3, transmission=0.8)
-        for ket in (EARLY, LATE, time_bin_ket(1.0, 1.0j)):
+        early, late = computational_ket("0"), computational_ket("1")
+        for ket in (early, late, (early + 1j * late) / np.sqrt(2.0)):
             total = interferometer.slot_probabilities(ket).sum()
             assert total <= 0.8 + 1e-12
 

@@ -11,10 +11,7 @@ from repro.timebin.fringes import FringeScan
 from repro.timebin.postselect import (
     central_slot_povm,
     coincidence_probability,
-    fourfold_probability,
-    ideal_fourfold_fringe,
     ideal_twofold_fringe,
-    postselection_efficiency,
 )
 from repro.timebin.stabilization import PhaseController
 
@@ -65,9 +62,12 @@ class TestCoincidenceProbability:
         assert np.isclose(povm_value, analytic)
 
     def test_matches_analytic_fourfold(self, four_photon):
+        # Two identical pairs, all four analysers at φ: the square of the
+        # two-photon fringe at phase sum 2φ, oscillating at twice the scan
+        # phase.
         for phi in (0.0, 0.3, 1.2):
-            povm_value = fourfold_probability(four_photon, phi)
-            analytic = ideal_fourfold_fringe(np.array([phi]))[0]
+            povm_value = coincidence_probability(four_photon, [phi] * 4)
+            analytic = ideal_twofold_fringe(np.array([2.0 * phi]))[0] ** 2
             assert np.isclose(povm_value, analytic)
 
     def test_white_noise_floor(self, bell):
@@ -87,16 +87,6 @@ class TestCoincidenceProbability:
         with pytest.raises(DimensionMismatchError):
             coincidence_probability(state, [0.0])
 
-    def test_fourfold_needs_four(self, bell):
-        with pytest.raises(DimensionMismatchError):
-            fourfold_probability(bell, 0.0)
-
-    def test_postselection_efficiency(self):
-        assert np.isclose(postselection_efficiency(2), 1.0 / 16.0)
-        assert np.isclose(postselection_efficiency(4), 1.0 / 256.0)
-        with pytest.raises(ConfigurationError):
-            postselection_efficiency(0)
-
 
 class TestPhaseController:
     def test_locked_errors_small(self, rng):
@@ -111,21 +101,6 @@ class TestPhaseController:
         actual = controller.sample_phase_errors(set_points, 10.0, rng)
         # Random walk: the late-time spread must far exceed the early one.
         assert np.std(actual[-50:]) > np.std(actual[:10])
-
-    def test_coherence_factor(self):
-        assert PhaseController(residual_sigma_rad=0.0).coherence_factor() == 1.0
-        assert PhaseController(locked=False).coherence_factor() == 0.0
-        sigma = 0.3
-        assert np.isclose(
-            PhaseController(residual_sigma_rad=sigma).coherence_factor(),
-            np.exp(-(sigma**2) / 2.0),
-        )
-
-    def test_combined_coherence_factor(self):
-        controller = PhaseController(residual_sigma_rad=0.2)
-        single = controller.coherence_factor()
-        double = controller.combined_coherence_factor(2)
-        assert np.isclose(double, single**2)
 
     def test_validation(self, rng):
         with pytest.raises(ConfigurationError):
