@@ -1,8 +1,12 @@
-"""Unit tests for the white-noise channel and measurement sampling."""
+"""Unit tests for the white-noise channel, the multi-pair visibility ceiling
+and measurement sampling."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.core.calibration import TIME_BIN_DEFAULTS
 from repro.errors import PhysicsError
 from repro.quantum import measurement, noise
 from repro.quantum.qubits import bell_state, computational_ket
@@ -38,6 +42,22 @@ class TestWhiteNoise:
         for v in (0.5, 0.83):
             werner = noise.add_white_noise(bell, v)
             assert np.isclose(werner.fidelity(bell), v + (1 - v) / 4, atol=1e-9)
+
+
+class TestMultiPairVisibility:
+    # The ceiling 1/(1+2μ) that double pairs put on the fringe visibility.
+    @staticmethod
+    def ceiling(mu):
+        return dataclasses.replace(
+            TIME_BIN_DEFAULTS, mu_per_pulse=mu
+        ).multi_pair_visibility
+
+    def test_zero_mu_perfect(self):
+        assert self.ceiling(0.0) == 1.0
+
+    def test_decreasing_in_mu(self):
+        values = [self.ceiling(mu) for mu in (0.0, 0.01, 0.05, 0.1)]
+        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestBornSampling:

@@ -30,8 +30,17 @@ class TestSchmidt:
         with pytest.raises(PhysicsError):
             SchmidtDecomposition(coefficients=np.array([1.0, 1.0]))
 
-    def test_purity_of_single_and_uniform_spectra(self):
-        single = SchmidtDecomposition(coefficients=np.array([1.0]))
-        assert single.purity == 1.0
-        uniform = SchmidtDecomposition(coefficients=np.full(4, 0.5))
-        assert np.isclose(uniform.purity, 0.25)
+    def test_entropy_zero_for_single_mode(self):
+        # One Schmidt mode: no entanglement, a pure heralded photon.
+        decomposition = SchmidtDecomposition(coefficients=np.array([1.0]))
+        assert decomposition.purity == 1.0
+        assert -np.log2(decomposition.purity) == 0.0
+
+    def test_uniform_coefficients_entropy(self):
+        # n equal modes: purity 1/n, and the Rényi-2 entropy −log₂ P is
+        # log₂ n bits, as is the entanglement entropy of a flat spectrum.
+        n = 4
+        coeffs = np.full(n, 1.0 / np.sqrt(n))
+        decomposition = SchmidtDecomposition(coefficients=coeffs)
+        assert np.isclose(decomposition.purity, 1.0 / n)
+        assert np.isclose(-np.log2(decomposition.purity), 2.0)
