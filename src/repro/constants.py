@@ -10,15 +10,6 @@ from __future__ import annotations
 #: Speed of light in vacuum [m/s].
 SPEED_OF_LIGHT = 299_792_458.0
 
-#: Planck constant [J*s].
-PLANCK = 6.626_070_15e-34
-
-#: Reduced Planck constant [J*s].
-HBAR = 1.054_571_817e-34
-
-#: Boltzmann constant [J/K].
-BOLTZMANN = 1.380_649e-23
-
 #: Conventional centre of the telecom C band [m].
 TELECOM_WAVELENGTH = 1550e-9
 
@@ -27,9 +18,6 @@ TELECOM_FREQUENCY = SPEED_OF_LIGHT / TELECOM_WAVELENGTH
 
 #: Comb line spacing used by the paper's quantum frequency comb [Hz].
 COMB_SPACING = 200e9
-
-#: ITU-T anchor frequency for DWDM grids [Hz].
-ITU_ANCHOR_FREQUENCY = 193.1e12
 
 #: Telecom band edges, by band name, as (low, high) wavelength in metres.
 TELECOM_BANDS = {

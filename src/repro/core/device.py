@@ -21,7 +21,6 @@ import dataclasses
 
 from repro.constants import COMB_SPACING, TELECOM_WAVELENGTH
 from repro.errors import ConfigurationError
-from repro.photonics.comb import CombGrid
 from repro.photonics.resonator import Microring, ring_for_linewidth
 from repro.photonics.waveguide import Waveguide
 
@@ -47,15 +46,6 @@ class RingDevice:
     def __post_init__(self) -> None:
         if self.num_tracked_pairs < 1:
             raise ConfigurationError("must track at least one channel pair")
-
-    @property
-    def comb(self) -> CombGrid:
-        """The comb grid centred on the pump resonance."""
-        return CombGrid(
-            pump_frequency_hz=self.ring.resonance_origin("TE"),
-            spacing_hz=self.ring.free_spectral_range("TE"),
-            num_pairs=self.num_tracked_pairs,
-        )
 
     @property
     def linewidth_hz(self) -> float:

@@ -27,9 +27,9 @@ from repro.detection.components import PolarizingBeamSplitter
 from repro.detection.spd import DetectorModel
 from repro.detection.timetags import BiphotonSource, PairStream, thin_stream
 from repro.errors import ConfigurationError
-from repro.photonics.fwm import SFWMProcess, TypeIIProcess
+from repro.photonics.fwm import TypeIIProcess
 from repro.photonics.opo import ParametricOscillator
-from repro.photonics.pump import DoublePulsePump, DualPolarizationPump, SelfLockedPump
+from repro.photonics.pump import DualPolarizationPump, SelfLockedPump
 from repro.quantum.noise import add_white_noise
 from repro.quantum.states import DensityMatrix
 from repro.timebin.encoding import time_bin_bell_state, time_bin_multiphoton_state
@@ -88,15 +88,6 @@ class HeraldedSingleScheme:
             idler_photons, duration_s, rng.child(f"idl/{channel_order}")
         )
         return signal, idler
-
-    def sfwm_process(self) -> SFWMProcess:
-        """The underlying type-0 SFWM physics object."""
-        return SFWMProcess(
-            ring=self.device.ring,
-            pair_rate_coefficient_hz_per_w2=(
-                self.calibration.pair_rate_coefficient_hz_per_w2
-            ),
-        )
 
     def _calibration_index(self, channel_order: int) -> int:
         if not 1 <= channel_order <= self.calibration.num_channel_pairs:
@@ -193,14 +184,6 @@ class TimeBinScheme:
     calibration: TimeBinCalibration = TIME_BIN_DEFAULTS
     pump_phase_rad: float = 0.0
 
-    def pump(self) -> DoublePulsePump:
-        """The calibrated double-pulse pump."""
-        return DoublePulsePump(
-            pulse_separation_s=self.calibration.pulse_separation_s,
-            relative_phase_rad=self.pump_phase_rad,
-            repetition_rate_hz=self.calibration.repetition_rate_hz,
-        )
-
     def pair_state(self) -> DensityMatrix:
         """The (noisy) two-photon time-bin state on one channel pair.
 
@@ -237,25 +220,11 @@ class MultiPhotonScheme:
         pure = DensityMatrix.from_ket(ideal, [2, 2, 2, 2])
         return add_white_noise(pure, self.calibration.state_visibility)
 
-    def bell_state(self) -> DensityMatrix:
-        """One constituent Bell pair (for the tomography reference)."""
-        return self.four_photon_state().partial_trace([0, 1])
-
     def phase_controller(self) -> PhaseController:
         """The common analyser phase model."""
         return PhaseController(
             residual_sigma_rad=self.calibration.phase_noise_sigma_rad
         )
-
-
-def scheme_catalog() -> dict[str, object]:
-    """All four schemes with default settings, keyed by paper section."""
-    return {
-        "II-heralded": HeraldedSingleScheme(),
-        "III-type-ii": TypeIIScheme(),
-        "IV-time-bin": TimeBinScheme(),
-        "V-multi-photon": MultiPhotonScheme(),
-    }
 
 
 # Re-exported for callers that build custom streams.
@@ -265,6 +234,5 @@ __all__ = [
     "PairStream",
     "TimeBinScheme",
     "TypeIIScheme",
-    "scheme_catalog",
     "thin_stream",
 ]

@@ -71,17 +71,17 @@ def _count_window_loop(
 
 @dataclasses.dataclass(frozen=True)
 class CoincidenceResult:
-    """Outcome of a CAR measurement on one channel pair."""
+    """Outcome of a CAR measurement on one channel pair.
+
+    ``accidentals_mean`` is the mean count of ``num_accidental_windows``
+    offset windows.
+    """
 
     coincidences: int
     accidentals_mean: float
     duration_s: float
     window_s: float
-
-    @property
-    def coincidence_rate_hz(self) -> float:
-        """Raw coincidence rate (true + accidental)."""
-        return self.coincidences / self.duration_s
+    num_accidental_windows: int = 1
 
     @property
     def true_coincidence_rate_hz(self) -> float:
@@ -98,14 +98,19 @@ class CoincidenceResult:
 
     @property
     def car_error(self) -> float:
-        """One-sigma error on the CAR from Poisson statistics."""
+        """One-sigma error on the CAR from Poisson statistics.
+
+        The accidental mean is a summed count over the offset windows
+        divided by their number ``n``, so its error is √(n·Ā)/n.
+        """
         if self.accidentals_mean <= 0:
             return math.inf
+        n = self.num_accidental_windows
         return stats.ratio_error(
             float(self.coincidences),
             math.sqrt(max(self.coincidences, 1)),
             self.accidentals_mean,
-            math.sqrt(max(self.accidentals_mean, 1.0)),
+            math.sqrt(max(n * self.accidentals_mean, 1.0)) / n,
         )
 
 
@@ -212,6 +217,7 @@ def car_matrix(
                 accidentals_mean=float(np.mean(cell[1:])),
                 duration_s=duration_s,
                 window_s=window_s,
+                num_accidental_windows=num_accidental_windows,
             )
             for cell in row
         ]
@@ -278,6 +284,7 @@ def _car_from_tags_loop(
         accidentals_mean=float(np.mean(accidental_counts)),
         duration_s=duration_s,
         window_s=window_s,
+        num_accidental_windows=num_accidental_windows,
     )
 
 

@@ -33,16 +33,6 @@ class PairStream:
         if self.duration_s <= 0:
             raise ConfigurationError("duration must be positive")
 
-    @property
-    def num_pairs(self) -> int:
-        """Number of generated pairs."""
-        return int(self.signal_times_s.size)
-
-    @property
-    def pair_rate_hz(self) -> float:
-        """Realised generation rate."""
-        return self.num_pairs / self.duration_s
-
 
 @dataclasses.dataclass(frozen=True)
 class BiphotonSource:
@@ -52,7 +42,7 @@ class BiphotonSource:
     ----------
     pair_rate_hz:
         Mean generated pair rate (pre-loss), e.g. from
-        :class:`repro.photonics.fwm.SFWMProcess`.
+        :meth:`repro.core.calibration.HeraldedCalibration.generated_pair_rate_hz`.
     linewidth_hz:
         Lorentzian FWHM of signal and idler (the ring linewidth).
     """

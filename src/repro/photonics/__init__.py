@@ -9,26 +9,17 @@ configurations that select which quantum state the comb emits.
 from repro.photonics.materials import HYDEX, SILICA, Material
 from repro.photonics.waveguide import Waveguide
 from repro.photonics.resonator import Microring, RingCoupling
-from repro.photonics.comb import CombGrid, ChannelPair
-from repro.photonics.fwm import SFWMProcess, TypeIIProcess
+from repro.photonics.fwm import TypeIIProcess
 from repro.photonics.opo import ParametricOscillator
-from repro.photonics.pump import (
-    DoublePulsePump,
-    DualPolarizationPump,
-    SelfLockedPump,
-)
+from repro.photonics.pump import DualPolarizationPump, SelfLockedPump
 
 __all__ = [
-    "ChannelPair",
-    "CombGrid",
-    "DoublePulsePump",
     "DualPolarizationPump",
     "HYDEX",
     "Material",
     "Microring",
     "ParametricOscillator",
     "RingCoupling",
-    "SFWMProcess",
     "SILICA",
     "SelfLockedPump",
     "TypeIIProcess",

@@ -3,7 +3,9 @@
 Two flavours matter for the paper:
 
 * **type-0** (Section II/IV): a single pump resonance; signal/idler pairs
-  appear on resonances symmetric about the pump, ν_s + ν_i = 2ν_p.
+  appear on resonances symmetric about the pump, ν_s + ν_i = 2ν_p.  Its
+  rate, quadratic in pump power, is
+  ``core.calibration.HeraldedCalibration.generated_pair_rate_hz``.
 * **type-II** (Section III): two orthogonally polarized pumps on a TE and
   a TM resonance; the pair is cross-polarized and satisfies
   ν_s + ν_i = ν_p(TE) + ν_p(TM).  The TE/TM ladder offset detunes the
@@ -23,37 +25,6 @@ import math
 
 from repro.errors import ConfigurationError, PhysicsError
 from repro.photonics.resonator import Microring
-
-
-@dataclasses.dataclass(frozen=True)
-class SFWMProcess:
-    """Type-0 SFWM from a single resonant pump.
-
-    Parameters
-    ----------
-    ring:
-        The microring generating the pairs.
-    pair_rate_coefficient_hz_per_w2:
-        Generated-pair rate per channel pair per (input W)²; the one
-        calibrated constant (it bundles γ²L²·FE⁴·δν and mode overlap).
-    """
-
-    ring: Microring
-    pair_rate_coefficient_hz_per_w2: float = 4.0e9
-
-    def __post_init__(self) -> None:
-        if self.pair_rate_coefficient_hz_per_w2 <= 0:
-            raise ConfigurationError("pair rate coefficient must be positive")
-
-    def pair_generation_rate_hz(self, pump_power_w: float) -> float:
-        """Generated (pre-loss) pair rate per channel pair [Hz].
-
-        Quadratic in pump power — two pump photons are annihilated per
-        pair — which is the low-gain SFWM scaling the paper verifies.
-        """
-        if pump_power_w < 0:
-            raise PhysicsError(f"pump power must be >= 0, got {pump_power_w}")
-        return self.pair_rate_coefficient_hz_per_w2 * pump_power_w**2
 
 
 def phase_mismatch_suppression(detuning_hz: float, linewidth_hz: float) -> float:

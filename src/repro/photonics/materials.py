@@ -62,15 +62,6 @@ class Material:
             )
         return float(np.sqrt(n_sq))
 
-    def group_index(self, wavelength_m: float, step_m: float = 1e-10) -> float:
-        """Group index n_g = n - λ·dn/dλ via central differences."""
-        lam = wavelength_m
-        n_plus = self.refractive_index(lam + step_m)
-        n_minus = self.refractive_index(lam - step_m)
-        n = self.refractive_index(lam)
-        dn_dlam = (n_plus - n_minus) / (2.0 * step_m)
-        return float(n - lam * dn_dlam)
-
     def _validated_um(self, wavelength_m: float) -> float:
         if wavelength_m <= 0:
             raise ConfigurationError(f"wavelength must be positive, got {wavelength_m}")

@@ -8,9 +8,10 @@ depending on how it is pumped:
   no active stabilisation.  → multiplexed heralded single photons.
 * :class:`DualPolarizationPump` — two CW pumps on a TE and a TM resonance
   ([7]).  → cross-polarized pairs via type-II SFWM.
-* :class:`DoublePulsePump` — phase-coherent double pulses from an
-  imbalanced, phase-stabilised Michelson interferometer ([8]).
-  → time-bin entangled pairs (and multi-photon states).
+
+Time-bin entangled pairs and multi-photon states (Sections IV and V) come
+from phase-coherent double pulses ([8]); no pump object models those —
+their schemes build the state directly (:mod:`repro.timebin.encoding`).
 """
 
 from __future__ import annotations
@@ -104,47 +105,3 @@ class DualPolarizationPump:
         """Combined pump power (the x-axis of the OPO transfer curve)."""
         return self.power_te_w + self.power_tm_w
 
-
-@dataclasses.dataclass(frozen=True)
-class DoublePulsePump:
-    """Phase-coherent double pulses for time-bin entanglement ([8]).
-
-    Parameters
-    ----------
-    pulse_energy_j:
-        Energy of each of the two pulses.
-    pulse_separation_s:
-        Time-bin separation (the imbalance of the Michelson that creates
-        the double pulse).
-    relative_phase_rad:
-        Optical phase between the two pulses, φ_p.  The generated pair
-        state is (|ee⟩ + e^{2iφ_p}|ll⟩)/√2 — the factor 2 because SFWM
-        annihilates two pump photons.
-    repetition_rate_hz:
-        Double-pulse repetition rate.
-    pulse_bandwidth_hz:
-        Optical bandwidth of each pulse; must exceed the ring linewidth
-        for the "photon bandwidth = pump bandwidth" matching of Section V.
-    """
-
-    pulse_energy_j: float = 1e-12
-    pulse_separation_s: float = 11.1e-9
-    relative_phase_rad: float = 0.0
-    repetition_rate_hz: float = 16.8e6
-    pulse_bandwidth_hz: float = 5e9
-
-    def __post_init__(self) -> None:
-        if self.pulse_energy_j < 0:
-            raise ConfigurationError("pulse energy must be >= 0")
-        if self.pulse_separation_s <= 0:
-            raise ConfigurationError("pulse separation must be positive")
-        if self.repetition_rate_hz <= 0 or self.pulse_bandwidth_hz <= 0:
-            raise ConfigurationError("rates and bandwidths must be positive")
-        if self.pulse_separation_s * self.repetition_rate_hz >= 0.5:
-            raise ConfigurationError(
-                "double pulses overlap the next repetition period"
-            )
-
-    def average_power_w(self) -> float:
-        """Average power: two pulses per repetition period."""
-        return 2.0 * self.pulse_energy_j * self.repetition_rate_hz

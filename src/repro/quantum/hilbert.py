@@ -79,43 +79,3 @@ def check_dims_match(matrix: np.ndarray, dims: Sequence[int]) -> None:
             f"but matrix has size {matrix.shape[0]}"
         )
 
-
-def partial_trace(
-    matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]
-) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    Parameters
-    ----------
-    matrix:
-        Density operator on the tensor product of ``dims``.
-    dims:
-        Dimension of each subsystem, in tensor order.
-    keep:
-        Indices (into ``dims``) of the subsystems to retain, in the order
-        they should appear in the output.
-    """
-    matrix = check_square(matrix, "density operator")
-    dims = list(dims)
-    check_dims_match(matrix, dims)
-    keep = list(keep)
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"keep contains duplicates: {keep}")
-    for k in keep:
-        if not 0 <= k < len(dims):
-            raise ValueError(f"keep index {k} outside [0, {len(dims)})")
-
-    n = len(dims)
-    reshaped = matrix.reshape(dims + dims)
-    # Move kept row/col axes to the front in the requested order, then trace
-    # the remaining axes pairwise.
-    traced_axes = [i for i in range(n) if i not in keep]
-    # einsum-style: build index labels.
-    row_labels = list(range(n))
-    col_labels = list(range(n, 2 * n))
-    for axis in traced_axes:
-        col_labels[axis] = row_labels[axis]
-    output_labels = [row_labels[k] for k in keep] + [col_labels[k] for k in keep]
-    result = np.einsum(reshaped, row_labels + col_labels, output_labels)
-    kept_dim = total_dimension([dims[k] for k in keep]) if keep else 1
-    return result.reshape(kept_dim, kept_dim)

@@ -123,20 +123,6 @@ class DensityMatrix:
         value = self.expectation(projector)
         return float(min(max(value, 0.0), 1.0))
 
-    # ------------------------------------------------------------------
-    # Structure operations
-    # ------------------------------------------------------------------
-    def partial_trace(self, keep: Sequence[int]) -> "DensityMatrix":
-        """Reduced state on the subsystems listed in ``keep``."""
-        reduced = hilbert.partial_trace(self._matrix, self._dims, keep)
-        kept_dims = [self._dims[k] for k in keep]
-        return DensityMatrix(reduced, kept_dims)
-
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        """ρ ⊗ σ with concatenated subsystem structure."""
-        product = np.kron(self._matrix, other._matrix)
-        return DensityMatrix(product, list(self._dims) + list(other._dims))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DensityMatrix(dims={self.dims}, purity={self.purity():.4f})"
 

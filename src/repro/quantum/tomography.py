@@ -80,6 +80,13 @@ class TomographyResult:
         return self.state.fidelity(target)
 
 
+#: The six single-qubit eigenprojectors, flattened: row ``2·letter + bit``
+#: (letters X, Y, Z) holds ``Π[r, c]`` at column ``2·r + c``.
+_PROJECTOR_TABLE = np.array(
+    [_EIGENPROJECTORS[letter][bit].reshape(4) for letter in "XYZ" for bit in (0, 1)]
+)
+
+
 def mle_tomography(
     counts: Mapping[str, np.ndarray],
     num_qubits: int,
@@ -97,6 +104,13 @@ def mle_tomography(
     The fixed point maximises the multinomial likelihood over physical
     states, so the result is always a valid density matrix — this is why
     the paper's reported fidelities come from MLE rather than inversion.
+
+    Every projector is a product Π_A ⊗ Π_B over the first and the last
+    half of the qubits, each factor a product of single-qubit
+    eigenprojectors.  With ``K`` the table of those factors (one row per
+    letter and bit of every qubit of a half, one column per matrix
+    element), all probabilities are p = K_A·T·K_Bᵀ, where T holds the
+    elements of ρ regrouped by half, and R = K_Aᵀ·W·K_B with W = f/p.
     """
     dim = 2**num_qubits
     if not counts:
@@ -104,47 +118,72 @@ def mle_tomography(
     if not 0 < dilution <= 1:
         raise TomographyError(f"dilution must be in (0, 1], got {dilution}")
 
-    projector_list: list[np.ndarray] = []
-    frequency_list: list[float] = []
+    half_a = (num_qubits + 1) // 2
+    place_values = 6 ** np.arange(num_qubits - 1, -1, -1)
+    # outcome_bits[k, q]: bit of qubit q in outcome k (MSB = first qubit).
+    outcome_bits = (np.arange(dim)[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
+    rows_list: list[np.ndarray] = []
+    count_list: list[np.ndarray] = []
     total_shots = 0.0
     for setting, setting_counts in counts.items():
         setting_counts = np.asarray(setting_counts, dtype=float)
-        if setting_counts.shape != (2**num_qubits,):
+        if setting_counts.shape != (dim,):
             raise TomographyError(
                 f"setting {setting!r} has {setting_counts.shape} counts, "
-                f"expected ({2**num_qubits},)"
+                f"expected ({dim},)"
             )
-        projs = setting_projectors(setting)
+        _check_setting(setting)
+        if len(setting) != num_qubits:
+            raise TomographyError(
+                f"setting {setting!r} does not measure {num_qubits} qubits"
+            )
         shots = setting_counts.sum()
         if shots == 0:
             continue
         total_shots += shots
-        for proj, count in zip(projs, setting_counts):
-            projector_list.append(proj)
-            frequency_list.append(float(count))
+        letters = np.array(["XYZ".index(letter) for letter in setting])
+        rows_list.append(2 * letters + outcome_bits)
+        count_list.append(setting_counts)
     if total_shots == 0:
         raise TomographyError("all settings have zero counts")
-    frequencies = np.array(frequency_list) / total_shots
+    # Each (setting, outcome) is one (row of K_A, row of K_B) cell.
+    rows = np.concatenate(rows_list)
+    cells_a = rows[:, :half_a] @ place_values[num_qubits - half_a :]
+    cells_b = rows[:, half_a:] @ place_values[half_a:]
+    frequencies = np.concatenate(count_list) / total_shots
     observed = frequencies > 0
-    # Tr(Π ρ) = Σ_ab Π_ab ρ_ba: one matrix-vector product against the
-    # flattened projector stack gives every probability at once.
-    projectors = np.stack(projector_list)
-    flat_projectors = projectors.reshape(len(projector_list), dim * dim)
-    observed_projectors = projectors[observed]
+    observed_a = cells_a[observed]
+    observed_b = cells_b[observed]
     observed_frequencies = frequencies[observed]
+
+    table_a = _factor_table(half_a)
+    table_b = _factor_table(num_qubits - half_a)
+    # Axis order (r₀, c₀, r₁, c₁, ...) groups each qubit's row and column
+    # index, matching the columns of the factor tables.
+    paired = [axis for q in range(num_qubits) for axis in (q, num_qubits + q)]
+    unpaired = np.argsort(paired)
+    split = (4**half_a, 4 ** (num_qubits - half_a))
+    weights_matrix = np.zeros((table_a.shape[0], table_b.shape[0]))
 
     rho = np.eye(dim, dtype=complex) / dim
     previous_likelihood = -np.inf
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        probabilities = np.maximum(
-            np.real(flat_projectors @ rho.T.reshape(dim * dim)), 1e-12
+        # Tr(Π ρ) = Σ_rc Π[r, c] ρᵀ[r, c].
+        elements = rho.T.reshape([2] * (2 * num_qubits)).transpose(paired)
+        probabilities = np.real(table_a @ elements.reshape(split) @ table_b.T)
+        observed_probabilities = np.maximum(
+            probabilities[observed_a, observed_b], 1e-12
         )
-        r_operator = np.tensordot(
-            observed_frequencies / probabilities[observed],
-            observed_projectors,
-            axes=1,
+        weights_matrix[observed_a, observed_b] = (
+            observed_frequencies / observed_probabilities
+        )
+        r_elements = table_a.T @ weights_matrix @ table_b
+        r_operator = (
+            r_elements.reshape([2] * (2 * num_qubits))
+            .transpose(unpaired)
+            .reshape(dim, dim)
         )
         if dilution < 1.0:
             r_operator = (1.0 - dilution) * np.eye(dim) + dilution * r_operator
@@ -155,7 +194,7 @@ def mle_tomography(
             raise TomographyError("RρR update collapsed to zero trace")
         rho = candidate / trace
         log_likelihood = float(
-            np.dot(observed_frequencies, np.log(probabilities[observed]))
+            np.dot(observed_frequencies, np.log(observed_probabilities))
         )
         if abs(log_likelihood - previous_likelihood) < tolerance:
             converged = True
@@ -169,6 +208,16 @@ def mle_tomography(
         log_likelihood=previous_likelihood,
         converged=converged,
     )
+
+
+def _factor_table(num_qubits: int) -> np.ndarray:
+    """Products of single-qubit eigenprojectors on ``num_qubits`` qubits:
+    6ⁿ rows (letter and bit per qubit, first qubit most significant) by
+    4ⁿ columns ((r, c) per qubit, first qubit most significant)."""
+    table = np.ones((1, 1), dtype=complex)
+    for _ in range(num_qubits):
+        table = np.kron(table, _PROJECTOR_TABLE)
+    return table
 
 
 def _check_setting(setting: str) -> None:

@@ -33,8 +33,12 @@ from repro.runtime.records import jsonify
 #: and therefore every record — differs from schema 2 for the same
 #: seed; old entries must not be served for new runs.  Schema 4: MLE
 #: tomography sums its probabilities and R operator over a stacked
-#: projector array, so E9 records move in the last bits.
-CACHE_SCHEMA = 4
+#: projector array, so E9 records move in the last bits.  Schema 5: MLE
+#: tomography factors every projector over two halves of the qubits (E9
+#: records move in the last bits again), and the CAR error takes the
+#: accidental term over the summed offset windows (E2's table and E5's
+#: ``car_error`` change).
+CACHE_SCHEMA = 5
 
 
 def fingerprint(

@@ -1,11 +1,13 @@
 """One BLAS thread in the processes repro owns.
 
-numpy's bundled OpenBLAS starts a thread per core on its first large
-product.  The drivers' linear algebra is small (the stacked-projector MLE
-of E9 is the largest), so those threads spin for more CPU than they
-save, and on a shared host they make a driver's CPU time erratic.  The
-CLI's compute commands, ``repro serve`` and the shared pool's workers
-call :func:`one_blas_thread`; a plain ``import repro`` changes nothing.
+numpy's bundled OpenBLAS starts a helper thread per core when it loads,
+and so does scipy's own copy.  No driver's linear algebra is large
+enough to wake them (``tests/utils/test_blas.py`` holds each quick
+driver to at most one tick of helper CPU), but each copy's helpers spin
+at load: 0.05–0.1 s of CPU apiece on a two-core host, which on a shared
+host also makes a process's CPU time erratic.  So the CLI's compute
+commands, ``repro serve`` and the shared pool's workers call
+:func:`one_blas_thread`; a plain ``import repro`` changes nothing.
 
 Stdlib only, and it never imports numpy itself: a process serving only
 cache hits must not pay for that import.

@@ -29,11 +29,6 @@ class FringeFit:
     offset: float
     residual_rms: float
 
-    @property
-    def amplitude(self) -> float:
-        """Peak-to-mean fringe amplitude (offset * visibility)."""
-        return self.offset * self.visibility
-
 
 def fit_fringe(phases: np.ndarray, counts: np.ndarray) -> FringeFit:
     """Fit a sinusoidal interference fringe and return its visibility.

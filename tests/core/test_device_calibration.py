@@ -51,14 +51,6 @@ class TestDevicePresets:
         assert 5 * mismatch > high_q.linewidth_hz
         assert 5 * mismatch < type_ii.linewidth_hz
 
-    def test_comb_centred_on_resonance(self):
-        device = hydex_ring_high_q(num_tracked_pairs=5)
-        comb = device.comb
-        assert comb.num_pairs == 5
-        assert np.isclose(
-            comb.pump_frequency_hz, device.ring.resonance_origin("TE")
-        )
-
     def test_summary_keys(self):
         summary = hydex_ring_high_q().summary()
         assert {"fsr_ghz", "linewidth_mhz", "loaded_q", "radius_um"} <= set(summary)

@@ -112,6 +112,27 @@ class TestCAR:
         )
         assert result.car_error > 0
 
+    def test_car_error_counts_every_accidental_window(self):
+        # 332 coincidences against a mean of 7.8 over 10 offset windows:
+        # the accidentals are 78 counts, so the CAR is known to 12.6 %,
+        # not the 36 % a single window of 7.8 would give.
+        result = CoincidenceResult(
+            coincidences=332, accidentals_mean=7.8, duration_s=1.0,
+            window_s=0.5e-9, num_accidental_windows=10,
+        )
+        assert np.isclose(result.car_error / result.car, 0.1258, atol=5e-4)
+
+    def test_measured_car_error_uses_summed_accidentals(self, rng):
+        src = BiphotonSource(pair_rate_hz=5000.0, linewidth_hz=110e6)
+        pairs = src.generate(5.0, rng.child("pairs"))
+        noise = uncorrelated_stream(50_000.0, 5.0, rng.child("noise"))
+        idler = np.sort(np.concatenate([pairs.idler_times_s, noise]))
+        result = car_from_tags(pairs.signal_times_s, idler, 5.0, window_s=1e-9)
+        assert result.num_accidental_windows == 10
+        summed = 10 * result.accidentals_mean
+        expected = result.car * np.sqrt(1 / result.coincidences + 1 / summed)
+        assert np.isclose(result.car_error, expected, rtol=1e-12)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             car_from_tags(np.empty(0), np.empty(0), 1.0, window_s=1e-9,

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, PhysicsError
-from repro.photonics.fwm import (
-    SFWMProcess,
-    TypeIIProcess,
-    phase_mismatch_suppression,
-)
+from repro.photonics.fwm import TypeIIProcess, phase_mismatch_suppression
 from repro.photonics.jsa import purity_vs_pump_bandwidth, ring_jsa
 from repro.photonics.opo import ParametricOscillator
 from repro.photonics.resonator import ring_for_linewidth
@@ -25,21 +21,6 @@ def high_q_ring():
 def type_ii_ring():
     # The type-II chip of [7] used a lower-Q ring (~800 MHz linewidth).
     return ring_for_linewidth(Waveguide(), 200e9, 800e6)
-
-
-class TestSFWM:
-    def test_rate_quadratic_in_power(self, high_q_ring):
-        process = SFWMProcess(high_q_ring)
-        r1 = process.pair_generation_rate_hz(5e-3)
-        r2 = process.pair_generation_rate_hz(10e-3)
-        assert np.isclose(r2 / r1, 4.0)
-
-    def test_zero_power_zero_rate(self, high_q_ring):
-        assert SFWMProcess(high_q_ring).pair_generation_rate_hz(0.0) == 0.0
-
-    def test_negative_power_rejected(self, high_q_ring):
-        with pytest.raises(PhysicsError):
-            SFWMProcess(high_q_ring).pair_generation_rate_hz(-1e-3)
 
 
 class TestSuppression:

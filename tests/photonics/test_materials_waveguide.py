@@ -17,13 +17,6 @@ class TestMaterials:
     def test_silica_index_at_1550(self):
         assert np.isclose(SILICA.refractive_index(LAMBDA), 1.444, atol=0.002)
 
-    def test_group_index_exceeds_phase_index(self):
-        # Normal material dispersion: n_g > n in the telecom window.
-        for material in (HYDEX, SILICA):
-            n = material.refractive_index(LAMBDA)
-            ng = material.group_index(LAMBDA)
-            assert ng > n, material.name
-
     def test_out_of_window_rejected(self):
         with pytest.raises(ConfigurationError):
             SILICA.refractive_index(10e-6)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.photonics.pump import (
-    DoublePulsePump,
-    DualPolarizationPump,
-    SelfLockedPump,
-)
+from repro.photonics.pump import DualPolarizationPump, SelfLockedPump
 
 
 class TestSelfLockedPump:
@@ -53,16 +49,3 @@ class TestDualPolarizationPump:
         with pytest.raises(ConfigurationError):
             DualPolarizationPump(power_te_w=-1.0, power_tm_w=1.0)
 
-
-class TestDoublePulsePump:
-    def test_average_power(self):
-        pump = DoublePulsePump(pulse_energy_j=1e-12, repetition_rate_hz=16.8e6)
-        assert np.isclose(pump.average_power_w(), 2 * 1e-12 * 16.8e6)
-
-    def test_overlapping_pulses_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DoublePulsePump(pulse_separation_s=40e-9, repetition_rate_hz=16.8e6)
-
-    def test_invalid_separation(self):
-        with pytest.raises(ConfigurationError):
-            DoublePulsePump(pulse_separation_s=0.0)

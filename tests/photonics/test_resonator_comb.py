@@ -1,11 +1,9 @@
-"""Unit tests for the microring resonator and comb grid."""
+"""Unit tests for the microring resonator."""
 
 import numpy as np
 import pytest
 
-from repro.constants import COMB_SPACING, TELECOM_FREQUENCY
 from repro.errors import ConfigurationError, PhysicsError
-from repro.photonics.comb import ChannelPair, CombChannel, CombGrid
 from repro.photonics.resonator import Microring, RingCoupling, ring_for_linewidth
 from repro.photonics.waveguide import Waveguide
 
@@ -96,64 +94,3 @@ class TestMicroring:
         with pytest.raises(ConfigurationError):
             ring_for_linewidth(Waveguide(), 200e9, 300e9)
 
-
-class TestCombGrid:
-    def test_default_grid(self):
-        grid = CombGrid()
-        assert grid.pump_frequency_hz == TELECOM_FREQUENCY
-        assert grid.spacing_hz == COMB_SPACING
-
-    def test_channel_frequencies(self):
-        grid = CombGrid(num_pairs=5)
-        assert grid.channel(0).frequency_hz == grid.pump_frequency_hz
-        assert np.isclose(
-            grid.channel(3).frequency_hz - grid.channel(-3).frequency_hz,
-            6 * grid.spacing_hz,
-        )
-
-    def test_channel_outside_grid(self):
-        grid = CombGrid(num_pairs=3)
-        with pytest.raises(ConfigurationError):
-            grid.channel(4)
-
-    def test_channel_labels(self):
-        grid = CombGrid()
-        assert grid.channel(0).label == "pump"
-        assert grid.channel(2).label == "s2"
-        assert grid.channel(-2).label == "i2"
-
-    def test_pair_energy_conservation(self):
-        grid = CombGrid()
-        for order in range(1, 6):
-            pair = grid.pair(order)
-            energy_sum = pair.signal.frequency_hz + pair.idler.frequency_hz
-            assert np.isclose(energy_sum, 2 * grid.pump_frequency_hz)
-
-    def test_pair_label(self):
-        assert CombGrid().pair(3).label == "±3"
-
-    def test_asymmetric_pair_rejected(self):
-        grid = CombGrid()
-        with pytest.raises(ConfigurationError):
-            ChannelPair(signal=grid.channel(1), idler=grid.channel(-2))
-
-    def test_pairs_count(self):
-        grid = CombGrid(num_pairs=7)
-        assert len(grid.pairs(5)) == 5
-        assert [p.order for p in grid.pairs(5)] == [1, 2, 3, 4, 5]
-
-    def test_pairs_count_validation(self):
-        with pytest.raises(ConfigurationError):
-            CombGrid(num_pairs=3).pairs(10)
-
-    def test_bands_cover_s_c_l(self):
-        # The paper's comb spans S, C and L; a wide grid must touch all 3.
-        grid = CombGrid(num_pairs=25)
-        bands = {grid.channel(index).band for index in range(-25, 26)}
-        assert {"S", "C", "L"}.issubset(bands)
-
-    def test_wavelength_round_trip(self):
-        channel = CombGrid().channel(1)
-        assert np.isclose(
-            channel.wavelength_m * channel.frequency_hz, 299_792_458.0
-        )

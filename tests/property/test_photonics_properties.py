@@ -3,7 +3,6 @@
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.photonics.comb import CombGrid
 from repro.photonics.fwm import phase_mismatch_suppression
 from repro.photonics.opo import ParametricOscillator
 from repro.photonics.resonator import RingCoupling, ring_for_linewidth
@@ -88,20 +87,6 @@ class TestRingResponse:
         ring = ring_for_linewidth(Waveguide(), 200e9, linewidth)
         value = abs(ring.lorentzian_amplitude(detuning))
         assert value <= 1.0 + 1e-12
-
-
-class TestCombInvariants:
-    @SETTINGS
-    @given(
-        st.floats(min_value=180e12, max_value=200e12),
-        st.floats(min_value=25e9, max_value=400e9),
-        st.integers(min_value=1, max_value=10),
-    )
-    def test_pair_energy_conservation(self, pump, spacing, order):
-        grid = CombGrid(pump, spacing, num_pairs=10)
-        pair = grid.pair(order)
-        energy_sum = pair.signal.frequency_hz + pair.idler.frequency_hz
-        assert np.isclose(energy_sum, 2 * pump, rtol=1e-12)
 
 
 class TestSuppressionAndOPO:

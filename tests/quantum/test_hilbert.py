@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import DimensionMismatchError
 from repro.quantum import hilbert
 
 
@@ -76,52 +75,6 @@ class TestTensor:
         assert np.array_equal(
             product.view(np.uint64), expected.view(np.uint64)
         )
-
-
-class TestPartialTrace:
-    def test_product_state_separates(self):
-        rho_a = np.diag([0.7, 0.3]).astype(complex)
-        rho_b = np.diag([0.2, 0.8]).astype(complex)
-        joint = np.kron(rho_a, rho_b)
-        reduced = hilbert.partial_trace(joint, [2, 2], keep=[0])
-        assert np.allclose(reduced, rho_a)
-
-    def test_keep_second_subsystem(self):
-        rho_a = np.diag([0.7, 0.3]).astype(complex)
-        rho_b = np.diag([0.2, 0.8]).astype(complex)
-        joint = np.kron(rho_a, rho_b)
-        reduced = hilbert.partial_trace(joint, [2, 2], keep=[1])
-        assert np.allclose(reduced, rho_b)
-
-    def test_bell_state_reduces_to_mixed(self):
-        ket = np.zeros(4, dtype=complex)
-        ket[0] = ket[3] = 1.0 / np.sqrt(2.0)
-        rho = np.outer(ket, ket.conj())
-        reduced = hilbert.partial_trace(rho, [2, 2], keep=[0])
-        assert np.allclose(reduced, np.eye(2) / 2.0)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(0)
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        reduced = hilbert.partial_trace(rho, [2, 4], keep=[1])
-        assert np.isclose(np.trace(reduced), 1.0)
-
-    def test_keep_order_respected(self):
-        rho_a = np.diag([1.0, 0.0]).astype(complex)
-        rho_b = np.diag([0.0, 1.0]).astype(complex)
-        joint = np.kron(rho_a, rho_b)
-        swapped = hilbert.partial_trace(joint, [2, 2], keep=[1, 0])
-        assert np.allclose(swapped, np.kron(rho_b, rho_a))
-
-    def test_dims_mismatch_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            hilbert.partial_trace(np.eye(6) / 6, [2, 2], keep=[0])
-
-    def test_duplicate_keep_rejected(self):
-        with pytest.raises(ValueError):
-            hilbert.partial_trace(np.eye(4) / 4, [2, 2], keep=[0, 0])
 
 
 class TestTotalDimension:

@@ -84,14 +84,3 @@ class TestFunctionals:
         proj = np.diag([1.0, 0.0]).astype(complex)
         assert 0.0 <= state.probability(proj) <= 1.0
 
-
-class TestStructure:
-    def test_bell_partial_trace_mixed(self):
-        state = DensityMatrix.from_ket(bell_state("phi+"), [2, 2])
-        reduced = state.partial_trace([0])
-        assert np.allclose(reduced.matrix, np.eye(2) / 2.0)
-
-    def test_tensor_dims_concatenate(self):
-        a = DensityMatrix.maximally_mixed([2])
-        b = DensityMatrix.maximally_mixed([2, 2])
-        assert a.tensor(b).dims == (2, 2, 2)

@@ -114,3 +114,61 @@ def test_pool_workers_run_one_thread(threads_by_default):
     """
     # The parent process itself is left alone.
     assert _probe(body) == f"- {threads_by_default}"
+
+
+def test_no_driver_runs_multithreaded_blas(threads_by_default):
+    """Each quick driver, run in a process that pins nothing, leaves the
+    OpenBLAS helper threads idle: at most one tick of their CPU time.
+
+    The helpers spin at load, so the script loads every library a driver
+    uses, waits until their CPU time stops moving, and only then reads
+    it around each run.
+    """
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc task table to read thread CPU time from")
+    script = textwrap.dedent(
+        """
+        import os, threading, time
+        import scipy.linalg, scipy.optimize, scipy.special
+        from repro.experiments.registry import EXPERIMENTS
+
+        MAIN = threading.get_native_id()
+
+        def helper_ticks():
+            total = 0
+            for tid in os.listdir("/proc/self/task"):
+                if int(tid) == MAIN:
+                    continue
+                try:
+                    with open(f"/proc/self/task/{tid}/stat") as fh:
+                        fields = fh.read().rpartition(")")[2].split()
+                except FileNotFoundError:
+                    continue
+                total += int(fields[11]) + int(fields[12])  # utime + stime
+            return total
+
+        def idle_ticks():
+            last, still = helper_ticks(), 0
+            while still < 4:
+                time.sleep(0.05)
+                now = helper_ticks()
+                still = still + 1 if now == last else 0
+                last = now
+            return last
+
+        for key, (driver, _) in EXPERIMENTS.items():
+            before = idle_ticks()
+            driver(seed=0, quick=True)
+            print(key, helper_ticks() - before)
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    ticks = dict(line.split() for line in completed.stdout.splitlines())
+    assert len(ticks) == 9, completed.stdout
+    busy = {key: int(value) for key, value in ticks.items() if int(value) > 1}
+    assert not busy, busy
